@@ -15,8 +15,8 @@ from .geometry import (COVER_TOL, LevelProbe, Point, circle_circle_intersections
 from .sites import (CandidateSite, Instance, generate_candidate_sites,
                     prune_dominated, site_weight)
 from .grid import Cell, Grid, Strip, bounding_box, cells_for_shift, strips_of_cell
-from .strip_dp import (CellInfeasible, CellSolution, DpCounters, StripTable,
-                       auto_cap, compatible, enumerate_strip_subsets, solve_cell)
+from .strip_dp import (CellInfeasible, CellSolution, DpCounters, auto_cap,
+                       compatible, enumerate_strip_subsets, solve_cell)
 from .oracle import (CensusReport, GridRefineReport, OracleResult,
                      exact_min_cost_cover, greedy_cover, grid_refine_audit,
                      strip_sensor_census)
@@ -35,7 +35,7 @@ __all__ = [
     "CellSolution", "CensusReport", "DpCounters", "Grid", "GridRefineReport",
     "Instance", "InstanceFormatError", "LevelProbe", "OracleResult", "Placement",
     "Point", "PtasConfig", "ShiftAuditReport", "Solution", "SolutionFile",
-    "Strip", "StripTable", "auto_cap", "bounding_box", "cells_for_shift",
+    "Strip", "auto_cap", "bounding_box", "cells_for_shift",
     "circle_circle_intersections", "compatible", "coverage_angle_halfwidth",
     "covered_targets", "dist", "enumerate_strip_subsets", "exact_min_cost_cover",
     "gen_counterexample", "gen_uniform", "generate_candidate_sites",

@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     quality.add_argument("--epsilon", type=float)
     quality.add_argument("--m", type=int)
     s.add_argument("--cap", type=_parse_cap, default="auto")
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     e = sub.add_parser("exact", help="run the exact oracle")
@@ -114,14 +113,12 @@ def _cmd_generate(args) -> int:
 def _config_echo(config: PtasConfig, solution) -> dict:
     return {"epsilon": config.epsilon, "m": solution.m,
             "cap": config.cap, "cap_used": solution.cap_used,
-            "seed": config.seed, "counters": solution.counters,
-            "cap_check": solution.cap_check}
+            "counters": solution.counters, "cap_check": solution.cap_check}
 
 
 def _cmd_solve(args) -> int:
     inst = read_instance(args.infile)
-    config = PtasConfig(epsilon=args.epsilon, m=args.m, cap=args.cap,
-                        seed=args.seed)
+    config = PtasConfig(epsilon=args.epsilon, m=args.m, cap=args.cap)
     solution = solve(inst, config, jobs=args.jobs)
     if not verify_solution(inst, solution.placements):
         _fail("internal", "solution failed the independent feasibility re-check")

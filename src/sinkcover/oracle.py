@@ -163,9 +163,14 @@ def grid_refine_audit(instance: Instance, discrete_opt: float,
     are useless), condensed to one cheapest representative per distinct
     covered set, and solved exactly.  If the candidate-site classes are
     sound, the grid optimum can only be worse, up to O(step) per sensor.
+    Covered sets are packed into int64 bit masks, so at most 63 targets are
+    accepted.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
+    if instance.n > 63:
+        raise ValueError(f"grid audit packs targets into int64 masks: "
+                         f"{instance.n} targets exceed 63")
     if step <= 0:
         raise ValueError("step must be positive")
     r = instance.r

@@ -46,7 +46,6 @@ class PtasConfig:
     epsilon: float | None = None
     m: int | None = None
     cap: int | str = "auto"     # "auto" | "verify" | fixed integer
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if (self.epsilon is None) == (self.m is None):
@@ -184,9 +183,7 @@ def solve(instance: Instance, config: PtasConfig,
                     per_round_costs=per_round,
                     m=m,
                     cap_used=cap,
-                    counters={"subsets_enumerated": counters.subsets_enumerated,
-                              "pairs_checked": counters.pairs_checked,
-                              "pair_bound": counters.pair_bound},
+                    counters={"subsets_enumerated": counters.subsets_enumerated},
                     cap_check=cap_check)
 
 

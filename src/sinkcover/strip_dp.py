@@ -3,14 +3,30 @@
 A cell of side 2mr splits into m strips of width 2r.  A radius-r disk covers
 targets spanning less than 2r horizontally, so a site can serve targets in
 at most two adjacent strips and the pools of non-adjacent strips are
-disjoint.  The solver sweeps strips left to right; the state after strip i
-is the chosen subset of strip i's pool, and consecutive states must agree on
-every site shared between the two pools.  A site's weight is charged at the
-first strip where it appears, so sites shared across a boundary are paid
-exactly once.
+disjoint.  Write T_i for strip i's targets, S_i for the sites in the pools
+of both strip i and strip i+1, and L_i for strip i's local sites (in its
+pool but in neither S_{i-1} nor S_i).  Local sites cover only targets of
+their own strip, so strip i+1 sees strip i's choice only through the
+footprint F, the chosen part of S_i.  The sweep keeps one cost per
+footprint:
 
-The per-strip subset cap bounds the state size; with the cap large enough
-the sweep is exact over the candidate-site universe restricted to the cell.
+    D_i(F) = min over F' of  D_{i-1}(F') + w(F)
+                             + C_i(T_i minus cov(F' | F), cap - |F'| - |F|)
+
+where F' ranges over the footprints on S_{i-1} and C_i(R, b) is the
+cheapest cover of R by at most b sites of L_i.  Each site is paid once:
+local sites inside C_i, shared sites in the footprint that holds them.
+
+Only irredundant footprints are enumerated: every member covers a target
+of T_i or T_{i+1} that no other member covers.  Weights are non-negative,
+so some optimum is minimal, and every footprint of a minimal solution is
+irredundant.  The transition reads a footprint only through its coverage
+of T_i and its size, so incoming and outgoing footprints are grouped by
+that pair and a strip costs groups x groups lookups of C_i.
+
+The cap bounds the number of sites chosen from any one strip's pool; with
+the cap large enough the sweep is exact over the candidate-site universe
+restricted to the cell.
 """
 
 from __future__ import annotations
@@ -28,29 +44,10 @@ INF = float("inf")
 class DpCounters:
     """Instrumentation for the benchmark harness."""
 
-    subsets_enumerated: int = 0
-    pairs_checked: int = 0
-    pair_bound: int = 0   # loose envelope: sum over strips of |pool|^(2L)
+    subsets_enumerated: int = 0   # footprint states stored, summed over strips
 
     def merge(self, other: "DpCounters") -> None:
         self.subsets_enumerated += other.subsets_enumerated
-        self.pairs_checked += other.pairs_checked
-        self.pair_bound += other.pair_bound
-
-
-@dataclass
-class StripTable:
-    """Inspectable DP state: per-strip subset values and back-pointers.
-
-    `entries[i]` maps a chosen subset of strip i's pool (sorted tuple of
-    global site indices) to its best cost so far and the predecessor subset
-    at strip i-1.  `aggregates[i]` is the cheapest value stored for strip i.
-    """
-
-    pools: list[tuple[int, ...]]
-    overlaps: list[tuple[int, ...]]
-    entries: list[dict[tuple[int, ...], tuple[float, tuple[int, ...] | None]]]
-    aggregates: list[float]
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,6 @@ class CellSolution:
     site_indices: frozenset[int]
     cost: float
     counters: DpCounters = field(compare=False, default_factory=DpCounters)
-    table: StripTable | None = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -79,8 +75,7 @@ def enumerate_strip_subsets(pool, strip_targets, sites: list[CandidateSite],
     """All subsets of `pool` of size at most `cap` covering every strip target.
 
     Canonically ordered (by size, then sorted members).  Exponential in the
-    pool size; intended for small pools and for cross-checking the solver,
-    which enumerates a restricted equivalent family internally.
+    pool size; intended for small pools and for cross-checking the solver.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -97,7 +92,7 @@ def enumerate_strip_subsets(pool, strip_targets, sites: list[CandidateSite],
     return out
 
 
-def auto_cap(m: int, k: int, cell: Cell | None = None) -> int:
+def auto_cap(m: int, k: int) -> int:
     """Default per-strip subset cap.
 
     An optimal solution needs only a bounded number of sensors per strip:
@@ -120,21 +115,77 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-def solve_cell(cell: Cell, sites: list[CandidateSite], cap: int,
-               keep_table: bool = False) -> CellSolution | CellInfeasible:
+def _footprints(shared_bits: list[int], cover: list[int], weight: list[float],
+                cap: int) -> list[tuple[int, float, int]]:
+    """Irredundant subsets of the shared sites with at most `cap` members.
+
+    Returns (site mask, weight, covered targets) triples, the empty subset
+    first.  A subset of an irredundant set is irredundant, so a branch of
+    the search ends at the first addition that leaves some member without a
+    target of its own.
+    """
+    out = []
+
+    def grow(start: int, members: tuple[int, ...], mask: int, w: float,
+             cov: int, once: int) -> None:
+        out.append((mask, w, cov))
+        if len(members) == cap:
+            return
+        multi = cov & ~once   # targets covered at least twice
+        for j in range(start, len(shared_bits)):
+            b = shared_bits[j]
+            grown = members + (b,)
+            new_once = (once ^ cover[b]) & ~multi
+            if all(cover[a] & new_once for a in grown):
+                grow(j + 1, grown, mask | 1 << b, w + weight[b],
+                     cov | cover[b], new_once)
+
+    grow(0, (), 0, 0.0, 0, 0)
+    return out
+
+
+def _local_cover(local_bits: list[int], cover: list[int], weight: list[float]):
+    """C(R, b): the cheapest (cost, site mask) covering target mask R with at
+    most b of the strip's local sites, or (INF, 0) when none exists.
+
+    Some chosen site covers R's lowest target, so the search branches over
+    that target's coverers only, and each pick covers a new target, so a
+    budget above |R| never helps.
+    """
+    memo: dict[tuple[int, int], tuple[float, int]] = {}
+
+    def best(resid: int, budget: int) -> tuple[float, int]:
+        if budget < 0:
+            return INF, 0
+        if resid == 0:
+            return 0.0, 0
+        budget = min(budget, resid.bit_count())
+        if budget == 0:
+            return INF, 0
+        key = (resid, budget)
+        if key not in memo:
+            low = resid & -resid
+            found = (INF, 0)
+            for b in local_bits:
+                if cover[b] & low:
+                    cost, mask = best(resid & ~cover[b], budget - 1)
+                    if cost + weight[b] < found[0]:
+                        found = (cost + weight[b], mask | 1 << b)
+            memo[key] = found
+        return memo[key]
+
+    return best
+
+
+def solve_cell(cell: Cell, sites: list[CandidateSite],
+               cap: int) -> CellSolution | CellInfeasible:
     """Minimum-cost cover of all targets in one cell, within the subset cap.
 
     Returns the exact optimum over the candidate sites appearing in the
     cell's strip pools, or a CellInfeasible naming the first strip where no
     qualifying subset exists (cap too tight or a target nobody covers).
-
-    States kept per strip: subsets that cover the strip's own targets and in
-    which every member either contributes coverage inside the strip or is
-    shared with an adjacent strip's pool and contributes coverage there.
-    Restricting to these "useful" subsets preserves at least one optimal
-    trajectory and keeps enumeration tractable; the literal all-subsets
-    recurrence gives the same costs (see the reference implementation in the
-    test suite).
+    The literal all-subsets recurrence gives the same costs (see the
+    reference implementation in the test suite).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -142,8 +193,7 @@ def solve_cell(cell: Cell, sites: list[CandidateSite], cap: int,
     m = len(strips)
     counters = DpCounters()
     if not cell.target_indices:
-        return CellSolution(frozenset(), 0.0, counters,
-                            StripTable([], [], [], []) if keep_table else None)
+        return CellSolution(frozenset(), 0.0, counters)
 
     # Local ids: targets and sites are renumbered inside the cell so subsets
     # and covered-sets become machine ints.
@@ -170,21 +220,18 @@ def solve_cell(cell: Cell, sites: list[CandidateSite], cap: int,
         for t in st.target_indices:
             tm |= 1 << tid[t]
         strip_tmask.append(tm)
-        counters.pair_bound += max(len(st.site_pool), 1) ** (2 * cap)
+    strip_tmask.append(0)
+    shared = [pool_mask[i] & pool_mask[i + 1] for i in range(m - 1)] + [0]
 
-    def mask_cover(mask: int) -> int:
-        cov = 0
-        for b in _bit_indices(mask):
-            cov |= cover[b]
-        return cov
-
-    tables: list[dict[int, tuple[float, int | None]]] = []
-    prev_states: dict[int, tuple[float, int | None]] = {}
+    # Footprints entering strip i, grouped by (coverage of T_i, size); each
+    # group keeps its cheapest (cost, footprint).
+    incoming: dict[tuple[int, int], tuple[float, int]] = {(0, 0): (0.0, 0)}
+    # Per strip: footprint -> (cost, predecessor footprint, local sites).
+    tables: list[dict[int, tuple[float, int, int]]] = []
 
     for i in range(m):
-        o_mask = pool_mask[i - 1] & pool_mask[i] if i > 0 else 0
-        nxt_mask = pool_mask[i] & pool_mask[i + 1] if i + 1 < m else 0
-        if o_mask & nxt_mask:
+        o_mask = shared[i - 1] if i > 0 else 0
+        if o_mask & shared[i]:
             # Covered targets of one site are at most 2r apart, so pools two
             # strips apart are disjoint up to the coverage tolerance.  A site
             # spanning three pools can only come from targets within a few
@@ -192,122 +239,45 @@ def solve_cell(cell: Cell, sites: list[CandidateSite], cap: int,
             raise ValueError(
                 "degenerate geometry: a site's covered targets span three "
                 "strips (target separation within tolerance of 2r)")
-        local_mask = pool_mask[i] & ~o_mask
+        tmask = strip_tmask[i]
+        local = _local_cover(_bit_indices(pool_mask[i] & ~o_mask & ~shared[i]),
+                             cover, weight)
+        groups: dict[tuple[int, int], list[tuple[int, float, int]]] = {}
+        for fp in _footprints(_bit_indices(shared[i]), cover, weight, cap):
+            groups.setdefault((fp[2] & tmask, fp[0].bit_count()), []).append(fp)
 
-        # Group previous states by their footprint on the shared pool; the
-        # best compatible predecessor of any state U is the bucket minimum
-        # for key U & o_mask.
-        if i == 0:
-            buckets: dict[int, tuple[float, int | None]] = {0: (0.0, None)}
-        else:
-            buckets = {}
-            for smask, (scost, _) in prev_states.items():
-                key = smask & o_mask
-                cur = buckets.get(key)
-                if cur is None or (scost, smask) < (cur[0], cur[1]):
-                    buckets[key] = (scost, smask)
-
-        # Per-strip-target coverer lists drawn from the non-shared part of
-        # the pool (shared sites enter states through the bucket key).
-        local_bits = _bit_indices(local_mask)
-        coverers: dict[int, list[int]] = {}
-        for t in _bit_indices(strip_tmask[i]):
-            coverers[t] = [b for b in local_bits if cover[b] >> t & 1]
-
-        ext_bits = _bit_indices(nxt_mask)
-        next_tmask = strip_tmask[i + 1] if i + 1 < m else 0
-
-        states: dict[int, tuple[float, int | None]] = {}
-
-        def register(umask: int, ucost: float, prev: int | None) -> None:
-            counters.subsets_enumerated += 1
-            counters.pairs_checked += 1
-            cur = states.get(umask)
-            if cur is None or ucost < cur[0]:
-                states[umask] = (ucost, prev)
-
-        def extend(umask: int, ucost: float, prev: int | None,
-                   ecov: int, budget: int, start: int) -> None:
-            # Optionally add shared sites that pre-pay coverage of the next
-            # strip; each addition must cover a next-strip target not yet
-            # covered by the state's shared part.
-            register(umask, ucost, prev)
-            if budget <= 0:
-                return
-            for j in range(start, len(ext_bits)):
-                b = ext_bits[j]
-                if umask >> b & 1:
-                    continue
-                gain = (cover[b] & next_tmask) & ~ecov
-                if not gain:
-                    continue
-                extend(umask | (1 << b), ucost + weight[b], prev,
-                       ecov | gain, budget - 1, j + 1)
-
-        def complete(kmask: int, kcost: float, prev: int | None) -> None:
-            # Cover the strip's remaining targets from the non-shared pool,
-            # each added site justified by a first-uncovered target, then
-            # hand off to the extension pass.
-            seen: set[int] = set()
-
-            def rec(resid: int, cmask: int, ccost: float, budget: int) -> None:
-                if resid == 0:
-                    umask = kmask | cmask
-                    if umask in seen:
-                        return
-                    seen.add(umask)
-                    base_ecov = mask_cover(umask & nxt_mask) & next_tmask
-                    extend(umask, kcost + ccost, prev, base_ecov,
-                           cap - bin(umask).count("1"), 0)
-                    return
-                if budget <= 0:
-                    return
-                t = (resid & -resid).bit_length() - 1
-                for b in coverers[t]:
-                    rec(resid & ~cover[b], cmask | (1 << b),
-                        ccost + weight[b], budget - 1)
-
-            resid0 = strip_tmask[i] & ~mask_cover(kmask)
-            rec(resid0, 0, 0.0, cap - bin(kmask).count("1"))
-
-        for key in sorted(buckets):
-            bcost, bprev = buckets[key]
-            complete(key, bcost, bprev)
-
+        states: dict[int, tuple[float, int, int]] = {}
+        nxt: dict[tuple[int, int], tuple[float, int]] = {}
+        for (c, k), members in groups.items():
+            best = (INF, 0, 0)
+            for (c_in, k_in), (cost_in, f_in) in incoming.items():
+                lcost, lmask = local(tmask & ~(c_in | c), cap - k_in - k)
+                if cost_in + lcost < best[0]:
+                    best = (cost_in + lcost, f_in, lmask)
+            if best[0] == INF:
+                continue
+            for f, fw, fcov in members:
+                cost = best[0] + fw
+                states[f] = (cost, best[1], best[2])
+                key = (fcov & strip_tmask[i + 1], k)
+                if key not in nxt or (cost, f) < nxt[key]:
+                    nxt[key] = (cost, f)
         if not states:
             return CellInfeasible(
                 strip_index=i + 1,
                 reason=f"no feasible subset of strip {i + 1} within cap {cap}")
+        counters.subsets_enumerated += len(states)
         tables.append(states)
-        prev_states = states
+        incoming = nxt
 
-    best_mask, (best_cost, _) = min(
-        tables[-1].items(), key=lambda kv: (kv[1][0], kv[0]))
-
+    # The last strip shares no sites, so its only footprint is empty.
+    best_cost = tables[-1][0][0]
     chosen = 0
-    mask: int | None = best_mask
-    for i in range(m - 1, -1, -1):
-        assert mask is not None
-        chosen |= mask
-        mask = tables[i][mask][1]
-
-    table = None
-    if keep_table:
-        def key_of(msk: int | None):
-            if msk is None:
-                return None
-            return tuple(gids[b] for b in _bit_indices(msk))
-
-        entries = [{key_of(msk): (cost, key_of(prev))
-                    for msk, (cost, prev) in sorted(tbl.items())}
-                   for tbl in tables]
-        table = StripTable(
-            pools=[st.site_pool for st in strips],
-            overlaps=[tuple(sorted(set(strips[i - 1].site_pool)
-                                   & set(strips[i].site_pool))) if i else ()
-                      for i in range(m)],
-            entries=entries,
-            aggregates=[min(c for c, _ in tbl.values()) for tbl in tables])
+    f = 0
+    for states in reversed(tables):
+        _, f_prev, lmask = states[f]
+        chosen |= f | lmask
+        f = f_prev
 
     return CellSolution(frozenset(gids[b] for b in _bit_indices(chosen)),
-                        best_cost, counters, table)
+                        best_cost, counters)

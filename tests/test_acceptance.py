@@ -10,6 +10,7 @@ import math
 import random
 
 import pytest
+from conftest import solve_state_bound
 
 from sinkcover.geometry import (Point, coverage_angle_halfwidth, dist,
                                 s_prime_location)
@@ -202,16 +203,18 @@ def test_criterion_7_strip_independence():
 
 @criterion("8 runtime scaling envelope")
 def test_criterion_8_counter_envelope():
+    # Stored footprint states against the count of irredundant footprints
+    # the strip pools allow (see conftest.footprint_state_bound).
     worst_ratio = 0.0
     for seed in range(12):
         n = 4 + seed % 7
         k = 1 + seed % 2
         inst = gen_uniform(n, k, 1.0, 8.0, 900 + seed)
+        sites = prune_dominated(generate_candidate_sites(inst))
         for m in (2, 4):
-            sol = solve(inst, PtasConfig(m=m))
-            pairs = sol.counters["pairs_checked"]
-            bound = sol.counters["pair_bound"]
-            assert pairs <= bound, (seed, m, pairs, bound)
-            if bound:
-                worst_ratio = max(worst_ratio, pairs / bound)
-    print(f"  pairs/bound worst ratio: {worst_ratio:.3e}")
+            sol = solve(inst, PtasConfig(m=m), sites=sites)
+            states = sol.counters["subsets_enumerated"]
+            bound = solve_state_bound(inst, sol, sites)
+            assert states <= bound, (seed, m, states, bound)
+            worst_ratio = max(worst_ratio, states / bound)
+    print(f"  states/bound worst ratio: {worst_ratio:.3f}")

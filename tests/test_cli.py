@@ -70,7 +70,7 @@ def test_solve_output_passes_feasibility_recheck(tmp_path):
 def test_solve_byte_identical_reruns(tmp_path):
     path = _gen(tmp_path, seed=12)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["solve", "--in", str(path), "--m", "4", "--seed", "5", "--jobs", "1"]
+    argv = ["solve", "--in", str(path), "--m", "4", "--jobs", "1"]
     assert run(argv + ["--out", str(out1)]) == 0
     assert run(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -161,6 +161,16 @@ def test_audit_verb(tmp_path, capsys):
     assert "refine:" in out and "shift:" in out and "PASS" in out
     records = json.loads(report.read_text())
     assert {r["algorithm"] for r in records} == {"refine-audit", "shift-audit"}
+
+
+def test_audit_refuses_more_targets_than_mask_bits(tmp_path, capsys):
+    # The grid sweep packs covered sets into int64 masks; 70 targets used to
+    # overflow them into an infinite grid optimum that still passed.
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"r": 1.0, "stations": [[0.0, 1.5]],
+                                "targets": [[3.0 * i, 0.0] for i in range(70)]}))
+    assert run(["audit", "--in", str(path), "--m", "2", "--jobs", "1"]) == 1
+    assert "error[input]" in capsys.readouterr().err
 
 
 def test_render_structure(tmp_path):

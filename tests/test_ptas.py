@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from conftest import solve_state_bound
 
 from sinkcover.instances_io import SolutionFile, gen_uniform
 from sinkcover.oracle import exact_min_cost_cover
@@ -69,11 +70,11 @@ def test_solution_invariants():
 
 def test_solution_deterministic_serialization():
     inst = gen_uniform(9, 2, 1.0, 10.0, 11)
-    config = PtasConfig(m=4, seed=7)
+    config = PtasConfig(m=4)
     a = solve(inst, config)
     b = solve(inst, config)
-    ja = SolutionFile.from_solution(a, {"m": a.m, "seed": 7}).to_json()
-    jb = SolutionFile.from_solution(b, {"m": b.m, "seed": 7}).to_json()
+    ja = SolutionFile.from_solution(a, {"m": a.m}).to_json()
+    jb = SolutionFile.from_solution(b, {"m": b.m}).to_json()
     assert ja == jb
 
 
@@ -165,6 +166,18 @@ def test_shift_average_margin_trend():
 
 def test_counters_exposed():
     inst = gen_uniform(6, 1, 1.0, 8.0, 9)
-    sol = solve(inst, PtasConfig(m=2))
-    assert sol.counters["pairs_checked"] > 0
-    assert sol.counters["pairs_checked"] <= sol.counters["pair_bound"]
+    sites = prune_dominated(generate_candidate_sites(inst))
+    sol = solve(inst, PtasConfig(m=2), sites=sites)
+    assert sol.counters["subsets_enumerated"] > 0
+    assert sol.counters["subsets_enumerated"] <= solve_state_bound(inst, sol, sites)
+
+
+def test_dense_row_solves_to_optimum():
+    # 30 targets in an 8x8 box: the whole instance fits one m=4 cell in
+    # some round, so the selected round is exact.  The pinned optimum came
+    # from exact_min_cost_cover on the pruned candidate sites (proven
+    # optimal after 8.6M branch-and-bound nodes, about 18 s).
+    inst = gen_uniform(30, 2, 1.0, 8.0, 2)
+    sol = solve(inst, PtasConfig(m=4))
+    assert verify_solution(inst, sol.placements)
+    assert sol.total_cost == pytest.approx(19.122784217490857, rel=1e-9)

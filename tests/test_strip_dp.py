@@ -3,6 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
+from conftest import footprint_state_bound
 
 from sinkcover.geometry import Point
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
@@ -161,38 +162,8 @@ def test_solve_cell_counters_within_envelope():
     cell, sites = _single_cell(inst, 2)
     res = solve_cell(cell, sites, cap)
     assert isinstance(res, CellSolution)
-    assert res.counters.pairs_checked <= res.counters.pair_bound
     assert res.counters.subsets_enumerated > 0
-    # Tighter combinatorial envelope: pairs examined never exceed
-    # m * (sum over strips of the number of subsets of size <= cap)^2.
-    total_subsets = sum(
-        sum(math.comb(len(s.site_pool), size)
-            for size in range(0, min(cap, len(s.site_pool)) + 1))
-        for s in cell.strips)
-    assert res.counters.pairs_checked <= len(cell.strips) * total_subsets ** 2
-
-
-def test_strip_table_backpointers():
-    inst = Instance.from_coords([(0, 0), (3, 0)], [(1.5, 0)], 1.0)
-    cell, sites = _single_cell(inst, 2)
-    res = solve_cell(cell, sites, 4, keep_table=True)
-    assert isinstance(res, CellSolution)
-    table = res.table
-    assert table is not None
-    assert len(table.entries) == 2
-    assert min(cost for cost, _ in table.entries[-1].values()) == pytest.approx(res.cost)
-    # Follow back-pointers from the best last subset; union must be feasible.
-    best = min(table.entries[-1].items(), key=lambda kv: (kv[1][0], kv[0]))
-    subset, (cost, prev) = best
-    chosen = set(subset)
-    for entries in reversed(table.entries[:-1]):
-        assert prev in entries
-        chosen |= set(prev)
-        prev = entries[prev][1]
-    covered = set()
-    for i in chosen:
-        covered |= sites[i].covered
-    assert set(cell.target_indices) <= covered
+    assert res.counters.subsets_enumerated <= footprint_state_bound(cell.strips, cap)
 
 
 def _reference_cell_opt(cell, sites, cap):
@@ -249,14 +220,14 @@ def test_solver_matches_literal_recurrence():
         cell, sites = _single_cell(inst, 2)
         if max(len(s.site_pool) for s in cell.strips) > 12:
             continue
-        cap = 4
-        ref = _reference_cell_opt(cell, sites, cap)
-        res = solve_cell(cell, sites, cap)
-        got = res.cost if isinstance(res, CellSolution) else INF
-        if math.isinf(ref):
-            assert math.isinf(got)
-        else:
-            assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        for cap in (1, 2, 3, 4):
+            ref = _reference_cell_opt(cell, sites, cap)
+            res = solve_cell(cell, sites, cap)
+            got = res.cost if isinstance(res, CellSolution) else INF
+            if math.isinf(ref):
+                assert math.isinf(got), (seed, cap)
+            else:
+                assert got == pytest.approx(ref, rel=1e-9, abs=1e-12), (seed, cap)
 
 
 def test_cap_below_requirement_flagged():
