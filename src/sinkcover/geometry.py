@@ -87,6 +87,43 @@ def covered_targets(site: Point, targets: list[Point] | tuple[Point, ...],
     return frozenset(i for i, t in enumerate(targets) if dist(site, t) <= reach)
 
 
+class NearGrid:
+    """Fixed-radius near-neighbour index over a point list (the cell grid of
+    Bentley, Stanat & Williams, IPL 1977).
+
+    Points are binned into square buckets a little wider than `radius`.  Two
+    points whose float `dist` is at most `radius` differ by at most `radius`
+    (to rounding) in each axis, so they lie in the same or adjacent buckets:
+    the 1e-6 relative margin absorbs the rounding of `dist`, and the term in
+    the largest coordinate absorbs that of the bucket quotients.
+    """
+
+    def __init__(self, points, radius: float):
+        self.scale = max((max(abs(p.x), abs(p.y)) for p in points), default=0.0)
+        self.side = radius * (1.0 + 1e-6) + 1e-12 * self.scale
+        self.buckets: dict[tuple[int, int], list[int]] = {}
+        for i, p in enumerate(points):
+            self.buckets.setdefault(self._key(p), []).append(i)
+
+    def _key(self, p: Point) -> tuple[int, int]:
+        return math.floor(p.x / self.side), math.floor(p.y / self.side)
+
+    def near(self, p: Point) -> list[int]:
+        """Ascending indices of the points in the 3x3 buckets around `p`: a
+        superset of the points within `radius` of it."""
+        if max(abs(p.x), abs(p.y)) > self.scale + self.side:
+            # Farther than a bucket from every point; also keeps the bucket
+            # quotient finite for far queries when `side` is tiny.
+            return []
+        bx, by = self._key(p)
+        out: list[int] = []
+        for kx in (bx - 1, bx, bx + 1):
+            for ky in (by - 1, by, by + 1):
+                out.extend(self.buckets.get((kx, ky), ()))
+        out.sort()
+        return out
+
+
 def coverage_angle_halfwidth(a: float, a_prime: float, r: float) -> float:
     """Half-angle of the arc guaranteed covered by a sensor near a station.
 

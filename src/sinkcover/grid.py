@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import Point
-from .sites import CandidateSite, Instance
+from .sites import Instance
 
 
 @dataclass(frozen=True)
@@ -110,31 +110,24 @@ def cells_for_shift(grid: Grid, f: int) -> list[Cell]:
     return cells
 
 
-def strips_of_cell(cell: Cell, sites: list[CandidateSite]) -> list[Strip]:
+def strips_of_cell(cell: Cell, coverers: dict[int, list[int]]) -> list[Strip]:
     """Split a cell into its m vertical strips and compute per-strip pools.
 
-    Strip i's pool holds the indices of all sites covering at least one
-    target inside strip i.  Strips without targets get empty pools.  The
+    `coverers` maps a target index to the indices of the sites covering it
+    (`sites.coverers_by_target`); one index serves every cell of every
+    round.  Strip i's pool holds the indices of all sites covering at least
+    one target inside strip i.  Strips without targets get empty pools.  The
     result is also stored on the cell.
     """
     width = 2.0 * cell.r
     m = round(cell.side / width)
     x0 = cell.lower_left.x
-    strip_of_target: dict[int, int] = {}
-    for gi, pos in zip(cell.target_indices, cell.target_positions):
-        s = int((pos.x - x0) // width)
-        strip_of_target[gi] = min(max(s, 0), m - 1)
-
     strip_targets: list[list[int]] = [[] for _ in range(m)]
-    for gi in cell.target_indices:
-        strip_targets[strip_of_target[gi]].append(gi)
-
-    in_cell = set(cell.target_indices)
     pools: list[set[int]] = [set() for _ in range(m)]
-    for si, site in enumerate(sites):
-        for t in site.covered:
-            if t in in_cell:
-                pools[strip_of_target[t]].add(si)
+    for gi, pos in zip(cell.target_indices, cell.target_positions):
+        s = min(max(int((pos.x - x0) // width), 0), m - 1)
+        strip_targets[s].append(gi)
+        pools[s].update(coverers.get(gi, ()))
 
     strips = []
     for i in range(m):

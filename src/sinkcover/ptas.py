@@ -13,9 +13,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .geometry import COVER_TOL, Point, dist
+from .geometry import COVER_TOL, NearGrid, Point, dist
 from .grid import bounding_box, cells_for_shift, strips_of_cell
-from .sites import CandidateSite, Instance, generate_candidate_sites, prune_dominated
+from .sites import (CandidateSite, Instance, coverers_by_target,
+                    generate_candidate_sites, prune_dominated)
 from .strip_dp import CellInfeasible, CellSolution, DpCounters, auto_cap, solve_cell
 
 
@@ -91,14 +92,14 @@ def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
 
 
 def _solve_round(args):
-    grid, f, sites, cap, policy = args
+    grid, f, sites, coverers, cap, policy = args
     cells = cells_for_shift(grid, f)
     chosen: set[int] = set()
     counters = DpCounters()
     verify_costs = [0.0, 0.0]
     verify_ok = True
     for cell in cells:
-        strips_of_cell(cell, sites)
+        strips_of_cell(cell, coverers)
         cap_eff = cap
         res = solve_cell(cell, sites, cap_eff)
         if policy == "auto":
@@ -149,7 +150,8 @@ def solve(instance: Instance, config: PtasConfig,
         cap = auto_cap(m, instance.k)
         policy = config.cap
 
-    tasks = [(grid, f, sites, cap, policy) for f in range(m)]
+    coverers = coverers_by_target(sites)
+    tasks = [(grid, f, sites, coverers, cap, policy) for f in range(m)]
     if jobs > 1 and m > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, m)) as pool:
             results = list(pool.map(_solve_round, tasks))
@@ -190,7 +192,9 @@ def solve(instance: Instance, config: PtasConfig,
 def verify_solution(instance: Instance, placements) -> bool:
     """Independent feasibility re-check: every target within r of a placement.
 
-    Accepts Placement objects, Points, or (x, y) pairs.
+    Uses no candidate site: each target is tested against the placements in
+    the buckets around it.  Accepts Placement objects, Points, or (x, y)
+    pairs.
     """
     reach = instance.r * (1.0 + COVER_TOL)
     pts = []
@@ -201,7 +205,9 @@ def verify_solution(instance: Instance, placements) -> bool:
             pts.append(p)
         else:
             pts.append(Point(float(p[0]), float(p[1])))
-    return all(any(dist(t, p) <= reach for p in pts) for t in instance.targets)
+    index = NearGrid(pts, reach)
+    return all(any(dist(t, pts[i]) <= reach for i in index.near(t))
+               for t in instance.targets)
 
 
 @dataclass(frozen=True)

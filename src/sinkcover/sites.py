@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Point, circle_circle_intersections, covered_targets, dist, \
+from .geometry import COVER_TOL, NearGrid, Point, circle_circle_intersections, dist, \
     nearest_point_on_circle
 
 
@@ -86,7 +86,12 @@ def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
 
     Duplicate positions are merged, sites covering no target are dropped,
     and the result is sorted by (weight, x, y) so downstream enumeration and
-    tie-breaking are reproducible.
+    tie-breaking are reproducible.  Circle pairs and coverage are looked up
+    in bucket grids of side just over 2r and r, so only targets that can
+    intersect or be covered are examined.  The distance tests, the argument
+    order of each pair, and the order in which positions are first seen
+    (which decides between 0.0 and -0.0 for a merged position) are those of
+    a scan over all pairs.
     """
     r = instance.r
     targets = instance.targets
@@ -99,17 +104,22 @@ def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
         add(p)
     for t in targets:
         add(t)
-    for i in range(len(targets)):
-        for j in range(i + 1, len(targets)):
-            for p in circle_circle_intersections(targets[i], targets[j], r):
-                add(p)
+    pairs = NearGrid(targets, 2.0 * r)
+    for i, t in enumerate(targets):
+        for j in pairs.near(t):
+            if j > i:
+                for p in circle_circle_intersections(t, targets[j], r):
+                    add(p)
     for t in targets:
         for p in instance.stations:
             add(nearest_point_on_circle(t, r, p))
 
+    reach = r * (1.0 + COVER_TOL)
+    cover = NearGrid(targets, reach)
     sites = []
     for pos in positions.values():
-        covered = covered_targets(pos, targets, r)
+        covered = frozenset(i for i in cover.near(pos)
+                            if dist(pos, targets[i]) <= reach)
         if not covered:
             continue
         weight, origin = site_weight(pos, instance.stations)
@@ -118,33 +128,37 @@ def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
     return sites
 
 
+def coverers_by_target(sites: list[CandidateSite]) -> dict[int, list[int]]:
+    """Target index -> ascending indices of the sites covering it."""
+    out: dict[int, list[int]] = {}
+    for j, s in enumerate(sites):
+        for t in s.covered:
+            out.setdefault(t, []).append(j)
+    return out
+
+
 def prune_dominated(sites: list[CandidateSite]) -> list[CandidateSite]:
     """Drop sites whose coverage is available elsewhere at no extra cost.
 
     A site is removed when another site covers a superset of its targets at
     a weight that is no larger.  Exact ties (same covered set, same weight)
-    keep the lexicographically smaller position.
+    keep the lexicographically smaller position, then the earlier index.
+    That makes domination a strict partial order and the kept sites its
+    maximal elements, whatever the input order.  A dominator covers every
+    target of the site it dominates, so only the coverers of the site's
+    lowest target are compared (every site, for one covering nothing).
     """
-    n = len(sites)
-    masks = []
-    for s in sites:
-        m = 0
-        for t in s.covered:
-            m |= 1 << t
-        masks.append(m)
-    keep = [True] * n
-    for i in range(n):
-        mi, wi, pi = masks[i], sites[i].weight, sites[i].position
-        for j in range(n):
-            if i == j or not keep[j]:
-                continue
-            mj, wj = masks[j], sites[j].weight
-            if (mi & mj) == mi and wj <= wi:
-                if mj != mi or wj < wi:
-                    keep[i] = False
-                    break
-                pj = sites[j].position
-                if pj < pi or (pj == pi and j < i):
-                    keep[i] = False
-                    break
-    return [s for s, k in zip(sites, keep) if k]
+    coverers = coverers_by_target(sites)
+    kept = []
+    for i, s in enumerate(sites):
+        rivals = coverers[min(s.covered)] if s.covered else range(len(sites))
+        if not any(j != i and _dominates(sites[j], j, s, i) for j in rivals):
+            kept.append(s)
+    return kept
+
+
+def _dominates(a: CandidateSite, ia: int, b: CandidateSite, ib: int) -> bool:
+    """True iff site a (at index ia) dominates site b (at index ib)."""
+    return (a.weight <= b.weight and b.covered <= a.covered
+            and (a.weight < b.weight or len(a.covered) > len(b.covered)
+                 or (a.position, ia) < (b.position, ib)))

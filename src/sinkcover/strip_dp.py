@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .grid import Cell, strips_of_cell
-from .sites import CandidateSite
+from .sites import CandidateSite, coverers_by_target
 
 INF = float("inf")
 
@@ -189,7 +189,9 @@ def solve_cell(cell: Cell, sites: list[CandidateSite],
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    strips = cell.strips if cell.strips is not None else strips_of_cell(cell, sites)
+    strips = cell.strips
+    if strips is None:
+        strips = strips_of_cell(cell, coverers_by_target(sites))
     m = len(strips)
     counters = DpCounters()
     if not cell.target_indices:

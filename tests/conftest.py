@@ -3,6 +3,7 @@ import math
 from hypothesis import settings
 
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
+from sinkcover.sites import coverers_by_target
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -29,5 +30,6 @@ def solve_state_bound(instance, solution, sites):
     """`footprint_state_bound` summed over every cell of every shift round
     of a solve that used `sites` and did not escalate its cap."""
     grid = bounding_box(instance, solution.m)
-    return sum(footprint_state_bound(strips_of_cell(cell, sites), solution.cap_used)
+    coverers = coverers_by_target(sites)
+    return sum(footprint_state_bound(strips_of_cell(cell, coverers), solution.cap_used)
                for f in range(solution.m) for cell in cells_for_shift(grid, f))

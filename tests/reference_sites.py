@@ -1,0 +1,67 @@
+"""All-pairs candidate-site generation and dominance pruning.
+
+The library's versions look neighbours up in bucket grids; these scan every
+target pair, every (site, target) pair and every site pair, and serve as
+the reference the indexed versions must reproduce exactly, order included.
+"""
+
+from sinkcover.geometry import (circle_circle_intersections, covered_targets,
+                                nearest_point_on_circle)
+from sinkcover.sites import CandidateSite, site_weight
+
+
+def all_pairs_candidate_sites(instance):
+    r = instance.r
+    targets = instance.targets
+    positions = {}
+
+    def add(p):
+        positions.setdefault((p.x, p.y), p)
+
+    for p in instance.stations:
+        add(p)
+    for t in targets:
+        add(t)
+    for i in range(len(targets)):
+        for j in range(i + 1, len(targets)):
+            for p in circle_circle_intersections(targets[i], targets[j], r):
+                add(p)
+    for t in targets:
+        for p in instance.stations:
+            add(nearest_point_on_circle(t, r, p))
+
+    sites = []
+    for pos in positions.values():
+        covered = covered_targets(pos, targets, r)
+        if not covered:
+            continue
+        weight, origin = site_weight(pos, instance.stations)
+        sites.append(CandidateSite(pos, covered, weight, origin))
+    sites.sort(key=lambda s: (s.weight, s.position.x, s.position.y))
+    return sites
+
+
+def all_pairs_prune(sites):
+    n = len(sites)
+    masks = []
+    for s in sites:
+        m = 0
+        for t in s.covered:
+            m |= 1 << t
+        masks.append(m)
+    keep = [True] * n
+    for i in range(n):
+        mi, wi, pi = masks[i], sites[i].weight, sites[i].position
+        for j in range(n):
+            if i == j or not keep[j]:
+                continue
+            mj, wj = masks[j], sites[j].weight
+            if (mi & mj) == mi and wj <= wi:
+                if mj != mi or wj < wi:
+                    keep[i] = False
+                    break
+                pj = sites[j].position
+                if pj < pi or (pj == pi and j < i):
+                    keep[i] = False
+                    break
+    return [s for s, k in zip(sites, keep) if k]

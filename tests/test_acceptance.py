@@ -18,7 +18,7 @@ from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
 from sinkcover.instances_io import gen_counterexample, gen_uniform
 from sinkcover.oracle import exact_min_cost_cover, grid_refine_audit
 from sinkcover.ptas import PtasConfig, shift_average_audit, solve, verify_solution
-from sinkcover.sites import generate_candidate_sites, prune_dominated
+from sinkcover.sites import coverers_by_target, generate_candidate_sites, prune_dominated
 from sinkcover.strip_dp import CellSolution, auto_cap, solve_cell
 
 REL = 1e-9
@@ -90,7 +90,7 @@ def test_criterion_2_dp_exactness():
         cells = cells_for_shift(g, 0)
         assert len(cells) == 1, f"seed {seed}: instance spans {len(cells)} cells"
         cell = cells[0]
-        strips_of_cell(cell, sites)
+        strips_of_cell(cell, coverers_by_target(sites))
         cap = auto_cap(m, k)
         res = solve_cell(cell, sites, cap)
         res_plus = solve_cell(cell, sites, cap + 1)

@@ -5,7 +5,7 @@ import pytest
 
 from sinkcover.geometry import Point
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
-from sinkcover.sites import Instance, generate_candidate_sites
+from sinkcover.sites import Instance, coverers_by_target, generate_candidate_sites
 
 
 def _uniform_instance(seed, n=8, k=2, extent=10.0, r=1.0):
@@ -95,10 +95,10 @@ def test_shift_boundary_positions_cycle():
 
 def test_strip_count_and_width():
     inst = _uniform_instance(2, n=6)
-    sites = generate_candidate_sites(inst)
+    coverers = coverers_by_target(generate_candidate_sites(inst))
     g = bounding_box(inst, 2)
     for cell in cells_for_shift(g, 0):
-        strips = strips_of_cell(cell, sites)
+        strips = strips_of_cell(cell, coverers)
         assert len(strips) == 2
         for s in strips:
             lo, hi = s.x_range
@@ -109,11 +109,11 @@ def test_strip_count_and_width():
 def test_strips_partition_cell_targets():
     for seed in range(8):
         inst = _uniform_instance(seed, n=10)
-        sites = generate_candidate_sites(inst)
+        coverers = coverers_by_target(generate_candidate_sites(inst))
         g = bounding_box(inst, 3)
         for f in range(3):
             for cell in cells_for_shift(g, f):
-                strips = strips_of_cell(cell, sites)
+                strips = strips_of_cell(cell, coverers)
                 got = sorted(t for s in strips for t in s.target_indices)
                 assert got == sorted(cell.target_indices)
 
@@ -125,7 +125,7 @@ def test_site_spanning_two_strips_in_both_pools():
     sites = generate_candidate_sites(inst)
     g = bounding_box(inst, 2)
     (cell,) = cells_for_shift(g, 0)
-    s1, s2 = strips_of_cell(cell, sites)
+    s1, s2 = strips_of_cell(cell, coverers_by_target(sites))
     assert 1 in s1.target_indices and 2 in s2.target_indices
     both = [i for i, s in enumerate(sites) if s.covered >= {1, 2}]
     assert both
@@ -136,10 +136,10 @@ def test_site_spanning_two_strips_in_both_pools():
 def test_no_pool_shared_across_nonadjacent_strips():
     for seed in range(6):
         inst = _uniform_instance(seed, n=10, extent=6.0)
-        sites = generate_candidate_sites(inst)
+        coverers = coverers_by_target(generate_candidate_sites(inst))
         g = bounding_box(inst, 4)
         for cell in cells_for_shift(g, 0):
-            strips = strips_of_cell(cell, sites)
+            strips = strips_of_cell(cell, coverers)
             for i in range(len(strips)):
                 for j in range(i + 2, len(strips)):
                     assert not set(strips[i].site_pool) & set(strips[j].site_pool)

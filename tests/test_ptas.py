@@ -68,6 +68,26 @@ def test_solution_invariants():
     assert verify_solution(inst, sol.placements)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_verify_solution_rejects_target_beyond_radius(offset):
+    # One target exactly r from the only placement, one r * (1 + 2e-9) from
+    # it: past the 1e-9 coverage tolerance.
+    place = (offset, offset)
+    at_r = Instance.from_coords([(offset + 1.0, offset)], [place], 1.0)
+    beyond = Instance.from_coords([(offset, offset - (1.0 + 2e-9))], [place], 1.0)
+    both = Instance.from_coords([(offset + 1.0, offset), (offset, offset - (1.0 + 2e-9))],
+                                [place], 1.0)
+    assert verify_solution(at_r, [place])
+    assert not verify_solution(beyond, [place])
+    assert not verify_solution(both, [place])
+    assert verify_solution(both, [place, (offset, offset - 1.0)])
+
+
+def test_verify_solution_rejects_no_placements():
+    inst = Instance.from_coords([(0.0, 0.0)], [(0.0, 0.0)], 1.0)
+    assert not verify_solution(inst, [])
+
+
 def test_solution_deterministic_serialization():
     inst = gen_uniform(9, 2, 1.0, 10.0, 11)
     config = PtasConfig(m=4)

@@ -8,8 +8,8 @@ from conftest import footprint_state_bound
 from sinkcover.geometry import Point
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
-                             prune_dominated)
+from sinkcover.sites import (CandidateSite, Instance, coverers_by_target,
+                             generate_candidate_sites, prune_dominated)
 from sinkcover.strip_dp import (CellInfeasible, CellSolution, auto_cap,
                                 compatible, enumerate_strip_subsets, solve_cell)
 
@@ -22,7 +22,7 @@ def _single_cell(inst, m):
     cells = cells_for_shift(g, 0)
     assert len(cells) == 1
     cell = cells[0]
-    strips_of_cell(cell, sites)
+    strips_of_cell(cell, coverers_by_target(sites))
     return cell, sites
 
 
@@ -245,7 +245,7 @@ def test_cap_below_requirement_flagged():
     cell = Cell(index=(0, 0), lower_left=Point(x0, y0), side=side, r=inst.r,
                 target_indices=tuple(range(inst.n)),
                 target_positions=inst.targets)
-    strips_of_cell(cell, sites)
+    strips_of_cell(cell, coverers_by_target(sites))
     opt = exact_min_cost_cover(inst.n, sites).cost
     res = solve_cell(cell, sites, 1)
     if isinstance(res, CellSolution):
