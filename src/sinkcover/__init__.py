@@ -9,14 +9,14 @@ is within a factor (1 + 4/m) of the optimum over the candidate sites.  An
 exact branch-and-bound oracle provides desk-scale ground truth.
 """
 
-from .geometry import (COVER_TOL, LevelProbe, Point, circle_circle_intersections,
+from .geometry import (COVER_TOL, Point, circle_circle_intersections,
                        coverage_angle_halfwidth, covered_targets, dist,
                        nearest_point_on_circle, s_prime_location)
 from .sites import (CandidateSite, Instance, generate_candidate_sites,
                     prune_dominated, site_weight)
 from .grid import Cell, Grid, Strip, bounding_box, cells_for_shift, strips_of_cell
 from .strip_dp import (CellInfeasible, CellSolution, DpCounters, auto_cap,
-                       compatible, enumerate_strip_subsets, solve_cell)
+                       solve_cell)
 from .oracle import (CensusReport, GridRefineReport, OracleResult,
                      exact_min_cost_cover, greedy_cover, grid_refine_audit,
                      strip_sensor_census)
@@ -33,11 +33,11 @@ __version__ = "0.1.0"
 __all__ = [
     "COVER_TOL", "CandidateSite", "CapInfeasibleError", "Cell", "CellInfeasible",
     "CellSolution", "CensusReport", "DpCounters", "Grid", "GridRefineReport",
-    "Instance", "InstanceFormatError", "LevelProbe", "OracleResult", "Placement",
+    "Instance", "InstanceFormatError", "OracleResult", "Placement",
     "Point", "PtasConfig", "ShiftAuditReport", "Solution", "SolutionFile",
     "Strip", "auto_cap", "bounding_box", "cells_for_shift",
-    "circle_circle_intersections", "compatible", "coverage_angle_halfwidth",
-    "covered_targets", "dist", "enumerate_strip_subsets", "exact_min_cost_cover",
+    "circle_circle_intersections", "coverage_angle_halfwidth",
+    "covered_targets", "dist", "exact_min_cost_cover",
     "gen_counterexample", "gen_uniform", "generate_candidate_sites",
     "greedy_cover", "grid_refine_audit", "nearest_point_on_circle",
     "prune_dominated", "read_instance", "read_instance_file", "read_report",

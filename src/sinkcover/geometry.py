@@ -173,24 +173,3 @@ def s_prime_location(a: float, r: float, delta: float) -> Point:
     y = (math.sqrt(((two_r + delta) ** 2 - a * a) * (a * a - delta * delta))
          / (2.0 * a)) - math.sqrt(two_r * two_r - a * a) / 2.0
     return Point(x, y)
-
-
-@dataclass(frozen=True)
-class LevelProbe:
-    """A sampled near-station sensor configuration used by property checks.
-
-    Bundles the outer sensor distance `a`, the inner distance `a_prime`,
-    the pocket offset `delta` (half of a_prime), the covered half-angle
-    `theta` at radius r + a_prime, and the sensing radius `r`.
-    """
-
-    a: float
-    a_prime: float
-    delta: float
-    theta: float
-    r: float
-
-    @classmethod
-    def from_distances(cls, a: float, a_prime: float, r: float) -> "LevelProbe":
-        theta = coverage_angle_halfwidth(a, a_prime, r)
-        return cls(a=a, a_prime=a_prime, delta=a_prime / 2.0, theta=theta, r=r)

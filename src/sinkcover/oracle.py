@@ -18,6 +18,10 @@ from .grid import bounding_box
 
 INF = float("inf")
 
+# Grid points per row chunk of the refinement audit's sweep; bounds its
+# peak memory.
+_CHUNK_POINTS = 4_000_000
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -173,58 +177,7 @@ def grid_refine_audit(instance: Instance, discrete_opt: float,
                          f"{instance.n} targets exceed 63")
     if step <= 0:
         raise ValueError("step must be positive")
-    r = instance.r
-    txs = np.array([t.x for t in instance.targets])
-    tys = np.array([t.y for t in instance.targets])
-    x0, x1 = txs.min() - r, txs.max() + r
-    y0, y1 = tys.min() - r, tys.max() + r
-    xs = np.arange(x0, x1 + step / 2, step)
-    ys = np.arange(y0, y1 + step / 2, step)
-    reach = r * (1.0 + COVER_TOL)
-
-    best_weight: dict[int, float] = {}
-    best_pos: dict[int, tuple[float, float]] = {}
-    total_pts = 0
-    # Row-chunked sweep keeps peak memory modest on fine grids.
-    chunk = max(1, int(4e6 // max(len(xs), 1)))
-    for lo in range(0, len(ys), chunk):
-        yy = ys[lo:lo + chunk]
-        gx, gy = np.meshgrid(xs, yy, indexing="ij")
-        gx = gx.ravel()
-        gy = gy.ravel()
-        masks = np.zeros(gx.shape, dtype=np.int64)
-        for i, t in enumerate(instance.targets):
-            d2 = (gx - t.x) ** 2 + (gy - t.y) ** 2
-            masks |= (d2 <= reach * reach).astype(np.int64) << i
-        sel = masks > 0
-        if not sel.any():
-            continue
-        gx, gy, masks = gx[sel], gy[sel], masks[sel]
-        total_pts += int(sel.sum())
-        w = np.full(gx.shape, np.inf)
-        for p in instance.stations:
-            np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
-        order = np.lexsort((gy, gx, w, masks))
-        masks_o = masks[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = masks_o[1:] != masks_o[:-1]
-        for idx in np.flatnonzero(first):
-            gi = order[idx]
-            key = int(masks[gi])
-            cand = (float(w[gi]), float(gx[gi]), float(gy[gi]))
-            cur = best_weight.get(key)
-            if cur is None or cand[0] < cur:
-                best_weight[key] = cand[0]
-                best_pos[key] = (cand[1], cand[2])
-
-    grid_sites = []
-    for key in sorted(best_weight):
-        covered = frozenset(t for t in range(instance.n) if key >> t & 1)
-        px, py = best_pos[key]
-        pos = Point(px, py)
-        _, origin = site_weight(pos, instance.stations)
-        grid_sites.append(CandidateSite(pos, covered, best_weight[key], origin))
-
+    grid_sites, total_pts = _grid_sites(instance, step)
     res = exact_min_cost_cover(instance.n, grid_sites)
     return GridRefineReport(step=step,
                             discrete_opt=discrete_opt,
@@ -233,6 +186,82 @@ def grid_refine_audit(instance: Instance, discrete_opt: float,
                             grid_solution_size=len(res.site_indices),
                             grid_candidate_points=total_pts,
                             distinct_cover_sets=len(grid_sites))
+
+
+def _grid_sites(instance: Instance,
+                step: float) -> tuple[list[CandidateSite], int]:
+    """The audit's grid sites, one per distinct covered set, and the number
+    of grid points that cover some target.
+
+    Each set is represented by its cheapest grid point, ties going to the
+    least x, then the least y.  Rows of the grid are swept in chunks of
+    about `_CHUNK_POINTS` points; a later chunk replaces a set's point only
+    on a strictly lower weight.
+    """
+    r = instance.r
+    txs = np.array([t.x for t in instance.targets])
+    tys = np.array([t.y for t in instance.targets])
+    x0, x1 = txs.min() - r, txs.max() + r
+    y0, y1 = tys.min() - r, tys.max() + r
+    xs = np.arange(x0, x1 + step / 2, step)
+    ys = np.arange(y0, y1 + step / 2, step)
+    reach = r * (1.0 + COVER_TOL)
+    rr = reach * reach
+
+    # A grid point passes `(x - t.x)**2 + (y - t.y)**2 <= rr` only if each
+    # rounded square passes on its own, so testing the squares along each
+    # axis gives windows that hold every accepted point at any offset.
+    windows = []
+    for i, t in enumerate(instance.targets):
+        wx = np.flatnonzero((xs - t.x) ** 2 <= rr)
+        wy = np.flatnonzero((ys - t.y) ** 2 <= rr)
+        if wx.size and wy.size:
+            windows.append((i, t, wx[0], wx[-1] + 1, wy[0], wy[-1] + 1))
+
+    best_weight: dict[int, float] = {}
+    best_pos: dict[int, tuple[float, float]] = {}
+    total_pts = 0
+    chunk = max(1, _CHUNK_POINTS // max(len(xs), 1))
+    for lo in range(0, len(ys), chunk):
+        yy = ys[lo:lo + chunk]
+        masks = np.zeros((len(xs), len(yy)), dtype=np.int64)
+        for i, t, xa, xb, ya, yb in windows:
+            ya, yb = max(ya - lo, 0), min(yb - lo, len(yy))
+            if ya >= yb:
+                continue
+            d2 = (xs[xa:xb, None] - t.x) ** 2 + (yy[None, ya:yb] - t.y) ** 2
+            masks[xa:xb, ya:yb] |= (d2 <= rr).astype(np.int64) << i
+        ix, iy = np.nonzero(masks)
+        if not ix.size:
+            continue
+        total_pts += ix.size
+        keys = masks[ix, iy]
+        gx, gy = xs[ix], yy[iy]
+        w = np.full(gx.shape, np.inf)
+        for p in instance.stations:
+            np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
+        sets, group = np.unique(keys, return_inverse=True)
+        least = np.full(len(sets), np.inf)
+        np.minimum.at(least, group, w)
+        hits = np.flatnonzero(w == least[group])
+        hits = hits[np.lexsort((gy[hits], gx[hits], group[hits]))]
+        first = np.ones(len(hits), dtype=bool)
+        first[1:] = group[hits[1:]] != group[hits[:-1]]
+        for gi in hits[first]:
+            key = int(keys[gi])
+            cur = best_weight.get(key)
+            if cur is None or w[gi] < cur:
+                best_weight[key] = float(w[gi])
+                best_pos[key] = (float(gx[gi]), float(gy[gi]))
+
+    grid_sites = []
+    for key in sorted(best_weight):
+        covered = frozenset(t for t in range(instance.n) if key >> t & 1)
+        px, py = best_pos[key]
+        pos = Point(px, py)
+        _, origin = site_weight(pos, instance.stations)
+        grid_sites.append(CandidateSite(pos, covered, best_weight[key], origin))
+    return grid_sites, total_pts
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ restricted to the cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .grid import Cell, strips_of_cell
 from .sites import CandidateSite, coverers_by_target
@@ -61,35 +60,6 @@ class CellSolution:
 class CellInfeasible:
     strip_index: int   # 1-based strip where no feasible subset exists
     reason: str
-
-
-def compatible(u, u_prev, overlap) -> bool:
-    """True iff two consecutive strip subsets agree on every shared site."""
-    u = frozenset(u)
-    u_prev = frozenset(u_prev)
-    return all((s in u) == (s in u_prev) for s in overlap)
-
-
-def enumerate_strip_subsets(pool, strip_targets, sites: list[CandidateSite],
-                            cap: int) -> list[frozenset[int]]:
-    """All subsets of `pool` of size at most `cap` covering every strip target.
-
-    Canonically ordered (by size, then sorted members).  Exponential in the
-    pool size; intended for small pools and for cross-checking the solver.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    need = frozenset(strip_targets)
-    out = []
-    pool = sorted(pool)
-    for size in range(0, min(cap, len(pool)) + 1):
-        for combo in combinations(pool, size):
-            cov: set[int] = set()
-            for s in combo:
-                cov |= sites[s].covered
-            if need <= cov:
-                out.append(frozenset(combo))
-    return out
 
 
 def auto_cap(m: int, k: int) -> int:

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_geometry import LevelProbe
 
-from sinkcover.geometry import (LevelProbe, Point, circle_circle_intersections,
+from sinkcover.geometry import (Point, circle_circle_intersections,
                                 coverage_angle_halfwidth, covered_targets, dist,
                                 nearest_point_on_circle, s_prime_location)
 

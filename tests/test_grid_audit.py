@@ -1,0 +1,96 @@
+"""The windowed grid sweep of the discretization audit against the full-grid
+sweep in `reference_oracle`: equal reports and equal grid sites."""
+
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference_oracle import full_grid_refine_audit, full_grid_sites
+
+from sinkcover import oracle
+from sinkcover.oracle import grid_refine_audit
+from sinkcover.sites import Instance
+
+
+def _site_rows(sites):
+    # repr tells 0.0 from -0.0 and shows every bit of a coordinate.
+    return [(repr(s.position), s.covered, s.weight, s.origin_station)
+            for s in sites]
+
+
+def _assert_matches_reference(inst, step, chunk_points=4_000_000):
+    with mock.patch.object(oracle, "_CHUNK_POINTS", chunk_points):
+        sites, points = oracle._grid_sites(inst, step)
+        report = grid_refine_audit(inst, 0.5, step)
+    ref_sites, ref_points = full_grid_sites(inst, step, chunk_points)
+    assert points == ref_points
+    assert _site_rows(sites) == _site_rows(ref_sites)
+    assert report == full_grid_refine_audit(inst, 0.5, step, chunk_points)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+LAYOUTS = ("uniform", "collinear", "coincident", "two_r_apart")
+
+
+@st.composite
+def audit_cases(draw):
+    r = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    # At pitch 2.5r some targets have no grid row or column within reach.
+    step = r / draw(st.sampled_from([200, 37, 3, 0.4]))
+    # Keep r/200 grids near 640k points so the full-grid reference stays quick.
+    extent = 2.0 * r * draw(unit)
+    layout = draw(st.sampled_from(LAYOUTS))
+    n = draw(st.integers(1, 6))
+    if layout == "uniform":
+        targets = [(extent * draw(unit), extent * draw(unit)) for _ in range(n)]
+    elif layout == "collinear":
+        ax, ay = extent * draw(unit), extent * draw(unit)
+        targets = [(ax * u, ay * u) for u in draw(st.lists(unit, min_size=n,
+                                                           max_size=n))]
+    elif layout == "coincident":
+        base = [(extent * draw(unit), extent * draw(unit))
+                for _ in range(draw(st.integers(1, 3)))]
+        targets = [base[draw(st.integers(0, len(base) - 1))] for _ in range(n)]
+    else:
+        targets = [(0.0, 0.0), (2.0 * r, 0.0), (0.0, 2.0 * r), (2.0 * r, 2.0 * r)]
+        targets = targets[:draw(st.integers(2, 4))]
+    stations = [(3.0 * r * draw(unit) - r, 3.0 * r * draw(unit) - r)
+                for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        stations[0] = targets[draw(st.integers(0, len(targets) - 1))]
+    off = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    inst = Instance.from_coords([(x + off, y + off) for x, y in targets],
+                                [(x + off, y + off) for x, y in stations], r)
+    # Some cases sweep the rows a few at a time, so sets meet across chunks.
+    chunk_points = draw(st.sampled_from([4_000_000, 5_000, 1]))
+    return inst, step, chunk_points
+
+
+@settings(max_examples=60, deadline=None)
+@given(audit_cases())
+@example((Instance.from_coords([(0.0, 0.0)], [(3.0, 0.0)], 1.0), 0.25, 4_000_000))
+def test_windowed_sweep_matches_full_grid(case):
+    _assert_matches_reference(*case)
+
+
+def test_grid_points_at_exactly_r_are_kept():
+    # At pitch 0.25 the points (+-1, 0) and (0, +-1) lie at exactly r from
+    # the target; the cheapest one for a station at (3, 0) is (1, 0).
+    inst = Instance.from_coords([(0.0, 0.0)], [(3.0, 0.0)], 1.0)
+    sites, points = oracle._grid_sites(inst, 0.25)
+    assert points == 49   # lattice points of the radius-4 disk
+    assert _site_rows(sites) == [("Point(x=1.0, y=0.0)", frozenset({0}), 2.0, 0)]
+
+
+def test_later_chunk_tie_keeps_earlier_point():
+    # (0.75, 0.5) and (0.5, 0.75) are equally far from the station.  Swept
+    # at once, the tie goes to the lesser x; row by row, (0.75, 0.5) comes
+    # first and a later row that only ties its weight does not replace it.
+    inst = Instance.from_coords([(0.0, 0.0)], [(10.0, 10.0)], 1.0)
+    whole, _ = oracle._grid_sites(inst, 0.25)
+    assert repr(whole[0].position) == "Point(x=0.5, y=0.75)"
+    with mock.patch.object(oracle, "_CHUNK_POINTS", 9):   # one row of 9
+        rows, _ = oracle._grid_sites(inst, 0.25)
+    assert repr(rows[0].position) == "Point(x=0.75, y=0.5)"
+    assert rows[0].weight == whole[0].weight
+    _assert_matches_reference(inst, 0.25, 9)

@@ -4,14 +4,14 @@ from itertools import combinations
 
 import pytest
 from conftest import footprint_state_bound
+from reference_strip_dp import compatible, enumerate_strip_subsets
 
 from sinkcover.geometry import Point
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover.sites import (CandidateSite, Instance, coverers_by_target,
                              generate_candidate_sites, prune_dominated)
-from sinkcover.strip_dp import (CellInfeasible, CellSolution, auto_cap,
-                                compatible, enumerate_strip_subsets, solve_cell)
+from sinkcover.strip_dp import CellInfeasible, CellSolution, auto_cap, solve_cell
 
 INF = float("inf")
 
