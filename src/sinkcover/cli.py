@@ -8,6 +8,7 @@ prefixed with a machine-readable code like ``error[usage]``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -38,7 +39,10 @@ def _parse_cap(raw: str):
             f"cap must be 'auto', 'verify' or an integer, got {raw!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later `run`
+    calls: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="sinkcover",
         description="Movement-minimizing sensor coverage from k stations.")

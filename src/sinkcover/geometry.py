@@ -1,5 +1,5 @@
-"""Planar geometry for disk coverage: distances, equal-radius circle
-intersections, circle projections, and station-side coverage angles."""
+"""Planar geometry for disk coverage: distances, a fixed-radius neighbour
+grid, and station-side coverage angles."""
 
 from __future__ import annotations
 
@@ -27,66 +27,6 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def circle_circle_intersections(c1: Point, c2: Point, r: float) -> list[Point]:
-    """Intersection points of the two radius-r circles centered at c1 and c2.
-
-    Tangent circles yield exactly one point; disjoint or coincident
-    (degenerate) circles yield none.  Output is sorted by (x, y) so callers
-    get a deterministic ordering.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    d = dist(c1, c2)
-    if d == 0.0:
-        # Coincident circles intersect everywhere; report the degenerate
-        # case as "no isolated intersection points".
-        return []
-    disc = r * r - (d / 2.0) * (d / 2.0)
-    if disc < 0.0:
-        return []
-    h = math.sqrt(disc)
-    mx = (c1.x + c2.x) / 2.0
-    my = (c1.y + c2.y) / 2.0
-    ux = (c2.x - c1.x) / d
-    uy = (c2.y - c1.y) / d
-    if h <= 1e-12 * r:
-        return [Point(mx, my)]
-    pts = [Point(mx - h * uy, my + h * ux), Point(mx + h * uy, my - h * ux)]
-    pts.sort()
-    return pts
-
-
-def nearest_point_on_circle(center: Point, r: float, from_pt: Point) -> Point:
-    """Point on the radius-r circle around `center` closest to `from_pt`.
-
-    Works for `from_pt` inside or outside the circle.  If `from_pt` equals
-    the center every circle point ties; the tie is broken eastward, i.e.
-    (center.x + r, center.y).
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    d = dist(center, from_pt)
-    if d == 0.0:
-        return Point(center.x + r, center.y)
-    t = r / d
-    return Point(center.x + (from_pt.x - center.x) * t,
-                 center.y + (from_pt.y - center.y) * t)
-
-
-def covered_targets(site: Point, targets: list[Point] | tuple[Point, ...],
-                    r: float) -> frozenset[int]:
-    """Indices of targets within closed distance r of `site`.
-
-    Coverage is closed (distance exactly r counts) with a small relative
-    tolerance so that sites generated on detection-circle boundaries are
-    not lost to rounding.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    reach = r * (1.0 + COVER_TOL)
-    return frozenset(i for i, t in enumerate(targets) if dist(site, t) <= reach)
-
-
 class NearGrid:
     """Fixed-radius near-neighbour index over a point list (the cell grid of
     Bentley, Stanat & Williams, IPL 1977).
@@ -100,10 +40,16 @@ class NearGrid:
 
     def __init__(self, points, radius: float):
         self.scale = max((max(abs(p.x), abs(p.y)) for p in points), default=0.0)
-        self.side = radius * (1.0 + 1e-6) + 1e-12 * self.scale
+        self.side = self.bucket_side(radius, self.scale)
         self.buckets: dict[tuple[int, int], list[int]] = {}
         for i, p in enumerate(points):
             self.buckets.setdefault(self._key(p), []).append(i)
+
+    @staticmethod
+    def bucket_side(radius: float, scale: float) -> float:
+        """Bucket side for `radius` over points whose largest coordinate
+        magnitude is `scale`."""
+        return radius * (1.0 + 1e-6) + 1e-12 * scale
 
     def _key(self, p: Point) -> tuple[int, int]:
         return math.floor(p.x / self.side), math.floor(p.y / self.side)

@@ -14,11 +14,13 @@ continuous placement is always dominated by one of them:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .geometry import COVER_TOL, NearGrid, Point, circle_circle_intersections, dist, \
-    nearest_point_on_circle
+import numpy as np
+
+from .geometry import COVER_TOL, NearGrid, Point, dist
 
 
 @dataclass(frozen=True)
@@ -86,46 +88,175 @@ def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
 
     Duplicate positions are merged, sites covering no target are dropped,
     and the result is sorted by (weight, x, y) so downstream enumeration and
-    tie-breaking are reproducible.  Circle pairs and coverage are looked up
-    in bucket grids of side just over 2r and r, so only targets that can
-    intersect or be covered are examined.  The distance tests, the argument
-    order of each pair, and the order in which positions are first seen
-    (which decides between 0.0 and -0.0 for a merged position) are those of
-    a scan over all pairs.
+    tie-breaking are reproducible.  Positions are first seen in the order
+    stations, targets, circle pairs (ascending (i, j)), projections
+    ((target, station) order); the first one seen wins a merge, which
+    decides between 0.0 and -0.0.  Circle pairs and coverage are found in
+    bucket grids of side just over 2r and r, so only targets that can
+    intersect or be covered are examined.  Every distance that decides an
+    output comes from `math.hypot`, as in `geometry.dist`: `np.hypot` can
+    differ from it in the last bit.
     """
+    reach = instance.r * (1.0 + COVER_TOL)
+    tx = np.array([t.x for t in instance.targets])
+    ty = np.array([t.y for t in instance.targets])
+    sx = np.array([p.x for p in instance.stations])
+    sy = np.array([p.y for p in instance.stations])
+    # Each stage returns only what the next needs, so the intermediates of
+    # one are freed before the next allocates.
+    qx, qy = _positions(instance, tx, ty, sx, sy)
+    covered, qx, qy = _coverage(qx, qy, tx, ty, reach)
+    weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations)
+    order = np.lexsort((qy, qx, weight)).tolist()
+    x, y = qx.tolist(), qy.tolist()
+    return [CandidateSite(Point(x[i], y[i]), covered[i], weight[i], origin[i])
+            for i in order]
+
+
+def _positions(instance: Instance, tx, ty, sx, sy) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct candidate positions, in the order first seen; the first of
+    equal positions is kept."""
     r = instance.r
     targets = instance.targets
-    positions: dict[tuple[float, float], Point] = {}
+    xs = sx.tolist() + tx.tolist()
+    ys = sy.tolist() + ty.tolist()
+    _add_circle_pair_points(targets, r, xs, ys)
+    px, py = _nearest_circle_points(tx, ty, sx, sy, r)
+    xs += px.tolist()
+    ys += py.tolist()
+    # dict.fromkeys keeps the first key of each equal (x, y), signed zeros
+    # included.
+    seen = dict.fromkeys(zip(xs, ys))
+    pos = np.fromiter(itertools.chain.from_iterable(seen), float, 2 * len(seen))
+    if not np.isfinite(pos).all():
+        bad = np.isfinite(pos).reshape(-1, 2).all(axis=1).argmin()
+        Point(*pos[2 * bad:2 * bad + 2].tolist())     # rejects it with ValueError
+    return pos[0::2].copy(), pos[1::2].copy()
 
-    def add(p: Point) -> None:
-        positions.setdefault((p.x, p.y), p)
 
-    for p in instance.stations:
-        add(p)
-    for t in targets:
-        add(t)
+def _add_circle_pair_points(targets, r: float, xs: list, ys: list) -> None:
+    """Append the intersection points of the radius-r circles around each
+    pair of targets, in ascending (i, j) order: none for coincident or
+    disjoint circles, the midpoint for tangent ones (h <= 1e-12 r).  Pairs
+    come from a bucket grid of side just over 2r.  The order of a pair's
+    two points shows nowhere: they are distinct, so they neither merge with
+    each other nor tie in the final sort."""
     pairs = NearGrid(targets, 2.0 * r)
-    for i, t in enumerate(targets):
-        for j in pairs.near(t):
-            if j > i:
-                for p in circle_circle_intersections(t, targets[j], r):
-                    add(p)
-    for t in targets:
-        for p in instance.stations:
-            add(nearest_point_on_circle(t, r, p))
+    for i, a in enumerate(targets):
+        for j in pairs.near(a):
+            if j <= i:
+                continue
+            b = targets[j]
+            d = math.hypot(a.x - b.x, a.y - b.y)
+            disc = r * r - (d / 2.0) * (d / 2.0)
+            if d == 0.0 or disc < 0.0:
+                continue
+            h = math.sqrt(disc)
+            mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
+            ux, uy = (b.x - a.x) / d, (b.y - a.y) / d
+            if h <= 1e-12 * r:
+                xs.append(mx)
+                ys.append(my)
+                continue
+            xs += mx - h * uy, mx + h * uy
+            ys += my + h * ux, my - h * ux
 
-    reach = r * (1.0 + COVER_TOL)
-    cover = NearGrid(targets, reach)
-    sites = []
-    for pos in positions.values():
-        covered = frozenset(i for i in cover.near(pos)
-                            if dist(pos, targets[i]) <= reach)
-        if not covered:
-            continue
-        weight, origin = site_weight(pos, instance.stations)
-        sites.append(CandidateSite(pos, covered, weight, origin))
-    sites.sort(key=lambda s: (s.weight, s.position.x, s.position.y))
-    return sites
+
+def _coverage(qx, qy, tx, ty, reach: float):
+    """The targets each position covers, for the positions covering any,
+    with those positions' coordinates."""
+    q, c = _near_pairs(qx, qy, tx, ty, reach)
+    inside = _hypot(qx[q] - tx[c], qy[q] - ty[c]) <= reach
+    q, c = q[inside], c[inside]
+    heads = _run_heads(q).nonzero()[0]
+    # One int object per target, shared by every set holding it: sets of
+    # fresh ints (tolist makes one per element) take more memory and are
+    # slower to walk, as the strip DP does for every cell.
+    members = list(map(list(range(len(tx))).__getitem__, c.tolist()))
+    bounds = heads.tolist() + [len(members)]
+    covered = [frozenset(members[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return covered, qx[q[heads]], qy[q[heads]]
+
+
+def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[list[float], list[int]]:
+    """Each position's distance to its nearest station and that station's
+    index, lowest on ties, as `site_weight` gives them.
+
+    The station is the least np.hypot, weighed by math.hypot.  Where
+    another station lies within a relative 1e-12 of it (or an absolute
+    1e-300, for subnormal distances) the two can disagree, so `site_weight`
+    settles that position.
+    """
+    near = np.hypot(qx[:, None] - sx, qy[:, None] - sy)
+    origin = near.argmin(axis=1)
+    band = np.minimum.reduce(near, axis=1) * (1.0 + 1e-12) + 1e-300
+    tied = (np.add.reduce(near <= band[:, None], axis=1) > 1).nonzero()[0].tolist()
+    weight = _hypot(qx - sx[origin], qy - sy[origin]).tolist()
+    origin = origin.tolist()
+    for i in tied:
+        weight[i], origin[i] = site_weight(Point(float(qx[i]), float(qy[i])), stations)
+    return weight, origin
+
+
+def _nearest_circle_points(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The point of each target's radius-r circle nearest to each station, in
+    (target, station) order: c + (s - c) * (r / dist(c, s)) for centre c
+    and station s, and (c.x + r, c.y) when s is on c."""
+    cx, cy = tx[:, None], ty[:, None]
+    dx, dy = sx - cx, sy - cy
+    d = _hypot(dx.ravel(), dy.ravel()).reshape(dx.shape)   # hypot(-a, -b) == hypot(a, b)
+    on_centre = d == 0.0
+    t = r / np.where(on_centre, 1.0, d)
+    px = np.where(on_centre, cx + r, cx + dx * t).ravel()
+    py = np.where(on_centre, cy, cy + dy * t).ravel()
+    return px, py
+
+
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Mask of the elements of `a` that differ from their predecessor."""
+    heads = np.empty(len(a), dtype=bool)
+    heads[:1] = True
+    heads[1:] = a[1:] != a[:-1]
+    return heads
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise `math.hypot`, for distances that decide an output."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+
+
+def _near_pairs(qx, qy, px, py, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """All (query, point) index pairs, ascending, with the query in the 3x3
+    buckets of `NearGrid` around the point (as the point is around the
+    query): a superset of the pairs within `radius`.
+
+    A bucket is keyed by the complex number bx + 1j * by of its integer
+    coordinates, which numpy sorts and searches lexicographically: with the
+    queries sorted by key, those in buckets bx, by - 1 .. by + 1 are one
+    run, found by two binary searches, so each point needs three runs.
+    Memory stays proportional to the pairs found.
+    """
+    scale = float(np.maximum.reduce(np.abs(np.concatenate((px, py))), initial=0.0))
+    side = NearGrid.bucket_side(radius, scale)
+    # A query more than a bucket beyond every point has no neighbour.
+    # Clamped to there, it may gain candidates, which the exact test
+    # rejects, and its bucket quotient stays finite when `side` is tiny.
+    lim = scale + side
+    qx, qy = np.minimum(np.maximum(qx, -lim), lim), np.minimum(np.maximum(qy, -lim), lim)
+    key = np.floor(qx / side) + np.floor(qy / side) * 1j
+    order = key.argsort()
+    key = key[order]
+    rows = np.floor(px / side) + np.floor(py / side) * 1j + _ADJACENT
+    start = key.searchsorted(rows - 1j).T.ravel()
+    count = key.searchsorted(rows + 1j, "right").T.ravel() - start
+    point = np.arange(len(start)).repeat(count) // 3
+    run = (start - count.cumsum() + count).repeat(count)
+    pairs = order[run + np.arange(len(run))] * len(px) + point
+    pairs.sort()
+    return pairs // len(px), pairs % len(px)
+
+
+_ADJACENT = np.array([[-1.0], [0.0], [1.0]])    # the bucket rows bx - 1 .. bx + 1
 
 
 def coverers_by_target(sites: list[CandidateSite]) -> dict[int, list[int]]:
@@ -144,21 +275,37 @@ def prune_dominated(sites: list[CandidateSite]) -> list[CandidateSite]:
     a weight that is no larger.  Exact ties (same covered set, same weight)
     keep the lexicographically smaller position, then the earlier index.
     That makes domination a strict partial order and the kept sites its
-    maximal elements, whatever the input order.  A dominator covers every
-    target of the site it dominates, so only the coverers of the site's
-    lowest target are compared (every site, for one covering nothing).
+    maximal elements, whatever the input order.  So only the least site of
+    each covered set by (weight, position, index) can be kept, and it is
+    kept unless a strict superset's least site weighs no more; such a
+    superset holds the set's lowest target (every nonempty set is a strict
+    superset of the empty one).  Kept sites are returned in input order.
     """
-    coverers = coverers_by_target(sites)
+    if not sites:
+        return []
+    groups: dict[frozenset[int], int] = {}
+    group = np.array([groups.setdefault(s.covered, len(groups)) for s in sites])
+    weight = np.array([s.weight for s in sites])
+    w = np.full(len(groups), np.inf)
+    np.minimum.at(w, group, weight)
+    # The few sites at their set's least weight, by (set, position, index).
+    tied = np.flatnonzero(weight == w[group])
+    x = np.array([sites[i].position.x for i in tied.tolist()])
+    y = np.array([sites[i].position.y for i in tied.tolist()])
+    tied = tied[np.lexsort((y, x, group[tied]))]
+    least = tied[_run_heads(group[tied])]
+    sets, w = list(groups), w.tolist()
+    holders: dict[int, list[int]] = {}
+    for g, cov in enumerate(sets):
+        for t in cov:
+            holders.setdefault(t, []).append(g)
+    lightest = min((w[g] for g, cov in enumerate(sets) if cov), default=math.inf)
     kept = []
-    for i, s in enumerate(sites):
-        rivals = coverers[min(s.covered)] if s.covered else range(len(sites))
-        if not any(j != i and _dominates(sites[j], j, s, i) for j in rivals):
-            kept.append(s)
-    return kept
-
-
-def _dominates(a: CandidateSite, ia: int, b: CandidateSite, ib: int) -> bool:
-    """True iff site a (at index ia) dominates site b (at index ib)."""
-    return (a.weight <= b.weight and b.covered <= a.covered
-            and (a.weight < b.weight or len(a.covered) > len(b.covered)
-                 or (a.position, ia) < (b.position, ib)))
+    for g, (i, cov) in enumerate(zip(least.tolist(), sets)):
+        if cov:
+            dominated = any(cov < sets[h] and w[h] <= w[g] for h in holders[min(cov)])
+        else:
+            dominated = lightest <= w[g]
+        if not dominated:
+            kept.append(i)
+    return [sites[i] for i in sorted(kept)]

@@ -1,12 +1,13 @@
 """All-pairs candidate-site generation and dominance pruning.
 
-The library's versions look neighbours up in bucket grids; these scan every
+The library's versions join arrays over bucket grids; these scan every
 target pair, every (site, target) pair and every site pair, and serve as
 the reference the indexed versions must reproduce exactly, order included.
 """
 
-from sinkcover.geometry import (circle_circle_intersections, covered_targets,
+from reference_geometry import (circle_circle_intersections, covered_targets,
                                 nearest_point_on_circle)
+
 from sinkcover.sites import CandidateSite, site_weight
 
 

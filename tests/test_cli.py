@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from sinkcover import cli
 from sinkcover.cli import run
 from sinkcover.instances_io import read_instance, read_solution
 from sinkcover.ptas import verify_solution
@@ -207,3 +208,36 @@ def test_parse_error_exits_1(tmp_path, capsys):
 
 def test_help_exits_0():
     assert run(["--help"]) == 0
+
+
+def test_shared_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
+    # `run` reuses one parser; verbs, usage errors and --help interleaved
+    # over repeated calls must behave as with a new parser per call.
+    inst, sol = str(tmp_path / "inst.json"), tmp_path / "sol.json"
+    calls = [
+        ["generate", "--family", "uniform", "--out", inst, "--n", "6", "--k", "2",
+         "--extent", "6", "--seed", "4"],
+        ["solve", "--in", inst, "--m", "2", "--jobs", "1", "--out", str(sol)],
+        ["solve", "--in", inst, "--out", str(sol)],
+        ["--help"],
+        ["exact", "--in", inst, "--out", str(tmp_path / "exact.json")],
+        ["solve", "--in", inst, "--m", "3", "--cap", "bogus", "--out", str(sol)],
+        ["solve", "--help"],
+        ["solve", "--in", inst, "--epsilon", "2", "--cap", "2", "--jobs", "1",
+         "--out", str(sol)],
+        ["render", "--in", inst, "--solution", str(sol), "--svg", str(tmp_path / "a.svg")],
+    ]
+
+    def replay():
+        sol.unlink(missing_ok=True)
+        seen = []
+        for argv in calls + calls:
+            code = run(argv)
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err, sol.exists() and sol.read_bytes()))
+        return seen
+
+    shared = replay()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert replay() == shared
+    assert [code for code, *_ in shared] == [0, 0, 1, 0, 0, 1, 0, 0, 0] * 2

@@ -1,14 +1,16 @@
 """The bucket-grid front end against the all-pairs reference in
 `reference_sites.py`: same site lists and same pruned lists, order included."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_sites import all_pairs_candidate_sites, all_pairs_prune
 
-from sinkcover.geometry import NearGrid, Point
+from sinkcover.geometry import COVER_TOL, NearGrid, Point
 from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
                              prune_dominated)
 
@@ -51,19 +53,34 @@ def instances(draw):
             f = draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]))
             targets.append((2.0 * r * draw(st.integers(0, 4)) * f,
                             2.0 * r * draw(st.integers(0, 4))))
-    stations = [(coord(-4, 8), coord(-4, 8)) for _ in range(draw(st.integers(1, 3)))]
-    if draw(st.booleans()):
-        stations.append(stations[0])            # coincident stations
+    stations = [(coord(-4, 8), coord(-4, 8)) for _ in range(draw(st.integers(1, 12)))]
+    for _ in range(draw(st.integers(0, 2))):
+        # A duplicate station, before or after its twin.
+        stations.insert(draw(st.integers(0, len(stations))), draw(st.sampled_from(stations)))
     if draw(st.booleans()):
         stations.append(draw(st.sampled_from(targets)))   # station on a target
+    if draw(st.booleans()):
+        # Two stations mirrored through a target: the site on that target is
+        # exactly as far from both, and the lower index must win.  The target
+        # is moved to a multiple of 1/8 so that the mirror images are exact.
+        k = draw(st.integers(0, n - 1))
+        tx, ty = (round(v * 8.0) / 8.0 for v in targets[k])
+        targets[k] = (tx, ty)
+        a, b = (r * draw(st.integers(-4, 4)) / 8.0 for _ in range(2))
+        for sign in (1.0, -1.0):
+            stations.insert(draw(st.integers(0, len(stations))),
+                            (tx + sign * a, ty + sign * b))
     return Instance.from_coords([(x + offset, y + offset) for x, y in targets],
                                 [(x + offset, y + offset) for x, y in stations], r)
 
 
 def _same(got, want):
-    assert got == want
-    # repr tells 0.0 from -0.0, which == does not.
-    assert repr(got) == repr(want)
+    # repr tells 0.0 from -0.0, which == does not.  Comparing site by site
+    # reports the first difference; a diff of two whole-list reprs takes
+    # pytest minutes.
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert (g, repr(g)) == (w, repr(w)), f"site {i}"
 
 
 @given(instances())
@@ -144,3 +161,39 @@ def test_generate_signed_zeros_follow_pair_order():
     inst = Instance.from_coords([(0.0, -0.0), (2.0, -0.0), (0.0, -5e-324)],
                                 [(5.0, 5.0)], 1.0)
     _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
+    # Stations are seen before targets: the station's 0.0 wins the merge.
+    inst = Instance.from_coords([(-0.0, 0.0)], [(0.0, 0.0)], 1.0)
+    assert repr(generate_candidate_sites(inst)[0].position) == "Point(x=0.0, y=0.0)"
+    _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
+
+
+def test_distances_come_from_math_hypot():
+    # np.hypot rounds this pair one ulp above math.hypot, and r puts the
+    # coverage radius r * (1 + COVER_TOL) exactly on math.hypot's value, so
+    # both the site's weight and its coverage of target 0 tell them apart.
+    dx, dy, r = 0.6250357184174307, 0.5527275679799395, 0.8343724661745839
+    d = math.hypot(dx, dy)
+    assert np.hypot(dx, dy) > d == r * (1.0 + COVER_TOL)
+    inst = Instance.from_coords([(0.0, 0.0), (dx, dy)], [(0.0, 0.0)], r)
+    sites = generate_candidate_sites(inst)
+    _same(sites, all_pairs_candidate_sites(inst))
+    on_target = next(s for s in sites if s.position == Point(dx, dy))
+    assert on_target.covered == {0, 1} and on_target.weight == d
+
+
+@pytest.mark.parametrize("dx, dy", [(0.6250357184174307, 0.5527275679799395),
+                                    (0.9569762997641529, 0.856342988465876)])
+def test_nearest_station_settled_by_math_hypot(dx, dy):
+    # Seen from the target at the origin, station 0 lies on the x axis, where
+    # both hypots agree, and station 1 at (dx, dy), where np.hypot is one ulp
+    # above math.hypot in the first case and one below in the second.  By
+    # math.hypot station 1 is nearer in the first case and ties in the
+    # second, where the lower index wins; np.hypot ranks them the other way.
+    d = math.hypot(dx, dy)
+    far = max(d, float(np.hypot(dx, dy)))
+    assert np.hypot(dx, dy) != d and math.hypot(far, 0.0) == far
+    inst = Instance.from_coords([(0.0, 0.0)], [(-far, 0.0), (-dx, -dy)], 1.0)
+    sites = generate_candidate_sites(inst)
+    _same(sites, all_pairs_candidate_sites(inst))
+    on_target = next(s for s in sites if s.position == Point(0.0, 0.0))
+    assert on_target.origin_station == (1 if d < far else 0) and on_target.weight == d

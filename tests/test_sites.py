@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from reference_geometry import covered_targets
 
-from sinkcover.geometry import Point, covered_targets
+from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
                              prune_dominated, site_weight)
