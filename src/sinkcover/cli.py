@@ -30,20 +30,29 @@ def _fail(code: str, message: str) -> None:
 
 
 def _parse_cap(raw: str):
-    if raw in ("auto", "verify"):
+    if raw == "auto":
         return raw
     try:
         return int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"cap must be 'auto', 'verify' or an integer, got {raw!r}")
+            f"cap must be 'auto' or an integer, got {raw!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors under the ``error[usage]`` code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        _fail("usage", f"{self.prog}: {message}")
+        self.exit(2)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later `run`
     calls: parsing leaves it unchanged."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sinkcover",
         description="Movement-minimizing sensor coverage from k stations.")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -117,7 +126,7 @@ def _cmd_generate(args) -> int:
 def _config_echo(config: PtasConfig, solution) -> dict:
     return {"epsilon": config.epsilon, "m": solution.m,
             "cap": config.cap, "cap_used": solution.cap_used,
-            "counters": solution.counters, "cap_check": solution.cap_check}
+            "counters": solution.counters}
 
 
 def _cmd_solve(args) -> int:
@@ -172,10 +181,11 @@ def _cmd_compare(args) -> int:
         return 2
     greedy = greedy_cover(inst.n, sites)
 
-    records = [{"instance": args.infile, "algorithm": "exact",
+    name = os.path.basename(args.infile)   # reports name no directory
+    records = [{"instance": name, "algorithm": "exact",
                 "cost": exact.cost, "runtime_ms": exact_ms,
                 "counters": {"nodes_explored": exact.nodes_explored}},
-               {"instance": args.infile, "algorithm": "greedy",
+               {"instance": name, "algorithm": "greedy",
                 "cost": greedy.cost, "runtime_ms": 0.0, "counters": {}}]
 
     def ratio(cost: float) -> float:
@@ -194,7 +204,7 @@ def _cmd_compare(args) -> int:
         bound = 1.0 + 4.0 / m
         print(f"{f'shifted-m{m}':<12} {solution.total_cost:>16.9f} "
               f"{ratio(solution.total_cost):>14.9f} {bound:>10.9f}")
-        records.append({"instance": args.infile, "algorithm": f"shifted-m{m}",
+        records.append({"instance": name, "algorithm": f"shifted-m{m}",
                         "cost": solution.total_cost, "runtime_ms": ms_elapsed,
                         "counters": solution.counters})
     if args.out:
@@ -222,13 +232,14 @@ def _cmd_audit(args) -> int:
           f"min {audit.minimum:.9f} bound {audit.bound:.9f} "
           f"[{'PASS' if audit.ok else 'FAIL'}]")
     if args.out:
+        name = os.path.basename(args.infile)
         write_report(args.out, [
-            {"instance": args.infile, "algorithm": "refine-audit",
+            {"instance": name, "algorithm": "refine-audit",
              "cost": gap.grid_opt, "runtime_ms": 0.0,
              "counters": {"step": step, "discrete_opt": gap.discrete_opt,
                           "gap": gap.gap, "grid_points": gap.grid_candidate_points,
                           "ok": ok_gap}},
-            {"instance": args.infile, "algorithm": "shift-audit",
+            {"instance": name, "algorithm": "shift-audit",
              "cost": audit.average, "runtime_ms": 0.0,
              "counters": {"m": audit.m, "bound": audit.bound,
                           "minimum": audit.minimum, "ok": audit.ok}}])

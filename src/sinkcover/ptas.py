@@ -17,7 +17,7 @@ from .geometry import COVER_TOL, NearGrid, Point, dist
 from .grid import bounding_box, cells_for_shift, strips_of_cell
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
-from .strip_dp import CellInfeasible, CellSolution, DpCounters, auto_cap, solve_cell
+from .strip_dp import CellInfeasible, DpCounters, auto_cap, solve_cell
 
 
 class CapInfeasibleError(Exception):
@@ -46,7 +46,7 @@ class PtasConfig:
 
     epsilon: float | None = None
     m: int | None = None
-    cap: int | str = "auto"     # "auto" | "verify" | fixed integer
+    cap: int | str = "auto"     # "auto" | fixed integer
 
     def __post_init__(self) -> None:
         if (self.epsilon is None) == (self.m is None):
@@ -56,7 +56,7 @@ class PtasConfig:
         if self.m is not None and self.m < 1:
             raise ValueError("m must be at least 1")
         if isinstance(self.cap, str):
-            if self.cap not in ("auto", "verify"):
+            if self.cap != "auto":
                 raise ValueError(f"unknown cap policy {self.cap!r}")
         elif self.cap < 1:
             raise ValueError("fixed cap must be at least 1")
@@ -84,7 +84,6 @@ class Solution:
     m: int
     cap_used: int
     counters: dict[str, int]
-    cap_check: dict[str, float | bool] | None = None
 
 
 def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
@@ -92,40 +91,27 @@ def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
 
 
 def _solve_round(args):
-    grid, f, sites, coverers, cap, policy = args
+    grid, f, sites, coverers, cap, escalate = args
     cells = cells_for_shift(grid, f)
     chosen: set[int] = set()
     counters = DpCounters()
-    verify_costs = [0.0, 0.0]
-    verify_ok = True
     for cell in cells:
         strips_of_cell(cell, coverers)
         cap_eff = cap
         res = solve_cell(cell, sites, cap_eff)
-        if policy == "auto":
+        if escalate:
             pool_max = max((len(st.site_pool) for st in cell.strips), default=1)
             while isinstance(res, CellInfeasible) and cap_eff < pool_max:
                 cap_eff = min(2 * cap_eff, pool_max)
                 res = solve_cell(cell, sites, cap_eff)
         if isinstance(res, CellInfeasible):
             raise CapInfeasibleError(f, cell.index, res.strip_index, cap_eff)
-        if policy == "verify":
-            res2 = solve_cell(cell, sites, cap + 1)
-            if isinstance(res2, CellSolution):
-                counters.merge(res2.counters)
-                c2 = res2.cost
-            else:
-                c2 = math.inf
-            verify_costs[0] += res.cost
-            verify_costs[1] += c2
-            if not math.isclose(res.cost, c2, rel_tol=1e-9, abs_tol=1e-12):
-                verify_ok = False
         chosen |= res.site_indices
         counters.merge(res.counters)
     # Sites selected by two cells are instantiated once; dropping the copy
     # only lowers the round's cost.
     cost = _round_cost(chosen, sites)
-    return f, cost, frozenset(chosen), counters, verify_costs, verify_ok
+    return f, cost, frozenset(chosen), counters
 
 
 def solve(instance: Instance, config: PtasConfig,
@@ -143,15 +129,11 @@ def solve(instance: Instance, config: PtasConfig,
         sites = prune_dominated(generate_candidate_sites(instance))
     m = config.rounds
     grid = bounding_box(instance, m)
-    if isinstance(config.cap, int):
-        cap = config.cap
-        policy = "fixed"
-    else:
-        cap = auto_cap(m, instance.k)
-        policy = config.cap
+    escalate = config.cap == "auto"
+    cap = auto_cap(m, instance.k) if escalate else config.cap
 
     coverers = coverers_by_target(sites)
-    tasks = [(grid, f, sites, coverers, cap, policy) for f in range(m)]
+    tasks = [(grid, f, sites, coverers, cap, escalate) for f in range(m)]
     if jobs > 1 and m > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, m)) as pool:
             results = list(pool.map(_solve_round, tasks))
@@ -160,33 +142,22 @@ def solve(instance: Instance, config: PtasConfig,
     results.sort(key=lambda r: r[0])
 
     per_round = tuple(r[1] for r in results)
-    best_f, best_cost, best_sites, _, _, _ = min(results, key=lambda r: (r[1], r[0]))
+    best_f, best_cost, best_sites, _ = min(results, key=lambda r: (r[1], r[0]))
 
     counters = DpCounters()
-    verify_sum = [0.0, 0.0]
-    verify_ok = True
-    for _, _, _, c, vc, vok in results:
-        counters.merge(c)
-        verify_sum[0] += vc[0]
-        verify_sum[1] += vc[1]
-        verify_ok = verify_ok and vok
+    for r in results:
+        counters.merge(r[3])
 
     placements = tuple(
         Placement(sites[i].position, sites[i].origin_station, sites[i].weight)
         for i in sorted(best_sites))
-    cap_check = None
-    if policy == "verify":
-        cap_check = {"cost_at_cap": verify_sum[0],
-                     "cost_at_cap_plus_one": verify_sum[1],
-                     "consistent": verify_ok}
     return Solution(placements=placements,
                     total_cost=best_cost,
                     shift_round_used=best_f,
                     per_round_costs=per_round,
                     m=m,
                     cap_used=cap,
-                    counters={"subsets_enumerated": counters.subsets_enumerated},
-                    cap_check=cap_check)
+                    counters={"subsets_enumerated": counters.subsets_enumerated})
 
 
 def verify_solution(instance: Instance, placements) -> bool:

@@ -201,14 +201,20 @@ def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[list[float], list[int]]
 def _nearest_circle_points(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The point of each target's radius-r circle nearest to each station, in
     (target, station) order: c + (s - c) * (r / dist(c, s)) for centre c
-    and station s, and (c.x + r, c.y) when s is on c."""
+    and station s, c + ((s - c) / dist(c, s)) * r when r / dist(c, s)
+    overflows (a subnormal distance), and (c.x + r, c.y) when s is on c."""
     cx, cy = tx[:, None], ty[:, None]
     dx, dy = sx - cx, sy - cy
     d = _hypot(dx.ravel(), dy.ravel()).reshape(dx.shape)   # hypot(-a, -b) == hypot(a, b)
     on_centre = d == 0.0
-    t = r / np.where(on_centre, 1.0, d)
-    px = np.where(on_centre, cx + r, cx + dx * t).ravel()
-    py = np.where(on_centre, cy, cy + dy * t).ravel()
+    d = np.where(on_centre, 1.0, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = r / d
+        finite = np.isfinite(t)
+        ox = np.where(finite, dx * t, (dx / d) * r)
+        oy = np.where(finite, dy * t, (dy / d) * r)
+    px = np.where(on_centre, cx + r, cx + ox).ravel()
+    py = np.where(on_centre, cy, cy + oy).ravel()
     return px, py
 
 

@@ -17,12 +17,16 @@ where F' ranges over the footprints on S_{i-1} and C_i(R, b) is the
 cheapest cover of R by at most b sites of L_i.  Each site is paid once:
 local sites inside C_i, shared sites in the footprint that holds them.
 
-Only irredundant footprints are enumerated: every member covers a target
-of T_i or T_{i+1} that no other member covers.  Weights are non-negative,
-so some optimum is minimal, and every footprint of a minimal solution is
-irredundant.  The transition reads a footprint only through its coverage
-of T_i and its size, so incoming and outgoing footprints are grouped by
-that pair and a strip costs groups x groups lookups of C_i.
+The sweep reads a footprint only through its coverage of T_i and T_{i+1}
+and its size, so each strip keeps one footprint per (coverage, size) key,
+the lightest, and drops it when a footprint with the same coverage and
+fewer sites is no heavier: that one leaves more of the cap to local sites.
+The table is a knapsack over S_i in which a site joins a footprint only if
+it covers a target the footprint does not.  Weights are non-negative, so
+some optimum is minimal; each footprint of a minimal solution is
+irredundant (every member covers a target no other member covers), and so
+the knapsack reaches it.  Incoming and outgoing footprints are grouped by
+coverage of T_i and size, and a strip costs groups x groups lookups of C_i.
 
 The cap bounds the number of sites chosen from any one strip's pool; with
 the cap large enough the sweep is exact over the candidate-site universe
@@ -67,51 +71,51 @@ def auto_cap(m: int, k: int) -> int:
 
     An optimal solution needs only a bounded number of sensors per strip:
     a constant per unit area away from stations plus a constant near each
-    station.  The constants here are deliberately generous; "verify" mode
-    (solving with the cap and the cap plus one) guards against them ever
-    binding.
+    station.  The constants here are deliberately generous.
     """
     return 8 * m + 16 * k
 
 
 def _bit_indices(mask: int) -> list[int]:
     out = []
-    b = 0
     while mask:
-        if mask & 1:
-            out.append(b)
-        mask >>= 1
-        b += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
 def _footprints(shared_bits: list[int], cover: list[int], weight: list[float],
-                cap: int) -> list[tuple[int, float, int]]:
-    """Irredundant subsets of the shared sites with at most `cap` members.
+                cap: int) -> dict[tuple[int, int], tuple[float, int]]:
+    """The footprint table of the shared sites: (covered targets, size) ->
+    (weight, site mask) of the lightest footprint with that key, at most
+    `cap` members each.
 
-    Returns (site mask, weight, covered targets) triples, the empty subset
-    first.  A subset of an irredundant set is irredundant, so a branch of
-    the search ends at the first addition that leaves some member without a
-    target of its own.
+    A knapsack over the sites in ascending order: a site joins an entry only
+    if it covers a target the entry does not, and a key keeps the smaller
+    (weight, mask).  Every irredundant footprint is reached, since each of
+    its members covers a target of its own, and weights are summed in
+    ascending site order.  An entry is kept only if it is strictly lighter
+    than every smaller entry with its coverage.  Entries are listed in
+    lexicographic order of their member lists, the empty footprint first;
+    the sweep breaks equal-cost ties in that order.
     """
-    out = []
-
-    def grow(start: int, members: tuple[int, ...], mask: int, w: float,
-             cov: int, once: int) -> None:
-        out.append((mask, w, cov))
-        if len(members) == cap:
-            return
-        multi = cov & ~once   # targets covered at least twice
-        for j in range(start, len(shared_bits)):
-            b = shared_bits[j]
-            grown = members + (b,)
-            new_once = (once ^ cover[b]) & ~multi
-            if all(cover[a] & new_once for a in grown):
-                grow(j + 1, grown, mask | 1 << b, w + weight[b],
-                     cov | cover[b], new_once)
-
-    grow(0, (), 0, 0.0, 0, 0)
-    return out
+    table = {(0, 0): (0.0, 0)}
+    for b in shared_bits:
+        cb, wb, bit = cover[b], weight[b], 1 << b
+        for (cov, size), (w, mask) in list(table.items()):
+            if size < cap and cb & ~cov:
+                key = (cov | cb, size + 1)
+                entry = (w + wb, mask | bit)
+                if key not in table or entry < table[key]:
+                    table[key] = entry
+    kept = []
+    lightest: dict[int, float] = {}
+    for (cov, size), (w, mask) in sorted(table.items(), key=lambda e: e[0][1]):
+        if w < lightest.get(cov, INF):
+            lightest[cov] = w
+            kept.append(((cov, size), (w, mask)))
+    return dict(sorted(kept, key=lambda e: _bit_indices(e[1][1])))
 
 
 def _local_cover(local_bits: list[int], cover: list[int], weight: list[float]):
@@ -215,8 +219,9 @@ def solve_cell(cell: Cell, sites: list[CandidateSite],
         local = _local_cover(_bit_indices(pool_mask[i] & ~o_mask & ~shared[i]),
                              cover, weight)
         groups: dict[tuple[int, int], list[tuple[int, float, int]]] = {}
-        for fp in _footprints(_bit_indices(shared[i]), cover, weight, cap):
-            groups.setdefault((fp[2] & tmask, fp[0].bit_count()), []).append(fp)
+        table = _footprints(_bit_indices(shared[i]), cover, weight, cap)
+        for (fcov, k), (fw, f) in table.items():
+            groups.setdefault((fcov & tmask, k), []).append((f, fw, fcov))
 
         states: dict[int, tuple[float, int, int]] = {}
         nxt: dict[tuple[int, int], tuple[float, int]] = {}

@@ -74,6 +74,9 @@ def nearest_point_on_circle(center: Point, r: float, from_pt: Point) -> Point:
     if d == 0.0:
         return Point(center.x + r, center.y)
     t = r / d
+    if math.isinf(t):   # d is subnormal: scale the unit vector instead
+        return Point(center.x + ((from_pt.x - center.x) / d) * r,
+                     center.y + ((from_pt.y - center.y) / d) * r)
     return Point(center.x + (from_pt.x - center.x) * t,
                  center.y + (from_pt.y - center.y) * t)
 

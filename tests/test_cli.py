@@ -77,15 +77,13 @@ def test_solve_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_solve_verify_cap_records_check(tmp_path):
-    path = _gen(tmp_path, seed=15)
+def test_solve_verify_cap_is_a_usage_error(tmp_path, capsys):
+    path = _gen(tmp_path)
     out = tmp_path / "sol.json"
     assert run(["solve", "--in", str(path), "--m", "2", "--cap", "verify",
-                "--out", str(out), "--jobs", "1"]) == 0
-    sol = read_solution(out)
-    check = sol.config["cap_check"]
-    assert check["consistent"] is True
-    assert check["cost_at_cap"] == pytest.approx(check["cost_at_cap_plus_one"])
+                "--out", str(out), "--jobs", "1"]) == 1
+    assert "error[usage]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_infeasible_fixed_cap_exits_2(tmp_path, capsys):
@@ -162,6 +160,21 @@ def test_audit_verb(tmp_path, capsys):
     assert "refine:" in out and "shift:" in out and "PASS" in out
     records = json.loads(report.read_text())
     assert {r["algorithm"] for r in records} == {"refine-audit", "shift-audit"}
+
+
+def test_audit_report_does_not_depend_on_instance_directory(tmp_path):
+    src = _gen(tmp_path, n=4, k=1, extent=5.0, seed=6)
+    reports = []
+    for d in ("a", "b/c"):
+        (tmp_path / d).mkdir(parents=True)
+        inst = tmp_path / d / "inst.json"
+        inst.write_bytes(src.read_bytes())
+        report = tmp_path / d / "audit.json"
+        assert run(["audit", "--in", str(inst), "--step", "0.02", "--m", "2",
+                    "--jobs", "1", "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert {r["instance"] for r in json.loads(reports[0])} == {"inst.json"}
 
 
 def test_audit_refuses_more_targets_than_mask_bits(tmp_path, capsys):

@@ -176,11 +176,14 @@ def test_census_within_cap_on_verified_solves():
     from sinkcover.strip_dp import auto_cap
     for seed in range(6):
         inst = gen_uniform(seed % 10 + 1, 1 + seed % 2, 1.0, 10.0, seed + 300)
-        sol = solve(inst, PtasConfig(m=2, cap="verify"))
-        assert sol.cap_check is not None and sol.cap_check["consistent"]
+        cap = auto_cap(2, inst.k)
+        sol = solve(inst, PtasConfig(m=2))
+        # The cap does not bind: one more site per strip changes no round.
+        plus_one = solve(inst, PtasConfig(m=2, cap=cap + 1))
+        assert sol.per_round_costs == plus_one.per_round_costs
         pos = [p.position for p in sol.placements]
         rep = strip_sensor_census(inst, pos, 2, shift=sol.shift_round_used)
-        assert rep.max_per_strip <= auto_cap(2, inst.k)
+        assert rep.max_per_strip <= cap
 
 
 def test_census_clustered_stations():

@@ -167,6 +167,14 @@ def test_generate_signed_zeros_follow_pair_order():
     _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
 
 
+def test_generate_station_at_subnormal_distance():
+    # r / 2.2e-311 overflows, so the projection scales the unit vector.
+    inst = Instance.from_coords([(0.0, 0.0)], [(0.0, 2.225073858507e-311)], 1.0)
+    sites = generate_candidate_sites(inst)
+    _same(sites, all_pairs_candidate_sites(inst))
+    assert Point(0.0, 1.0) in {s.position for s in sites}
+
+
 def test_distances_come_from_math_hypot():
     # np.hypot rounds this pair one ulp above math.hypot, and r puts the
     # coverage radius r * (1 + COVER_TOL) exactly on math.hypot's value, so

@@ -1,13 +1,19 @@
+import functools
 import math
+import operator
 import random
 from itertools import combinations
 
 import pytest
 from conftest import footprint_state_bound
-from reference_strip_dp import compatible, enumerate_strip_subsets
+from hypothesis import given
+from hypothesis import strategies as st
+from reference_strip_dp import compatible, enumerate_strip_subsets, irredundant_footprints
 
+from sinkcover import strip_dp
 from sinkcover.geometry import Point
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
+from sinkcover.instances_io import gen_uniform
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover.sites import (CandidateSite, Instance, coverers_by_target,
                              generate_candidate_sites, prune_dominated)
@@ -75,6 +81,65 @@ def test_enumerate_empty_targets_gives_empty_subset():
     sites = _sites_from_spec([({0}, 1.0)])
     got = enumerate_strip_subsets([0], set(), sites, 2)
     assert frozenset() in got
+
+
+@st.composite
+def footprint_pools(draw):
+    targets = draw(st.integers(1, 7))
+    sites = draw(st.integers(0, 9))
+    cover = [draw(st.integers(0, (1 << targets) - 1)) for _ in range(sites)]
+    weight = [draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 10.0)))
+              for _ in range(sites)]
+    shared = sorted(draw(st.sets(st.integers(0, max(sites - 1, 0)), max_size=sites)))
+    return shared, cover, weight, draw(st.integers(1, 4))
+
+
+@given(footprint_pools())
+def test_footprint_table_matches_irredundant_enumeration(pool):
+    shared, cover, weight, cap = pool
+    table = strip_dp._footprints(shared, cover, weight, cap)
+    assert next(iter(table.items())) == ((0, 0), (0.0, 0))
+    for (cov, size), (w, mask) in table.items():
+        members = [b for b in shared if mask >> b & 1]
+        assert mask.bit_count() == size == len(members) <= cap
+        assert functools.reduce(operator.or_, (cover[b] for b in members), 0) == cov
+        assert sum(weight[b] for b in members) == w   # summed in ascending order
+    ref = irredundant_footprints(shared, cover, weight, cap)
+    coverages = {cov for cov, _ in table} | {cov for _, _, cov in ref}
+    for c in coverages:
+        for s in range(cap + 1):
+            got = min((w for (cov, size), (w, _) in table.items()
+                       if cov == c and size <= s), default=INF)
+            want = min((w for mask, w, cov in ref
+                        if cov == c and mask.bit_count() <= s), default=INF)
+            assert got == want, (c, s)
+
+
+def test_footprint_states_within_reference_keys(monkeypatch):
+    # Each strip stores at most one footprint per (coverage, size) key of
+    # the irredundant enumeration.  Storing every irredundant footprint
+    # broke this in five cells here: 4,599 states against 1,395 keys.
+    inst = gen_uniform(30, 2, 1.0, 8.0, 2)
+    m = 4
+    sites = prune_dominated(generate_candidate_sites(inst))
+    coverers = coverers_by_target(sites)
+    table = strip_dp._footprints
+    keys = []
+
+    def counting(shared_bits, cover, weight, cap):
+        ref = irredundant_footprints(shared_bits, cover, weight, cap)
+        keys.append(len({(cov, mask.bit_count()) for mask, _, cov in ref}))
+        return table(shared_bits, cover, weight, cap)
+
+    monkeypatch.setattr(strip_dp, "_footprints", counting)
+    g = bounding_box(inst, m)
+    for f in range(m):
+        for cell in cells_for_shift(g, f):
+            strips_of_cell(cell, coverers)
+            keys.clear()
+            res = solve_cell(cell, sites, auto_cap(m, inst.k))
+            assert isinstance(res, CellSolution)
+            assert res.counters.subsets_enumerated <= sum(keys), (f, cell.index)
 
 
 def test_auto_cap_formula():
