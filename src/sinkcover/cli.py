@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     quality.add_argument("--epsilon", type=float)
     quality.add_argument("--m", type=int)
     s.add_argument("--cap", type=_parse_cap, default="auto")
-    s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    # --jobs is accepted and ignored: the rounds run in one process.
+    s.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
 
     e = sub.add_parser("exact", help="run the exact oracle")
     e.add_argument("--in", dest="infile", required=True)
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--m", default="2,4,8",
                    help="comma-separated list of round counts")
-    c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    c.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     c.add_argument("--out", help="optional report file")
 
     a = sub.add_parser("audit", help="discretization gap and shift-average audit")
@@ -93,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--step", type=float,
                    help="grid pitch for the refinement audit (default r/200)")
     a.add_argument("--m", type=int, default=4)
-    a.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    a.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     a.add_argument("--out", help="optional report file")
 
     r = sub.add_parser("render", help="draw an instance (and solution) as SVG")
@@ -132,7 +133,7 @@ def _config_echo(config: PtasConfig, solution) -> dict:
 def _cmd_solve(args) -> int:
     inst = read_instance(args.infile)
     config = PtasConfig(epsilon=args.epsilon, m=args.m, cap=args.cap)
-    solution = solve(inst, config, jobs=args.jobs)
+    solution = solve(inst, config)
     if not verify_solution(inst, solution.placements):
         _fail("internal", "solution failed the independent feasibility re-check")
         return 2
@@ -199,7 +200,7 @@ def _cmd_compare(args) -> int:
     for m in ms:
         config = PtasConfig(m=m)
         t0 = time.perf_counter()
-        solution = solve(inst, config, sites=sites, jobs=args.jobs)
+        solution = solve(inst, config, sites=sites)
         ms_elapsed = (time.perf_counter() - t0) * 1000.0
         bound = 1.0 + 4.0 / m
         print(f"{f'shifted-m{m}':<12} {solution.total_cost:>16.9f} "
@@ -226,7 +227,7 @@ def _cmd_audit(args) -> int:
           f"grid {gap.grid_opt:.9f} gap {gap.gap:.9f} "
           f"[{'PASS' if ok_gap else 'FAIL'}]")
     config = PtasConfig(m=args.m)
-    solution = solve(inst, config, sites=sites, jobs=args.jobs)
+    solution = solve(inst, config, sites=sites)
     audit = shift_average_audit(solution.per_round_costs, exact.cost)
     print(f"shift:  m {audit.m} average {audit.average:.9f} "
           f"min {audit.minimum:.9f} bound {audit.bound:.9f} "

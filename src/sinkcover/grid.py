@@ -9,7 +9,7 @@ Shift round f translates the whole tiling by (2*f*r, 2*f*r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Point
 from .sites import Instance
@@ -30,14 +30,13 @@ class Grid:
     m: int
     r: float
     targets: tuple[Point, ...]
-    shift_round: int = 0
 
     @property
     def cell_side(self) -> float:
         return 2.0 * self.m * self.r
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
     index: tuple[int, int]
     lower_left: Point
@@ -45,7 +44,6 @@ class Cell:
     r: float
     target_indices: tuple[int, ...]
     target_positions: tuple[Point, ...]
-    strips: list["Strip"] | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,7 @@ def strips_of_cell(cell: Cell, coverers: dict[int, list[int]]) -> list[Strip]:
     `coverers` maps a target index to the indices of the sites covering it
     (`sites.coverers_by_target`); one index serves every cell of every
     round.  Strip i's pool holds the indices of all sites covering at least
-    one target inside strip i.  Strips without targets get empty pools.  The
-    result is also stored on the cell.
+    one target inside strip i.  Strips without targets get empty pools.
     """
     width = 2.0 * cell.r
     m = round(cell.side / width)
@@ -129,11 +126,8 @@ def strips_of_cell(cell: Cell, coverers: dict[int, list[int]]) -> list[Strip]:
         strip_targets[s].append(gi)
         pools[s].update(coverers.get(gi, ()))
 
-    strips = []
-    for i in range(m):
-        strips.append(Strip(index=i + 1,
-                            x_range=(x0 + i * width, x0 + (i + 1) * width),
-                            target_indices=tuple(strip_targets[i]),
-                            site_pool=tuple(sorted(pools[i]))))
-    cell.strips = strips
-    return strips
+    return [Strip(index=i + 1,
+                  x_range=(x0 + i * width, x0 + (i + 1) * width),
+                  target_indices=tuple(strip_targets[i]),
+                  site_pool=tuple(sorted(pools[i])))
+            for i in range(m)]

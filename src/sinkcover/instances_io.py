@@ -31,13 +31,18 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _is_number(v) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _point_list(raw, name: str, path: str) -> tuple[Point, ...]:
     if not isinstance(raw, list):
         raise InstanceFormatError(f"{path}: field \"{name}\" must be a list")
     pts = []
     for i, row in enumerate(raw):
         if (not isinstance(row, list)) or len(row) != 2 \
-                or not all(isinstance(v, (int, float)) for v in row):
+                or not all(_is_number(v) for v in row):
             raise InstanceFormatError(
                 f"{path}: field \"{name}\"[{i}] must be an [x, y] pair")
         try:
@@ -62,7 +67,7 @@ def read_instance_file(path) -> tuple[Instance, dict]:
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
     r = _require(doc, "r", path)
-    if not isinstance(r, (int, float)) or not math.isfinite(r) or r <= 0:
+    if not _is_number(r) or not math.isfinite(r) or r <= 0:
         raise InstanceFormatError(f"{path}: field \"r\" must be a positive number")
     targets = _point_list(_require(doc, "targets", path), "targets", path)
     stations = _point_list(_require(doc, "stations", path), "stations", path)

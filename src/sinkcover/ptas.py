@@ -10,11 +10,10 @@ close to the optimum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .geometry import COVER_TOL, NearGrid, Point, dist
-from .grid import bounding_box, cells_for_shift, strips_of_cell
+from .grid import Grid, bounding_box, cells_for_shift, strips_of_cell
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
 from .strip_dp import CellInfeasible, DpCounters, auto_cap, solve_cell
@@ -32,11 +31,6 @@ class CapInfeasibleError(Exception):
         super().__init__(
             f"infeasible at shift {shift_round}, cell {cell_index}, "
             f"strip {strip_index} with cap {cap}")
-
-    def __reduce__(self):
-        # Survives pickling across worker processes.
-        return (CapInfeasibleError,
-                (self.shift_round, self.cell_index, self.strip_index, self.cap))
 
 
 @dataclass(frozen=True)
@@ -90,38 +84,39 @@ def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
     return sum(sites[i].weight for i in sorted(site_ids))
 
 
-def _solve_round(args):
-    grid, f, sites, coverers, cap, escalate = args
-    cells = cells_for_shift(grid, f)
+def _solve_round(grid: Grid, f: int, sites: list[CandidateSite],
+                 coverers: dict[int, list[int]], cap: int,
+                 escalate: bool) -> tuple[float, frozenset[int], DpCounters]:
+    """Solve every cell of shift round f; returns the round's cost, its
+    chosen sites and its DP counters."""
     chosen: set[int] = set()
     counters = DpCounters()
-    for cell in cells:
-        strips_of_cell(cell, coverers)
+    for cell in cells_for_shift(grid, f):
+        strips = strips_of_cell(cell, coverers)
         cap_eff = cap
-        res = solve_cell(cell, sites, cap_eff)
+        res = solve_cell(strips, sites, cap_eff)
         if escalate:
-            pool_max = max((len(st.site_pool) for st in cell.strips), default=1)
+            pool_max = max((len(st.site_pool) for st in strips), default=1)
             while isinstance(res, CellInfeasible) and cap_eff < pool_max:
                 cap_eff = min(2 * cap_eff, pool_max)
-                res = solve_cell(cell, sites, cap_eff)
+                res = solve_cell(strips, sites, cap_eff)
         if isinstance(res, CellInfeasible):
             raise CapInfeasibleError(f, cell.index, res.strip_index, cap_eff)
         chosen |= res.site_indices
         counters.merge(res.counters)
     # Sites selected by two cells are instantiated once; dropping the copy
     # only lowers the round's cost.
-    cost = _round_cost(chosen, sites)
-    return f, cost, frozenset(chosen), counters
+    return _round_cost(chosen, sites), frozenset(chosen), counters
 
 
 def solve(instance: Instance, config: PtasConfig,
-          sites: list[CandidateSite] | None = None, jobs: int = 1) -> Solution:
+          sites: list[CandidateSite] | None = None) -> Solution:
     """Run all shift rounds and return the cheapest feasible schedule.
 
     `sites` may be supplied to reuse a candidate list (it must come from
     `generate_candidate_sites`, optionally pruned); by default candidates
-    are generated and dominated ones pruned.  `jobs` > 1 solves rounds in
-    separate processes; the merge is deterministic either way.
+    are generated and dominated ones pruned.  Rounds are solved one after
+    another in this process; ties go to the lowest round.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
@@ -133,20 +128,15 @@ def solve(instance: Instance, config: PtasConfig,
     cap = auto_cap(m, instance.k) if escalate else config.cap
 
     coverers = coverers_by_target(sites)
-    tasks = [(grid, f, sites, coverers, cap, escalate) for f in range(m)]
-    if jobs > 1 and m > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, m)) as pool:
-            results = list(pool.map(_solve_round, tasks))
-    else:
-        results = [_solve_round(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-
-    per_round = tuple(r[1] for r in results)
-    best_f, best_cost, best_sites, _ = min(results, key=lambda r: (r[1], r[0]))
+    results = [_solve_round(grid, f, sites, coverers, cap, escalate)
+               for f in range(m)]
+    per_round = tuple(cost for cost, _, _ in results)
+    best_f = min(range(m), key=per_round.__getitem__)
+    best_cost, best_sites, _ = results[best_f]
 
     counters = DpCounters()
-    for r in results:
-        counters.merge(r[3])
+    for _, _, c in results:
+        counters.merge(c)
 
     placements = tuple(
         Placement(sites[i].position, sites[i].origin_station, sites[i].weight)

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grid import Cell, strips_of_cell
-from .sites import CandidateSite, coverers_by_target
+from .grid import Strip
+from .sites import CandidateSite
 
 INF = float("inf")
 
@@ -151,29 +151,28 @@ def _local_cover(local_bits: list[int], cover: list[int], weight: list[float]):
     return best
 
 
-def solve_cell(cell: Cell, sites: list[CandidateSite],
+def solve_cell(strips: list[Strip], sites: list[CandidateSite],
                cap: int) -> CellSolution | CellInfeasible:
     """Minimum-cost cover of all targets in one cell, within the subset cap.
 
-    Returns the exact optimum over the candidate sites appearing in the
-    cell's strip pools, or a CellInfeasible naming the first strip where no
-    qualifying subset exists (cap too tight or a target nobody covers).
+    `strips` are the cell's strips (`grid.strips_of_cell`).  Returns the
+    exact optimum over the candidate sites in their pools, or a
+    CellInfeasible naming the first strip where no qualifying subset exists
+    (cap too tight or a target nobody covers).
     The literal all-subsets recurrence gives the same costs (see the
     reference implementation in the test suite).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    strips = cell.strips
-    if strips is None:
-        strips = strips_of_cell(cell, coverers_by_target(sites))
     m = len(strips)
     counters = DpCounters()
-    if not cell.target_indices:
+    targets = sorted(t for st in strips for t in st.target_indices)
+    if not targets:
         return CellSolution(frozenset(), 0.0, counters)
 
     # Local ids: targets and sites are renumbered inside the cell so subsets
     # and covered-sets become machine ints.
-    tid = {g: i for i, g in enumerate(cell.target_indices)}
+    tid = {g: i for i, g in enumerate(targets)}
     gids = sorted({g for st in strips for g in st.site_pool})
     lid = {g: i for i, g in enumerate(gids)}
     weight = [sites[g].weight for g in gids]

@@ -90,10 +90,10 @@ def test_criterion_2_dp_exactness():
         cells = cells_for_shift(g, 0)
         assert len(cells) == 1, f"seed {seed}: instance spans {len(cells)} cells"
         cell = cells[0]
-        strips_of_cell(cell, coverers_by_target(sites))
+        strips = strips_of_cell(cell, coverers_by_target(sites))
         cap = auto_cap(m, k)
-        res = solve_cell(cell, sites, cap)
-        res_plus = solve_cell(cell, sites, cap + 1)
+        res = solve_cell(strips, sites, cap)
+        res_plus = solve_cell(strips, sites, cap + 1)
         opt = exact_min_cost_cover(inst.n, sites).cost
         if not isinstance(res, CellSolution) or not isinstance(res_plus, CellSolution):
             mismatches.append((seed, "infeasible"))
@@ -101,7 +101,7 @@ def test_criterion_2_dp_exactness():
         if not math.isclose(res.cost, opt, rel_tol=REL, abs_tol=1e-12):
             mismatches.append((seed, res.cost, opt))
         if not math.isclose(res.cost, res_plus.cost, rel_tol=REL, abs_tol=1e-12):
-            mismatches.append((seed, "cap verify", res.cost, res_plus.cost))
+            mismatches.append((seed, "cap + 1", res.cost, res_plus.cost))
     assert not mismatches, mismatches[:5]
 
 

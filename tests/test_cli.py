@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -69,12 +73,26 @@ def test_solve_output_passes_feasibility_recheck(tmp_path):
 
 
 def test_solve_byte_identical_reruns(tmp_path):
+    # --jobs is accepted and changes nothing.
     path = _gen(tmp_path, seed=12)
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["solve", "--in", str(path), "--m", "4", "--jobs", "1"]
-    assert run(argv + ["--out", str(out1)]) == 0
-    assert run(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    outs = []
+    for extra in ([], [], ["--jobs", "1"], ["--jobs", "2"]):
+        out = tmp_path / f"sol{len(outs)}.json"
+        assert run(["solve", "--in", str(path), "--m", "4",
+                    "--out", str(out)] + extra) == 0
+        outs.append(out.read_bytes())
+    assert len(set(outs)) == 1
+
+
+def test_cli_import_loads_no_process_pool():
+    # Every CLI run pays for what `sinkcover.cli` imports, and the rounds
+    # run in one process.
+    code = ("import sys, sinkcover.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_solve_verify_cap_is_a_usage_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sinkcover.cli import run
 from sinkcover.instances_io import (InstanceFormatError, SolutionFile,
                                     gen_counterexample, gen_uniform,
                                     read_instance, read_instance_file,
@@ -145,6 +146,23 @@ def test_bad_point_row_named(tmp_path):
                                 "stations": [[0, 0]]}))
     with pytest.raises(InstanceFormatError, match=r'"targets"\[0\]'):
         read_instance(path)
+
+
+@pytest.mark.parametrize("doc", [
+    {"r": True, "targets": [[0, 0]], "stations": [[0, 0]]},
+    {"r": 1.0, "targets": [[True, False], [2.0, 0.0]], "stations": [[0, 0]]},
+    {"r": 1.0, "targets": [[0, 0]], "stations": [[0, False]]},
+])
+def test_json_booleans_rejected(tmp_path, capsys, doc):
+    # json loads true/false as bool, a subclass of int; they are not numbers.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceFormatError):
+        read_instance(path)
+    assert run(["solve", "--in", str(path), "--m", "2",
+                "--out", str(tmp_path / "sol.json")]) == 1
+    assert "error[parse]" in capsys.readouterr().err
+    assert not (tmp_path / "sol.json").exists()
 
 
 def test_solution_file_roundtrip(tmp_path):

@@ -109,25 +109,12 @@ def test_solution_deterministic_serialization():
     assert ja == jb
 
 
-def test_parallel_rounds_match_serial():
-    inst = gen_uniform(8, 1, 1.0, 10.0, 2)
-    config = PtasConfig(m=4)
-    serial = solve(inst, config, jobs=1)
-    parallel = solve(inst, config, jobs=2)
-    assert serial.total_cost == parallel.total_cost
-    assert serial.per_round_costs == parallel.per_round_costs
-    assert serial.shift_round_used == parallel.shift_round_used
-
-
 def test_fixed_cap_infeasible_propagates():
     # Two targets far apart vertically in the same strip, nothing joint:
     # cap 1 cannot cover them and the fixed policy must not retry.
     inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5.0, 5.0)], 0.5)
     with pytest.raises(CapInfeasibleError):
         solve(inst, PtasConfig(m=2, cap=1))
-    # Same failure must survive the worker-process boundary.
-    with pytest.raises(CapInfeasibleError):
-        solve(inst, PtasConfig(m=2, cap=1), jobs=2)
 
 
 def test_auto_cap_policy_retries():

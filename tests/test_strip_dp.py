@@ -28,8 +28,7 @@ def _single_cell(inst, m):
     cells = cells_for_shift(g, 0)
     assert len(cells) == 1
     cell = cells[0]
-    strips_of_cell(cell, coverers_by_target(sites))
-    return cell, sites
+    return cell, strips_of_cell(cell, coverers_by_target(sites)), sites
 
 
 def _dense_instance(seed, max_n=10, extent=3.8, k_choices=(1, 2)):
@@ -135,9 +134,9 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     g = bounding_box(inst, m)
     for f in range(m):
         for cell in cells_for_shift(g, f):
-            strips_of_cell(cell, coverers)
+            strips = strips_of_cell(cell, coverers)
             keys.clear()
-            res = solve_cell(cell, sites, auto_cap(m, inst.k))
+            res = solve_cell(strips, sites, auto_cap(m, inst.k))
             assert isinstance(res, CellSolution)
             assert res.counters.subsets_enumerated <= sum(keys), (f, cell.index)
 
@@ -150,16 +149,16 @@ def test_auto_cap_formula():
 def test_solve_cell_zero_cost_station():
     inst = Instance.from_coords([(0, 0), (0.4, 0)], [(0.2, 0)], 1.0)
     for m in (1, 2, 3):
-        cell, sites = _single_cell(inst, m)
-        res = solve_cell(cell, sites, auto_cap(m, 1))
+        _, strips, sites = _single_cell(inst, m)
+        res = solve_cell(strips, sites, auto_cap(m, 1))
         assert isinstance(res, CellSolution)
         assert res.cost == 0.0
 
 
 def test_solve_cell_two_disjoint_targets():
     inst = Instance.from_coords([(0, 0), (3, 0)], [(1.5, 0)], 1.0)
-    cell, sites = _single_cell(inst, 2)
-    res = solve_cell(cell, sites, 2)
+    _, strips, sites = _single_cell(inst, 2)
+    res = solve_cell(strips, sites, 2)
     assert isinstance(res, CellSolution)
     assert res.cost == pytest.approx(1.0, rel=1e-12)
     oracle = exact_min_cost_cover(inst.n, sites)
@@ -168,11 +167,11 @@ def test_solve_cell_two_disjoint_targets():
 
 def test_solve_cell_empty_cell():
     inst = Instance.from_coords([(1, 1)], [(0, 0)], 1.0)
-    cell, sites = _single_cell(inst, 2)
+    cell, _, sites = _single_cell(inst, 2)
     empty = type(cell)(index=(9, 9), lower_left=Point(100.0, 100.0),
                        side=cell.side, r=cell.r, target_indices=(),
                        target_positions=())
-    res = solve_cell(empty, sites, 4)
+    res = solve_cell(strips_of_cell(empty, coverers_by_target(sites)), sites, 4)
     assert isinstance(res, CellSolution)
     assert res.cost == 0.0 and res.site_indices == frozenset()
 
@@ -180,8 +179,8 @@ def test_solve_cell_empty_cell():
 def test_solve_cell_matches_oracle_randomized():
     for seed in range(40):
         inst = _dense_instance(seed)
-        cell, sites = _single_cell(inst, 2)
-        res = solve_cell(cell, sites, auto_cap(2, inst.k))
+        _, strips, sites = _single_cell(inst, 2)
+        res = solve_cell(strips, sites, auto_cap(2, inst.k))
         assert isinstance(res, CellSolution)
         oracle = exact_min_cost_cover(inst.n, sites)
         assert res.cost == pytest.approx(oracle.cost, rel=1e-9, abs=1e-12)
@@ -190,8 +189,8 @@ def test_solve_cell_matches_oracle_randomized():
 def test_solve_cell_cost_matches_reconstruction():
     for seed in range(20):
         inst = _dense_instance(seed)
-        cell, sites = _single_cell(inst, 2)
-        res = solve_cell(cell, sites, auto_cap(2, inst.k))
+        cell, strips, sites = _single_cell(inst, 2)
+        res = solve_cell(strips, sites, auto_cap(2, inst.k))
         assert isinstance(res, CellSolution)
         total = sum(sites[i].weight for i in sorted(res.site_indices))
         assert total == pytest.approx(res.cost, rel=1e-9, abs=1e-12)
@@ -203,10 +202,10 @@ def test_solve_cell_cost_matches_reconstruction():
 
 def test_solve_cell_monotone_in_cap():
     inst = _dense_instance(7)
-    cell, sites = _single_cell(inst, 2)
+    _, strips, sites = _single_cell(inst, 2)
     costs = []
     for cap in (1, 2, 3, 4, 8, 16):
-        res = solve_cell(cell, sites, cap)
+        res = solve_cell(strips, sites, cap)
         costs.append(res.cost if isinstance(res, CellSolution) else INF)
     assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
 
@@ -215,8 +214,8 @@ def test_solve_cell_infeasible_reports_strip():
     # Two targets in the first strip (same x band, far apart vertically) with
     # no joint coverer: a cap of one site per strip cannot work.
     inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5, 5)], 0.5)
-    cell, sites = _single_cell(inst, 2)
-    res = solve_cell(cell, sites, 1)
+    _, strips, sites = _single_cell(inst, 2)
+    res = solve_cell(strips, sites, 1)
     assert isinstance(res, CellInfeasible)
     assert res.strip_index == 1
 
@@ -224,18 +223,17 @@ def test_solve_cell_infeasible_reports_strip():
 def test_solve_cell_counters_within_envelope():
     inst = _dense_instance(3)
     cap = auto_cap(2, inst.k)
-    cell, sites = _single_cell(inst, 2)
-    res = solve_cell(cell, sites, cap)
+    _, strips, sites = _single_cell(inst, 2)
+    res = solve_cell(strips, sites, cap)
     assert isinstance(res, CellSolution)
     assert res.counters.subsets_enumerated > 0
-    assert res.counters.subsets_enumerated <= footprint_state_bound(cell.strips, cap)
+    assert res.counters.subsets_enumerated <= footprint_state_bound(strips, cap)
 
 
-def _reference_cell_opt(cell, sites, cap):
+def _reference_cell_opt(strips, sites, cap):
     """Literal strip recurrence: all subsets of each pool up to the cap,
     compatibility on the shared pool, coverage of each strip by the union of
     the current and previous subsets, shared sites charged once."""
-    strips = cell.strips
     pools = [list(s.site_pool) for s in strips]
     tmasks = [set(s.target_indices) for s in strips]
 
@@ -282,12 +280,12 @@ def test_solver_matches_literal_recurrence():
     # compatibility forces it into the current subset anyway.
     for seed in range(12):
         inst = _dense_instance(seed, max_n=5, extent=3.5)
-        cell, sites = _single_cell(inst, 2)
-        if max(len(s.site_pool) for s in cell.strips) > 12:
+        _, strips, sites = _single_cell(inst, 2)
+        if max(len(s.site_pool) for s in strips) > 12:
             continue
         for cap in (1, 2, 3, 4):
-            ref = _reference_cell_opt(cell, sites, cap)
-            res = solve_cell(cell, sites, cap)
+            ref = _reference_cell_opt(strips, sites, cap)
+            res = solve_cell(strips, sites, cap)
             got = res.cost if isinstance(res, CellSolution) else INF
             if math.isinf(ref):
                 assert math.isinf(got), (seed, cap)
@@ -310,25 +308,25 @@ def test_cap_below_requirement_flagged():
     cell = Cell(index=(0, 0), lower_left=Point(x0, y0), side=side, r=inst.r,
                 target_indices=tuple(range(inst.n)),
                 target_positions=inst.targets)
-    strips_of_cell(cell, coverers_by_target(sites))
+    strips = strips_of_cell(cell, coverers_by_target(sites))
     opt = exact_min_cost_cover(inst.n, sites).cost
-    res = solve_cell(cell, sites, 1)
+    res = solve_cell(strips, sites, 1)
     if isinstance(res, CellSolution):
         assert res.cost > opt + 1e-9
     else:
         assert isinstance(res, CellInfeasible)
     # With a workable cap the forced ring optimum is reproduced.
-    good = solve_cell(cell, sites, auto_cap(4, inst.k))
+    good = solve_cell(strips, sites, auto_cap(4, inst.k))
     assert isinstance(good, CellSolution)
     assert good.cost == pytest.approx(opt, rel=1e-9)
 
 
-def test_verify_mode_equality_on_random_cells():
+def test_cap_above_auto_gives_same_cost():
     for seed in range(15):
         inst = _dense_instance(seed, max_n=10)
-        cell, sites = _single_cell(inst, 2)
+        _, strips, sites = _single_cell(inst, 2)
         cap = auto_cap(2, inst.k)
-        a = solve_cell(cell, sites, cap)
-        b = solve_cell(cell, sites, cap + 1)
+        a = solve_cell(strips, sites, cap)
+        b = solve_cell(strips, sites, cap + 1)
         assert isinstance(a, CellSolution) and isinstance(b, CellSolution)
         assert a.cost == pytest.approx(b.cost, rel=1e-9, abs=1e-12)
