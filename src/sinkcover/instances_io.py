@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .geometry import Point
-from .ptas import Placement, Solution
+from .ptas import Solution
 from .sites import Instance
 
 log = logging.getLogger(__name__)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COVER_TOL, Point, dist
+from .geometry import COVER_TOL, Point
 from .sites import CandidateSite, Instance, site_weight
 from .grid import bounding_box
 
@@ -175,8 +175,8 @@ def grid_refine_audit(instance: Instance, discrete_opt: float,
     if instance.n > 63:
         raise ValueError(f"grid audit packs targets into int64 masks: "
                          f"{instance.n} targets exceed 63")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
     grid_sites, total_pts = _grid_sites(instance, step)
     res = exact_min_cost_cover(instance.n, grid_sites)
     return GridRefineReport(step=step,
@@ -196,7 +196,11 @@ def _grid_sites(instance: Instance,
     Each set is represented by its cheapest grid point, ties going to the
     least x, then the least y.  Rows of the grid are swept in chunks of
     about `_CHUNK_POINTS` points; a later chunk replaces a set's point only
-    on a strictly lower weight.
+    on a strictly lower weight.  Within a chunk, points are grouped not one
+    by one but in runs of one covered set along each x line: only the
+    covering runs are expanded and weighed, sets are found among the run
+    keys, and a set's point is the first point at its least weight in one
+    of its runs, the least x, then the least y among those.
     """
     r = instance.r
     txs = np.array([t.x for t in instance.targets])
@@ -231,24 +235,43 @@ def _grid_sites(instance: Instance,
                 continue
             d2 = (xs[xa:xb, None] - t.x) ** 2 + (yy[None, ya:yb] - t.y) ** 2
             masks[xa:xb, ya:yb] |= (d2 <= rr).astype(np.int64) << i
-        ix, iy = np.nonzero(masks)
-        if not ix.size:
+        # Runs of one mask along each x line: a run starts where the mask
+        # changes and at the start of every line.
+        flat = masks.ravel()
+        starts = np.ones(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+        starts[::len(yy)] = True
+        heads = np.flatnonzero(starts)
+        lens = np.diff(heads, append=flat.size)
+        keys = flat[heads]
+        covering = keys != 0
+        heads, lens, keys = heads[covering], lens[covering], keys[covering]
+        if not heads.size:
             continue
-        total_pts += ix.size
-        keys = masks[ix, iy]
-        gx, gy = xs[ix], yy[iy]
+        offs = np.cumsum(lens) - lens        # each run's first point
+        line = heads // len(yy)
+        gx = np.repeat(xs[line], lens)
+        gy = yy[np.arange(len(gx)) + np.repeat(heads - line * len(yy) - offs,
+                                                lens)]
+        total_pts += len(gx)
         w = np.full(gx.shape, np.inf)
         for p in instance.stations:
             np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
+        run_w = np.minimum.reduceat(w, offs)
         sets, group = np.unique(keys, return_inverse=True)
         least = np.full(len(sets), np.inf)
-        np.minimum.at(least, group, w)
-        hits = np.flatnonzero(w == least[group])
-        hits = hits[np.lexsort((gy[hits], gx[hits], group[hits]))]
+        np.minimum.at(least, group, run_w)
+        # In each run that reaches its set's least weight, the first point
+        # at that weight has the least y on its line.
+        runs = np.flatnonzero(run_w == least[group])
+        hits = np.array([o + int(np.argmax(w[o:o + n] == v)) for o, n, v
+                         in zip(offs[runs], lens[runs], run_w[runs])])
+        order = np.lexsort((gy[hits], gx[hits], group[runs]))
+        hits, runs = hits[order], runs[order]
         first = np.ones(len(hits), dtype=bool)
-        first[1:] = group[hits[1:]] != group[hits[:-1]]
-        for gi in hits[first]:
-            key = int(keys[gi])
+        first[1:] = group[runs[1:]] != group[runs[:-1]]
+        for gi, ri in zip(hits[first], runs[first]):
+            key = int(keys[ri])
             cur = best_weight.get(key)
             if cur is None or w[gi] < cur:
                 best_weight[key] = float(w[gi])

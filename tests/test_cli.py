@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -203,6 +204,18 @@ def test_audit_refuses_more_targets_than_mask_bits(tmp_path, capsys):
                                 "targets": [[3.0 * i, 0.0] for i in range(70)]}))
     assert run(["audit", "--in", str(path), "--m", "2", "--jobs", "1"]) == 1
     assert "error[input]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-inf"])
+def test_audit_non_finite_step_is_an_input_error(tmp_path, capsys, step):
+    path = _gen(tmp_path, n=4, k=1, extent=5.0, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's RuntimeWarning would raise
+        # "--step=-inf": argparse would take a separate "-inf" for an option.
+        assert run(["audit", "--in", str(path), f"--step={step}", "--m", "2",
+                    "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[input]: step must be positive and finite\n"
 
 
 def test_render_structure(tmp_path):

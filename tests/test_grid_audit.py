@@ -94,3 +94,36 @@ def test_later_chunk_tie_keeps_earlier_point():
     assert repr(rows[0].position) == "Point(x=0.75, y=0.5)"
     assert rows[0].weight == whole[0].weight
     _assert_matches_reference(inst, 0.25, 9)
+
+
+def test_runs_break_at_each_x_line():
+    # Three rows of nine per chunk: in the middle chunk (y = -0.25, 0, 0.25)
+    # the lines x = -0.5 ... 0.5 lie wholly inside the disk, so their
+    # points form one run of {0} unless a run also starts at each line.
+    inst = Instance.from_coords([(0.0, 0.0)], [(0.3, 0.1)], 1.0)
+    with mock.patch.object(oracle, "_CHUNK_POINTS", 27):
+        sites, points = oracle._grid_sites(inst, 0.25)
+    assert points == 49
+    assert [repr(s.position) for s in sites] == ["Point(x=0.25, y=0.0)"]
+    _assert_matches_reference(inst, 0.25, 27)
+
+
+def test_set_with_two_runs_on_one_line():
+    # Target B at (0.9, 0) splits the line x = 0 into {A}, {A, B}, {A}; the
+    # cheapest point of {A} for a station at (0, 5) is (0, 1), in the later
+    # run of that line.
+    inst = Instance.from_coords([(0.0, 0.0), (0.9, 0.0)], [(0.0, 5.0)], 1.0)
+    sites, _ = oracle._grid_sites(inst, 0.125)
+    only_a = [s for s in sites if s.covered == frozenset({0})]
+    assert [(repr(s.position), s.weight) for s in only_a] == [
+        ("Point(x=0.0, y=1.0)", 4.0)]
+    _assert_matches_reference(inst, 0.125)
+
+
+def test_tie_within_a_run_goes_to_least_y():
+    # On the line x = 0.875 the points y = -0.25 and y = 0.125 are equally
+    # far from the station and cheaper than any other covering point.
+    inst = Instance.from_coords([(0.0, 0.0)], [(3.0, -0.0625)], 1.0)
+    sites, _ = oracle._grid_sites(inst, 0.375)
+    assert repr(sites[0].position) == "Point(x=0.875, y=-0.25)"
+    _assert_matches_reference(inst, 0.375)

@@ -154,6 +154,13 @@ def test_grid_refine_randomized_bounds():
         assert rep.discrete_opt <= rep.grid_opt + 0.04 * max(rep.grid_solution_size, 1)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_grid_refine_rejects_bad_step(step):
+    inst = Instance.from_coords([(0, 0)], [(4, 0)], 1.0)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        grid_refine_audit(inst, 3.0, step)
+
+
 def test_census_single_sensor():
     inst = Instance.from_coords([(0, 0)], [(3, 0)], 1.0)
     rep = strip_sensor_census(inst, [Point(1.0, 0.0)], 2)
