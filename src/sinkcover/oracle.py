@@ -21,6 +21,9 @@ INF = float("inf")
 # Grid points per row chunk of the refinement audit's sweep; bounds its
 # peak memory.
 _CHUNK_POINTS = 4_000_000
+# Grid points the refinement audit sweeps at most; a finer grid is refused
+# before any grid-sized array exists.
+_MAX_GRID_POINTS = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,7 @@ def grid_refine_audit(instance: Instance, discrete_opt: float,
     covered set, and solved exactly.  If the candidate-site classes are
     sound, the grid optimum can only be worse, up to O(step) per sensor.
     Covered sets are packed into int64 bit masks, so at most 63 targets are
-    accepted.
+    accepted, and a grid of more than `_MAX_GRID_POINTS` points is refused.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
@@ -197,16 +200,42 @@ def _grid_sites(instance: Instance,
     least x, then the least y.  Rows of the grid are swept in chunks of
     about `_CHUNK_POINTS` points; a later chunk replaces a set's point only
     on a strictly lower weight.  Within a chunk, points are grouped not one
-    by one but in runs of one covered set along each x line: only the
-    covering runs are expanded and weighed, sets are found among the run
-    keys, and a set's point is the first point at its least weight in one
-    of its runs, the least x, then the least y among those.
+    by one but in runs of one covered set along each x line: sets are found
+    among the run keys, and a set's point is the first point at its least
+    weight in one of its runs, the least x, then the least y among those.
+
+    Only a few candidate points of each run are weighed.  On one x line the
+    offsets `dy = yy - p.y` to a station p are non-decreasing in the row
+    (np.arange fills `start + i*delta`, and rounding is monotone), so the
+    rows with `|dy| <= L` form one window, found by `searchsorted`.  Let q
+    be the run's row of least |dy|, dx the line's offset to p, and D(j) the
+    exact sqrt(dx**2 + dy_j**2) of the rounded offsets.  Assume generously
+    that `np.hypot` returns D within 2**-48 D + 2**-1022 below overflow
+    (glibc's is within one ulp), and take, in floats,
+    L = |dy_q| + 2**-21 (|dx| + |dy_q|) + 2**-500, which is at least
+    |dy_q| + W with W = 2**-22 D(q) + 2**-501.  A row j of the run outside
+    the window then has |dy_j| - |dy_q| > W, so
+    D(j)**2 - D(q)**2 >= (|dy_j| - |dy_q|)**2 > W**2 >= 2 D(q) M + M**2
+    with M = 3 (2**-48 D(q) + 2**-1022).  Hence D(j) > D(q) + M, and the
+    computed distance from j to p is strictly greater than that from q.
+    The run's candidates are the union of its windows over the stations:
+    every other point is farther from each station p than p's row q, so
+    strictly heavier than the lightest candidate, and the run's least
+    weight and the first point at it are found among the candidates.
+    Far stations widen a window (at 1e6 r several rows round to one
+    distance), near ones keep it at a row or two.
     """
     r = instance.r
     txs = np.array([t.x for t in instance.targets])
     tys = np.array([t.y for t in instance.targets])
     x0, x1 = txs.min() - r, txs.max() + r
     y0, y1 = tys.min() - r, tys.max() + r
+    # np.arange's own lengths, checked before anything grid-sized exists.
+    size = (np.ceil((x1 + step / 2 - x0) / step)
+            * np.ceil((y1 + step / 2 - y0) / step))
+    if size > _MAX_GRID_POINTS:
+        raise ValueError(f"grid of pitch {step} has {size:.3g} points, more "
+                         f"than the {_MAX_GRID_POINTS:.3g} the audit sweeps")
     xs = np.arange(x0, x1 + step / 2, step)
     ys = np.arange(y0, y1 + step / 2, step)
     reach = r * (1.0 + COVER_TOL)
@@ -248,24 +277,43 @@ def _grid_sites(instance: Instance,
         heads, lens, keys = heads[covering], lens[covering], keys[covering]
         if not heads.size:
             continue
-        offs = np.cumsum(lens) - lens        # each run's first point
+        total_pts += int(lens.sum())
         line = heads // len(yy)
-        gx = np.repeat(xs[line], lens)
-        gy = yy[np.arange(len(gx)) + np.repeat(heads - line * len(yy) - offs,
-                                                lens)]
-        total_pts += len(gx)
+        first_row = heads - line * len(yy)
+        last_row = first_row + lens - 1
+        # Each run's candidate window for each station, as flat indices.
+        win_lo, win_len = [], []
+        for p in instance.stations:
+            dy = yy - p.y
+            q = np.clip(np.argmin(np.abs(dy)), first_row, last_row)
+            near = np.abs(dy[q])
+            lim = near + (np.abs(xs[line] - p.x) + near) * 2.0**-21 + 2.0**-500
+            a = np.maximum(np.searchsorted(dy, -lim, "left"), first_row)
+            b = np.minimum(np.searchsorted(dy, lim, "right"), last_row + 1)
+            win_lo.append(heads + (a - first_row))
+            win_len.append(b - a)
+        win_lo, win_len = np.concatenate(win_lo), np.concatenate(win_len)
+        offs = np.cumsum(win_len) - win_len
+        # Windows of two stations may overlap; a repeated point is harmless.
+        cand = np.sort(np.repeat(win_lo - offs, win_len)
+                       + np.arange(int(win_len.sum())))
+        gx = xs[cand // len(yy)]
+        gy = yy[cand % len(yy)]
         w = np.full(gx.shape, np.inf)
         for p in instance.stations:
             np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
+        # Candidates are sorted by flat index, so by run, then by y.
+        offs = np.searchsorted(cand, heads)
+        counts = np.diff(offs, append=len(cand))
         run_w = np.minimum.reduceat(w, offs)
         sets, group = np.unique(keys, return_inverse=True)
         least = np.full(len(sets), np.inf)
         np.minimum.at(least, group, run_w)
-        # In each run that reaches its set's least weight, the first point
-        # at that weight has the least y on its line.
+        # In each run that reaches its set's least weight, the first
+        # candidate at that weight has the least y on its line.
         runs = np.flatnonzero(run_w == least[group])
         hits = np.array([o + int(np.argmax(w[o:o + n] == v)) for o, n, v
-                         in zip(offs[runs], lens[runs], run_w[runs])])
+                         in zip(offs[runs], counts[runs], run_w[runs])])
         order = np.lexsort((gy[hits], gx[hits], group[runs]))
         hits, runs = hits[order], runs[order]
         first = np.ones(len(hits), dtype=bool)

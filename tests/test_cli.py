@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -204,6 +205,20 @@ def test_audit_refuses_more_targets_than_mask_bits(tmp_path, capsys):
                                 "targets": [[3.0 * i, 0.0] for i in range(70)]}))
     assert run(["audit", "--in", str(path), "--m", "2", "--jobs", "1"]) == 1
     assert "error[input]" in capsys.readouterr().err
+
+
+def test_audit_refuses_a_grid_too_fine_to_sweep(tmp_path, capsys):
+    # At pitch 1e-5 one target's 2r x 2r box holds about 4e10 grid points;
+    # the sweep used to start on them and run without bound.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"r": 1.0, "stations": [[3.0, 0.0]],
+                                "targets": [[0.0, 0.0]]}))
+    t0 = time.perf_counter()
+    assert run(["audit", "--in", str(path), "--step", "1e-5", "--m", "2",
+                "--jobs", "1"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error[input]: grid of pitch 1e-05 has 4e+10 points")
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "-inf"])

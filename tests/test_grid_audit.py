@@ -1,8 +1,10 @@
 """The windowed grid sweep of the discretization audit against the full-grid
 sweep in `reference_oracle`: equal reports and equal grid sites."""
 
+import math
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_oracle import full_grid_refine_audit, full_grid_sites
@@ -33,6 +35,28 @@ LAYOUTS = ("uniform", "collinear", "coincident", "two_r_apart")
 
 
 @st.composite
+def station(draw, targets, r, step):
+    """A station near the targets, 10 r to 1e6 r from them, or on or midway
+    between two rows of the audit's grid, near or far along x."""
+    tx, ty = targets[draw(st.integers(0, len(targets) - 1))]
+    kind = draw(st.sampled_from(("near", "far", "row", "midrow")))
+    if kind == "near":
+        return (tx + 3.0 * r * draw(unit) - 2.0 * r,
+                ty + 3.0 * r * draw(unit) - 2.0 * r)
+    d = r * 10.0 ** draw(st.floats(min_value=1.0, max_value=6.0))
+    if kind == "far":
+        a = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        return tx + d * math.cos(a), ty + d * math.sin(a)
+    # The grid's rows, as the sweep lays them out.
+    tys = [y for _, y in targets]
+    ys = np.arange(min(tys) - r, max(tys) + r + step / 2, step)
+    j = draw(st.integers(0, len(ys) - 1))
+    y = ys[j] if kind == "row" or j + 1 == len(ys) else (ys[j] + ys[j + 1]) / 2
+    x = tx + draw(st.sampled_from([-d, d, 3.0 * r * draw(unit) - 1.5 * r]))
+    return x, float(y)
+
+
+@st.composite
 def audit_cases(draw):
     r = draw(st.sampled_from([1.0, 0.3, 2.5]))
     # At pitch 2.5r some targets have no grid row or column within reach.
@@ -54,13 +78,13 @@ def audit_cases(draw):
     else:
         targets = [(0.0, 0.0), (2.0 * r, 0.0), (0.0, 2.0 * r), (2.0 * r, 2.0 * r)]
         targets = targets[:draw(st.integers(2, 4))]
-    stations = [(3.0 * r * draw(unit) - r, 3.0 * r * draw(unit) - r)
+    off = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    targets = [(x + off, y + off) for x, y in targets]
+    stations = [draw(station(targets, r, step))
                 for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         stations[0] = targets[draw(st.integers(0, len(targets) - 1))]
-    off = draw(st.sampled_from([0.0, 1e6, -1e6]))
-    inst = Instance.from_coords([(x + off, y + off) for x, y in targets],
-                                [(x + off, y + off) for x, y in stations], r)
+    inst = Instance.from_coords(targets, stations, r)
     # Some cases sweep the rows a few at a time, so sets meet across chunks.
     chunk_points = draw(st.sampled_from([4_000_000, 5_000, 1]))
     return inst, step, chunk_points
@@ -127,3 +151,14 @@ def test_tie_within_a_run_goes_to_least_y():
     sites, _ = oracle._grid_sites(inst, 0.375)
     assert repr(sites[0].position) == "Point(x=0.875, y=-0.25)"
     _assert_matches_reference(inst, 0.375)
+
+
+def test_far_station_ties_reach_past_the_nearest_rows():
+    # 1e6 r along the target's row, the rows y = -0.01, -0.004, 0.002 and
+    # 0.008 of the line x = 0.998 all round to one distance, so the window
+    # must reach past the two rows nearest the station, and the least y wins.
+    inst = Instance.from_coords([(0.0, 0.0)], [(1e6, 0.0)], 1.0)
+    sites, _ = oracle._grid_sites(inst, 0.006)
+    assert [(repr(s.position), s.weight) for s in sites] == [
+        ("Point(x=0.9980000000000018, y=-0.00999999999999912)", 999999.002)]
+    _assert_matches_reference(inst, 0.006)
