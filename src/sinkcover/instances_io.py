@@ -36,6 +36,26 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _object(raw, name: str, path: str) -> dict:
+    """A copy of an object field; absent or null reads as {}."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise InstanceFormatError(f"{path}: field \"{name}\" must be an object")
+    return dict(raw)
+
+
+def _load_object(path: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise InstanceFormatError(
+            f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{path}: top level must be an object")
+    return doc
+
+
 def _point_list(raw, name: str, path: str) -> tuple[Point, ...]:
     if not isinstance(raw, list):
         raise InstanceFormatError(f"{path}: field \"{name}\" must be a list")
@@ -59,13 +79,7 @@ def read_instance_file(path) -> tuple[Instance, dict]:
     in the returned metadata under "deduplicated_targets".
     """
     path = str(path)
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise InstanceFormatError(
-            f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{path}: top level must be an object")
+    doc = _load_object(path)
     r = _require(doc, "r", path)
     if not _is_number(r) or not math.isfinite(r) or r <= 0:
         raise InstanceFormatError(f"{path}: field \"r\" must be a positive number")
@@ -73,7 +87,7 @@ def read_instance_file(path) -> tuple[Instance, dict]:
     stations = _point_list(_require(doc, "stations", path), "stations", path)
     if not stations:
         raise InstanceFormatError(f"{path}: field \"stations\" must be non-empty")
-    metadata = dict(doc.get("metadata") or {})
+    metadata = _object(doc.get("metadata"), "metadata", path)
 
     seen: set[tuple[float, float]] = set()
     unique = []
@@ -144,18 +158,27 @@ def write_solution(path, solution: Solution | SolutionFile,
 
 def read_solution(path) -> SolutionFile:
     path = str(path)
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise InstanceFormatError(
-            f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    doc = _load_object(path)
     for key in ("total_cost", "shift_round", "per_round_costs", "placements"):
         _require(doc, key, path)
+    shift = doc["shift_round"]
+    if shift is not None and (isinstance(shift, bool) or not isinstance(shift, int)):
+        raise InstanceFormatError(
+            f"{path}: field \"shift_round\" must be an integer or null")
+    for key in ("per_round_costs", "placements"):
+        if not isinstance(doc[key], list):
+            raise InstanceFormatError(f"{path}: field \"{key}\" must be a list")
+    for i, row in enumerate(doc["placements"]):
+        if not (isinstance(row, dict) and _is_number(row.get("x"))
+                and _is_number(row.get("y"))):
+            raise InstanceFormatError(
+                f"{path}: field \"placements\"[{i}] must be an object with "
+                f"numeric \"x\" and \"y\"")
     return SolutionFile(total_cost=doc["total_cost"],
-                        shift_round=doc["shift_round"],
+                        shift_round=shift,
                         per_round_costs=list(doc["per_round_costs"]),
                         placements=list(doc["placements"]),
-                        config=dict(doc.get("config") or {}))
+                        config=_object(doc.get("config"), "config", path))
 
 
 def write_report(path, records: list[dict]) -> None:

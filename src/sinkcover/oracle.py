@@ -8,19 +8,16 @@ discretization, and sensor-density censuses over strips and small squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import COVER_TOL, Point
 from .sites import CandidateSite, Instance, site_weight
-from .grid import bounding_box
+from .grid import bounding_box, cells_for_shift, strips_of_cell
 
 INF = float("inf")
 
-# Grid points per row chunk of the refinement audit's sweep; bounds its
-# peak memory.
-_CHUNK_POINTS = 4_000_000
 # Grid points the refinement audit sweeps at most; a finer grid is refused
 # before any grid-sized array exists.
 _MAX_GRID_POINTS = 1_000_000_000
@@ -197,21 +194,24 @@ def _grid_sites(instance: Instance,
     of grid points that cover some target.
 
     Each set is represented by its cheapest grid point, ties going to the
-    least x, then the least y.  Rows of the grid are swept in chunks of
-    about `_CHUNK_POINTS` points; a later chunk replaces a set's point only
-    on a strictly lower weight.  Within a chunk, points are grouped not one
-    by one but in runs of one covered set along each x line: sets are found
-    among the run keys, and a set's point is the first point at its least
-    weight in one of its runs, the least x, then the least y among those.
+    least x, then the least y.
 
-    Only a few candidate points of each run are weighed.  On one x line the
-    offsets `dy = yy - p.y` to a station p are non-decreasing in the row
-    (np.arange fills `start + i*delta`, and rounding is monotone), so the
-    rows with `|dy| <= L` form one window, found by `searchsorted`.  Let q
-    be the run's row of least |dy|, dx the line's offset to p, and D(j) the
-    exact sqrt(dx**2 + dy_j**2) of the rounded offsets.  Assume generously
-    that `np.hypot` returns D within 2**-48 D + 2**-1022 below overflow
-    (glibc's is within one ulp), and take, in floats,
+    A grid point covers target t when `(x - t.x)**2 + (y - t.y)**2 <= rr`
+    in floats.  On one x line the offsets `dy = y - t.y` are non-decreasing
+    in the row (np.arange fills `start + i*delta`, and rounding is
+    monotone), negative below `np.searchsorted(ys, t.y)` and non-negative
+    from it on, so the rounded sum falls and then rises: t covers one
+    interval of rows per line, whose two ends are found by binary search
+    on that same expression.  Each line is cut at the interval ends into
+    runs of one covered set.
+
+    Only a few candidate points of each run are weighed.  The offsets
+    `dy = ys - p.y` to a station p are non-decreasing in the row too, so
+    the rows with `|dy| <= L` form one window, found by `searchsorted`.
+    Let q be the run's row of least |dy|, dx the line's offset to p, and
+    D(j) the exact sqrt(dx**2 + dy_j**2) of the rounded offsets.  Assume
+    generously that `np.hypot` returns D within 2**-48 D + 2**-1022 below
+    overflow (glibc's is within one ulp), and take, in floats,
     L = |dy_q| + 2**-21 (|dx| + |dy_q|) + 2**-500, which is at least
     |dy_q| + W with W = 2**-22 D(q) + 2**-501.  A row j of the run outside
     the window then has |dy_j| - |dy_q| > W, so
@@ -220,10 +220,10 @@ def _grid_sites(instance: Instance,
     computed distance from j to p is strictly greater than that from q.
     The run's candidates are the union of its windows over the stations:
     every other point is farther from each station p than p's row q, so
-    strictly heavier than the lightest candidate, and the run's least
-    weight and the first point at it are found among the candidates.
-    Far stations widen a window (at 1e6 r several rows round to one
-    distance), near ones keep it at a row or two.
+    strictly heavier than the lightest candidate, and every point at the
+    run's least weight is a candidate.  Far stations widen a window (at
+    1e6 r several rows round to one distance), near ones keep it at a row
+    or two.
     """
     r = instance.r
     txs = np.array([t.x for t in instance.targets])
@@ -238,101 +238,89 @@ def _grid_sites(instance: Instance,
                          f"than the {_MAX_GRID_POINTS:.3g} the audit sweeps")
     xs = np.arange(x0, x1 + step / 2, step)
     ys = np.arange(y0, y1 + step / 2, step)
+    ny = len(ys)
     reach = r * (1.0 + COVER_TOL)
     rr = reach * reach
 
-    # A grid point passes `(x - t.x)**2 + (y - t.y)**2 <= rr` only if each
-    # rounded square passes on its own, so testing the squares along each
-    # axis gives windows that hold every accepted point at any offset.
-    windows = []
-    for i, t in enumerate(instance.targets):
-        wx = np.flatnonzero((xs - t.x) ** 2 <= rr)
-        wy = np.flatnonzero((ys - t.y) ** 2 <= rr)
-        if wx.size and wy.size:
-            windows.append((i, t, wx[0], wx[-1] + 1, wy[0], wy[-1] + 1))
+    # One (target, line) pair for each line a target can reach: the rounded
+    # sum is at least its x term.
+    reached = [np.flatnonzero((xs - t.x) ** 2 <= rr) for t in instance.targets]
+    tix = np.repeat(np.arange(instance.n), [len(a) for a in reached])
+    lines = np.concatenate(reached)
+    dx2, ty = (xs[lines] - txs[tix]) ** 2, tys[tix]
 
-    best_weight: dict[int, float] = {}
-    best_pos: dict[int, tuple[float, float]] = {}
-    total_pts = 0
-    chunk = max(1, _CHUNK_POINTS // max(len(xs), 1))
-    for lo in range(0, len(ys), chunk):
-        yy = ys[lo:lo + chunk]
-        masks = np.zeros((len(xs), len(yy)), dtype=np.int64)
-        for i, t, xa, xb, ya, yb in windows:
-            ya, yb = max(ya - lo, 0), min(yb - lo, len(yy))
-            if ya >= yb:
-                continue
-            d2 = (xs[xa:xb, None] - t.x) ** 2 + (yy[None, ya:yb] - t.y) ** 2
-            masks[xa:xb, ya:yb] |= (d2 <= rr).astype(np.int64) << i
-        # Runs of one mask along each x line: a run starts where the mask
-        # changes and at the start of every line.
-        flat = masks.ravel()
-        starts = np.ones(flat.size, dtype=bool)
-        np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-        starts[::len(yy)] = True
-        heads = np.flatnonzero(starts)
-        lens = np.diff(heads, append=flat.size)
-        keys = flat[heads]
-        covering = keys != 0
-        heads, lens, keys = heads[covering], lens[covering], keys[covering]
-        if not heads.size:
-            continue
-        total_pts += int(lens.sum())
-        line = heads // len(yy)
-        first_row = heads - line * len(yy)
-        last_row = first_row + lens - 1
-        # Each run's candidate window for each station, as flat indices.
-        win_lo, win_len = [], []
-        for p in instance.stations:
-            dy = yy - p.y
-            q = np.clip(np.argmin(np.abs(dy)), first_row, last_row)
-            near = np.abs(dy[q])
-            lim = near + (np.abs(xs[line] - p.x) + near) * 2.0**-21 + 2.0**-500
-            a = np.maximum(np.searchsorted(dy, -lim, "left"), first_row)
-            b = np.minimum(np.searchsorted(dy, lim, "right"), last_row + 1)
-            win_lo.append(heads + (a - first_row))
-            win_len.append(b - a)
-        win_lo, win_len = np.concatenate(win_lo), np.concatenate(win_len)
-        offs = np.cumsum(win_len) - win_len
-        # Windows of two stations may overlap; a repeated point is harmless.
-        cand = np.sort(np.repeat(win_lo - offs, win_len)
-                       + np.arange(int(win_len.sum())))
-        gx = xs[cand // len(yy)]
-        gy = yy[cand % len(yy)]
-        w = np.full(gx.shape, np.inf)
-        for p in instance.stations:
-            np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
-        # Candidates are sorted by flat index, so by run, then by y.
-        offs = np.searchsorted(cand, heads)
-        counts = np.diff(offs, append=len(cand))
-        run_w = np.minimum.reduceat(w, offs)
-        sets, group = np.unique(keys, return_inverse=True)
-        least = np.full(len(sets), np.inf)
-        np.minimum.at(least, group, run_w)
-        # In each run that reaches its set's least weight, the first
-        # candidate at that weight has the least y on its line.
-        runs = np.flatnonzero(run_w == least[group])
-        hits = np.array([o + int(np.argmax(w[o:o + n] == v)) for o, n, v
-                         in zip(offs[runs], counts[runs], run_w[runs])])
-        order = np.lexsort((gy[hits], gx[hits], group[runs]))
-        hits, runs = hits[order], runs[order]
-        first = np.ones(len(hits), dtype=bool)
-        first[1:] = group[runs[1:]] != group[runs[:-1]]
-        for gi, ri in zip(hits[first], runs[first]):
-            key = int(keys[ri])
-            cur = best_weight.get(key)
-            if cur is None or w[gi] < cur:
-                best_weight[key] = float(w[gi])
-                best_pos[key] = (float(gx[gi]), float(gy[gi]))
+    def covers(j):
+        return dx2 + (ys[j] - ty) ** 2 <= rr
+
+    split = np.searchsorted(ys, ty)
+    first = _first_true(covers, np.zeros_like(split), split)
+    end = _first_true(lambda j: ~covers(j), split, np.full_like(split, ny))
+    # Each interval's ends as flat grid indices, ordered by (line, row).
+    # Every interval closes on its own line, so the running xor of the
+    # bits is each run's covered set, and 0 between lines.
+    hit = first < end
+    pos = np.concatenate((lines[hit] * ny + first[hit],
+                          lines[hit] * ny + end[hit]))
+    order = np.argsort(pos)
+    pos = pos[order]
+    acc = np.bitwise_xor.accumulate(np.tile(1 << tix[hit], 2)[order])
+    last = np.diff(pos, append=-1) != 0
+    heads, keys = pos[last], acc[last]
+    lens = np.diff(heads, append=heads[-1:])
+    covering = keys != 0
+    heads, lens, keys = heads[covering], lens[covering], keys[covering]
+    line = heads // ny
+    first_row = heads - line * ny
+    last_row = first_row + lens - 1
+
+    # Each run's candidate window for each station, as rows.
+    win_lo, win_len = [], []
+    for p in instance.stations:
+        dy = ys - p.y
+        q = np.clip(np.argmin(np.abs(dy)), first_row, last_row)
+        near = np.abs(dy[q])
+        lim = near + (np.abs(xs[line] - p.x) + near) * 2.0**-21 + 2.0**-500
+        a = np.maximum(np.searchsorted(dy, -lim, "left"), first_row)
+        b = np.minimum(np.searchsorted(dy, lim, "right"), last_row + 1)
+        win_lo.append(a)
+        win_len.append(b - a)
+    win_lo, win_len = np.concatenate(win_lo), np.concatenate(win_len)
+    offs = np.cumsum(win_len) - win_len
+    # Windows of two stations may overlap; a repeated point is harmless.
+    run = np.repeat(np.tile(np.arange(len(heads)), len(instance.stations)),
+                    win_len)
+    gx = xs[line[run]]
+    gy = ys[np.repeat(win_lo - offs, win_len) + np.arange(int(win_len.sum()))]
+    w = np.full(gx.shape, np.inf)
+    for p in instance.stations:
+        np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
+    # Every point at its run's least weight is a candidate, so the first
+    # candidate of each set by (weight, x, y) is the set's point.
+    key = keys[run]
+    order = np.lexsort((gy, gx, w, key))
+    key = key[order]
+    new_set = np.diff(key, prepend=-1) != 0
 
     grid_sites = []
-    for key in sorted(best_weight):
-        covered = frozenset(t for t in range(instance.n) if key >> t & 1)
-        px, py = best_pos[key]
-        pos = Point(px, py)
-        _, origin = site_weight(pos, instance.stations)
-        grid_sites.append(CandidateSite(pos, covered, best_weight[key], origin))
-    return grid_sites, total_pts
+    for gi, s in zip(order[new_set], key[new_set].tolist()):
+        covered = frozenset(t for t in range(instance.n) if s >> t & 1)
+        at = Point(float(gx[gi]), float(gy[gi]))
+        _, origin = site_weight(at, instance.stations)
+        grid_sites.append(CandidateSite(at, covered, float(w[gi]), origin))
+    return grid_sites, int(lens.sum())
+
+
+def _first_true(test, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise binary search: for each i, the least j in [lo[i], hi[i])
+    with test(j)[i], or hi[i] if there is none.  test(j) gives one bool per
+    element for an index array j, and must be false, then true, on each
+    range."""
+    while (live := lo < hi).any():
+        mid = np.where(live, (lo + hi) // 2, 0)
+        ok = test(mid)
+        hi = np.where(live & ok, mid, hi)
+        lo = np.where(live & ~ok, mid + 1, lo)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -352,19 +340,13 @@ def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point
     r = 1 (i.e. side sqrt(1/2) * r in original units), anchored at the grid
     origin.  The maxima give an empirical ceiling for the per-strip cap.
     """
-    g = bounding_box(instance, m)
-    side = g.cell_side
-    width = 2.0 * g.r
-    off_x = g.origin.x + 2.0 * shift * g.r
-    off_y = g.origin.y + 2.0 * shift * g.r
+    # The tiling of the instance, binning the sensors in place of its targets.
+    g = replace(bounding_box(instance, m), targets=tuple(positions))
     strip_counts: dict[tuple[int, int, int], int] = {}
-    for p in positions:
-        ix = math.floor((p.x - off_x) / side)
-        iy = math.floor((p.y - off_y) / side)
-        s = int((p.x - (off_x + ix * side)) // width)
-        s = min(max(s, 0), m - 1)
-        key = (ix, iy, s + 1)
-        strip_counts[key] = strip_counts.get(key, 0) + 1
+    for cell in cells_for_shift(g, shift):
+        for strip in strips_of_cell(cell, {}):
+            if strip.target_indices:
+                strip_counts[(*cell.index, strip.index)] = len(strip.target_indices)
 
     sq = math.sqrt(0.5) * g.r
     square_counts: dict[tuple[int, int], int] = {}

@@ -45,8 +45,9 @@ class PtasConfig:
     def __post_init__(self) -> None:
         if (self.epsilon is None) == (self.m is None):
             raise ValueError("exactly one of epsilon and m must be given")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not (
+                self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite")
         if self.m is not None and self.m < 1:
             raise ValueError("m must be at least 1")
         if isinstance(self.cap, str):

@@ -1,14 +1,15 @@
 """Geometry helpers the library no longer calls: a near-station sensor
-configuration used by property checks, and the scalar circle intersection,
-circle projection and coverage scan that the all-pairs reference front end
-is built from."""
+configuration used by property checks, with its covered half-angle and the
+position reaching both of its residual pockets, and the scalar circle
+intersection, circle projection and coverage scan that the all-pairs
+reference front end is built from."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from sinkcover.geometry import COVER_TOL, Point, coverage_angle_halfwidth, dist
+from sinkcover.geometry import COVER_TOL, Point, dist
 
 
 @dataclass(frozen=True)
@@ -93,3 +94,54 @@ def covered_targets(site: Point, targets: list[Point] | tuple[Point, ...],
         raise ValueError("radius must be positive")
     reach = r * (1.0 + COVER_TOL)
     return frozenset(i for i, t in enumerate(targets) if dist(site, t) <= reach)
+
+
+def coverage_angle_halfwidth(a: float, a_prime: float, r: float) -> float:
+    """Half-angle of the arc guaranteed covered by a sensor near a station.
+
+    With the station at the origin and a sensor at (a, 0), every point at
+    distance up to r + a_prime from the station whose polar angle lies in
+    [-theta, theta] is within r of the sensor or the station.  The returned
+    theta comes from the law of cosines on the triangle with sides a (station
+    to sensor), r (sensor to arc endpoint) and r + a_prime (station to arc
+    endpoint).
+
+    Valid for 0 < a <= r/2 and 0 < a_prime <= a/2.
+    """
+    if a <= 0:
+        raise ValueError("sensor-to-station distance a must be positive")
+    if not (a <= r / 2.0):
+        raise ValueError("requires a <= r/2")
+    if not (0 < a_prime <= a / 2.0):
+        raise ValueError("requires 0 < a_prime <= a/2")
+    outer = r + a_prime
+    cos_theta = (outer * outer + a * a - r * r) / (2.0 * a * outer)
+    cos_theta = min(1.0, max(-1.0, cos_theta))
+    return math.acos(cos_theta)
+
+
+def s_prime_location(a: float, r: float, delta: float) -> Point:
+    """Closest position reaching both residual pockets of a two-sensor layout.
+
+    Configuration: station at the origin, sensor at (a, 0), and the two
+    contact points at distances r + delta (upper) and r (lower) from the
+    station, both at distance r from the sensor.  The returned point is the
+    nearest location to the station whose radius-r disk still reaches both
+    contact points; it is the reflection of (a, 0) through the midpoint of
+    the two contact points.
+
+    Valid for 0 < delta <= a/4 and a <= r/2.  Its x-coordinate always
+    exceeds 2 * delta, which is what makes a single replacement sensor for
+    both pockets more expensive than two separate ones.
+    """
+    if a <= 0:
+        raise ValueError("sensor-to-station distance a must be positive")
+    if not (a <= r / 2.0):
+        raise ValueError("requires a <= r/2")
+    if not (0 < delta <= a / 4.0):
+        raise ValueError("requires 0 < delta <= a/4")
+    x = (delta * delta + 2.0 * r * delta + a * a) / (2.0 * a) - a / 2.0
+    two_r = 2.0 * r
+    y = (math.sqrt(((two_r + delta) ** 2 - a * a) * (a * a - delta * delta))
+         / (2.0 * a)) - math.sqrt(two_r * two_r - a * a) / 2.0
+    return Point(x, y)

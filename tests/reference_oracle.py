@@ -1,12 +1,11 @@
 """Full-grid sweep of the discretization audit.
 
-The library tests each target only against the grid points of its own
-window and finds each covered set's cheapest point by grouping; this sweep
-tests every target against every grid point of the bounding box and sorts
-the covering points by (covered set, weight, x, y).  It serves as the
-reference the windowed sweep must reproduce exactly: the same report and
-the same grid sites.  `chunk_points` is the number of grid points per row
-chunk.
+The library finds each target's interval of rows on each x line by binary
+search and weighs only a few points of each run of one covered set; this
+sweep tests every target against every grid point of the bounding box in
+one pass and sorts the covering points by (covered set, weight, x, y).  It
+serves as the reference the library's sweep must reproduce exactly: the
+same report and the same grid sites.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ from sinkcover.oracle import GridRefineReport, exact_min_cost_cover
 from sinkcover.sites import CandidateSite, site_weight
 
 
-def full_grid_sites(instance, step, chunk_points=4e6):
+def full_grid_sites(instance, step):
     r = instance.r
     txs = np.array([t.x for t in instance.targets])
     tys = np.array([t.y for t in instance.targets])
@@ -26,40 +25,29 @@ def full_grid_sites(instance, step, chunk_points=4e6):
     ys = np.arange(y0, y1 + step / 2, step)
     reach = r * (1.0 + COVER_TOL)
 
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    gx = gx.ravel()
+    gy = gy.ravel()
+    masks = np.zeros(gx.shape, dtype=np.int64)
+    for i, t in enumerate(instance.targets):
+        d2 = (gx - t.x) ** 2 + (gy - t.y) ** 2
+        masks |= (d2 <= reach * reach).astype(np.int64) << i
+    sel = masks > 0
+    gx, gy, masks = gx[sel], gy[sel], masks[sel]
+    total_pts = int(sel.sum())
+    w = np.full(gx.shape, np.inf)
+    for p in instance.stations:
+        np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
+    order = np.lexsort((gy, gx, w, masks))
+    masks_o = masks[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = masks_o[1:] != masks_o[:-1]
     best_weight: dict[int, float] = {}
     best_pos: dict[int, tuple[float, float]] = {}
-    total_pts = 0
-    # Row-chunked sweep keeps peak memory modest on fine grids.
-    chunk = max(1, int(chunk_points // max(len(xs), 1)))
-    for lo in range(0, len(ys), chunk):
-        yy = ys[lo:lo + chunk]
-        gx, gy = np.meshgrid(xs, yy, indexing="ij")
-        gx = gx.ravel()
-        gy = gy.ravel()
-        masks = np.zeros(gx.shape, dtype=np.int64)
-        for i, t in enumerate(instance.targets):
-            d2 = (gx - t.x) ** 2 + (gy - t.y) ** 2
-            masks |= (d2 <= reach * reach).astype(np.int64) << i
-        sel = masks > 0
-        if not sel.any():
-            continue
-        gx, gy, masks = gx[sel], gy[sel], masks[sel]
-        total_pts += int(sel.sum())
-        w = np.full(gx.shape, np.inf)
-        for p in instance.stations:
-            np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
-        order = np.lexsort((gy, gx, w, masks))
-        masks_o = masks[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = masks_o[1:] != masks_o[:-1]
-        for idx in np.flatnonzero(first):
-            gi = order[idx]
-            key = int(masks[gi])
-            cand = (float(w[gi]), float(gx[gi]), float(gy[gi]))
-            cur = best_weight.get(key)
-            if cur is None or cand[0] < cur:
-                best_weight[key] = cand[0]
-                best_pos[key] = (cand[1], cand[2])
+    for gi in order[first]:
+        key = int(masks[gi])
+        best_weight[key] = float(w[gi])
+        best_pos[key] = (float(gx[gi]), float(gy[gi]))
 
     grid_sites = []
     for key in sorted(best_weight):
@@ -71,7 +59,7 @@ def full_grid_sites(instance, step, chunk_points=4e6):
     return grid_sites, total_pts
 
 
-def full_grid_refine_audit(instance, discrete_opt, step, chunk_points=4e6):
+def full_grid_refine_audit(instance, discrete_opt, step):
     if instance.n == 0:
         raise ValueError("nothing to cover")
     if instance.n > 63:
@@ -79,7 +67,7 @@ def full_grid_refine_audit(instance, discrete_opt, step, chunk_points=4e6):
                          f"{instance.n} targets exceed 63")
     if step <= 0:
         raise ValueError("step must be positive")
-    grid_sites, total_pts = full_grid_sites(instance, step, chunk_points)
+    grid_sites, total_pts = full_grid_sites(instance, step)
     res = exact_min_cost_cover(instance.n, grid_sites)
     return GridRefineReport(step=step,
                             discrete_opt=discrete_opt,

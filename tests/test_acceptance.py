@@ -11,9 +11,9 @@ import random
 
 import pytest
 from conftest import solve_state_bound
+from reference_geometry import coverage_angle_halfwidth, s_prime_location
 
-from sinkcover.geometry import (Point, coverage_angle_halfwidth, dist,
-                                s_prime_location)
+from sinkcover.geometry import Point, dist
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
 from sinkcover.instances_io import gen_counterexample, gen_uniform
 from sinkcover.oracle import exact_min_cost_cover, grid_refine_audit

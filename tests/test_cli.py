@@ -265,6 +265,67 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "error[parse]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_solve_non_finite_epsilon_is_an_input_error(tmp_path, capsys, epsilon):
+    # nan used to fail in ceil(4 / epsilon); inf used to run with m = 1.
+    path = _gen(tmp_path)
+    assert run(["solve", "--in", str(path), "--epsilon", epsilon,
+                "--out", str(tmp_path / "sol.json")]) == 1
+    assert capsys.readouterr().err == "error[input]: epsilon must be positive and finite\n"
+    assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("metadata", [5, "x", [1]])
+def test_instance_metadata_must_be_an_object(tmp_path, capsys, metadata):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"r": 1.0, "targets": [[0, 0]],
+                                "stations": [[1, 0]], "metadata": metadata}))
+    assert run(["solve", "--in", str(path), "--m", "2",
+                "--out", str(tmp_path / "sol.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f'error[parse]: {path}: field "metadata" must be an object\n'
+
+
+_SOLUTION = {"total_cost": 1.0, "shift_round": 0, "per_round_costs": [1.0],
+             "placements": [{"x": 0.5, "y": 0.0, "station": 0, "weight": 0.5}],
+             "config": {"m": 2}}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"config": None}, None),
+    ({"per_round_costs": 5}, 'field "per_round_costs" must be a list'),
+    ({"placements": {"x": 0.5, "y": 0.0}}, 'field "placements" must be a list'),
+    ({"placements": [{"y": 0.0}]}, '"placements"[0] must be an object'),
+    ({"placements": [{"x": "0.5", "y": 0.0}]}, '"placements"[0] must be an object'),
+    ({"placements": [{"x": 0.5, "y": True}]}, '"placements"[0] must be an object'),
+    ({"placements": [[0.5, 0.0]]}, '"placements"[0] must be an object'),
+    ({"config": ["m", 2]}, 'field "config" must be an object'),
+    ({"shift_round": "0"}, 'field "shift_round" must be an integer or null'),
+])
+def test_render_rejects_malformed_solution_fields(tmp_path, capsys, fields, message):
+    path = _gen(tmp_path, n=3, seed=4)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({**_SOLUTION, **fields}))
+    code = run(["render", "--in", str(path), "--solution", str(sol),
+                "--svg", str(tmp_path / "out.svg")])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1
+        assert err.startswith(f"error[parse]: {sol}: ") and message in err
+
+
+def test_render_rejects_a_solution_that_is_not_an_object(tmp_path, capsys):
+    path = _gen(tmp_path, n=3, seed=4)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps([_SOLUTION]))
+    assert run(["render", "--in", str(path), "--solution", str(sol),
+                "--svg", str(tmp_path / "out.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error[parse]: {sol}: top level must be an object\n"
+
+
 def test_help_exits_0():
     assert run(["--help"]) == 0
 

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_geometry import (LevelProbe, circle_circle_intersections, covered_targets,
-                                nearest_point_on_circle)
+from reference_geometry import (LevelProbe, circle_circle_intersections,
+                                coverage_angle_halfwidth, covered_targets,
+                                nearest_point_on_circle, s_prime_location)
 
-from sinkcover.geometry import Point, coverage_angle_halfwidth, dist, s_prime_location
+from sinkcover.geometry import Point, dist
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)

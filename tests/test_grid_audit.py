@@ -1,8 +1,7 @@
-"""The windowed grid sweep of the discretization audit against the full-grid
+"""The interval sweep of the discretization audit against the full-grid
 sweep in `reference_oracle`: equal reports and equal grid sites."""
 
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -20,14 +19,13 @@ def _site_rows(sites):
             for s in sites]
 
 
-def _assert_matches_reference(inst, step, chunk_points=4_000_000):
-    with mock.patch.object(oracle, "_CHUNK_POINTS", chunk_points):
-        sites, points = oracle._grid_sites(inst, step)
-        report = grid_refine_audit(inst, 0.5, step)
-    ref_sites, ref_points = full_grid_sites(inst, step, chunk_points)
+def _assert_matches_reference(inst, step):
+    sites, points = oracle._grid_sites(inst, step)
+    ref_sites, ref_points = full_grid_sites(inst, step)
     assert points == ref_points
     assert _site_rows(sites) == _site_rows(ref_sites)
-    assert report == full_grid_refine_audit(inst, 0.5, step, chunk_points)
+    assert grid_refine_audit(inst, 0.5, step) == full_grid_refine_audit(
+        inst, 0.5, step)
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -84,15 +82,12 @@ def audit_cases(draw):
                 for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         stations[0] = targets[draw(st.integers(0, len(targets) - 1))]
-    inst = Instance.from_coords(targets, stations, r)
-    # Some cases sweep the rows a few at a time, so sets meet across chunks.
-    chunk_points = draw(st.sampled_from([4_000_000, 5_000, 1]))
-    return inst, step, chunk_points
+    return Instance.from_coords(targets, stations, r), step
 
 
 @settings(max_examples=60, deadline=None)
 @given(audit_cases())
-@example((Instance.from_coords([(0.0, 0.0)], [(3.0, 0.0)], 1.0), 0.25, 4_000_000))
+@example((Instance.from_coords([(0.0, 0.0)], [(3.0, 0.0)], 1.0), 0.25))
 def test_windowed_sweep_matches_full_grid(case):
     _assert_matches_reference(*case)
 
@@ -106,30 +101,24 @@ def test_grid_points_at_exactly_r_are_kept():
     assert _site_rows(sites) == [("Point(x=1.0, y=0.0)", frozenset({0}), 2.0, 0)]
 
 
-def test_later_chunk_tie_keeps_earlier_point():
-    # (0.75, 0.5) and (0.5, 0.75) are equally far from the station.  Swept
-    # at once, the tie goes to the lesser x; row by row, (0.75, 0.5) comes
-    # first and a later row that only ties its weight does not replace it.
+def test_weight_tie_goes_to_least_x():
+    # (0.75, 0.5) and (0.5, 0.75) are equally far from the station, and no
+    # covering point is nearer; the tie goes to the lesser x.
     inst = Instance.from_coords([(0.0, 0.0)], [(10.0, 10.0)], 1.0)
-    whole, _ = oracle._grid_sites(inst, 0.25)
-    assert repr(whole[0].position) == "Point(x=0.5, y=0.75)"
-    with mock.patch.object(oracle, "_CHUNK_POINTS", 9):   # one row of 9
-        rows, _ = oracle._grid_sites(inst, 0.25)
-    assert repr(rows[0].position) == "Point(x=0.75, y=0.5)"
-    assert rows[0].weight == whole[0].weight
-    _assert_matches_reference(inst, 0.25, 9)
+    sites, _ = oracle._grid_sites(inst, 0.25)
+    assert repr(sites[0].position) == "Point(x=0.5, y=0.75)"
+    _assert_matches_reference(inst, 0.25)
 
 
 def test_runs_break_at_each_x_line():
-    # Three rows of nine per chunk: in the middle chunk (y = -0.25, 0, 0.25)
-    # the lines x = -0.5 ... 0.5 lie wholly inside the disk, so their
-    # points form one run of {0} unless a run also starts at each line.
+    # The line x = 0 is covered on all nine rows, so its interval ends at
+    # the flat grid index where the line x = 0.25 begins; every run of {0}
+    # must still end with its own line.
     inst = Instance.from_coords([(0.0, 0.0)], [(0.3, 0.1)], 1.0)
-    with mock.patch.object(oracle, "_CHUNK_POINTS", 27):
-        sites, points = oracle._grid_sites(inst, 0.25)
+    sites, points = oracle._grid_sites(inst, 0.25)
     assert points == 49
     assert [repr(s.position) for s in sites] == ["Point(x=0.25, y=0.0)"]
-    _assert_matches_reference(inst, 0.25, 27)
+    _assert_matches_reference(inst, 0.25)
 
 
 def test_set_with_two_runs_on_one_line():

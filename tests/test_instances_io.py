@@ -140,6 +140,14 @@ def test_malformed_json_reports_location(tmp_path):
         read_instance(path)
 
 
+@pytest.mark.parametrize("extra", [{}, {"metadata": None}])
+def test_absent_or_null_metadata_reads_as_empty(tmp_path, extra):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"r": 1.0, "targets": [[0, 0]],
+                                "stations": [[1, 0]], **extra}))
+    assert read_instance_file(path)[1] == {}
+
+
 def test_bad_point_row_named(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"r": 1.0, "targets": [[0, 0, 0]],

@@ -22,6 +22,12 @@ def test_config_requires_exactly_one_quality_knob():
     assert PtasConfig(m=3).rounds == 3
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_config_rejects_epsilon_not_positive_and_finite(epsilon):
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+        PtasConfig(epsilon=epsilon)
+
+
 def test_config_validates_cap():
     for policy in ("bogus", "verify"):
         with pytest.raises(ValueError):
