@@ -12,8 +12,8 @@ exact branch-and-bound oracle provides desk-scale ground truth.
 from .sites import Instance
 from .oracle import (exact_min_cost_cover, greedy_cover, grid_refine_audit,
                      strip_sensor_census)
-from .ptas import (CapInfeasibleError, Placement, PtasConfig, Solution, solve,
-                   verify_solution)
+from .ptas import Placement, PtasConfig, Solution, solve, verify_solution
+from .strip_dp import StateBudgetError
 from .instances_io import (InstanceFormatError, SolutionFile, gen_counterexample,
                            gen_uniform, read_instance, read_instance_file,
                            read_report, read_solution, write_instance,
@@ -22,8 +22,8 @@ from .instances_io import (InstanceFormatError, SolutionFile, gen_counterexample
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapInfeasibleError", "Instance", "InstanceFormatError", "Placement",
-    "PtasConfig", "Solution", "SolutionFile", "exact_min_cost_cover",
+    "Instance", "InstanceFormatError", "Placement", "PtasConfig", "Solution",
+    "SolutionFile", "StateBudgetError", "exact_min_cost_cover",
     "gen_counterexample", "gen_uniform", "greedy_cover", "grid_refine_audit",
     "read_instance", "read_instance_file", "read_report", "read_solution",
     "solve", "strip_sensor_census", "verify_solution", "write_instance",

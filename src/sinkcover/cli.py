@@ -1,8 +1,10 @@
 """Command-line surface: generate, solve, exact, compare, audit, render.
 
-Exit codes: 0 on success, 2 when an instance is infeasible under the
-requested configuration, 1 on usage or input errors.  Errors go to stderr
-prefixed with a machine-readable code like ``error[usage]``.
+Exit codes: 0 on success; 2 when an instance is infeasible
+(``error[infeasible]``), an audit check fails, or a cell needs more strip-DP
+states than the solver's budget (``error[budget]``); 1 on usage, parse or
+input errors.  Errors go to stderr prefixed with a machine-readable code
+like ``error[usage]``.
 """
 
 from __future__ import annotations
@@ -19,24 +21,14 @@ from .instances_io import (InstanceFormatError, SolutionFile,
                            uniform_metadata, write_instance, write_report,
                            write_solution)
 from .oracle import exact_min_cost_cover, greedy_cover, grid_refine_audit
-from .ptas import (CapInfeasibleError, PtasConfig, shift_average_audit, solve,
-                   verify_solution)
+from .ptas import PtasConfig, shift_average_audit, solve, verify_solution
 from .sites import generate_candidate_sites, prune_dominated
+from .strip_dp import StateBudgetError
 from .svg_render import render_svg
 
 
 def _fail(code: str, message: str) -> None:
     print(f"error[{code}]: {message}", file=sys.stderr)
-
-
-def _parse_cap(raw: str):
-    if raw == "auto":
-        return raw
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cap must be 'auto' or an integer, got {raw!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     quality = s.add_mutually_exclusive_group(required=True)
     quality.add_argument("--epsilon", type=float)
     quality.add_argument("--m", type=int)
-    s.add_argument("--cap", type=_parse_cap, default="auto")
     # --jobs is accepted and ignored: the rounds run in one process.
     s.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
 
@@ -126,13 +117,12 @@ def _cmd_generate(args) -> int:
 
 def _config_echo(config: PtasConfig, solution) -> dict:
     return {"epsilon": config.epsilon, "m": solution.m,
-            "cap": config.cap, "cap_used": solution.cap_used,
             "counters": solution.counters}
 
 
 def _cmd_solve(args) -> int:
     inst = read_instance(args.infile)
-    config = PtasConfig(epsilon=args.epsilon, m=args.m, cap=args.cap)
+    config = PtasConfig(epsilon=args.epsilon, m=args.m)
     solution = solve(inst, config)
     if not verify_solution(inst, solution.placements):
         _fail("internal", "solution failed the independent feasibility re-check")
@@ -273,8 +263,8 @@ def run(argv=None) -> int:
     except InstanceFormatError as e:
         _fail("parse", str(e))
         return 1
-    except CapInfeasibleError as e:
-        _fail("infeasible", str(e))
+    except StateBudgetError as e:
+        _fail("budget", str(e))
         return 2
     except (ValueError, OSError) as e:
         _fail("input", str(e))

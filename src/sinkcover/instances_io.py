@@ -174,11 +174,16 @@ def read_solution(path) -> SolutionFile:
             raise InstanceFormatError(
                 f"{path}: field \"placements\"[{i}] must be an object with "
                 f"numeric \"x\" and \"y\"")
+    config = _object(doc.get("config"), "config", path)
+    m = config.get("m")
+    if m is not None and (isinstance(m, bool) or not isinstance(m, int) or m < 1):
+        raise InstanceFormatError(
+            f"{path}: field \"config\"[\"m\"] must be a positive integer")
     return SolutionFile(total_cost=doc["total_cost"],
                         shift_round=shift,
                         per_round_costs=list(doc["per_round_costs"]),
                         placements=list(doc["placements"]),
-                        config=_object(doc.get("config"), "config", path))
+                        config=config)
 
 
 def write_report(path, records: list[dict]) -> None:

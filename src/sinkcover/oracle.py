@@ -338,7 +338,8 @@ def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point
     Strips are the 2r-wide slices of the shift-`shift` cell tiling for the
     given m.  Squares have side sqrt(1/2) after normalizing the instance so
     r = 1 (i.e. side sqrt(1/2) * r in original units), anchored at the grid
-    origin.  The maxima give an empirical ceiling for the per-strip cap.
+    origin.  The maxima measure the paper's density lemma (an optimum has
+    O(m) sensors per strip), which the strip DP does not enforce.
     """
     # The tiling of the instance, binning the sensors in place of its targets.
     g = replace(bounding_box(instance, m), targets=tuple(positions))

@@ -16,45 +16,37 @@ from .geometry import COVER_TOL, NearGrid, Point, dist
 from .grid import Grid, bounding_box, cells_for_shift, strips_of_cell
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
-from .strip_dp import CellInfeasible, DpCounters, auto_cap, solve_cell
+from .strip_dp import DpCounters, StateBudgetError, solve_cell
 
-
-class CapInfeasibleError(Exception):
-    """A cell could not be solved within the configured subset cap."""
-
-    def __init__(self, shift_round: int, cell_index: tuple[int, int],
-                 strip_index: int, cap: int):
-        self.shift_round = shift_round
-        self.cell_index = cell_index
-        self.strip_index = strip_index
-        self.cap = cap
-        super().__init__(
-            f"infeasible at shift {shift_round}, cell {cell_index}, "
-            f"strip {strip_index} with cap {cap}")
+# Most shift rounds a solve may run, from --m or from m = ceil(4 / epsilon):
+# a 1 + 4/1024 guarantee, within 0.4% of the optimum.  The rounds run one
+# after another, so an unbounded m (epsilon 1e-300 asks for about 4e300
+# rounds) would run until killed.
+MAX_ROUNDS = 1024
 
 
 @dataclass(frozen=True)
 class PtasConfig:
     """Solver knobs.  Exactly one of `epsilon` and `m` must be given;
-    epsilon is converted to m = ceil(4 / epsilon)."""
+    epsilon is converted to m = ceil(4 / epsilon).  Either way m is at most
+    MAX_ROUNDS."""
 
     epsilon: float | None = None
     m: int | None = None
-    cap: int | str = "auto"     # "auto" | fixed integer
 
     def __post_init__(self) -> None:
         if (self.epsilon is None) == (self.m is None):
             raise ValueError("exactly one of epsilon and m must be given")
-        if self.epsilon is not None and not (
-                self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite")
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be at least 1")
-        if isinstance(self.cap, str):
-            if self.cap != "auto":
-                raise ValueError(f"unknown cap policy {self.cap!r}")
-        elif self.cap < 1:
-            raise ValueError("fixed cap must be at least 1")
+        if self.epsilon is not None:
+            if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+                raise ValueError("epsilon must be positive and finite")
+            # ceil(x) > N exactly when x > N; 4 / epsilon may be inf.
+            if 4.0 / self.epsilon > MAX_ROUNDS:
+                raise ValueError(
+                    f"epsilon must be at least 4/{MAX_ROUNDS}: m = ceil(4 / epsilon) "
+                    f"is at most MAX_ROUNDS = {MAX_ROUNDS}")
+        elif not 1 <= self.m <= MAX_ROUNDS:
+            raise ValueError(f"m must be between 1 and MAX_ROUNDS = {MAX_ROUNDS}")
 
     @property
     def rounds(self) -> int:
@@ -77,7 +69,6 @@ class Solution:
     shift_round_used: int
     per_round_costs: tuple[float, ...]
     m: int
-    cap_used: int
     counters: dict[str, int]
 
 
@@ -86,23 +77,18 @@ def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
 
 
 def _solve_round(grid: Grid, f: int, sites: list[CandidateSite],
-                 coverers: dict[int, list[int]], cap: int,
-                 escalate: bool) -> tuple[float, frozenset[int], DpCounters]:
+                 coverers: dict[int, list[int]]
+                 ) -> tuple[float, frozenset[int], DpCounters]:
     """Solve every cell of shift round f; returns the round's cost, its
     chosen sites and its DP counters."""
     chosen: set[int] = set()
     counters = DpCounters()
     for cell in cells_for_shift(grid, f):
         strips = strips_of_cell(cell, coverers)
-        cap_eff = cap
-        res = solve_cell(strips, sites, cap_eff)
-        if escalate:
-            pool_max = max((len(st.site_pool) for st in strips), default=1)
-            while isinstance(res, CellInfeasible) and cap_eff < pool_max:
-                cap_eff = min(2 * cap_eff, pool_max)
-                res = solve_cell(strips, sites, cap_eff)
-        if isinstance(res, CellInfeasible):
-            raise CapInfeasibleError(f, cell.index, res.strip_index, cap_eff)
+        try:
+            res = solve_cell(strips, sites)
+        except StateBudgetError as e:
+            raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
         chosen |= res.site_indices
         counters.merge(res.counters)
     # Sites selected by two cells are instantiated once; dropping the copy
@@ -125,12 +111,8 @@ def solve(instance: Instance, config: PtasConfig,
         sites = prune_dominated(generate_candidate_sites(instance))
     m = config.rounds
     grid = bounding_box(instance, m)
-    escalate = config.cap == "auto"
-    cap = auto_cap(m, instance.k) if escalate else config.cap
-
     coverers = coverers_by_target(sites)
-    results = [_solve_round(grid, f, sites, coverers, cap, escalate)
-               for f in range(m)]
+    results = [_solve_round(grid, f, sites, coverers) for f in range(m)]
     per_round = tuple(cost for cost, _, _ in results)
     best_f = min(range(m), key=per_round.__getitem__)
     best_cost, best_sites, _ = results[best_f]
@@ -147,7 +129,6 @@ def solve(instance: Instance, config: PtasConfig,
                     shift_round_used=best_f,
                     per_round_costs=per_round,
                     m=m,
-                    cap_used=cap,
                     counters={"subsets_enumerated": counters.subsets_enumerated})
 
 

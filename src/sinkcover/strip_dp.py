@@ -10,27 +10,27 @@ their own strip, so strip i+1 sees strip i's choice only through the
 footprint F, the chosen part of S_i.  The sweep keeps one cost per
 footprint:
 
-    D_i(F) = min over F' of  D_{i-1}(F') + w(F)
-                             + C_i(T_i minus cov(F' | F), cap - |F'| - |F|)
+    D_i(F) = min over F' of  D_{i-1}(F') + w(F) + C_i(T_i minus cov(F' | F))
 
-where F' ranges over the footprints on S_{i-1} and C_i(R, b) is the
-cheapest cover of R by at most b sites of L_i.  Each site is paid once:
-local sites inside C_i, shared sites in the footprint that holds them.
+where F' ranges over the footprints on S_{i-1} and C_i(R) is the cheapest
+cover of R by sites of L_i.  Each site is paid once: local sites inside
+C_i, shared sites in the footprint that holds them.  The sweep is exact over
+the candidate-site universe restricted to the cell.
 
-The sweep reads a footprint only through its coverage of T_i and T_{i+1}
-and its size, so each strip keeps one footprint per (coverage, size) key,
-the lightest, and drops it when a footprint with the same coverage and
-fewer sites is no heavier: that one leaves more of the cap to local sites.
-The table is a knapsack over S_i in which a site joins a footprint only if
-it covers a target the footprint does not.  Weights are non-negative, so
-some optimum is minimal; each footprint of a minimal solution is
-irredundant (every member covers a target no other member covers), and so
-the knapsack reaches it.  Incoming and outgoing footprints are grouped by
-coverage of T_i and size, and a strip costs groups x groups lookups of C_i.
+The sweep reads a footprint only through its coverage of T_i and T_{i+1},
+so each strip keeps one footprint per coverage, the lightest.  The table is
+a knapsack over S_i in which a site joins a footprint only if it covers a
+target the footprint does not: weights are non-negative, so a site that
+covers nothing new never helps.  Keeping only the lightest footprint per
+coverage loses nothing: the same sites added to the lightest one give the
+same coverage at no more weight.  Incoming and outgoing footprints are
+grouped by coverage of T_i, and a strip costs groups x groups lookups of
+C_i, memoized per residual target set.
 
-The cap bounds the number of sites chosen from any one strip's pool; with
-the cap large enough the sweep is exact over the candidate-site universe
-restricted to the cell.
+A cell may store at most STATE_BUDGET states, footprints plus local-cover
+memo entries, summed over its strips.  The count is checked as entries are
+added; past it solve_cell raises StateBudgetError, so an instance too dense
+for the sweep fails fast instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -41,6 +41,15 @@ from .grid import Strip
 from .sites import CandidateSite
 
 INF = float("inf")
+# States one cell may store.  Cells of the benchmark's instances store a few
+# hundred; gen_uniform(200, 4, 1.0, 9.5, 1) at m=2 peaks at 193,080 and
+# solves; gen_uniform(100, 2, 1.0, 8.0, 2) at m=4 passes 2**18 within two
+# seconds and, unbudgeted, runs for minutes.
+STATE_BUDGET = 1 << 18
+
+
+class StateBudgetError(Exception):
+    """A cell needs more DP states than STATE_BUDGET."""
 
 
 @dataclass
@@ -60,22 +69,6 @@ class CellSolution:
     counters: DpCounters = field(compare=False, default_factory=DpCounters)
 
 
-@dataclass(frozen=True)
-class CellInfeasible:
-    strip_index: int   # 1-based strip where no feasible subset exists
-    reason: str
-
-
-def auto_cap(m: int, k: int) -> int:
-    """Default per-strip subset cap.
-
-    An optimal solution needs only a bounded number of sensors per strip:
-    a constant per unit area away from stations plus a constant near each
-    station.  The constants here are deliberately generous.
-    """
-    return 8 * m + 16 * k
-
-
 def _bit_indices(mask: int) -> list[int]:
     out = []
     while mask:
@@ -85,85 +78,82 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
+def _over_budget() -> StateBudgetError:
+    return StateBudgetError(
+        f"the cell needs more than {STATE_BUDGET} DP states (footprints plus "
+        "local-cover entries); the instance is too dense for the strip DP")
+
+
 def _footprints(shared_bits: list[int], cover: list[int], weight: list[float],
-                cap: int) -> dict[tuple[int, int], tuple[float, int]]:
-    """The footprint table of the shared sites: (covered targets, size) ->
-    (weight, site mask) of the lightest footprint with that key, at most
-    `cap` members each.
+                room: int) -> dict[int, tuple[float, int]]:
+    """The footprint table of the shared sites: covered targets -> (weight,
+    site mask) of the lightest footprint with that coverage.
 
     A knapsack over the sites in ascending order: a site joins an entry only
-    if it covers a target the entry does not, and a key keeps the smaller
-    (weight, mask).  Every irredundant footprint is reached, since each of
-    its members covers a target of its own, and weights are summed in
-    ascending site order.  An entry is kept only if it is strictly lighter
-    than every smaller entry with its coverage.  Entries are listed in
-    lexicographic order of their member lists, the empty footprint first;
-    the sweep breaks equal-cost ties in that order.
+    if it covers a target the entry does not, and a coverage keeps the
+    smaller (weight, mask); weights are summed in ascending site order.
+    Entries are listed in the order the knapsack first reaches their
+    coverage, the empty footprint first; the sweep breaks equal-cost ties in
+    that order.  Raises StateBudgetError when the table would hold more than
+    `room` entries.
     """
-    table = {(0, 0): (0.0, 0)}
+    table = {0: (0.0, 0)}
     for b in shared_bits:
         cb, wb, bit = cover[b], weight[b], 1 << b
-        for (cov, size), (w, mask) in list(table.items()):
-            if size < cap and cb & ~cov:
-                key = (cov | cb, size + 1)
+        for cov, (w, mask) in list(table.items()):
+            key = cov | cb
+            if key != cov:
                 entry = (w + wb, mask | bit)
-                if key not in table or entry < table[key]:
+                old = table.get(key)
+                if old is None:
+                    if len(table) >= room:
+                        raise _over_budget()
                     table[key] = entry
-    kept = []
-    lightest: dict[int, float] = {}
-    for (cov, size), (w, mask) in sorted(table.items(), key=lambda e: e[0][1]):
-        if w < lightest.get(cov, INF):
-            lightest[cov] = w
-            kept.append(((cov, size), (w, mask)))
-    return dict(sorted(kept, key=lambda e: _bit_indices(e[1][1])))
+                elif entry < old:
+                    table[key] = entry
+    return table
 
 
-def _local_cover(local_bits: list[int], cover: list[int], weight: list[float]):
-    """C(R, b): the cheapest (cost, site mask) covering target mask R with at
-    most b of the strip's local sites, or (INF, 0) when none exists.
+def _local_cover(local_bits: list[int], cover: list[int], weight: list[float],
+                 memo: dict[int, tuple[float, int]], room: int):
+    """C(R): the cheapest (cost, site mask) covering target mask R with the
+    strip's local sites, or (INF, 0) when none exists.
 
     Some chosen site covers R's lowest target, so the search branches over
-    that target's coverers only, and each pick covers a new target, so a
-    budget above |R| never helps.
+    that target's coverers only.  Results are memoized in `memo`, which must
+    hold the empty residual; the returned function computes a residual that
+    `memo` lacks, and past `room` entries it raises StateBudgetError.
     """
-    memo: dict[tuple[int, int], tuple[float, int]] = {}
+    coverers: dict[int, list[int]] = {}   # target bit -> its local coverers
 
-    def best(resid: int, budget: int) -> tuple[float, int]:
-        if budget < 0:
-            return INF, 0
-        if resid == 0:
-            return 0.0, 0
-        budget = min(budget, resid.bit_count())
-        if budget == 0:
-            return INF, 0
-        key = (resid, budget)
-        if key not in memo:
-            low = resid & -resid
-            found = (INF, 0)
-            for b in local_bits:
-                if cover[b] & low:
-                    cost, mask = best(resid & ~cover[b], budget - 1)
-                    if cost + weight[b] < found[0]:
-                        found = (cost + weight[b], mask | 1 << b)
-            memo[key] = found
-        return memo[key]
+    def best(resid: int) -> tuple[float, int]:
+        low = resid & -resid
+        picks = coverers.get(low)
+        if picks is None:
+            picks = coverers[low] = [b for b in local_bits if cover[b] & low]
+        found = (INF, 0)
+        for b in picks:
+            rest = resid & ~cover[b]
+            cost, mask = memo.get(rest) or best(rest)
+            if cost + weight[b] < found[0]:
+                found = (cost + weight[b], mask | 1 << b)
+        if len(memo) >= room:
+            raise _over_budget()
+        memo[resid] = found
+        return found
 
     return best
 
 
-def solve_cell(strips: list[Strip], sites: list[CandidateSite],
-               cap: int) -> CellSolution | CellInfeasible:
-    """Minimum-cost cover of all targets in one cell, within the subset cap.
+def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
+    """Minimum-cost cover of all targets in one cell.
 
     `strips` are the cell's strips (`grid.strips_of_cell`).  Returns the
-    exact optimum over the candidate sites in their pools, or a
-    CellInfeasible naming the first strip where no qualifying subset exists
-    (cap too tight or a target nobody covers).
+    exact optimum over the candidate sites in their pools; raises
+    StateBudgetError when the cell needs more than STATE_BUDGET states.
     The literal all-subsets recurrence gives the same costs (see the
     reference implementation in the test suite).
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     m = len(strips)
     counters = DpCounters()
     targets = sorted(t for st in strips for t in st.target_indices)
@@ -172,16 +162,15 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite],
 
     # Local ids: targets and sites are renumbered inside the cell so subsets
     # and covered-sets become machine ints.
-    tid = {g: i for i, g in enumerate(targets)}
+    tbit = {g: 1 << i for i, g in enumerate(targets)}
     gids = sorted({g for st in strips for g in st.site_pool})
-    lid = {g: i for i, g in enumerate(gids)}
+    sbit = {g: 1 << i for i, g in enumerate(gids)}
     weight = [sites[g].weight for g in gids]
     cover = []
     for g in gids:
         msk = 0
         for t in sites[g].covered:
-            if t in tid:
-                msk |= 1 << tid[t]
+            msk |= tbit.get(t, 0)
         cover.append(msk)
 
     pool_mask = []
@@ -189,20 +178,21 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite],
     for st in strips:
         pm = 0
         for g in st.site_pool:
-            pm |= 1 << lid[g]
+            pm |= sbit[g]
         pool_mask.append(pm)
         tm = 0
         for t in st.target_indices:
-            tm |= 1 << tid[t]
+            tm |= tbit[t]
         strip_tmask.append(tm)
     strip_tmask.append(0)
     shared = [pool_mask[i] & pool_mask[i + 1] for i in range(m - 1)] + [0]
 
-    # Footprints entering strip i, grouped by (coverage of T_i, size); each
-    # group keeps its cheapest (cost, footprint).
-    incoming: dict[tuple[int, int], tuple[float, int]] = {(0, 0): (0.0, 0)}
+    # Footprints entering strip i, grouped by coverage of T_i; each group
+    # keeps its cheapest (cost, footprint).
+    incoming: dict[int, tuple[float, int]] = {0: (0.0, 0)}
     # Per strip: footprint -> (cost, predecessor footprint, local sites).
     tables: list[dict[int, tuple[float, int, int]]] = []
+    used = 0   # states stored so far in this cell
 
     for i in range(m):
         o_mask = shared[i - 1] if i > 0 else 0
@@ -215,19 +205,23 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite],
                 "degenerate geometry: a site's covered targets span three "
                 "strips (target separation within tolerance of 2r)")
         tmask = strip_tmask[i]
+        table = _footprints(_bit_indices(shared[i]), cover, weight,
+                            STATE_BUDGET - used)
+        used += len(table)
+        memo: dict[int, tuple[float, int]] = {0: (0.0, 0)}
         local = _local_cover(_bit_indices(pool_mask[i] & ~o_mask & ~shared[i]),
-                             cover, weight)
-        groups: dict[tuple[int, int], list[tuple[int, float, int]]] = {}
-        table = _footprints(_bit_indices(shared[i]), cover, weight, cap)
-        for (fcov, k), (fw, f) in table.items():
-            groups.setdefault((fcov & tmask, k), []).append((f, fw, fcov))
+                             cover, weight, memo, STATE_BUDGET - used)
+        groups: dict[int, list[tuple[int, float, int]]] = {}
+        for fcov, (fw, f) in table.items():
+            groups.setdefault(fcov & tmask, []).append((f, fw, fcov))
 
         states: dict[int, tuple[float, int, int]] = {}
-        nxt: dict[tuple[int, int], tuple[float, int]] = {}
-        for (c, k), members in groups.items():
+        nxt: dict[int, tuple[float, int]] = {}
+        for c, members in groups.items():
             best = (INF, 0, 0)
-            for (c_in, k_in), (cost_in, f_in) in incoming.items():
-                lcost, lmask = local(tmask & ~(c_in | c), cap - k_in - k)
+            for c_in, (cost_in, f_in) in incoming.items():
+                resid = tmask & ~(c_in | c)
+                lcost, lmask = memo.get(resid) or local(resid)
                 if cost_in + lcost < best[0]:
                     best = (cost_in + lcost, f_in, lmask)
             if best[0] == INF:
@@ -235,13 +229,12 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite],
             for f, fw, fcov in members:
                 cost = best[0] + fw
                 states[f] = (cost, best[1], best[2])
-                key = (fcov & strip_tmask[i + 1], k)
+                key = fcov & strip_tmask[i + 1]
                 if key not in nxt or (cost, f) < nxt[key]:
                     nxt[key] = (cost, f)
         if not states:
-            return CellInfeasible(
-                strip_index=i + 1,
-                reason=f"no feasible subset of strip {i + 1} within cap {cap}")
+            raise ValueError(f"no candidate site covers a target of strip {i + 1}")
+        used += len(memo)
         counters.subsets_enumerated += len(states)
         tables.append(states)
         incoming = nxt

@@ -78,7 +78,7 @@ def render_svg(instance: Instance, solution: SolutionFile | None = None,
 
     svg = _Svg(width, height)
 
-    m = int(solution.config.get("m", 0)) if solution else 0
+    m = (solution.config.get("m") or 0) if solution else 0
     f = solution.shift_round if solution else None
     if m >= 1 and f is not None and instance.n >= 1:
         g = bounding_box(instance, m)

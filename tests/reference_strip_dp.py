@@ -6,7 +6,7 @@ The library's strip DP keeps one state per footprint on the shared pool;
 check that consecutive subsets agree on their shared sites, and serve the
 literal recurrence the solver is compared against.
 `irredundant_footprints` lists every irredundant footprint, which the
-table must match in least weight per coverage and size.
+table must match in least weight per coverage.
 """
 
 from itertools import combinations
@@ -41,9 +41,8 @@ def enumerate_strip_subsets(pool, strip_targets, sites, cap):
 
 
 def irredundant_footprints(shared_bits: list[int], cover: list[int],
-                           weight: list[float],
-                           cap: int) -> list[tuple[int, float, int]]:
-    """Irredundant subsets of the shared sites with at most `cap` members.
+                           weight: list[float]) -> list[tuple[int, float, int]]:
+    """Irredundant subsets of the shared sites.
 
     Returns (site mask, weight, covered targets) triples, the empty subset
     first.  A subset of an irredundant set is irredundant, so a branch of
@@ -55,8 +54,6 @@ def irredundant_footprints(shared_bits: list[int], cover: list[int],
     def grow(start: int, members: tuple[int, ...], mask: int, w: float,
              cov: int, once: int) -> None:
         out.append((mask, w, cov))
-        if len(members) == cap:
-            return
         multi = cov & ~once   # targets covered at least twice
         for j in range(start, len(shared_bits)):
             b = shared_bits[j]

@@ -98,6 +98,7 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_solve_verify_cap_is_a_usage_error(tmp_path, capsys):
+    # There is no --cap flag: the strip DP has no per-strip cap.
     path = _gen(tmp_path)
     out = tmp_path / "sol.json"
     assert run(["solve", "--in", str(path), "--m", "2", "--cap", "verify",
@@ -106,16 +107,31 @@ def test_solve_verify_cap_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_infeasible_fixed_cap_exits_2(tmp_path, capsys):
-    inst = tmp_path / "hard.json"
-    inst.write_text(json.dumps({
-        "r": 0.5,
-        "targets": [[0.2, 0.1], [0.3, 1.8]],
-        "stations": [[5.0, 5.0]],
-        "metadata": {}}))
-    assert run(["solve", "--in", str(inst), "--m", "2", "--cap", "1",
-                "--out", str(tmp_path / "s.json"), "--jobs", "1"]) == 2
-    assert "error[infeasible]" in capsys.readouterr().err
+@pytest.mark.parametrize("quality", [["--epsilon", "1e-300"], ["--m", "1000000000"]])
+def test_solve_beyond_max_rounds_is_an_input_error(tmp_path, capsys, quality):
+    # epsilon 1e-300 asks for about 4e300 shift rounds.
+    path = _gen(tmp_path)
+    start = time.perf_counter()
+    assert run(["solve", "--in", str(path), *quality,
+                "--out", str(tmp_path / "sol.json")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error[input]: ") and "MAX_ROUNDS = 1024" in err
+    assert not (tmp_path / "sol.json").exists()
+
+
+def test_solve_too_dense_exits_2_with_budget_error(tmp_path, capsys):
+    # 100 targets in an 8x8 box at m=4: a cell passes the strip DP's state
+    # budget within seconds, and without it the solve runs for minutes.
+    path = _gen(tmp_path, n=100, k=2, extent=8.0, seed=2)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["solve", "--in", str(path), "--m", "4",
+                "--out", str(tmp_path / "sol.json")]) == 2
+    assert time.perf_counter() - start < 10.0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error[budget]: ")
+    assert not (tmp_path / "sol.json").exists()
 
 
 def test_exact_verb(tmp_path):
@@ -301,6 +317,9 @@ _SOLUTION = {"total_cost": 1.0, "shift_round": 0, "per_round_costs": [1.0],
     ({"placements": [[0.5, 0.0]]}, '"placements"[0] must be an object'),
     ({"config": ["m", 2]}, 'field "config" must be an object'),
     ({"shift_round": "0"}, 'field "shift_round" must be an integer or null'),
+    ({"config": {"m": "x"}}, 'field "config"["m"] must be a positive integer'),
+    ({"config": {"m": 0}}, 'field "config"["m"] must be a positive integer'),
+    ({"config": {"m": True}}, 'field "config"["m"] must be a positive integer'),
 ])
 def test_render_rejects_malformed_solution_fields(tmp_path, capsys, fields, message):
     path = _gen(tmp_path, n=3, seed=4)
@@ -343,8 +362,7 @@ def test_shared_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
         ["exact", "--in", inst, "--out", str(tmp_path / "exact.json")],
         ["solve", "--in", inst, "--m", "3", "--cap", "bogus", "--out", str(sol)],
         ["solve", "--help"],
-        ["solve", "--in", inst, "--epsilon", "2", "--cap", "2", "--jobs", "1",
-         "--out", str(sol)],
+        ["solve", "--in", inst, "--epsilon", "2", "--jobs", "1", "--out", str(sol)],
         ["render", "--in", inst, "--solution", str(sol), "--svg", str(tmp_path / "a.svg")],
     ]
 

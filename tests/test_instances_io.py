@@ -177,7 +177,7 @@ def test_solution_file_roundtrip(tmp_path):
     inst = gen_uniform(6, 1, 1.0, 8.0, 1)
     sol = solve(inst, PtasConfig(m=2))
     path = tmp_path / "sol.json"
-    write_solution(path, sol, {"m": sol.m, "cap": "auto", "seed": 0})
+    write_solution(path, sol, {"m": sol.m, "seed": 0})
     back = read_solution(path)
     assert back.total_cost == sol.total_cost
     assert back.shift_round == sol.shift_round_used

@@ -6,9 +6,11 @@ from conftest import solve_state_bound
 
 from sinkcover.instances_io import SolutionFile, gen_uniform
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.ptas import (CapInfeasibleError, PtasConfig, shift_average_audit,
-                            solve, verify_solution)
+from sinkcover import strip_dp
+from sinkcover.ptas import (MAX_ROUNDS, PtasConfig, shift_average_audit, solve,
+                            verify_solution)
 from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
+from sinkcover.strip_dp import StateBudgetError
 
 
 def test_config_requires_exactly_one_quality_knob():
@@ -28,12 +30,16 @@ def test_config_rejects_epsilon_not_positive_and_finite(epsilon):
         PtasConfig(epsilon=epsilon)
 
 
-def test_config_validates_cap():
-    for policy in ("bogus", "verify"):
-        with pytest.raises(ValueError):
-            PtasConfig(m=2, cap=policy)
-    with pytest.raises(ValueError):
-        PtasConfig(m=2, cap=0)
+def test_config_bounds_the_rounds():
+    assert PtasConfig(m=MAX_ROUNDS).rounds == MAX_ROUNDS
+    assert PtasConfig(epsilon=4 / MAX_ROUNDS).rounds == MAX_ROUNDS
+    for m in (0, MAX_ROUNDS + 1, 10**9):
+        with pytest.raises(ValueError, match=f"^m must be between 1 and MAX_ROUNDS = {MAX_ROUNDS}$"):
+            PtasConfig(m=m)
+    # 5e-324 makes 4 / epsilon overflow to inf.
+    for epsilon in (4 / (MAX_ROUNDS + 1), 1e-300, 5e-324):
+        with pytest.raises(ValueError, match=f"MAX_ROUNDS = {MAX_ROUNDS}$"):
+            PtasConfig(epsilon=epsilon)
 
 
 def test_solve_free_coverage_from_station():
@@ -115,15 +121,7 @@ def test_solution_deterministic_serialization():
     assert ja == jb
 
 
-def test_fixed_cap_infeasible_propagates():
-    # Two targets far apart vertically in the same strip, nothing joint:
-    # cap 1 cannot cover them and the fixed policy must not retry.
-    inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5.0, 5.0)], 0.5)
-    with pytest.raises(CapInfeasibleError):
-        solve(inst, PtasConfig(m=2, cap=1))
-
-
-def test_auto_cap_policy_retries():
+def test_two_targets_without_joint_coverer_solve_to_optimum():
     inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5.0, 5.0)], 0.5)
     sites = prune_dominated(generate_candidate_sites(inst))
     opt = exact_min_cost_cover(inst.n, sites).cost
@@ -196,3 +194,12 @@ def test_dense_row_solves_to_optimum():
     sol = solve(inst, PtasConfig(m=4))
     assert verify_solution(inst, sol.placements)
     assert sol.total_cost == pytest.approx(19.122784217490857, rel=1e-9)
+
+
+def test_solve_over_budget_raises_typed_error(monkeypatch):
+    # The dense row above stores thousands of states in its largest cells.
+    inst = gen_uniform(30, 2, 1.0, 8.0, 2)
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", 1000)
+    with pytest.raises(StateBudgetError,
+                       match=r"^shift \d, cell \(\d+, \d+\): the cell needs more than 1000 DP states"):
+        solve(inst, PtasConfig(m=4))

@@ -17,7 +17,7 @@ from sinkcover.instances_io import gen_uniform
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover.sites import (CandidateSite, Instance, coverers_by_target,
                              generate_candidate_sites, prune_dominated)
-from sinkcover.strip_dp import CellInfeasible, CellSolution, auto_cap, solve_cell
+from sinkcover.strip_dp import CellSolution, StateBudgetError, solve_cell
 
 INF = float("inf")
 
@@ -90,34 +90,41 @@ def footprint_pools(draw):
     weight = [draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 10.0)))
               for _ in range(sites)]
     shared = sorted(draw(st.sets(st.integers(0, max(sites - 1, 0)), max_size=sites)))
-    return shared, cover, weight, draw(st.integers(1, 4))
+    return shared, cover, weight
 
 
 @given(footprint_pools())
 def test_footprint_table_matches_irredundant_enumeration(pool):
-    shared, cover, weight, cap = pool
-    table = strip_dp._footprints(shared, cover, weight, cap)
-    assert next(iter(table.items())) == ((0, 0), (0.0, 0))
-    for (cov, size), (w, mask) in table.items():
+    shared, cover, weight = pool
+    table = strip_dp._footprints(shared, cover, weight, 1 << 20)
+    assert next(iter(table.items())) == (0, (0.0, 0))
+    for cov, (w, mask) in table.items():
         members = [b for b in shared if mask >> b & 1]
-        assert mask.bit_count() == size == len(members) <= cap
+        assert mask.bit_count() == len(members)
         assert functools.reduce(operator.or_, (cover[b] for b in members), 0) == cov
         assert sum(weight[b] for b in members) == w   # summed in ascending order
-    ref = irredundant_footprints(shared, cover, weight, cap)
-    coverages = {cov for cov, _ in table} | {cov for _, _, cov in ref}
-    for c in coverages:
-        for s in range(cap + 1):
-            got = min((w for (cov, size), (w, _) in table.items()
-                       if cov == c and size <= s), default=INF)
-            want = min((w for mask, w, cov in ref
-                        if cov == c and mask.bit_count() <= s), default=INF)
-            assert got == want, (c, s)
+    # Every coverage some subset reaches has an entry as light as the
+    # lightest irredundant footprint with that coverage.
+    ref: dict[int, float] = {}
+    for _, w, cov in irredundant_footprints(shared, cover, weight):
+        ref[cov] = min(w, ref.get(cov, INF))
+    assert {cov: w for cov, (w, _) in table.items()} == ref
+
+
+def test_footprint_table_stops_at_its_room():
+    cover = [1 << b for b in range(6)]
+    full = strip_dp._footprints(list(range(6)), cover, [1.0] * 6, 1 << 20)
+    assert len(full) == 64
+    assert strip_dp._footprints(list(range(6)), cover, [1.0] * 6, 64) == full
+    with pytest.raises(StateBudgetError):
+        strip_dp._footprints(list(range(6)), cover, [1.0] * 6, 63)
 
 
 def test_footprint_states_within_reference_keys(monkeypatch):
-    # Each strip stores at most one footprint per (coverage, size) key of
-    # the irredundant enumeration.  Storing every irredundant footprint
-    # broke this in five cells here: 4,599 states against 1,395 keys.
+    # Each strip stores at most one footprint per coverage of the
+    # irredundant enumeration.  Storing every irredundant footprint broke
+    # this in five cells here: 4,599 states against 1,395 (coverage, size)
+    # keys.
     inst = gen_uniform(30, 2, 1.0, 8.0, 2)
     m = 4
     sites = prune_dominated(generate_candidate_sites(inst))
@@ -125,10 +132,10 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     table = strip_dp._footprints
     keys = []
 
-    def counting(shared_bits, cover, weight, cap):
-        ref = irredundant_footprints(shared_bits, cover, weight, cap)
-        keys.append(len({(cov, mask.bit_count()) for mask, _, cov in ref}))
-        return table(shared_bits, cover, weight, cap)
+    def counting(shared_bits, cover, weight, room):
+        ref = irredundant_footprints(shared_bits, cover, weight)
+        keys.append(len({cov for _, _, cov in ref}))
+        return table(shared_bits, cover, weight, room)
 
     monkeypatch.setattr(strip_dp, "_footprints", counting)
     g = bounding_box(inst, m)
@@ -136,21 +143,15 @@ def test_footprint_states_within_reference_keys(monkeypatch):
         for cell in cells_for_shift(g, f):
             strips = strips_of_cell(cell, coverers)
             keys.clear()
-            res = solve_cell(strips, sites, auto_cap(m, inst.k))
-            assert isinstance(res, CellSolution)
+            res = solve_cell(strips, sites)
             assert res.counters.subsets_enumerated <= sum(keys), (f, cell.index)
-
-
-def test_auto_cap_formula():
-    assert auto_cap(2, 1) == 32
-    assert auto_cap(4, 2) == 64
 
 
 def test_solve_cell_zero_cost_station():
     inst = Instance.from_coords([(0, 0), (0.4, 0)], [(0.2, 0)], 1.0)
     for m in (1, 2, 3):
         _, strips, sites = _single_cell(inst, m)
-        res = solve_cell(strips, sites, auto_cap(m, 1))
+        res = solve_cell(strips, sites)
         assert isinstance(res, CellSolution)
         assert res.cost == 0.0
 
@@ -158,7 +159,7 @@ def test_solve_cell_zero_cost_station():
 def test_solve_cell_two_disjoint_targets():
     inst = Instance.from_coords([(0, 0), (3, 0)], [(1.5, 0)], 1.0)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, sites, 2)
+    res = solve_cell(strips, sites)
     assert isinstance(res, CellSolution)
     assert res.cost == pytest.approx(1.0, rel=1e-12)
     oracle = exact_min_cost_cover(inst.n, sites)
@@ -171,16 +172,25 @@ def test_solve_cell_empty_cell():
     empty = type(cell)(index=(9, 9), lower_left=Point(100.0, 100.0),
                        side=cell.side, r=cell.r, target_indices=(),
                        target_positions=())
-    res = solve_cell(strips_of_cell(empty, coverers_by_target(sites)), sites, 4)
+    res = solve_cell(strips_of_cell(empty, coverers_by_target(sites)), sites)
     assert isinstance(res, CellSolution)
     assert res.cost == 0.0 and res.site_indices == frozenset()
+
+
+def test_solve_cell_uncoverable_target_is_an_error():
+    # Candidate sites always cover every target; a hand-built strip whose
+    # target has no site is refused rather than solved wrongly.
+    from sinkcover.grid import Strip
+    strips = [Strip(index=1, x_range=(0.0, 2.0), target_indices=(0,), site_pool=())]
+    with pytest.raises(ValueError, match="no candidate site covers a target of strip 1"):
+        solve_cell(strips, [])
 
 
 def test_solve_cell_matches_oracle_randomized():
     for seed in range(40):
         inst = _dense_instance(seed)
         _, strips, sites = _single_cell(inst, 2)
-        res = solve_cell(strips, sites, auto_cap(2, inst.k))
+        res = solve_cell(strips, sites)
         assert isinstance(res, CellSolution)
         oracle = exact_min_cost_cover(inst.n, sites)
         assert res.cost == pytest.approx(oracle.cost, rel=1e-9, abs=1e-12)
@@ -190,7 +200,7 @@ def test_solve_cell_cost_matches_reconstruction():
     for seed in range(20):
         inst = _dense_instance(seed)
         cell, strips, sites = _single_cell(inst, 2)
-        res = solve_cell(strips, sites, auto_cap(2, inst.k))
+        res = solve_cell(strips, sites)
         assert isinstance(res, CellSolution)
         total = sum(sites[i].weight for i in sorted(res.site_indices))
         assert total == pytest.approx(res.cost, rel=1e-9, abs=1e-12)
@@ -200,40 +210,53 @@ def test_solve_cell_cost_matches_reconstruction():
         assert set(cell.target_indices) <= covered
 
 
-def test_solve_cell_monotone_in_cap():
-    inst = _dense_instance(7)
-    _, strips, sites = _single_cell(inst, 2)
-    costs = []
-    for cap in (1, 2, 3, 4, 8, 16):
-        res = solve_cell(strips, sites, cap)
-        costs.append(res.cost if isinstance(res, CellSolution) else INF)
-    assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
-
-
-def test_solve_cell_infeasible_reports_strip():
+def test_solve_cell_two_targets_without_joint_coverer():
     # Two targets in the first strip (same x band, far apart vertically) with
-    # no joint coverer: a cap of one site per strip cannot work.
+    # no joint coverer: each needs a sensor of its own.
     inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5, 5)], 0.5)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, sites, 1)
-    assert isinstance(res, CellInfeasible)
-    assert res.strip_index == 1
+    res = solve_cell(strips, sites)
+    assert len(res.site_indices) == 2
+    assert res.cost == exact_min_cost_cover(inst.n, sites).cost
 
 
 def test_solve_cell_counters_within_envelope():
     inst = _dense_instance(3)
-    cap = auto_cap(2, inst.k)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, sites, cap)
-    assert isinstance(res, CellSolution)
+    res = solve_cell(strips, sites)
     assert res.counters.subsets_enumerated > 0
-    assert res.counters.subsets_enumerated <= footprint_state_bound(strips, cap)
+    assert res.counters.subsets_enumerated <= footprint_state_bound(strips)
 
 
-def _reference_cell_opt(strips, sites, cap):
-    """Literal strip recurrence: all subsets of each pool up to the cap,
-    compatibility on the shared pool, coverage of each strip by the union of
-    the current and previous subsets, shared sites charged once."""
+def test_state_budget_is_a_threshold_per_cell(monkeypatch):
+    # Below the states the cell needs, the solve stops with the typed error;
+    # at or above it, the answer is the unbudgeted one.  The need counts the
+    # local-cover entries of every strip, not only the stored footprints.
+    inst = _dense_instance(3)
+    _, strips, sites = _single_cell(inst, 2)
+    full = solve_cell(strips, sites)
+
+    def fits(budget):
+        monkeypatch.setattr(strip_dp, "STATE_BUDGET", budget)
+        try:
+            return solve_cell(strips, sites) == full
+        except StateBudgetError as e:
+            assert f"more than {budget} DP states" in str(e)
+            return False
+
+    lo, hi = 1, 1 << 18
+    assert fits(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
+    assert not fits(lo - 1) and fits(lo) and fits(lo + 1)
+    assert lo > full.counters.subsets_enumerated
+
+
+def _reference_cell_opt(strips, sites):
+    """Literal strip recurrence: all subsets of each pool, compatibility on
+    the shared pool, coverage of each strip by the union of the current and
+    previous subsets, shared sites charged once."""
     pools = [list(s.site_pool) for s in strips]
     tmasks = [set(s.target_indices) for s in strips]
 
@@ -247,7 +270,7 @@ def _reference_cell_opt(strips, sites, cap):
         return sum(sites[i].weight for i in subset)
 
     def subsets(pool):
-        for size in range(0, min(cap, len(pool)) + 1):
+        for size in range(len(pool) + 1):
             yield from (frozenset(c) for c in combinations(sorted(pool), size))
 
     prev: dict[frozenset, float] = {}
@@ -278,26 +301,18 @@ def test_solver_matches_literal_recurrence():
     # own subset; the literal recurrence lets the previous subset help.  Both
     # give the same optimum because any helper belongs to the shared pool and
     # compatibility forces it into the current subset anyway.
-    for seed in range(12):
+    # Pools hold at most 7 sites here, so the reference stays small.
+    for seed in range(40):
         inst = _dense_instance(seed, max_n=5, extent=3.5)
         _, strips, sites = _single_cell(inst, 2)
-        if max(len(s.site_pool) for s in strips) > 12:
-            continue
-        for cap in (1, 2, 3, 4):
-            ref = _reference_cell_opt(strips, sites, cap)
-            res = solve_cell(strips, sites, cap)
-            got = res.cost if isinstance(res, CellSolution) else INF
-            if math.isinf(ref):
-                assert math.isinf(got), (seed, cap)
-            else:
-                assert got == pytest.approx(ref, rel=1e-9, abs=1e-12), (seed, cap)
+        ref = _reference_cell_opt(strips, sites)
+        got = solve_cell(strips, sites).cost
+        assert got == pytest.approx(ref, rel=1e-9, abs=1e-12), seed
 
 
-def test_cap_below_requirement_flagged():
-    # One sensor per station is forced; capping the strip subsets below the
-    # number of co-resident sensors must surface as infeasibility or a
-    # strictly worse cost.  The cell is built directly around the instance
-    # so the whole ring lands in one cell.
+def test_solve_cell_reproduces_forced_ring_optimum():
+    # One sensor per station is forced; the cell is built directly around
+    # the instance so the whole ring lands in one cell.
     from sinkcover.grid import Cell
     from sinkcover.instances_io import gen_counterexample
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
@@ -310,23 +325,6 @@ def test_cap_below_requirement_flagged():
                 target_positions=inst.targets)
     strips = strips_of_cell(cell, coverers_by_target(sites))
     opt = exact_min_cost_cover(inst.n, sites).cost
-    res = solve_cell(strips, sites, 1)
-    if isinstance(res, CellSolution):
-        assert res.cost > opt + 1e-9
-    else:
-        assert isinstance(res, CellInfeasible)
-    # With a workable cap the forced ring optimum is reproduced.
-    good = solve_cell(strips, sites, auto_cap(4, inst.k))
-    assert isinstance(good, CellSolution)
-    assert good.cost == pytest.approx(opt, rel=1e-9)
-
-
-def test_cap_above_auto_gives_same_cost():
-    for seed in range(15):
-        inst = _dense_instance(seed, max_n=10)
-        _, strips, sites = _single_cell(inst, 2)
-        cap = auto_cap(2, inst.k)
-        a = solve_cell(strips, sites, cap)
-        b = solve_cell(strips, sites, cap + 1)
-        assert isinstance(a, CellSolution) and isinstance(b, CellSolution)
-        assert a.cost == pytest.approx(b.cost, rel=1e-9, abs=1e-12)
+    res = solve_cell(strips, sites)
+    assert len(res.site_indices) == 3
+    assert res.cost == pytest.approx(opt, rel=1e-9)
