@@ -158,11 +158,12 @@ def _cmd_compare(args) -> int:
     try:
         ms = [int(v) for v in str(args.m).split(",") if v != ""]
     except ValueError:
+        ms = []
+    if not ms:
         _fail("usage", f"--m must be a comma-separated list of integers, got {args.m!r}")
         return 1
-    if not ms or any(m < 1 for m in ms):
-        _fail("usage", "--m values must be positive")
-        return 1
+    # Every m is checked before the exact oracle runs.
+    configs = [PtasConfig(m=m) for m in ms]
     sites = prune_dominated(generate_candidate_sites(inst))
     t0 = time.perf_counter()
     exact = exact_min_cost_cover(inst.n, sites)
@@ -187,8 +188,8 @@ def _cmd_compare(args) -> int:
     print(f"{'algorithm':<12} {'cost':>16} {'ratio':>14} {'bound':>10}")
     print(f"{'exact':<12} {exact.cost:>16.9f} {1.0:>14.9f} {'-':>10}")
     print(f"{'greedy':<12} {greedy.cost:>16.9f} {ratio(greedy.cost):>14.9f} {'-':>10}")
-    for m in ms:
-        config = PtasConfig(m=m)
+    for config in configs:
+        m = config.m
         t0 = time.perf_counter()
         solution = solve(inst, config, sites=sites)
         ms_elapsed = (time.perf_counter() - t0) * 1000.0
@@ -206,6 +207,7 @@ def _cmd_compare(args) -> int:
 def _cmd_audit(args) -> int:
     inst = read_instance(args.infile)
     step = args.step if args.step is not None else inst.r / 200.0
+    config = PtasConfig(m=args.m)   # checked before the exact oracle runs
     sites = prune_dominated(generate_candidate_sites(inst))
     exact = exact_min_cost_cover(inst.n, sites)
     if not exact.feasible:
@@ -216,7 +218,6 @@ def _cmd_audit(args) -> int:
     print(f"refine: step {step:.9f} discrete {gap.discrete_opt:.9f} "
           f"grid {gap.grid_opt:.9f} gap {gap.gap:.9f} "
           f"[{'PASS' if ok_gap else 'FAIL'}]")
-    config = PtasConfig(m=args.m)
     solution = solve(inst, config, sites=sites)
     audit = shift_average_audit(solution.per_round_costs, exact.cost)
     print(f"shift:  m {audit.m} average {audit.average:.9f} "

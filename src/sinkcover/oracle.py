@@ -8,13 +8,13 @@ discretization, and sensor-density censuses over strips and small squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import COVER_TOL, Point
 from .sites import CandidateSite, Instance, site_weight
-from .grid import bounding_box, cells_for_shift, strips_of_cell
+from .grid import bounding_box, cells_for_shift
 
 INF = float("inf")
 
@@ -335,19 +335,21 @@ def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point
                         m: int, shift: int = 0) -> CensusReport:
     """Count placed sensors per strip and per small square.
 
-    Strips are the 2r-wide slices of the shift-`shift` cell tiling for the
-    given m.  Squares have side sqrt(1/2) after normalizing the instance so
-    r = 1 (i.e. side sqrt(1/2) * r in original units), anchored at the grid
+    The sensors are binned by `grid.cells_for_shift`, the tiling the solver
+    uses for its targets: the strips are the 2r-wide slices of the
+    shift-`shift` cells for the given m, keyed (cell x, cell y, strip) with
+    strips numbered from 1, and only strips holding a sensor are listed.
+    Squares have side sqrt(1/2) after normalizing the instance so r = 1
+    (i.e. side sqrt(1/2) * r in original units), anchored at the grid
     origin.  The maxima measure the paper's density lemma (an optimum has
     O(m) sensors per strip), which the strip DP does not enforce.
     """
-    # The tiling of the instance, binning the sensors in place of its targets.
-    g = replace(bounding_box(instance, m), targets=tuple(positions))
+    g = bounding_box(instance, m)
     strip_counts: dict[tuple[int, int, int], int] = {}
-    for cell in cells_for_shift(g, shift):
-        for strip in strips_of_cell(cell, {}):
-            if strip.target_indices:
-                strip_counts[(*cell.index, strip.index)] = len(strip.target_indices)
+    for cell in cells_for_shift(g, positions, shift):
+        for j, members in enumerate(cell.strips, 1):
+            if members:
+                strip_counts[(*cell.index, j)] = len(members)
 
     sq = math.sqrt(0.5) * g.r
     square_counts: dict[tuple[int, int], int] = {}

@@ -16,7 +16,7 @@ from .geometry import COVER_TOL, NearGrid, Point, dist
 from .grid import Grid, bounding_box, cells_for_shift, strips_of_cell
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
-from .strip_dp import DpCounters, StateBudgetError, solve_cell
+from .strip_dp import StateBudgetError, solve_cell
 
 # Most shift rounds a solve may run, from --m or from m = ceil(4 / epsilon):
 # a 1 + 4/1024 guarantee, within 0.4% of the optimum.  The rounds run one
@@ -76,24 +76,24 @@ def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
     return sum(sites[i].weight for i in sorted(site_ids))
 
 
-def _solve_round(grid: Grid, f: int, sites: list[CandidateSite],
-                 coverers: dict[int, list[int]]
-                 ) -> tuple[float, frozenset[int], DpCounters]:
+def _solve_round(grid: Grid, targets: tuple[Point, ...], f: int,
+                 sites: list[CandidateSite], coverers: dict[int, list[int]]
+                 ) -> tuple[float, frozenset[int], int]:
     """Solve every cell of shift round f; returns the round's cost, its
-    chosen sites and its DP counters."""
+    chosen sites and its footprint states stored."""
     chosen: set[int] = set()
-    counters = DpCounters()
-    for cell in cells_for_shift(grid, f):
+    subsets = 0
+    for cell in cells_for_shift(grid, targets, f):
         strips = strips_of_cell(cell, coverers)
         try:
             res = solve_cell(strips, sites)
         except StateBudgetError as e:
             raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
         chosen |= res.site_indices
-        counters.merge(res.counters)
+        subsets += res.counters.subsets_enumerated
     # Sites selected by two cells are instantiated once; dropping the copy
     # only lowers the round's cost.
-    return _round_cost(chosen, sites), frozenset(chosen), counters
+    return _round_cost(chosen, sites), frozenset(chosen), subsets
 
 
 def solve(instance: Instance, config: PtasConfig,
@@ -112,14 +112,11 @@ def solve(instance: Instance, config: PtasConfig,
     m = config.rounds
     grid = bounding_box(instance, m)
     coverers = coverers_by_target(sites)
-    results = [_solve_round(grid, f, sites, coverers) for f in range(m)]
+    results = [_solve_round(grid, instance.targets, f, sites, coverers)
+               for f in range(m)]
     per_round = tuple(cost for cost, _, _ in results)
     best_f = min(range(m), key=per_round.__getitem__)
     best_cost, best_sites, _ = results[best_f]
-
-    counters = DpCounters()
-    for _, _, c in results:
-        counters.merge(c)
 
     placements = tuple(
         Placement(sites[i].position, sites[i].origin_station, sites[i].weight)
@@ -129,7 +126,7 @@ def solve(instance: Instance, config: PtasConfig,
                     shift_round_used=best_f,
                     per_round_costs=per_round,
                     m=m,
-                    counters={"subsets_enumerated": counters.subsets_enumerated})
+                    counters={"subsets_enumerated": sum(n for _, _, n in results)})
 
 
 def verify_solution(instance: Instance, placements) -> bool:

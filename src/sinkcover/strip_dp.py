@@ -58,9 +58,6 @@ class DpCounters:
 
     subsets_enumerated: int = 0   # footprint states stored, summed over strips
 
-    def merge(self, other: "DpCounters") -> None:
-        self.subsets_enumerated += other.subsets_enumerated
-
 
 @dataclass(frozen=True)
 class CellSolution:

@@ -82,20 +82,18 @@ def render_svg(instance: Instance, solution: SolutionFile | None = None,
     f = solution.shift_round if solution else None
     if m >= 1 and f is not None and instance.n >= 1:
         g = bounding_box(instance, m)
-        side = g.cell_side
-        strip_w = 2.0 * g.r
-        off_x = g.origin.x + 2.0 * f * g.r
-        off_y = g.origin.y + 2.0 * f * g.r
-        x = off_x + math.floor((x0 - off_x) / strip_w) * strip_w
-        while x <= x1:
-            on_cell = abs(((x - off_x) / side) - round((x - off_x) / side)) < 1e-9
+        off, side, strip_w = g.corner(f), g.cell_side, 2.0 * g.r
+        # Strip line j sits at off.x + j * 2r; every m-th one is a cell line.
+        j = math.floor((x0 - off.x) / strip_w)
+        while (x := off.x + j * strip_w) <= x1:
+            on_cell = j % m == 0
             svg.line(sx(x), sy(y0), sx(x), sy(y1),
                      "#888888" if on_cell else "#dddddd", 1.0 if on_cell else 0.5)
-            x += strip_w
-        y = off_y + math.floor((y0 - off_y) / side) * side
-        while y <= y1:
+            j += 1
+        j = math.floor((y0 - off.y) / side)
+        while (y := off.y + j * side) <= y1:
             svg.line(sx(x0), sy(y), sx(x1), sy(y), "#888888", 1.0)
-            y += side
+            j += 1
 
     for t in instance.targets:
         svg.circle(sx(t.x), sy(t.y), r * scale, "#2266cc", "detection")

@@ -29,4 +29,5 @@ def solve_state_bound(instance, solution, sites):
     grid = bounding_box(instance, solution.m)
     coverers = coverers_by_target(sites)
     return sum(footprint_state_bound(strips_of_cell(cell, coverers))
-               for f in range(solution.m) for cell in cells_for_shift(grid, f))
+               for f in range(solution.m)
+               for cell in cells_for_shift(grid, instance.targets, f))

@@ -87,7 +87,7 @@ def test_criterion_2_dp_exactness():
         inst = gen_uniform(n, k, 1.0, 3.8, 20_000 + seed)
         sites = prune_dominated(generate_candidate_sites(inst))
         g = bounding_box(inst, m)
-        cells = cells_for_shift(g, 0)
+        cells = cells_for_shift(g, inst.targets, 0)
         assert len(cells) == 1, f"seed {seed}: instance spans {len(cells)} cells"
         cell = cells[0]
         strips = strips_of_cell(cell, coverers_by_target(sites))

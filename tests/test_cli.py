@@ -1,3 +1,4 @@
+import bisect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from sinkcover import cli
 from sinkcover.cli import run
+from sinkcover.grid import bounding_box, cells_for_shift
 from sinkcover.instances_io import read_instance, read_solution
 from sinkcover.ptas import verify_solution
 
@@ -118,6 +120,39 @@ def test_solve_beyond_max_rounds_is_an_input_error(tmp_path, capsys, quality):
     err = capsys.readouterr().err
     assert err.startswith("error[input]: ") and "MAX_ROUNDS = 1024" in err
     assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["audit", "--m", "2000"], ["audit", "--m", "0"],
+                                  ["compare", "--m", "2,2000"], ["compare", "--m", "0"]])
+def test_m_beyond_max_rounds_is_refused_before_the_exact_oracle(tmp_path, capsys, argv):
+    # A bad --m is refused before the exact solve, so neither audit's refine
+    # line nor compare's first table rows are printed.
+    path = _gen(tmp_path, n=12, k=2, extent=6.0, seed=5)
+    capsys.readouterr()
+    assert run([argv[0], "--in", str(path), *argv[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error[input]: ") and "MAX_ROUNDS = 1024" in out.err
+
+
+def test_three_strip_degenerate_geometry_is_refused_loudly(tmp_path, capsys):
+    # Targets (A,5), (C,5), (B,5) sit within a few ulps of 2r apart at r=1,
+    # so one site covers targets of three strips of a round at m=4.  The
+    # strip DP refuses such a cell rather than charge the shared site twice;
+    # the exact oracle solves the same instance.
+    a, b, c = 5.999999991999, 7.999999992799, 6.999999992399
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"r": 1.0, "stations": [[0, -3]],
+                                "targets": [[0, 0], [a, 5], [c, 5], [b, 5]]}))
+    assert run(["solve", "--in", str(path), "--m", "4",
+                "--out", str(tmp_path / "sol.json")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error[input]: degenerate geometry: a site's covered "
+                              "targets span three strips")
+    assert not (tmp_path / "sol.json").exists()
+    assert run(["exact", "--in", str(path), "--out", str(tmp_path / "exact.json")]) == 0
+    assert capsys.readouterr().out.startswith("cost 12.630145808, ")
 
 
 def test_solve_too_dense_exits_2_with_budget_error(tmp_path, capsys):
@@ -262,6 +297,41 @@ def test_render_structure(tmp_path):
     assert len(circles) == 5      # one detection circle per target
     root = tree.getroot()
     assert root.get("version") == "1.1"
+
+
+@pytest.mark.parametrize("m, seed", [(2, 9), (3, 6)])
+def test_render_cell_lines_are_every_mth_strip_line(tmp_path, m, seed):
+    # Vertical grid lines are the strip lines of the winning round, 2r apart;
+    # every m-th one is a cell line, so cell lines lie cell_side * scale
+    # apart.  The detection circles have radius r * scale, and each target's
+    # circle lies in the strip the solver bins the target into.
+    path = _gen(tmp_path, n=12, extent=12.0, seed=seed)
+    sol, svg = tmp_path / "sol.json", tmp_path / "out.svg"
+    assert run(["solve", "--in", str(path), "--m", str(m), "--out", str(sol)]) == 0
+    assert run(["render", "--in", str(path), "--solution", str(sol),
+                "--svg", str(svg)]) == 0
+    tree = ET.parse(svg)
+    circles = [e for e in tree.iter() if e.tag.endswith("circle")]
+    scaled_r = float(circles[0].get("r"))
+    vertical = sorted((float(e.get("x1")), e.get("stroke")) for e in tree.iter()
+                      if e.tag.endswith("line") and e.get("x1") == e.get("x2")
+                      and e.get("stroke") in ("#888888", "#dddddd"))
+    for (xa, _), (xb, _) in zip(vertical, vertical[1:]):
+        assert xb - xa == pytest.approx(2.0 * scaled_r, abs=1e-5)
+    cell = [i for i, (_, stroke) in enumerate(vertical) if stroke == "#888888"]
+    assert len(cell) >= 2 and cell[0] < m
+    assert cell == list(range(cell[0], len(vertical), m))
+    cell_side_scaled = 2.0 * m * scaled_r    # cell_side * scale, with r = 1
+    for a, b in zip(cell, cell[1:]):
+        assert vertical[b][0] - vertical[a][0] == pytest.approx(cell_side_scaled, abs=1e-5)
+    inst, f = read_instance(path), read_solution(sol).shift_round
+    assert f > 0    # the drawn tiling is shifted off round 0's
+    xs = [x for x, _ in vertical]
+    for c in cells_for_shift(bounding_box(inst, m), inst.targets, f):
+        for j, members in enumerate(c.strips):
+            for t in members:
+                left = bisect.bisect_right(xs, float(circles[t].get("cx"))) - 1
+                assert (left - cell[0]) % m == j
 
 
 def test_render_without_solution(tmp_path):

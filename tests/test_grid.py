@@ -21,13 +21,15 @@ def test_bounding_box_translation():
     # Anchor one cell below the minimum coordinate: target min maps to 2mr.
     assert g.origin.x == pytest.approx(-4.0, abs=1e-6)
     assert g.origin.y == pytest.approx(-4.0, abs=1e-6)
-    assert g.extent >= 14.0
+    # Round 0's tiling starts at the anchor; the cell side is 2mr.
+    assert g.corner(0) == g.origin
+    assert g.cell_side == 4.0
 
 
 def test_bounding_box_single_target_single_cell():
     inst = Instance.from_coords([(3, 7)], [(0, 0)], 1.0)
     g = bounding_box(inst, 3)
-    assert len(cells_for_shift(g, 0)) == 1
+    assert len(cells_for_shift(g, inst.targets, 0)) == 1
 
 
 def test_bounding_box_identity_when_already_offset():
@@ -51,10 +53,15 @@ def test_shift_moves_boundaries_by_2fr():
     g = bounding_box(inst, 2)
     side = g.cell_side
     for f in range(2):
-        for c in cells_for_shift(g, f):
-            # Boundaries of round f sit at origin + 2fr plus cell multiples.
-            rel = (c.lower_left.x - g.origin.x - 2.0 * f * g.r) % side
-            assert min(rel, side - rel) == pytest.approx(0.0, abs=1e-9)
+        # Boundaries of round f sit at origin + 2fr plus cell multiples.
+        off_x = g.origin.x + 2.0 * f * g.r
+        off_y = g.origin.y + 2.0 * f * g.r
+        assert g.corner(f) == Point(off_x, off_y)
+        for c in cells_for_shift(g, inst.targets, f):
+            lo_x, lo_y = off_x + c.index[0] * side, off_y + c.index[1] * side
+            for i in (i for strip in c.strips for i in strip):
+                t = inst.targets[i]
+                assert lo_x <= t.x < lo_x + side and lo_y <= t.y < lo_y + side
 
 
 def test_cells_partition_targets_every_round():
@@ -63,10 +70,9 @@ def test_cells_partition_targets_every_round():
         for m in (1, 2, 4):
             g = bounding_box(inst, m)
             for f in range(m):
-                cells = cells_for_shift(g, f)
-                seen = []
-                for c in cells:
-                    seen.extend(c.target_indices)
+                cells = cells_for_shift(g, inst.targets, f)
+                assert len({c.index for c in cells}) == len(cells)
+                seen = [i for c in cells for strip in c.strips for i in strip]
                 assert sorted(seen) == list(range(inst.n))
 
 
@@ -74,9 +80,9 @@ def test_shift_round_bounds_checked():
     inst = _uniform_instance(0)
     g = bounding_box(inst, 2)
     with pytest.raises(ValueError):
-        cells_for_shift(g, 2)
+        cells_for_shift(g, inst.targets, 2)
     with pytest.raises(ValueError):
-        cells_for_shift(g, -1)
+        cells_for_shift(g, inst.targets, -1)
 
 
 def test_shift_boundary_positions_cycle():
@@ -88,21 +94,27 @@ def test_shift_boundary_positions_cycle():
     side = g.cell_side
     offsets = set()
     for f in range(m):
-        cell = cells_for_shift(g, f)[0]
-        offsets.add(round((cell.lower_left.x - g.origin.x) % side, 9))
+        cell = cells_for_shift(g, inst.targets, f)[0]
+        lower_left_x = g.corner(f).x + cell.index[0] * side
+        offsets.add(round((lower_left_x - g.origin.x) % side, 9))
     assert offsets == {round(2 * r * f, 9) for f in range(m)}
 
 
 def test_strip_count_and_width():
-    inst = _uniform_instance(2, n=6)
+    inst = _uniform_instance(2, n=30)
     coverers = coverers_by_target(generate_candidate_sites(inst))
-    g = bounding_box(inst, 2)
-    for cell in cells_for_shift(g, 0):
-        strips = strips_of_cell(cell, coverers)
-        assert len(strips) == 2
-        for s in strips:
-            lo, hi = s.x_range
-            assert hi - lo == pytest.approx(2.0 * inst.r)
+    width = 2.0 * inst.r
+    for m in (2, 3):
+        g = bounding_box(inst, m)
+        for f in range(m):
+            for cell in cells_for_shift(g, inst.targets, f):
+                assert len(cell.strips) == m
+                assert len(strips_of_cell(cell, coverers)) == m
+                x0 = g.corner(f).x + cell.index[0] * g.cell_side
+                # Strip j is the half-open slice [x0 + j*2r, x0 + (j+1)*2r).
+                for j, strip in enumerate(cell.strips):
+                    for i in strip:
+                        assert x0 + j * width <= inst.targets[i].x < x0 + (j + 1) * width
 
 
 def test_strips_partition_cell_targets():
@@ -111,10 +123,16 @@ def test_strips_partition_cell_targets():
         coverers = coverers_by_target(generate_candidate_sites(inst))
         g = bounding_box(inst, 3)
         for f in range(3):
-            for cell in cells_for_shift(g, f):
+            for cell in cells_for_shift(g, inst.targets, f):
                 strips = strips_of_cell(cell, coverers)
-                got = sorted(t for s in strips for t in s.target_indices)
-                assert got == sorted(cell.target_indices)
+                # The strips keep the cell's targets as binned and attach
+                # each strip the coverers of its targets.
+                assert [s.target_indices for s in strips] == list(cell.strips)
+                got = [t for s in strips for t in s.target_indices]
+                assert got and len(got) == len(set(got))
+                for s in strips:
+                    pool = {i for t in s.target_indices for i in coverers[t]}
+                    assert s.site_pool == tuple(sorted(pool))
 
 
 def test_site_spanning_two_strips_in_both_pools():
@@ -123,7 +141,7 @@ def test_site_spanning_two_strips_in_both_pools():
     inst = Instance.from_coords([(0.0, 0.0), (1.9, 0.0), (2.1, 0.0)], [(0, 0)], 1.0)
     sites = generate_candidate_sites(inst)
     g = bounding_box(inst, 2)
-    (cell,) = cells_for_shift(g, 0)
+    (cell,) = cells_for_shift(g, inst.targets, 0)
     s1, s2 = strips_of_cell(cell, coverers_by_target(sites))
     assert 1 in s1.target_indices and 2 in s2.target_indices
     both = [i for i, s in enumerate(sites) if s.covered >= {1, 2}]
@@ -137,7 +155,7 @@ def test_no_pool_shared_across_nonadjacent_strips():
         inst = _uniform_instance(seed, n=10, extent=6.0)
         coverers = coverers_by_target(generate_candidate_sites(inst))
         g = bounding_box(inst, 4)
-        for cell in cells_for_shift(g, 0):
+        for cell in cells_for_shift(g, inst.targets, 0):
             strips = strips_of_cell(cell, coverers)
             for i in range(len(strips)):
                 for j in range(i + 2, len(strips)):

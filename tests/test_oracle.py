@@ -197,6 +197,33 @@ def test_census_density_on_verified_solves():
     assert worst >= 1
 
 
+def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
+    # The census bins sensors with the solver's tiling: the strips that
+    # cells_for_shift gives a sensor list are the census's strips, and each
+    # sensor's strip is floor((x - corner.x) / 2r) counted within its cell.
+    from sinkcover.grid import bounding_box, cells_for_shift
+    from sinkcover.ptas import PtasConfig, solve
+    m = 4
+    for seed in range(4):
+        inst = gen_uniform(20, 2, 1.0, 8.0, seed + 310)
+        sol = solve(inst, PtasConfig(m=m))
+        f = sol.shift_round_used
+        pos = [p.position for p in sol.placements]
+        g = bounding_box(inst, m)
+        binned = {(*cell.index, j + 1): len(members)
+                  for cell in cells_for_shift(g, pos, f)
+                  for j, members in enumerate(cell.strips) if members}
+        corner, side = g.corner(f), g.cell_side
+        expected: dict = {}
+        for p in pos:
+            ix = math.floor((p.x - corner.x) / side)
+            key = (ix, math.floor((p.y - corner.y) / side),
+                   math.floor((p.x - corner.x) / (2.0 * g.r)) - ix * m + 1)
+            expected[key] = expected.get(key, 0) + 1
+        assert binned == expected
+        assert strip_sensor_census(inst, pos, m, shift=f).strip_counts == binned
+
+
 def test_census_clustered_stations():
     # Stations bunched together force co-resident sensors into one strip.
     inst = Instance.from_coords(

@@ -25,7 +25,7 @@ INF = float("inf")
 def _single_cell(inst, m):
     sites = prune_dominated(generate_candidate_sites(inst))
     g = bounding_box(inst, m)
-    cells = cells_for_shift(g, 0)
+    cells = cells_for_shift(g, inst.targets, 0)
     assert len(cells) == 1
     cell = cells[0]
     return cell, strips_of_cell(cell, coverers_by_target(sites)), sites
@@ -140,7 +140,7 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     monkeypatch.setattr(strip_dp, "_footprints", counting)
     g = bounding_box(inst, m)
     for f in range(m):
-        for cell in cells_for_shift(g, f):
+        for cell in cells_for_shift(g, inst.targets, f):
             strips = strips_of_cell(cell, coverers)
             keys.clear()
             res = solve_cell(strips, sites)
@@ -169,9 +169,7 @@ def test_solve_cell_two_disjoint_targets():
 def test_solve_cell_empty_cell():
     inst = Instance.from_coords([(1, 1)], [(0, 0)], 1.0)
     cell, _, sites = _single_cell(inst, 2)
-    empty = type(cell)(index=(9, 9), lower_left=Point(100.0, 100.0),
-                       side=cell.side, r=cell.r, target_indices=(),
-                       target_positions=())
+    empty = type(cell)(index=(9, 9), strips=((),) * len(cell.strips))
     res = solve_cell(strips_of_cell(empty, coverers_by_target(sites)), sites)
     assert isinstance(res, CellSolution)
     assert res.cost == 0.0 and res.site_indices == frozenset()
@@ -181,7 +179,7 @@ def test_solve_cell_uncoverable_target_is_an_error():
     # Candidate sites always cover every target; a hand-built strip whose
     # target has no site is refused rather than solved wrongly.
     from sinkcover.grid import Strip
-    strips = [Strip(index=1, x_range=(0.0, 2.0), target_indices=(0,), site_pool=())]
+    strips = [Strip(target_indices=(0,), site_pool=())]
     with pytest.raises(ValueError, match="no candidate site covers a target of strip 1"):
         solve_cell(strips, [])
 
@@ -207,7 +205,7 @@ def test_solve_cell_cost_matches_reconstruction():
         covered = set()
         for i in res.site_indices:
             covered |= sites[i].covered
-        assert set(cell.target_indices) <= covered
+        assert {t for strip in cell.strips for t in strip} <= covered
 
 
 def test_solve_cell_two_targets_without_joint_coverer():
@@ -311,18 +309,16 @@ def test_solver_matches_literal_recurrence():
 
 
 def test_solve_cell_reproduces_forced_ring_optimum():
-    # One sensor per station is forced; the cell is built directly around
-    # the instance so the whole ring lands in one cell.
-    from sinkcover.grid import Cell
+    # One sensor per station is forced; the grid is anchored just below and
+    # left of the instance so the whole ring lands in one cell.
+    from sinkcover.grid import Grid
     from sinkcover.instances_io import gen_counterexample
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
     sites = prune_dominated(generate_candidate_sites(inst))
-    side = 2 * 4 * inst.r
     x0 = min(t.x for t in inst.targets) - 1e-6
     y0 = min(t.y for t in inst.targets) - 1e-6
-    cell = Cell(index=(0, 0), lower_left=Point(x0, y0), side=side, r=inst.r,
-                target_indices=tuple(range(inst.n)),
-                target_positions=inst.targets)
+    (cell,) = cells_for_shift(Grid(Point(x0, y0), 4, inst.r), inst.targets, 0)
+    assert cell.index == (0, 0)
     strips = strips_of_cell(cell, coverers_by_target(sites))
     opt = exact_min_cost_cover(inst.n, sites).cost
     res = solve_cell(strips, sites)
