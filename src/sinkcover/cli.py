@@ -20,7 +20,8 @@ from .instances_io import (InstanceFormatError, SolutionFile,
                            gen_uniform, read_instance, read_solution,
                            uniform_metadata, write_instance, write_report,
                            write_solution)
-from .oracle import exact_min_cost_cover, greedy_cover, grid_refine_audit
+from .oracle import (check_grid_audit, exact_min_cost_cover, greedy_cover,
+                     grid_refine_audit)
 from .ptas import PtasConfig, shift_average_audit, solve, verify_solution
 from .sites import generate_candidate_sites, prune_dominated
 from .strip_dp import StateBudgetError
@@ -207,7 +208,8 @@ def _cmd_compare(args) -> int:
 def _cmd_audit(args) -> int:
     inst = read_instance(args.infile)
     step = args.step if args.step is not None else inst.r / 200.0
-    config = PtasConfig(m=args.m)   # checked before the exact oracle runs
+    config = PtasConfig(m=args.m)   # checked before the exact oracle runs,
+    check_grid_audit(inst, step)    # as are --step and the instance
     sites = prune_dominated(generate_candidate_sites(inst))
     exact = exact_min_cost_cover(inst.n, sites)
     if not exact.feasible:

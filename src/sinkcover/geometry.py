@@ -1,10 +1,13 @@
-"""Planar geometry for disk coverage: distances and a fixed-radius
-neighbour grid."""
+"""Planar geometry for disk coverage: distances and the one fixed-radius
+neighbour search, `near_pairs`, which serves circle pairs, coverage and the
+feasibility re-check."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Relative tolerance for closed coverage: a point at distance up to
 # r * (1 + COVER_TOL) still counts as covered, absorbing float noise for
@@ -27,44 +30,46 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-class NearGrid:
-    """Fixed-radius near-neighbour index over a point list (the cell grid of
-    Bentley, Stanat & Williams, IPL 1977).
+def hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise `math.hypot`, for distances that decide an output:
+    `np.hypot` can differ from it in the last bit."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
 
-    Points are binned into square buckets a little wider than `radius`.  Two
-    points whose float `dist` is at most `radius` differ by at most `radius`
-    (to rounding) in each axis, so they lie in the same or adjacent buckets:
-    the 1e-6 relative margin absorbs the rounding of `dist`, and the term in
-    the largest coordinate absorbs that of the bucket quotients.
+
+def near_pairs(qx, qy, px, py, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """All (query, point) index pairs, ascending, with the query in the 3x3
+    buckets around the point: a superset of the pairs within `radius`.
+    This is the cell grid of Bentley, Stanat & Williams, IPL 1977.
+
+    Buckets are squares a little wider than `radius`.  Two points whose
+    float `math.hypot` distance is at most `radius` differ by at most
+    `radius` (to rounding) in each axis, so they lie in the same or adjacent
+    buckets: the 1e-6 relative margin absorbs the rounding of the distance,
+    and the term in the largest point coordinate absorbs that of the bucket
+    quotients.
+
+    A bucket is keyed by the complex number bx + 1j * by of its integer
+    coordinates, which numpy sorts and searches lexicographically: with the
+    queries sorted by key, those in buckets bx, by - 1 .. by + 1 are one
+    run, found by two binary searches, so each point needs three runs.
+    Memory stays proportional to the pairs found.
     """
-
-    def __init__(self, points, radius: float):
-        self.scale = max((max(abs(p.x), abs(p.y)) for p in points), default=0.0)
-        self.side = self.bucket_side(radius, self.scale)
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        for i, p in enumerate(points):
-            self.buckets.setdefault(self._key(p), []).append(i)
-
-    @staticmethod
-    def bucket_side(radius: float, scale: float) -> float:
-        """Bucket side for `radius` over points whose largest coordinate
-        magnitude is `scale`."""
-        return radius * (1.0 + 1e-6) + 1e-12 * scale
-
-    def _key(self, p: Point) -> tuple[int, int]:
-        return math.floor(p.x / self.side), math.floor(p.y / self.side)
-
-    def near(self, p: Point) -> list[int]:
-        """Ascending indices of the points in the 3x3 buckets around `p`: a
-        superset of the points within `radius` of it."""
-        if max(abs(p.x), abs(p.y)) > self.scale + self.side:
-            # Farther than a bucket from every point; also keeps the bucket
-            # quotient finite for far queries when `side` is tiny.
-            return []
-        bx, by = self._key(p)
-        out: list[int] = []
-        for kx in (bx - 1, bx, bx + 1):
-            for ky in (by - 1, by, by + 1):
-                out.extend(self.buckets.get((kx, ky), ()))
-        out.sort()
-        return out
+    scale = float(np.maximum.reduce(np.abs(np.concatenate((px, py))), initial=0.0))
+    side = radius * (1.0 + 1e-6) + 1e-12 * scale
+    # A query more than a bucket beyond every point has no neighbour.
+    # Clamped to there, it may gain candidates, which the exact test
+    # rejects, and its bucket quotient stays finite when `side` is tiny.
+    lim = scale + side
+    qx, qy = np.minimum(np.maximum(qx, -lim), lim), np.minimum(np.maximum(qy, -lim), lim)
+    key = np.floor(qx / side) + np.floor(qy / side) * 1j
+    order = key.argsort()
+    key = key[order]
+    # Each point's bucket rows bx - 1 .. bx + 1.
+    rows = np.floor(px / side) + np.floor(py / side) * 1j + np.arange(-1.0, 2.0)[:, None]
+    start = key.searchsorted(rows - 1j).T.ravel()
+    count = key.searchsorted(rows + 1j, "right").T.ravel() - start
+    point = np.arange(len(start)).repeat(count) // 3
+    run = (start - count.cumsum() + count).repeat(count)
+    pairs = order[run + np.arange(len(run))] * len(px) + point
+    pairs.sort()
+    return pairs // len(px), pairs % len(px)

@@ -167,16 +167,8 @@ def grid_refine_audit(instance: Instance, discrete_opt: float,
     are useless), condensed to one cheapest representative per distinct
     covered set, and solved exactly.  If the candidate-site classes are
     sound, the grid optimum can only be worse, up to O(step) per sensor.
-    Covered sets are packed into int64 bit masks, so at most 63 targets are
-    accepted, and a grid of more than `_MAX_GRID_POINTS` points is refused.
+    Input that `check_grid_audit` refuses raises ValueError.
     """
-    if instance.n == 0:
-        raise ValueError("nothing to cover")
-    if instance.n > 63:
-        raise ValueError(f"grid audit packs targets into int64 masks: "
-                         f"{instance.n} targets exceed 63")
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError("step must be positive and finite")
     grid_sites, total_pts = _grid_sites(instance, step)
     res = exact_min_cost_cover(instance.n, grid_sites)
     return GridRefineReport(step=step,
@@ -186,6 +178,33 @@ def grid_refine_audit(instance: Instance, discrete_opt: float,
                             grid_solution_size=len(res.site_indices),
                             grid_candidate_points=total_pts,
                             distinct_cover_sets=len(grid_sites))
+
+
+def check_grid_audit(instance: Instance, step: float) -> tuple[float, float, float, float]:
+    """The box x0, x1, y0, y1 the refinement audit sweeps at pitch `step`,
+    after refusing with ValueError what it cannot take: no target, more than
+    63 (covered sets are packed into int64 bit masks), a step that is not
+    positive and finite, or a grid of more than `_MAX_GRID_POINTS` points.
+    Nothing grid-sized is built."""
+    if instance.n == 0:
+        raise ValueError("nothing to cover")
+    if instance.n > 63:
+        raise ValueError(f"grid audit packs targets into int64 masks: "
+                         f"{instance.n} targets exceed 63")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
+    r = instance.r
+    x0 = min(t.x for t in instance.targets) - r
+    x1 = max(t.x for t in instance.targets) + r
+    y0 = min(t.y for t in instance.targets) - r
+    y1 = max(t.y for t in instance.targets) + r
+    # np.arange's own lengths.
+    size = (np.ceil((x1 + step / 2 - x0) / step)
+            * np.ceil((y1 + step / 2 - y0) / step))
+    if size > _MAX_GRID_POINTS:
+        raise ValueError(f"grid of pitch {step} has {size:.3g} points, more "
+                         f"than the {_MAX_GRID_POINTS:.3g} the audit sweeps")
+    return x0, x1, y0, y1
 
 
 def _grid_sites(instance: Instance,
@@ -226,16 +245,9 @@ def _grid_sites(instance: Instance,
     or two.
     """
     r = instance.r
+    x0, x1, y0, y1 = check_grid_audit(instance, step)
     txs = np.array([t.x for t in instance.targets])
     tys = np.array([t.y for t in instance.targets])
-    x0, x1 = txs.min() - r, txs.max() + r
-    y0, y1 = tys.min() - r, tys.max() + r
-    # np.arange's own lengths, checked before anything grid-sized exists.
-    size = (np.ceil((x1 + step / 2 - x0) / step)
-            * np.ceil((y1 + step / 2 - y0) / step))
-    if size > _MAX_GRID_POINTS:
-        raise ValueError(f"grid of pitch {step} has {size:.3g} points, more "
-                         f"than the {_MAX_GRID_POINTS:.3g} the audit sweeps")
     xs = np.arange(x0, x1 + step / 2, step)
     ys = np.arange(y0, y1 + step / 2, step)
     ny = len(ys)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import COVER_TOL, NearGrid, Point, dist
+import numpy as np
+
+from .geometry import COVER_TOL, Point, hypot, near_pairs
 from .grid import Grid, bounding_box, cells_for_shift, strips_of_cell
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
@@ -132,22 +134,21 @@ def solve(instance: Instance, config: PtasConfig,
 def verify_solution(instance: Instance, placements) -> bool:
     """Independent feasibility re-check: every target within r of a placement.
 
-    Uses no candidate site: each target is tested against the placements in
-    the buckets around it.  Accepts Placement objects, Points, or (x, y)
-    pairs.
+    Uses no candidate site: each target is tested against the placements
+    `near_pairs` finds around it.  A missed neighbour could only reject a
+    feasible answer, never pass an infeasible one.  Accepts Placement
+    objects, Points, or (x, y) pairs.
     """
     reach = instance.r * (1.0 + COVER_TOL)
-    pts = []
-    for p in placements:
-        if isinstance(p, Placement):
-            pts.append(p.position)
-        elif isinstance(p, Point):
-            pts.append(p)
-        else:
-            pts.append(Point(float(p[0]), float(p[1])))
-    index = NearGrid(pts, reach)
-    return all(any(dist(t, pts[i]) <= reach for i in index.near(t))
-               for t in instance.targets)
+    pts = [p.position if isinstance(p, Placement) else
+           p if isinstance(p, Point) else Point(float(p[0]), float(p[1]))
+           for p in placements]
+    px, py = np.array([p.x for p in pts]), np.array([p.y for p in pts])
+    tx = np.array([t.x for t in instance.targets])
+    ty = np.array([t.y for t in instance.targets])
+    t, p = near_pairs(tx, ty, px, py, reach)
+    inside = hypot(tx[t] - px[p], ty[t] - py[p]) <= reach
+    return len(np.unique(t[inside])) == instance.n
 
 
 @dataclass(frozen=True)

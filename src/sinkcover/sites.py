@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COVER_TOL, NearGrid, Point, dist
+from .geometry import COVER_TOL, Point, dist, hypot, near_pairs
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,11 @@ def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
     tie-breaking are reproducible.  Positions are first seen in the order
     stations, targets, circle pairs (ascending (i, j)), projections
     ((target, station) order); the first one seen wins a merge, which
-    decides between 0.0 and -0.0.  Circle pairs and coverage are found in
-    bucket grids of side just over 2r and r, so only targets that can
-    intersect or be covered are examined.  Every distance that decides an
-    output comes from `math.hypot`, as in `geometry.dist`: `np.hypot` can
-    differ from it in the last bit.
+    decides between 0.0 and -0.0.  Circle pairs and coverage are found by
+    `near_pairs` at radius 2r and r, so only targets that can intersect or
+    be covered are examined.  Every distance that decides an output comes
+    from `math.hypot`, as in `geometry.dist`: `np.hypot` can differ from it
+    in the last bit.
     """
     reach = instance.r * (1.0 + COVER_TOL)
     tx = np.array([t.x for t in instance.targets])
@@ -104,7 +104,7 @@ def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
     sy = np.array([p.y for p in instance.stations])
     # Each stage returns only what the next needs, so the intermediates of
     # one are freed before the next allocates.
-    qx, qy = _positions(instance, tx, ty, sx, sy)
+    qx, qy = _positions(tx, ty, sx, sy, instance.r)
     covered, qx, qy = _coverage(qx, qy, tx, ty, reach)
     weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations)
     order = np.lexsort((qy, qx, weight)).tolist()
@@ -113,20 +113,15 @@ def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
             for i in order]
 
 
-def _positions(instance: Instance, tx, ty, sx, sy) -> tuple[np.ndarray, np.ndarray]:
+def _positions(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Distinct candidate positions, in the order first seen; the first of
     equal positions is kept."""
-    r = instance.r
-    targets = instance.targets
-    xs = sx.tolist() + tx.tolist()
-    ys = sy.tolist() + ty.tolist()
-    _add_circle_pair_points(targets, r, xs, ys)
+    cx, cy = _circle_pair_points(tx, ty, r)
     px, py = _nearest_circle_points(tx, ty, sx, sy, r)
-    xs += px.tolist()
-    ys += py.tolist()
     # dict.fromkeys keeps the first key of each equal (x, y), signed zeros
     # included.
-    seen = dict.fromkeys(zip(xs, ys))
+    seen = dict.fromkeys(zip(np.concatenate((sx, tx, cx, px)).tolist(),
+                             np.concatenate((sy, ty, cy, py)).tolist()))
     pos = np.fromiter(itertools.chain.from_iterable(seen), float, 2 * len(seen))
     if not np.isfinite(pos).all():
         bad = np.isfinite(pos).reshape(-1, 2).all(axis=1).argmin()
@@ -134,39 +129,36 @@ def _positions(instance: Instance, tx, ty, sx, sy) -> tuple[np.ndarray, np.ndarr
     return pos[0::2].copy(), pos[1::2].copy()
 
 
-def _add_circle_pair_points(targets, r: float, xs: list, ys: list) -> None:
-    """Append the intersection points of the radius-r circles around each
-    pair of targets, in ascending (i, j) order: none for coincident or
-    disjoint circles, the midpoint for tangent ones (h <= 1e-12 r).  Pairs
-    come from a bucket grid of side just over 2r.  The order of a pair's
-    two points shows nowhere: they are distinct, so they neither merge with
-    each other nor tie in the final sort."""
-    pairs = NearGrid(targets, 2.0 * r)
-    for i, a in enumerate(targets):
-        for j in pairs.near(a):
-            if j <= i:
-                continue
-            b = targets[j]
-            d = math.hypot(a.x - b.x, a.y - b.y)
-            disc = r * r - (d / 2.0) * (d / 2.0)
-            if d == 0.0 or disc < 0.0:
-                continue
-            h = math.sqrt(disc)
-            mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
-            ux, uy = (b.x - a.x) / d, (b.y - a.y) / d
-            if h <= 1e-12 * r:
-                xs.append(mx)
-                ys.append(my)
-                continue
-            xs += mx - h * uy, mx + h * uy
-            ys += my + h * ux, my - h * ux
+def _circle_pair_points(tx, ty, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The intersection points of the radius-r circles around each pair of
+    targets, in ascending (i, j) order: none for coincident or disjoint
+    circles, the midpoint for tangent ones (h <= 1e-12 r).  The order of a
+    pair's two points shows nowhere: they are distinct, so they neither
+    merge with each other nor tie in the final sort."""
+    i, j = near_pairs(tx, ty, tx, ty, 2.0 * r)
+    i, j = i[i < j], j[i < j]
+    ax, ay, bx, by = tx[i], ty[i], tx[j], ty[j]
+    # Pairs that do not meet divide by zero or take a negative root, and
+    # far-out coordinates overflow to inf, which `_positions` rejects.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = hypot(ax - bx, ay - by)
+        disc = r * r - (d / 2.0) * (d / 2.0)
+        h = np.sqrt(disc)
+        mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
+        ux, uy = (bx - ax) / d, (by - ay) / d
+        tangent = h <= 1e-12 * r
+        xs = np.stack((np.where(tangent, mx, mx - h * uy), mx + h * uy), axis=1)
+        ys = np.stack((np.where(tangent, my, my + h * ux), my - h * ux), axis=1)
+    meet = (d != 0.0) & (disc >= 0.0)
+    keep = np.stack((meet, meet & ~tangent), axis=1)
+    return xs[keep], ys[keep]
 
 
 def _coverage(qx, qy, tx, ty, reach: float):
     """The targets each position covers, for the positions covering any,
     with those positions' coordinates."""
-    q, c = _near_pairs(qx, qy, tx, ty, reach)
-    inside = _hypot(qx[q] - tx[c], qy[q] - ty[c]) <= reach
+    q, c = near_pairs(qx, qy, tx, ty, reach)
+    inside = hypot(qx[q] - tx[c], qy[q] - ty[c]) <= reach
     q, c = q[inside], c[inside]
     heads = _run_heads(q).nonzero()[0]
     # One int object per target, shared by every set holding it: sets of
@@ -191,7 +183,7 @@ def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[list[float], list[int]]
     origin = near.argmin(axis=1)
     band = np.minimum.reduce(near, axis=1) * (1.0 + 1e-12) + 1e-300
     tied = (np.add.reduce(near <= band[:, None], axis=1) > 1).nonzero()[0].tolist()
-    weight = _hypot(qx - sx[origin], qy - sy[origin]).tolist()
+    weight = hypot(qx - sx[origin], qy - sy[origin]).tolist()
     origin = origin.tolist()
     for i in tied:
         weight[i], origin[i] = site_weight(Point(float(qx[i]), float(qy[i])), stations)
@@ -205,7 +197,7 @@ def _nearest_circle_points(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.nda
     overflows (a subnormal distance), and (c.x + r, c.y) when s is on c."""
     cx, cy = tx[:, None], ty[:, None]
     dx, dy = sx - cx, sy - cy
-    d = _hypot(dx.ravel(), dy.ravel()).reshape(dx.shape)   # hypot(-a, -b) == hypot(a, b)
+    d = hypot(dx.ravel(), dy.ravel()).reshape(dx.shape)   # hypot(-a, -b) == hypot(a, b)
     on_centre = d == 0.0
     d = np.where(on_centre, 1.0, d)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,45 +216,6 @@ def _run_heads(a: np.ndarray) -> np.ndarray:
     heads[:1] = True
     heads[1:] = a[1:] != a[:-1]
     return heads
-
-
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Elementwise `math.hypot`, for distances that decide an output."""
-    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
-
-
-def _near_pairs(qx, qy, px, py, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """All (query, point) index pairs, ascending, with the query in the 3x3
-    buckets of `NearGrid` around the point (as the point is around the
-    query): a superset of the pairs within `radius`.
-
-    A bucket is keyed by the complex number bx + 1j * by of its integer
-    coordinates, which numpy sorts and searches lexicographically: with the
-    queries sorted by key, those in buckets bx, by - 1 .. by + 1 are one
-    run, found by two binary searches, so each point needs three runs.
-    Memory stays proportional to the pairs found.
-    """
-    scale = float(np.maximum.reduce(np.abs(np.concatenate((px, py))), initial=0.0))
-    side = NearGrid.bucket_side(radius, scale)
-    # A query more than a bucket beyond every point has no neighbour.
-    # Clamped to there, it may gain candidates, which the exact test
-    # rejects, and its bucket quotient stays finite when `side` is tiny.
-    lim = scale + side
-    qx, qy = np.minimum(np.maximum(qx, -lim), lim), np.minimum(np.maximum(qy, -lim), lim)
-    key = np.floor(qx / side) + np.floor(qy / side) * 1j
-    order = key.argsort()
-    key = key[order]
-    rows = np.floor(px / side) + np.floor(py / side) * 1j + _ADJACENT
-    start = key.searchsorted(rows - 1j).T.ravel()
-    count = key.searchsorted(rows + 1j, "right").T.ravel() - start
-    point = np.arange(len(start)).repeat(count) // 3
-    run = (start - count.cumsum() + count).repeat(count)
-    pairs = order[run + np.arange(len(run))] * len(px) + point
-    pairs.sort()
-    return pairs // len(px), pairs % len(px)
-
-
-_ADJACENT = np.array([[-1.0], [0.0], [1.0]])    # the bucket rows bx - 1 .. bx + 1
 
 
 def coverers_by_target(sites: list[CandidateSite]) -> dict[int, list[int]]:

@@ -99,6 +99,21 @@ def test_cli_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def test_extreme_coordinates_fail_with_one_line_on_stderr(tmp_path):
+    # The two targets' circles meet, and their intersection points overflow
+    # to inf: the solve is refused with the first such point and nothing
+    # else on stderr (no numpy RuntimeWarning).
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"r": 1.0, "stations": [[0.0, 0.0]],
+                                "targets": [[1.7e308, 0.0], [1.7e308, 1.0]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sinkcover.cli", "solve", "--in", str(path),
+                           "--m", "2", "--out", str(tmp_path / "sol.json")],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error[input]: non-finite point (inf, 0.5)\n"
+
+
 def test_solve_verify_cap_is_a_usage_error(tmp_path, capsys):
     # There is no --cap flag: the strip DP has no per-strip cap.
     path = _gen(tmp_path)
@@ -282,6 +297,26 @@ def test_audit_non_finite_step_is_an_input_error(tmp_path, capsys, step):
                     "--jobs", "1"]) == 1
     err = capsys.readouterr().err
     assert err == "error[input]: step must be positive and finite\n"
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("bad audit input must be refused before this runs")
+
+
+@pytest.mark.parametrize("case", ["negative step", "too many targets", "grid too fine"])
+def test_bad_audit_input_is_refused_before_the_exact_oracle(tmp_path, capsys,
+                                                            monkeypatch, case):
+    step = {"negative step": "-1", "grid too fine": "1e-5"}.get(case, "0.005")
+    if case == "too many targets":
+        path = _gen(tmp_path, n=70, k=3, extent=40.0, seed=1)
+    else:
+        path = _gen(tmp_path, n=26, k=2, extent=8.0, seed=2)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "generate_candidate_sites", _must_not_run)
+    monkeypatch.setattr(cli, "exact_min_cost_cover", _must_not_run)
+    assert run(["audit", "--in", str(path), f"--step={step}", "--m", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error[input]: ")
 
 
 def test_render_structure(tmp_path):

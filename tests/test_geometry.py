@@ -1,14 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from reference_geometry import (LevelProbe, circle_circle_intersections,
                                 coverage_angle_halfwidth, covered_targets,
                                 nearest_point_on_circle, s_prime_location)
 
-from sinkcover.geometry import Point, dist
+from sinkcover.geometry import Point, dist, near_pairs
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -43,6 +44,36 @@ def test_dist_triangle_inequality(ax, ay, bx, by, cx, cy):
     lhs = dist(a, c)
     rhs = dist(a, b) + dist(b, c)
     assert lhs <= rhs * (1 + 1e-12) + 1e-12
+
+
+@st.composite
+def point_sets(draw):
+    """Queries and points a few radii around an offset."""
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 2.5]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    coord = st.floats(-4.0 * radius, 4.0 * radius).map(lambda v: v + offset)
+    xy = st.tuples(coord, coord)
+    queries = draw(st.lists(xy, max_size=20))
+    points = draw(st.lists(xy, max_size=20))
+    # Repeats, and points exactly `radius` from a query along an axis when
+    # the subtraction is exact (at offset 0, for a query with x = 0).
+    pool = queries + points + [(x - radius, y) for x, y in queries]
+    points += draw(st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([]))
+    return queries, points, radius
+
+
+@given(point_sets())
+@example(([(0.0, 0.0)], [(-1.0, 0.0), (0.0, 0.0)], 1.0))
+def test_near_pairs_finds_every_pair_within_radius(case):
+    queries, points, radius = case
+    q = np.array(queries, dtype=float).reshape(-1, 2)
+    p = np.array(points, dtype=float).reshape(-1, 2)
+    qi, pi = near_pairs(q[:, 0], q[:, 1], p[:, 0], p[:, 1], radius)
+    found = list(zip(qi.tolist(), pi.tolist()))
+    assert found == sorted(set(found))
+    within = {(i, j) for i, a in enumerate(queries) for j, b in enumerate(points)
+              if math.hypot(a[0] - b[0], a[1] - b[1]) <= radius}
+    assert within <= set(found)
 
 
 def test_circle_intersections_two_points():

@@ -3,7 +3,10 @@ import math
 
 import pytest
 from conftest import solve_state_bound
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sinkcover.geometry import COVER_TOL
 from sinkcover.instances_io import SolutionFile, gen_uniform
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover import strip_dp
@@ -109,6 +112,31 @@ def test_verify_solution_rejects_target_beyond_radius(offset):
 def test_verify_solution_rejects_no_placements():
     inst = Instance.from_coords([(0.0, 0.0)], [(0.0, 0.0)], 1.0)
     assert not verify_solution(inst, [])
+
+
+@st.composite
+def coverage_checks(draw):
+    """Targets and placements around an offset: none, repeated, on a target,
+    or one reach from a target along an axis."""
+    r = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    coord = st.floats(-3.0 * r, 3.0 * r).map(lambda v: v + offset)
+    targets = draw(st.lists(st.tuples(coord, coord), max_size=12))
+    reach = r * (1.0 + COVER_TOL)
+    pool = targets + [(x + reach, y) for x, y in targets] + [(x, y - reach) for x, y in targets]
+    place = st.tuples(coord, coord) | st.sampled_from(pool) if pool else st.tuples(coord, coord)
+    placements = draw(st.lists(place, max_size=10))
+    placements += placements[:draw(st.integers(0, len(placements)))]
+    return Instance.from_coords(targets, [(offset, offset)], r), placements
+
+
+@given(coverage_checks())
+def test_verify_solution_matches_all_pairs_check(case):
+    inst, placements = case
+    reach = inst.r * (1.0 + COVER_TOL)
+    expected = all(any(math.hypot(t.x - x, t.y - y) <= reach for x, y in placements)
+                   for t in inst.targets)
+    assert verify_solution(inst, placements) == expected
 
 
 def test_solution_deterministic_serialization():

@@ -3,6 +3,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_sites import all_pairs_candidate_sites, all_pairs_prune
 
-from sinkcover.geometry import COVER_TOL, NearGrid, Point
+from sinkcover.geometry import COVER_TOL, Point, near_pairs
+from sinkcover.ptas import verify_solution
 from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
                              prune_dominated)
 
@@ -147,10 +149,17 @@ def test_generate_pairs_near_two_r(offset, gap):
 
 
 def test_near_grid_far_query_with_tiny_radius():
-    # The bucket quotient of a far query would overflow; it has no neighbour.
-    index = NearGrid([Point(0.0, 0.0)], 1e-300)
-    assert index.near(Point(1e10, 0.0)) == []
-    assert index.near(Point(0.0, 0.0)) == [0]
+    # The bucket quotient of a far query would overflow; clamped to just
+    # beyond the points, it stays finite and may gain a candidate, which the
+    # exact test rejects.
+    origin = np.array([0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, p = near_pairs(np.array([1e10, 0.0]), origin, origin, origin, 1e-300)
+    assert (0, 0) in zip(q.tolist(), p.tolist()) and set(p.tolist()) == {0}
+    inst = Instance.from_coords([(1e10, 0.0)], [(0.0, 0.0)], 1e-300)
+    assert not verify_solution(inst, [(0.0, 0.0)])
+    assert verify_solution(inst, [(1e10, 0.0)])
 
 
 def test_generate_signed_zeros_follow_pair_order():
