@@ -14,16 +14,16 @@ from .oracle import (exact_min_cost_cover, greedy_cover, grid_refine_audit,
                      strip_sensor_census)
 from .ptas import Placement, PtasConfig, Solution, solve, verify_solution
 from .strip_dp import StateBudgetError
-from .instances_io import (InstanceFormatError, SolutionFile, gen_counterexample,
-                           gen_uniform, read_instance, read_instance_file,
-                           read_report, read_solution, write_instance,
-                           write_report, write_solution)
+from .instances_io import (InstanceFormatError, gen_counterexample, gen_uniform,
+                           read_instance, read_instance_file, read_report,
+                           read_solution, write_instance, write_report,
+                           write_solution)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Instance", "InstanceFormatError", "Placement", "PtasConfig", "Solution",
-    "SolutionFile", "StateBudgetError", "exact_min_cost_cover",
+    "StateBudgetError", "exact_min_cost_cover",
     "gen_counterexample", "gen_uniform", "greedy_cover", "grid_refine_audit",
     "read_instance", "read_instance_file", "read_report", "read_solution",
     "solve", "strip_sensor_census", "verify_solution", "write_instance",

@@ -15,14 +15,14 @@ import os
 import sys
 import time
 
-from .instances_io import (InstanceFormatError, SolutionFile,
-                           counterexample_metadata, gen_counterexample,
-                           gen_uniform, read_instance, read_solution,
-                           uniform_metadata, write_instance, write_report,
-                           write_solution)
+from .instances_io import (InstanceFormatError, counterexample_metadata,
+                           gen_counterexample, gen_uniform, read_instance,
+                           read_solution, uniform_metadata, write_instance,
+                           write_report, write_solution)
 from .oracle import (check_grid_audit, exact_min_cost_cover, greedy_cover,
                      grid_refine_audit)
-from .ptas import PtasConfig, shift_average_audit, solve, verify_solution
+from .ptas import (Placement, PtasConfig, Solution, shift_average_audit, solve,
+                   verify_solution)
 from .sites import generate_candidate_sites, prune_dominated
 from .strip_dp import StateBudgetError
 from .svg_render import render_svg
@@ -116,21 +116,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _config_echo(config: PtasConfig, solution) -> dict:
-    return {"epsilon": config.epsilon, "m": solution.m,
-            "counters": solution.counters}
-
-
 def _cmd_solve(args) -> int:
     inst = read_instance(args.infile)
-    config = PtasConfig(epsilon=args.epsilon, m=args.m)
-    solution = solve(inst, config)
+    solution = solve(inst, PtasConfig(epsilon=args.epsilon, m=args.m))
     if not verify_solution(inst, solution.placements):
         _fail("internal", "solution failed the independent feasibility re-check")
         return 2
-    write_solution(args.out, solution, _config_echo(config, solution))
-    print(f"cost {solution.total_cost:.9f} using round {solution.shift_round_used} "
-          f"of {solution.m}, {len(solution.placements)} sensors -> {args.out}")
+    write_solution(args.out, solution)
+    print(f"cost {solution.total_cost:.9f} using round {solution.shift_round} "
+          f"of {len(solution.per_round_costs)}, {len(solution.placements)} sensors "
+          f"-> {args.out}")
     return 0
 
 
@@ -141,14 +136,13 @@ def _cmd_exact(args) -> int:
     if not res.feasible:
         _fail("infeasible", f"target {res.infeasible_target} cannot be covered")
         return 2
-    placements = [{"x": sites[i].position.x, "y": sites[i].position.y,
-                   "station": sites[i].origin_station, "weight": sites[i].weight}
-                  for i in sorted(res.site_indices)]
-    out = SolutionFile(total_cost=res.cost, shift_round=None,
-                       per_round_costs=[], placements=placements,
-                       config={"algorithm": "exact",
-                               "nodes_explored": res.nodes_explored})
-    write_solution(args.out, out)
+    placements = tuple(
+        Placement(sites[i].position, sites[i].origin_station, sites[i].weight)
+        for i in sorted(res.site_indices))
+    write_solution(args.out, Solution(
+        total_cost=res.cost, shift_round=None, per_round_costs=(),
+        placements=placements,
+        config={"algorithm": "exact", "nodes_explored": res.nodes_explored}))
     print(f"cost {res.cost:.9f}, {len(placements)} sensors, "
           f"{res.nodes_explored} nodes -> {args.out}")
     return 0
@@ -199,7 +193,7 @@ def _cmd_compare(args) -> int:
               f"{ratio(solution.total_cost):>14.9f} {bound:>10.9f}")
         records.append({"instance": name, "algorithm": f"shifted-m{m}",
                         "cost": solution.total_cost, "runtime_ms": ms_elapsed,
-                        "counters": solution.counters})
+                        "counters": solution.config["counters"]})
     if args.out:
         write_report(args.out, records)
     return 0

@@ -11,11 +11,11 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+import sys
 from pathlib import Path
 
 from .geometry import Point
-from .ptas import Solution
+from .ptas import Placement, Solution
 from .sites import Instance
 
 log = logging.getLogger(__name__)
@@ -67,7 +67,7 @@ def _point_list(raw, name: str, path: str) -> tuple[Point, ...]:
                 f"{path}: field \"{name}\"[{i}] must be an [x, y] pair")
         try:
             pts.append(Point(float(row[0]), float(row[1])))
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:
             raise InstanceFormatError(f"{path}: field \"{name}\"[{i}]: {e}") from e
     return tuple(pts)
 
@@ -117,46 +117,35 @@ def write_instance(path, instance: Instance, metadata: dict | None = None) -> No
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-@dataclass
-class SolutionFile:
-    """In-memory mirror of the solution file schema."""
-
-    total_cost: float
-    shift_round: int | None
-    per_round_costs: list[float]
-    placements: list[dict]      # {"x", "y", "station", "weight"}
-    config: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_solution(cls, solution: Solution, config: dict | None = None) -> "SolutionFile":
-        return cls(total_cost=solution.total_cost,
-                   shift_round=solution.shift_round_used,
-                   per_round_costs=list(solution.per_round_costs),
-                   placements=[{"x": p.position.x, "y": p.position.y,
-                                "station": p.station, "weight": p.weight}
-                               for p in solution.placements],
-                   config=dict(config or {}))
-
-    def placement_points(self) -> list[Point]:
-        return [Point(row["x"], row["y"]) for row in self.placements]
-
-    def to_json(self) -> str:
-        doc = {"total_cost": self.total_cost,
-               "shift_round": self.shift_round,
-               "per_round_costs": self.per_round_costs,
-               "placements": self.placements,
-               "config": self.config}
-        return json.dumps(doc, indent=2) + "\n"
+def write_solution(path, solution: Solution) -> None:
+    doc = {"total_cost": solution.total_cost,
+           "shift_round": solution.shift_round,
+           "per_round_costs": solution.per_round_costs,
+           "placements": [{"x": p.position.x, "y": p.position.y,
+                           "station": p.station, "weight": p.weight}
+                          for p in solution.placements],
+           "config": solution.config}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def write_solution(path, solution: Solution | SolutionFile,
-                   config: dict | None = None) -> None:
-    if isinstance(solution, Solution):
-        solution = SolutionFile.from_solution(solution, config)
-    Path(path).write_text(solution.to_json())
+def _placement(row, name: str, path: str) -> Placement:
+    if not (isinstance(row, dict) and _is_number(row.get("x"))
+            and _is_number(row.get("y"))):
+        raise InstanceFormatError(
+            f"{path}: {name} must be an object with numeric \"x\" and \"y\"")
+    station = row.get("station")
+    if isinstance(station, bool) or not isinstance(station, int) or station < 0:
+        raise InstanceFormatError(
+            f"{path}: {name}[\"station\"] must be a non-negative integer")
+    for key in ("x", "y", "weight"):
+        # Not math.isfinite: it overflows on integers past the float range.
+        if not (_is_number(row.get(key)) and abs(row[key]) <= sys.float_info.max):
+            raise InstanceFormatError(
+                f"{path}: {name}[\"{key}\"] must be a finite number")
+    return Placement(Point(float(row["x"]), float(row["y"])), station, row["weight"])
 
 
-def read_solution(path) -> SolutionFile:
+def read_solution(path) -> Solution:
     path = str(path)
     doc = _load_object(path)
     for key in ("total_cost", "shift_round", "per_round_costs", "placements"):
@@ -168,22 +157,16 @@ def read_solution(path) -> SolutionFile:
     for key in ("per_round_costs", "placements"):
         if not isinstance(doc[key], list):
             raise InstanceFormatError(f"{path}: field \"{key}\" must be a list")
-    for i, row in enumerate(doc["placements"]):
-        if not (isinstance(row, dict) and _is_number(row.get("x"))
-                and _is_number(row.get("y"))):
-            raise InstanceFormatError(
-                f"{path}: field \"placements\"[{i}] must be an object with "
-                f"numeric \"x\" and \"y\"")
+    placements = tuple(_placement(row, f"field \"placements\"[{i}]", path)
+                       for i, row in enumerate(doc["placements"]))
     config = _object(doc.get("config"), "config", path)
     m = config.get("m")
     if m is not None and (isinstance(m, bool) or not isinstance(m, int) or m < 1):
         raise InstanceFormatError(
             f"{path}: field \"config\"[\"m\"] must be a positive integer")
-    return SolutionFile(total_cost=doc["total_cost"],
-                        shift_round=shift,
-                        per_round_costs=list(doc["per_round_costs"]),
-                        placements=list(doc["placements"]),
-                        config=config)
+    return Solution(total_cost=doc["total_cost"], shift_round=shift,
+                    per_round_costs=tuple(doc["per_round_costs"]),
+                    placements=placements, config=config)
 
 
 def write_report(path, records: list[dict]) -> None:

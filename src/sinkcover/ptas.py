@@ -66,12 +66,15 @@ class Placement:
 
 @dataclass(frozen=True)
 class Solution:
-    placements: tuple[Placement, ...]
+    """A schedule, field for field as a solution file holds it.  `config`
+    echoes how it was found; an exact solve has no shift round and no
+    per-round costs."""
+
     total_cost: float
-    shift_round_used: int
+    shift_round: int | None
     per_round_costs: tuple[float, ...]
-    m: int
-    counters: dict[str, int]
+    placements: tuple[Placement, ...]
+    config: dict
 
 
 def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
@@ -123,12 +126,11 @@ def solve(instance: Instance, config: PtasConfig,
     placements = tuple(
         Placement(sites[i].position, sites[i].origin_station, sites[i].weight)
         for i in sorted(best_sites))
-    return Solution(placements=placements,
-                    total_cost=best_cost,
-                    shift_round_used=best_f,
-                    per_round_costs=per_round,
-                    m=m,
-                    counters={"subsets_enumerated": sum(n for _, _, n in results)})
+    subsets = sum(n for _, _, n in results)
+    return Solution(total_cost=best_cost, shift_round=best_f,
+                    per_round_costs=per_round, placements=placements,
+                    config={"epsilon": config.epsilon, "m": m,
+                            "counters": {"subsets_enumerated": subsets}})
 
 
 def verify_solution(instance: Instance, placements) -> bool:

@@ -132,7 +132,8 @@ def _positions(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
 def _circle_pair_points(tx, ty, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The intersection points of the radius-r circles around each pair of
     targets, in ascending (i, j) order: none for coincident or disjoint
-    circles, the midpoint for tangent ones (h <= 1e-12 r).  The order of a
+    circles, the midpoint for tangent ones (h == 0; any other h is at
+    least about 1e-8 r, the root of one rounding step of r*r).  The order of a
     pair's two points shows nowhere: they are distinct, so they neither
     merge with each other nor tie in the final sort."""
     i, j = near_pairs(tx, ty, tx, ty, 2.0 * r)
@@ -146,7 +147,7 @@ def _circle_pair_points(tx, ty, r: float) -> tuple[np.ndarray, np.ndarray]:
         h = np.sqrt(disc)
         mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
         ux, uy = (bx - ax) / d, (by - ay) / d
-        tangent = h <= 1e-12 * r
+        tangent = h == 0.0
         xs = np.stack((np.where(tangent, mx, mx - h * uy), mx + h * uy), axis=1)
         ys = np.stack((np.where(tangent, my, my + h * ux), my - h * ux), axis=1)
     meet = (d != 0.0) & (disc >= 0.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .grid import bounding_box
-from .instances_io import SolutionFile
+from .ptas import Solution
 from .sites import Instance
 
 _F = "{:.6f}".format
@@ -49,7 +49,7 @@ class _Svg:
         return "\n".join(self.parts) + "\n"
 
 
-def render_svg(instance: Instance, solution: SolutionFile | None = None,
+def render_svg(instance: Instance, solution: Solution | None = None,
                size: float = 640.0) -> str:
     """Render an instance (and optionally a solution) as an SVG document.
 
@@ -60,8 +60,8 @@ def render_svg(instance: Instance, solution: SolutionFile | None = None,
     xs = [p.x for p in instance.targets] + [p.x for p in instance.stations]
     ys = [p.y for p in instance.targets] + [p.y for p in instance.stations]
     if solution is not None:
-        xs += [row["x"] for row in solution.placements]
-        ys += [row["y"] for row in solution.placements]
+        xs += [p.position.x for p in solution.placements]
+        ys += [p.position.y for p in solution.placements]
     if not xs:
         xs, ys = [0.0], [0.0]
     x0, x1 = min(xs) - 1.5 * r, max(xs) + 1.5 * r
@@ -101,11 +101,11 @@ def render_svg(instance: Instance, solution: SolutionFile | None = None,
     for p in instance.stations:
         svg.square(sx(p.x), sy(p.y), 4.0, "#cc3333")
     if solution is not None:
-        for row in solution.placements:
-            st = row.get("station")
-            if isinstance(st, int) and 0 <= st < instance.k:
-                origin = instance.stations[st]
-                svg.line(sx(origin.x), sy(origin.y), sx(row["x"]), sy(row["y"]),
-                         "#cc3333", 0.75, dash="4 3")
-            svg.cross(sx(row["x"]), sy(row["y"]), 4.0, "#118833")
+        for p in solution.placements:
+            # A solution file may name a station its instance file lacks.
+            if p.station < instance.k:
+                origin = instance.stations[p.station]
+                svg.line(sx(origin.x), sy(origin.y), sx(p.position.x),
+                         sy(p.position.y), "#cc3333", 0.75, dash="4 3")
+            svg.cross(sx(p.position.x), sy(p.position.y), 4.0, "#118833")
     return svg.finish()

@@ -26,8 +26,9 @@ def footprint_state_bound(strips):
 def solve_state_bound(instance, solution, sites):
     """`footprint_state_bound` summed over every cell of every shift round
     of a solve that used `sites`."""
-    grid = bounding_box(instance, solution.m)
+    m = len(solution.per_round_costs)
+    grid = bounding_box(instance, m)
     coverers = coverers_by_target(sites)
     return sum(footprint_state_bound(strips_of_cell(cell, coverers))
-               for f in range(solution.m)
+               for f in range(m)
                for cell in cells_for_shift(grid, instance.targets, f))

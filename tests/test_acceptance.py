@@ -208,7 +208,7 @@ def test_criterion_8_counter_envelope():
         sites = prune_dominated(generate_candidate_sites(inst))
         for m in (2, 4):
             sol = solve(inst, PtasConfig(m=m), sites=sites)
-            states = sol.counters["subsets_enumerated"]
+            states = sol.config["counters"]["subsets_enumerated"]
             bound = solve_state_bound(inst, sol, sites)
             assert states <= bound, (seed, m, states, bound)
             worst_ratio = max(worst_ratio, states / bound)

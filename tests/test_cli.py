@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import json
 import os
 import subprocess
@@ -73,7 +74,7 @@ def test_solve_output_passes_feasibility_recheck(tmp_path):
                 "--out", str(out), "--jobs", "1"]) == 0
     inst = read_instance(path)
     sol = read_solution(out)
-    assert verify_solution(inst, sol.placement_points())
+    assert verify_solution(inst, sol.placements)
 
 
 def test_solve_byte_identical_reruns(tmp_path):
@@ -190,8 +191,26 @@ def test_exact_verb(tmp_path):
     assert run(["exact", "--in", str(path), "--out", str(out)]) == 0
     sol = read_solution(out)
     inst = read_instance(path)
-    assert verify_solution(inst, sol.placement_points())
+    assert verify_solution(inst, sol.placements)
     assert sol.shift_round is None
+
+
+@pytest.mark.parametrize("kw, solve_sha, exact_sha", [
+    (dict(n=6, k=2, extent=5.0, seed=1),
+     "db5e152096f40c1f9e7b5cacfbaee2b8c4c4a9a9f05faf1fa14151d3a53562dc",
+     "97b684a288da982143c3bd83bd5594dc980bd174f4b11b1f6189205c33823e26"),
+    (dict(n=9, k=2, extent=10.0, seed=4),    # wins in round 1 of 4
+     "1ba8176bf2a39d4cba1113be745f2f502c221aa7eb490b4281fd74e6b7cb1a18",
+     "0689bd9e6ee596a3111fbb4f1512b04f05ec858ff19fd193e7053a68fe773e3a"),
+])
+def test_solution_file_bytes_are_pinned(tmp_path, kw, solve_sha, exact_sha):
+    # Any change to what `solve --m 4` or `exact` writes changes these digests.
+    path = _gen(tmp_path, **kw)
+    sol, exact = tmp_path / "sol.json", tmp_path / "exact.json"
+    assert run(["solve", "--in", str(path), "--m", "4", "--out", str(sol)]) == 0
+    assert run(["exact", "--in", str(path), "--out", str(exact)]) == 0
+    assert hashlib.sha256(sol.read_bytes()).hexdigest() == solve_sha
+    assert hashlib.sha256(exact.read_bytes()).hexdigest() == exact_sha
 
 
 def test_exact_matches_solve_quality(tmp_path):
@@ -425,6 +444,22 @@ _SOLUTION = {"total_cost": 1.0, "shift_round": 0, "per_round_costs": [1.0],
     ({"config": {"m": "x"}}, 'field "config"["m"] must be a positive integer'),
     ({"config": {"m": 0}}, 'field "config"["m"] must be a positive integer'),
     ({"config": {"m": True}}, 'field "config"["m"] must be a positive integer'),
+    ({"placements": [{"x": 0.5, "y": 0.0, "station": 1.0, "weight": 0.5}]},
+     '"placements"[0]["station"] must be a non-negative integer'),
+    ({"placements": [{"x": 0.5, "y": 0.0, "station": True, "weight": 0.5}]},
+     '"placements"[0]["station"] must be a non-negative integer'),
+    ({"placements": [{"x": 0.5, "y": 0.0, "station": -1, "weight": 0.5}]},
+     '"placements"[0]["station"] must be a non-negative integer'),
+    ({"placements": [{"x": 0.5, "y": 0.0, "station": 0}]},
+     '"placements"[0]["weight"] must be a finite number'),
+    ({"placements": [{"x": 0.5, "y": 0.0, "station": 0, "weight": "0.5"}]},
+     '"placements"[0]["weight"] must be a finite number'),
+    ({"placements": [{"x": float("inf"), "y": 0.0, "station": 0, "weight": 0.5}]},
+     '"placements"[0]["x"] must be a finite number'),
+    ({"placements": [{"x": 0.5, "y": float("-inf"), "station": 0, "weight": 0.5}]},
+     '"placements"[0]["y"] must be a finite number'),
+    ({"placements": [{"x": 10 ** 400, "y": 0.0, "station": 0, "weight": 0.5}]},
+     '"placements"[0]["x"] must be a finite number'),
 ])
 def test_render_rejects_malformed_solution_fields(tmp_path, capsys, fields, message):
     path = _gen(tmp_path, n=3, seed=4)
@@ -438,6 +473,17 @@ def test_render_rejects_malformed_solution_fields(tmp_path, capsys, fields, mess
     else:
         assert code == 1
         assert err.startswith(f"error[parse]: {sol}: ") and message in err
+
+
+def test_render_draws_no_line_from_a_station_the_instance_lacks(tmp_path):
+    path = _gen(tmp_path, n=3, k=2, seed=4)
+    sol, svg = tmp_path / "sol.json", tmp_path / "out.svg"
+    for station, dashed in ((1, 1), (2, 0)):
+        placement = {"x": 0.5, "y": 0.0, "station": station, "weight": 0.5}
+        sol.write_text(json.dumps({**_SOLUTION, "placements": [placement]}))
+        assert run(["render", "--in", str(path), "--solution", str(sol),
+                    "--svg", str(svg)]) == 0
+        assert svg.read_text().count("stroke-dasharray") == dashed
 
 
 def test_render_rejects_a_solution_that_is_not_an_object(tmp_path, capsys):

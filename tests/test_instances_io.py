@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sinkcover import cli
 from sinkcover.cli import run
-from sinkcover.instances_io import (InstanceFormatError, SolutionFile,
-                                    gen_counterexample, gen_uniform,
-                                    read_instance, read_instance_file,
-                                    read_report, read_solution, write_instance,
+from sinkcover.instances_io import (InstanceFormatError, gen_counterexample,
+                                    gen_uniform, read_instance,
+                                    read_instance_file, read_report,
+                                    read_solution, write_instance,
                                     write_report, write_solution)
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.ptas import PtasConfig, solve
 from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
 
 coords = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
@@ -156,6 +156,17 @@ def test_bad_point_row_named(tmp_path):
         read_instance(path)
 
 
+def test_integer_past_the_float_range_is_a_parse_error(tmp_path, capsys):
+    # float(10 ** 400) raises OverflowError, not ValueError.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"r": 1.0, "targets": [[0, 0], [10 ** 400, 0]],
+                                "stations": [[0, 0]]}))
+    assert run(["solve", "--in", str(path), "--m", "2",
+                "--out", str(tmp_path / "sol.json")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f'error[parse]: {path}: field "targets"[1]: ')
+
+
 @pytest.mark.parametrize("doc", [
     {"r": True, "targets": [[0, 0]], "stations": [[0, 0]]},
     {"r": 1.0, "targets": [[True, False], [2.0, 0.0]], "stations": [[0, 0]]},
@@ -173,17 +184,21 @@ def test_json_booleans_rejected(tmp_path, capsys, doc):
     assert not (tmp_path / "sol.json").exists()
 
 
-def test_solution_file_roundtrip(tmp_path):
-    inst = gen_uniform(6, 1, 1.0, 8.0, 1)
-    sol = solve(inst, PtasConfig(m=2))
-    path = tmp_path / "sol.json"
-    write_solution(path, sol, {"m": sol.m, "seed": 0})
-    back = read_solution(path)
-    assert back.total_cost == sol.total_cost
-    assert back.shift_round == sol.shift_round_used
-    assert back.per_round_costs == list(sol.per_round_costs)
-    assert len(back.placements) == len(sol.placements)
-    assert back.config["m"] == sol.m
+def test_solution_file_roundtrip(tmp_path, monkeypatch):
+    # What `solve` and `exact` write reads back as the Solution they wrote.
+    written = []
+
+    def record(path, solution):
+        written.append(solution)
+        write_solution(path, solution)
+
+    monkeypatch.setattr(cli, "write_solution", record)
+    inst_path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+    write_instance(inst_path, gen_uniform(6, 2, 1.0, 5.0, 1))
+    for argv in (["solve", "--m", "2"], ["solve", "--epsilon", "0.5"], ["exact"]):
+        assert run(argv + ["--in", str(inst_path), "--out", str(out)]) == 0
+        assert read_solution(out) == written[-1]
+    assert [s.shift_round is None for s in written] == [False, False, True]
 
 
 def test_report_roundtrip(tmp_path):

@@ -190,7 +190,7 @@ def test_census_density_on_verified_solves():
         sol = solve(inst, PtasConfig(m=4))
         assert verify_solution(inst, sol.placements)
         pos = [p.position for p in sol.placements]
-        rep = strip_sensor_census(inst, pos, 4, shift=sol.shift_round_used)
+        rep = strip_sensor_census(inst, pos, 4, shift=sol.shift_round)
         assert sum(rep.strip_counts.values()) == len(pos)
         worst = max(worst, rep.max_per_strip)
     print(f"  density lemma: at most {worst} sensors in one 2r strip (m=4)")
@@ -207,7 +207,7 @@ def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
     for seed in range(4):
         inst = gen_uniform(20, 2, 1.0, 8.0, seed + 310)
         sol = solve(inst, PtasConfig(m=m))
-        f = sol.shift_round_used
+        f = sol.shift_round
         pos = [p.position for p in sol.placements]
         g = bounding_box(inst, m)
         binned = {(*cell.index, j + 1): len(members)

@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from reference_geometry import covered_targets
 
 from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
-                             prune_dominated, site_weight)
+from sinkcover.sites import (CandidateSite, Instance, _circle_pair_points,
+                             generate_candidate_sites, prune_dominated, site_weight)
 
 
 def test_site_weight_minimum():
@@ -47,6 +48,15 @@ def test_generate_best_site_is_circle_projection():
     assert best.position == Point(1.0, 0.0)
     assert best.covered == {0}
     assert best.weight == pytest.approx(4.0)
+
+
+def test_tangent_circle_pair_gives_its_signed_midpoint():
+    # Circles exactly 2r apart meet at one point, their midpoint, which keeps
+    # the sign of -0.0.  Without the tangent case the pair's first point,
+    # mx - h * uy = -0.0 - 0.0 * -1.0, would be +0.0.
+    xs, ys = _circle_pair_points(np.array([-0.0, -0.0]), np.array([2.0, 0.0]), 1.0)
+    assert xs.tolist() == [0.0] and ys.tolist() == [1.0]
+    assert math.copysign(1.0, xs[0]) == -1.0
 
 
 def test_generate_station_inside_detection_circle():
