@@ -36,6 +36,11 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    # Not math.isfinite: it overflows on integers past the float range.
+    return _is_number(v) and abs(v) <= sys.float_info.max
+
+
 def _object(raw, name: str, path: str) -> dict:
     """A copy of an object field; absent or null reads as {}."""
     if raw is None:
@@ -138,8 +143,7 @@ def _placement(row, name: str, path: str) -> Placement:
         raise InstanceFormatError(
             f"{path}: {name}[\"station\"] must be a non-negative integer")
     for key in ("x", "y", "weight"):
-        # Not math.isfinite: it overflows on integers past the float range.
-        if not (_is_number(row.get(key)) and abs(row[key]) <= sys.float_info.max):
+        if not _is_finite(row.get(key)):
             raise InstanceFormatError(
                 f"{path}: {name}[\"{key}\"] must be a finite number")
     return Placement(Point(float(row["x"]), float(row["y"])), station, row["weight"])
@@ -150,6 +154,8 @@ def read_solution(path) -> Solution:
     doc = _load_object(path)
     for key in ("total_cost", "shift_round", "per_round_costs", "placements"):
         _require(doc, key, path)
+    if not _is_finite(doc["total_cost"]):
+        raise InstanceFormatError(f"{path}: field \"total_cost\" must be a finite number")
     shift = doc["shift_round"]
     if shift is not None and (isinstance(shift, bool) or not isinstance(shift, int)):
         raise InstanceFormatError(
@@ -157,6 +163,10 @@ def read_solution(path) -> Solution:
     for key in ("per_round_costs", "placements"):
         if not isinstance(doc[key], list):
             raise InstanceFormatError(f"{path}: field \"{key}\" must be a list")
+    for i, cost in enumerate(doc["per_round_costs"]):
+        if not _is_finite(cost):
+            raise InstanceFormatError(
+                f"{path}: field \"per_round_costs\"[{i}] must be a finite number")
     placements = tuple(_placement(row, f"field \"placements\"[{i}]", path)
                        for i, row in enumerate(doc["placements"]))
     config = _object(doc.get("config"), "config", path)

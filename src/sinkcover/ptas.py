@@ -106,8 +106,8 @@ def solve(instance: Instance, config: PtasConfig,
     """Run all shift rounds and return the cheapest feasible schedule.
 
     `sites` may be supplied to reuse a candidate list (it must come from
-    `generate_candidate_sites`, optionally pruned); by default candidates
-    are generated and dominated ones pruned.  Rounds are solved one after
+    `prune_dominated`, or list the rows of `generate_candidate_sites`); by
+    default candidates are generated and dominated ones pruned.  Rounds are solved one after
     another in this process; ties go to the lowest round.
     """
     if instance.n == 0:

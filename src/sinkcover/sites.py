@@ -83,11 +83,37 @@ def site_weight(position: Point, stations) -> tuple[float, int]:
     return best_w, best_i
 
 
-def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Raw candidate sites as numpy columns, row i being site i.
+
+    Row i covers the targets `members[lo[i]:hi[i]]`, in ascending order.
+    Most raw sites fall to `prune_dominated` right away, so they stay
+    columns, and only the kept ones become `CandidateSite`s.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
+    origin: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    members: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def __getitem__(self, i: int) -> CandidateSite:
+        covered = frozenset(self.members[self.lo[i]:self.hi[i]].tolist())
+        return CandidateSite(Point(self.x[i].item(), self.y[i].item()), covered,
+                             self.weight[i].item(), self.origin[i].item())
+
+
+def generate_candidate_sites(instance: Instance) -> CandidateTable:
     """Enumerate candidate sites for an instance.
 
     Duplicate positions are merged, sites covering no target are dropped,
-    and the result is sorted by (weight, x, y) so downstream enumeration and
+    and the rows are sorted by (weight, x, y) so downstream enumeration and
     tie-breaking are reproducible.  Positions are first seen in the order
     stations, targets, circle pairs (ascending (i, j)), projections
     ((target, station) order); the first one seen wins a merge, which
@@ -105,12 +131,11 @@ def generate_candidate_sites(instance: Instance) -> list[CandidateSite]:
     # Each stage returns only what the next needs, so the intermediates of
     # one are freed before the next allocates.
     qx, qy = _positions(tx, ty, sx, sy, instance.r)
-    covered, qx, qy = _coverage(qx, qy, tx, ty, reach)
+    members, lo, hi, qx, qy = _coverage(qx, qy, tx, ty, reach)
     weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations)
-    order = np.lexsort((qy, qx, weight)).tolist()
-    x, y = qx.tolist(), qy.tolist()
-    return [CandidateSite(Point(x[i], y[i]), covered[i], weight[i], origin[i])
-            for i in order]
+    order = np.lexsort((qy, qx, weight))
+    return CandidateTable(qx[order], qy[order], weight[order], origin[order],
+                          lo[order], hi[order], members)
 
 
 def _positions(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +150,8 @@ def _positions(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
     pos = np.fromiter(itertools.chain.from_iterable(seen), float, 2 * len(seen))
     if not np.isfinite(pos).all():
         bad = np.isfinite(pos).reshape(-1, 2).all(axis=1).argmin()
-        Point(*pos[2 * bad:2 * bad + 2].tolist())     # rejects it with ValueError
+        x, y = pos[2 * bad:2 * bad + 2].tolist()
+        raise ValueError(f"non-finite point ({x}, {y})")
     return pos[0::2].copy(), pos[1::2].copy()
 
 
@@ -156,22 +182,18 @@ def _circle_pair_points(tx, ty, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coverage(qx, qy, tx, ty, reach: float):
-    """The targets each position covers, for the positions covering any,
-    with those positions' coordinates."""
+    """The targets each position covers, for the positions covering any:
+    position i covers `members[lo[i]:hi[i]]`, ascending; with those
+    positions' coordinates."""
     q, c = near_pairs(qx, qy, tx, ty, reach)
     inside = hypot(qx[q] - tx[c], qy[q] - ty[c]) <= reach
     q, c = q[inside], c[inside]
-    heads = _run_heads(q).nonzero()[0]
-    # One int object per target, shared by every set holding it: sets of
-    # fresh ints (tolist makes one per element) take more memory and are
-    # slower to walk, as the strip DP does for every cell.
-    members = list(map(list(range(len(tx))).__getitem__, c.tolist()))
-    bounds = heads.tolist() + [len(members)]
-    covered = [frozenset(members[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return covered, qx[q[heads]], qy[q[heads]]
+    lo = _run_heads(q).nonzero()[0]
+    hi = np.append(lo[1:], len(c))
+    return c, lo, hi, qx[q[lo]], qy[q[lo]]
 
 
-def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[list[float], list[int]]:
+def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[np.ndarray, np.ndarray]:
     """Each position's distance to its nearest station and that station's
     index, lowest on ties, as `site_weight` gives them.
 
@@ -184,8 +206,7 @@ def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[list[float], list[int]]
     origin = near.argmin(axis=1)
     band = np.minimum.reduce(near, axis=1) * (1.0 + 1e-12) + 1e-300
     tied = (np.add.reduce(near <= band[:, None], axis=1) > 1).nonzero()[0].tolist()
-    weight = hypot(qx - sx[origin], qy - sy[origin]).tolist()
-    origin = origin.tolist()
+    weight = hypot(qx - sx[origin], qy - sy[origin])
     for i in tied:
         weight[i], origin[i] = site_weight(Point(float(qx[i]), float(qy[i])), stations)
     return weight, origin
@@ -228,44 +249,53 @@ def coverers_by_target(sites: list[CandidateSite]) -> dict[int, list[int]]:
     return out
 
 
-def prune_dominated(sites: list[CandidateSite]) -> list[CandidateSite]:
+def prune_dominated(table: CandidateTable) -> list[CandidateSite]:
     """Drop sites whose coverage is available elsewhere at no extra cost.
 
     A site is removed when another site covers a superset of its targets at
     a weight that is no larger.  Exact ties (same covered set, same weight)
-    keep the lexicographically smaller position, then the earlier index.
+    keep the lexicographically smaller position, then the earlier row.
     That makes domination a strict partial order and the kept sites its
-    maximal elements, whatever the input order.  So only the least site of
-    each covered set by (weight, position, index) can be kept, and it is
+    maximal elements, whatever the row order.  So only the least site of
+    each covered set by (weight, position, row) can be kept, and it is
     kept unless a strict superset's least site weighs no more; such a
     superset holds the set's lowest target (every nonempty set is a strict
-    superset of the empty one).  Kept sites are returned in input order.
+    superset of the empty one).  Only the kept sites are built, in row
+    order.
     """
-    if not sites:
+    if not len(table):
         return []
-    groups: dict[frozenset[int], int] = {}
-    group = np.array([groups.setdefault(s.covered, len(groups)) for s in sites])
-    weight = np.array([s.weight for s in sites])
+    # Each row's targets are ascending, so two rows cover equal sets exactly
+    # when their member bytes are equal.
+    size = table.members.itemsize
+    buf = table.members.tobytes()
+    groups: dict[bytes, int] = {}
+    group = np.array([groups.setdefault(buf[a:b], len(groups)) for a, b in
+                      zip((table.lo * size).tolist(), (table.hi * size).tolist())])
     w = np.full(len(groups), np.inf)
-    np.minimum.at(w, group, weight)
-    # The few sites at their set's least weight, by (set, position, index).
-    tied = np.flatnonzero(weight == w[group])
-    x = np.array([sites[i].position.x for i in tied.tolist()])
-    y = np.array([sites[i].position.y for i in tied.tolist()])
-    tied = tied[np.lexsort((y, x, group[tied]))]
+    np.minimum.at(w, group, table.weight)
+    # The few sites at their set's least weight, by (set, position, row).
+    tied = np.flatnonzero(table.weight == w[group])
+    tied = tied[np.lexsort((table.y[tied], table.x[tied], group[tied]))]
     least = tied[_run_heads(group[tied])]
-    sets, w = list(groups), w.tolist()
+    members = table.members.tolist()
+    sets = [frozenset(members[a:b]) for a, b in
+            zip(table.lo[least].tolist(), table.hi[least].tolist())]
+    w = w.tolist()
     holders: dict[int, list[int]] = {}
     for g, cov in enumerate(sets):
         for t in cov:
             holders.setdefault(t, []).append(g)
     lightest = min((w[g] for g, cov in enumerate(sets) if cov), default=math.inf)
     kept = []
-    for g, (i, cov) in enumerate(zip(least.tolist(), sets)):
+    for g, cov in enumerate(sets):
         if cov:
             dominated = any(cov < sets[h] and w[h] <= w[g] for h in holders[min(cov)])
         else:
             dominated = lightest <= w[g]
         if not dominated:
-            kept.append(i)
-    return [sites[i] for i in sorted(kept)]
+            kept.append(g)
+    rows = np.sort(least[kept])
+    return [CandidateSite(Point(x, y), sets[g], wt, o) for x, y, g, wt, o in
+            zip(table.x[rows].tolist(), table.y[rows].tolist(), group[rows].tolist(),
+                table.weight[rows].tolist(), table.origin[rows].tolist())]

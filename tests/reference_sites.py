@@ -5,10 +5,25 @@ target pair, every (site, target) pair and every site pair, and serve as
 the reference the indexed versions must reproduce exactly, order included.
 """
 
+import numpy as np
 from reference_geometry import (circle_circle_intersections, covered_targets,
                                 nearest_point_on_circle)
 
-from sinkcover.sites import CandidateSite, site_weight
+from sinkcover.sites import CandidateSite, CandidateTable, site_weight
+
+
+def candidate_table(sites):
+    """The `CandidateTable` whose rows are `sites`, in list order."""
+    covered = [sorted(s.covered) for s in sites]
+    size = np.array([len(c) for c in covered], dtype=np.intp)
+    hi = size.cumsum()
+    return CandidateTable(
+        x=np.array([s.position.x for s in sites], dtype=float),
+        y=np.array([s.position.y for s in sites], dtype=float),
+        weight=np.array([s.weight for s in sites], dtype=float),
+        origin=np.array([s.origin_station for s in sites], dtype=np.intp),
+        lo=hi - size, hi=hi,
+        members=np.array([t for c in covered for t in c], dtype=np.intp))
 
 
 def all_pairs_candidate_sites(instance):

@@ -460,6 +460,8 @@ _SOLUTION = {"total_cost": 1.0, "shift_round": 0, "per_round_costs": [1.0],
      '"placements"[0]["y"] must be a finite number'),
     ({"placements": [{"x": 10 ** 400, "y": 0.0, "station": 0, "weight": 0.5}]},
      '"placements"[0]["x"] must be a finite number'),
+    ({"total_cost": "abc", "per_round_costs": [None, "x"]},
+     'field "total_cost" must be a finite number'),
 ])
 def test_render_rejects_malformed_solution_fields(tmp_path, capsys, fields, message):
     path = _gen(tmp_path, n=3, seed=4)

@@ -201,6 +201,37 @@ def test_solution_file_roundtrip(tmp_path, monkeypatch):
     assert [s.shift_round is None for s in written] == [False, False, True]
 
 
+_SOLUTION = {"total_cost": 1.0, "shift_round": 0, "per_round_costs": [0.5, 1.0],
+             "placements": [], "config": {"m": 2}}
+
+
+@pytest.mark.parametrize("cost", ["abc", None, True, [1.0], float("inf"),
+                                  float("nan"), 10 ** 400])
+def test_read_solution_rejects_non_finite_total_cost(tmp_path, cost):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({**_SOLUTION, "total_cost": cost}))
+    with pytest.raises(InstanceFormatError, match='field "total_cost" must be a finite number'):
+        read_solution(path)
+
+
+@pytest.mark.parametrize("cost", ["x", None, False, float("-inf"), float("nan"),
+                                  -10 ** 400])
+def test_read_solution_rejects_non_finite_round_cost(tmp_path, cost):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({**_SOLUTION, "per_round_costs": [0.5, cost]}))
+    with pytest.raises(InstanceFormatError,
+                       match=r'field "per_round_costs"\[1\] must be a finite number'):
+        read_solution(path)
+
+
+def test_read_solution_takes_integer_costs(tmp_path):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({**_SOLUTION, "total_cost": 10 ** 300,
+                                "per_round_costs": [0, 1]}))
+    sol = read_solution(path)
+    assert sol.total_cost == 10 ** 300 and sol.per_round_costs == (0, 1)
+
+
 def test_report_roundtrip(tmp_path):
     records = [{"instance": "x.json", "algorithm": "exact", "cost": 1.5,
                 "runtime_ms": 3.25, "counters": {"nodes_explored": 7}}]

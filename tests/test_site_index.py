@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_sites import all_pairs_candidate_sites, all_pairs_prune
+from reference_sites import all_pairs_candidate_sites, all_pairs_prune, candidate_table
 
 from sinkcover.geometry import COVER_TOL, Point, near_pairs
 from sinkcover.ptas import verify_solution
@@ -87,15 +87,17 @@ def _same(got, want):
 
 @given(instances())
 def test_generate_matches_all_pairs(inst):
-    _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
+    table, want = generate_candidate_sites(inst), all_pairs_candidate_sites(inst)
+    _same(table, want)
+    _same(prune_dominated(table), all_pairs_prune(want))
 
 
 @given(instances(), st.randoms(use_true_random=False))
 def test_prune_matches_all_pairs(inst, rnd):
     sites = all_pairs_candidate_sites(inst)
-    _same(prune_dominated(sites), all_pairs_prune(sites))
+    _same(prune_dominated(candidate_table(sites)), all_pairs_prune(sites))
     rnd.shuffle(sites)
-    _same(prune_dominated(sites), all_pairs_prune(sites))
+    _same(prune_dominated(candidate_table(sites)), all_pairs_prune(sites))
 
 
 @st.composite
@@ -111,11 +113,15 @@ def site_lists(draw):
 
 @given(site_lists())
 def test_prune_matches_all_pairs_on_hand_made_sites(sites):
-    _same(prune_dominated(sites), all_pairs_prune(sites))
+    _same(prune_dominated(candidate_table(sites)), all_pairs_prune(sites))
 
 
 def _site(cov, w, pos):
     return CandidateSite(Point(*pos), frozenset(cov), w, 0)
+
+
+def _prune(sites):
+    return prune_dominated(candidate_table(sites))
 
 
 def test_prune_empty_coverage():
@@ -124,10 +130,10 @@ def test_prune_empty_coverage():
     cover = _site({0}, 1.0, (1, 0))
     # Every site covers the empty set, so an empty site falls to any site
     # that is no heavier, and survives only when it is the lightest.
-    assert prune_dominated([empty, cover]) == [cover]
-    assert prune_dominated([cover, cheaper_empty]) == [cover, cheaper_empty]
-    assert prune_dominated([cheaper_empty, empty, cover]) == [cheaper_empty, cover]
-    assert prune_dominated([empty]) == [empty]
+    assert _prune([empty, cover]) == [cover]
+    assert _prune([cover, cheaper_empty]) == [cover, cheaper_empty]
+    assert _prune([cheaper_empty, empty, cover]) == [cheaper_empty, cover]
+    assert _prune([empty]) == [empty]
 
 
 def test_prune_unsorted_chain():
@@ -136,7 +142,7 @@ def test_prune_unsorted_chain():
     c = _site({0, 1, 2}, 1.0, (2, 0))
     d = _site({3}, 5.0, (3, 0))
     for order in ([a, b, c, d], [d, c, b, a], [b, d, a, c]):
-        assert prune_dominated(order) == [s for s in order if s in (c, d)]
+        assert _prune(order) == [s for s in order if s in (c, d)]
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])

@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 from reference_geometry import covered_targets
+from reference_sites import candidate_table
 
+from sinkcover import sites as sites_module
 from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover.sites import (CandidateSite, Instance, _circle_pair_points,
@@ -104,7 +106,7 @@ def test_generate_sorted_deterministic():
     inst = Instance.from_coords([(0, 0), (1.5, 0.2)], [(3, 3)], 1.0)
     a = generate_candidate_sites(inst)
     b = generate_candidate_sites(inst)
-    assert a == b
+    assert list(a) == list(b)
     keys = [(s.weight, s.position.x, s.position.y) for s in a]
     assert keys == sorted(keys)
 
@@ -113,23 +115,46 @@ def _site(cov, w, pos=(0.0, 0.0)):
     return CandidateSite(Point(*pos), frozenset(cov), w, 0)
 
 
+def _prune(sites):
+    return prune_dominated(candidate_table(sites))
+
+
 def test_prune_strict_domination():
     a = _site({0}, 4.0, (0, 0))
     b = _site({0, 1}, 3.0, (1, 0))
-    assert prune_dominated([a, b]) == [b]
+    assert _prune([a, b]) == [b]
 
 
 def test_prune_incomparable_kept():
     a = _site({0}, 1.0, (0, 0))
     b = _site({1}, 1.0, (1, 0))
-    assert prune_dominated([a, b]) == [a, b]
+    assert _prune([a, b]) == [a, b]
 
 
 def test_prune_tie_keeps_smaller_position():
     a = _site({0}, 2.0, (0, 0))
     b = _site({0}, 2.0, (5, 5))
-    assert prune_dominated([a, b]) == [a]
-    assert prune_dominated([b, a]) == [a]
+    assert _prune([a, b]) == [a]
+    assert _prune([b, a]) == [a]
+
+
+def test_prune_builds_only_kept_sites(monkeypatch):
+    built = []
+
+    class Counted(CandidateSite):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sites_module, "CandidateSite", Counted)
+    rng = random.Random(3)
+    inst = Instance.from_coords(
+        [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(40)],
+        [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(3)], 1.0)
+    table = generate_candidate_sites(inst)
+    kept = prune_dominated(table)
+    assert 0 < len(kept) < len(table)
+    assert len(built) == len(kept)
 
 
 def test_prune_keeps_cover_for_every_target():
@@ -155,6 +180,6 @@ def test_prune_preserves_exact_optimum():
             [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(k)], 1.0)
         sites = generate_candidate_sites(inst)
         pruned = prune_dominated(sites)
-        full = exact_min_cost_cover(inst.n, sites)
+        full = exact_min_cost_cover(inst.n, list(sites))
         slim = exact_min_cost_cover(inst.n, pruned)
         assert slim.cost == pytest.approx(full.cost, rel=1e-12, abs=1e-12)
