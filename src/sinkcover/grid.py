@@ -7,15 +7,19 @@ Shift round f translates the whole tiling by (2*f*r, 2*f*r).
 
 This module is the only code that knows where round f's cells and strips
 lie.  `cells_for_shift` bins a point list in one pass: a cell is its index
-plus one tuple of point indices per strip.  The solver bins targets, the
-sensor census bins placed sensors, and `render` draws the lines of the same
-tiling from `Grid.corner`.
+plus one tuple of point indices per strip.  `cell_keys` gives the cell of
+each point of an array by the same arithmetic, so the solver can tell
+which target clusters fit inside one cell of a round.  The solver bins
+targets, and `render` draws the lines of the same tiling from
+`Grid.corner`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import Point
 from .sites import Instance
@@ -77,12 +81,24 @@ def bounding_box(instance: Instance, m: int) -> Grid:
                 m=m, r=instance.r)
 
 
+def cell_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray,
+              f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Round f's cell index of each point (xs[i], ys[i]), one float array
+    per axis: floor((x - corner) / side), the arithmetic `cells_for_shift`
+    bins by, so a point's keys are the index of the cell it lands in."""
+    off = grid.corner(f)
+    return (np.floor((xs - off.x) / grid.cell_side),
+            np.floor((ys - off.y) / grid.cell_side))
+
+
 def cells_for_shift(grid: Grid, points: list[Point] | tuple[Point, ...],
-                    f: int) -> list[Cell]:
+                    f: int, among: list[int] | None = None) -> list[Cell]:
     """Cells of shift round f holding any of `points`, in index order.
 
-    Cell membership is half-open, [lo, lo + side) in both axes, so every
-    point lands in exactly one cell; within it, a point lands in strip
+    Only the points whose indices `among` lists are binned (by default,
+    all); a cell names each point by its index in `points`.  Cell
+    membership is half-open, [lo, lo + side) in both axes, so every point
+    lands in exactly one cell; within it, a point lands in strip
     floor((x - lo) / 2r), clamped to the cell's m strips.
     """
     if not (0 <= f <= grid.m - 1):
@@ -90,7 +106,8 @@ def cells_for_shift(grid: Grid, points: list[Point] | tuple[Point, ...],
     m, side, width = grid.m, grid.cell_side, 2.0 * grid.r
     off = grid.corner(f)
     bins: dict[tuple[int, int], list[list[int]]] = {}
-    for i, p in enumerate(points):
+    for i in range(len(points)) if among is None else among:
+        p = points[i]
         ix = math.floor((p.x - off.x) / side)
         iy = math.floor((p.y - off.y) / side)
         strips = bins.get((ix, iy))

@@ -1,12 +1,13 @@
 """Desk-scale ground truth.
 
-Exact minimum-cost cover by branch and bound, a greedy baseline, a
+Exact minimum-cost cover by branch and bound, a greedy baseline, and a
 continuous-refinement audit that stress-tests the candidate-site
-discretization, and sensor-density censuses over strips and small squares.
+discretization.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from .geometry import COVER_TOL, Point
 from .sites import CandidateSite, Instance, site_weight
-from .grid import bounding_box, cells_for_shift
 
 INF = float("inf")
 
@@ -44,15 +44,13 @@ def _target_masks(target_count: int, sites: list[CandidateSite]) -> list[int]:
     return masks
 
 
-def exact_min_cost_cover(target_count: int, sites: list[CandidateSite],
-                         max_sites: int | None = None) -> OracleResult:
+def exact_min_cost_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
     """Exact minimum total weight covering all targets, by branch and bound.
 
     Branches on the lowest-index uncovered target over the sites covering
     it, cheapest first.  Nodes are pruned against the incumbent using an
     admissible lower bound: the largest, over uncovered targets, of the
-    cheapest weight of any site covering that target.  With `max_sites` the
-    search is restricted to covers of at most that many sites.
+    cheapest weight of any site covering that target.
 
     Intended for small instances; the search is exponential in general.
     """
@@ -94,8 +92,6 @@ def exact_min_cost_cover(target_count: int, sites: list[CandidateSite],
             if cost < best_cost or (cost == best_cost and chosen < best_set):
                 best_cost, best_set = cost, chosen
             return
-        if max_sites is not None and len(chosen) >= max_sites:
-            return
         if cost + lower_bound(uncov) >= best_cost:
             return
         t = (uncov & -uncov).bit_length() - 1
@@ -110,32 +106,35 @@ def exact_min_cost_cover(target_count: int, sites: list[CandidateSite],
 
 def greedy_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
     """Baseline: repeatedly pick the site with the best weight-per-new-target
-    ratio.  Never better than the exact oracle; useful as a quick sanity bar.
+    ratio, lowest index on ties.  Never better than the exact oracle; useful
+    as a quick sanity bar.
+
+    A site's ratio only rises as targets get covered, so a heap keyed on
+    (ratio, site index) may hold stale keys: a popped site whose count of
+    new targets is unchanged has the least current key, and is picked;
+    any other is pushed back with its current key.
     """
     if target_count == 0:
         return OracleResult(0.0, frozenset(), 0, False)
     masks = _target_masks(target_count, sites)
-    full = (1 << target_count) - 1
-    uncov = full
+    uncov = (1 << target_count) - 1
+    heap = [(sites[si].weight / new, si, new)
+            for si, m in enumerate(masks) if (new := m.bit_count())]
+    heapq.heapify(heap)
     chosen: list[int] = []
-    steps = 0
-    while uncov:
-        best_si = -1
-        best_ratio = INF
-        for si, m in enumerate(masks):
-            new = bin(m & uncov).count("1")
-            if new == 0:
-                continue
-            ratio = sites[si].weight / new
-            if ratio < best_ratio:
-                best_ratio, best_si = ratio, si
-        if best_si < 0:
-            t = (uncov & -uncov).bit_length() - 1
-            return OracleResult(INF, frozenset(chosen), steps, False,
-                                feasible=False, infeasible_target=t)
-        chosen.append(best_si)
-        uncov &= ~masks[best_si]
-        steps += 1
+    while uncov and heap:
+        _, si, new = heapq.heappop(heap)
+        now = (masks[si] & uncov).bit_count()
+        if now == new:
+            chosen.append(si)
+            uncov &= ~masks[si]
+        elif now:
+            heapq.heappush(heap, (sites[si].weight / now, si, now))
+    steps = len(chosen)
+    if uncov:
+        t = (uncov & -uncov).bit_length() - 1
+        return OracleResult(INF, frozenset(chosen), steps, False,
+                            feasible=False, infeasible_target=t)
     cost = sum(sites[si].weight for si in sorted(chosen))
     return OracleResult(cost, frozenset(chosen), steps, False)
 
@@ -333,45 +332,3 @@ def _first_true(test, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         hi = np.where(live & ok, mid, hi)
         lo = np.where(live & ~ok, mid + 1, lo)
     return lo
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    max_per_strip: int
-    max_per_square: int
-    strip_counts: dict[tuple[int, int, int], int]
-    square_counts: dict[tuple[int, int], int]
-
-
-def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point, ...],
-                        m: int, shift: int = 0) -> CensusReport:
-    """Count placed sensors per strip and per small square.
-
-    The sensors are binned by `grid.cells_for_shift`, the tiling the solver
-    uses for its targets: the strips are the 2r-wide slices of the
-    shift-`shift` cells for the given m, keyed (cell x, cell y, strip) with
-    strips numbered from 1, and only strips holding a sensor are listed.
-    Squares have side sqrt(1/2) after normalizing the instance so r = 1
-    (i.e. side sqrt(1/2) * r in original units), anchored at the grid
-    origin.  The maxima measure the paper's density lemma (an optimum has
-    O(m) sensors per strip), which the strip DP does not enforce.
-    """
-    g = bounding_box(instance, m)
-    strip_counts: dict[tuple[int, int, int], int] = {}
-    for cell in cells_for_shift(g, positions, shift):
-        for j, members in enumerate(cell.strips, 1):
-            if members:
-                strip_counts[(*cell.index, j)] = len(members)
-
-    sq = math.sqrt(0.5) * g.r
-    square_counts: dict[tuple[int, int], int] = {}
-    for p in positions:
-        key = (math.floor((p.x - g.origin.x) / sq),
-               math.floor((p.y - g.origin.y) / sq))
-        square_counts[key] = square_counts.get(key, 0) + 1
-
-    return CensusReport(
-        max_per_strip=max(strip_counts.values(), default=0),
-        max_per_square=max(square_counts.values(), default=0),
-        strip_counts=strip_counts,
-        square_counts=square_counts)

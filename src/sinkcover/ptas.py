@@ -1,10 +1,14 @@
-"""Shifted-grid approximation: solve every shift round cell by cell, keep the
-cheapest round.
+"""Shifted-grid approximation: solve every shift round cell by cell, then
+give each component of the targets its cheapest round.
 
-With m shift rounds the returned cost is at most (1 + 4/m) times the optimum
-over the candidate-site universe: averaging over rounds, each optimal site is
-double-counted by a cell boundary in only a few rounds, so some round must be
-close to the optimum.
+With m shift rounds the cheapest round costs at most (1 + 4/m) times the
+optimum over the candidate-site universe: averaging over rounds, each
+optimal site is double-counted by a cell boundary in only a few rounds, so
+some round must be close to the optimum.  Targets joined by a common site
+form components, and a round's cost is the sum of its costs on them, so
+taking each component's cheapest round costs no more (Hochbaum and Maass,
+J. ACM 32, 1985):
+Σ_C min_f cost_f(C) <= min_f Σ_C cost_f(C) <= (1 + 4/m) OPT.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import COVER_TOL, Point, hypot, near_pairs
-from .grid import Grid, bounding_box, cells_for_shift, strips_of_cell
+from .grid import (Grid, bounding_box, cell_keys, cells_for_shift,
+                   strips_of_cell)
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
 from .strip_dp import StateBudgetError, solve_cell
@@ -81,14 +86,72 @@ def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
     return sum(sites[i].weight for i in sorted(site_ids))
 
 
-def _solve_round(grid: Grid, targets: tuple[Point, ...], f: int,
-                 sites: list[CandidateSite], coverers: dict[int, list[int]]
-                 ) -> tuple[float, frozenset[int], int]:
-    """Solve every cell of shift round f; returns the round's cost, its
-    chosen sites and its footprint states stored."""
+def _components(target_count: int, sites: list[CandidateSite]
+                ) -> tuple[list[list[int]], list[int]]:
+    """Join two targets when one site covers both.  Returns the components'
+    targets, ascending, numbered in order of their lowest target, and each
+    site's component (-1 for a site covering nothing)."""
+    parent = list(range(target_count))
+
+    def find(t: int) -> int:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for s in sites:
+        if len(s.covered) > 1:
+            it = iter(s.covered)
+            root = find(next(it))
+            for t in it:
+                other = find(t)
+                if other != root:
+                    parent[other] = root
+    label: dict[int, int] = {}
+    members: list[list[int]] = []
+    of_target = []
+    for t in range(target_count):
+        c = label.setdefault(find(t), len(members))
+        if c == len(members):
+            members.append([])
+        members[c].append(t)
+        of_target.append(c)
+    return members, [of_target[next(iter(s.covered))] if s.covered else -1
+                     for s in sites]
+
+
+def _fits(grid: Grid, targets: tuple[Point, ...],
+          members: list[list[int]]) -> np.ndarray:
+    """fits[f, c]: all of component c's targets lie in one cell of round f.
+
+    A cell key, floor((x - corner) / side), never falls as x grows, so the
+    component fits exactly when the corners of its bounding box share a
+    cell."""
+    order = np.fromiter((t for ts in members for t in ts), int)
+    starts = np.cumsum([0] + [len(ts) for ts in members[:-1]])
+    xs = np.array([targets[t].x for t in order])
+    ys = np.array([targets[t].y for t in order])
+    corners_x = np.concatenate((np.minimum.reduceat(xs, starts),
+                                np.maximum.reduceat(xs, starts)))
+    corners_y = np.concatenate((np.minimum.reduceat(ys, starts),
+                                np.maximum.reduceat(ys, starts)))
+    fits = np.empty((grid.m, len(members)), dtype=bool)
+    for f in range(grid.m):
+        ix, iy = cell_keys(grid, corners_x, corners_y, f)
+        fits[f] = (ix[:len(members)] == ix[len(members):]) & (
+            iy[:len(members)] == iy[len(members):])
+    return fits
+
+
+def _solve_cells(grid: Grid, targets: tuple[Point, ...], among: list[int],
+                 f: int, sites: list[CandidateSite],
+                 coverers: dict[int, list[int]]) -> tuple[set[int], int]:
+    """Solve every cell of shift round f that holds a target `among` lists,
+    over those targets only; returns the chosen sites and the footprint
+    states stored."""
     chosen: set[int] = set()
     subsets = 0
-    for cell in cells_for_shift(grid, targets, f):
+    for cell in cells_for_shift(grid, targets, f, among):
         strips = strips_of_cell(cell, coverers)
         try:
             res = solve_cell(strips, sites)
@@ -96,19 +159,31 @@ def _solve_round(grid: Grid, targets: tuple[Point, ...], f: int,
             raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
         chosen |= res.site_indices
         subsets += res.counters.subsets_enumerated
-    # Sites selected by two cells are instantiated once; dropping the copy
-    # only lowers the round's cost.
-    return _round_cost(chosen, sites), frozenset(chosen), subsets
+    return chosen, subsets
 
 
 def solve(instance: Instance, config: PtasConfig,
           sites: list[CandidateSite] | None = None) -> Solution:
-    """Run all shift rounds and return the cheapest feasible schedule.
+    """Solve every shift round, then give each component its cheapest round.
 
     `sites` may be supplied to reuse a candidate list (it must come from
     `prune_dominated`, or list the rows of `generate_candidate_sites`); by
-    default candidates are generated and dominated ones pruned.  Rounds are solved one after
-    another in this process; ties go to the lowest round.
+    default candidates are generated and dominated ones pruned.
+
+    Round f's cost is that of the union of its cells' optimal covers.  No
+    site covers targets of two components, so the union splits by
+    component, and a component that fits inside one cell of a round costs
+    its own optimum there.  Such a component is solved once, in the first
+    round it fits, and reused in the later rounds it fits; a one-target
+    component takes its cheapest coverer, lowest index on ties.  The strip
+    DP of round f runs only over the components spanning its cells and
+    those fitting for the first time.  The schedule takes each
+    component's sites from its cheapest round, lowest on ties, when that
+    costs strictly less than the cheapest round; else the cheapest round's
+    sites, which is `shift_round`.  Rounds are solved one after another in
+    this process.  The config echo counts the components, the (component,
+    round) pairs that span cells, and the footprint states stored by the
+    DP runs made.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
@@ -117,20 +192,61 @@ def solve(instance: Instance, config: PtasConfig,
     m = config.rounds
     grid = bounding_box(instance, m)
     coverers = coverers_by_target(sites)
-    results = [_solve_round(grid, instance.targets, f, sites, coverers)
-               for f in range(m)]
-    per_round = tuple(cost for cost, _, _ in results)
+    members, site_comp = _components(instance.n, sites)
+    fits = _fits(grid, instance.targets, members)
+
+    solved: dict[int, frozenset[int]] = {}   # fitting component -> its optimum
+    best: list[tuple[float, frozenset[int]] | None] = [None] * len(members)
+
+    def offer(c: int, ids: frozenset[int]) -> None:
+        cost = _round_cost(ids, sites)
+        if best[c] is None or cost < best[c][0]:
+            best[c] = (cost, ids)
+
+    for c, ts in enumerate(members):
+        if len(ts) == 1:
+            if not coverers.get(ts[0]):
+                raise ValueError(f"no candidate site covers target {ts[0]}")
+            solved[c] = frozenset(
+                [min(coverers[ts[0]], key=lambda s: sites[s].weight)])
+            offer(c, solved[c])
+
+    rounds: list[frozenset[int]] = []
+    subsets = 0
+    for f in range(m):
+        fit = fits[f].tolist()
+        run = [c for c, ok in enumerate(fit) if not ok or c not in solved]
+        chosen, states = _solve_cells(grid, instance.targets,
+                                      [t for c in run for t in members[c]],
+                                      f, sites, coverers)
+        subsets += states
+        parts: dict[int, set[int]] = {c: set() for c in run}
+        for s in chosen:
+            parts[site_comp[s]].add(s)
+        for c in run:
+            ids = frozenset(parts[c])
+            if fit[c]:
+                solved[c] = ids
+            offer(c, ids)
+        rounds.append(frozenset(chosen).union(
+            *(solved[c] for c, ok in enumerate(fit) if ok)))
+
+    per_round = tuple(_round_cost(ids, sites) for ids in rounds)
     best_f = min(range(m), key=per_round.__getitem__)
-    best_cost, best_sites, _ = results[best_f]
+    chosen_sites = frozenset().union(*(ids for _, ids in best))
+    total = _round_cost(chosen_sites, sites)
+    if not total < per_round[best_f]:
+        total, chosen_sites = per_round[best_f], rounds[best_f]
 
     placements = tuple(
         Placement(sites[i].position, sites[i].origin_station, sites[i].weight)
-        for i in sorted(best_sites))
-    subsets = sum(n for _, _, n in results)
-    return Solution(total_cost=best_cost, shift_round=best_f,
+        for i in sorted(chosen_sites))
+    return Solution(total_cost=total, shift_round=best_f,
                     per_round_costs=per_round, placements=placements,
                     config={"epsilon": config.epsilon, "m": m,
-                            "counters": {"subsets_enumerated": subsets}})
+                            "counters": {"subsets_enumerated": subsets,
+                                         "components": len(members),
+                                         "spanning": int((~fits).sum())}})
 
 
 def verify_solution(instance: Instance, placements) -> bool:

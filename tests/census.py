@@ -1,0 +1,50 @@
+"""Sensor-density census over the solver's strips and small squares."""
+
+import math
+from dataclasses import dataclass
+
+from sinkcover.geometry import Point
+from sinkcover.grid import bounding_box, cells_for_shift
+from sinkcover.sites import Instance
+
+
+@dataclass(frozen=True)
+class CensusReport:
+    max_per_strip: int
+    max_per_square: int
+    strip_counts: dict[tuple[int, int, int], int]
+    square_counts: dict[tuple[int, int], int]
+
+
+def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point, ...],
+                        m: int, shift: int = 0) -> CensusReport:
+    """Count placed sensors per strip and per small square.
+
+    The sensors are binned by `grid.cells_for_shift`, the tiling the solver
+    uses for its targets: the strips are the 2r-wide slices of the
+    shift-`shift` cells for the given m, keyed (cell x, cell y, strip) with
+    strips numbered from 1, and only strips holding a sensor are listed.
+    Squares have side sqrt(1/2) after normalizing the instance so r = 1
+    (i.e. side sqrt(1/2) * r in original units), anchored at the grid
+    origin.  The maxima measure the paper's density lemma (an optimum has
+    O(m) sensors per strip), which the strip DP does not enforce.
+    """
+    g = bounding_box(instance, m)
+    strip_counts: dict[tuple[int, int, int], int] = {}
+    for cell in cells_for_shift(g, positions, shift):
+        for j, members in enumerate(cell.strips, 1):
+            if members:
+                strip_counts[(*cell.index, j)] = len(members)
+
+    sq = math.sqrt(0.5) * g.r
+    square_counts: dict[tuple[int, int], int] = {}
+    for p in positions:
+        key = (math.floor((p.x - g.origin.x) / sq),
+               math.floor((p.y - g.origin.y) / sq))
+        square_counts[key] = square_counts.get(key, 0) + 1
+
+    return CensusReport(
+        max_per_strip=max(strip_counts.values(), default=0),
+        max_per_square=max(square_counts.values(), default=0),
+        strip_counts=strip_counts,
+        square_counts=square_counts)

@@ -1,4 +1,4 @@
-"""Full-grid sweep of the discretization audit.
+"""Full-grid sweep of the discretization audit, and the rescanning greedy.
 
 The library finds each target's interval of rows on each x line by binary
 search and weighs only a few points of each run of one covered set; this
@@ -6,12 +6,16 @@ sweep tests every target against every grid point of the bounding box in
 one pass and sorts the covering points by (covered set, weight, x, y).  It
 serves as the reference the library's sweep must reproduce exactly: the
 same report and the same grid sites.
+
+`greedy_cover_rescan` is the greedy baseline that rescans every site on
+each step; the library's lazy heap must pick the same sites.
 """
 
 import numpy as np
 
 from sinkcover.geometry import COVER_TOL, Point
-from sinkcover.oracle import GridRefineReport, exact_min_cost_cover
+from sinkcover.oracle import (INF, GridRefineReport, OracleResult,
+                              exact_min_cost_cover)
 from sinkcover.sites import CandidateSite, site_weight
 
 
@@ -76,3 +80,37 @@ def full_grid_refine_audit(instance, discrete_opt, step):
                             grid_solution_size=len(res.site_indices),
                             grid_candidate_points=total_pts,
                             distinct_cover_sets=len(grid_sites))
+
+
+def greedy_cover_rescan(target_count, sites):
+    if target_count == 0:
+        return OracleResult(0.0, frozenset(), 0, False)
+    masks = []
+    for s in sites:
+        mask = 0
+        for t in s.covered:
+            if t < target_count:
+                mask |= 1 << t
+        masks.append(mask)
+    uncov = (1 << target_count) - 1
+    chosen = []
+    steps = 0
+    while uncov:
+        best_si = -1
+        best_ratio = INF
+        for si, m in enumerate(masks):
+            new = bin(m & uncov).count("1")
+            if new == 0:
+                continue
+            ratio = sites[si].weight / new
+            if ratio < best_ratio:
+                best_ratio, best_si = ratio, si
+        if best_si < 0:
+            t = (uncov & -uncov).bit_length() - 1
+            return OracleResult(INF, frozenset(chosen), steps, False,
+                                feasible=False, infeasible_target=t)
+        chosen.append(best_si)
+        uncov &= ~masks[best_si]
+        steps += 1
+    cost = sum(sites[si].weight for si in sorted(chosen))
+    return OracleResult(cost, frozenset(chosen), steps, False)

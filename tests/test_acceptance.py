@@ -8,6 +8,7 @@ module runs in well under the five-minute budget on a laptop.
 import functools
 import math
 import random
+from itertools import combinations
 
 import pytest
 from conftest import solve_state_bound
@@ -108,9 +109,12 @@ def test_criterion_3_counterexample():
         assert res.proven_optimal
         assert len(res.site_indices) == k, f"k={k}: used {len(res.site_indices)}"
         assert math.isclose(res.cost, k * beta, rel_tol=REL, abs_tol=1e-12)
-        forced = exact_min_cost_cover(inst.n, sites, max_sites=k - 1)
-        assert (not forced.feasible) or forced.cost > res.cost + 1e-9, \
-            f"k={k}: {k - 1} sites cost {forced.cost}"
+        # Every cover by fewer than k sites costs more.
+        for size in range(1, k):
+            for combo in combinations(sites, size):
+                if len(frozenset().union(*(s.covered for s in combo))) == inst.n:
+                    cost = sum(s.weight for s in combo)
+                    assert cost > res.cost + 1e-9, f"k={k}: {size} sites cost {cost}"
 
 
 @criterion("4 geometry identity checks")

@@ -196,12 +196,16 @@ def test_exact_verb(tmp_path):
 
 
 @pytest.mark.parametrize("kw, solve_sha, exact_sha", [
-    (dict(n=6, k=2, extent=5.0, seed=1),
-     "db5e152096f40c1f9e7b5cacfbaee2b8c4c4a9a9f05faf1fa14151d3a53562dc",
-     "97b684a288da982143c3bd83bd5594dc980bd174f4b11b1f6189205c33823e26"),
-    (dict(n=9, k=2, extent=10.0, seed=4),    # wins in round 1 of 4
-     "1ba8176bf2a39d4cba1113be745f2f502c221aa7eb490b4281fd74e6b7cb1a18",
-     "0689bd9e6ee596a3111fbb4f1512b04f05ec858ff19fd193e7053a68fe773e3a"),
+    pytest.param(
+        dict(n=6, k=2, extent=5.0, seed=1),
+        "1578d621d0426e9be166368c6cb3600141675c0aa7e8c95528eacbf3eddee4c4",
+        "97b684a288da982143c3bd83bd5594dc980bd174f4b11b1f6189205c33823e26",
+        id="n6-seed1"),
+    pytest.param(
+        dict(n=9, k=2, extent=10.0, seed=4),    # wins in round 1 of 4
+        "47b6821365626e5b6f2394dea7a4f992f7ce168df7a81c708aa546bf5c44d0f4",
+        "0689bd9e6ee596a3111fbb4f1512b04f05ec858ff19fd193e7053a68fe773e3a",
+        id="n9-seed4"),
 ])
 def test_solution_file_bytes_are_pinned(tmp_path, kw, solve_sha, exact_sha):
     # Any change to what `solve --m 4` or `exact` writes changes these digests.

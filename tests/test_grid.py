@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sinkcover.geometry import Point
-from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
+from sinkcover.grid import (Cell, bounding_box, cell_keys, cells_for_shift,
+                           strips_of_cell)
 from sinkcover.sites import Instance, coverers_by_target, generate_candidate_sites
 
 
@@ -115,6 +117,33 @@ def test_strip_count_and_width():
                 for j, strip in enumerate(cell.strips):
                     for i in strip:
                         assert x0 + j * width <= inst.targets[i].x < x0 + (j + 1) * width
+
+
+def test_cell_keys_name_the_cell_each_point_is_binned_into():
+    # Random targets plus points put on round f's cell lines, where the
+    # float quotient may fall on either side of an integer.
+    for seed in range(4):
+        inst = _uniform_instance(seed, n=40, extent=20.0)
+        for m in (1, 2, 3):
+            g = bounding_box(inst, m)
+            lines = [Point(g.corner(f).x + j * g.cell_side, g.corner(f).y + j * g.cell_side)
+                     for f in range(m) for j in range(1, 4)]
+            pts = list(inst.targets) + lines
+            xs, ys = np.array([p.x for p in pts]), np.array([p.y for p in pts])
+            for f in range(m):
+                ix, iy = cell_keys(g, xs, ys, f)
+                binned = {i: cell.index for cell in cells_for_shift(g, pts, f)
+                          for strip in cell.strips for i in strip}
+                assert binned == {i: (ix[i], iy[i]) for i in range(len(pts))}
+                # Binning a subset keeps each point's cell, strip and index.
+                expected = []
+                for cell in cells_for_shift(g, pts, f):
+                    strips = tuple(tuple(i for i in st if i % 3 == 0)
+                                   for st in cell.strips)
+                    if any(strips):
+                        expected.append(Cell(cell.index, strips))
+                among = list(range(0, len(pts), 3))
+                assert cells_for_shift(g, pts, f, among) == expected
 
 
 def test_strips_partition_cell_targets():

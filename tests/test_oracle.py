@@ -6,8 +6,9 @@ import pytest
 
 from sinkcover.geometry import Point
 from sinkcover.instances_io import gen_counterexample, gen_uniform
-from sinkcover.oracle import (exact_min_cost_cover, greedy_cover,
-                              grid_refine_audit, strip_sensor_census)
+from census import strip_sensor_census
+from reference_oracle import greedy_cover_rescan
+from sinkcover.oracle import exact_min_cost_cover, greedy_cover, grid_refine_audit
 from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
                              prune_dominated)
 
@@ -94,17 +95,6 @@ def test_exact_cost_stable_under_shuffle():
         assert res.cost == pytest.approx(base.cost, rel=1e-12, abs=1e-12)
 
 
-def test_exact_cardinality_constraint():
-    sites = _sites([({0}, 1.0), ({1}, 1.0), ({0, 1}, 3.0)])
-    free = exact_min_cost_cover(2, sites)
-    assert free.cost == pytest.approx(2.0)
-    forced = exact_min_cost_cover(2, sites, max_sites=1)
-    assert forced.cost == pytest.approx(3.0)
-    impossible = exact_min_cost_cover(2, _sites([({0}, 1.0), ({1}, 1.0)]),
-                                      max_sites=1)
-    assert not impossible.feasible
-
-
 def test_greedy_single_site_covers_all():
     sites = _sites([({0, 1}, 2.0)])
     res = greedy_cover(2, sites)
@@ -116,6 +106,23 @@ def test_greedy_picks_cheap_singletons():
     res = greedy_cover(2, sites)
     assert res.cost == pytest.approx(2.0)
     assert res.site_indices == {0, 1}
+
+
+def test_greedy_picks_match_the_rescan():
+    # The lazy heap picks what rescanning every site on each step picks,
+    # lowest index on equal ratios; the integer weights make ties common.
+    rng = random.Random(71)
+    for n in (1, 5, 12, 40):
+        for _ in range(20):
+            spec = [(set(rng.sample(range(n), rng.randint(1, min(n, 4)))),
+                     rng.choice([0, 1, 2, 3, 6]))
+                    for _ in range(rng.randint(1, 3 * n))]
+            sites = _sites(spec)
+            assert greedy_cover(n, sites) == greedy_cover_rescan(n, sites)
+    for seed in range(6):
+        inst = gen_uniform(40 + 20 * seed, 3, 1.0, 12.0, seed + 900)
+        sites = prune_dominated(generate_candidate_sites(inst))
+        assert greedy_cover(inst.n, sites) == greedy_cover_rescan(inst.n, sites)
 
 
 def test_greedy_never_beats_exact():

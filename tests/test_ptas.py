@@ -5,14 +5,17 @@ import pytest
 from conftest import solve_state_bound
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_ptas import components, every_cell_costs
 
 from sinkcover.geometry import COVER_TOL
+from sinkcover.grid import bounding_box
 from sinkcover.instances_io import gen_uniform, write_solution
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover import strip_dp
 from sinkcover.ptas import (MAX_ROUNDS, PtasConfig, shift_average_audit, solve,
                             verify_solution)
-from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
+from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
+                             prune_dominated)
 from sinkcover.strip_dp import StateBudgetError
 
 
@@ -88,10 +91,89 @@ def test_solution_invariants():
     inst = gen_uniform(8, 2, 1.0, 10.0, 3)
     sol = solve(inst, PtasConfig(m=4))
     assert len(sol.per_round_costs) == 4
-    assert sol.total_cost == min(sol.per_round_costs)
+    assert sol.total_cost <= min(sol.per_round_costs)
     assert sol.total_cost == pytest.approx(
         sum(p.weight for p in sol.placements), rel=1e-12, abs=1e-12)
     assert verify_solution(inst, sol.placements)
+
+
+@pytest.mark.parametrize("n, k, extent, m", [
+    (400, 10, 63.25, 4),    # sparse: hundreds of components, most of them fit
+    (14, 2, 8.0, 4),        # dense: a few components, most pairs span
+    (60, 3, 20.0, 2),
+    (60, 3, 20.0, 3),
+    (120, 4, 30.0, 8),
+])
+def test_costs_equal_every_cell_reference(n, k, extent, m):
+    # Reused component covers and skipped one-target DP runs leave each
+    # round's cost bit for bit what solving every cell gives, over pruned
+    # sites and over the raw rows, where a lone target has many coverers;
+    # the schedule costs each component's cheapest round of that loop.
+    for seed in range(3):
+        inst = gen_uniform(n, k, 1.0, extent, seed + 60)
+        raw = list(generate_candidate_sites(inst))
+        for sites in (prune_dominated(generate_candidate_sites(inst)), raw):
+            sol = solve(inst, PtasConfig(m=m), sites=sites)
+            rounds, per_component = every_cell_costs(inst, m, sites)
+            assert sol.per_round_costs == rounds
+            assert sol.total_cost == min(per_component, min(rounds))
+
+
+@given(st.integers(1, 9), st.integers(1, 2), st.sampled_from([3.0, 6.0, 10.0, 16.0]),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4, 6]))
+def test_solve_lies_between_the_optimum_and_its_cheapest_round(n, k, extent, seed, m):
+    inst = gen_uniform(n, k, 1.0, extent, seed)
+    sites = prune_dominated(generate_candidate_sites(inst))
+    opt = exact_min_cost_cover(inst.n, sites).cost
+    sol = solve(inst, PtasConfig(m=m), sites=sites)
+    assert verify_solution(inst, sol.placements)
+    assert sol.total_cost == sum(p.weight for p in sol.placements)
+    assert opt * (1 - 1e-9) - 1e-12 <= sol.total_cost <= min(sol.per_round_costs)
+    assert min(sol.per_round_costs) <= (1 + 4 / m) * opt * (1 + 1e-9) + 1e-12
+    assert sol.per_round_costs[sol.shift_round] == min(sol.per_round_costs)
+
+
+def _cells_of(inst, group, m, f):
+    """The cells of round f holding the targets in `group`."""
+    grid = bounding_box(inst, m)
+    corner, side = grid.corner(f), grid.cell_side
+    return {(math.floor((inst.targets[t].x - corner.x) / side),
+             math.floor((inst.targets[t].y - corner.y) / side)) for t in group}
+
+
+def test_component_inside_one_cell_is_solved_to_its_optimum():
+    checked = 0
+    for seed in range(8):
+        m = 2 + seed % 3
+        inst = gen_uniform(40, 3, 1.0, 18.0, seed + 500)
+        sites = prune_dominated(generate_candidate_sites(inst))
+        sol = solve(inst, PtasConfig(m=m), sites=sites)
+        at = {s.position: s for s in sites}
+        for group in components(inst.n, sites):
+            if all(len(_cells_of(inst, group, m, f)) > 1 for f in range(m)):
+                continue
+            index = {t: i for i, t in enumerate(sorted(group))}
+            own = [CandidateSite(s.position, frozenset(index[t] for t in s.covered),
+                                 s.weight, s.origin_station)
+                   for s in sites if s.covered & group]
+            opt = exact_min_cost_cover(len(group), own).cost
+            paid = sum(p.weight for p in sol.placements
+                       if at[p.position].covered & group)
+            assert paid == pytest.approx(opt, rel=1e-9, abs=1e-12)
+            checked += 1
+    assert checked > 50
+
+
+def test_config_counts_components_and_spanning_pairs():
+    for seed, (n, extent, m) in enumerate([(400, 63.25, 4), (14, 8.0, 4),
+                                           (60, 20.0, 3), (30, 12.0, 1)]):
+        inst = gen_uniform(n, 3, 1.0, extent, seed + 700)
+        sites = prune_dominated(generate_candidate_sites(inst))
+        counters = solve(inst, PtasConfig(m=m), sites=sites).config["counters"]
+        groups = components(inst.n, sites)
+        assert counters["components"] == len(groups)
+        assert counters["spanning"] == sum(len(_cells_of(inst, g, m, f)) > 1
+                                           for g in groups for f in range(m))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
