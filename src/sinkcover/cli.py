@@ -123,9 +123,10 @@ def _cmd_solve(args) -> int:
         _fail("internal", "solution failed the independent feasibility re-check")
         return 2
     write_solution(args.out, solution)
-    print(f"cost {solution.total_cost:.9f} using round {solution.shift_round} "
-          f"of {len(solution.per_round_costs)}, {len(solution.placements)} sensors "
-          f"-> {args.out}")
+    f = solution.shift_round
+    print(f"cost {solution.total_cost:.9f}; cheapest round {f} of "
+          f"{len(solution.per_round_costs)} costs {solution.per_round_costs[f]:.9f}; "
+          f"{len(solution.placements)} sensors -> {args.out}")
     return 0
 
 

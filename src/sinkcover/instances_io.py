@@ -122,15 +122,36 @@ def write_instance(path, instance: Instance, metadata: dict | None = None) -> No
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+_PLACEMENT = ('    {{\n      "x": {},\n      "y": {},\n      "station": {},\n'
+              '      "weight": {}\n    }}')
+
+
+def _number(v) -> str:
+    """v as json.dumps writes it.  json writes a finite float by
+    float.__repr__ and an int by int.__repr__, which are repr for those
+    exact types; anything else goes through json.dumps."""
+    t = type(v)
+    if (t is float and math.isfinite(v)) or t is int:
+        return repr(v)
+    return json.dumps(v)
+
+
 def write_solution(path, solution: Solution) -> None:
-    doc = {"total_cost": solution.total_cost,
-           "shift_round": solution.shift_round,
-           "per_round_costs": solution.per_round_costs,
-           "placements": [{"x": p.position.x, "y": p.position.y,
-                           "station": p.station, "weight": p.weight}
-                          for p in solution.placements],
-           "config": solution.config}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """The bytes of json.dumps(doc, indent=2) plus a newline.  Only the
+    small head and `config` go through json.dumps, whose indented form runs
+    the pure-Python encoder; placement rows are formatted from a template."""
+    head = json.dumps({"total_cost": solution.total_cost,
+                       "shift_round": solution.shift_round,
+                       "per_round_costs": solution.per_round_costs}, indent=2)
+    rows = ",\n".join(
+        _PLACEMENT.format(_number(p.position.x), _number(p.position.y),
+                          _number(p.station), _number(p.weight))
+        for p in solution.placements)
+    placements = f'"placements": [\n{rows}\n  ]' if rows else '"placements": []'
+    config = json.dumps({"config": solution.config}, indent=2)
+    # Splice the head's members, the placements and config's member into
+    # one object: drop the head's closing "\n}" and config's opening "{\n".
+    Path(path).write_text(f"{head[:-2]},\n  {placements},\n{config[2:]}\n")
 
 
 def _placement(row, name: str, path: str) -> Placement:

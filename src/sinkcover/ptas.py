@@ -90,7 +90,7 @@ def _components(target_count: int, sites: list[CandidateSite]
                 ) -> tuple[list[list[int]], list[int]]:
     """Join two targets when one site covers both.  Returns the components'
     targets, ascending, numbered in order of their lowest target, and each
-    site's component (-1 for a site covering nothing)."""
+    target's component."""
     parent = list(range(target_count))
 
     def find(t: int) -> int:
@@ -116,8 +116,7 @@ def _components(target_count: int, sites: list[CandidateSite]
             members.append([])
         members[c].append(t)
         of_target.append(c)
-    return members, [of_target[next(iter(s.covered))] if s.covered else -1
-                     for s in sites]
+    return members, of_target
 
 
 def _fits(grid: Grid, targets: tuple[Point, ...],
@@ -144,14 +143,28 @@ def _fits(grid: Grid, targets: tuple[Point, ...],
 
 
 def _solve_cells(grid: Grid, targets: tuple[Point, ...], among: list[int],
-                 f: int, sites: list[CandidateSite],
+                 comp: list[int], f: int, sites: list[CandidateSite],
                  coverers: dict[int, list[int]]) -> tuple[set[int], int]:
-    """Solve every cell of shift round f that holds a target `among` lists,
-    over those targets only; returns the chosen sites and the footprint
-    states stored."""
-    chosen: set[int] = set()
+    """Cover the targets `among` lists, cell by cell in shift round f;
+    returns the chosen sites and the footprint states stored.
+
+    Targets are grouped by (component `comp[t]`, cell).  Inside its cell a
+    group of one target shares no site with another target, so it takes
+    its cheapest coverer, lowest index on ties, with no DP; the strip DP
+    runs over the cells of the other targets only."""
+    xs = np.array([targets[t].x for t in among])
+    ys = np.array([targets[t].y for t in among])
+    ix, iy = cell_keys(grid, xs, ys, f)
+    groups: dict[tuple[int, float, float], list[int]] = {}
+    for t, kx, ky in zip(among, ix.tolist(), iy.tolist()):
+        groups.setdefault((comp[t], kx, ky), []).append(t)
+    chosen = {_cheapest(ts[0], sites, coverers)
+              for ts in groups.values() if len(ts) == 1}
+    rest = [t for ts in groups.values() if len(ts) > 1 for t in ts]
     subsets = 0
-    for cell in cells_for_shift(grid, targets, f, among):
+    if not rest:
+        return chosen, subsets
+    for cell in cells_for_shift(grid, targets, f, rest):
         strips = strips_of_cell(cell, coverers)
         try:
             res = solve_cell(strips, sites)
@@ -160,6 +173,14 @@ def _solve_cells(grid: Grid, targets: tuple[Point, ...], among: list[int],
         chosen |= res.site_indices
         subsets += res.counters.subsets_enumerated
     return chosen, subsets
+
+
+def _cheapest(t: int, sites: list[CandidateSite],
+              coverers: dict[int, list[int]]) -> int:
+    """Target t's cheapest coverer, lowest index on ties."""
+    if not coverers.get(t):
+        raise ValueError(f"no candidate site covers target {t}")
+    return min(coverers[t], key=lambda s: sites[s].weight)
 
 
 def solve(instance: Instance, config: PtasConfig,
@@ -175,9 +196,14 @@ def solve(instance: Instance, config: PtasConfig,
     component, and a component that fits inside one cell of a round costs
     its own optimum there.  Such a component is solved once, in the first
     round it fits, and reused in the later rounds it fits; a one-target
-    component takes its cheapest coverer, lowest index on ties.  The strip
-    DP of round f runs only over the components spanning its cells and
-    those fitting for the first time.  The schedule takes each
+    component takes its cheapest coverer, lowest index on ties.  Round f
+    covers only the components spanning its cells and those fitting for
+    the first time.  A target alone in its cell among its component's
+    targets takes its cheapest coverer too, with no DP run: inside the
+    cell each of its coverers covers it alone.  The DP would pick the same
+    site, unless its float sums round two coverer weights to one total;
+    the pick here is then the lighter one.  The strip DP runs over the
+    cells of the other targets.  The schedule takes each
     component's sites from its cheapest round, lowest on ties, when that
     costs strictly less than the cheapest round; else the cheapest round's
     sites, which is `shift_round`.  Rounds are solved one after another in
@@ -192,7 +218,7 @@ def solve(instance: Instance, config: PtasConfig,
     m = config.rounds
     grid = bounding_box(instance, m)
     coverers = coverers_by_target(sites)
-    members, site_comp = _components(instance.n, sites)
+    members, target_comp = _components(instance.n, sites)
     fits = _fits(grid, instance.targets, members)
 
     solved: dict[int, frozenset[int]] = {}   # fitting component -> its optimum
@@ -205,10 +231,7 @@ def solve(instance: Instance, config: PtasConfig,
 
     for c, ts in enumerate(members):
         if len(ts) == 1:
-            if not coverers.get(ts[0]):
-                raise ValueError(f"no candidate site covers target {ts[0]}")
-            solved[c] = frozenset(
-                [min(coverers[ts[0]], key=lambda s: sites[s].weight)])
+            solved[c] = frozenset([_cheapest(ts[0], sites, coverers)])
             offer(c, solved[c])
 
     rounds: list[frozenset[int]] = []
@@ -218,11 +241,11 @@ def solve(instance: Instance, config: PtasConfig,
         run = [c for c, ok in enumerate(fit) if not ok or c not in solved]
         chosen, states = _solve_cells(grid, instance.targets,
                                       [t for c in run for t in members[c]],
-                                      f, sites, coverers)
+                                      target_comp, f, sites, coverers)
         subsets += states
         parts: dict[int, set[int]] = {c: set() for c in run}
         for s in chosen:
-            parts[site_comp[s]].add(s)
+            parts[target_comp[next(iter(sites[s].covered))]].add(s)
         for c in run:
             ids = frozenset(parts[c])
             if fit[c]:

@@ -25,7 +25,15 @@ covers nothing new never helps.  Keeping only the lightest footprint per
 coverage loses nothing: the same sites added to the lightest one give the
 same coverage at no more weight.  Incoming and outgoing footprints are
 grouped by coverage of T_i, and a strip costs groups x groups lookups of
-C_i, memoized per residual target set.
+C_i, memoized per residual target set.  The memo is the strip's own dict,
+handed to a module-level recursion rather than held by a closure that
+calls itself, so the sweep builds no reference cycle and each strip's memo
+is freed by reference count as soon as the strip ends.
+
+A strip without targets has an empty pool and one state, the empty
+footprint, so the sweep skips it and runs over the strips that hold
+targets.  Sites are shared only between strips adjacent in the cell, so a
+skipped strip leaves its neighbours sharing nothing, as before.
 
 A cell may store at most STATE_BUDGET states, footprints plus local-cover
 memo entries, summed over its strips.  The count is checked as entries are
@@ -111,35 +119,30 @@ def _footprints(shared_bits: list[int], cover: list[int], weight: list[float],
     return table
 
 
-def _local_cover(local_bits: list[int], cover: list[int], weight: list[float],
-                 memo: dict[int, tuple[float, int]], room: int):
+def _local_cover(resid: int, picks: dict[int, list[tuple[int, float, int]]],
+                 memo: dict[int, tuple[float, int]], room: int) -> tuple[float, int]:
     """C(R): the cheapest (cost, site mask) covering target mask R with the
     strip's local sites, or (INF, 0) when none exists.
 
     Some chosen site covers R's lowest target, so the search branches over
-    that target's coverers only.  Results are memoized in `memo`, which must
-    hold the empty residual; the returned function computes a residual that
-    `memo` lacks, and past `room` entries it raises StateBudgetError.
+    that target's local coverers only: `picks` maps each target bit of the
+    strip to its coverers' (cover mask, weight, site bit), in ascending site
+    order.  Results are memoized in `memo`, which must hold the empty
+    residual; the call computes a residual that `memo` lacks, and past
+    `room` entries it raises StateBudgetError.  The strip's tables are
+    passed in, not closed over, so nothing here refers to itself and they
+    are freed by reference count when the strip ends.
     """
-    coverers: dict[int, list[int]] = {}   # target bit -> its local coverers
-
-    def best(resid: int) -> tuple[float, int]:
-        low = resid & -resid
-        picks = coverers.get(low)
-        if picks is None:
-            picks = coverers[low] = [b for b in local_bits if cover[b] & low]
-        found = (INF, 0)
-        for b in picks:
-            rest = resid & ~cover[b]
-            cost, mask = memo.get(rest) or best(rest)
-            if cost + weight[b] < found[0]:
-                found = (cost + weight[b], mask | 1 << b)
-        if len(memo) >= room:
-            raise _over_budget()
-        memo[resid] = found
-        return found
-
-    return best
+    found = (INF, 0)
+    for cb, wb, bit in picks[resid & -resid]:
+        rest = resid & ~cb
+        cost, mask = memo.get(rest) or _local_cover(rest, picks, memo, room)
+        if cost + wb < found[0]:
+            found = (cost + wb, mask | bit)
+    if len(memo) >= room:
+        raise _over_budget()
+    memo[resid] = found
+    return found
 
 
 def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
@@ -151,16 +154,19 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
     The literal all-subsets recurrence gives the same costs (see the
     reference implementation in the test suite).
     """
-    m = len(strips)
     counters = DpCounters()
-    targets = sorted(t for st in strips for t in st.target_indices)
-    if not targets:
+    # The sweep skips strips without targets; `number` gives each strip it
+    # keeps its place in the cell.
+    number = [i for i, st in enumerate(strips) if st.target_indices]
+    held = [strips[i] for i in number]
+    if not held:
         return CellSolution(frozenset(), 0.0, counters)
+    targets = sorted(t for st in held for t in st.target_indices)
 
     # Local ids: targets and sites are renumbered inside the cell so subsets
     # and covered-sets become machine ints.
     tbit = {g: 1 << i for i, g in enumerate(targets)}
-    gids = sorted({g for st in strips for g in st.site_pool})
+    gids = sorted({g for st in held for g in st.site_pool})
     sbit = {g: 1 << i for i, g in enumerate(gids)}
     weight = [sites[g].weight for g in gids]
     cover = []
@@ -172,7 +178,7 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
 
     pool_mask = []
     strip_tmask = []
-    for st in strips:
+    for st in held:
         pm = 0
         for g in st.site_pool:
             pm |= sbit[g]
@@ -182,7 +188,9 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
             tm |= tbit[t]
         strip_tmask.append(tm)
     strip_tmask.append(0)
-    shared = [pool_mask[i] & pool_mask[i + 1] for i in range(m - 1)] + [0]
+    # Only strips adjacent in the cell share sites.
+    shared = [pool_mask[j] & pool_mask[j + 1] if number[j + 1] == number[j] + 1
+              else 0 for j in range(len(held) - 1)] + [0]
 
     # Footprints entering strip i, grouped by coverage of T_i; each group
     # keeps its cheapest (cost, footprint).
@@ -191,7 +199,7 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
     tables: list[dict[int, tuple[float, int, int]]] = []
     used = 0   # states stored so far in this cell
 
-    for i in range(m):
+    for i in range(len(held)):
         o_mask = shared[i - 1] if i > 0 else 0
         if o_mask & shared[i]:
             # Covered targets of one site are at most 2r apart, so pools two
@@ -206,8 +214,11 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
                             STATE_BUDGET - used)
         used += len(table)
         memo: dict[int, tuple[float, int]] = {0: (0.0, 0)}
-        local = _local_cover(_bit_indices(pool_mask[i] & ~o_mask & ~shared[i]),
-                             cover, weight, memo, STATE_BUDGET - used)
+        local = [(cover[b], weight[b], 1 << b)
+                 for b in _bit_indices(pool_mask[i] & ~o_mask & ~shared[i])]
+        picks = {tbit[t]: [site for site in local if site[0] & tbit[t]]
+                 for t in held[i].target_indices}
+        room = STATE_BUDGET - used
         groups: dict[int, list[tuple[int, float, int]]] = {}
         for fcov, (fw, f) in table.items():
             groups.setdefault(fcov & tmask, []).append((f, fw, fcov))
@@ -218,7 +229,8 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
             best = (INF, 0, 0)
             for c_in, (cost_in, f_in) in incoming.items():
                 resid = tmask & ~(c_in | c)
-                lcost, lmask = memo.get(resid) or local(resid)
+                lcost, lmask = memo.get(resid) or _local_cover(
+                    resid, picks, memo, room)
                 if cost_in + lcost < best[0]:
                     best = (cost_in + lcost, f_in, lmask)
             if best[0] == INF:
@@ -230,7 +242,8 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
                 if key not in nxt or (cost, f) < nxt[key]:
                     nxt[key] = (cost, f)
         if not states:
-            raise ValueError(f"no candidate site covers a target of strip {i + 1}")
+            raise ValueError(
+                f"no candidate site covers a target of strip {number[i] + 1}")
         used += len(memo)
         counters.subsets_enumerated += len(states)
         tables.append(states)

@@ -1,0 +1,19 @@
+"""The solution writer as one json.dumps call.
+
+`instances_io.write_solution` formats placement rows from a template and
+must write exactly these bytes.
+"""
+
+import json
+from pathlib import Path
+
+
+def write_solution(path, solution):
+    doc = {"total_cost": solution.total_cost,
+           "shift_round": solution.shift_round,
+           "per_round_costs": solution.per_round_costs,
+           "placements": [{"x": p.position.x, "y": p.position.y,
+                           "station": p.station, "weight": p.weight}
+                          for p in solution.placements],
+           "config": solution.config}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")

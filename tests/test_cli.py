@@ -67,6 +67,21 @@ def test_solve_epsilon_records_m(tmp_path):
     assert len(sol.per_round_costs) == 4
 
 
+def test_solve_line_names_the_cheapest_whole_round(tmp_path, capsys):
+    # The schedule takes each component's cheapest round, so here it costs
+    # less than the cheapest whole round; the line gives both.
+    path = _gen(tmp_path, n=400, k=10, extent=63.25, seed=5)
+    out = tmp_path / "sol.json"
+    capsys.readouterr()
+    assert run(["solve", "--in", str(path), "--m", "4", "--out", str(out)]) == 0
+    sol = read_solution(out)
+    f = sol.shift_round
+    assert sol.total_cost < sol.per_round_costs[f] == min(sol.per_round_costs)
+    assert capsys.readouterr().out == (
+        f"cost {sol.total_cost:.9f}; cheapest round {f} of 4 costs "
+        f"{sol.per_round_costs[f]:.9f}; {len(sol.placements)} sensors -> {out}\n")
+
+
 def test_solve_output_passes_feasibility_recheck(tmp_path):
     path = _gen(tmp_path, seed=9)
     out = tmp_path / "sol.json"
@@ -198,12 +213,12 @@ def test_exact_verb(tmp_path):
 @pytest.mark.parametrize("kw, solve_sha, exact_sha", [
     pytest.param(
         dict(n=6, k=2, extent=5.0, seed=1),
-        "1578d621d0426e9be166368c6cb3600141675c0aa7e8c95528eacbf3eddee4c4",
+        "0376050b47552a58b49520e5a2359c12a37fd9731137a4e22cd9683cb8844a50",
         "97b684a288da982143c3bd83bd5594dc980bd174f4b11b1f6189205c33823e26",
         id="n6-seed1"),
     pytest.param(
         dict(n=9, k=2, extent=10.0, seed=4),    # wins in round 1 of 4
-        "47b6821365626e5b6f2394dea7a4f992f7ce168df7a81c708aa546bf5c44d0f4",
+        "91a819b8012f25d53d35a0c48cb11bfa3a7f9a3c719f236e35660d8f061e57d5",
         "0689bd9e6ee596a3111fbb4f1512b04f05ec858ff19fd193e7053a68fe773e3a",
         id="n9-seed4"),
 ])

@@ -3,7 +3,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+import reference_instances_io
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sinkcover import cli
@@ -13,7 +14,9 @@ from sinkcover.instances_io import (InstanceFormatError, gen_counterexample,
                                     read_instance_file, read_report,
                                     read_solution, write_instance,
                                     write_report, write_solution)
+from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
+from sinkcover.ptas import Placement, Solution
 from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
 
 coords = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
@@ -199,6 +202,37 @@ def test_solution_file_roundtrip(tmp_path, monkeypatch):
         assert run(argv + ["--in", str(inst_path), "--out", str(out)]) == 0
         assert read_solution(out) == written[-1]
     assert [s.shift_round is None for s in written] == [False, False, True]
+
+
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 0.0, 5e-324, 1e-7, 1e16, 1.5e300,
+                                     -2.5e-300]))
+_any_float = st.one_of(st.floats(), _finite)
+_scalar = st.one_of(st.none(), st.booleans(), st.integers(), _any_float,
+                    st.text(max_size=4))
+
+
+@given(_any_float, st.one_of(st.none(), st.integers(0, 2**40)),
+       st.lists(_any_float, max_size=4),
+       st.lists(st.builds(Placement, st.builds(Point, _finite, _finite),
+                          st.integers(0, 2**70),
+                          st.one_of(_any_float, st.integers(-2**70, 2**70))),
+                max_size=5),
+       st.dictionaries(st.text(max_size=4), st.one_of(
+           _scalar, st.dictionaries(st.text(max_size=4), _scalar, max_size=3)),
+           max_size=4))
+@example(1.0, None, [], [], {})
+@example(-0.0, 3, [1e16, 2.5e-300], [
+    Placement(Point(-0.0, 1e-7), 0, 7),
+    Placement(Point(1.5e300, 5e-324), 2**70, float("inf")),
+    Placement(Point(0.0, 1.0), 1, float("nan"))], {"m": 4, "c": {"s": 12}})
+def test_solution_writer_bytes_match_json_dumps(tmp_path_factory, total, shift,
+                                                rounds, placements, config):
+    sol = Solution(total, shift, tuple(rounds), tuple(placements), config)
+    path = tmp_path_factory.mktemp("sol")
+    write_solution(path / "new.json", sol)
+    reference_instances_io.write_solution(path / "ref.json", sol)
+    assert (path / "new.json").read_bytes() == (path / "ref.json").read_bytes()
 
 
 _SOLUTION = {"total_cost": 1.0, "shift_round": 0, "per_round_costs": [0.5, 1.0],

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -11,7 +12,7 @@ from sinkcover.geometry import COVER_TOL
 from sinkcover.grid import bounding_box
 from sinkcover.instances_io import gen_uniform, write_solution
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover import strip_dp
+from sinkcover import ptas, strip_dp
 from sinkcover.ptas import (MAX_ROUNDS, PtasConfig, shift_average_audit, solve,
                             verify_solution)
 from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
@@ -174,6 +175,43 @@ def test_config_counts_components_and_spanning_pairs():
         assert counters["components"] == len(groups)
         assert counters["spanning"] == sum(len(_cells_of(inst, g, m, f)) > 1
                                            for g in groups for f in range(m))
+
+
+@pytest.mark.parametrize("args", [(400, 10, 1.0, 63.25, 5), (60, 2, 1.0, 8.0, 2)],
+                         ids=["sparse-400", "dense-60"])
+def test_solve_leaves_no_cyclic_garbage(args):
+    # Every object a solve allocates dies by reference count, so no
+    # strip's local-cover memo outlives its strip until a collection.
+    inst = gen_uniform(*args)
+    solve(inst, PtasConfig(m=4))    # warm up first-call caches
+    gc.collect()
+    gc.disable()
+    try:
+        solve(inst, PtasConfig(m=4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_lone_targets_of_a_spanning_component_skip_the_dp(monkeypatch):
+    # Targets 0 and 1 share a site but lie on either side of a cell
+    # boundary at x = 0.7 (the far target 2 anchors the grid), so each is
+    # alone in its cell and takes its cheapest coverer without a DP run.
+    inst = Instance.from_coords([(0.5, 0.0), (1.0, 0.0), (-5.3, -5.3)],
+                                [(3.0, 0.0)], 1.0)
+    sites = prune_dominated(generate_candidate_sites(inst))
+    assert [len(g) for g in components(inst.n, sites)] == [2, 1]
+    calls = []
+
+    def counting(strips, sites):
+        calls.append(strips)
+        return strip_dp.solve_cell(strips, sites)
+
+    monkeypatch.setattr(ptas, "solve_cell", counting)
+    sol = solve(inst, PtasConfig(m=1), sites=sites)
+    assert calls == []
+    assert sol.per_round_costs == every_cell_costs(inst, 1, sites)[0]
+    assert verify_solution(inst, sol.placements)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])

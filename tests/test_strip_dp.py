@@ -184,6 +184,19 @@ def test_solve_cell_uncoverable_target_is_an_error():
         solve_cell(strips, [])
 
 
+def test_targetless_strips_store_no_states():
+    # A strip without targets has an empty pool and one state, the empty
+    # footprint; the sweep skips it, so only the strip with the target
+    # stores a state, and a missing coverer is named by its strip number.
+    from sinkcover.grid import Strip
+    sites = _sites_from_spec([({0}, 2.0), ({0}, 1.0)])
+    res = solve_cell([Strip((), ()), Strip((0,), (0, 1)), Strip((), ())], sites)
+    assert res.site_indices == frozenset({1}) and res.cost == 1.0
+    assert res.counters.subsets_enumerated == 1
+    with pytest.raises(ValueError, match="covers a target of strip 3$"):
+        solve_cell([Strip((), ()), Strip((), ()), Strip((0,), ())], sites)
+
+
 def test_solve_cell_matches_oracle_randomized():
     for seed in range(40):
         inst = _dense_instance(seed)
