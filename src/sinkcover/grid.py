@@ -1,17 +1,25 @@
 """Spatial decomposition: bounding box, shifted square cells, vertical strips.
 
-Cells have side 2*m*r and are solved independently.  Each cell splits into m
-vertical strips of width 2r; a radius-r disk spans at most two adjacent
-strips, which is the independence property the per-cell solver relies on.
-Shift round f translates the whole tiling by (2*f*r, 2*f*r).
+The tiling unit `Grid.strip` is 2r(1 + 2*COVER_TOL), strictly wider than
+the 2r(1 + COVER_TOL) span of any target set one site covers.  Cells of m
+units a side are solved independently, each split into m vertical strips
+one unit wide, so a site serves targets of at most two adjacent strips.
+Shift round f translates the tiling by f units on both axes.
+
+The margin holds in floats.  A cell's targets are all measured from one
+float x0, and each offset `p.x - x0`, a correctly rounded difference below
+the cell side, errs by at most half an ulp of the side (about 1e-12 r at
+m = 1024).  Two targets one site covers differ by at most
+2r(1 + COVER_TOL)(1 + 2**-51) at any magnitude, as the site-to-target
+differences of the coverage test are correctly rounded too.  The margin,
+2r*COVER_TOL = 2e-9 r, dwarfs both errors.
 
 This module is the only code that knows where round f's cells and strips
 lie.  `cells_for_shift` bins a point list in one pass: a cell is its index
 plus one tuple of point indices per strip.  `cell_keys` gives the cell of
 each point of an array by the same arithmetic, so the solver can tell
-which target clusters fit inside one cell of a round.  The solver bins
-targets, and `render` draws the lines of the same tiling from
-`Grid.corner`.
+which target clusters fit inside one cell of a round; `render` draws the
+same tiling's lines.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point
+from .geometry import COVER_TOL, Point
 from .sites import Instance
 
 
@@ -39,13 +47,18 @@ class Grid:
     r: float
 
     @property
+    def strip(self) -> float:
+        """The tiling unit: a strip's width and one round's shift."""
+        return 2.0 * self.r * (1.0 + 2.0 * COVER_TOL)
+
+    @property
     def cell_side(self) -> float:
-        return 2.0 * self.m * self.r
+        return self.m * self.strip
 
     def corner(self, f: int) -> Point:
-        """Lower-left corner of round f's tiling: origin + (2fr, 2fr)."""
-        return Point(self.origin.x + 2.0 * f * self.r,
-                     self.origin.y + 2.0 * f * self.r)
+        """Lower-left corner of round f's tiling: origin + f units."""
+        return Point(self.origin.x + f * self.strip,
+                     self.origin.y + f * self.strip)
 
 
 @dataclass(frozen=True)
@@ -64,14 +77,13 @@ def bounding_box(instance: Instance, m: int) -> Grid:
     """Build the grid anchor for an instance.
 
     Conceptually the instance is translated so the minimum target coordinate
-    maps to (2mr, 2mr); we keep original coordinates and move the anchor
-    instead.
+    maps to one cell side on both axes; the anchor moves instead.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
     if m < 1:
         raise ValueError("shifting parameter m must be at least 1")
-    cell = 2.0 * m * instance.r
+    cell = Grid(Point(0.0, 0.0), m, instance.r).cell_side
     # The tiny pad keeps the minimum-coordinate target strictly inside its
     # cell; without it, float rounding of (min - cell) can flip the target
     # across the corner it sits on.
@@ -99,11 +111,11 @@ def cells_for_shift(grid: Grid, points: list[Point] | tuple[Point, ...],
     all); a cell names each point by its index in `points`.  Cell
     membership is half-open, [lo, lo + side) in both axes, so every point
     lands in exactly one cell; within it, a point lands in strip
-    floor((x - lo) / 2r), clamped to the cell's m strips.
+    floor((x - lo) / unit), clamped to the cell's m strips.
     """
     if not (0 <= f <= grid.m - 1):
         raise ValueError(f"shift round must be in [0, {grid.m - 1}], got {f}")
-    m, side, width = grid.m, grid.cell_side, 2.0 * grid.r
+    m, side, width = grid.m, grid.cell_side, grid.strip
     off = grid.corner(f)
     bins: dict[tuple[int, int], list[list[int]]] = {}
     for i in range(len(points)) if among is None else among:

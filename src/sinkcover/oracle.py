@@ -44,6 +44,32 @@ def _target_masks(target_count: int, sites: list[CandidateSite]) -> list[int]:
     return masks
 
 
+def _search(uncov: int, chosen: tuple[int, ...], cost: float, tables: tuple,
+            best: list) -> None:
+    """One branch-and-bound node: cover target mask `uncov` after taking the
+    sites `chosen` at weight `cost`.  `tables` and `best` (the incumbent
+    cost and sites, and the node count) are passed in, not closed over, so
+    the recursion builds no reference cycle."""
+    coverers, masks, sites, cheapest = tables
+    best[2] += 1
+    if uncov == 0:
+        if cost < best[0] or (cost == best[0] and chosen < best[1]):
+            best[0], best[1] = cost, chosen
+        return
+    lb, rest = 0.0, uncov
+    while rest:
+        t = (rest & -rest).bit_length() - 1
+        if cheapest[t] > lb:
+            lb = cheapest[t]
+        rest &= rest - 1
+    if cost + lb >= best[0]:
+        return
+    t = (uncov & -uncov).bit_length() - 1
+    for si in coverers[t]:
+        _search(uncov & ~masks[si], chosen + (si,), cost + sites[si].weight,
+                tables, best)
+
+
 def exact_min_cost_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
     """Exact minimum total weight covering all targets, by branch and bound.
 
@@ -72,33 +98,9 @@ def exact_min_cost_cover(target_count: int, sites: list[CandidateSite]) -> Oracl
         coverers[t].sort(key=lambda si: (sites[si].weight, si))
         cheapest[t] = sites[coverers[t][0]].weight
 
-    best_cost = INF
-    best_set: tuple[int, ...] = ()
-    nodes = 0
-
-    def lower_bound(uncov: int) -> float:
-        lb = 0.0
-        while uncov:
-            t = (uncov & -uncov).bit_length() - 1
-            if cheapest[t] > lb:
-                lb = cheapest[t]
-            uncov &= uncov - 1
-        return lb
-
-    def search(uncov: int, chosen: tuple[int, ...], cost: float) -> None:
-        nonlocal best_cost, best_set, nodes
-        nodes += 1
-        if uncov == 0:
-            if cost < best_cost or (cost == best_cost and chosen < best_set):
-                best_cost, best_set = cost, chosen
-            return
-        if cost + lower_bound(uncov) >= best_cost:
-            return
-        t = (uncov & -uncov).bit_length() - 1
-        for si in coverers[t]:
-            search(uncov & ~masks[si], chosen + (si,), cost + sites[si].weight)
-
-    search(full, (), 0.0)
+    best = [INF, (), 0]
+    _search(full, (), 0.0, (coverers, masks, sites, cheapest), best)
+    best_cost, best_set, nodes = best
     if math.isinf(best_cost):
         return OracleResult(INF, frozenset(), nodes, False, feasible=False)
     return OracleResult(best_cost, frozenset(best_set), nodes, True)

@@ -195,8 +195,7 @@ def solve(instance: Instance, config: PtasConfig,
     site covers targets of two components, so the union splits by
     component, and a component that fits inside one cell of a round costs
     its own optimum there.  Such a component is solved once, in the first
-    round it fits, and reused in the later rounds it fits; a one-target
-    component takes its cheapest coverer, lowest index on ties.  Round f
+    round it fits, and reused in the later rounds it fits.  Round f
     covers only the components spanning its cells and those fitting for
     the first time.  A target alone in its cell among its component's
     targets takes its cheapest coverer too, with no DP run: inside the
@@ -228,11 +227,6 @@ def solve(instance: Instance, config: PtasConfig,
         cost = _round_cost(ids, sites)
         if best[c] is None or cost < best[c][0]:
             best[c] = (cost, ids)
-
-    for c, ts in enumerate(members):
-        if len(ts) == 1:
-            solved[c] = frozenset([_cheapest(ts[0], sites, coverers)])
-            offer(c, solved[c])
 
     rounds: list[frozenset[int]] = []
     subsets = 0

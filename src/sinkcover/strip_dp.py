@@ -1,13 +1,12 @@
 """Optimal per-cell coverage via dynamic programming over vertical strips.
 
-A cell of side 2mr splits into m strips of width 2r.  A radius-r disk covers
-targets spanning less than 2r horizontally, so a site can serve targets in
-at most two adjacent strips and the pools of non-adjacent strips are
-disjoint.  Write T_i for strip i's targets, S_i for the sites in the pools
-of both strip i and strip i+1, and L_i for strip i's local sites (in its
-pool but in neither S_{i-1} nor S_i).  Local sites cover only targets of
-their own strip, so strip i+1 sees strip i's choice only through the
-footprint F, the chosen part of S_i.  The sweep keeps one cost per
+A cell splits into m strips one tiling unit wide (`grid.Grid.strip`),
+wider than any target set one site covers, so the pools of non-adjacent
+strips are disjoint.  Write T_i for strip i's targets, S_i for the sites in
+the pools of both strip i and strip i+1, and L_i for strip i's local sites
+(in its pool but in neither S_{i-1} nor S_i).  Local sites cover only
+targets of their own strip, so strip i+1 sees strip i's choice only through
+the footprint F, the chosen part of S_i.  The sweep keeps one cost per
 footprint:
 
     D_i(F) = min over F' of  D_{i-1}(F') + w(F) + C_i(T_i minus cov(F' | F))
@@ -31,9 +30,7 @@ calls itself, so the sweep builds no reference cycle and each strip's memo
 is freed by reference count as soon as the strip ends.
 
 A strip without targets has an empty pool and one state, the empty
-footprint, so the sweep skips it and runs over the strips that hold
-targets.  Sites are shared only between strips adjacent in the cell, so a
-skipped strip leaves its neighbours sharing nothing, as before.
+footprint, so the sweep skips it; the strips on either side share no site.
 
 A cell may store at most STATE_BUDGET states, footprints plus local-cover
 memo entries, summed over its strips.  The count is checked as entries are
@@ -156,7 +153,7 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
     """
     counters = DpCounters()
     # The sweep skips strips without targets; `number` gives each strip it
-    # keeps its place in the cell.
+    # keeps its place in the cell, for the error message.
     number = [i for i, st in enumerate(strips) if st.target_indices]
     held = [strips[i] for i in number]
     if not held:
@@ -188,9 +185,8 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
             tm |= tbit[t]
         strip_tmask.append(tm)
     strip_tmask.append(0)
-    # Only strips adjacent in the cell share sites.
-    shared = [pool_mask[j] & pool_mask[j + 1] if number[j + 1] == number[j] + 1
-              else 0 for j in range(len(held) - 1)] + [0]
+    shared = [pool_mask[j] & pool_mask[j + 1]
+              for j in range(len(held) - 1)] + [0]
 
     # Footprints entering strip i, grouped by coverage of T_i; each group
     # keeps its cheapest (cost, footprint).
@@ -201,14 +197,6 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
 
     for i in range(len(held)):
         o_mask = shared[i - 1] if i > 0 else 0
-        if o_mask & shared[i]:
-            # Covered targets of one site are at most 2r apart, so pools two
-            # strips apart are disjoint up to the coverage tolerance.  A site
-            # spanning three pools can only come from targets within a few
-            # ulps of exactly 2r; refuse rather than mischarge its weight.
-            raise ValueError(
-                "degenerate geometry: a site's covered targets span three "
-                "strips (target separation within tolerance of 2r)")
         tmask = strip_tmask[i]
         table = _footprints(_bit_indices(shared[i]), cover, weight,
                             STATE_BUDGET - used)

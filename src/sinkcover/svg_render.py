@@ -82,8 +82,8 @@ def render_svg(instance: Instance, solution: Solution | None = None,
     f = solution.shift_round if solution else None
     if m >= 1 and f is not None and instance.n >= 1:
         g = bounding_box(instance, m)
-        off, side, strip_w = g.corner(f), g.cell_side, 2.0 * g.r
-        # Strip line j sits at off.x + j * 2r; every m-th one is a cell line.
+        off, side, strip_w = g.corner(f), g.cell_side, g.strip
+        # Strip line j sits at off.x + j units; every m-th one is a cell line.
         j = math.floor((x0 - off.x) / strip_w)
         while (x := off.x + j * strip_w) <= x1:
             on_cell = j % m == 0

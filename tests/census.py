@@ -21,9 +21,10 @@ def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point
     """Count placed sensors per strip and per small square.
 
     The sensors are binned by `grid.cells_for_shift`, the tiling the solver
-    uses for its targets: the strips are the 2r-wide slices of the
-    shift-`shift` cells for the given m, keyed (cell x, cell y, strip) with
-    strips numbered from 1, and only strips holding a sensor are listed.
+    uses for its targets: the strips are the one-unit (`Grid.strip`) slices
+    of the shift-`shift` cells for the given m, keyed (cell x, cell y,
+    strip) with strips numbered from 1, and only strips holding a sensor
+    are listed.
     Squares have side sqrt(1/2) after normalizing the instance so r = 1
     (i.e. side sqrt(1/2) * r in original units), anchored at the grid
     origin.  The maxima measure the paper's density lemma (an optimum has

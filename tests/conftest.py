@@ -1,7 +1,7 @@
 from hypothesis import settings
 
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
-from sinkcover.sites import coverers_by_target
+from sinkcover.sites import Instance, coverers_by_target
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -32,3 +32,27 @@ def solve_state_bound(instance, solution, sites):
     return sum(footprint_state_bound(strips_of_cell(cell, coverers))
                for f in range(m)
                for cell in cells_for_shift(grid, instance.targets, f))
+
+
+def straddle_instance(m, j, delta, eps, two_r_lines=True, offset=0.0):
+    """Targets A, C and B on y = 5 that one site covers, with A = L - delta
+    just below a vertical line L, B = A + 2(1 + eps) and C midway, plus
+    target (0, 0) and station (0, -3) at r = 1; every point is translated
+    by (offset, offset).
+
+    With `two_r_lines`, L = 2j - pad is line j of round 0 of a tiling in
+    units of exactly 2r, whose anchor sits the pad 1e-9 of a cell below the
+    least target coordinate: there A, C and B span three strips once B
+    passes L + 2.  Else L is line j of round 0 of `bounding_box`'s tiling
+    at m, the one the solver uses.
+    """
+    if two_r_lines:
+        line = 2.0 * j - 2e-9 * m
+    else:
+        g = bounding_box(Instance.from_coords([(0.0, 0.0)], [(0.0, -3.0)], 1.0), m)
+        line = g.corner(0).x + (m + j) * g.strip
+    a = line - delta
+    b = a + 2.0 * (1.0 + eps)
+    targets = [(0.0, 0.0), (a, 5.0), ((a + b) / 2, 5.0), (b, 5.0)]
+    return Instance.from_coords([(x + offset, y + offset) for x, y in targets],
+                                [(offset, offset - 3.0)], 1.0)

@@ -166,24 +166,29 @@ def test_m_beyond_max_rounds_is_refused_before_the_exact_oracle(tmp_path, capsys
     assert out.err.startswith("error[input]: ") and "MAX_ROUNDS = 1024" in out.err
 
 
-def test_three_strip_degenerate_geometry_is_refused_loudly(tmp_path, capsys):
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_targets_two_r_apart_within_tolerance_solve(tmp_path, capsys, m):
     # Targets (A,5), (C,5), (B,5) sit within a few ulps of 2r apart at r=1,
-    # so one site covers targets of three strips of a round at m=4.  The
-    # strip DP refuses such a cell rather than charge the shared site twice;
-    # the exact oracle solves the same instance.
+    # so one site covers all three, and on a tiling of exactly 2r they span
+    # three strips of a round.  The tiling unit is wider than any covered
+    # set, so the strip DP takes the cell like any other, and the solve is
+    # the `exact` optimum.
     a, b, c = 5.999999991999, 7.999999992799, 6.999999992399
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"r": 1.0, "stations": [[0, -3]],
                                 "targets": [[0, 0], [a, 5], [c, 5], [b, 5]]}))
-    assert run(["solve", "--in", str(path), "--m", "4",
-                "--out", str(tmp_path / "sol.json")]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error[input]: degenerate geometry: a site's covered "
-                              "targets span three strips")
-    assert not (tmp_path / "sol.json").exists()
     assert run(["exact", "--in", str(path), "--out", str(tmp_path / "exact.json")]) == 0
     assert capsys.readouterr().out.startswith("cost 12.630145808, ")
+    exact = read_solution(tmp_path / "exact.json").total_cost
+    assert run(["solve", "--in", str(path), "--m", str(m),
+                "--out", str(tmp_path / "sol.json")]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    if m == 4:
+        assert out.out.startswith("cost 12.630145808")
+    sol = read_solution(tmp_path / "sol.json")
+    assert verify_solution(read_instance(path), sol.placements)
+    assert sol.total_cost <= (1 + 4 / m) * exact * (1 + 1e-9)
 
 
 def test_solve_too_dense_exits_2_with_budget_error(tmp_path, capsys):

@@ -3,8 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from conftest import straddle_instance
 
-from sinkcover.geometry import Point
+from sinkcover.geometry import COVER_TOL, Point
 from sinkcover.grid import (Cell, bounding_box, cell_keys, cells_for_shift,
                            strips_of_cell)
 from sinkcover.sites import Instance, coverers_by_target, generate_candidate_sites
@@ -20,12 +21,15 @@ def _uniform_instance(seed, n=8, k=2, extent=10.0, r=1.0):
 def test_bounding_box_translation():
     inst = Instance.from_coords([(0, 0), (10, 10)], [(5, 5)], 1.0)
     g = bounding_box(inst, 2)
-    # Anchor one cell below the minimum coordinate: target min maps to 2mr.
-    assert g.origin.x == pytest.approx(-4.0, abs=1e-6)
-    assert g.origin.y == pytest.approx(-4.0, abs=1e-6)
-    # Round 0's tiling starts at the anchor; the cell side is 2mr.
+    # The unit is 2r(1 + 2 COVER_TOL), wider than any set one site covers.
+    assert g.strip == 2.0 * (1.0 + 2.0 * COVER_TOL)
+    assert g.strip > 2.0 * (1.0 + COVER_TOL)
+    # Anchor one cell below the minimum coordinate: target min maps to m units.
+    assert g.origin.x == pytest.approx(-2 * g.strip, abs=1e-6)
+    assert g.origin.y == pytest.approx(-2 * g.strip, abs=1e-6)
+    # Round 0's tiling starts at the anchor; the cell side is m units.
     assert g.corner(0) == g.origin
-    assert g.cell_side == 4.0
+    assert g.cell_side == 2 * g.strip
 
 
 def test_bounding_box_single_target_single_cell():
@@ -50,14 +54,14 @@ def test_bounding_box_empty_errors():
         bounding_box(inst, 2)
 
 
-def test_shift_moves_boundaries_by_2fr():
+def test_shift_moves_boundaries_by_f_units():
     inst = Instance.from_coords([(0, 0), (9, 9)], [(5, 5)], 1.0)
     g = bounding_box(inst, 2)
     side = g.cell_side
     for f in range(2):
-        # Boundaries of round f sit at origin + 2fr plus cell multiples.
-        off_x = g.origin.x + 2.0 * f * g.r
-        off_y = g.origin.y + 2.0 * f * g.r
+        # Boundaries of round f sit at origin + f units plus cell multiples.
+        off_x = g.origin.x + f * g.strip
+        off_y = g.origin.y + f * g.strip
         assert g.corner(f) == Point(off_x, off_y)
         for c in cells_for_shift(g, inst.targets, f):
             lo_x, lo_y = off_x + c.index[0] * side, off_y + c.index[1] * side
@@ -89,9 +93,9 @@ def test_shift_round_bounds_checked():
 
 def test_shift_boundary_positions_cycle():
     # Over rounds f = 0..m-1 the vertical boundary offsets modulo the cell
-    # side hit every multiple of 2r exactly once.
+    # side hit every multiple of the unit exactly once.
     inst = _uniform_instance(1)
-    m, r = 4, 1.0
+    m = 4
     g = bounding_box(inst, m)
     side = g.cell_side
     offsets = set()
@@ -99,7 +103,7 @@ def test_shift_boundary_positions_cycle():
         cell = cells_for_shift(g, inst.targets, f)[0]
         lower_left_x = g.corner(f).x + cell.index[0] * side
         offsets.add(round((lower_left_x - g.origin.x) % side, 9))
-    assert offsets == {round(2 * r * f, 9) for f in range(m)}
+    assert offsets == {round(g.strip * f, 9) for f in range(m)}
 
 
 def test_strip_count_and_width():
@@ -189,6 +193,38 @@ def test_no_pool_shared_across_nonadjacent_strips():
             for i in range(len(strips)):
                 for j in range(i + 2, len(strips)):
                     assert not set(strips[i].site_pool) & set(strips[j].site_pool)
+
+
+def _translated(inst, offset):
+    return Instance.from_coords([(t.x + offset, t.y + offset) for t in inst.targets],
+                                [(p.x + offset, p.y + offset) for p in inst.stations],
+                                inst.r)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+def test_no_site_in_the_pools_of_strips_two_apart(offset):
+    # The unit is wider than any covered set, so in every cell of every
+    # round the pools of strips two or more apart are disjoint (so no site
+    # lies in three pools), for uniform draws and for targets that one
+    # site covers straddling a strip line, far from the origin too.
+    rng = random.Random(18)
+    cases = [(_uniform_instance(seed, n=12, extent=6.0), m)
+             for seed in range(6) for m in (1, 2, 3, 4)]
+    for _ in range(60):
+        m = rng.choice([2, 3, 4, 8])
+        cases.append((straddle_instance(
+            m, rng.randint(1, 2 * m + 1), rng.uniform(1e-12, 1e-9),
+            rng.uniform(1e-12, 1e-9), rng.random() < 0.5), m))
+    for inst, m in cases:
+        inst = _translated(inst, offset)
+        coverers = coverers_by_target(generate_candidate_sites(inst))
+        g = bounding_box(inst, m)
+        for f in range(m):
+            for cell in cells_for_shift(g, inst.targets, f):
+                pools = [set(s.site_pool) for s in strips_of_cell(cell, coverers)]
+                for i in range(m):
+                    for j in range(i + 2, m):
+                        assert not pools[i] & pools[j]
 
 
 def test_strip_independence_randomized():

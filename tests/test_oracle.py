@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from itertools import combinations
@@ -45,6 +46,15 @@ def test_exact_prefers_shared_site():
     assert res.cost == pytest.approx(1.5)
     assert res.site_indices == {2}
     assert _exhaustive(2, sites) == pytest.approx(1.5)
+
+
+def test_exact_tie_goes_to_least_site_tuple():
+    # Both covers cost 2.0: {1, 2} is found first, then (0,) wins the tie
+    # as the lesser tuple of site indices.
+    sites = _sites([({0, 1}, 2.0), ({0}, 1.0), ({1}, 1.0)])
+    res = exact_min_cost_cover(2, sites)
+    assert res.cost == 2.0 and res.site_indices == {0}
+    assert res.nodes_explored == 5
 
 
 def test_exact_counterexample_family():
@@ -166,6 +176,28 @@ def test_grid_refine_rejects_bad_step(step):
     inst = Instance.from_coords([(0, 0)], [(4, 0)], 1.0)
     with pytest.raises(ValueError, match="step must be positive and finite"):
         grid_refine_audit(inst, 3.0, step)
+
+
+def test_exact_and_grid_audit_leave_no_cyclic_garbage():
+    # An audit-sized draw: 12 targets and 2 stations in a 6x6 box.  The
+    # branch and bound is a module-level recursion over explicit state, so
+    # both calls free everything by reference count.
+    rng = random.Random("audit-12/1751/0")
+    pts = [(rng.uniform(0, 6.0), rng.uniform(0, 6.0)) for _ in range(14)]
+    inst = Instance.from_coords(pts[:12], pts[12:], 1.0)
+    sites = prune_dominated(generate_candidate_sites(inst))
+    # Warm up first-call caches.
+    grid_refine_audit(inst, exact_min_cost_cover(inst.n, sites).cost, 0.005)
+    gc.collect()
+    gc.disable()
+    try:
+        res = exact_min_cost_cover(inst.n, sites)
+        assert gc.collect() == 0
+        grid_refine_audit(inst, res.cost, 0.005)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert res.proven_optimal and res.nodes_explored == 158
 
 
 def test_census_single_sensor():

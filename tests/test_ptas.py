@@ -3,8 +3,8 @@ import json
 import math
 
 import pytest
-from conftest import solve_state_bound
-from hypothesis import given
+from conftest import solve_state_bound, straddle_instance
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from reference_ptas import components, every_cell_costs
 
@@ -132,6 +132,48 @@ def test_solve_lies_between_the_optimum_and_its_cheapest_round(n, k, extent, see
     assert opt * (1 - 1e-9) - 1e-12 <= sol.total_cost <= min(sol.per_round_costs)
     assert min(sol.per_round_costs) <= (1 + 4 / m) * opt * (1 + 1e-9) + 1e-12
     assert sol.per_round_costs[sol.shift_round] == min(sol.per_round_costs)
+
+
+@given(st.sampled_from([2, 3, 4, 8]), st.integers(1, 12),
+       st.floats(0.0, 1e-9, exclude_min=True, exclude_max=True),
+       st.floats(0.0, 1e-9, exclude_min=True, exclude_max=True),
+       st.booleans(), st.sampled_from([0.0, 1e6, 1e9]))
+def test_targets_straddling_strip_lines_solve_within_the_bound(
+        m, j, delta, eps, two_r_lines, offset):
+    # On 2r lines, B passes the next line, so the three targets one site
+    # covers would span three strips of a tiling in units of exactly 2r.
+    b = straddle_instance(m, j, delta, eps, two_r_lines).targets[3].x
+    assume(not two_r_lines or b > 2.0 * (j + 1) - 2e-9 * m)
+    inst = straddle_instance(m, j, delta, eps, two_r_lines, offset)
+    opt, sol = _sandwich(inst, m)
+    assert verify_solution(inst, sol.placements)
+    assert opt * (1 - 1e-9) - 1e-12 <= sol.total_cost
+    assert sol.total_cost <= (1 + 4 / m) * opt * (1 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+@pytest.mark.parametrize("targets, stations", [
+    ([(0.5, 0.2), (2.5, 1.9), (4.0, 0.3), (1.1, 3.3)], [(1.0, 1.0)] * 3),
+    ([(0.0, 0.0), (3.0, 3.0), (3.0, 3.0)], [(1.0, 1.0), (1.0, 1.0)]),
+    ([(0.7 * i, 1.4 * i) for i in range(7)], [(3.0, 0.0), (-1.0, 4.0)]),
+    ([(1.3 * i, -5.0) for i in range(8)], [(4.0, -4.5)]),
+    ([(2.0 * i, 0.0) for i in range(7)], [(6.0, -2.0)]),
+    ([(0.0, 2.0 * i) for i in range(7)], [(1.5, 5.0), (-3.0, 0.0)]),
+    ([(2.0 * i, 2.0 * k) for i in range(3) for k in range(3)], [(2.0, 2.0)]),
+    ([(i * 3.0 ** 0.5, float(i)) for i in range(6)], [(0.0, 3.0)]),
+    ([(1e6 + 2.0 * i, 1e6) for i in range(6)], [(1e6 + 5.0, 1e6 + 1.0)]),
+], ids=["coincident-stations", "coincident-targets", "collinear-diagonal",
+        "collinear-row", "chain-2r-row", "chain-2r-column", "lattice-2r",
+        "chain-2r-slanted", "chain-2r-at-1e6"])
+def test_degenerate_geometry_solves_within_the_bound(targets, stations, m):
+    # Coincident stations or targets, collinear targets, and chains and a
+    # lattice of targets exactly 2r apart get a verified cover within the
+    # shifting bound.
+    inst = Instance.from_coords(targets, stations, 1.0)
+    opt, sol = _sandwich(inst, m)
+    assert verify_solution(inst, sol.placements)
+    assert opt * (1 - 1e-9) - 1e-12 <= sol.total_cost
+    assert sol.total_cost <= (1 + 4 / m) * opt * (1 + 1e-9) + 1e-12
 
 
 def _cells_of(inst, group, m, f):
