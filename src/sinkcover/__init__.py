@@ -15,9 +15,8 @@ from .oracle import exact_min_cost_cover, greedy_cover, grid_refine_audit
 from .ptas import Placement, PtasConfig, Solution, solve, verify_solution
 from .strip_dp import StateBudgetError
 from .instances_io import (InstanceFormatError, gen_counterexample, gen_uniform,
-                           read_instance, read_instance_file, read_report,
-                           read_solution, write_instance, write_report,
-                           write_solution)
+                           read_instance, read_instance_file, read_solution,
+                           write_instance, write_report, write_solution)
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,7 @@ __all__ = [
     "Instance", "InstanceFormatError", "Placement", "PtasConfig", "Solution",
     "StateBudgetError", "exact_min_cost_cover",
     "gen_counterexample", "gen_uniform", "greedy_cover", "grid_refine_audit",
-    "read_instance", "read_instance_file", "read_report", "read_solution",
+    "read_instance", "read_instance_file", "read_solution",
     "solve", "verify_solution", "write_instance", "write_report",
     "write_solution",
 ]

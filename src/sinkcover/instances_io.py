@@ -205,10 +205,6 @@ def write_report(path, records: list[dict]) -> None:
     Path(path).write_text(json.dumps(list(records), indent=2) + "\n")
 
 
-def read_report(path) -> list[dict]:
-    return json.loads(Path(path).read_text())
-
-
 def gen_uniform(n: int, k: int, r: float, extent: float, seed: int) -> Instance:
     """n targets and k stations drawn i.i.d. uniformly from [0, extent]^2."""
     if n < 1 or k < 1:

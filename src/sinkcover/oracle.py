@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COVER_TOL, Point
-from .sites import CandidateSite, Instance, site_weight
+from .geometry import COVER_TOL
+from .sites import CandidateSite, Instance, coverers_by_target
 
 INF = float("inf")
 
@@ -86,9 +86,9 @@ def exact_min_cost_cover(target_count: int, sites: list[CandidateSite]) -> Oracl
     full = (1 << target_count) - 1
 
     coverers: list[list[int]] = [[] for _ in range(target_count)]
-    for si, m in enumerate(masks):
-        for t in range(target_count):
-            if m >> t & 1:
+    for si, s in enumerate(sites):
+        for t in s.covered:
+            if t < target_count:
                 coverers[t].append(si)
     cheapest = [INF] * target_count
     for t in range(target_count):
@@ -143,42 +143,49 @@ def greedy_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
 
 @dataclass(frozen=True)
 class GridRefineReport:
-    """Outcome of the continuous-refinement audit."""
+    """The discretization audit's outcome; it passes when `undominated` is 0."""
 
     step: float
-    discrete_opt: float
-    grid_opt: float
-    gap: float                 # grid_opt - discrete_opt
-    grid_solution_size: int
     grid_candidate_points: int
     distinct_cover_sets: int
-
-    @property
-    def ok_lower(self) -> bool:
-        """Grid search never beats the discrete optimum (up to float noise)."""
-        return self.grid_opt >= self.discrete_opt - 1e-9
+    undominated: int           # sets no candidate covers at no more weight
+    worst_excess: float        # max over sets of (least superset weight - w)
 
 
-def grid_refine_audit(instance: Instance, discrete_opt: float,
+def grid_refine_audit(instance: Instance, sites: list[CandidateSite],
                       step: float) -> GridRefineReport:
-    """Compare the discrete optimum against a brute-force grid of placements.
+    """Check the candidate sites against a grid of placements, set by set.
 
-    Sensor positions are sampled at pitch `step` over the union of detection
-    circles (positions farther than r from every target cover nothing and
-    are useless), condensed to one cheapest representative per distinct
-    covered set, and solved exactly.  If the candidate-site classes are
-    sound, the grid optimum can only be worse, up to O(step) per sensor.
-    Input that `check_grid_audit` refuses raises ValueError.
+    The grid has pitch `step` over the targets' bounding box grown by r.
+    For every set S that some grid point covers exactly, with w the least
+    weight of such a point, some site must cover a superset of S at weight
+    at most w.  Sound candidate classes ensure it: the points covering S
+    are an intersection of disks, whose point nearest a station is the
+    station, a projection onto one circle, or a vertex of two circles.  So
+    no cover by grid points beats the optimum over `sites`, and no exact
+    solve is needed.  Every superset of S holds S's lowest target, so only
+    that target's coverers are tried.
+
+    The tolerance is r * COVER_TOL plus a few ulps of w.  The grid tests
+    coverage at reach r(1 + COVER_TOL), while projections and vertices sit
+    on radius-r circles, so a grid point just past a circle can lie up to
+    r * COVER_TOL nearer a station than the projection on it; and site
+    weights come from `math.hypot`, grid weights from `np.hypot`.  Input
+    that `check_grid_audit` refuses raises ValueError.
     """
-    grid_sites, total_pts = _grid_sites(instance, step)
-    res = exact_min_cost_cover(instance.n, grid_sites)
-    return GridRefineReport(step=step,
-                            discrete_opt=discrete_opt,
-                            grid_opt=res.cost,
-                            gap=res.cost - discrete_opt,
-                            grid_solution_size=len(res.site_indices),
-                            grid_candidate_points=total_pts,
-                            distinct_cover_sets=len(grid_sites))
+    sets, least, points = _grid_sets(instance, step)
+    masks = _target_masks(instance.n, sites)
+    coverers = coverers_by_target(sites)
+    undominated, worst = 0, -INF
+    for s, w in zip(sets.tolist(), least.tolist()):
+        low = (s & -s).bit_length() - 1
+        excess = min((sites[j].weight - w for j in coverers.get(low, ())
+                      if masks[j] & s == s), default=INF)
+        undominated += excess > instance.r * COVER_TOL + 4.0 * math.ulp(w)
+        worst = max(worst, excess)
+    return GridRefineReport(step=step, grid_candidate_points=points,
+                            distinct_cover_sets=len(sets),
+                            undominated=undominated, worst_excess=worst)
 
 
 def check_grid_audit(instance: Instance, step: float) -> tuple[float, float, float, float]:
@@ -208,13 +215,10 @@ def check_grid_audit(instance: Instance, step: float) -> tuple[float, float, flo
     return x0, x1, y0, y1
 
 
-def _grid_sites(instance: Instance,
-                step: float) -> tuple[list[CandidateSite], int]:
-    """The audit's grid sites, one per distinct covered set, and the number
-    of grid points that cover some target.
-
-    Each set is represented by its cheapest grid point, ties going to the
-    least x, then the least y.
+def _grid_sets(instance: Instance, step: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each distinct covered set of the audit's grid as an int64 bit mask,
+    ascending, the least weight of a grid point covering exactly that set,
+    and the number of grid points that cover some target.
 
     A grid point covers target t when `(x - t.x)**2 + (y - t.y)**2 <= rr`
     in floats.  On one x line the offsets `dy = y - t.y` are non-decreasing
@@ -225,34 +229,18 @@ def _grid_sites(instance: Instance,
     on that same expression.  Each line is cut at the interval ends into
     runs of one covered set.
 
-    Only a few candidate points of each run are weighed.  The offsets
-    `dy = ys - p.y` to a station p are non-decreasing in the row too, so
-    the rows with `|dy| <= L` form one window, found by `searchsorted`.
-    Let q be the run's row of least |dy|, dx the line's offset to p, and
-    D(j) the exact sqrt(dx**2 + dy_j**2) of the rounded offsets.  Assume
-    generously that `np.hypot` returns D within 2**-48 D + 2**-1022 below
-    overflow (glibc's is within one ulp), and take, in floats,
-    L = |dy_q| + 2**-21 (|dx| + |dy_q|) + 2**-500, which is at least
-    |dy_q| + W with W = 2**-22 D(q) + 2**-501.  A row j of the run outside
-    the window then has |dy_j| - |dy_q| > W, so
-    D(j)**2 - D(q)**2 >= (|dy_j| - |dy_q|)**2 > W**2 >= 2 D(q) M + M**2
-    with M = 3 (2**-48 D(q) + 2**-1022).  Hence D(j) > D(q) + M, and the
-    computed distance from j to p is strictly greater than that from q.
-    The run's candidates are the union of its windows over the stations:
-    every other point is farther from each station p than p's row q, so
-    strictly heavier than the lightest candidate, and every point at the
-    run's least weight is a candidate.  Far stations widen a window (at
-    1e6 r several rows round to one distance), near ones keep it at a row
-    or two.
+    The offsets `ys - p.y` to a station p are non-decreasing in the row
+    too, so in a run |dy| is least at the line's row of least |dy| clamped
+    into the run, and so is `np.hypot` (monotone where correctly rounded):
+    each station is weighed at one row per run.
     """
-    r = instance.r
     x0, x1, y0, y1 = check_grid_audit(instance, step)
     txs = np.array([t.x for t in instance.targets])
     tys = np.array([t.y for t in instance.targets])
     xs = np.arange(x0, x1 + step / 2, step)
     ys = np.arange(y0, y1 + step / 2, step)
     ny = len(ys)
-    reach = r * (1.0 + COVER_TOL)
+    reach = instance.r * (1.0 + COVER_TOL)
     rr = reach * reach
 
     # One (target, line) pair for each line a target can reach: the rounded
@@ -282,45 +270,16 @@ def _grid_sites(instance: Instance,
     lens = np.diff(heads, append=heads[-1:])
     covering = keys != 0
     heads, lens, keys = heads[covering], lens[covering], keys[covering]
-    line = heads // ny
-    first_row = heads - line * ny
-    last_row = first_row + lens - 1
+    line, first_row = np.divmod(heads, ny)
 
-    # Each run's candidate window for each station, as rows.
-    win_lo, win_len = [], []
+    w = np.full(len(heads), np.inf)
     for p in instance.stations:
-        dy = ys - p.y
-        q = np.clip(np.argmin(np.abs(dy)), first_row, last_row)
-        near = np.abs(dy[q])
-        lim = near + (np.abs(xs[line] - p.x) + near) * 2.0**-21 + 2.0**-500
-        a = np.maximum(np.searchsorted(dy, -lim, "left"), first_row)
-        b = np.minimum(np.searchsorted(dy, lim, "right"), last_row + 1)
-        win_lo.append(a)
-        win_len.append(b - a)
-    win_lo, win_len = np.concatenate(win_lo), np.concatenate(win_len)
-    offs = np.cumsum(win_len) - win_len
-    # Windows of two stations may overlap; a repeated point is harmless.
-    run = np.repeat(np.tile(np.arange(len(heads)), len(instance.stations)),
-                    win_len)
-    gx = xs[line[run]]
-    gy = ys[np.repeat(win_lo - offs, win_len) + np.arange(int(win_len.sum()))]
-    w = np.full(gx.shape, np.inf)
-    for p in instance.stations:
-        np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
-    # Every point at its run's least weight is a candidate, so the first
-    # candidate of each set by (weight, x, y) is the set's point.
-    key = keys[run]
-    order = np.lexsort((gy, gx, w, key))
-    key = key[order]
-    new_set = np.diff(key, prepend=-1) != 0
-
-    grid_sites = []
-    for gi, s in zip(order[new_set], key[new_set].tolist()):
-        covered = frozenset(t for t in range(instance.n) if s >> t & 1)
-        at = Point(float(gx[gi]), float(gy[gi]))
-        _, origin = site_weight(at, instance.stations)
-        grid_sites.append(CandidateSite(at, covered, float(w[gi]), origin))
-    return grid_sites, int(lens.sum())
+        q = np.clip(np.argmin(np.abs(ys - p.y)), first_row, first_row + lens - 1)
+        np.minimum(w, np.hypot(xs[line] - p.x, ys[q] - p.y), out=w)
+    order = np.lexsort((w, keys))
+    keys, w = keys[order], w[order]
+    new_set = np.diff(keys, prepend=0) != 0
+    return keys[new_set], w[new_set], int(lens.sum())
 
 
 def _first_true(test, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

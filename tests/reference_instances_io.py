@@ -1,7 +1,8 @@
-"""The solution writer as one json.dumps call.
+"""The solution writer as one json.dumps call, and the report reader.
 
 `instances_io.write_solution` formats placement rows from a template and
-must write exactly these bytes.
+must write exactly these bytes.  `read_report` reads back what
+`instances_io.write_report` writes.
 """
 
 import json
@@ -17,3 +18,7 @@ def write_solution(path, solution):
                           for p in solution.placements],
            "config": solution.config}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def read_report(path):
+    return json.loads(Path(path).read_text())

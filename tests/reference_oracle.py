@@ -1,21 +1,26 @@
-"""Full-grid sweep of the discretization audit, and the rescanning greedy.
+"""Full-grid sweep of the discretization audit, its global check, and the
+rescanning greedy.
 
 The library finds each target's interval of rows on each x line by binary
-search and weighs only a few points of each run of one covered set; this
+search and weighs one row per run of one covered set and station; this
 sweep tests every target against every grid point of the bounding box in
-one pass and sorts the covering points by (covered set, weight, x, y).  It
-serves as the reference the library's sweep must reproduce exactly: the
-same report and the same grid sites.
+one pass and keeps each covered set's cheapest point.  The library's sweep
+must reproduce its covered sets, least weights and point count exactly.
+
+`full_grid_global_audit` is the audit's older, global form: an exact
+cover over one grid site per covered set must cost no less than the
+discrete optimum.  The library's per-set dominance check implies it.
 
 `greedy_cover_rescan` is the greedy baseline that rescans every site on
 each step; the library's lazy heap must pick the same sites.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from sinkcover.geometry import COVER_TOL, Point
-from sinkcover.oracle import (INF, GridRefineReport, OracleResult,
-                              exact_min_cost_cover)
+from sinkcover.oracle import INF, OracleResult, exact_min_cost_cover
 from sinkcover.sites import CandidateSite, site_weight
 
 
@@ -42,44 +47,40 @@ def full_grid_sites(instance, step):
     w = np.full(gx.shape, np.inf)
     for p in instance.stations:
         np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
-    order = np.lexsort((gy, gx, w, masks))
+    order = np.lexsort((w, masks))
     masks_o = masks[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = masks_o[1:] != masks_o[:-1]
-    best_weight: dict[int, float] = {}
-    best_pos: dict[int, tuple[float, float]] = {}
-    for gi in order[first]:
-        key = int(masks[gi])
-        best_weight[key] = float(w[gi])
-        best_pos[key] = (float(gx[gi]), float(gy[gi]))
 
     grid_sites = []
-    for key in sorted(best_weight):
+    for gi in order[first]:
+        key = int(masks[gi])
         covered = frozenset(t for t in range(instance.n) if key >> t & 1)
-        px, py = best_pos[key]
-        pos = Point(px, py)
+        pos = Point(float(gx[gi]), float(gy[gi]))
         _, origin = site_weight(pos, instance.stations)
-        grid_sites.append(CandidateSite(pos, covered, best_weight[key], origin))
+        grid_sites.append(CandidateSite(pos, covered, float(w[gi]), origin))
     return grid_sites, total_pts
 
 
-def full_grid_refine_audit(instance, discrete_opt, step):
-    if instance.n == 0:
-        raise ValueError("nothing to cover")
-    if instance.n > 63:
-        raise ValueError(f"grid audit packs targets into int64 masks: "
-                         f"{instance.n} targets exceed 63")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grid_sites, total_pts = full_grid_sites(instance, step)
+@dataclass(frozen=True)
+class GlobalGridReport:
+    discrete_opt: float
+    grid_opt: float
+    gap: float                 # grid_opt - discrete_opt
+    grid_solution_size: int
+
+    @property
+    def ok_lower(self):
+        """Grid search never beats the discrete optimum (up to float noise)."""
+        return self.grid_opt >= self.discrete_opt - 1e-9
+
+
+def full_grid_global_audit(instance, discrete_opt, step):
+    grid_sites, _ = full_grid_sites(instance, step)
     res = exact_min_cost_cover(instance.n, grid_sites)
-    return GridRefineReport(step=step,
-                            discrete_opt=discrete_opt,
-                            grid_opt=res.cost,
+    return GlobalGridReport(discrete_opt=discrete_opt, grid_opt=res.cost,
                             gap=res.cost - discrete_opt,
-                            grid_solution_size=len(res.site_indices),
-                            grid_candidate_points=total_pts,
-                            distinct_cover_sets=len(grid_sites))
+                            grid_solution_size=len(res.site_indices))
 
 
 def greedy_cover_rescan(target_count, sites):

@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 from conftest import solve_state_bound
 from reference_geometry import coverage_angle_halfwidth, s_prime_location
+from reference_oracle import full_grid_global_audit
 
 from sinkcover.geometry import Point, dist
 from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
@@ -160,7 +161,10 @@ def test_criterion_5_discretization_audit():
         inst = gen_uniform(n, k, r, 5.0, 500 + seed)
         sites = prune_dominated(generate_candidate_sites(inst))
         opt = exact_min_cost_cover(inst.n, sites).cost
-        rep = grid_refine_audit(inst, opt, r / 200)
+        dom = grid_refine_audit(inst, sites, r / 200)
+        if dom.undominated:
+            failures.append((seed, "undominated grid sets", dom.worst_excess))
+        rep = full_grid_global_audit(inst, opt, r / 200)
         if rep.grid_opt < rep.discrete_opt - 1e-9:
             failures.append((seed, "grid beat discrete", rep.gap))
         if rep.discrete_opt > rep.grid_opt + 0.02 * r * max(rep.grid_solution_size, 1):

@@ -1,31 +1,39 @@
-"""The interval sweep of the discretization audit against the full-grid
-sweep in `reference_oracle`: equal reports and equal grid sites."""
+"""The discretization audit: its interval sweep against the full-grid sweep
+in `reference_oracle` (equal covered sets, least weights and point counts),
+and its per-set dominance check against the global check there."""
 
 import math
+import random
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_oracle import full_grid_refine_audit, full_grid_sites
+from reference_oracle import full_grid_global_audit, full_grid_sites
 
 from sinkcover import oracle
-from sinkcover.oracle import grid_refine_audit
-from sinkcover.sites import Instance
+from sinkcover.oracle import exact_min_cost_cover, grid_refine_audit
+from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
 
 
-def _site_rows(sites):
-    # repr tells 0.0 from -0.0 and shows every bit of a coordinate.
-    return [(repr(s.position), s.covered, s.weight, s.origin_station)
-            for s in sites]
+def _sweep_rows(inst, step):
+    # repr shows every bit of a weight.
+    sets, least, points = oracle._grid_sets(inst, step)
+    return [(s, repr(w)) for s, w in zip(sets.tolist(), least.tolist())], points
+
+
+def _reference_rows(inst, step):
+    sites, points = full_grid_sites(inst, step)
+    return sorted((sum(1 << t for t in s.covered), repr(s.weight))
+                  for s in sites), points
 
 
 def _assert_matches_reference(inst, step):
-    sites, points = oracle._grid_sites(inst, step)
-    ref_sites, ref_points = full_grid_sites(inst, step)
-    assert points == ref_points
-    assert _site_rows(sites) == _site_rows(ref_sites)
-    assert grid_refine_audit(inst, 0.5, step) == full_grid_refine_audit(
-        inst, 0.5, step)
+    rows, points = _sweep_rows(inst, step)
+    assert (rows, points) == _reference_rows(inst, step)
+    sites = prune_dominated(generate_candidate_sites(inst))
+    rep = grid_refine_audit(inst, sites, step)
+    assert (rep.grid_candidate_points, rep.distinct_cover_sets) == (points, len(rows))
+    assert rep.undominated == 0, rep
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -88,36 +96,57 @@ def audit_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(audit_cases())
 @example((Instance.from_coords([(0.0, 0.0)], [(3.0, 0.0)], 1.0), 0.25))
-def test_windowed_sweep_matches_full_grid(case):
+def test_sweep_matches_full_grid(case):
     _assert_matches_reference(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(audit_cases(), st.integers(0, 2**32 - 1))
+def test_passing_dominance_audit_implies_the_global_check(case, seed):
+    # Candidates dropped at random make some draws fail the dominance
+    # audit; every draw that passes it must pass the global check too.
+    inst, step = case
+    sites = prune_dominated(generate_candidate_sites(inst))
+    rng = random.Random(seed)
+    sites = [s for s in sites if rng.random() >= 0.1]
+    if grid_refine_audit(inst, sites, step).undominated == 0:
+        opt = exact_min_cost_cover(inst.n, sites).cost
+        assert full_grid_global_audit(inst, opt, step).ok_lower
+
+
+def test_dominance_flags_more_dropped_candidates_than_the_global_check():
+    # With a seeded 10% of the pruned candidates dropped, the per-set check
+    # flags every draw the global check flags, and more.
+    by_dominance, by_global = set(), set()
+    for i in range(30):
+        rng = random.Random(f"drop-10/{i}")
+        pts = [(rng.uniform(0, 4.0), rng.uniform(0, 4.0)) for _ in range(10)]
+        inst = Instance.from_coords(pts[:8], pts[8:], 1.0)
+        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = [s for s in sites if rng.random() >= 0.1]
+        if grid_refine_audit(inst, sites, 1.0 / 50).undominated:
+            by_dominance.add(i)
+        opt = exact_min_cost_cover(inst.n, sites).cost
+        if not full_grid_global_audit(inst, opt, 1.0 / 50).ok_lower:
+            by_global.add(i)
+    assert by_global < by_dominance, (sorted(by_global), sorted(by_dominance))
 
 
 def test_grid_points_at_exactly_r_are_kept():
     # At pitch 0.25 the points (+-1, 0) and (0, +-1) lie at exactly r from
     # the target; the cheapest one for a station at (3, 0) is (1, 0).
     inst = Instance.from_coords([(0.0, 0.0)], [(3.0, 0.0)], 1.0)
-    sites, points = oracle._grid_sites(inst, 0.25)
-    assert points == 49   # lattice points of the radius-4 disk
-    assert _site_rows(sites) == [("Point(x=1.0, y=0.0)", frozenset({0}), 2.0, 0)]
-
-
-def test_weight_tie_goes_to_least_x():
-    # (0.75, 0.5) and (0.5, 0.75) are equally far from the station, and no
-    # covering point is nearer; the tie goes to the lesser x.
-    inst = Instance.from_coords([(0.0, 0.0)], [(10.0, 10.0)], 1.0)
-    sites, _ = oracle._grid_sites(inst, 0.25)
-    assert repr(sites[0].position) == "Point(x=0.5, y=0.75)"
-    _assert_matches_reference(inst, 0.25)
+    assert _sweep_rows(inst, 0.25) == ([(1, "2.0")], 49)
 
 
 def test_runs_break_at_each_x_line():
     # The line x = 0 is covered on all nine rows, so its interval ends at
     # the flat grid index where the line x = 0.25 begins; every run of {0}
-    # must still end with its own line.
+    # must still end with its own line.  The cheapest point is (0.25, 0).
     inst = Instance.from_coords([(0.0, 0.0)], [(0.3, 0.1)], 1.0)
-    sites, points = oracle._grid_sites(inst, 0.25)
+    rows, points = _sweep_rows(inst, 0.25)
     assert points == 49
-    assert [repr(s.position) for s in sites] == ["Point(x=0.25, y=0.0)"]
+    assert rows == [(1, repr(float(np.hypot(0.25 - 0.3, 0.0 - 0.1))))]
     _assert_matches_reference(inst, 0.25)
 
 
@@ -126,28 +155,6 @@ def test_set_with_two_runs_on_one_line():
     # cheapest point of {A} for a station at (0, 5) is (0, 1), in the later
     # run of that line.
     inst = Instance.from_coords([(0.0, 0.0), (0.9, 0.0)], [(0.0, 5.0)], 1.0)
-    sites, _ = oracle._grid_sites(inst, 0.125)
-    only_a = [s for s in sites if s.covered == frozenset({0})]
-    assert [(repr(s.position), s.weight) for s in only_a] == [
-        ("Point(x=0.0, y=1.0)", 4.0)]
+    rows, _ = _sweep_rows(inst, 0.125)
+    assert dict(rows)[1] == "4.0"
     _assert_matches_reference(inst, 0.125)
-
-
-def test_tie_within_a_run_goes_to_least_y():
-    # On the line x = 0.875 the points y = -0.25 and y = 0.125 are equally
-    # far from the station and cheaper than any other covering point.
-    inst = Instance.from_coords([(0.0, 0.0)], [(3.0, -0.0625)], 1.0)
-    sites, _ = oracle._grid_sites(inst, 0.375)
-    assert repr(sites[0].position) == "Point(x=0.875, y=-0.25)"
-    _assert_matches_reference(inst, 0.375)
-
-
-def test_far_station_ties_reach_past_the_nearest_rows():
-    # 1e6 r along the target's row, the rows y = -0.01, -0.004, 0.002 and
-    # 0.008 of the line x = 0.998 all round to one distance, so the window
-    # must reach past the two rows nearest the station, and the least y wins.
-    inst = Instance.from_coords([(0.0, 0.0)], [(1e6, 0.0)], 1.0)
-    sites, _ = oracle._grid_sites(inst, 0.006)
-    assert [(repr(s.position), s.weight) for s in sites] == [
-        ("Point(x=0.9980000000000018, y=-0.00999999999999912)", 999999.002)]
-    _assert_matches_reference(inst, 0.006)

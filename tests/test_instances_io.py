@@ -11,9 +11,9 @@ from sinkcover import cli
 from sinkcover.cli import run
 from sinkcover.instances_io import (InstanceFormatError, gen_counterexample,
                                     gen_uniform, read_instance,
-                                    read_instance_file, read_report,
-                                    read_solution, write_instance,
-                                    write_report, write_solution)
+                                    read_instance_file, read_solution,
+                                    write_instance, write_report,
+                                    write_solution)
 from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover.ptas import Placement, Solution
@@ -271,4 +271,4 @@ def test_report_roundtrip(tmp_path):
                 "runtime_ms": 3.25, "counters": {"nodes_explored": 7}}]
     path = tmp_path / "report.json"
     write_report(path, records)
-    assert read_report(path) == records
+    assert reference_instances_io.read_report(path) == records

@@ -8,7 +8,7 @@ import pytest
 from sinkcover.geometry import Point
 from sinkcover.instances_io import gen_counterexample, gen_uniform
 from census import strip_sensor_census
-from reference_oracle import greedy_cover_rescan
+from reference_oracle import full_grid_global_audit, greedy_cover_rescan
 from sinkcover.oracle import exact_min_cost_cover, greedy_cover, grid_refine_audit
 from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
                              prune_dominated)
@@ -153,7 +153,8 @@ def test_grid_refine_single_target_converges():
     assert opt == pytest.approx(3.0, rel=1e-12)
     gaps = []
     for step in (0.2, 0.1, 0.05):
-        rep = grid_refine_audit(inst, opt, step)
+        assert grid_refine_audit(inst, sites, step).undominated == 0
+        rep = full_grid_global_audit(inst, opt, step)
         assert rep.ok_lower
         gaps.append(rep.gap)
     assert all(g >= -1e-9 for g in gaps)
@@ -166,7 +167,8 @@ def test_grid_refine_randomized_bounds():
         inst = gen_uniform(seed % 4 + 1, 1 + seed % 2, 1.0, 5.0, seed)
         sites = prune_dominated(generate_candidate_sites(inst))
         opt = exact_min_cost_cover(inst.n, sites).cost
-        rep = grid_refine_audit(inst, opt, 1.0 / 100)
+        assert grid_refine_audit(inst, sites, 1.0 / 100).undominated == 0
+        rep = full_grid_global_audit(inst, opt, 1.0 / 100)
         assert rep.ok_lower
         assert rep.discrete_opt <= rep.grid_opt + 0.04 * max(rep.grid_solution_size, 1)
 
@@ -175,7 +177,7 @@ def test_grid_refine_randomized_bounds():
 def test_grid_refine_rejects_bad_step(step):
     inst = Instance.from_coords([(0, 0)], [(4, 0)], 1.0)
     with pytest.raises(ValueError, match="step must be positive and finite"):
-        grid_refine_audit(inst, 3.0, step)
+        grid_refine_audit(inst, prune_dominated(generate_candidate_sites(inst)), step)
 
 
 def test_exact_and_grid_audit_leave_no_cyclic_garbage():
@@ -187,17 +189,19 @@ def test_exact_and_grid_audit_leave_no_cyclic_garbage():
     inst = Instance.from_coords(pts[:12], pts[12:], 1.0)
     sites = prune_dominated(generate_candidate_sites(inst))
     # Warm up first-call caches.
-    grid_refine_audit(inst, exact_min_cost_cover(inst.n, sites).cost, 0.005)
+    exact_min_cost_cover(inst.n, sites)
+    grid_refine_audit(inst, sites, 0.005)
     gc.collect()
     gc.disable()
     try:
         res = exact_min_cost_cover(inst.n, sites)
         assert gc.collect() == 0
-        grid_refine_audit(inst, res.cost, 0.005)
+        rep = grid_refine_audit(inst, sites, 0.005)
         assert gc.collect() == 0
     finally:
         gc.enable()
     assert res.proven_optimal and res.nodes_explored == 158
+    assert rep.undominated == 0
 
 
 def test_census_single_sensor():
