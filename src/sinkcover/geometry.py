@@ -31,9 +31,26 @@ def dist(p: Point, q: Point) -> float:
 
 
 def hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Elementwise `math.hypot`, for distances that decide an output:
-    `np.hypot` can differ from it in the last bit."""
+    """Elementwise `math.hypot`.  Numpy screens, and `math.hypot` settles
+    every comparison in the band and every output weight: `np.hypot` can
+    differ from it in the last bit."""
     return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+
+
+def within(dx: np.ndarray, dy: np.ndarray, reach: float) -> np.ndarray:
+    """Mask of the offsets whose `math.hypot` length is at most `reach`.
+
+    `np.hypot` and `math.hypot` each lie within an ulp or so of the true
+    length, so where `np.hypot` is farther from `reach` than a relative
+    1e-12 (about 4,500 ulps) both fall on the same side of it; the absolute
+    1e-300 covers subnormal lengths, whose error is a subnormal ulp.  Only
+    the offsets in that band are settled by `math.hypot`.
+    """
+    d = np.hypot(dx, dy)
+    inside = d <= reach
+    band = (np.abs(d - reach) <= 1e-12 * reach + 1e-300).nonzero()[0]
+    inside[band] = hypot(dx[band], dy[band]) <= reach
+    return inside
 
 
 def near_pairs(qx, qy, px, py, radius: float) -> tuple[np.ndarray, np.ndarray]:

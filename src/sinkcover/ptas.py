@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COVER_TOL, Point, hypot, near_pairs
+from .geometry import COVER_TOL, Point, near_pairs, within
 from .grid import (Grid, bounding_box, cell_keys, cells_for_shift,
                    strips_of_cell)
 from .sites import (CandidateSite, Instance, coverers_by_target,
@@ -282,7 +282,7 @@ def verify_solution(instance: Instance, placements) -> bool:
     tx = np.array([t.x for t in instance.targets])
     ty = np.array([t.y for t in instance.targets])
     t, p = near_pairs(tx, ty, px, py, reach)
-    inside = hypot(tx[t] - px[p], ty[t] - py[p]) <= reach
+    inside = within(tx[t] - px[p], ty[t] - py[p], reach)
     return len(np.unique(t[inside])) == instance.n
 
 

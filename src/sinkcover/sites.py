@@ -14,13 +14,12 @@ continuous placement is always dominated by one of them:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COVER_TOL, Point, dist, hypot, near_pairs
+from .geometry import COVER_TOL, Point, dist, hypot, near_pairs, within
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,9 @@ def generate_candidate_sites(instance: Instance) -> CandidateTable:
     ((target, station) order); the first one seen wins a merge, which
     decides between 0.0 and -0.0.  Circle pairs and coverage are found by
     `near_pairs` at radius 2r and r, so only targets that can intersect or
-    be covered are examined.  Every distance that decides an output comes
-    from `math.hypot`, as in `geometry.dist`: `np.hypot` can differ from it
-    in the last bit.
+    be covered are examined.  Numpy screens, and `math.hypot`, as in
+    `geometry.dist`, settles every comparison in the band and every output
+    weight: `np.hypot` can differ from it in the last bit.
     """
     reach = instance.r * (1.0 + COVER_TOL)
     tx = np.array([t.x for t in instance.targets])
@@ -133,7 +132,12 @@ def generate_candidate_sites(instance: Instance) -> CandidateTable:
     qx, qy = _positions(tx, ty, sx, sy, instance.r)
     members, lo, hi, qx, qy = _coverage(qx, qy, tx, ty, reach)
     weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations)
-    order = np.lexsort((qy, qx, weight))
+    # Positions are distinct, so only rows of equal weight need (x, y).
+    order = weight.argsort(kind="stable")
+    heads = _run_heads(weight[order])
+    tied = ~(heads & np.append(heads[1:], True))
+    rows = order[tied]
+    order[tied] = rows[np.lexsort((qy[rows], qx[rows], weight[rows]))]
     return CandidateTable(qx[order], qy[order], weight[order], origin[order],
                           lo[order], hi[order], members)
 
@@ -143,16 +147,16 @@ def _positions(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
     equal positions is kept."""
     cx, cy = _circle_pair_points(tx, ty, r)
     px, py = _nearest_circle_points(tx, ty, sx, sy, r)
-    # dict.fromkeys keeps the first key of each equal (x, y), signed zeros
-    # included.
-    seen = dict.fromkeys(zip(np.concatenate((sx, tx, cx, px)).tolist(),
-                             np.concatenate((sy, ty, cy, py)).tolist()))
-    pos = np.fromiter(itertools.chain.from_iterable(seen), float, 2 * len(seen))
-    if not np.isfinite(pos).all():
-        bad = np.isfinite(pos).reshape(-1, 2).all(axis=1).argmin()
-        x, y = pos[2 * bad:2 * bad + 2].tolist()
-        raise ValueError(f"non-finite point ({x}, {y})")
-    return pos[0::2].copy(), pos[1::2].copy()
+    x, y = np.concatenate((sx, tx, cx, px)), np.concatenate((sy, ty, cy, py))
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        bad = finite.argmin()
+        raise ValueError(f"non-finite point ({x[bad].item()}, {y[bad].item()})")
+    # -0.0 == 0.0, so signed zeros share a key, and the stable sort of
+    # np.unique gives each key's first index.
+    first = np.unique(x + 1j * y, return_index=True)[1]
+    first.sort()
+    return x[first], y[first]
 
 
 def _circle_pair_points(tx, ty, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +190,7 @@ def _coverage(qx, qy, tx, ty, reach: float):
     position i covers `members[lo[i]:hi[i]]`, ascending; with those
     positions' coordinates."""
     q, c = near_pairs(qx, qy, tx, ty, reach)
-    inside = hypot(qx[q] - tx[c], qy[q] - ty[c]) <= reach
+    inside = within(qx[q] - tx[c], qy[q] - ty[c], reach)
     q, c = q[inside], c[inside]
     lo = _run_heads(q).nonzero()[0]
     hi = np.append(lo[1:], len(c))
@@ -197,15 +201,25 @@ def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[np.ndarray, np.ndarray]
     """Each position's distance to its nearest station and that station's
     index, lowest on ties, as `site_weight` gives them.
 
-    The station is the least np.hypot, weighed by math.hypot.  Where
-    another station lies within a relative 1e-12 of it (or an absolute
-    1e-300, for subnormal distances) the two can disagree, so `site_weight`
-    settles that position.
+    The station is the least squared distance dx*dx + dy*dy, weighed by
+    math.hypot over the same dx and dy.  A squared distance is within about
+    2 ulps of the true one, and math.hypot within about 1 ulp of its root.
+    So when every other station's square exceeds the least by more than a
+    relative 8e-12, its true distance exceeds the chosen one's by a relative
+    4e-12 less a few ulps, and so does its math.hypot: the choice is
+    site_weight's, with no tie.  An absolute 1e-300 covers squares that
+    underflow, whose error is a subnormal ulp, and squares that overflow are
+    inf, which ties with inf.  A position with another station in that
+    band is settled by `site_weight`.
     """
-    near = np.hypot(qx[:, None] - sx, qy[:, None] - sy)
-    origin = near.argmin(axis=1)
-    band = np.minimum.reduce(near, axis=1) * (1.0 + 1e-12) + 1e-300
-    tied = (np.add.reduce(near <= band[:, None], axis=1) > 1).nonzero()[0].tolist()
+    # One row per station, so the reductions run along long rows; the
+    # squares of sx - qx are those of qx - sx.
+    dx, dy = sx[:, None] - qx, sy[:, None] - qy
+    with np.errstate(over="ignore"):
+        d2 = dx * dx + dy * dy
+        band = np.minimum.reduce(d2) * (1.0 + 8e-12) + 1e-300
+    origin = d2.argmin(axis=0)
+    tied = (np.add.reduce(d2 <= band) > 1).nonzero()[0].tolist()
     weight = hypot(qx - sx[origin], qy - sy[origin])
     for i in tied:
         weight[i], origin[i] = site_weight(Point(float(qx[i]), float(qy[i])), stations)

@@ -1,15 +1,79 @@
-"""All-pairs candidate-site generation and dominance pruning.
+"""All-pairs candidate-site generation and dominance pruning, and a
+column-wise generation that decides every distance with `math.hypot`.
 
-The library's versions join arrays over bucket grids; these scan every
-target pair, every (site, target) pair and every site pair, and serve as
-the reference the indexed versions must reproduce exactly, order included.
+The library's versions join arrays over bucket grids; the all-pairs ones
+scan every target pair, every (site, target) pair and every site pair, and
+serve as the reference the indexed versions must reproduce exactly, order
+included.  `math_hypot_candidate_table` is fast enough for workload sizes:
+it shares the library's bucket join and circle points, but merges positions
+in a dict, tests coverage with `math.hypot` on every pair, shortlists the
+nearest station by an `np.hypot` band, and sorts rows by a three-key
+lexsort.
 """
+
+import itertools
 
 import numpy as np
 from reference_geometry import (circle_circle_intersections, covered_targets,
                                 nearest_point_on_circle)
 
-from sinkcover.sites import CandidateSite, CandidateTable, site_weight
+from sinkcover.geometry import COVER_TOL, Point, hypot, near_pairs
+from sinkcover.sites import (CandidateSite, CandidateTable, _circle_pair_points,
+                             _nearest_circle_points, _run_heads, site_weight)
+
+
+def math_hypot_candidate_table(instance):
+    """The `CandidateTable` of `generate_candidate_sites`, every coverage
+    test and nearest-station choice settled by `math.hypot`."""
+    reach = instance.r * (1.0 + COVER_TOL)
+    tx = np.array([t.x for t in instance.targets])
+    ty = np.array([t.y for t in instance.targets])
+    sx = np.array([p.x for p in instance.stations])
+    sy = np.array([p.y for p in instance.stations])
+    qx, qy = _positions(tx, ty, sx, sy, instance.r)
+    members, lo, hi, qx, qy = _coverage(qx, qy, tx, ty, reach)
+    weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations)
+    order = np.lexsort((qy, qx, weight))
+    return CandidateTable(qx[order], qy[order], weight[order], origin[order],
+                          lo[order], hi[order], members)
+
+
+def _positions(tx, ty, sx, sy, r):
+    cx, cy = _circle_pair_points(tx, ty, r)
+    px, py = _nearest_circle_points(tx, ty, sx, sy, r)
+    # dict.fromkeys keeps the first key of each equal (x, y), signed zeros
+    # included.
+    seen = dict.fromkeys(zip(np.concatenate((sx, tx, cx, px)).tolist(),
+                             np.concatenate((sy, ty, cy, py)).tolist()))
+    pos = np.fromiter(itertools.chain.from_iterable(seen), float, 2 * len(seen))
+    if not np.isfinite(pos).all():
+        bad = np.isfinite(pos).reshape(-1, 2).all(axis=1).argmin()
+        x, y = pos[2 * bad:2 * bad + 2].tolist()
+        raise ValueError(f"non-finite point ({x}, {y})")
+    return pos[0::2].copy(), pos[1::2].copy()
+
+
+def _coverage(qx, qy, tx, ty, reach):
+    q, c = near_pairs(qx, qy, tx, ty, reach)
+    inside = hypot(qx[q] - tx[c], qy[q] - ty[c]) <= reach
+    q, c = q[inside], c[inside]
+    lo = _run_heads(q).nonzero()[0]
+    hi = np.append(lo[1:], len(c))
+    return c, lo, hi, qx[q[lo]], qy[q[lo]]
+
+
+def _nearest_stations(qx, qy, sx, sy, stations):
+    # The least np.hypot is the station, weighed by math.hypot; any other
+    # station within a relative 1e-12 (or an absolute 1e-300) of it goes to
+    # `site_weight`.
+    near = np.hypot(qx[:, None] - sx, qy[:, None] - sy)
+    origin = near.argmin(axis=1)
+    band = np.minimum.reduce(near, axis=1) * (1.0 + 1e-12) + 1e-300
+    tied = (np.add.reduce(near <= band[:, None], axis=1) > 1).nonzero()[0].tolist()
+    weight = hypot(qx - sx[origin], qy - sy[origin])
+    for i in tied:
+        weight[i], origin[i] = site_weight(Point(float(qx[i]), float(qy[i])), stations)
+    return weight, origin
 
 
 def candidate_table(sites):

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 
+import numpy as np
 import pytest
 from conftest import solve_state_bound, straddle_instance
 from hypothesis import assume, given
@@ -269,6 +270,20 @@ def test_verify_solution_rejects_target_beyond_radius(offset):
     assert not verify_solution(beyond, [place])
     assert not verify_solution(both, [place])
     assert verify_solution(both, [place, (offset, offset - 1.0)])
+
+
+def test_verify_solution_settles_the_band_with_math_hypot():
+    # np.hypot rounds this offset one ulp above math.hypot, and r puts the
+    # coverage radius r * (1 + COVER_TOL) exactly on math.hypot's value, so
+    # the placement covers the target.  One ulp farther, it does not.
+    dx, dy, r = 0.6250357184174307, 0.5527275679799395, 0.8343724661745839
+    d = math.hypot(dx, dy)
+    assert np.hypot(dx, dy) > d == r * (1.0 + COVER_TOL)
+    farther = math.nextafter(dx, math.inf)
+    assert math.hypot(farther, dy) == math.nextafter(d, math.inf)
+    inst = Instance.from_coords([(0.0, 0.0)], [(5.0, 5.0)], r)
+    assert verify_solution(inst, [(dx, dy)])
+    assert not verify_solution(inst, [(farther, dy)])
 
 
 def test_verify_solution_rejects_no_placements():

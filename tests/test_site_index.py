@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_sites import all_pairs_candidate_sites, all_pairs_prune, candidate_table
+from reference_sites import (all_pairs_candidate_sites, all_pairs_prune, candidate_table,
+                             math_hypot_candidate_table)
 
 from sinkcover.geometry import COVER_TOL, Point, near_pairs
+from sinkcover.instances_io import gen_uniform
 from sinkcover.ptas import verify_solution
 from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
                              prune_dominated)
@@ -220,3 +222,59 @@ def test_nearest_station_settled_by_math_hypot(dx, dy):
     _same(sites, all_pairs_candidate_sites(inst))
     on_target = next(s for s in sites if s.position == Point(0.0, 0.0))
     assert on_target.origin_station == (1 if d < far else 0) and on_target.weight == d
+
+
+@pytest.mark.parametrize("n, k, extent, seed", [(400, 10, 63.25, 1), (400, 10, 63.25, 2),
+                                                (60, 2, 8.0, 1), (60, 2, 8.0, 2)])
+def test_generate_matches_math_hypot_reference_at_workload_scale(n, k, extent, seed):
+    # The all-pairs reference is too slow at n = 400; this one decides every
+    # coverage test and nearest station with math.hypot.
+    inst = gen_uniform(n, k, 1.0, extent, seed)
+    got, want = generate_candidate_sites(inst), math_hypot_candidate_table(inst)
+    for name in ("x", "y", "weight", "origin", "lo", "hi", "members"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert repr(g.tolist()) == repr(w.tolist()), name
+
+
+def test_nearest_station_tie_between_mirrored_stations():
+    # Stations 1 and 2 mirror each other through the target, so their
+    # squared distances from it are equal and the lower index must win.
+    inst = Instance.from_coords([(0.375, 0.625)],
+                                [(9.0, 9.0), (0.625, 0.125), (0.125, 1.125)], 1.0)
+    sites = generate_candidate_sites(inst)
+    _same(sites, all_pairs_candidate_sites(inst))
+    on_target = next(s for s in sites if s.position == Point(0.375, 0.625))
+    assert on_target.origin_station == 1
+
+
+@pytest.mark.parametrize("stations", [[(3e-160, 0.0), (0.0, 2e-160)],
+                                      [(0.0, 5e-151), (4e-151, 0.0), (0.0, 5e-324)],
+                                      [(2.6e-162, 0.0), (1.7e-162, 1.7e-162)]])
+def test_nearest_station_with_underflowing_squares(stations):
+    # Every squared distance from the target is below 1e-300, and most are
+    # subnormal or zero.  In the last case the squares round to 1 and 2
+    # subnormal ulps, so they rank station 0 first, while station 1 is
+    # nearer.
+    inst = Instance.from_coords([(0.0, 0.0)], stations, 1.0)
+    _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
+
+
+@pytest.mark.parametrize("near", [True, False])
+def test_nearest_station_with_overflowing_squares(near):
+    # Near 1e154, dx * dx overflows to inf for the far stations; the near
+    # one, when present, is the only finite square.
+    stations = [(-1e154, 0.0), (0.0, -1e154)] + ([(1.2e154, 1.1e154)] if near else [])
+    inst = Instance.from_coords([(1e154, 1e154), (1.1e154, 1e154)], stations, 1e153)
+    sites = generate_candidate_sites(inst)
+    _same(sites, all_pairs_candidate_sites(inst))
+    assert {s.origin_station for s in sites} == ({2} if near else {0, 1})
+
+
+@given(instances())
+def test_generate_matches_all_pairs_far_from_the_origin(inst):
+    # A shift by 1e9 rounds every coordinate to a coarser grid, so the
+    # mirrored stations of `instances` become near ties.
+    shift = Instance.from_coords([(t.x + 1e9, t.y + 1e9) for t in inst.targets],
+                                 [(p.x + 1e9, p.y + 1e9) for p in inst.stations], inst.r)
+    _same(generate_candidate_sites(shift), all_pairs_candidate_sites(shift))
