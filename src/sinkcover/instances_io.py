@@ -200,9 +200,30 @@ def read_solution(path) -> Solution:
                     placements=placements, config=config)
 
 
+def _indented(v, pad: str = "") -> str:
+    """v as json.dumps(v, indent=2) writes it nested at indent `pad`.  Only
+    the brackets and line breaks are laid out here; keys and scalars go
+    through `_number`, so the pure-Python encoder, whose closures form a
+    reference cycle on every indented call, never runs."""
+    if not (isinstance(v, (dict, list, tuple)) and v):
+        return _number(v)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        # json.dumps({k: 0}) is "{" + the key as json writes it + ": 0}".
+        items = (f"{json.dumps({k: 0})[1:-4]}: {_indented(x, inner)}"
+                 for k, x in v.items())
+        brackets = "{}"
+    else:
+        items = (_indented(x, inner) for x in v)
+        brackets = "[]"
+    rows = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{rows}\n{pad}{brackets[1]}"
+
+
 def write_report(path, records: list[dict]) -> None:
-    """Write an audit/benchmark report: a JSON array of flat records."""
-    Path(path).write_text(json.dumps(list(records), indent=2) + "\n")
+    """Write an audit/benchmark report: a JSON array of flat records, the
+    bytes of json.dumps(list(records), indent=2) plus a newline."""
+    Path(path).write_text(_indented(list(records)) + "\n")
 
 
 def gen_uniform(n: int, k: int, r: float, extent: float, seed: int) -> Instance:

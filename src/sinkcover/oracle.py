@@ -221,13 +221,13 @@ def _grid_sets(instance: Instance, step: float) -> tuple[np.ndarray, np.ndarray,
     and the number of grid points that cover some target.
 
     A grid point covers target t when `(x - t.x)**2 + (y - t.y)**2 <= rr`
-    in floats.  On one x line the offsets `dy = y - t.y` are non-decreasing
-    in the row (np.arange fills `start + i*delta`, and rounding is
-    monotone), negative below `np.searchsorted(ys, t.y)` and non-negative
-    from it on, so the rounded sum falls and then rises: t covers one
-    interval of rows per line, whose two ends are found by binary search
-    on that same expression.  Each line is cut at the interval ends into
-    runs of one covered set.
+    in floats.  The sum is at least its x term, so t reaches one interval
+    of x lines, where `(x - t.x)**2 <= rr`; and on one of those lines t
+    covers one interval of rows (`_covered`).  Each interval's ends come
+    from `_first_true`, started at the closed-form root `t.y -+ sqrt(rr -
+    dx**2)` but settled by the float test itself, so the ends are exact
+    whatever the roots' rounding.  Each line is cut at the interval ends
+    into runs of one covered set.
 
     The offsets `ys - p.y` to a station p are non-decreasing in the row
     too, so in a run |dy| is least at the line's row of least |dy| clamped
@@ -243,26 +243,23 @@ def _grid_sets(instance: Instance, step: float) -> tuple[np.ndarray, np.ndarray,
     reach = instance.r * (1.0 + COVER_TOL)
     rr = reach * reach
 
-    # One (target, line) pair for each line a target can reach: the rounded
-    # sum is at least its x term.
-    reached = [np.flatnonzero((xs - t.x) ** 2 <= rr) for t in instance.targets]
-    tix = np.repeat(np.arange(instance.n), [len(a) for a in reached])
-    lines = np.concatenate(reached)
-    dx2, ty = (xs[lines] - txs[tix]) ** 2, tys[tix]
-
-    def covers(j):
-        return dx2 + (ys[j] - ty) ** 2 <= rr
-
-    split = np.searchsorted(ys, ty)
-    first = _first_true(covers, np.zeros_like(split), split)
-    end = _first_true(lambda j: ~covers(j), split, np.full_like(split, ny))
+    # One (target, line) pair for each line a target reaches, target by
+    # target.  With d2 = 0.0 the test is `(x - t.x)**2 <= rr` bit for bit.
+    left, right = _covered(xs, txs, np.searchsorted(xs, txs), 0.0, rr)
+    counts = right - left
+    tix = np.repeat(np.arange(instance.n), counts)
+    block = np.cumsum(counts) - counts          # each target's first pair
+    lines = np.arange(counts.sum()) + np.repeat(left - block, counts)
+    first, end = _covered(ys, tys[tix], np.searchsorted(ys, tys)[tix],
+                          (xs[lines] - txs[tix]) ** 2, rr)
     # Each interval's ends as flat grid indices, ordered by (line, row).
     # Every interval closes on its own line, so the running xor of the
-    # bits is each run's covered set, and 0 between lines.
+    # bits is each run's covered set, and 0 between lines.  Each target's
+    # starts, then its ends, already ascend: a stable sort merges the runs.
     hit = first < end
     pos = np.concatenate((lines[hit] * ny + first[hit],
                           lines[hit] * ny + end[hit]))
-    order = np.argsort(pos)
+    order = np.argsort(pos, kind="stable")
     pos = pos[order]
     acc = np.bitwise_xor.accumulate(np.tile(1 << tix[hit], 2)[order])
     last = np.diff(pos, append=-1) != 0
@@ -276,17 +273,55 @@ def _grid_sets(instance: Instance, step: float) -> tuple[np.ndarray, np.ndarray,
     for p in instance.stations:
         q = np.clip(np.argmin(np.abs(ys - p.y)), first_row, first_row + lens - 1)
         np.minimum(w, np.hypot(xs[line] - p.x, ys[q] - p.y), out=w)
-    order = np.lexsort((w, keys))
-    keys, w = keys[order], w[order]
-    new_set = np.diff(keys, prepend=0) != 0
-    return keys[new_set], w[new_set], int(lens.sum())
+    # Each set's least weight; a minimum does not depend on the order.
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=0))
+    return keys[starts], np.minimum.reduceat(w[order], starts), int(lens.sum())
 
 
-def _first_true(test, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Elementwise binary search: for each i, the least j in [lo[i], hi[i])
-    with test(j)[i], or hi[i] if there is none.  test(j) gives one bool per
+def _covered(axis: np.ndarray, c: np.ndarray, split: np.ndarray, d2,
+             rr: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each i, the indices [first[i], end[i]) of the ascending `axis`
+    where `d2[i] + (axis[j] - c[i])**2 <= rr`, with d2 >= 0; `split` is
+    `np.searchsorted(axis, c)`.
+
+    np.arange fills `start + i*delta`, and rounding is monotone, so the
+    offsets `axis - c` are non-decreasing in j: negative below the split,
+    non-negative from it on.  The rounded sum then falls and rises, so the
+    test is false, then true below the split and true, then false from it
+    on: one interval.  Each end is found by `_first_true` on its side of
+    the split, guessed at the row of the root `c -+ sqrt(rr - d2)`.
+    """
+    def covers(j):
+        return d2 + (axis[j] - c) ** 2 <= rr
+
+    half = np.sqrt(np.maximum(rr - d2, 0.0))
+    first = _first_true(covers, np.zeros_like(split), split,
+                        np.searchsorted(axis, c - half))
+    end = _first_true(lambda j: ~covers(j), split, np.full_like(split, len(axis)),
+                      np.searchsorted(axis, c + half, side="right"))
+    return first, end
+
+
+def _first_true(test, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """Elementwise search: for each i, the least j in [lo[i], hi[i]) with
+    test(j)[i], or hi[i] if there is none.  test(j) gives one bool per
     element for an index array j, and must be false, then true, on each
-    range."""
+    range; an element with nothing to test is asked at index 0.
+
+    The search starts from the bracket [guess - 1, guess + 1] clipped into
+    the range.  Since the test is monotone on the range, two tests prove
+    that the answer lies in the bracket: false just below it (or it starts
+    at lo) and true at its top (or it ends at hi).  Where both hold the
+    range shrinks to the bracket, settled in at most two more tests; every
+    other element keeps its whole range.  The binary search over those
+    ranges is exact, so the answer does not depend on the guess.
+    """
+    b0, b1 = np.clip(guess - 1, lo, hi), np.clip(guess + 1, lo, hi)
+    inside = (((b0 == lo) | ~test(np.where(b0 > lo, b0 - 1, 0)))
+              & ((b1 == hi) | test(np.where(b1 < hi, b1, 0))))
+    lo, hi = np.where(inside, b0, lo), np.where(inside, b1, hi)
     while (live := lo < hi).any():
         mid = np.where(live, (lo + hi) // 2, 0)
         ok = test(mid)

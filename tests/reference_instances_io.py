@@ -1,7 +1,9 @@
-"""The solution writer as one json.dumps call, and the report reader.
+"""The solution and report writers as one json.dumps call each, and the
+report reader.
 
-`instances_io.write_solution` formats placement rows from a template and
-must write exactly these bytes.  `read_report` reads back what
+`instances_io.write_solution` formats placement rows from a template, and
+`instances_io.write_report` lays out brackets itself; each must write
+exactly these bytes.  `read_report` reads back what
 `instances_io.write_report` writes.
 """
 
@@ -18,6 +20,10 @@ def write_solution(path, solution):
                           for p in solution.placements],
            "config": solution.config}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def write_report(path, records):
+    Path(path).write_text(json.dumps(list(records), indent=2) + "\n")
 
 
 def read_report(path):

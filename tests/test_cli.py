@@ -1,4 +1,5 @@
 import bisect
+import gc
 import hashlib
 import json
 import os
@@ -304,6 +305,33 @@ def test_audit_report_does_not_depend_on_instance_directory(tmp_path):
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
     assert {r["instance"] for r in json.loads(reports[0])} == {"inst.json"}
+
+
+def test_audit_and_compare_reports_are_json_dumps_bytes(tmp_path):
+    path = _gen(tmp_path, n=5, seed=2)
+    for verb, flags in (("audit", ["--step", "0.02", "--m", "2"]),
+                        ("compare", ["--m", "2,4"])):
+        report = tmp_path / f"{verb}.json"
+        assert run([verb, "--in", str(path), *flags, "--jobs", "1",
+                    "--out", str(report)]) == 0
+        text = report.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_audit_leaves_no_cyclic_garbage(tmp_path):
+    # An audit-12-sized draw with its report written: every object the
+    # verb allocates, the report writer's included, dies by reference count.
+    path = _gen(tmp_path, n=12, k=2, extent=6.0, seed=1)
+    argv = ["audit", "--in", str(path), "--m", "4", "--jobs", "1",
+            "--out", str(tmp_path / "audit.json")]
+    assert run(argv) == 0    # warm up first-call caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_audit_refuses_more_targets_than_mask_bits(tmp_path, capsys):

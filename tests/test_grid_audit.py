@@ -158,3 +158,59 @@ def test_set_with_two_runs_on_one_line():
     rows, _ = _sweep_rows(inst, 0.125)
     assert dict(rows)[1] == "4.0"
     _assert_matches_reference(inst, 0.125)
+
+
+@st.composite
+def searches(draw):
+    """Ranges [lo, hi) in an axis of `size` indices, a test per element that
+    is false, then true on its range and arbitrary outside it, and guesses
+    anywhere: in the range, negative, past `size` or far off."""
+    size = draw(st.integers(1, 40))
+    ends = st.integers(0, size) | st.just(0) | st.just(size)
+    rows, ranges, guesses = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = sorted((draw(ends), draw(ends)))
+        flip = draw(st.integers(lo, hi))
+        row = [draw(st.booleans()) for _ in range(size)]
+        row[lo:hi] = [j >= flip for j in range(lo, hi)]
+        rows.append(row)
+        ranges.append((lo, hi))
+        guesses.append(draw(st.integers(lo - 2, hi + 2)
+                            | st.integers(-3 * size, 3 * size)
+                            | st.integers(-10**12, 10**12)))
+    return np.array(rows), ranges, guesses
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_first_true_equals_a_linear_scan_for_any_guess(case):
+    table, ranges, guesses = case
+    lo, hi = (np.array(a) for a in zip(*ranges))
+    elems = np.arange(len(table))
+
+    def test(j):
+        # Each element is asked inside its range, or at the placeholder 0.
+        assert (((lo <= j) & (j < hi)) | (j == 0)).all()
+        return table[elems, j]
+
+    got = oracle._first_true(test, lo, hi, np.array(guesses))
+    scan = [next((j for j in range(a, b) if row[j]), b)
+            for row, (a, b) in zip(table.tolist(), ranges)]
+    assert got.tolist() == scan
+
+
+def test_first_true_settles_a_good_guess_in_four_tests():
+    # Two tests prove each answer lies within one of its guess, and two
+    # more settle it; a range of 10**6 would take 20 rounds of bisection.
+    answer = np.array([0, 1, 500_000, 999_999, 10**6])
+    calls = []
+
+    def test(j):
+        calls.append(j)
+        return j >= answer
+
+    for off in (-1, 0, 1):
+        calls.clear()
+        got = oracle._first_true(test, np.zeros(5, np.int64),
+                                 np.full(5, 10**6), answer + off)
+        assert got.tolist() == answer.tolist() and len(calls) <= 4

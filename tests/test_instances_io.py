@@ -7,7 +7,7 @@ import reference_instances_io
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sinkcover import cli
+from sinkcover import cli, instances_io
 from sinkcover.cli import run
 from sinkcover.instances_io import (InstanceFormatError, gen_counterexample,
                                     gen_uniform, read_instance,
@@ -272,3 +272,51 @@ def test_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     write_report(path, records)
     assert reference_instances_io.read_report(path) == records
+
+
+def _audit_records(worst_excess, ok):
+    return [{"instance": "a.json", "algorithm": "refine-audit", "cost": 4.25,
+             "runtime_ms": 0.0,
+             "counters": {"step": 0.005, "discrete_opt": 4.25,
+                          "grid_points": 123456, "undominated": int(not ok),
+                          "worst_excess": worst_excess, "ok": ok}},
+            {"instance": "a.json", "algorithm": "shift-audit", "cost": 4.5,
+             "runtime_ms": 0.0,
+             "counters": {"m": 4, "bound": 8.5, "minimum": 4.25, "ok": True}}]
+
+
+_COMPARE_RECORDS = [
+    {"instance": "c.json", "algorithm": "exact", "cost": 3.0,
+     "runtime_ms": 1.5, "counters": {"nodes_explored": 9}},
+    {"instance": "c.json", "algorithm": "greedy", "cost": 3.25,
+     "runtime_ms": 0.0, "counters": {}},
+    {"instance": "c.json", "algorithm": "shifted-m2", "cost": 3.0,
+     "runtime_ms": 0.75,
+     "counters": {"subsets_enumerated": 2, "components": 3, "spanning": 1,
+                  "epsilon": None, "nested": {"list": [1, -0.0, "x"],
+                                              "empty": []}}}]
+
+
+@pytest.mark.parametrize("records", [
+    _audit_records(-7.5e-10, True), _audit_records(math.inf, False),
+    _audit_records(-math.inf, True), _COMPARE_RECORDS, []],
+    ids=["audit", "audit-inf", "audit-neg-inf", "compare", "empty"])
+def test_report_bytes_equal_json_dumps(tmp_path, records):
+    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    write_report(ours, records)
+    reference_instances_io.write_report(ref, records)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=12)
+
+
+@given(json_values)
+def test_indented_layout_equals_json_dumps(value):
+    # write_report lays out any JSON value, nested in lists and objects, as
+    # json.dumps(value, indent=2) does.
+    assert instances_io._indented(value) == json.dumps(value, indent=2)
