@@ -15,17 +15,20 @@ differences of the coverage test are correctly rounded too.  The margin,
 2r*COVER_TOL = 2e-9 r, dwarfs both errors.
 
 This module is the only code that knows where round f's cells and strips
-lie.  `cells_for_shift` bins a point list in one pass: a cell is its index
-plus one tuple of point indices per strip.  `cell_keys` gives the cell of
-each point of an array by the same arithmetic, so the solver can tell
-which target clusters fit inside one cell of a round; `render` draws the
-same tiling's lines.
+lie.  `round_keys` keys a point array for round f in one vectorised pass:
+each point's cell and its strip in that cell.  `cells_for_shift` bins
+keyed targets into cells, each listing only its non-empty strips with
+their numbers, and `strips_of_cell` gives those strips their site pools.
+`cell_keys` is the cell half of the keys, so the solver can tell which
+target clusters fit inside one cell of a round; `render` draws the same
+tiling's lines.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,16 +64,17 @@ class Grid:
                      self.origin.y + f * self.strip)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     index: tuple[int, int]
-    strips: tuple[tuple[int, ...], ...]   # point indices of each of the m strips
+    # (strip number from 0, ascending point indices) of each non-empty
+    # strip, in strip order
+    strips: list[tuple[int, list[int]]]
 
 
-@dataclass(frozen=True)
-class Strip:
-    target_indices: tuple[int, ...]
-    site_pool: tuple[int, ...]      # sites covering at least one strip target
+class Strip(NamedTuple):
+    number: int                     # the strip's place in its cell, from 0
+    target_indices: Sequence[int]
+    site_pool: Sequence[int]        # ascending sites covering a strip target
 
 
 def bounding_box(instance: Instance, m: int) -> Grid:
@@ -96,48 +100,50 @@ def bounding_box(instance: Instance, m: int) -> Grid:
 def cell_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray,
               f: int) -> tuple[np.ndarray, np.ndarray]:
     """Round f's cell index of each point (xs[i], ys[i]), one float array
-    per axis: floor((x - corner) / side), the arithmetic `cells_for_shift`
-    bins by, so a point's keys are the index of the cell it lands in."""
+    per axis: floor((x - corner) / side), so a point's keys are the index
+    of the cell it lands in.  Cell membership is half-open, [lo, lo + side)
+    in both axes, so every point lands in exactly one cell."""
+    if not (0 <= f <= grid.m - 1):
+        raise ValueError(f"shift round must be in [0, {grid.m - 1}], got {f}")
     off = grid.corner(f)
     return (np.floor((xs - off.x) / grid.cell_side),
             np.floor((ys - off.y) / grid.cell_side))
 
 
-def cells_for_shift(grid: Grid, points: list[Point] | tuple[Point, ...],
-                    f: int, among: list[int] | None = None) -> list[Cell]:
-    """Cells of shift round f holding any of `points`, in index order.
+def round_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, f: int
+               ) -> tuple[list[float], list[float], list[int]]:
+    """Round f's keys of each point (xs[i], ys[i]): its cell index, as
+    `cell_keys` gives it, and its strip in that cell, floor((x - lo) / unit)
+    for the cell's left edge lo, clamped to the cell's m strips.  The cell
+    keys stay floats, which hold any index exactly; `int` of one is the
+    index."""
+    ix, iy = cell_keys(grid, xs, ys, f)
+    lo = grid.corner(f).x + ix * grid.cell_side
+    strip = np.clip((xs - lo) // grid.strip, 0, grid.m - 1).astype(np.intp)
+    return ix.tolist(), iy.tolist(), strip.tolist()
 
-    Only the points whose indices `among` lists are binned (by default,
-    all); a cell names each point by its index in `points`.  Cell
-    membership is half-open, [lo, lo + side) in both axes, so every point
-    lands in exactly one cell; within it, a point lands in strip
-    floor((x - lo) / unit), clamped to the cell's m strips.
-    """
-    if not (0 <= f <= grid.m - 1):
-        raise ValueError(f"shift round must be in [0, {grid.m - 1}], got {f}")
-    m, side, width = grid.m, grid.cell_side, grid.strip
-    off = grid.corner(f)
-    bins: dict[tuple[int, int], list[list[int]]] = {}
-    for i in range(len(points)) if among is None else among:
-        p = points[i]
-        ix = math.floor((p.x - off.x) / side)
-        iy = math.floor((p.y - off.y) / side)
-        strips = bins.get((ix, iy))
-        if strips is None:
-            strips = bins[(ix, iy)] = [[] for _ in range(m)]
-        x0 = off.x + ix * side
-        strips[min(max(int((p.x - x0) // width), 0), m - 1)].append(i)
-    return [Cell(key, tuple(map(tuple, bins[key]))) for key in sorted(bins)]
+
+def cells_for_shift(keyed: Iterable[tuple[int, float, float, int]]) -> list[Cell]:
+    """Bin keyed targets, (target, cell x, cell y, strip) rows as
+    `round_keys` keys them, into cells, in index order.  A cell lists its
+    non-empty strips in strip order, each with its targets ascending."""
+    bins: dict[tuple[float, float], dict[int, list[int]]] = {}
+    for t, kx, ky, j in keyed:
+        bins.setdefault((kx, ky), {}).setdefault(j, []).append(t)
+    return [Cell((int(kx), int(ky)),
+                 [(j, sorted(ts)) for j, ts in sorted(bins[kx, ky].items())])
+            for kx, ky in sorted(bins)]
 
 
 def strips_of_cell(cell: Cell, coverers: dict[int, list[int]]) -> list[Strip]:
-    """The cell's m strips of targets, each with its site pool.
+    """The cell's non-empty strips, each with its site pool.
 
-    `coverers` maps a target index to the indices of the sites covering it
-    (`sites.coverers_by_target`); one index serves every cell of every
-    round.  Strip i's pool holds the indices of all sites covering at least
-    one target inside strip i.  Strips without targets get empty pools.
+    `coverers` maps a target index to the ascending indices of the sites
+    covering it (`sites.coverers_by_target`); one index serves every cell
+    of every round.  A strip's pool holds the indices of all sites covering
+    at least one of its targets; a strip of one target shares that
+    target's coverer list.
     """
-    return [Strip(targets,
-                  tuple(sorted({s for t in targets for s in coverers.get(t, ())})))
-            for targets in cell.strips]
+    return [Strip(j, ts, coverers.get(ts[0], ()) if len(ts) == 1 else
+                  sorted({s for t in ts for s in coverers.get(t, ())}))
+            for j, ts in cell.strips]

@@ -12,6 +12,7 @@ import logging
 import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .geometry import Point
@@ -115,11 +116,12 @@ def read_instance(path) -> Instance:
 
 
 def write_instance(path, instance: Instance, metadata: dict | None = None) -> None:
+    """The bytes of json.dumps(doc, indent=2) plus a newline."""
     doc = {"r": instance.r,
            "targets": [[t.x, t.y] for t in instance.targets],
            "stations": [[p.x, p.y] for p in instance.stations],
            "metadata": metadata or {}}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(_indented(doc) + "\n")
 
 
 _PLACEMENT = ('    {{\n      "x": {},\n      "y": {},\n      "station": {},\n'
@@ -137,18 +139,18 @@ def _number(v) -> str:
 
 
 def write_solution(path, solution: Solution) -> None:
-    """The bytes of json.dumps(doc, indent=2) plus a newline.  Only the
-    small head and `config` go through json.dumps, whose indented form runs
-    the pure-Python encoder; placement rows are formatted from a template."""
-    head = json.dumps({"total_cost": solution.total_cost,
-                       "shift_round": solution.shift_round,
-                       "per_round_costs": solution.per_round_costs}, indent=2)
+    """The bytes of json.dumps(doc, indent=2) plus a newline.  The small
+    head and `config` are laid out by `_indented`; placement rows are
+    formatted from a template."""
+    head = _indented({"total_cost": solution.total_cost,
+                      "shift_round": solution.shift_round,
+                      "per_round_costs": solution.per_round_costs})
     rows = ",\n".join(
         _PLACEMENT.format(_number(p.position.x), _number(p.position.y),
                           _number(p.station), _number(p.weight))
         for p in solution.placements)
     placements = f'"placements": [\n{rows}\n  ]' if rows else '"placements": []'
-    config = json.dumps({"config": solution.config}, indent=2)
+    config = _indented({"config": solution.config})
     # Splice the head's members, the placements and config's member into
     # one object: drop the head's closing "\n}" and config's opening "{\n".
     Path(path).write_text(f"{head[:-2]},\n  {placements},\n{config[2:]}\n")
@@ -200,21 +202,28 @@ def read_solution(path) -> Solution:
                     placements=placements, config=config)
 
 
+def _key(k) -> str:
+    """k as json.dumps writes an object key.  A str key goes through the C
+    string encoder json.dumps itself uses; json.dumps({k: 0}) is "{" + the
+    key as json writes it + ": 0}"."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    return json.dumps({k: 0})[1:-4]
+
+
 def _indented(v, pad: str = "") -> str:
     """v as json.dumps(v, indent=2) writes it nested at indent `pad`.  Only
     the brackets and line breaks are laid out here; keys and scalars go
-    through `_number`, so the pure-Python encoder, whose closures form a
-    reference cycle on every indented call, never runs."""
+    through `_key` and `_number`, so the pure-Python encoder, whose closures
+    form a reference cycle on every indented call, never runs."""
     if not (isinstance(v, (dict, list, tuple)) and v):
         return _number(v)
     inner = pad + "  "
     if isinstance(v, dict):
-        # json.dumps({k: 0}) is "{" + the key as json writes it + ": 0}".
-        items = (f"{json.dumps({k: 0})[1:-4]}: {_indented(x, inner)}"
-                 for k, x in v.items())
+        items = [f"{_key(k)}: {_indented(x, inner)}" for k, x in v.items()]
         brackets = "{}"
     else:
-        items = (_indented(x, inner) for x in v)
+        items = [_indented(x, inner) for x in v]
         brackets = "[]"
     rows = f",\n{inner}".join(items)
     return f"{brackets[0]}\n{inner}{rows}\n{pad}{brackets[1]}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import COVER_TOL, Point, near_pairs, within
 from .grid import (Grid, bounding_box, cell_keys, cells_for_shift,
-                   strips_of_cell)
+                   round_keys, strips_of_cell)
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
 from .strip_dp import StateBudgetError, solve_cell
@@ -82,8 +82,8 @@ class Solution:
     config: dict
 
 
-def _round_cost(site_ids, sites: list[CandidateSite]) -> float:
-    return sum(sites[i].weight for i in sorted(site_ids))
+def _round_cost(site_ids, weight: list[float]) -> float:
+    return sum(map(weight.__getitem__, sorted(site_ids)))
 
 
 def _components(target_count: int, sites: list[CandidateSite]
@@ -142,45 +142,53 @@ def _fits(grid: Grid, targets: tuple[Point, ...],
     return fits
 
 
-def _solve_cells(grid: Grid, targets: tuple[Point, ...], among: list[int],
+def _solve_cells(grid: Grid, xs: np.ndarray, ys: np.ndarray, among: list[int],
                  comp: list[int], f: int, sites: list[CandidateSite],
-                 coverers: dict[int, list[int]]) -> tuple[set[int], int]:
+                 coverers: dict[int, list[int]], weight: list[float],
+                 cheapest: dict[int, int]) -> tuple[set[int], int]:
     """Cover the targets `among` lists, cell by cell in shift round f;
-    returns the chosen sites and the footprint states stored.
+    returns the chosen sites and the footprint states stored.  `xs` and
+    `ys` hold every target's coordinates; `cheapest` memoizes each lone
+    target's cheapest coverer, lowest index on ties, across rounds.
 
-    Targets are grouped by (component `comp[t]`, cell).  Inside its cell a
-    group of one target shares no site with another target, so it takes
-    its cheapest coverer, lowest index on ties, with no DP; the strip DP
-    runs over the cells of the other targets only."""
-    xs = np.array([targets[t].x for t in among])
-    ys = np.array([targets[t].y for t in among])
-    ix, iy = cell_keys(grid, xs, ys, f)
-    groups: dict[tuple[int, float, float], list[int]] = {}
-    for t, kx, ky in zip(among, ix.tolist(), iy.tolist()):
-        groups.setdefault((comp[t], kx, ky), []).append(t)
-    chosen = {_cheapest(ts[0], sites, coverers)
-              for ts in groups.values() if len(ts) == 1}
-    rest = [t for ts in groups.values() if len(ts) > 1 for t in ts]
+    Targets are keyed once and grouped by (component `comp[t]`, cell).
+    Inside its cell a group of one target shares no site with another
+    target, so it takes its cheapest coverer with no DP; the strip DP runs
+    over the cells of the other targets only."""
+    ix, iy, strip = round_keys(grid, xs[among], ys[among], f)
+    groups: dict[tuple[int, float, float], list] = {}
+    for row in zip(among, ix, iy, strip):
+        groups.setdefault((comp[row[0]], row[1], row[2]), []).append(row)
+    chosen = set()
+    rest = []
+    for group in groups.values():
+        if len(group) == 1:
+            t = group[0][0]
+            if t not in cheapest:
+                cheapest[t] = _cheapest(t, weight, coverers)
+            chosen.add(cheapest[t])
+        else:
+            rest += group
     subsets = 0
     if not rest:
         return chosen, subsets
-    for cell in cells_for_shift(grid, targets, f, rest):
+    for cell in cells_for_shift(rest):
         strips = strips_of_cell(cell, coverers)
         try:
             res = solve_cell(strips, sites)
         except StateBudgetError as e:
             raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
-        chosen |= res.site_indices
+        chosen.update(res.site_indices)
         subsets += res.counters.subsets_enumerated
     return chosen, subsets
 
 
-def _cheapest(t: int, sites: list[CandidateSite],
+def _cheapest(t: int, weight: list[float],
               coverers: dict[int, list[int]]) -> int:
     """Target t's cheapest coverer, lowest index on ties."""
     if not coverers.get(t):
         raise ValueError(f"no candidate site covers target {t}")
-    return min(coverers[t], key=lambda s: sites[s].weight)
+    return min(coverers[t], key=weight.__getitem__)
 
 
 def solve(instance: Instance, config: PtasConfig,
@@ -217,25 +225,24 @@ def solve(instance: Instance, config: PtasConfig,
     m = config.rounds
     grid = bounding_box(instance, m)
     coverers = coverers_by_target(sites)
+    weight = [s.weight for s in sites]
+    cheapest: dict[int, int] = {}
     members, target_comp = _components(instance.n, sites)
     fits = _fits(grid, instance.targets, members)
+    xs = np.array([t.x for t in instance.targets])
+    ys = np.array([t.y for t in instance.targets])
 
     solved: dict[int, frozenset[int]] = {}   # fitting component -> its optimum
     best: list[tuple[float, frozenset[int]] | None] = [None] * len(members)
-
-    def offer(c: int, ids: frozenset[int]) -> None:
-        cost = _round_cost(ids, sites)
-        if best[c] is None or cost < best[c][0]:
-            best[c] = (cost, ids)
-
     rounds: list[frozenset[int]] = []
     subsets = 0
     for f in range(m):
         fit = fits[f].tolist()
         run = [c for c, ok in enumerate(fit) if not ok or c not in solved]
-        chosen, states = _solve_cells(grid, instance.targets,
+        chosen, states = _solve_cells(grid, xs, ys,
                                       [t for c in run for t in members[c]],
-                                      target_comp, f, sites, coverers)
+                                      target_comp, f, sites, coverers, weight,
+                                      cheapest)
         subsets += states
         parts: dict[int, set[int]] = {c: set() for c in run}
         for s in chosen:
@@ -244,14 +251,16 @@ def solve(instance: Instance, config: PtasConfig,
             ids = frozenset(parts[c])
             if fit[c]:
                 solved[c] = ids
-            offer(c, ids)
+            cost = _round_cost(ids, weight)
+            if best[c] is None or cost < best[c][0]:
+                best[c] = (cost, ids)
         rounds.append(frozenset(chosen).union(
             *(solved[c] for c, ok in enumerate(fit) if ok)))
 
-    per_round = tuple(_round_cost(ids, sites) for ids in rounds)
+    per_round = tuple(_round_cost(ids, weight) for ids in rounds)
     best_f = min(range(m), key=per_round.__getitem__)
     chosen_sites = frozenset().union(*(ids for _, ids in best))
-    total = _round_cost(chosen_sites, sites)
+    total = _round_cost(chosen_sites, weight)
     if not total < per_round[best_f]:
         total, chosen_sites = per_round[best_f], rounds[best_f]
 

@@ -30,7 +30,10 @@ calls itself, so the sweep builds no reference cycle and each strip's memo
 is freed by reference count as soon as the strip ends.
 
 A strip without targets has an empty pool and one state, the empty
-footprint, so the sweep skips it; the strips on either side share no site.
+footprint, so the sweep is handed only the cell's non-empty strips
+(`grid.strips_of_cell`); two of them that are not neighbours in the cell
+share no site.  A cell's targets are numbered straight off its strips,
+strip by strip.
 
 A cell may store at most STATE_BUDGET states, footprints plus local-cover
 memo entries, summed over its strips.  The count is checked as entries are
@@ -40,7 +43,8 @@ for the sweep fails fast instead of exhausting memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grid import Strip
 from .sites import CandidateSite
@@ -64,11 +68,10 @@ class DpCounters:
     subsets_enumerated: int = 0   # footprint states stored, summed over strips
 
 
-@dataclass(frozen=True)
-class CellSolution:
-    site_indices: frozenset[int]
+class CellSolution(NamedTuple):
+    site_indices: list[int]     # ascending
     cost: float
-    counters: DpCounters = field(compare=False, default_factory=DpCounters)
+    counters: DpCounters
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -145,26 +148,42 @@ def _local_cover(resid: int, picks: dict[int, list[tuple[int, float, int]]],
 def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
     """Minimum-cost cover of all targets in one cell.
 
-    `strips` are the cell's strips (`grid.strips_of_cell`).  Returns the
-    exact optimum over the candidate sites in their pools; raises
-    StateBudgetError when the cell needs more than STATE_BUDGET states.
-    The literal all-subsets recurrence gives the same costs (see the
-    reference implementation in the test suite).
+    `strips` are the cell's non-empty strips (`grid.strips_of_cell`), in
+    strip order.  Returns the exact optimum over the candidate sites in
+    their pools; raises StateBudgetError when the cell needs more than
+    STATE_BUDGET states.  The literal all-subsets recurrence gives the same
+    costs (see the reference implementation in the test suite).
     """
     counters = DpCounters()
-    # The sweep skips strips without targets; `number` gives each strip it
-    # keeps its place in the cell, for the error message.
-    number = [i for i, st in enumerate(strips) if st.target_indices]
-    held = [strips[i] for i in number]
-    if not held:
-        return CellSolution(frozenset(), 0.0, counters)
-    targets = sorted(t for st in held for t in st.target_indices)
+    if not strips:
+        return CellSolution([], 0.0, counters)
 
     # Local ids: targets and sites are renumbered inside the cell so subsets
-    # and covered-sets become machine ints.
-    tbit = {g: 1 << i for i, g in enumerate(targets)}
-    gids = sorted({g for st in held for g in st.site_pool})
-    sbit = {g: 1 << i for i, g in enumerate(gids)}
+    # and covered-sets become machine ints.  Targets are numbered strip by
+    # strip, each strip's in the ascending order `grid.cells_for_shift`
+    # lists them in, sites in ascending index order.  Across strips the
+    # order of target bits changes nothing; within a strip it picks the
+    # target the local cover search branches on, and follows the indices.
+    tbit = {t: 1 << k for k, t in
+            enumerate([t for st in strips for t in st.target_indices])}
+    strip_tmask = []
+    hi = 1
+    for st in strips:
+        lo, hi = hi, hi << len(st.target_indices)
+        strip_tmask.append(hi - lo)
+    strip_tmask.append(0)
+    if len(strips) == 1:
+        gids = strips[0].site_pool
+        pool_mask = [(1 << len(gids)) - 1]
+    else:
+        gids = sorted({g for st in strips for g in st.site_pool})
+        sbit = {g: 1 << i for i, g in enumerate(gids)}
+        pool_mask = []
+        for st in strips:
+            pm = 0
+            for g in st.site_pool:
+                pm |= sbit[g]
+            pool_mask.append(pm)
     weight = [sites[g].weight for g in gids]
     cover = []
     for g in gids:
@@ -172,21 +191,8 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
         for t in sites[g].covered:
             msk |= tbit.get(t, 0)
         cover.append(msk)
-
-    pool_mask = []
-    strip_tmask = []
-    for st in held:
-        pm = 0
-        for g in st.site_pool:
-            pm |= sbit[g]
-        pool_mask.append(pm)
-        tm = 0
-        for t in st.target_indices:
-            tm |= tbit[t]
-        strip_tmask.append(tm)
-    strip_tmask.append(0)
     shared = [pool_mask[j] & pool_mask[j + 1]
-              for j in range(len(held) - 1)] + [0]
+              for j in range(len(strips) - 1)] + [0]
 
     # Footprints entering strip i, grouped by coverage of T_i; each group
     # keeps its cheapest (cost, footprint).
@@ -195,21 +201,29 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
     tables: list[dict[int, tuple[float, int, int]]] = []
     used = 0   # states stored so far in this cell
 
-    for i in range(len(held)):
-        o_mask = shared[i - 1] if i > 0 else 0
+    for i, st in enumerate(strips):
+        out_mask = shared[i]
         tmask = strip_tmask[i]
-        table = _footprints(_bit_indices(shared[i]), cover, weight,
+        table = _footprints(_bit_indices(out_mask), cover, weight,
                             STATE_BUDGET - used)
         used += len(table)
-        memo: dict[int, tuple[float, int]] = {0: (0.0, 0)}
-        local = [(cover[b], weight[b], 1 << b)
-                 for b in _bit_indices(pool_mask[i] & ~o_mask & ~shared[i])]
-        picks = {tbit[t]: [site for site in local if site[0] & tbit[t]]
-                 for t in held[i].target_indices}
-        room = STATE_BUDGET - used
         groups: dict[int, list[tuple[int, float, int]]] = {}
         for fcov, (fw, f) in table.items():
             groups.setdefault(fcov & tmask, []).append((f, fw, fcov))
+        memo: dict[int, tuple[float, int]] = {0: (0.0, 0)}
+        own = pool_mask[i] & ~out_mask & ~(shared[i - 1] if i else 0)
+        local = []
+        while own:
+            low = own & -own
+            b = low.bit_length() - 1
+            local.append((cover[b], weight[b], low))
+            own ^= low
+        picks = {}
+        tb = tmask & -tmask
+        while tb & tmask:   # the strip's target bits run consecutively
+            picks[tb] = [site for site in local if site[0] & tb]
+            tb <<= 1
+        room = STATE_BUDGET - used
 
         states: dict[int, tuple[float, int, int]] = {}
         nxt: dict[int, tuple[float, int]] = {}
@@ -231,7 +245,7 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
                     nxt[key] = (cost, f)
         if not states:
             raise ValueError(
-                f"no candidate site covers a target of strip {number[i] + 1}")
+                f"no candidate site covers a target of strip {st.number + 1}")
         used += len(memo)
         counters.subsets_enumerated += len(states)
         tables.append(states)
@@ -246,5 +260,5 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
         chosen |= f | lmask
         f = f_prev
 
-    return CellSolution(frozenset(gids[b] for b in _bit_indices(chosen)),
+    return CellSolution([gids[b] for b in _bit_indices(chosen)],
                         best_cost, counters)

@@ -3,8 +3,10 @@
 import math
 from dataclasses import dataclass
 
+from conftest import bin_points
+
 from sinkcover.geometry import Point
-from sinkcover.grid import bounding_box, cells_for_shift
+from sinkcover.grid import bounding_box
 from sinkcover.sites import Instance
 
 
@@ -20,8 +22,8 @@ def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point
                         m: int, shift: int = 0) -> CensusReport:
     """Count placed sensors per strip and per small square.
 
-    The sensors are binned by `grid.cells_for_shift`, the tiling the solver
-    uses for its targets: the strips are the one-unit (`Grid.strip`) slices
+    The sensors are binned as the solver bins its targets (`round_keys`,
+    then `cells_for_shift`): the strips are the one-unit (`Grid.strip`) slices
     of the shift-`shift` cells for the given m, keyed (cell x, cell y,
     strip) with strips numbered from 1, and only strips holding a sensor
     are listed.
@@ -32,10 +34,9 @@ def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point
     """
     g = bounding_box(instance, m)
     strip_counts: dict[tuple[int, int, int], int] = {}
-    for cell in cells_for_shift(g, positions, shift):
-        for j, members in enumerate(cell.strips, 1):
-            if members:
-                strip_counts[(*cell.index, j)] = len(members)
+    for cell in bin_points(g, positions, shift):
+        for j, members in cell.strips:
+            strip_counts[(*cell.index, j + 1)] = len(members)
 
     sq = math.sqrt(0.5) * g.r
     square_counts: dict[tuple[int, int], int] = {}

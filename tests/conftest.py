@@ -1,18 +1,31 @@
+import numpy as np
 from hypothesis import settings
 
-from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
+from sinkcover.grid import bounding_box, cells_for_shift, round_keys, strips_of_cell
 from sinkcover.sites import Instance, coverers_by_target
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
 
 
+def bin_points(grid, points, f, among=None):
+    """Round f's cells of a point list, as the solver bins its targets:
+    `round_keys` keys the points, by default all, and `cells_for_shift`
+    bins them; a cell names each point by its index in `points`."""
+    among = range(len(points)) if among is None else among
+    xs = np.array([points[i].x for i in among], dtype=float)
+    ys = np.array([points[i].y for i in among], dtype=float)
+    return cells_for_shift(zip(among, *round_keys(grid, xs, ys, f)))
+
+
 def footprint_state_bound(strips):
-    """Most footprint states the strip DP can store for one cell.
+    """Most footprint states the strip DP can store for one cell, given
+    its non-empty strips.
 
     The footprint after strip i is a subset of the pool shared with strip
-    i+1, and the table keeps one per coverage of T_i and T_{i+1}, so strip i
-    stores at most min(2^(|T_i| + |T_{i+1}|), 2^|shared pool|) of them.
+    i+1, the next non-empty one, and the table keeps one per coverage of
+    T_i and T_{i+1}, so strip i stores at most
+    min(2^(|T_i| + |T_{i+1}|), 2^|shared pool|) of them.
     """
     total = 0
     for i, st in enumerate(strips):
@@ -31,7 +44,7 @@ def solve_state_bound(instance, solution, sites):
     coverers = coverers_by_target(sites)
     return sum(footprint_state_bound(strips_of_cell(cell, coverers))
                for f in range(m)
-               for cell in cells_for_shift(grid, instance.targets, f))
+               for cell in bin_points(grid, instance.targets, f))
 
 
 def straddle_instance(m, j, delta, eps, two_r_lines=True, offset=0.0):

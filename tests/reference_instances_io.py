@@ -1,14 +1,22 @@
-"""The solution and report writers as one json.dumps call each, and the
-report reader.
+"""The instance, solution and report writers as one json.dumps call each,
+and the report reader.
 
 `instances_io.write_solution` formats placement rows from a template, and
-`instances_io.write_report` lays out brackets itself; each must write
-exactly these bytes.  `read_report` reads back what
+`instances_io` lays out brackets itself; each writer must write exactly
+these bytes.  `read_report` reads back what
 `instances_io.write_report` writes.
 """
 
 import json
 from pathlib import Path
+
+
+def write_instance(path, instance, metadata=None):
+    doc = {"r": instance.r,
+           "targets": [[t.x, t.y] for t in instance.targets],
+           "stations": [[p.x, p.y] for p in instance.stations],
+           "metadata": metadata or {}}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def write_solution(path, solution):

@@ -7,7 +7,9 @@ and its per-component choice must cost what the cheapest round of each
 component here sums to.
 """
 
-from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
+from conftest import bin_points
+
+from sinkcover.grid import bounding_box, strips_of_cell
 from sinkcover.sites import coverers_by_target
 from sinkcover.strip_dp import solve_cell
 
@@ -46,8 +48,8 @@ def every_cell_costs(instance, m, sites):
     costs = []
     for f in range(m):
         chosen = set()
-        for cell in cells_for_shift(grid, instance.targets, f):
-            chosen |= solve_cell(strips_of_cell(cell, coverers), sites).site_indices
+        for cell in bin_points(grid, instance.targets, f):
+            chosen.update(solve_cell(strips_of_cell(cell, coverers), sites).site_indices)
         costs.append(sum(sites[i].weight for i in sorted(chosen)))
         own = [[] for _ in groups]
         for i in sorted(chosen):

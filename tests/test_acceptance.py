@@ -11,12 +11,12 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import solve_state_bound
+from conftest import bin_points, solve_state_bound
 from reference_geometry import coverage_angle_halfwidth, s_prime_location
 from reference_oracle import full_grid_global_audit
 
 from sinkcover.geometry import Point, dist
-from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
+from sinkcover.grid import bounding_box, strips_of_cell
 from sinkcover.instances_io import gen_counterexample, gen_uniform
 from sinkcover.oracle import exact_min_cost_cover, grid_refine_audit
 from sinkcover.ptas import PtasConfig, shift_average_audit, solve, verify_solution
@@ -89,7 +89,7 @@ def test_criterion_2_dp_exactness():
         inst = gen_uniform(n, k, 1.0, 3.8, 20_000 + seed)
         sites = prune_dominated(generate_candidate_sites(inst))
         g = bounding_box(inst, m)
-        cells = cells_for_shift(g, inst.targets, 0)
+        cells = bin_points(g, inst.targets, 0)
         assert len(cells) == 1, f"seed {seed}: instance spans {len(cells)} cells"
         cell = cells[0]
         strips = strips_of_cell(cell, coverers_by_target(sites))

@@ -1,6 +1,7 @@
 import bisect
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,10 +12,11 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from conftest import bin_points
 
 from sinkcover import cli
 from sinkcover.cli import run
-from sinkcover.grid import bounding_box, cells_for_shift
+from sinkcover.grid import bounding_box
 from sinkcover.instances_io import read_instance, read_solution
 from sinkcover.ptas import verify_solution
 
@@ -334,6 +336,66 @@ def test_audit_leaves_no_cyclic_garbage(tmp_path):
         gc.enable()
 
 
+@pytest.mark.parametrize("verb", ["solve", "generate"])
+def test_solve_and_generate_leave_no_cyclic_garbage(tmp_path, verb):
+    # A sparse draw solved and its solution written, or an instance
+    # generated and written: every object the verb allocates dies by
+    # reference count.
+    path = _gen(tmp_path, n=40, k=3, extent=12.0, seed=5)
+    if verb == "solve":
+        argv = ["solve", "--in", str(path), "--m", "4", "--out",
+                str(tmp_path / "sol.json")]
+    else:
+        argv = ["generate", "--family", "uniform", "--n", "40", "--k", "3",
+                "--extent", "12", "--seed", "6", "--out", str(tmp_path / "g.json")]
+    assert run(argv) == 0    # warm up first-call caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _benchmark_tracing():
+    """benchmark/tracing.py, loaded from its file: the program never
+    imports it."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_counts_a_sparse_solve(tmp_path):
+    # The benchmark's tracer wraps the round stage's names from outside
+    # src/ and reads counts off what they return: cells, pools and DP
+    # calls are seen, the DP's states add up to the solution's echo, no
+    # call is counted as an escalation, and undo restores every name.
+    from sinkcover import oracle, ptas
+    tracing = _benchmark_tracing()
+    path = _gen(tmp_path, n=60, k=4, extent=20.0, seed=7)
+    out = tmp_path / "sol.json"
+    modules = (cli, oracle, ptas)
+    before = [dict(vars(mod)) for mod in modules]
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert ptas.solve_cell is not before[2]["solve_cell"]
+        assert run(["solve", "--in", str(path), "--m", "4", "--out", str(out)]) == 0
+    finally:
+        undo()
+    counts = tracer.counts
+    for name in ("grid.cells", "grid.pool_sum", "strip_dp.calls", "strip_dp.subsets"):
+        assert counts[name] > 0, name
+    assert counts["strip_dp.subsets"] == \
+        read_solution(out).config["counters"]["subsets_enumerated"]
+    assert counts["strip_dp.escalations"] == 0
+    for mod, saved in zip(modules, before):
+        assert all(vars(mod)[k] is v for k, v in saved.items()), mod.__name__
+
+
 def test_audit_refuses_more_targets_than_mask_bits(tmp_path, capsys):
     # The grid sweep packs covered sets into int64 masks; 70 targets used to
     # overflow them into an infinite grid optimum that still passed.
@@ -433,8 +495,8 @@ def test_render_cell_lines_are_every_mth_strip_line(tmp_path, m, seed):
     inst, f = read_instance(path), read_solution(sol).shift_round
     assert f > 0    # the drawn tiling is shifted off round 0's
     xs = [x for x, _ in vertical]
-    for c in cells_for_shift(bounding_box(inst, m), inst.targets, f):
-        for j, members in enumerate(c.strips):
+    for c in bin_points(bounding_box(inst, m), inst.targets, f):
+        for j, members in c.strips:
             for t in members:
                 left = bisect.bisect_right(xs, float(circles[t].get("cx"))) - 1
                 assert (left - cell[0]) % m == j

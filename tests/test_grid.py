@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from conftest import straddle_instance
+from conftest import bin_points, straddle_instance
+from hypothesis import given
+from hypothesis import strategies as st
+from reference_grid import reference_cells
 
 from sinkcover.geometry import COVER_TOL, Point
 from sinkcover.grid import (Cell, bounding_box, cell_keys, cells_for_shift,
@@ -35,7 +38,7 @@ def test_bounding_box_translation():
 def test_bounding_box_single_target_single_cell():
     inst = Instance.from_coords([(3, 7)], [(0, 0)], 1.0)
     g = bounding_box(inst, 3)
-    assert len(cells_for_shift(g, inst.targets, 0)) == 1
+    assert len(bin_points(g, inst.targets, 0)) == 1
 
 
 def test_bounding_box_identity_when_already_offset():
@@ -63,9 +66,9 @@ def test_shift_moves_boundaries_by_f_units():
         off_x = g.origin.x + f * g.strip
         off_y = g.origin.y + f * g.strip
         assert g.corner(f) == Point(off_x, off_y)
-        for c in cells_for_shift(g, inst.targets, f):
+        for c in bin_points(g, inst.targets, f):
             lo_x, lo_y = off_x + c.index[0] * side, off_y + c.index[1] * side
-            for i in (i for strip in c.strips for i in strip):
+            for i in (i for _, strip in c.strips for i in strip):
                 t = inst.targets[i]
                 assert lo_x <= t.x < lo_x + side and lo_y <= t.y < lo_y + side
 
@@ -76,9 +79,9 @@ def test_cells_partition_targets_every_round():
         for m in (1, 2, 4):
             g = bounding_box(inst, m)
             for f in range(m):
-                cells = cells_for_shift(g, inst.targets, f)
+                cells = bin_points(g, inst.targets, f)
                 assert len({c.index for c in cells}) == len(cells)
-                seen = [i for c in cells for strip in c.strips for i in strip]
+                seen = [i for c in cells for _, strip in c.strips for i in strip]
                 assert sorted(seen) == list(range(inst.n))
 
 
@@ -86,9 +89,9 @@ def test_shift_round_bounds_checked():
     inst = _uniform_instance(0)
     g = bounding_box(inst, 2)
     with pytest.raises(ValueError):
-        cells_for_shift(g, inst.targets, 2)
+        bin_points(g, inst.targets, 2)
     with pytest.raises(ValueError):
-        cells_for_shift(g, inst.targets, -1)
+        bin_points(g, inst.targets, -1)
 
 
 def test_shift_boundary_positions_cycle():
@@ -100,7 +103,7 @@ def test_shift_boundary_positions_cycle():
     side = g.cell_side
     offsets = set()
     for f in range(m):
-        cell = cells_for_shift(g, inst.targets, f)[0]
+        cell = bin_points(g, inst.targets, f)[0]
         lower_left_x = g.corner(f).x + cell.index[0] * side
         offsets.add(round((lower_left_x - g.origin.x) % side, 9))
     assert offsets == {round(g.strip * f, 9) for f in range(m)}
@@ -113,12 +116,15 @@ def test_strip_count_and_width():
     for m in (2, 3):
         g = bounding_box(inst, m)
         for f in range(m):
-            for cell in cells_for_shift(g, inst.targets, f):
-                assert len(cell.strips) == m
-                assert len(strips_of_cell(cell, coverers)) == m
+            for cell in bin_points(g, inst.targets, f):
+                # A cell lists its non-empty strips, numbered within its m.
+                numbers = [j for j, _ in cell.strips]
+                assert numbers == sorted(set(numbers)) and set(numbers) <= set(range(m))
+                assert all(strip for _, strip in cell.strips)
+                assert len(strips_of_cell(cell, coverers)) == len(cell.strips)
                 x0 = g.corner(f).x + cell.index[0] * g.cell_side
                 # Strip j is the half-open slice [x0 + j*2r, x0 + (j+1)*2r).
-                for j, strip in enumerate(cell.strips):
+                for j, strip in cell.strips:
                     for i in strip:
                         assert x0 + j * width <= inst.targets[i].x < x0 + (j + 1) * width
 
@@ -136,18 +142,19 @@ def test_cell_keys_name_the_cell_each_point_is_binned_into():
             xs, ys = np.array([p.x for p in pts]), np.array([p.y for p in pts])
             for f in range(m):
                 ix, iy = cell_keys(g, xs, ys, f)
-                binned = {i: cell.index for cell in cells_for_shift(g, pts, f)
-                          for strip in cell.strips for i in strip}
+                binned = {i: cell.index for cell in bin_points(g, pts, f)
+                          for _, strip in cell.strips for i in strip}
                 assert binned == {i: (ix[i], iy[i]) for i in range(len(pts))}
                 # Binning a subset keeps each point's cell, strip and index.
                 expected = []
-                for cell in cells_for_shift(g, pts, f):
-                    strips = tuple(tuple(i for i in st if i % 3 == 0)
-                                   for st in cell.strips)
-                    if any(strips):
+                for cell in bin_points(g, pts, f):
+                    strips = [(j, [i for i in st if i % 3 == 0])
+                              for j, st in cell.strips]
+                    strips = [(j, st) for j, st in strips if st]
+                    if strips:
                         expected.append(Cell(cell.index, strips))
                 among = list(range(0, len(pts), 3))
-                assert cells_for_shift(g, pts, f, among) == expected
+                assert bin_points(g, pts, f, among) == expected
 
 
 def test_strips_partition_cell_targets():
@@ -156,16 +163,16 @@ def test_strips_partition_cell_targets():
         coverers = coverers_by_target(generate_candidate_sites(inst))
         g = bounding_box(inst, 3)
         for f in range(3):
-            for cell in cells_for_shift(g, inst.targets, f):
+            for cell in bin_points(g, inst.targets, f):
                 strips = strips_of_cell(cell, coverers)
                 # The strips keep the cell's targets as binned and attach
                 # each strip the coverers of its targets.
-                assert [s.target_indices for s in strips] == list(cell.strips)
+                assert [(s.number, s.target_indices) for s in strips] == list(cell.strips)
                 got = [t for s in strips for t in s.target_indices]
                 assert got and len(got) == len(set(got))
                 for s in strips:
                     pool = {i for t in s.target_indices for i in coverers[t]}
-                    assert s.site_pool == tuple(sorted(pool))
+                    assert list(s.site_pool) == sorted(pool)
 
 
 def test_site_spanning_two_strips_in_both_pools():
@@ -174,7 +181,7 @@ def test_site_spanning_two_strips_in_both_pools():
     inst = Instance.from_coords([(0.0, 0.0), (1.9, 0.0), (2.1, 0.0)], [(0, 0)], 1.0)
     sites = generate_candidate_sites(inst)
     g = bounding_box(inst, 2)
-    (cell,) = cells_for_shift(g, inst.targets, 0)
+    (cell,) = bin_points(g, inst.targets, 0)
     s1, s2 = strips_of_cell(cell, coverers_by_target(sites))
     assert 1 in s1.target_indices and 2 in s2.target_indices
     both = [i for i, s in enumerate(sites) if s.covered >= {1, 2}]
@@ -188,11 +195,12 @@ def test_no_pool_shared_across_nonadjacent_strips():
         inst = _uniform_instance(seed, n=10, extent=6.0)
         coverers = coverers_by_target(generate_candidate_sites(inst))
         g = bounding_box(inst, 4)
-        for cell in cells_for_shift(g, inst.targets, 0):
+        for cell in bin_points(g, inst.targets, 0):
             strips = strips_of_cell(cell, coverers)
-            for i in range(len(strips)):
-                for j in range(i + 2, len(strips)):
-                    assert not set(strips[i].site_pool) & set(strips[j].site_pool)
+            for a in strips:
+                for b in strips:
+                    if b.number >= a.number + 2:
+                        assert not set(a.site_pool) & set(b.site_pool)
 
 
 def _translated(inst, offset):
@@ -220,11 +228,13 @@ def test_no_site_in_the_pools_of_strips_two_apart(offset):
         coverers = coverers_by_target(generate_candidate_sites(inst))
         g = bounding_box(inst, m)
         for f in range(m):
-            for cell in cells_for_shift(g, inst.targets, f):
-                pools = [set(s.site_pool) for s in strips_of_cell(cell, coverers)]
-                for i in range(m):
-                    for j in range(i + 2, m):
-                        assert not pools[i] & pools[j]
+            for cell in bin_points(g, inst.targets, f):
+                pools = {s.number: set(s.site_pool)
+                         for s in strips_of_cell(cell, coverers)}
+                for i in pools:
+                    for j in pools:
+                        if j >= i + 2:
+                            assert not pools[i] & pools[j]
 
 
 def test_strip_independence_randomized():
@@ -242,3 +252,71 @@ def test_strip_independence_randomized():
         anchor = rng.uniform(-10, 0)
         strip_of = [math.floor((t[0] - anchor) / (2 * r)) for t in ts]
         assert abs(strip_of[0] - strip_of[1]) <= 1
+
+
+def _reference_view(cells):
+    """`reference_cells` output as the program lists cells: each cell's
+    non-empty strips with their numbers, members ascending."""
+    return [(key, [(j, sorted(ts)) for j, ts in enumerate(strips) if ts])
+            for key, strips in cells]
+
+
+@st.composite
+def binning_cases(draw):
+    """Points of a random spread and offset, some put exactly on round f's
+    cell and strip lines or one ulp to either side, with a subset to bin
+    in random order."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 8, 1024]))
+    r = draw(st.sampled_from([1.0, 0.37, 1e-12]))
+    offset = draw(st.sampled_from([0.0, 1e6, 1e9]))
+    spread = draw(st.sampled_from([8.0, 1e3, 1e12]))
+    coord = st.floats(0.0, spread, allow_nan=False, allow_infinity=False)
+    pts = [Point(offset + draw(coord), offset + draw(coord))
+           for _ in range(draw(st.integers(1, 10)))]
+    g = bounding_box(Instance(tuple(pts), (Point(offset, offset),), r), m)
+    f = draw(st.integers(0, m - 1))
+    corner = g.corner(f)
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, int(spread / g.cell_side) + 2))
+        j = draw(st.integers(0, m))
+        x = corner.x + k * g.cell_side + j * g.strip
+        y = corner.y + draw(st.integers(0, int(spread / g.cell_side) + 2)) * g.cell_side
+        nudge = draw(st.sampled_from([0, -1, 1]))
+        if nudge:
+            x = math.nextafter(x, nudge * math.inf)
+        pts.append(Point(x, y))
+    among = draw(st.permutations(range(len(pts))))
+    among = among[:draw(st.integers(1, len(among)))]
+    return g, pts, f, among
+
+
+@given(binning_cases())
+def test_round_keys_bin_as_the_per_point_loop(case):
+    # The array keys give every point the cell, strip number and cell
+    # members the per-point float loop gives it, on cell and strip lines,
+    # far from the origin and for cell keys past 2^63.
+    g, pts, f, among = case
+    cells = bin_points(g, pts, f, among)
+    assert [(c.index, c.strips) for c in cells] == \
+        _reference_view(reference_cells(g, pts, f, among))
+    assert all(type(v) is int for c in cells for v in c.index)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 1024])
+def test_cell_keys_past_two_to_the_63_stay_exact(m):
+    # With r = 1e-12 the cells of points 1e12 apart are numbered past 2^63:
+    # keys must not pass through int64.
+    pts = [Point(0.0, 0.0), Point(1e12, 3.0), Point(1e12 + 2e-12 * m, 1e12)]
+    g = bounding_box(Instance(tuple(pts), (Point(0.0, 0.0),), 1e-12), m)
+    for f in range(m):
+        cells = bin_points(g, pts, f)
+        assert max(c.index[0] for c in cells) > 2 ** 63
+        assert [(c.index, c.strips) for c in cells] == \
+            _reference_view(reference_cells(g, pts, f))
+
+
+def test_cells_for_shift_lists_members_ascending_whatever_the_row_order():
+    rows = [(7, 1.0, 0.0, 2), (3, 1.0, 0.0, 2), (5, 0.0, 0.0, 0), (1, 1.0, 0.0, 0)]
+    assert cells_for_shift(rows) == [Cell((0, 0), [(0, [5])]),
+                                     Cell((1, 0), [(0, [1]), (2, [3, 7])])]
+    assert cells_for_shift([]) == []

@@ -320,3 +320,36 @@ def test_indented_layout_equals_json_dumps(value):
     # write_report lays out any JSON value, nested in lists and objects, as
     # json.dumps(value, indent=2) does.
     assert instances_io._indented(value) == json.dumps(value, indent=2)
+
+
+_keys = st.one_of(st.text(max_size=4), st.sampled_from(["é", "ключ", "\u2028", "😀", ""]),
+                  st.integers(), st.floats(), st.booleans(), st.none())
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), _any_float,
+                    st.sampled_from([math.nan, math.inf, -math.inf]),
+                    st.text(max_size=4), st.sampled_from(["ü", "日本", "\x00"]))
+any_json_values = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_keys, inner, max_size=3)),
+    max_leaves=14)
+
+
+@given(any_json_values)
+@example({"ü": [], "k": (), 1: {"é": [math.nan, math.inf, -math.inf]},
+          None: (True, False, None, -0.0, 10 ** 30), 2.5: {}})
+def test_indented_bytes_equal_json_dumps_for_any_keys_and_scalars(value):
+    # Nested objects, empty and non-empty lists and tuples, non-ASCII
+    # strings and keys, keys that are not strings, and every scalar json
+    # writes: the layout is json.dumps(value, indent=2) byte for byte.
+    assert instances_io._indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("metadata", [None, {}, {"generator": "uniform", "n": 3,
+                                                "note": "ü", "nested": {"a": []}}])
+def test_instance_writer_bytes_match_json_dumps(tmp_path, metadata):
+    inst = Instance.from_coords([(0.1, -0.0), (1e300, 5e-324), (3, 4)],
+                                [(2.5, 1e-7)], 1.5)
+    write_instance(tmp_path / "new.json", inst, metadata)
+    reference_instances_io.write_instance(tmp_path / "ref.json", inst, metadata)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

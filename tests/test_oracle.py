@@ -244,7 +244,9 @@ def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
     # The census bins sensors with the solver's tiling: the strips that
     # cells_for_shift gives a sensor list are the census's strips, and each
     # sensor's strip is floor((x - corner.x) / 2r) counted within its cell.
-    from sinkcover.grid import bounding_box, cells_for_shift
+    from conftest import bin_points
+
+    from sinkcover.grid import bounding_box
     from sinkcover.ptas import PtasConfig, solve
     m = 4
     for seed in range(4):
@@ -254,8 +256,8 @@ def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
         pos = [p.position for p in sol.placements]
         g = bounding_box(inst, m)
         binned = {(*cell.index, j + 1): len(members)
-                  for cell in cells_for_shift(g, pos, f)
-                  for j, members in enumerate(cell.strips) if members}
+                  for cell in bin_points(g, pos, f)
+                  for j, members in cell.strips}
         corner, side = g.corner(f), g.cell_side
         expected: dict = {}
         for p in pos:

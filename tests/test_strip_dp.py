@@ -5,14 +5,14 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import footprint_state_bound
+from conftest import bin_points, footprint_state_bound
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_strip_dp import compatible, enumerate_strip_subsets, irredundant_footprints
 
 from sinkcover import strip_dp
 from sinkcover.geometry import Point
-from sinkcover.grid import bounding_box, cells_for_shift, strips_of_cell
+from sinkcover.grid import Cell, bounding_box, cells_for_shift, strips_of_cell
 from sinkcover.instances_io import gen_uniform
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover.sites import (CandidateSite, Instance, coverers_by_target,
@@ -25,7 +25,7 @@ INF = float("inf")
 def _single_cell(inst, m):
     sites = prune_dominated(generate_candidate_sites(inst))
     g = bounding_box(inst, m)
-    cells = cells_for_shift(g, inst.targets, 0)
+    cells = bin_points(g, inst.targets, 0)
     assert len(cells) == 1
     cell = cells[0]
     return cell, strips_of_cell(cell, coverers_by_target(sites)), sites
@@ -140,7 +140,7 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     monkeypatch.setattr(strip_dp, "_footprints", counting)
     g = bounding_box(inst, m)
     for f in range(m):
-        for cell in cells_for_shift(g, inst.targets, f):
+        for cell in bin_points(g, inst.targets, f):
             strips = strips_of_cell(cell, coverers)
             keys.clear()
             res = solve_cell(strips, sites)
@@ -169,32 +169,34 @@ def test_solve_cell_two_disjoint_targets():
 def test_solve_cell_empty_cell():
     inst = Instance.from_coords([(1, 1)], [(0, 0)], 1.0)
     cell, _, sites = _single_cell(inst, 2)
-    empty = type(cell)(index=(9, 9), strips=((),) * len(cell.strips))
+    empty = Cell(index=(9, 9), strips=[])
     res = solve_cell(strips_of_cell(empty, coverers_by_target(sites)), sites)
     assert isinstance(res, CellSolution)
-    assert res.cost == 0.0 and res.site_indices == frozenset()
+    assert res.cost == 0.0 and res.site_indices == []
 
 
 def test_solve_cell_uncoverable_target_is_an_error():
     # Candidate sites always cover every target; a hand-built strip whose
     # target has no site is refused rather than solved wrongly.
     from sinkcover.grid import Strip
-    strips = [Strip(target_indices=(0,), site_pool=())]
+    strips = [Strip(number=0, target_indices=(0,), site_pool=())]
     with pytest.raises(ValueError, match="no candidate site covers a target of strip 1"):
         solve_cell(strips, [])
 
 
 def test_targetless_strips_store_no_states():
     # A strip without targets has an empty pool and one state, the empty
-    # footprint; the sweep skips it, so only the strip with the target
-    # stores a state, and a missing coverer is named by its strip number.
-    from sinkcover.grid import Strip
+    # footprint; the sweep is not handed it, so only the strip with the
+    # target stores a state, and a missing coverer is named by its strip
+    # number.  Target 0 is keyed into strip 1, then strip 2, of a cell.
     sites = _sites_from_spec([({0}, 2.0), ({0}, 1.0)])
-    res = solve_cell([Strip((), ()), Strip((0,), (0, 1)), Strip((), ())], sites)
-    assert res.site_indices == frozenset({1}) and res.cost == 1.0
+    (cell,) = cells_for_shift([(0, 0.0, 0.0, 1)])
+    res = solve_cell(strips_of_cell(cell, {0: [0, 1]}), sites)
+    assert res.site_indices == [1] and res.cost == 1.0
     assert res.counters.subsets_enumerated == 1
+    (cell,) = cells_for_shift([(0, 0.0, 0.0, 2)])
     with pytest.raises(ValueError, match="covers a target of strip 3$"):
-        solve_cell([Strip((), ()), Strip((), ()), Strip((0,), ())], sites)
+        solve_cell(strips_of_cell(cell, {}), sites)
 
 
 def test_solve_cell_matches_oracle_randomized():
@@ -218,7 +220,7 @@ def test_solve_cell_cost_matches_reconstruction():
         covered = set()
         for i in res.site_indices:
             covered |= sites[i].covered
-        assert {t for strip in cell.strips for t in strip} <= covered
+        assert {t for _, strip in cell.strips for t in strip} <= covered
 
 
 def test_solve_cell_two_targets_without_joint_coverer():
@@ -330,7 +332,7 @@ def test_solve_cell_reproduces_forced_ring_optimum():
     sites = prune_dominated(generate_candidate_sites(inst))
     x0 = min(t.x for t in inst.targets) - 1e-6
     y0 = min(t.y for t in inst.targets) - 1e-6
-    (cell,) = cells_for_shift(Grid(Point(x0, y0), 4, inst.r), inst.targets, 0)
+    (cell,) = bin_points(Grid(Point(x0, y0), 4, inst.r), inst.targets, 0)
     assert cell.index == (0, 0)
     strips = strips_of_cell(cell, coverers_by_target(sites))
     opt = exact_min_cost_cover(inst.n, sites).cost
