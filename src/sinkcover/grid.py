@@ -140,10 +140,8 @@ def strips_of_cell(cell: Cell, coverers: dict[int, list[int]]) -> list[Strip]:
 
     `coverers` maps a target index to the ascending indices of the sites
     covering it (`sites.coverers_by_target`); one index serves every cell
-    of every round.  A strip's pool holds the indices of all sites covering
-    at least one of its targets; a strip of one target shares that
-    target's coverer list.
+    of every round.  A strip's pool holds the ascending indices of all
+    sites covering at least one of its targets.
     """
-    return [Strip(j, ts, coverers.get(ts[0], ()) if len(ts) == 1 else
-                  sorted({s for t in ts for s in coverers.get(t, ())}))
+    return [Strip(j, ts, sorted({s for t in ts for s in coverers.get(t, ())}))
             for j, ts in cell.strips]

@@ -85,18 +85,14 @@ def exact_min_cost_cover(target_count: int, sites: list[CandidateSite]) -> Oracl
     masks = _target_masks(target_count, sites)
     full = (1 << target_count) - 1
 
-    coverers: list[list[int]] = [[] for _ in range(target_count)]
-    for si, s in enumerate(sites):
-        for t in s.covered:
-            if t < target_count:
-                coverers[t].append(si)
-    cheapest = [INF] * target_count
-    for t in range(target_count):
-        if not coverers[t]:
+    by_target = coverers_by_target(sites)
+    coverers = [sorted(by_target.get(t, ()), key=lambda si: (sites[si].weight, si))
+                for t in range(target_count)]
+    for t, cs in enumerate(coverers):
+        if not cs:
             return OracleResult(INF, frozenset(), 0, False,
                                 feasible=False, infeasible_target=t)
-        coverers[t].sort(key=lambda si: (sites[si].weight, si))
-        cheapest[t] = sites[coverers[t][0]].weight
+    cheapest = [sites[cs[0]].weight for cs in coverers]
 
     best = [INF, (), 0]
     _search(full, (), 0.0, (coverers, masks, sites, cheapest), best)

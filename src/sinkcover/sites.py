@@ -132,7 +132,8 @@ def generate_candidate_sites(instance: Instance) -> CandidateTable:
     qx, qy = _positions(tx, ty, sx, sy, instance.r)
     members, lo, hi, qx, qy = _coverage(qx, qy, tx, ty, reach)
     weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations)
-    # Positions are distinct, so only rows of equal weight need (x, y).
+    # Positions are distinct, so only rows of equal weight need (x, y); a
+    # lexsort of every row cost 0.55 ms more per sparse-400 op.
     order = weight.argsort(kind="stable")
     heads = _run_heads(weight[order])
     tied = ~(heads & np.append(heads[1:], True))

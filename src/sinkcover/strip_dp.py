@@ -172,18 +172,14 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
         lo, hi = hi, hi << len(st.target_indices)
         strip_tmask.append(hi - lo)
     strip_tmask.append(0)
-    if len(strips) == 1:
-        gids = strips[0].site_pool
-        pool_mask = [(1 << len(gids)) - 1]
-    else:
-        gids = sorted({g for st in strips for g in st.site_pool})
-        sbit = {g: 1 << i for i, g in enumerate(gids)}
-        pool_mask = []
-        for st in strips:
-            pm = 0
-            for g in st.site_pool:
-                pm |= sbit[g]
-            pool_mask.append(pm)
+    gids = sorted({g for st in strips for g in st.site_pool})
+    sbit = {g: 1 << i for i, g in enumerate(gids)}
+    pool_mask = []
+    for st in strips:
+        pm = 0
+        for g in st.site_pool:
+            pm |= sbit[g]
+        pool_mask.append(pm)
     weight = [sites[g].weight for g in gids]
     cover = []
     for g in gids:

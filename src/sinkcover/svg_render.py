@@ -15,6 +15,7 @@ from .ptas import Solution
 from .sites import Instance
 
 _F = "{:.6f}".format
+_SIZE = 640.0    # the drawing's longer side, in SVG units
 
 
 class _Svg:
@@ -49,8 +50,7 @@ class _Svg:
         return "\n".join(self.parts) + "\n"
 
 
-def render_svg(instance: Instance, solution: Solution | None = None,
-               size: float = 640.0) -> str:
+def render_svg(instance: Instance, solution: Solution | None = None) -> str:
     """Render an instance (and optionally a solution) as an SVG document.
 
     With a solution, the cell and strip lines of its winning shift round are
@@ -66,7 +66,7 @@ def render_svg(instance: Instance, solution: Solution | None = None,
         xs, ys = [0.0], [0.0]
     x0, x1 = min(xs) - 1.5 * r, max(xs) + 1.5 * r
     y0, y1 = min(ys) - 1.5 * r, max(ys) + 1.5 * r
-    scale = size / max(x1 - x0, y1 - y0)
+    scale = _SIZE / max(x1 - x0, y1 - y0)
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
 

@@ -240,6 +240,23 @@ def test_solution_file_bytes_are_pinned(tmp_path, kw, solve_sha, exact_sha):
     assert hashlib.sha256(exact.read_bytes()).hexdigest() == exact_sha
 
 
+@pytest.mark.parametrize("m, cost, sha", [
+    (1, "1109.631320465",
+     "de938a4bba924c8d2956830adfeea645e28306293bcb306b2dda07affbfb5186"),
+    (2, "885.527442870",
+     "0c9bfc1d3d0fdb91741351cd99ddb67c02543872c0ede24f73667ac1e2e30148"),
+], ids=["m1", "m2"])
+def test_one_strip_and_two_strip_cells_write_pinned_bytes(tmp_path, capsys, m, cost, sha):
+    # At m=1 every cell is a single strip; at m=2 cells hold one or two
+    # non-empty strips.  Both solves must write these bytes.
+    path = _gen(tmp_path, n=300, k=6, extent=30.0, seed=7)
+    sol = tmp_path / "sol.json"
+    capsys.readouterr()
+    assert run(["solve", "--in", str(path), "--m", str(m), "--out", str(sol)]) == 0
+    assert capsys.readouterr().out.startswith(f"cost {cost};")
+    assert hashlib.sha256(sol.read_bytes()).hexdigest() == sha
+
+
 def test_exact_matches_solve_quality(tmp_path):
     path = _gen(tmp_path, n=6, seed=21)
     exact_out = tmp_path / "e.json"
@@ -589,6 +606,32 @@ def test_render_rejects_malformed_solution_fields(tmp_path, capsys, fields, mess
     else:
         assert code == 1
         assert err.startswith(f"error[parse]: {sol}: ") and message in err
+
+
+def test_an_instance_radius_past_the_float_range_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"r": 10 ** 400, "targets": [[0, 0]],
+                                "stations": [[1, 0]]}))
+    assert run(["solve", "--in", str(path), "--m", "2",
+                "--out", str(tmp_path / "sol.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f'error[parse]: {path}: field "r" must be a positive number\n'
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"config": {"m": 1025}}, 'field "config"["m"] must be at most MAX_ROUNDS = 1024'),
+    ({"config": {"m": 10 ** 400}}, 'field "config"["m"] must be at most MAX_ROUNDS = 1024'),
+    ({"shift_round": -1}, 'field "shift_round" must lie in [0, MAX_ROUNDS = 1024)'),
+    ({"shift_round": 1024}, 'field "shift_round" must lie in [0, MAX_ROUNDS = 1024)'),
+    ({"shift_round": 10 ** 400}, 'field "shift_round" must lie in [0, MAX_ROUNDS = 1024)'),
+], ids=["m-1025", "m-1e400", "shift-minus-1", "shift-1024", "shift-1e400"])
+def test_render_rejects_rounds_outside_max_rounds(tmp_path, capsys, fields, message):
+    path = _gen(tmp_path, n=3, seed=4)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({**_SOLUTION, **fields}))
+    assert run(["render", "--in", str(path), "--solution", str(sol),
+                "--svg", str(tmp_path / "out.svg")]) == 1
+    assert capsys.readouterr().err == f"error[parse]: {sol}: {message}\n"
 
 
 def test_render_draws_no_line_from_a_station_the_instance_lacks(tmp_path):
