@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--m", default="2,4,8",
                    help="comma-separated list of round counts")
-    c.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     c.add_argument("--out", help="optional report file")
 
     a = sub.add_parser("audit", help="discretization dominance and shift-average audit")

@@ -19,9 +19,9 @@ lie.  `round_keys` keys a point array for round f in one vectorised pass:
 each point's cell and its strip in that cell.  `cells_for_shift` bins
 keyed targets into cells, each listing only its non-empty strips with
 their numbers, and `strips_of_cell` gives those strips their site pools.
-`cell_keys` is the cell half of the keys, so the solver can tell which
-target clusters fit inside one cell of a round; `render` draws the same
-tiling's lines.
+`cell_keys` is the cell half of the keys: the solver keys every target
+with it each round, to tell which components fit inside one cell of that
+round.  `render` draws the same tiling's lines.
 """
 
 from __future__ import annotations

@@ -204,6 +204,9 @@ def read_solution(path) -> Solution:
     if m is not None and m > MAX_ROUNDS:
         raise InstanceFormatError(
             f"{path}: field \"config\"[\"m\"] must be at most MAX_ROUNDS = {MAX_ROUNDS}")
+    if m is not None and shift is not None and shift >= m:
+        raise InstanceFormatError(
+            f"{path}: field \"shift_round\" must be below config[\"m\"] = {m}")
     return Solution(total_cost=doc["total_cost"], shift_round=shift,
                     per_round_costs=tuple(doc["per_round_costs"]),
                     placements=placements, config=config)

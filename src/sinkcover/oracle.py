@@ -112,8 +112,6 @@ def greedy_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
     new targets is unchanged has the least current key, and is picked;
     any other is pushed back with its current key.
     """
-    if target_count == 0:
-        return OracleResult(0.0, frozenset(), 0, False)
     masks = _target_masks(target_count, sites)
     uncov = (1 << target_count) - 1
     heap = [(sites[si].weight / new, si, new)
@@ -133,7 +131,7 @@ def greedy_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
         t = (uncov & -uncov).bit_length() - 1
         return OracleResult(INF, frozenset(chosen), steps, False,
                             feasible=False, infeasible_target=t)
-    cost = sum(sites[si].weight for si in sorted(chosen))
+    cost = sum((sites[si].weight for si in sorted(chosen)), 0.0)
     return OracleResult(cost, frozenset(chosen), steps, False)
 
 

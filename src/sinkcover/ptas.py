@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import COVER_TOL, Point, near_pairs, within
-from .grid import (Grid, bounding_box, cell_keys, cells_for_shift,
-                   round_keys, strips_of_cell)
+from .grid import (bounding_box, cell_keys, cells_for_shift, round_keys,
+                   strips_of_cell)
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
 from .strip_dp import StateBudgetError, solve_cell
@@ -59,7 +59,7 @@ class PtasConfig:
     def rounds(self) -> int:
         if self.m is not None:
             return self.m
-        return max(1, math.ceil(4.0 / self.epsilon))
+        return math.ceil(4.0 / self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -119,29 +119,6 @@ def _components(target_count: int, sites: list[CandidateSite]
     return members, of_target
 
 
-def _fits(grid: Grid, targets: tuple[Point, ...],
-          members: list[list[int]]) -> np.ndarray:
-    """fits[f, c]: all of component c's targets lie in one cell of round f.
-
-    A cell key, floor((x - corner) / side), never falls as x grows, so the
-    component fits exactly when the corners of its bounding box share a
-    cell."""
-    order = np.fromiter((t for ts in members for t in ts), int)
-    starts = np.cumsum([0] + [len(ts) for ts in members[:-1]])
-    xs = np.array([targets[t].x for t in order])
-    ys = np.array([targets[t].y for t in order])
-    corners_x = np.concatenate((np.minimum.reduceat(xs, starts),
-                                np.maximum.reduceat(xs, starts)))
-    corners_y = np.concatenate((np.minimum.reduceat(ys, starts),
-                                np.maximum.reduceat(ys, starts)))
-    fits = np.empty((grid.m, len(members)), dtype=bool)
-    for f in range(grid.m):
-        ix, iy = cell_keys(grid, corners_x, corners_y, f)
-        fits[f] = (ix[:len(members)] == ix[len(members):]) & (
-            iy[:len(members)] == iy[len(members):])
-    return fits
-
-
 def solve(instance: Instance, config: PtasConfig,
           sites: list[CandidateSite] | None = None) -> Solution:
     """Solve every shift round, then give each component its cheapest round.
@@ -151,24 +128,25 @@ def solve(instance: Instance, config: PtasConfig,
     default candidates are generated and dominated ones pruned.
 
     Round f's cost is that of the union of its cells' optimal covers.  No
-    site covers targets of two components, so the union splits by
-    component, and a component that fits inside one cell of a round costs
-    its own optimum there.  Such a component is solved once, in the first
-    round it fits, and reused in the later rounds it fits.  Round f
-    covers only the components spanning its cells and those fitting for
-    the first time.  It keys their targets once (`round_keys`) and groups
-    them by (component, cell).  A target alone in its group takes its
-    cheapest coverer, lowest index on ties, with no DP run: inside the
-    cell each of its coverers covers it alone.  The DP would pick the same
-    site, unless its float sums round two coverer weights to one total;
-    the pick here is then the lighter one.  The strip DP runs over the
-    cells of the other targets.  The schedule takes each
-    component's sites from its cheapest round, lowest on ties, when that
-    costs strictly less than the cheapest round; else the cheapest round's
-    sites, which is `shift_round`.  Rounds are solved one after another in
-    this process.  The config echo counts the components, the (component,
-    round) pairs that span cells, and the footprint states stored by the
-    DP runs made.
+    site covers targets of two components, so the union splits by component,
+    and a component that fits inside one cell of a round costs its own
+    optimum there.  Round f keys every target's cell (`cell_keys`), and a
+    component fits it when each of its targets has the keys of the
+    component's lowest target.  Such a component is solved once, in the
+    first round it fits, and reused in the later rounds it fits.  Round f
+    covers only the components spanning its cells and those fitting for the
+    first time.  It keys their targets once (`round_keys`) and groups them
+    by (component, cell).  A target alone in its group takes its cheapest
+    coverer, lowest index on ties, with no DP run: inside the cell each of
+    its coverers covers it alone.  The DP would pick the same site, unless
+    its float sums round two coverer weights to one total; the pick here is
+    then the lighter one.  The strip DP runs over the cells of the other
+    targets.  The schedule takes each component's sites from its cheapest
+    round, lowest on ties, when that costs strictly less than the cheapest
+    round; else the cheapest round's sites, which is `shift_round`.  Rounds
+    are solved one after another in this process.  The config echo counts
+    the components, the (component, round) pairs that span cells, and the
+    footprint states stored by the DP runs made.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
@@ -179,7 +157,8 @@ def solve(instance: Instance, config: PtasConfig,
     coverers = coverers_by_target(sites)
     weight = [s.weight for s in sites]
     members, target_comp = _components(instance.n, sites)
-    fits = _fits(grid, instance.targets, members)
+    comp = np.array(target_comp)
+    lead = np.array([ts[0] for ts in members])[comp]   # its component's lowest
     xs = np.array([t.x for t in instance.targets])
     ys = np.array([t.y for t in instance.targets])
 
@@ -188,9 +167,13 @@ def solve(instance: Instance, config: PtasConfig,
     solved: dict[int, frozenset[int]] = {}   # fitting component -> its optimum
     best: list[tuple[float, frozenset[int]] | None] = [None] * len(members)
     rounds: list[frozenset[int]] = []
-    subsets = 0
+    subsets = spanning = 0
     for f in range(m):
-        fit = fits[f].tolist()
+        kx, ky = cell_keys(grid, xs, ys, f)
+        span = np.zeros(len(members), dtype=bool)
+        span[comp[(kx != kx[lead]) | (ky != ky[lead])]] = True
+        spanning += int(span.sum())
+        fit = (~span).tolist()
         run = [c for c, ok in enumerate(fit) if not ok or c not in solved]
         among = [t for c in run for t in members[c]]
         ix, iy, strip = round_keys(grid, xs[among], ys[among], f)
@@ -243,7 +226,7 @@ def solve(instance: Instance, config: PtasConfig,
                     config={"epsilon": config.epsilon, "m": m,
                             "counters": {"subsets_enumerated": subsets,
                                          "components": len(members),
-                                         "spanning": int((~fits).sum())}})
+                                         "spanning": spanning}})
 
 
 def verify_solution(instance: Instance, placements) -> bool:

@@ -274,9 +274,9 @@ def prune_dominated(table: CandidateTable) -> list[CandidateSite]:
     maximal elements, whatever the row order.  So only the least site of
     each covered set by (weight, position, row) can be kept, and it is
     kept unless a strict superset's least site weighs no more; such a
-    superset holds the set's lowest target (every nonempty set is a strict
-    superset of the empty one).  Only the kept sites are built, in row
-    order.
+    superset holds the set's lowest target, and any nonempty set is a
+    strict superset of the empty one.  Only the kept sites are built, in
+    row order.
     """
     if not len(table):
         return []
@@ -301,14 +301,10 @@ def prune_dominated(table: CandidateTable) -> list[CandidateSite]:
     for g, cov in enumerate(sets):
         for t in cov:
             holders.setdefault(t, []).append(g)
-    lightest = min((w[g] for g, cov in enumerate(sets) if cov), default=math.inf)
     kept = []
     for g, cov in enumerate(sets):
-        if cov:
-            dominated = any(cov < sets[h] and w[h] <= w[g] for h in holders[min(cov)])
-        else:
-            dominated = lightest <= w[g]
-        if not dominated:
+        rivals = holders[min(cov)] if cov else range(len(sets))
+        if not any(cov < sets[h] and w[h] <= w[g] for h in rivals):
             kept.append(g)
     rows = np.sort(least[kept])
     return [CandidateSite(Point(x, y), sets[g], wt, o) for x, y, g, wt, o in

@@ -62,8 +62,6 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
     if solution is not None:
         xs += [p.position.x for p in solution.placements]
         ys += [p.position.y for p in solution.placements]
-    if not xs:
-        xs, ys = [0.0], [0.0]
     x0, x1 = min(xs) - 1.5 * r, max(xs) + 1.5 * r
     y0, y1 = min(ys) - 1.5 * r, max(ys) + 1.5 * r
     scale = _SIZE / max(x1 - x0, y1 - y0)

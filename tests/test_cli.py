@@ -143,6 +143,13 @@ def test_solve_verify_cap_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_jobs_is_a_usage_error(tmp_path, capsys):
+    # compare has no --jobs flag; solve and audit still accept it.
+    path = _gen(tmp_path)
+    assert run(["compare", "--in", str(path), "--m", "2", "--jobs", "1"]) == 1
+    assert "error[usage]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("quality", [["--epsilon", "1e-300"], ["--m", "1000000000"]])
 def test_solve_beyond_max_rounds_is_an_input_error(tmp_path, capsys, quality):
     # epsilon 1e-300 asks for about 4e300 shift rounds.
@@ -273,7 +280,7 @@ def test_exact_matches_solve_quality(tmp_path):
 def test_compare_table_and_report(tmp_path, capsys):
     path = _gen(tmp_path, n=5, seed=2)
     report = tmp_path / "report.json"
-    assert run(["compare", "--in", str(path), "--m", "2,4", "--jobs", "1",
+    assert run(["compare", "--in", str(path), "--m", "2,4",
                 "--out", str(report)]) == 0
     out = capsys.readouterr().out
     assert "exact" in out and "greedy" in out and "shifted-m2" in out
@@ -293,7 +300,7 @@ def test_compare_table_and_report(tmp_path, capsys):
 
 def test_compare_ratio_within_bound(tmp_path, capsys):
     path = _gen(tmp_path, n=8, k=1, extent=10.0, seed=0)
-    assert run(["compare", "--in", str(path), "--m", "4", "--jobs", "1"]) == 0
+    assert run(["compare", "--in", str(path), "--m", "4"]) == 0
     out = capsys.readouterr().out
     row = [l for l in out.splitlines() if l.startswith("shifted-m4")][0]
     ratio = float(row.split()[2])
@@ -331,7 +338,7 @@ def test_audit_and_compare_reports_are_json_dumps_bytes(tmp_path):
     for verb, flags in (("audit", ["--step", "0.02", "--m", "2"]),
                         ("compare", ["--m", "2,4"])):
         report = tmp_path / f"{verb}.json"
-        assert run([verb, "--in", str(path), *flags, "--jobs", "1",
+        assert run([verb, "--in", str(path), *flags,
                     "--out", str(report)]) == 0
         text = report.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
@@ -624,7 +631,9 @@ def test_an_instance_radius_past_the_float_range_is_a_parse_error(tmp_path, caps
     ({"shift_round": -1}, 'field "shift_round" must lie in [0, MAX_ROUNDS = 1024)'),
     ({"shift_round": 1024}, 'field "shift_round" must lie in [0, MAX_ROUNDS = 1024)'),
     ({"shift_round": 10 ** 400}, 'field "shift_round" must lie in [0, MAX_ROUNDS = 1024)'),
-], ids=["m-1025", "m-1e400", "shift-minus-1", "shift-1024", "shift-1e400"])
+    ({"shift_round": 2}, 'field "shift_round" must be below config["m"] = 2'),
+], ids=["m-1025", "m-1e400", "shift-minus-1", "shift-1024", "shift-1e400",
+        "shift-2-of-m-2"])
 def test_render_rejects_rounds_outside_max_rounds(tmp_path, capsys, fields, message):
     path = _gen(tmp_path, n=3, seed=4)
     sol = tmp_path / "sol.json"

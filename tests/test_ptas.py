@@ -208,16 +208,34 @@ def test_component_inside_one_cell_is_solved_to_its_optimum():
     assert checked > 50
 
 
+def _pairs_on_a_cell_line():
+    """At m=2, a two-target component with one target exactly on round 1's
+    cell line x = corner + 2 sides, where the keys step up, and the other
+    target one ulp below the line, then one ulp above it.  The target at
+    the origin anchors the grid."""
+    anchor = Instance.from_coords([(0.0, 0.0)], [(0.0, 0.0)], 1.0)
+    grid = bounding_box(anchor, 2)
+    x = grid.corner(1).x + 2 * grid.cell_side
+    return [Instance.from_coords([(0.0, 0.0), (x, 1.0), (other, 1.0)],
+                                 [(0.0, 0.0)], 1.0)
+            for other in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))]
+
+
 def test_config_counts_components_and_spanning_pairs():
-    for seed, (n, extent, m) in enumerate([(400, 63.25, 4), (14, 8.0, 4),
-                                           (60, 20.0, 3), (30, 12.0, 1)]):
-        inst = gen_uniform(n, 3, 1.0, extent, seed + 700)
+    drawn = [(gen_uniform(n, 3, 1.0, extent, seed + 700), m)
+             for seed, (n, extent, m) in enumerate([(400, 63.25, 4), (14, 8.0, 4),
+                                                    (60, 20.0, 3), (30, 12.0, 1)])]
+    on_line = []
+    for inst, m in drawn + [(inst, 2) for inst in _pairs_on_a_cell_line()]:
         sites = prune_dominated(generate_candidate_sites(inst))
         counters = solve(inst, PtasConfig(m=m), sites=sites).config["counters"]
         groups = components(inst.n, sites)
         assert counters["components"] == len(groups)
         assert counters["spanning"] == sum(len(_cells_of(inst, g, m, f)) > 1
                                            for g in groups for f in range(m))
+        on_line.append(counters["spanning"])
+    # The pair straddles the line only when its second target lies below it.
+    assert on_line[-2:] == [1, 0]
 
 
 @pytest.mark.parametrize("args", [(400, 10, 1.0, 63.25, 5), (60, 2, 1.0, 8.0, 2)],
