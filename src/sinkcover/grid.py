@@ -12,16 +12,20 @@ the cell side, errs by at most half an ulp of the side (about 1e-12 r at
 m = 1024).  Two targets one site covers differ by at most
 2r(1 + COVER_TOL)(1 + 2**-51) at any magnitude, as the site-to-target
 differences of the coverage test are correctly rounded too.  The margin,
-2r*COVER_TOL = 2e-9 r, dwarfs both errors.
+2r*COVER_TOL = 2e-9 r, dwarfs both errors.  An anchored cell (below)
+measures its targets from x0 = their least x, and takes them only when
+the rounded offset of the largest x is below the side; rounding is
+monotone, so every offset is, and the same bound holds.
 
-This module is the only code that knows where round f's cells and strips
-lie.  `round_keys` keys a point array for round f in one vectorised pass:
-each point's cell and its strip in that cell.  `cells_for_shift` bins
-keyed targets into cells, each listing only its non-empty strips with
-their numbers, and `strips_of_cell` gives those strips their site pools.
-`cell_keys` is the cell half of the keys: the solver keys every target
-with it each round, to tell which components fit inside one cell of that
-round.  `render` draws the same tiling's lines.
+This module is the only code that knows where cells and strips lie.
+`round_keys` keys a point array for round f in one vectorised pass: each
+point's cell and its strip in that cell; `cell_keys` is its cell half.
+`anchored_keys` lays each group of points (the solver's components) out
+in a cell of its own, strips starting at the group's least x, and tells
+which groups are narrower than a cell side on both axes.  `cells_for_shift`
+bins keyed targets into cells, each listing only its non-empty strips
+with their numbers, and `strips_of_cell` gives those strips their site
+pools.  `render` draws the rounds' lines.
 """
 
 from __future__ import annotations
@@ -123,10 +127,31 @@ def round_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, f: int
     return ix.tolist(), iy.tolist(), strip.tolist()
 
 
+def anchored_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, group: np.ndarray,
+                  groups: int) -> tuple[list[bool], list[int]]:
+    """Each group of points laid out in a cell of its own, whose strips
+    start at the group's least x, x0: for each group, whether its bounding
+    box is under one cell side on both axes, and for each point (xs[i],
+    ys[i]) of group `group[i]`, its strip floor((x - x0) / unit), clamped
+    to the cell's m strips as `round_keys` clamps.  The strips of a group
+    that does not fit mean nothing."""
+    lo_x, lo_y = np.full(groups, np.inf), np.full(groups, np.inf)
+    hi_x, hi_y = np.full(groups, -np.inf), np.full(groups, -np.inf)
+    np.minimum.at(lo_x, group, xs)
+    np.minimum.at(lo_y, group, ys)
+    np.maximum.at(hi_x, group, xs)
+    np.maximum.at(hi_y, group, ys)
+    fits = (hi_x - lo_x < grid.cell_side) & (hi_y - lo_y < grid.cell_side)
+    strip = np.clip((xs - lo_x[group]) // grid.strip, 0, grid.m - 1).astype(np.intp)
+    return fits.tolist(), strip.tolist()
+
+
 def cells_for_shift(keyed: Iterable[tuple[int, float, float, int]]) -> list[Cell]:
     """Bin keyed targets, (target, cell x, cell y, strip) rows as
     `round_keys` keys them, into cells, in index order.  A cell lists its
-    non-empty strips in strip order, each with its targets ascending."""
+    non-empty strips in strip order, each with its targets ascending.
+    Rows keyed (target, group, 0, strip) from `anchored_keys` bin into one
+    cell per group."""
     bins: dict[tuple[float, float], dict[int, list[int]]] = {}
     for t, kx, ky, j in keyed:
         bins.setdefault((kx, ky), {}).setdefault(j, []).append(t)

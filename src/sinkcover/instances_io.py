@@ -207,6 +207,9 @@ def read_solution(path) -> Solution:
     if m is not None and shift is not None and shift >= m:
         raise InstanceFormatError(
             f"{path}: field \"shift_round\" must be below config[\"m\"] = {m}")
+    if m is not None and len(doc["per_round_costs"]) != m:
+        raise InstanceFormatError(
+            f"{path}: field \"per_round_costs\" must hold config[\"m\"] = {m} costs")
     return Solution(total_cost=doc["total_cost"], shift_round=shift,
                     per_round_costs=tuple(doc["per_round_costs"]),
                     placements=placements, config=config)

@@ -1,5 +1,6 @@
-"""Shifted-grid approximation: solve every shift round cell by cell, then
-give each component of the targets its cheapest round.
+"""Shifted-grid approximation: solve each small component of the targets
+exactly in a cell of its own, the others in every shift round cell by
+cell, then give each component its cheapest round.
 
 With m shift rounds the cheapest round costs at most (1 + 4/m) times the
 optimum over the candidate-site universe: averaging over rounds, each
@@ -9,6 +10,11 @@ form components, and a round's cost is the sum of its costs on them, so
 taking each component's cheapest round costs no more (Hochbaum and Maass,
 J. ACM 32, 1985):
 Σ_C min_f cost_f(C) <= min_f Σ_C cost_f(C) <= (1 + 4/m) OPT.
+A component narrower than a cell side on both axes fits one cell laid out
+from its own corner, where the strip DP gives its optimum, no more than
+any round's cost on it; so counting it at its optimum in every round keeps
+the bound and the shifting only pays for the components that some cell
+boundary must cut.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import COVER_TOL, Point, near_pairs, within
-from .grid import (bounding_box, cell_keys, cells_for_shift, round_keys,
-                   strips_of_cell)
+from .grid import (Cell, anchored_keys, bounding_box, cells_for_shift,
+                   round_keys, strips_of_cell)
 from .sites import (CandidateSite, Instance, coverers_by_target,
                     generate_candidate_sites, prune_dominated)
 from .strip_dp import StateBudgetError, solve_cell
@@ -119,34 +125,46 @@ def _components(target_count: int, sites: list[CandidateSite]
     return members, of_target
 
 
+def _layout(cell: Cell) -> tuple[tuple[int, ...], ...]:
+    """A cell's targets, strip by strip: all the strip DP reads of a cell
+    besides the sites, so two cells with one layout fare alike."""
+    return tuple(map(tuple, (ts for _, ts in cell.strips)))
+
+
 def solve(instance: Instance, config: PtasConfig,
           sites: list[CandidateSite] | None = None) -> Solution:
-    """Solve every shift round, then give each component its cheapest round.
+    """Solve each small component once in a cell of its own, the rest in
+    every shift round, then give each component its cheapest round.
 
     `sites` may be supplied to reuse a candidate list (it must come from
     `prune_dominated`, or list the rows of `generate_candidate_sites`); by
     default candidates are generated and dominated ones pruned.
 
-    Round f's cost is that of the union of its cells' optimal covers.  No
-    site covers targets of two components, so the union splits by component,
-    and a component that fits inside one cell of a round costs its own
-    optimum there.  Round f keys every target's cell (`cell_keys`), and a
-    component fits it when each of its targets has the keys of the
-    component's lowest target.  Such a component is solved once, in the
-    first round it fits, and reused in the later rounds it fits.  Round f
-    covers only the components spanning its cells and those fitting for the
-    first time.  It keys their targets once (`round_keys`) and groups them
-    by (component, cell).  A target alone in its group takes its cheapest
-    coverer, lowest index on ties, with no DP run: inside the cell each of
-    its coverers covers it alone.  The DP would pick the same site, unless
-    its float sums round two coverer weights to one total; the pick here is
+    No site covers targets of two components, so a cover splits by
+    component.  A component whose bounding box is under one cell side on
+    both axes is anchored: laid out in a cell whose strips start at its
+    least target x (`anchored_keys`), where every coverer of its targets
+    lies in the strip pools, so one strip DP run gives its optimum, which
+    it costs in every round.  A one-target component takes its cheapest
+    coverer, lowest index on ties, with no DP run.  A component whose cell
+    needs more than the DP's state budget joins the components too wide
+    for a cell, which span cells in every round; a round cell holding the
+    same targets strip by strip fails alike, with no second DP run.
+
+    Round f keys the targets of those components once (`round_keys`) and
+    groups them by (component, cell).  A target alone in its group takes
+    its cheapest coverer the same way: inside the cell each of its
+    coverers covers it alone.  The DP would pick the same site, unless its
+    float sums round two coverer weights to one total; the pick here is
     then the lighter one.  The strip DP runs over the cells of the other
-    targets.  The schedule takes each component's sites from its cheapest
+    targets.  Round f's cost is that of its cells' covers plus the anchored
+    optima.  The schedule takes each component's sites from its cheapest
     round, lowest on ties, when that costs strictly less than the cheapest
     round; else the cheapest round's sites, which is `shift_round`.  Rounds
     are solved one after another in this process.  The config echo counts
-    the components, the (component, round) pairs that span cells, and the
-    footprint states stored by the DP runs made.
+    the components, the anchored ones, the (component, round) pairs the
+    rounds solve in more than one cell, and the footprint states stored by
+    the DP runs made.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
@@ -157,28 +175,44 @@ def solve(instance: Instance, config: PtasConfig,
     coverers = coverers_by_target(sites)
     weight = [s.weight for s in sites]
     members, target_comp = _components(instance.n, sites)
-    comp = np.array(target_comp)
-    lead = np.array([ts[0] for ts in members])[comp]   # its component's lowest
     xs = np.array([t.x for t in instance.targets])
     ys = np.array([t.y for t in instance.targets])
+    fits, strip = anchored_keys(grid, xs, ys, np.array(target_comp), len(members))
 
-    # Solving every component in every round made sparse-400 solve time
-    # 50% longer.
-    solved: dict[int, frozenset[int]] = {}   # fitting component -> its optimum
-    best: list[tuple[float, frozenset[int]] | None] = [None] * len(members)
-    rounds: list[frozenset[int]] = []
-    subsets = spanning = 0
-    for f in range(m):
-        kx, ky = cell_keys(grid, xs, ys, f)
-        span = np.zeros(len(members), dtype=bool)
-        span[comp[(kx != kx[lead]) | (ky != ky[lead])]] = True
-        spanning += int(span.sum())
-        fit = (~span).tolist()
-        run = [c for c, ok in enumerate(fit) if not ok or c not in solved]
-        among = [t for c in run for t in members[c]]
-        ix, iy, strip = round_keys(grid, xs[among], ys[among], f)
+    def cheapest(t: int) -> int:
+        if not coverers.get(t):
+            raise ValueError(f"no candidate site covers target {t}")
+        return min(coverers[t], key=weight.__getitem__)
+
+    optimum: dict[int, frozenset[int]] = {}   # anchored component -> its sites
+    rows = []
+    for c, ts in enumerate(members):
+        if fits[c] and len(ts) == 1:
+            optimum[c] = frozenset((cheapest(ts[0]),))
+        elif fits[c]:
+            rows += [(t, c, 0.0, strip[t]) for t in ts]
+    subsets = 0
+    over: dict[tuple, StateBudgetError] = {}   # layouts past the budget
+    for cell in cells_for_shift(rows):
+        try:
+            res = solve_cell(strips_of_cell(cell, coverers), sites)
+        except StateBudgetError as e:
+            over[_layout(cell)] = e
+            continue
+        optimum[cell.index[0]] = frozenset(res.site_indices)
+        subsets += res.counters.subsets_enumerated
+
+    anchored = frozenset().union(*optimum.values())
+    among = [t for c, ts in enumerate(members) if c not in optimum for t in ts]
+    best: dict[int, tuple[float, frozenset[int]]] = {}   # its cheapest round
+    rounds = [anchored] * m     # each round's sites
+    spanning = 0
+    # With no component left, every round is the anchored optima; keying
+    # empty rounds made a dense-14 solve about 1.5 times as long.
+    for f in range(m if among else 0):
+        ix, iy, strip_f = round_keys(grid, xs[among], ys[among], f)
         groups: dict[tuple[int, float, float], list] = {}
-        for row in zip(among, ix, iy, strip):
+        for row in zip(among, ix, iy, strip_f):
             groups.setdefault((target_comp[row[0]], row[1], row[2]), []).append(row)
         # Running the DP on lone targets too made sparse-400 solve time 23%
         # longer.
@@ -187,33 +221,33 @@ def solve(instance: Instance, config: PtasConfig,
         for group in groups.values():
             if len(group) > 1:
                 rest += group
-            elif coverers.get(t := group[0][0]):
-                chosen.add(min(coverers[t], key=weight.__getitem__))
             else:
-                raise ValueError(f"no candidate site covers target {t}")
+                chosen.add(cheapest(group[0][0]))
         for cell in cells_for_shift(rest):
             try:
+                if over and _layout(cell) in over:
+                    raise over[_layout(cell)]
                 res = solve_cell(strips_of_cell(cell, coverers), sites)
             except StateBudgetError as e:
                 raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
             chosen.update(res.site_indices)
             subsets += res.counters.subsets_enumerated
-        parts: dict[int, set[int]] = {c: set() for c in run}
+        cells: dict[int, int] = {}   # component -> its cells this round
+        for c, _, _ in groups:
+            cells[c] = cells.get(c, 0) + 1
+        spanning += sum(n > 1 for n in cells.values())
+        parts: dict[int, set[int]] = {c: set() for c in cells}
         for s in chosen:
             parts[target_comp[next(iter(sites[s].covered))]].add(s)
-        for c in run:
-            ids = frozenset(parts[c])
-            if fit[c]:
-                solved[c] = ids
+        for c, ids in parts.items():
             cost = _round_cost(ids, weight)
-            if best[c] is None or cost < best[c][0]:
-                best[c] = (cost, ids)
-        rounds.append(frozenset(chosen).union(
-            *(solved[c] for c, ok in enumerate(fit) if ok)))
+            if c not in best or cost < best[c][0]:
+                best[c] = (cost, frozenset(ids))
+        rounds[f] = anchored.union(chosen)
 
     per_round = tuple(_round_cost(ids, weight) for ids in rounds)
     best_f = min(range(m), key=per_round.__getitem__)
-    chosen_sites = frozenset().union(*(ids for _, ids in best))
+    chosen_sites = anchored.union(*(ids for _, ids in best.values()))
     total = _round_cost(chosen_sites, weight)
     if not total < per_round[best_f]:
         total, chosen_sites = per_round[best_f], rounds[best_f]
@@ -226,6 +260,7 @@ def solve(instance: Instance, config: PtasConfig,
                     config={"epsilon": config.epsilon, "m": m,
                             "counters": {"subsets_enumerated": subsets,
                                          "components": len(members),
+                                         "anchored": len(optimum),
                                          "spanning": spanning}})
 
 

@@ -37,14 +37,21 @@ def footprint_state_bound(strips):
 
 
 def solve_state_bound(instance, solution, sites):
-    """`footprint_state_bound` summed over every cell of every shift round
-    of a solve that used `sites`."""
+    """`footprint_state_bound` summed over the cells a solve that used
+    `sites` hands the strip DP: the anchored cell of each component that
+    has one, and each cell of each shift round holding targets of one of
+    the other components."""
+    from reference_ptas import anchored_cells
+
     m = len(solution.per_round_costs)
     grid = bounding_box(instance, m)
     coverers = coverers_by_target(sites)
-    return sum(footprint_state_bound(strips_of_cell(cell, coverers))
-               for f in range(m)
-               for cell in bin_points(grid, instance.targets, f))
+    total = 0
+    for group, cell in anchored_cells(instance, m, sites):
+        cells = [cell] if cell is not None else [
+            c for f in range(m) for c in bin_points(grid, instance.targets, f, sorted(group))]
+        total += sum(footprint_state_bound(strips_of_cell(c, coverers)) for c in cells)
+    return total
 
 
 def straddle_instance(m, j, delta, eps, two_r_lines=True, offset=0.0):

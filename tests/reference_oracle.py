@@ -13,11 +13,17 @@ discrete optimum.  The library's per-set dominance check implies it.
 
 `greedy_cover_rescan` is the greedy baseline that rescans every site on
 each step; the library's lazy heap must pick the same sites.
+
+`milp_min_cost_cover` is an exact cover oracle that shares no code with
+the strip DP or the branch and bound: HiGHS's MILP solver (Huangfu and
+Hall, Math. Prog. Comp. 10, 2018) through `scipy.optimize.milp`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
 from sinkcover.geometry import COVER_TOL, Point
 from sinkcover.oracle import INF, OracleResult, exact_min_cost_cover
@@ -115,3 +121,26 @@ def greedy_cover_rescan(target_count, sites):
         steps += 1
     cost = sum(sites[si].weight for si in sorted(chosen))
     return OracleResult(cost, frozenset(chosen), steps, False)
+
+
+def milp_min_cost_cover(target_count, sites):
+    """Minimum total weight covering targets 0..target_count-1 with `sites`,
+    as a MILP: one binary per site, and one row per target of the sparse
+    incidence matrix asking that a chosen site cover it, solved with no
+    relative gap.  Returns an OracleResult whose cost is recomputed over
+    the chosen sites in ascending index order."""
+    if target_count == 0:
+        return OracleResult(0.0, frozenset(), 0, True)
+    cols = [i for i, s in enumerate(sites) for t in s.covered if t < target_count]
+    rows = [t for s in sites for t in s.covered if t < target_count]
+    incidence = csr_array((np.ones(len(rows)), (rows, cols)),
+                          shape=(target_count, len(sites)))
+    res = milp(np.array([s.weight for s in sites]),
+               constraints=LinearConstraint(incidence, lb=1.0, ub=np.inf),
+               integrality=np.ones(len(sites)), bounds=Bounds(0.0, 1.0),
+               options={"mip_rel_gap": 0.0})
+    if res.x is None:
+        return OracleResult(INF, frozenset(), 0, False, feasible=False)
+    chosen = [i for i, v in enumerate(res.x) if v > 0.5]
+    return OracleResult(sum(sites[i].weight for i in chosen), frozenset(chosen),
+                        0, res.status == 0)

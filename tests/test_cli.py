@@ -71,17 +71,20 @@ def test_solve_epsilon_records_m(tmp_path):
 
 
 def test_solve_line_names_the_cheapest_whole_round(tmp_path, capsys):
-    # The schedule takes each component's cheapest round, so here it costs
-    # less than the cheapest whole round; the line gives both.
+    # At m=2 eleven components are too wide for a cell, and the schedule
+    # takes each one's cheapest round, so here it costs less than the
+    # cheapest whole round; the line gives both.
     path = _gen(tmp_path, n=400, k=10, extent=63.25, seed=5)
     out = tmp_path / "sol.json"
     capsys.readouterr()
-    assert run(["solve", "--in", str(path), "--m", "4", "--out", str(out)]) == 0
+    assert run(["solve", "--in", str(path), "--m", "2", "--out", str(out)]) == 0
     sol = read_solution(out)
     f = sol.shift_round
+    counters = sol.config["counters"]
+    assert counters["components"] - counters["anchored"] == 11
     assert sol.total_cost < sol.per_round_costs[f] == min(sol.per_round_costs)
     assert capsys.readouterr().out == (
-        f"cost {sol.total_cost:.9f}; cheapest round {f} of 4 costs "
+        f"cost {sol.total_cost:.9f}; cheapest round {f} of 2 costs "
         f"{sol.per_round_costs[f]:.9f}; {len(sol.placements)} sensors -> {out}\n")
 
 
@@ -228,12 +231,12 @@ def test_exact_verb(tmp_path):
 @pytest.mark.parametrize("kw, solve_sha, exact_sha", [
     pytest.param(
         dict(n=6, k=2, extent=5.0, seed=1),
-        "0376050b47552a58b49520e5a2359c12a37fd9731137a4e22cd9683cb8844a50",
+        "4ce3fc2d7ada182490e745cd3437a4fbec93ce1236b964fb427b3df220cc8bcc",
         "97b684a288da982143c3bd83bd5594dc980bd174f4b11b1f6189205c33823e26",
         id="n6-seed1"),
     pytest.param(
-        dict(n=9, k=2, extent=10.0, seed=4),    # wins in round 1 of 4
-        "91a819b8012f25d53d35a0c48cb11bfa3a7f9a3c719f236e35660d8f061e57d5",
+        dict(n=9, k=2, extent=10.0, seed=4),    # every component anchored
+        "b05a9224af09c7d3d2c9ca8d09be69b7a32998841013c848d81c3bd2f9831cab",
         "0689bd9e6ee596a3111fbb4f1512b04f05ec858ff19fd193e7053a68fe773e3a",
         id="n9-seed4"),
 ])
@@ -248,14 +251,15 @@ def test_solution_file_bytes_are_pinned(tmp_path, kw, solve_sha, exact_sha):
 
 
 @pytest.mark.parametrize("m, cost, sha", [
-    (1, "1109.631320465",
-     "de938a4bba924c8d2956830adfeea645e28306293bcb306b2dda07affbfb5186"),
-    (2, "885.527442870",
-     "0c9bfc1d3d0fdb91741351cd99ddb67c02543872c0ede24f73667ac1e2e30148"),
+    (1, "1079.351655773",
+     "01e63b32bbff2c1f46a5e19a427a58d822db4b18f7c2cb90cbb080e2e2ced0df"),
+    (2, "877.163218382",
+     "7e87fbccac302950297454d26f94657cbab75521c02a7d740eeb6ffce01b3c97"),
 ], ids=["m1", "m2"])
 def test_one_strip_and_two_strip_cells_write_pinned_bytes(tmp_path, capsys, m, cost, sha):
-    # At m=1 every cell is a single strip; at m=2 cells hold one or two
-    # non-empty strips.  Both solves must write these bytes.
+    # At m=1 every cell, anchored or in a round, is a single strip; at m=2
+    # cells hold one or two non-empty strips.  Both solves leave chains too
+    # wide for a cell to the rounds, and must write these bytes.
     path = _gen(tmp_path, n=300, k=6, extent=30.0, seed=7)
     sol = tmp_path / "sol.json"
     capsys.readouterr()
@@ -496,8 +500,10 @@ def test_render_cell_lines_are_every_mth_strip_line(tmp_path, m, seed):
     # Vertical grid lines are the strip lines of the winning round, 2r apart;
     # every m-th one is a cell line, so cell lines lie cell_side * scale
     # apart.  The detection circles have radius r * scale, and each target's
-    # circle lies in the strip the solver bins the target into.
-    path = _gen(tmp_path, n=12, extent=12.0, seed=seed)
+    # circle lies in the strip the solver bins the target into.  The draw
+    # leaves components too wide for a cell to the rounds, so the rounds'
+    # costs differ and the cheapest is not round 0.
+    path = _gen(tmp_path, n=24, extent=10.0, seed=seed)
     sol, svg = tmp_path / "sol.json", tmp_path / "out.svg"
     assert run(["solve", "--in", str(path), "--m", str(m), "--out", str(sol)]) == 0
     assert run(["render", "--in", str(path), "--solution", str(sol),
@@ -564,7 +570,7 @@ def test_instance_metadata_must_be_an_object(tmp_path, capsys, metadata):
     assert err == f'error[parse]: {path}: field "metadata" must be an object\n'
 
 
-_SOLUTION = {"total_cost": 1.0, "shift_round": 0, "per_round_costs": [1.0],
+_SOLUTION = {"total_cost": 1.0, "shift_round": 0, "per_round_costs": [1.0, 1.5],
              "placements": [{"x": 0.5, "y": 0.0, "station": 0, "weight": 0.5}],
              "config": {"m": 2}}
 
@@ -632,8 +638,12 @@ def test_an_instance_radius_past_the_float_range_is_a_parse_error(tmp_path, caps
     ({"shift_round": 1024}, 'field "shift_round" must lie in [0, MAX_ROUNDS = 1024)'),
     ({"shift_round": 10 ** 400}, 'field "shift_round" must lie in [0, MAX_ROUNDS = 1024)'),
     ({"shift_round": 2}, 'field "shift_round" must be below config["m"] = 2'),
+    ({"per_round_costs": [1.0]}, 'field "per_round_costs" must hold config["m"] = 2 costs'),
+    ({"per_round_costs": []}, 'field "per_round_costs" must hold config["m"] = 2 costs'),
+    ({"per_round_costs": [1.0, 1.5, 2.0]},
+     'field "per_round_costs" must hold config["m"] = 2 costs'),
 ], ids=["m-1025", "m-1e400", "shift-minus-1", "shift-1024", "shift-1e400",
-        "shift-2-of-m-2"])
+        "shift-2-of-m-2", "one-cost-of-m-2", "no-cost-of-m-2", "three-costs-of-m-2"])
 def test_render_rejects_rounds_outside_max_rounds(tmp_path, capsys, fields, message):
     path = _gen(tmp_path, n=3, seed=4)
     sol = tmp_path / "sol.json"

@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 from conftest import bin_points, straddle_instance
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from reference_grid import reference_cells
 
 from sinkcover.geometry import COVER_TOL, Point
-from sinkcover.grid import (Cell, bounding_box, cell_keys, cells_for_shift,
-                           strips_of_cell)
+from sinkcover.grid import (Cell, Grid, anchored_keys, bounding_box, cell_keys,
+                           cells_for_shift, strips_of_cell)
 from sinkcover.sites import Instance, coverers_by_target, generate_candidate_sites
 
 
@@ -320,3 +320,54 @@ def test_cells_for_shift_lists_members_ascending_whatever_the_row_order():
     assert cells_for_shift(rows) == [Cell((0, 0), [(0, [5])]),
                                      Cell((1, 0), [(0, [1]), (2, [3, 7])])]
     assert cells_for_shift([]) == []
+
+
+def _ulps_of(v):
+    return st.sampled_from([v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)])
+
+
+@st.composite
+def anchored_cases(draw):
+    """A tiling and groups of points far from the origin or not, each with
+    points on its own strip lines x0 + j units from its first point x0, or
+    one ulp to either side, and up to one cell side above it."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    g = Grid(Point(0.0, 0.0), m, draw(st.sampled_from([1.0, 0.37, 1e-12])))
+    offset = draw(st.sampled_from([0.0, 1e6, 1e9]))
+    pts, group = [], []
+    for c in range(draw(st.integers(1, 4))):
+        corner = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0)
+        x0, y0 = offset + draw(corner), offset + draw(corner)
+        pts.append(Point(x0, y0))
+        group.append(c)
+        for _ in range(draw(st.integers(0, 5))):
+            x = x0 + draw(st.sampled_from([g.cell_side]) | st.integers(0, m).map(
+                lambda j: j * g.strip))
+            y = y0 + draw(st.sampled_from([0.0, 0.5, 1.0])) * g.cell_side
+            pts.append(Point(draw(_ulps_of(x)), draw(_ulps_of(y))))
+            group.append(c)
+    return g, pts, group
+
+
+_M2 = Grid(Point(0.0, 0.0), 2, 1.0)
+
+
+@given(anchored_cases())
+@example((_M2, [Point(0.0, 0.0), Point(_M2.cell_side, 0.0), Point(0.0, 5.0),
+                Point(math.nextafter(_M2.cell_side, 0.0), 5.0)], [0, 0, 1, 1]))
+def test_anchored_keys_match_the_per_point_loop(case):
+    # A group fits when its largest x and y lie less than a cell side past
+    # its least ones, and each point's strip counts whole units from the
+    # group's least x, clamped to the cell's m strips.
+    g, pts, group = case
+    xs, ys = np.array([p.x for p in pts]), np.array([p.y for p in pts])
+    fits, strips = anchored_keys(g, xs, ys, np.array(group), max(group) + 1)
+    least = {}
+    for c in set(group):
+        members = [p for p, k in zip(pts, group) if k == c]
+        x0, y0 = min(p.x for p in members), min(p.y for p in members)
+        assert fits[c] == (max(p.x for p in members) - x0 < g.cell_side
+                           and max(p.y for p in members) - y0 < g.cell_side)
+        least[c] = x0
+    assert strips == [min(max(int((p.x - least[c]) // g.strip), 0), g.m - 1)
+                      for p, c in zip(pts, group)]

@@ -258,6 +258,18 @@ def test_read_solution_rejects_non_finite_round_cost(tmp_path, cost):
         read_solution(path)
 
 
+@pytest.mark.parametrize("rounds", [[], [0.5], [0.5, 1.0, 1.5]])
+def test_read_solution_ties_round_costs_to_config_m(tmp_path, rounds):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({**_SOLUTION, "per_round_costs": rounds}))
+    with pytest.raises(InstanceFormatError,
+                       match=r'field "per_round_costs" must hold config\["m"\] = 2 costs$'):
+        read_solution(path)
+    # Without config.m, as `exact` writes, any number of costs reads.
+    path.write_text(json.dumps({**_SOLUTION, "per_round_costs": rounds, "config": {}}))
+    assert read_solution(path).per_round_costs == tuple(rounds)
+
+
 def test_read_solution_takes_integer_costs(tmp_path):
     path = tmp_path / "sol.json"
     path.write_text(json.dumps({**_SOLUTION, "total_cost": 10 ** 300,

@@ -7,7 +7,8 @@ import pytest
 from conftest import solve_state_bound, straddle_instance
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference_ptas import components, every_cell_costs
+from reference_oracle import milp_min_cost_cover
+from reference_ptas import anchored_cells, components, every_cell_costs
 
 from sinkcover.geometry import COVER_TOL
 from sinkcover.grid import bounding_box
@@ -100,17 +101,20 @@ def test_solution_invariants():
 
 
 @pytest.mark.parametrize("n, k, extent, m", [
-    (400, 10, 63.25, 4),    # sparse: hundreds of components, most of them fit
-    (14, 2, 8.0, 4),        # dense: a few components, most pairs span
-    (60, 3, 20.0, 2),
+    (400, 10, 63.25, 4),    # sparse: hundreds of components, a few too wide
+    (14, 2, 8.0, 4),        # dense: a few components, every one anchored
+    (60, 3, 20.0, 2),       # one or two components too wide for a cell
     (60, 3, 20.0, 3),
     (120, 4, 30.0, 8),
+    (60, 3, 20.0, 1),       # four to eight too wide
+    (400, 10, 63.25, 2),    # seven to nine too wide
 ])
 def test_costs_equal_every_cell_reference(n, k, extent, m):
-    # Reused component covers and skipped one-target DP runs leave each
-    # round's cost bit for bit what solving every cell gives, over pruned
-    # sites and over the raw rows, where a lone target has many coverers;
-    # the schedule costs each component's cheapest round of that loop.
+    # Anchored components solved once, and skipped one-target DP runs,
+    # leave each round's cost bit for bit what laying out every anchored
+    # component by itself and solving every cell of every round gives,
+    # over pruned sites and over the raw rows, where a lone target has many
+    # coverers; the schedule costs each component's cheapest round of that.
     for seed in range(3):
         inst = gen_uniform(n, k, 1.0, extent, seed + 60)
         raw = list(generate_candidate_sites(inst))
@@ -185,6 +189,62 @@ def _cells_of(inst, group, m, f):
              math.floor((inst.targets[t].y - corner.y) / side)) for t in group}
 
 
+def _own(sites, group):
+    """The sites covering `group`, its targets renumbered from 0 in
+    ascending order."""
+    index = {t: i for i, t in enumerate(sorted(group))}
+    return [CandidateSite(s.position, frozenset(index[t] for t in s.covered),
+                          s.weight, s.origin_station)
+            for s in sites if s.covered & group]
+
+
+def _paid(sol, sites, group):
+    """What the solution pays for the sites covering `group`, summed in
+    ascending site order, as the solver sums a cover."""
+    at = {s.position: s for s in sites}
+    return sum(p.weight for p in sol.placements if at[p.position].covered & group)
+
+
+@given(st.integers(1, 12), st.integers(1, 2), st.sampled_from([3.0, 6.0, 10.0, 16.0]),
+       st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_anchored_component_costs_its_exact_optimum(n, k, extent, seed, m):
+    # Laid out in a cell of its own, a component costs what branch and
+    # bound over its own sites proves optimal, both summed in ascending
+    # site order.
+    inst = gen_uniform(n, k, 1.0, extent, seed)
+    sites = prune_dominated(generate_candidate_sites(inst))
+    sol = solve(inst, PtasConfig(m=m), sites=sites)
+    layout = anchored_cells(inst, m, sites)
+    assert sol.config["counters"]["anchored"] == sum(c is not None for _, c in layout)
+    for group, cell in layout:
+        if cell is not None:
+            own = _own(sites, group)
+            exact = exact_min_cost_cover(len(group), own)
+            assert _paid(sol, sites, group) == \
+                sum(own[i].weight for i in sorted(exact.site_indices))
+
+
+def test_anchored_components_cost_the_milp_optimum():
+    # Twenty draws at the sparse-400 density.  No site covers targets of
+    # two components, so the optimal cover HiGHS proves for a whole draw
+    # holds an optimal cover of each component's own sites, and every
+    # anchored component costs what its part of that cover costs.
+    checked = 0
+    for seed in range(20):
+        inst = gen_uniform(400, 10, 1.0, 63.25, seed + 1)
+        sites = prune_dominated(generate_candidate_sites(inst))
+        sol = solve(inst, PtasConfig(m=4), sites=sites)
+        ref = milp_min_cost_cover(inst.n, sites)
+        assert ref.proven_optimal
+        picked = sorted(ref.site_indices)
+        for group, cell in anchored_cells(inst, 4, sites):
+            if cell is not None:
+                part = sum(sites[i].weight for i in picked if sites[i].covered & group)
+                assert _paid(sol, sites, group) == pytest.approx(part, rel=1e-9, abs=0)
+                checked += 1
+    assert checked > 3000
+
+
 def test_component_inside_one_cell_is_solved_to_its_optimum():
     checked = 0
     for seed in range(8):
@@ -192,50 +252,43 @@ def test_component_inside_one_cell_is_solved_to_its_optimum():
         inst = gen_uniform(40, 3, 1.0, 18.0, seed + 500)
         sites = prune_dominated(generate_candidate_sites(inst))
         sol = solve(inst, PtasConfig(m=m), sites=sites)
-        at = {s.position: s for s in sites}
         for group in components(inst.n, sites):
             if all(len(_cells_of(inst, group, m, f)) > 1 for f in range(m)):
                 continue
-            index = {t: i for i, t in enumerate(sorted(group))}
-            own = [CandidateSite(s.position, frozenset(index[t] for t in s.covered),
-                                 s.weight, s.origin_station)
-                   for s in sites if s.covered & group]
-            opt = exact_min_cost_cover(len(group), own).cost
-            paid = sum(p.weight for p in sol.placements
-                       if at[p.position].covered & group)
-            assert paid == pytest.approx(opt, rel=1e-9, abs=1e-12)
+            opt = exact_min_cost_cover(len(group), _own(sites, group)).cost
+            assert _paid(sol, sites, group) == pytest.approx(opt, rel=1e-9, abs=1e-12)
             checked += 1
     assert checked > 50
 
 
-def _pairs_on_a_cell_line():
-    """At m=2, a two-target component with one target exactly on round 1's
-    cell line x = corner + 2 sides, where the keys step up, and the other
-    target one ulp below the line, then one ulp above it.  The target at
-    the origin anchors the grid."""
-    anchor = Instance.from_coords([(0.0, 0.0)], [(0.0, 0.0)], 1.0)
-    grid = bounding_box(anchor, 2)
-    x = grid.corner(1).x + 2 * grid.cell_side
-    return [Instance.from_coords([(0.0, 0.0), (x, 1.0), (other, 1.0)],
+def _chains_one_cell_wide():
+    """At m=2, a chain of targets from x = 0 to x = one cell side, then to
+    one ulp below it: consecutive targets share a site, the ends do not."""
+    side = bounding_box(Instance.from_coords([(0.0, 0.0)], [(0.0, 0.0)], 1.0), 2).cell_side
+    return [Instance.from_coords([(0.0, 1.0), (1.4, 1.0), (2.8, 1.0), (end, 1.0)],
                                  [(0.0, 0.0)], 1.0)
-            for other in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))]
+            for end in (side, math.nextafter(side, -math.inf))]
 
 
 def test_config_counts_components_and_spanning_pairs():
     drawn = [(gen_uniform(n, 3, 1.0, extent, seed + 700), m)
              for seed, (n, extent, m) in enumerate([(400, 63.25, 4), (14, 8.0, 4),
                                                     (60, 20.0, 3), (30, 12.0, 1)])]
-    on_line = []
-    for inst, m in drawn + [(inst, 2) for inst in _pairs_on_a_cell_line()]:
+    counted = []
+    for inst, m in drawn + [(inst, 2) for inst in _chains_one_cell_wide()]:
         sites = prune_dominated(generate_candidate_sites(inst))
         counters = solve(inst, PtasConfig(m=m), sites=sites).config["counters"]
-        groups = components(inst.n, sites)
-        assert counters["components"] == len(groups)
+        layout = anchored_cells(inst, m, sites)
+        assert counters["components"] == len(layout)
+        assert counters["anchored"] == sum(cell is not None for _, cell in layout)
         assert counters["spanning"] == sum(len(_cells_of(inst, g, m, f)) > 1
-                                           for g in groups for f in range(m))
-        on_line.append(counters["spanning"])
-    # The pair straddles the line only when its second target lies below it.
-    assert on_line[-2:] == [1, 0]
+                                           for g, cell in layout if cell is None
+                                           for f in range(m))
+        counted.append((counters["anchored"], counters["spanning"]))
+    assert counted[3][1] > 0    # the last draw leaves components to the rounds
+    # A chain exactly one cell side wide spans a cell line in both rounds;
+    # one ulp narrower, it is anchored.
+    assert counted[-2:] == [(0, 2), (1, 0)]
 
 
 @pytest.mark.parametrize("args", [(400, 10, 1.0, 63.25, 5), (60, 2, 1.0, 8.0, 2)],
@@ -255,13 +308,16 @@ def test_solve_leaves_no_cyclic_garbage(args):
 
 
 def test_lone_targets_of_a_spanning_component_skip_the_dp(monkeypatch):
-    # Targets 0 and 1 share a site but lie on either side of a cell
-    # boundary at x = 0.7 (the far target 2 anchors the grid), so each is
-    # alone in its cell and takes its cheapest coverer without a DP run.
-    inst = Instance.from_coords([(0.5, 0.0), (1.0, 0.0), (-5.3, -5.3)],
+    # Targets 0, 1 and 2 form a chain 3.8 wide, too wide for a cell at
+    # m=1, so the round solves it.  Cell boundaries at x = 0.7 and 2.7 (the
+    # far target 3 anchors the grid) leave each alone in its cell, and each
+    # takes its cheapest coverer without a DP run; so does target 3, a
+    # component of its own.
+    inst = Instance.from_coords([(0.5, 0.0), (2.4, 0.0), (4.3, 0.0), (-5.3, -5.3)],
                                 [(3.0, 0.0)], 1.0)
     sites = prune_dominated(generate_candidate_sites(inst))
-    assert [len(g) for g in components(inst.n, sites)] == [2, 1]
+    assert [len(g) for g in components(inst.n, sites)] == [3, 1]
+    assert _cells_of(inst, {0, 1, 2}, 1, 0) == {(3, 3), (4, 3), (5, 3)}
     calls = []
 
     def counting(strips, sites):
@@ -419,8 +475,54 @@ def test_dense_row_solves_to_optimum():
 
 def test_solve_over_budget_raises_typed_error(monkeypatch):
     # The dense row above stores thousands of states in its largest cells.
+    # Its one component lies in round 0's cell with the strips of its
+    # anchored cell, so the round fails without a second DP run.
     inst = gen_uniform(30, 2, 1.0, 8.0, 2)
     monkeypatch.setattr(strip_dp, "STATE_BUDGET", 1000)
+    calls = []
+
+    def counting(strips, sites):
+        calls.append(strips)
+        return strip_dp.solve_cell(strips, sites)
+
+    monkeypatch.setattr(ptas, "solve_cell", counting)
     with pytest.raises(StateBudgetError,
-                       match=r"^shift \d, cell \(\d+, \d+\): the cell needs more than 1000 DP states"):
+                       match=r"^shift 0, cell \(1, 1\): the cell needs more than 1000 DP states"):
         solve(inst, PtasConfig(m=4))
+    assert len(calls) == 1
+
+
+def _four_across_a_line():
+    """At m=1, four targets 0.7 wide, two on either side of a cell line of
+    round 0, and the target (0, 0), which anchors the grid."""
+    grid = bounding_box(Instance.from_coords([(0.0, 0.0)], [(0.0, 0.0)], 1.0), 1)
+    line = grid.corner(0).x + 3 * grid.cell_side
+    return Instance.from_coords(
+        [(0.0, 0.0), (line - 0.35, 0.2), (line - 0.15, 0.7), (line + 0.15, 0.1),
+         (line + 0.35, 0.6)], [(3.0, -2.0)], 1.0)
+
+
+def test_over_budget_anchored_cell_falls_back_to_the_rounds(monkeypatch):
+    # Targets 1-4 form one component narrower than a cell.  Its anchored
+    # cell is one strip of four targets and needs more than 4 states; the
+    # round splits it into two cells of two targets, each within 4.
+    inst = _four_across_a_line()
+    sites = prune_dominated(generate_candidate_sites(inst))
+    assert [len(g) for g in components(inst.n, sites)] == [1, 4]
+    anchored = solve(inst, PtasConfig(m=1), sites=sites)
+    assert anchored.config["counters"]["anchored"] == 2
+    assert anchored.total_cost == exact_min_cost_cover(inst.n, sites).cost
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", 4)
+    sol = solve(inst, PtasConfig(m=1), sites=sites)
+    assert sol.config["counters"]["anchored"] == 1
+    assert sol.config["counters"]["spanning"] == 1
+    rounds, per_component = every_cell_costs(inst, 1, sites)
+    assert sol.per_round_costs == rounds and sol.total_cost == per_component
+    assert sol.total_cost > anchored.total_cost
+    assert verify_solution(inst, sol.placements)
+    # Within 3 states the round's cells are over the budget too, and the
+    # error names the first of them.
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", 3)
+    with pytest.raises(StateBudgetError,
+                       match=r"^shift 0, cell \(2, 1\): the cell needs more than 3 DP states"):
+        solve(inst, PtasConfig(m=1), sites=sites)
