@@ -130,21 +130,23 @@ def _cmd_solve(args) -> int:
 
 
 def _exact_optimum(inst):
-    """The pruned candidate sites, the exact optimum over them and its solve
-    time in ms.  The optimum is None, after ``error[infeasible]``, when some
-    target has no coverer."""
-    sites = prune_dominated(generate_candidate_sites(inst))
+    """The pruned candidate sites, as the table the solver reads and as the
+    list of `CandidateSite`s the oracles read, the exact optimum over them
+    and its solve time in ms.  The optimum is None, after
+    ``error[infeasible]``, when some target has no coverer."""
+    table = prune_dominated(generate_candidate_sites(inst))
+    sites = list(table)
     t0 = time.perf_counter()
     res = exact_min_cost_cover(inst.n, sites)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if not res.feasible:
         _fail("infeasible", f"target {res.infeasible_target} cannot be covered")
-    return sites, res if res.feasible else None, elapsed_ms
+    return table, sites, res if res.feasible else None, elapsed_ms
 
 
 def _cmd_exact(args) -> int:
     inst = read_instance(args.infile)
-    sites, res, _ = _exact_optimum(inst)
+    _, sites, res, _ = _exact_optimum(inst)
     if res is None:
         return 2
     placements = tuple(
@@ -170,7 +172,7 @@ def _cmd_compare(args) -> int:
         return 1
     # Every m is checked before the exact oracle runs.
     configs = [PtasConfig(m=m) for m in ms]
-    sites, exact, exact_ms = _exact_optimum(inst)
+    table, sites, exact, exact_ms = _exact_optimum(inst)
     if exact is None:
         return 2
     greedy = greedy_cover(inst.n, sites)
@@ -193,7 +195,7 @@ def _cmd_compare(args) -> int:
     for config in configs:
         m = config.m
         t0 = time.perf_counter()
-        solution = solve(inst, config, sites=sites)
+        solution = solve(inst, config, sites=table)
         ms_elapsed = (time.perf_counter() - t0) * 1000.0
         bound = 1.0 + 4.0 / m
         print(f"{f'shifted-m{m}':<12} {solution.total_cost:>16.9f} "
@@ -211,7 +213,7 @@ def _cmd_audit(args) -> int:
     step = args.step if args.step is not None else inst.r / 200.0
     config = PtasConfig(m=args.m)   # checked before the exact oracle runs,
     check_grid_audit(inst, step)    # as are --step and the instance
-    sites, exact, _ = _exact_optimum(inst)
+    table, sites, exact, _ = _exact_optimum(inst)
     if exact is None:
         return 2
     grid = grid_refine_audit(inst, sites, step)
@@ -219,7 +221,7 @@ def _cmd_audit(args) -> int:
     print(f"refine: step {step:.9f} sets {grid.distinct_cover_sets} "
           f"undominated {grid.undominated} worst excess {grid.worst_excess:.3g} "
           f"[{'PASS' if ok_grid else 'FAIL'}]")
-    solution = solve(inst, config, sites=sites)
+    solution = solve(inst, config, sites=table)
     audit = shift_average_audit(solution.per_round_costs, exact.cost)
     print(f"shift:  m {audit.m} average {audit.average:.9f} "
           f"min {audit.minimum:.9f} bound {audit.bound:.9f} "

@@ -123,7 +123,7 @@ def round_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, f: int
     index."""
     ix, iy = cell_keys(grid, xs, ys, f)
     lo = grid.corner(f).x + ix * grid.cell_side
-    strip = np.clip((xs - lo) // grid.strip, 0, grid.m - 1).astype(np.intp)
+    strip = np.minimum(np.maximum((xs - lo) // grid.strip, 0), grid.m - 1).astype(np.intp)
     return ix.tolist(), iy.tolist(), strip.tolist()
 
 
@@ -135,14 +135,15 @@ def anchored_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, group: np.ndarray,
     ys[i]) of group `group[i]`, its strip floor((x - x0) / unit), clamped
     to the cell's m strips as `round_keys` clamps.  The strips of a group
     that does not fit mean nothing."""
-    lo_x, lo_y = np.full(groups, np.inf), np.full(groups, np.inf)
-    hi_x, hi_y = np.full(groups, -np.inf), np.full(groups, -np.inf)
+    lo_x, lo_y = np.full((2, groups), np.inf)
+    hi_x, hi_y = np.full((2, groups), -np.inf)
     np.minimum.at(lo_x, group, xs)
     np.minimum.at(lo_y, group, ys)
     np.maximum.at(hi_x, group, xs)
     np.maximum.at(hi_y, group, ys)
     fits = (hi_x - lo_x < grid.cell_side) & (hi_y - lo_y < grid.cell_side)
-    strip = np.clip((xs - lo_x[group]) // grid.strip, 0, grid.m - 1).astype(np.intp)
+    # x - x0 >= 0 exactly, as x0 is the least x of the group.
+    strip = np.minimum((xs - lo_x[group]) // grid.strip, grid.m - 1).astype(np.intp)
     return fits.tolist(), strip.tolist()
 
 
@@ -164,9 +165,10 @@ def strips_of_cell(cell: Cell, coverers: dict[int, list[int]]) -> list[Strip]:
     """The cell's non-empty strips, each with its site pool.
 
     `coverers` maps a target index to the ascending indices of the sites
-    covering it (`sites.coverers_by_target`); one index serves every cell
-    of every round.  A strip's pool holds the ascending indices of all
-    sites covering at least one of its targets.
+    covering it (the solver reads it off the site table's columns, and
+    `sites.coverers_by_target` builds it from a list of sites); one index
+    serves every cell of every round.  A strip's pool holds the ascending
+    indices of all sites covering at least one of its targets.
     """
     return [Strip(j, ts, sorted({s for t in ts for s in coverers.get(t, ())}))
             for j, ts in cell.strips]

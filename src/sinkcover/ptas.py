@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import COVER_TOL, Point, near_pairs, within
 from .grid import (Cell, anchored_keys, bounding_box, cells_for_shift,
                    round_keys, strips_of_cell)
-from .sites import (CandidateSite, Instance, coverers_by_target,
+from .sites import (CandidateSite, CandidateTable, Instance,
                     generate_candidate_sites, prune_dominated)
 from .strip_dp import StateBudgetError, solve_cell
 
@@ -40,9 +40,9 @@ MAX_ROUNDS = 1024
 
 @dataclass(frozen=True)
 class PtasConfig:
-    """Solver knobs.  Exactly one of `epsilon` and `m` must be given;
-    epsilon is converted to m = ceil(4 / epsilon).  Either way m is at most
-    MAX_ROUNDS."""
+    """Solver knobs.  Exactly one of `epsilon` and `m` must be given: a
+    positive finite epsilon (not a bool), converted to m = ceil(4 / epsilon),
+    or an int m (not a bool).  Either way m is at most MAX_ROUNDS."""
 
     epsilon: float | None = None
     m: int | None = None
@@ -51,13 +51,16 @@ class PtasConfig:
         if (self.epsilon is None) == (self.m is None):
             raise ValueError("exactly one of epsilon and m must be given")
         if self.epsilon is not None:
-            if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            if isinstance(self.epsilon, bool) or not (
+                    self.epsilon > 0 and math.isfinite(self.epsilon)):
                 raise ValueError("epsilon must be positive and finite")
             # ceil(x) > N exactly when x > N; 4 / epsilon may be inf.
             if 4.0 / self.epsilon > MAX_ROUNDS:
                 raise ValueError(
                     f"epsilon must be at least 4/{MAX_ROUNDS}: m = ceil(4 / epsilon) "
                     f"is at most MAX_ROUNDS = {MAX_ROUNDS}")
+        elif isinstance(self.m, bool) or not isinstance(self.m, int):
+            raise ValueError("m must be an int")
         elif not 1 <= self.m <= MAX_ROUNDS:
             raise ValueError(f"m must be between 1 and MAX_ROUNDS = {MAX_ROUNDS}")
 
@@ -92,11 +95,24 @@ def _round_cost(site_ids, weight: list[float]) -> float:
     return sum(map(weight.__getitem__, sorted(site_ids)))
 
 
-def _components(target_count: int, sites: list[CandidateSite]
+def _columns(sites: CandidateTable
+             ) -> tuple[list[float], list[list[int]], dict[int, list[int]]]:
+    """Each site's weight and ascending covered targets, read off the
+    table's columns, and each covered target's ascending coverers."""
+    flat, ends = (a.tolist() for a in sites.entries())
+    covers = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    coverers: dict[int, list[int]] = {}
+    for j, cov in enumerate(covers):
+        for t in cov:
+            coverers.setdefault(t, []).append(j)
+    return sites.weight.tolist(), covers, coverers
+
+
+def _components(target_count: int, covers: list[list[int]]
                 ) -> tuple[list[list[int]], list[int]]:
-    """Join two targets when one site covers both.  Returns the components'
-    targets, ascending, numbered in order of their lowest target, and each
-    target's component."""
+    """Join two targets when one site covers both (`covers[s]` holds site
+    s's targets).  Returns the components' targets, ascending, numbered in
+    order of their lowest target, and each target's component."""
     parent = list(range(target_count))
 
     def find(t: int) -> int:
@@ -105,11 +121,10 @@ def _components(target_count: int, sites: list[CandidateSite]
             t = parent[t]
         return t
 
-    for s in sites:
-        if len(s.covered) > 1:
-            it = iter(s.covered)
-            root = find(next(it))
-            for t in it:
+    for cov in covers:
+        if len(cov) > 1:
+            root = find(cov[0])
+            for t in cov[1:]:
                 other = find(t)
                 if other != root:
                     parent[other] = root
@@ -132,13 +147,16 @@ def _layout(cell: Cell) -> tuple[tuple[int, ...], ...]:
 
 
 def solve(instance: Instance, config: PtasConfig,
-          sites: list[CandidateSite] | None = None) -> Solution:
+          sites: CandidateTable | list[CandidateSite] | None = None) -> Solution:
     """Solve each small component once in a cell of its own, the rest in
     every shift round, then give each component its cheapest round.
 
-    `sites` may be supplied to reuse a candidate list (it must come from
-    `prune_dominated`, or list the rows of `generate_candidate_sites`); by
-    default candidates are generated and dominated ones pruned.
+    `sites` may be supplied to reuse candidates: the table
+    `prune_dominated` returns, or a list of its sites or of the rows of
+    `generate_candidate_sites`; by default candidates are generated and
+    dominated ones pruned.  The solve reads the table's columns: site
+    weights and covered targets, each target's coverers and the components
+    come from them, and only the chosen rows become `Placement`s.
 
     No site covers targets of two components, so a cover splits by
     component.  A component whose bounding box is under one cell side on
@@ -170,11 +188,12 @@ def solve(instance: Instance, config: PtasConfig,
         raise ValueError("nothing to cover")
     if sites is None:
         sites = prune_dominated(generate_candidate_sites(instance))
+    elif not isinstance(sites, CandidateTable):
+        sites = CandidateTable.from_sites(sites)
     m = config.rounds
     grid = bounding_box(instance, m)
-    coverers = coverers_by_target(sites)
-    weight = [s.weight for s in sites]
-    members, target_comp = _components(instance.n, sites)
+    weight, covers, coverers = _columns(sites)
+    members, target_comp = _components(instance.n, covers)
     xs = np.array([t.x for t in instance.targets])
     ys = np.array([t.y for t in instance.targets])
     fits, strip = anchored_keys(grid, xs, ys, np.array(target_comp), len(members))
@@ -195,7 +214,7 @@ def solve(instance: Instance, config: PtasConfig,
     over: dict[tuple, StateBudgetError] = {}   # layouts past the budget
     for cell in cells_for_shift(rows):
         try:
-            res = solve_cell(strips_of_cell(cell, coverers), sites)
+            res = solve_cell(strips_of_cell(cell, coverers), weight, covers)
         except StateBudgetError as e:
             over[_layout(cell)] = e
             continue
@@ -227,7 +246,7 @@ def solve(instance: Instance, config: PtasConfig,
             try:
                 if over and _layout(cell) in over:
                     raise over[_layout(cell)]
-                res = solve_cell(strips_of_cell(cell, coverers), sites)
+                res = solve_cell(strips_of_cell(cell, coverers), weight, covers)
             except StateBudgetError as e:
                 raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
             chosen.update(res.site_indices)
@@ -238,7 +257,7 @@ def solve(instance: Instance, config: PtasConfig,
         spanning += sum(n > 1 for n in cells.values())
         parts: dict[int, set[int]] = {c: set() for c in cells}
         for s in chosen:
-            parts[target_comp[next(iter(sites[s].covered))]].add(s)
+            parts[target_comp[covers[s][0]]].add(s)
         for c, ids in parts.items():
             cost = _round_cost(ids, weight)
             if c not in best or cost < best[c][0]:
@@ -252,9 +271,12 @@ def solve(instance: Instance, config: PtasConfig,
     if not total < per_round[best_f]:
         total, chosen_sites = per_round[best_f], rounds[best_f]
 
+    picked = sorted(chosen_sites)
+    chosen_rows = np.array(picked, dtype=np.intp)
     placements = tuple(
-        Placement(sites[i].position, sites[i].origin_station, sites[i].weight)
-        for i in sorted(chosen_sites))
+        Placement(Point(x, y), o, weight[i]) for i, x, y, o in
+        zip(picked, sites.x[chosen_rows].tolist(), sites.y[chosen_rows].tolist(),
+            sites.origin[chosen_rows].tolist()))
     return Solution(total_cost=total, shift_round=best_f,
                     per_round_costs=per_round, placements=placements,
                     config={"epsilon": config.epsilon, "m": m,
@@ -281,7 +303,7 @@ def verify_solution(instance: Instance, placements) -> bool:
     ty = np.array([t.y for t in instance.targets])
     t, p = near_pairs(tx, ty, px, py, reach)
     inside = within(tx[t] - px[p], ty[t] - py[p], reach)
-    return len(np.unique(t[inside])) == instance.n
+    return bool(np.bincount(t[inside], minlength=instance.n).all())
 
 
 @dataclass(frozen=True)

@@ -84,11 +84,12 @@ def site_weight(position: Point, stations) -> tuple[float, int]:
 
 @dataclass(frozen=True, eq=False)
 class CandidateTable:
-    """Raw candidate sites as numpy columns, row i being site i.
+    """Candidate sites as numpy columns, row i being site i.
 
     Row i covers the targets `members[lo[i]:hi[i]]`, in ascending order.
-    Most raw sites fall to `prune_dominated` right away, so they stay
-    columns, and only the kept ones become `CandidateSite`s.
+    Sites stay columns from generation through pruning and the solve;
+    `table[i]` builds row i's `CandidateSite`, and `list(table)` all of
+    them, for callers that need objects.
     """
 
     x: np.ndarray
@@ -106,6 +107,41 @@ class CandidateTable:
         covered = frozenset(self.members[self.lo[i]:self.hi[i]].tolist())
         return CandidateSite(Point(self.x[i].item(), self.y[i].item()), covered,
                              self.weight[i].item(), self.origin[i].item())
+
+    def __iter__(self):
+        """The rows' `CandidateSite`s, in order, read off whole columns."""
+        flat, ends = (a.tolist() for a in self.entries())
+        for x, y, w, o, a, b in zip(self.x.tolist(), self.y.tolist(),
+                                    self.weight.tolist(), self.origin.tolist(),
+                                    [0] + ends[:-1], ends):
+            yield CandidateSite(Point(x, y), frozenset(flat[a:b]), w, o)
+
+    def rows(self, rows: np.ndarray) -> "CandidateTable":
+        """The table of the given rows, in that order, sharing `members`."""
+        return CandidateTable(self.x[rows], self.y[rows], self.weight[rows],
+                              self.origin[rows], self.lo[rows], self.hi[rows],
+                              self.members)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's covered targets, row after row, and the end of each
+        row's run in them."""
+        size = self.hi - self.lo
+        ends = size.cumsum()
+        first = (self.lo - ends + size).repeat(size)
+        return self.members[first + np.arange(len(first))], ends
+
+    @classmethod
+    def from_sites(cls, sites: list[CandidateSite]) -> "CandidateTable":
+        """The table whose rows are `sites`, in order."""
+        covered = [sorted(s.covered) for s in sites]
+        size = np.array([len(c) for c in covered], dtype=np.intp)
+        hi = size.cumsum()
+        return cls(np.array([s.position.x for s in sites], dtype=float),
+                   np.array([s.position.y for s in sites], dtype=float),
+                   np.array([s.weight for s in sites], dtype=float),
+                   np.array([s.origin_station for s in sites], dtype=np.intp),
+                   hi - size, hi,
+                   np.array([t for c in covered for t in c], dtype=np.intp))
 
 
 def generate_candidate_sites(instance: Instance) -> CandidateTable:
@@ -179,10 +215,11 @@ def _circle_pair_points(tx, ty, r: float) -> tuple[np.ndarray, np.ndarray]:
         mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
         ux, uy = (bx - ax) / d, (by - ay) / d
         tangent = h == 0.0
-        xs = np.stack((np.where(tangent, mx, mx - h * uy), mx + h * uy), axis=1)
-        ys = np.stack((np.where(tangent, my, my + h * ux), my - h * ux), axis=1)
+        # Pair by pair, its first point, then its second.
+        xs = np.array((np.where(tangent, mx, mx - h * uy), mx + h * uy)).T
+        ys = np.array((np.where(tangent, my, my + h * ux), my - h * ux)).T
     meet = (d != 0.0) & (disc >= 0.0)
-    keep = np.stack((meet, meet & ~tangent), axis=1)
+    keep = np.array((meet, meet & ~tangent)).T
     return xs[keep], ys[keep]
 
 
@@ -264,7 +301,7 @@ def coverers_by_target(sites: list[CandidateSite]) -> dict[int, list[int]]:
     return out
 
 
-def prune_dominated(table: CandidateTable) -> list[CandidateSite]:
+def prune_dominated(table: CandidateTable) -> CandidateTable:
     """Drop sites whose coverage is available elsewhere at no extra cost.
 
     A site is removed when another site covers a superset of its targets at
@@ -275,38 +312,121 @@ def prune_dominated(table: CandidateTable) -> list[CandidateSite]:
     each covered set by (weight, position, row) can be kept, and it is
     kept unless a strict superset's least site weighs no more; such a
     superset holds the set's lowest target, and any nonempty set is a
-    strict superset of the empty one.  Only the kept sites are built, in
-    row order.
+    strict superset of the empty one.
+
+    Returns the kept rows as a `CandidateTable`, in row order, sharing
+    `members`: row i of it is the i-th kept site.  No `CandidateSite` is
+    built.  Rows are grouped by covered set in `_group_rows`, and one join
+    over each set's lowest target finds the strict supersets (`_dominated`).
     """
-    if not len(table):
-        return []
-    # Each row's targets are ascending, so two rows cover equal sets exactly
-    # when their member bytes are equal.
-    size = table.members.itemsize
-    buf = table.members.tobytes()
-    groups: dict[bytes, int] = {}
-    group = np.array([groups.setdefault(buf[a:b], len(groups)) for a, b in
-                      zip((table.lo * size).tolist(), (table.hi * size).tolist())])
-    w = np.full(len(groups), np.inf)
-    np.minimum.at(w, group, table.weight)
-    # The few sites at their set's least weight, by (set, position, row).
-    tied = np.flatnonzero(table.weight == w[group])
-    tied = tied[np.lexsort((table.y[tied], table.x[tied], group[tied]))]
-    least = tied[_run_heads(group[tied])]
-    members = table.members.tolist()
-    sets = [frozenset(members[a:b]) for a, b in
-            zip(table.lo[least].tolist(), table.hi[least].tolist())]
-    w = w.tolist()
-    holders: dict[int, list[int]] = {}
-    for g, cov in enumerate(sets):
-        for t in cov:
-            holders.setdefault(t, []).append(g)
-    kept = []
-    for g, cov in enumerate(sets):
-        rivals = holders[min(cov)] if cov else range(len(sets))
-        if not any(cov < sets[h] and w[h] <= w[g] for h in rivals):
-            kept.append(g)
-    rows = np.sort(least[kept])
-    return [CandidateSite(Point(x, y), sets[g], wt, o) for x, y, g, wt, o in
-            zip(table.x[rows].tolist(), table.y[rows].tolist(), group[rows].tolist(),
-                table.weight[rows].tolist(), table.origin[rows].tolist())]
+    rows, heads = _group_rows(table)
+    # The least site of each set: its lightest, unless several tie.
+    w = table.weight[rows]
+    start = heads.nonzero()[0]
+    group = heads.cumsum() - 1
+    least = w == np.minimum.reduceat(w, start)[group] if len(w) else heads
+    if least.sum() > len(start):
+        # Among tied sites the least (x, y, row) comes first.
+        tied = least.nonzero()[0]
+        r = rows[tied]
+        tied = tied[np.lexsort((r, table.y[r], table.x[r], group[tied]))]
+        least[tied] = _run_heads(group[tied])
+    least = rows[least]
+    dominated = _dominated(table.lo[least], table.hi[least], table.weight[least],
+                           table.members)
+    keep = least[~dominated]
+    keep.sort()
+    return table.rows(keep)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges [start[i], start[i] + count[i]), one after another."""
+    first = (start - count.cumsum() + count).repeat(count)
+    return first + np.arange(len(first))
+
+
+def _row_hashes(table: CandidateTable) -> np.ndarray:
+    """A uint64 per row that equal covered sets share: the wrapping sum over
+    the set of a mixed 64-bit value per target, read off one prefix sum over
+    `members`."""
+    h = (table.members + 1).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    h ^= h >> np.uint64(29)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    prefix = np.zeros(len(h) + 1, dtype=np.uint64)
+    h.cumsum(out=prefix[1:])
+    return prefix[table.hi] - prefix[table.lo]
+
+
+def _group_rows(table: CandidateTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every row, grouped by covered set: the rows, each group contiguous,
+    and a mask of each group's first.
+
+    Rows are sorted by `_row_hashes`, and each row is checked member for
+    member against the first row of its hash run.  The rows that differ
+    from it, which only a hash collision leaves, are grouped again by the
+    same steps; each pass settles at least every run's first row.
+    """
+    key = _row_hashes(table)
+    lo, size, members = table.lo, table.hi - table.lo, table.members
+    done, leads = [], []
+    order = key.argsort()
+    while True:
+        heads = _run_heads(key[order])
+        lead = order[heads][heads.cumsum() - 1]
+        n = size[order]
+        same = n == size[lead]
+        n[~same] = 0
+        at = _ranges(lo[order], n)
+        differ = members[at] != members[at + (lo[lead] - lo[order]).repeat(n)]
+        same[np.arange(len(n)).repeat(n)[differ]] = False
+        if same.all() and not done:   # no collision
+            return order, heads
+        done.append(order[same])
+        leads.append(lead[same])
+        order = order[~same]
+        if not len(order):
+            return np.concatenate(done), _run_heads(np.concatenate(leads))
+        order = order[key[order].argsort()]
+
+
+def _dominated(lo, hi, weight, members) -> np.ndarray:
+    """For each set `members[lo[i]:hi[i]]`, no two of them equal, whether a
+    strict superset among them weighs no more.
+
+    A strict superset of a nonempty set holds its lowest target, so each
+    set is joined with the other sets holding that target, kept only when
+    they are no heavier.  A 64-bit signature per set, bit t mod 64 for
+    each target t, drops most pairs that are not nested, and the rest are
+    checked for every target of the set after its lowest.
+    """
+    size = hi - lo
+    first = size.cumsum() - size
+    # (set, target) entries, ascending by set, then target.
+    owner = np.arange(len(size)).repeat(size)
+    target = members[(lo - first).repeat(size) + np.arange(len(owner))]
+    full = size.nonzero()[0]
+    sig = np.zeros(len(size), dtype=np.int64)
+    if len(full):
+        sig[full] = np.bitwise_or.reduceat(np.left_shift(1, target & 63), first[full])
+    by_target = target.argsort()
+    low = target[first[full]]
+    a = target[by_target].searchsorted(low)
+    n = target[by_target].searchsorted(low, "right") - a
+    sub, sup = full.repeat(n), owner[by_target[_ranges(a, n)]]
+    # The sets are distinct, so a set that holds another one is a strict
+    # superset of it.
+    subsig = sig[sub]
+    rival = (sup != sub) & (weight[sup] <= weight[sub]) & (subsig & sig[sup] == subsig)
+    sub, sup = sub[rival], sup[rival]
+    # Each pair's targets after the lowest must be entries of the superset.
+    span = int(target.max(initial=-1)) + 1
+    entry = owner * span + target
+    n = size[sub] - 1
+    pair = np.arange(len(sub)).repeat(n)
+    probe = sup[pair] * span + target[_ranges(first[sub] + 1, n)]
+    hit = entry[np.minimum(entry.searchsorted(probe), len(entry) - 1)] == probe
+    out = np.zeros(len(size), dtype=bool)
+    out[sub[np.bincount(pair[~hit], minlength=len(sub)) == 0]] = True
+    if 0 < len(full) < len(size):   # the empty set
+        out[size == 0] = weight[full].min() <= weight[size == 0]
+    return out

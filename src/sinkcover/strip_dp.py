@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .grid import Strip
-from .sites import CandidateSite
 
 INF = float("inf")
 # States one cell may store.  Cells of the benchmark's instances store a few
@@ -145,14 +144,17 @@ def _local_cover(resid: int, picks: dict[int, list[tuple[int, float, int]]],
     return found
 
 
-def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
+def solve_cell(strips: list[Strip], weights: list[float],
+               covers: list[list[int]]) -> CellSolution:
     """Minimum-cost cover of all targets in one cell.
 
     `strips` are the cell's non-empty strips (`grid.strips_of_cell`), in
-    strip order.  Returns the exact optimum over the candidate sites in
-    their pools; raises StateBudgetError when the cell needs more than
-    STATE_BUDGET states.  The literal all-subsets recurrence gives the same
-    costs (see the reference implementation in the test suite).
+    strip order; site g weighs `weights[g]` and covers the targets
+    `covers[g]`, and only the sites in the pools are read.  Returns the
+    exact optimum over those sites; raises StateBudgetError when the cell
+    needs more than STATE_BUDGET states.  The literal all-subsets
+    recurrence gives the same costs (see the reference implementation in
+    the test suite).
     """
     counters = DpCounters()
     if not strips:
@@ -180,11 +182,11 @@ def solve_cell(strips: list[Strip], sites: list[CandidateSite]) -> CellSolution:
         for g in st.site_pool:
             pm |= sbit[g]
         pool_mask.append(pm)
-    weight = [sites[g].weight for g in gids]
+    weight = [weights[g] for g in gids]
     cover = []
     for g in gids:
         msk = 0
-        for t in sites[g].covered:
+        for t in covers[g]:
             msk |= tbit.get(t, 0)
         cover.append(msk)
     shared = [pool_mask[j] & pool_mask[j + 1]

@@ -18,6 +18,12 @@ def bin_points(grid, points, f, among=None):
     return cells_for_shift(zip(among, *round_keys(grid, xs, ys, f)))
 
 
+def site_columns(sites):
+    """The site weights and covered targets `solve_cell` reads, from a
+    list of sites."""
+    return [s.weight for s in sites], [s.covered for s in sites]
+
+
 def footprint_state_bound(strips):
     """Most footprint states the strip DP can store for one cell, given
     its non-empty strips.

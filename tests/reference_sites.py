@@ -76,20 +76,6 @@ def _nearest_stations(qx, qy, sx, sy, stations):
     return weight, origin
 
 
-def candidate_table(sites):
-    """The `CandidateTable` whose rows are `sites`, in list order."""
-    covered = [sorted(s.covered) for s in sites]
-    size = np.array([len(c) for c in covered], dtype=np.intp)
-    hi = size.cumsum()
-    return CandidateTable(
-        x=np.array([s.position.x for s in sites], dtype=float),
-        y=np.array([s.position.y for s in sites], dtype=float),
-        weight=np.array([s.weight for s in sites], dtype=float),
-        origin=np.array([s.origin_station for s in sites], dtype=np.intp),
-        lo=hi - size, hi=hi,
-        members=np.array([t for c in covered for t in c], dtype=np.intp))
-
-
 def all_pairs_candidate_sites(instance):
     r = instance.r
     targets = instance.targets

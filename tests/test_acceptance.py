@@ -11,7 +11,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import bin_points, solve_state_bound
+from conftest import bin_points, site_columns, solve_state_bound
 from reference_geometry import coverage_angle_halfwidth, s_prime_location
 from reference_oracle import full_grid_global_audit
 
@@ -52,7 +52,7 @@ def guarantee_runs():
         n = seed % 10 + 1
         k = 1 + seed % 2
         inst = gen_uniform(n, k, 1.0, 10.0, seed)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         opt = exact_min_cost_cover(inst.n, sites).cost
         per_m = {}
         for m in (2, 4, 8):
@@ -87,13 +87,13 @@ def test_criterion_2_dp_exactness():
         n = rng.randint(1, 10)
         k = rng.randint(1, 2)
         inst = gen_uniform(n, k, 1.0, 3.8, 20_000 + seed)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         g = bounding_box(inst, m)
         cells = bin_points(g, inst.targets, 0)
         assert len(cells) == 1, f"seed {seed}: instance spans {len(cells)} cells"
         cell = cells[0]
         strips = strips_of_cell(cell, coverers_by_target(sites))
-        res = solve_cell(strips, sites)
+        res = solve_cell(strips, *site_columns(sites))
         opt = exact_min_cost_cover(inst.n, sites).cost
         if not math.isclose(res.cost, opt, rel_tol=REL, abs_tol=1e-12):
             mismatches.append((seed, res.cost, opt))
@@ -105,7 +105,7 @@ def test_criterion_3_counterexample():
     alpha, beta, r = 1.0, 0.01, 1.0
     for k in range(2, 7):
         inst = gen_counterexample(k, alpha, beta, r)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         res = exact_min_cost_cover(inst.n, sites)
         assert res.proven_optimal
         assert len(res.site_indices) == k, f"k={k}: used {len(res.site_indices)}"
@@ -159,7 +159,7 @@ def test_criterion_5_discretization_audit():
         n = seed % 5 + 1
         k = 1 + seed % 2
         inst = gen_uniform(n, k, r, 5.0, 500 + seed)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         opt = exact_min_cost_cover(inst.n, sites).cost
         dom = grid_refine_audit(inst, sites, r / 200)
         if dom.undominated:
@@ -213,7 +213,7 @@ def test_criterion_8_counter_envelope():
         n = 4 + seed % 7
         k = 1 + seed % 2
         inst = gen_uniform(n, k, 1.0, 8.0, 900 + seed)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         for m in (2, 4):
             sol = solve(inst, PtasConfig(m=m), sites=sites)
             states = sol.config["counters"]["subsets_enumerated"]

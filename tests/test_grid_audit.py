@@ -30,7 +30,7 @@ def _reference_rows(inst, step):
 def _assert_matches_reference(inst, step):
     rows, points = _sweep_rows(inst, step)
     assert (rows, points) == _reference_rows(inst, step)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     rep = grid_refine_audit(inst, sites, step)
     assert (rep.grid_candidate_points, rep.distinct_cover_sets) == (points, len(rows))
     assert rep.undominated == 0, rep
@@ -106,7 +106,7 @@ def test_passing_dominance_audit_implies_the_global_check(case, seed):
     # Candidates dropped at random make some draws fail the dominance
     # audit; every draw that passes it must pass the global check too.
     inst, step = case
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     rng = random.Random(seed)
     sites = [s for s in sites if rng.random() >= 0.1]
     if grid_refine_audit(inst, sites, step).undominated == 0:
@@ -122,7 +122,7 @@ def test_dominance_flags_more_dropped_candidates_than_the_global_check():
         rng = random.Random(f"drop-10/{i}")
         pts = [(rng.uniform(0, 4.0), rng.uniform(0, 4.0)) for _ in range(10)]
         inst = Instance.from_coords(pts[:8], pts[8:], 1.0)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         sites = [s for s in sites if rng.random() >= 0.1]
         if grid_refine_audit(inst, sites, 1.0 / 50).undominated:
             by_dominance.add(i)

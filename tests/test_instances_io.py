@@ -61,7 +61,7 @@ def test_counterexample_costs_k_beta():
     for k in (2, 3, 4, 5):
         alpha, beta = 1.0, 0.01
         inst = gen_counterexample(k, alpha, beta, 1.0)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         res = exact_min_cost_cover(inst.n, sites)
         assert res.cost == pytest.approx(k * beta, rel=1e-9)
         assert len(res.site_indices) == k

@@ -59,7 +59,7 @@ def test_exact_tie_goes_to_least_site_tuple():
 
 def test_exact_counterexample_family():
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     res = exact_min_cost_cover(inst.n, sites)
     assert res.cost == pytest.approx(0.03, rel=1e-9)
     assert len(res.site_indices) == 3
@@ -95,7 +95,7 @@ def test_exact_matches_exhaustive_randomized():
 def test_exact_cost_stable_under_shuffle():
     rng = random.Random(23)
     inst = gen_uniform(8, 2, 1.0, 8.0, 5)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     base = exact_min_cost_cover(inst.n, sites)
     for _ in range(5):
         perm = list(range(len(sites)))
@@ -131,14 +131,14 @@ def test_greedy_picks_match_the_rescan():
             assert greedy_cover(n, sites) == greedy_cover_rescan(n, sites)
     for seed in range(6):
         inst = gen_uniform(40 + 20 * seed, 3, 1.0, 12.0, seed + 900)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         assert greedy_cover(inst.n, sites) == greedy_cover_rescan(inst.n, sites)
 
 
 def test_greedy_never_beats_exact():
     for seed in range(15):
         inst = gen_uniform(seed % 8 + 1, 1 + seed % 2, 1.0, 8.0, seed)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         g = greedy_cover(inst.n, sites)
         e = exact_min_cost_cover(inst.n, sites)
         assert g.cost >= e.cost - 1e-12
@@ -148,7 +148,7 @@ def test_grid_refine_single_target_converges():
     # One target, one station outside the detection circle: both optima
     # approach station distance minus r as the pitch shrinks.
     inst = Instance.from_coords([(0, 0)], [(4, 0)], 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     opt = exact_min_cost_cover(inst.n, sites).cost
     assert opt == pytest.approx(3.0, rel=1e-12)
     gaps = []
@@ -165,7 +165,7 @@ def test_grid_refine_single_target_converges():
 def test_grid_refine_randomized_bounds():
     for seed in range(6):
         inst = gen_uniform(seed % 4 + 1, 1 + seed % 2, 1.0, 5.0, seed)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         opt = exact_min_cost_cover(inst.n, sites).cost
         assert grid_refine_audit(inst, sites, 1.0 / 100).undominated == 0
         rep = full_grid_global_audit(inst, opt, 1.0 / 100)
@@ -177,7 +177,7 @@ def test_grid_refine_randomized_bounds():
 def test_grid_refine_rejects_bad_step(step):
     inst = Instance.from_coords([(0, 0)], [(4, 0)], 1.0)
     with pytest.raises(ValueError, match="step must be positive and finite"):
-        grid_refine_audit(inst, prune_dominated(generate_candidate_sites(inst)), step)
+        grid_refine_audit(inst, list(prune_dominated(generate_candidate_sites(inst))), step)
 
 
 def test_exact_and_grid_audit_leave_no_cyclic_garbage():
@@ -187,7 +187,7 @@ def test_exact_and_grid_audit_leave_no_cyclic_garbage():
     rng = random.Random("audit-12/1751/0")
     pts = [(rng.uniform(0, 6.0), rng.uniform(0, 6.0)) for _ in range(14)]
     inst = Instance.from_coords(pts[:12], pts[12:], 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     # Warm up first-call caches.
     exact_min_cost_cover(inst.n, sites)
     grid_refine_audit(inst, sites, 0.005)
@@ -213,7 +213,7 @@ def test_census_single_sensor():
 
 def test_census_counterexample_cluster():
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     res = exact_min_cost_cover(inst.n, sites)
     pos = [sites[i].position for i in sorted(res.site_indices)]
     rep = strip_sensor_census(inst, pos, 4)
@@ -274,7 +274,7 @@ def test_census_clustered_stations():
     inst = Instance.from_coords(
         [(0, 0), (0.1, 2.2)],
         [(0.0, 1.0), (0.05, 1.1)], 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     res = exact_min_cost_cover(inst.n, sites)
     pos = [sites[i].position for i in sorted(res.site_indices)]
     rep = strip_sensor_census(inst, pos, 2)

@@ -15,6 +15,7 @@ from sinkcover.grid import bounding_box
 from sinkcover.instances_io import gen_uniform, write_solution
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover import ptas, strip_dp
+from sinkcover import sites as sites_module
 from sinkcover.ptas import (MAX_ROUNDS, PtasConfig, shift_average_audit, solve,
                             verify_solution)
 from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
@@ -33,7 +34,7 @@ def test_config_requires_exactly_one_quality_knob():
     assert PtasConfig(m=3).rounds == 3
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf, True])
 def test_config_rejects_epsilon_not_positive_and_finite(epsilon):
     with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
         PtasConfig(epsilon=epsilon)
@@ -44,6 +45,11 @@ def test_config_bounds_the_rounds():
     assert PtasConfig(epsilon=4 / MAX_ROUNDS).rounds == MAX_ROUNDS
     for m in (0, MAX_ROUNDS + 1, 10**9):
         with pytest.raises(ValueError, match=f"^m must be between 1 and MAX_ROUNDS = {MAX_ROUNDS}$"):
+            PtasConfig(m=m)
+    # A float m cannot run the rounds, and m=True would write "m": true,
+    # which read_solution refuses.
+    for m in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match="^m must be an int$"):
             PtasConfig(m=m)
     # 5e-324 makes 4 / epsilon overflow to inf.
     for epsilon in (4 / (MAX_ROUNDS + 1), 1e-300, 5e-324):
@@ -75,7 +81,7 @@ def test_solve_requires_targets():
 
 
 def _sandwich(inst, m):
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     opt = exact_min_cost_cover(inst.n, sites).cost
     sol = solve(inst, PtasConfig(m=m), sites=sites)
     return opt, sol
@@ -117,10 +123,10 @@ def test_costs_equal_every_cell_reference(n, k, extent, m):
     # coverers; the schedule costs each component's cheapest round of that.
     for seed in range(3):
         inst = gen_uniform(n, k, 1.0, extent, seed + 60)
-        raw = list(generate_candidate_sites(inst))
-        for sites in (prune_dominated(generate_candidate_sites(inst)), raw):
-            sol = solve(inst, PtasConfig(m=m), sites=sites)
-            rounds, per_component = every_cell_costs(inst, m, sites)
+        raw = generate_candidate_sites(inst)
+        for table in (prune_dominated(raw), raw):
+            sol = solve(inst, PtasConfig(m=m), sites=table)
+            rounds, per_component = every_cell_costs(inst, m, list(table))
             assert sol.per_round_costs == rounds
             assert sol.total_cost == min(per_component, min(rounds))
 
@@ -129,7 +135,7 @@ def test_costs_equal_every_cell_reference(n, k, extent, m):
        st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4, 6]))
 def test_solve_lies_between_the_optimum_and_its_cheapest_round(n, k, extent, seed, m):
     inst = gen_uniform(n, k, 1.0, extent, seed)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     opt = exact_min_cost_cover(inst.n, sites).cost
     sol = solve(inst, PtasConfig(m=m), sites=sites)
     assert verify_solution(inst, sol.placements)
@@ -212,7 +218,7 @@ def test_anchored_component_costs_its_exact_optimum(n, k, extent, seed, m):
     # bound over its own sites proves optimal, both summed in ascending
     # site order.
     inst = gen_uniform(n, k, 1.0, extent, seed)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     sol = solve(inst, PtasConfig(m=m), sites=sites)
     layout = anchored_cells(inst, m, sites)
     assert sol.config["counters"]["anchored"] == sum(c is not None for _, c in layout)
@@ -232,7 +238,7 @@ def test_anchored_components_cost_the_milp_optimum():
     checked = 0
     for seed in range(20):
         inst = gen_uniform(400, 10, 1.0, 63.25, seed + 1)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         sol = solve(inst, PtasConfig(m=4), sites=sites)
         ref = milp_min_cost_cover(inst.n, sites)
         assert ref.proven_optimal
@@ -250,7 +256,7 @@ def test_component_inside_one_cell_is_solved_to_its_optimum():
     for seed in range(8):
         m = 2 + seed % 3
         inst = gen_uniform(40, 3, 1.0, 18.0, seed + 500)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         sol = solve(inst, PtasConfig(m=m), sites=sites)
         for group in components(inst.n, sites):
             if all(len(_cells_of(inst, group, m, f)) > 1 for f in range(m)):
@@ -276,7 +282,7 @@ def test_config_counts_components_and_spanning_pairs():
                                                     (60, 20.0, 3), (30, 12.0, 1)])]
     counted = []
     for inst, m in drawn + [(inst, 2) for inst in _chains_one_cell_wide()]:
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         counters = solve(inst, PtasConfig(m=m), sites=sites).config["counters"]
         layout = anchored_cells(inst, m, sites)
         assert counters["components"] == len(layout)
@@ -315,14 +321,14 @@ def test_lone_targets_of_a_spanning_component_skip_the_dp(monkeypatch):
     # component of its own.
     inst = Instance.from_coords([(0.5, 0.0), (2.4, 0.0), (4.3, 0.0), (-5.3, -5.3)],
                                 [(3.0, 0.0)], 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     assert [len(g) for g in components(inst.n, sites)] == [3, 1]
     assert _cells_of(inst, {0, 1, 2}, 1, 0) == {(3, 3), (4, 3), (5, 3)}
     calls = []
 
-    def counting(strips, sites):
+    def counting(strips, *columns):
         calls.append(strips)
-        return strip_dp.solve_cell(strips, sites)
+        return strip_dp.solve_cell(strips, *columns)
 
     monkeypatch.setattr(ptas, "solve_cell", counting)
     sol = solve(inst, PtasConfig(m=1), sites=sites)
@@ -390,6 +396,39 @@ def test_verify_solution_matches_all_pairs_check(case):
     assert verify_solution(inst, placements) == expected
 
 
+@pytest.mark.parametrize("n, k, extent, m", [(400, 10, 63.25, 4), (14, 2, 8.0, 4),
+                                             (60, 2, 8.0, 2), (120, 4, 30.0, 1)])
+def test_solve_on_columns_matches_solve_on_site_objects(tmp_path, n, k, extent, m):
+    # The table `prune_dominated` returns and the list of its sites give the
+    # same solution, field for field and byte for byte.
+    for seed in range(2):
+        inst = gen_uniform(n, k, 1.0, extent, seed + 80)
+        config = PtasConfig(m=m)
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
+        on_columns, on_objects = solve(inst, config), solve(inst, config, sites=sites)
+        assert on_columns == on_objects
+        write_solution(tmp_path / "columns.json", on_columns)
+        write_solution(tmp_path / "objects.json", on_objects)
+        assert ((tmp_path / "columns.json").read_bytes()
+                == (tmp_path / "objects.json").read_bytes())
+
+
+def test_solve_builds_no_candidate_site(monkeypatch):
+    built = []
+
+    class Counted(CandidateSite):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sites_module, "CandidateSite", Counted)
+    monkeypatch.setattr(ptas, "CandidateSite", Counted)
+    for n, k, extent in ((400, 10, 63.25), (30, 2, 8.0)):
+        sol = solve(gen_uniform(n, k, 1.0, extent, 5), PtasConfig(m=4))
+        assert sol.placements
+    assert built == []
+
+
 def test_solution_deterministic_serialization(tmp_path):
     inst = gen_uniform(9, 2, 1.0, 10.0, 11)
     config = PtasConfig(m=4)
@@ -400,7 +439,7 @@ def test_solution_deterministic_serialization(tmp_path):
 
 def test_two_targets_without_joint_coverer_solve_to_optimum():
     inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5.0, 5.0)], 0.5)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     opt = exact_min_cost_cover(inst.n, sites).cost
     sol = solve(inst, PtasConfig(m=2), sites=sites)
     assert sol.total_cost == pytest.approx(opt, rel=1e-9)
@@ -411,7 +450,7 @@ def test_boundary_site_deduplicated_across_cells():
     # for some round; the union must instantiate it once.
     inst = Instance.from_coords([(0.0, 0.0), (1.0, 0.0), (7.9, 0.0), (8.1, 0.0)],
                                 [(8.0, 3.0)], 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     opt = exact_min_cost_cover(inst.n, sites).cost
     sol = solve(inst, PtasConfig(m=2), sites=sites)
     positions = [(p.position.x, p.position.y) for p in sol.placements]
@@ -428,7 +467,7 @@ def test_shift_average_audit_all_equal():
 def test_shift_average_audit_randomized():
     for seed in range(10):
         inst = gen_uniform(seed % 10 + 1, 1 + seed % 2, 1.0, 10.0, seed + 100)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         opt = exact_min_cost_cover(inst.n, sites).cost
         for m in (2, 4):
             sol = solve(inst, PtasConfig(m=m), sites=sites)
@@ -443,7 +482,7 @@ def test_shift_average_margin_trend():
     margins = {m: [] for m in (2, 4, 8)}
     for seed in range(8):
         inst = gen_uniform(seed % 6 + 3, 1, 1.0, 10.0, seed + 40)
-        sites = prune_dominated(generate_candidate_sites(inst))
+        sites = list(prune_dominated(generate_candidate_sites(inst)))
         opt = exact_min_cost_cover(inst.n, sites).cost
         for m in margins:
             sol = solve(inst, PtasConfig(m=m), sites=sites)
@@ -456,7 +495,7 @@ def test_shift_average_margin_trend():
 
 def test_counters_exposed():
     inst = gen_uniform(6, 1, 1.0, 8.0, 9)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     sol = solve(inst, PtasConfig(m=2), sites=sites)
     states = sol.config["counters"]["subsets_enumerated"]
     assert 0 < states <= solve_state_bound(inst, sol, sites)
@@ -481,9 +520,9 @@ def test_solve_over_budget_raises_typed_error(monkeypatch):
     monkeypatch.setattr(strip_dp, "STATE_BUDGET", 1000)
     calls = []
 
-    def counting(strips, sites):
+    def counting(strips, *columns):
         calls.append(strips)
-        return strip_dp.solve_cell(strips, sites)
+        return strip_dp.solve_cell(strips, *columns)
 
     monkeypatch.setattr(ptas, "solve_cell", counting)
     with pytest.raises(StateBudgetError,
@@ -507,7 +546,7 @@ def test_over_budget_anchored_cell_falls_back_to_the_rounds(monkeypatch):
     # cell is one strip of four targets and needs more than 4 states; the
     # round splits it into two cells of two targets, each within 4.
     inst = _four_across_a_line()
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     assert [len(g) for g in components(inst.n, sites)] == [1, 4]
     anchored = solve(inst, PtasConfig(m=1), sites=sites)
     assert anchored.config["counters"]["anchored"] == 2

@@ -4,19 +4,21 @@
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_sites import (all_pairs_candidate_sites, all_pairs_prune, candidate_table,
+from reference_sites import (all_pairs_candidate_sites, all_pairs_prune,
                              math_hypot_candidate_table)
 
+from sinkcover import sites as sites_module
 from sinkcover.geometry import COVER_TOL, Point, near_pairs
 from sinkcover.instances_io import gen_uniform
 from sinkcover.ptas import verify_solution
-from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
-                             prune_dominated)
+from sinkcover.sites import (CandidateSite, CandidateTable, Instance,
+                             generate_candidate_sites, prune_dominated)
 
 LAYOUTS = ("uniform", "one_box", "clustered", "collinear", "coincident", "two_r")
 
@@ -79,12 +81,14 @@ def instances(draw):
 
 
 def _same(got, want):
-    # repr tells 0.0 from -0.0, which == does not.  Comparing site by site
-    # reports the first difference; a diff of two whole-list reprs takes
-    # pytest minutes.
+    # repr tells 0.0 from -0.0, which == does not; the repr of a covered
+    # set depends on the order its targets were added, so only positions
+    # and weights are compared by repr.  Comparing site by site reports the
+    # first difference; a diff of two whole-list reprs takes pytest minutes.
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
-        assert (g, repr(g)) == (w, repr(w)), f"site {i}"
+        assert ((g, repr(g.position), repr(g.weight))
+                == (w, repr(w.position), repr(w.weight))), f"site {i}"
 
 
 @given(instances())
@@ -97,25 +101,58 @@ def test_generate_matches_all_pairs(inst):
 @given(instances(), st.randoms(use_true_random=False))
 def test_prune_matches_all_pairs(inst, rnd):
     sites = all_pairs_candidate_sites(inst)
-    _same(prune_dominated(candidate_table(sites)), all_pairs_prune(sites))
+    _same(prune_dominated(CandidateTable.from_sites(sites)), all_pairs_prune(sites))
     rnd.shuffle(sites)
-    _same(prune_dominated(candidate_table(sites)), all_pairs_prune(sites))
+    _same(prune_dominated(CandidateTable.from_sites(sites)), all_pairs_prune(sites))
 
 
 @st.composite
 def site_lists(draw):
     """Hand-made sites in any order: empty and nested coverage, tied weights
-    and tied (including equal) positions."""
+    and tied (including equal) positions.  The covered sets are drawn from
+    one of five shapes: up to 3 of 5 targets, up to 8 of 12, a common
+    prefix of up to 7 targets with or without one last target after it,
+    targets equal mod 64 (which share a signature bit in pruning), or
+    always empty."""
     pos = st.sampled_from([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-0.0, 0.0)])
-    return [CandidateSite(Point(*draw(pos)),
-                          frozenset(draw(st.sets(st.integers(0, 4), max_size=3))),
+    shape = draw(st.sampled_from(["few", "wide", "prefix", "aliased", "empty"]))
+    if shape == "few":
+        sets = st.sets(st.integers(0, 4), max_size=3)
+    elif shape == "aliased":
+        sets = st.sets(st.sampled_from([0, 1, 2, 64, 65, 66, 128]), max_size=4)
+    elif shape == "wide":
+        sets = st.sets(st.integers(0, 11), max_size=8)
+    elif shape == "prefix":
+        prefix = draw(st.sets(st.integers(0, 9), max_size=7))
+        after = st.integers(max(prefix, default=-1) + 1, 11)
+        sets = st.one_of(st.just(prefix), after.map(lambda t: prefix | {t}))
+    else:
+        sets = st.just(frozenset())
+    return [CandidateSite(Point(*draw(pos)), frozenset(draw(sets)),
                           draw(st.sampled_from([0.0, 1.0, 2.0])), 0)
             for _ in range(draw(st.integers(0, 10)))]
 
 
 @given(site_lists())
 def test_prune_matches_all_pairs_on_hand_made_sites(sites):
-    _same(prune_dominated(candidate_table(sites)), all_pairs_prune(sites))
+    _same(prune_dominated(CandidateTable.from_sites(sites)), all_pairs_prune(sites))
+
+
+@given(site_lists())
+def test_prune_matches_all_pairs_when_every_row_hashes_alike(sites):
+    # Every row on one hash value: the grouping must still split the rows
+    # by covered set, member for member.
+    with mock.patch.object(sites_module, "_row_hashes",
+                           lambda table: np.zeros(len(table), dtype=np.uint64)):
+        _same(prune_dominated(CandidateTable.from_sites(sites)), all_pairs_prune(sites))
+
+
+def test_prune_matches_all_pairs_on_a_draw_when_every_row_hashes_alike():
+    inst = gen_uniform(40, 3, 1.0, 8.0, 7)
+    want = all_pairs_prune(all_pairs_candidate_sites(inst))
+    with mock.patch.object(sites_module, "_row_hashes",
+                           lambda table: np.zeros(len(table), dtype=np.uint64)):
+        _same(prune_dominated(generate_candidate_sites(inst)), want)
 
 
 def _site(cov, w, pos):
@@ -123,7 +160,7 @@ def _site(cov, w, pos):
 
 
 def _prune(sites):
-    return prune_dominated(candidate_table(sites))
+    return list(prune_dominated(CandidateTable.from_sites(sites)))
 
 
 def test_prune_empty_coverage():

@@ -4,12 +4,11 @@ import random
 import numpy as np
 import pytest
 from reference_geometry import covered_targets
-from reference_sites import candidate_table
 
 from sinkcover import sites as sites_module
 from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.sites import (CandidateSite, Instance, _circle_pair_points,
+from sinkcover.sites import (CandidateSite, CandidateTable, Instance, _circle_pair_points,
                              generate_candidate_sites, prune_dominated, site_weight)
 
 
@@ -44,7 +43,7 @@ def test_instance_requires_positive_radius():
 
 def test_generate_best_site_is_circle_projection():
     inst = Instance.from_coords([(0, 0)], [(5, 0)], 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     assert len(sites) == 1
     best = sites[0]
     assert best.position == Point(1.0, 0.0)
@@ -116,7 +115,7 @@ def _site(cov, w, pos=(0.0, 0.0)):
 
 
 def _prune(sites):
-    return prune_dominated(candidate_table(sites))
+    return list(prune_dominated(CandidateTable.from_sites(sites)))
 
 
 def test_prune_strict_domination():
@@ -154,7 +153,11 @@ def test_prune_builds_only_kept_sites(monkeypatch):
     table = generate_candidate_sites(inst)
     kept = prune_dominated(table)
     assert 0 < len(kept) < len(table)
-    assert len(built) == len(kept)
+    assert isinstance(kept, CandidateTable) and kept.members is table.members
+    assert built == []
+    sites = list(kept)
+    assert len(built) == len(kept) == len(sites)
+    assert sites == [kept[i] for i in range(len(kept))]
 
 
 def test_prune_keeps_cover_for_every_target():
@@ -163,7 +166,7 @@ def test_prune_keeps_cover_for_every_target():
         inst = Instance.from_coords(
             [(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(6)],
             [(rng.uniform(0, 5), rng.uniform(0, 5))], 1.0)
-        pruned = prune_dominated(generate_candidate_sites(inst))
+        pruned = list(prune_dominated(generate_candidate_sites(inst)))
         covered = set()
         for s in pruned:
             covered |= s.covered
@@ -179,7 +182,7 @@ def test_prune_preserves_exact_optimum():
             [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(n)],
             [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(k)], 1.0)
         sites = generate_candidate_sites(inst)
-        pruned = prune_dominated(sites)
+        pruned = list(prune_dominated(sites))
         full = exact_min_cost_cover(inst.n, list(sites))
         slim = exact_min_cost_cover(inst.n, pruned)
         assert slim.cost == pytest.approx(full.cost, rel=1e-12, abs=1e-12)

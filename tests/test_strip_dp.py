@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import bin_points, footprint_state_bound
+from conftest import bin_points, footprint_state_bound, site_columns
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_strip_dp import compatible, enumerate_strip_subsets, irredundant_footprints
@@ -23,7 +23,7 @@ INF = float("inf")
 
 
 def _single_cell(inst, m):
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     g = bounding_box(inst, m)
     cells = bin_points(g, inst.targets, 0)
     assert len(cells) == 1
@@ -127,7 +127,7 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     # keys.
     inst = gen_uniform(30, 2, 1.0, 8.0, 2)
     m = 4
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     coverers = coverers_by_target(sites)
     table = strip_dp._footprints
     keys = []
@@ -143,7 +143,7 @@ def test_footprint_states_within_reference_keys(monkeypatch):
         for cell in bin_points(g, inst.targets, f):
             strips = strips_of_cell(cell, coverers)
             keys.clear()
-            res = solve_cell(strips, sites)
+            res = solve_cell(strips, *site_columns(sites))
             assert res.counters.subsets_enumerated <= sum(keys), (f, cell.index)
 
 
@@ -151,7 +151,7 @@ def test_solve_cell_zero_cost_station():
     inst = Instance.from_coords([(0, 0), (0.4, 0)], [(0.2, 0)], 1.0)
     for m in (1, 2, 3):
         _, strips, sites = _single_cell(inst, m)
-        res = solve_cell(strips, sites)
+        res = solve_cell(strips, *site_columns(sites))
         assert isinstance(res, CellSolution)
         assert res.cost == 0.0
 
@@ -159,7 +159,7 @@ def test_solve_cell_zero_cost_station():
 def test_solve_cell_two_disjoint_targets():
     inst = Instance.from_coords([(0, 0), (3, 0)], [(1.5, 0)], 1.0)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, sites)
+    res = solve_cell(strips, *site_columns(sites))
     assert isinstance(res, CellSolution)
     assert res.cost == pytest.approx(1.0, rel=1e-12)
     oracle = exact_min_cost_cover(inst.n, sites)
@@ -170,7 +170,7 @@ def test_solve_cell_empty_cell():
     inst = Instance.from_coords([(1, 1)], [(0, 0)], 1.0)
     cell, _, sites = _single_cell(inst, 2)
     empty = Cell(index=(9, 9), strips=[])
-    res = solve_cell(strips_of_cell(empty, coverers_by_target(sites)), sites)
+    res = solve_cell(strips_of_cell(empty, coverers_by_target(sites)), *site_columns(sites))
     assert isinstance(res, CellSolution)
     assert res.cost == 0.0 and res.site_indices == []
 
@@ -181,7 +181,7 @@ def test_solve_cell_uncoverable_target_is_an_error():
     from sinkcover.grid import Strip
     strips = [Strip(number=0, target_indices=(0,), site_pool=())]
     with pytest.raises(ValueError, match="no candidate site covers a target of strip 1"):
-        solve_cell(strips, [])
+        solve_cell(strips, [], [])
 
 
 def test_targetless_strips_store_no_states():
@@ -191,19 +191,19 @@ def test_targetless_strips_store_no_states():
     # number.  Target 0 is keyed into strip 1, then strip 2, of a cell.
     sites = _sites_from_spec([({0}, 2.0), ({0}, 1.0)])
     (cell,) = cells_for_shift([(0, 0.0, 0.0, 1)])
-    res = solve_cell(strips_of_cell(cell, {0: [0, 1]}), sites)
+    res = solve_cell(strips_of_cell(cell, {0: [0, 1]}), *site_columns(sites))
     assert res.site_indices == [1] and res.cost == 1.0
     assert res.counters.subsets_enumerated == 1
     (cell,) = cells_for_shift([(0, 0.0, 0.0, 2)])
     with pytest.raises(ValueError, match="covers a target of strip 3$"):
-        solve_cell(strips_of_cell(cell, {}), sites)
+        solve_cell(strips_of_cell(cell, {}), *site_columns(sites))
 
 
 def test_solve_cell_matches_oracle_randomized():
     for seed in range(40):
         inst = _dense_instance(seed)
         _, strips, sites = _single_cell(inst, 2)
-        res = solve_cell(strips, sites)
+        res = solve_cell(strips, *site_columns(sites))
         assert isinstance(res, CellSolution)
         oracle = exact_min_cost_cover(inst.n, sites)
         assert res.cost == pytest.approx(oracle.cost, rel=1e-9, abs=1e-12)
@@ -213,7 +213,7 @@ def test_solve_cell_cost_matches_reconstruction():
     for seed in range(20):
         inst = _dense_instance(seed)
         cell, strips, sites = _single_cell(inst, 2)
-        res = solve_cell(strips, sites)
+        res = solve_cell(strips, *site_columns(sites))
         assert isinstance(res, CellSolution)
         total = sum(sites[i].weight for i in sorted(res.site_indices))
         assert total == pytest.approx(res.cost, rel=1e-9, abs=1e-12)
@@ -228,7 +228,7 @@ def test_solve_cell_two_targets_without_joint_coverer():
     # no joint coverer: each needs a sensor of its own.
     inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5, 5)], 0.5)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, sites)
+    res = solve_cell(strips, *site_columns(sites))
     assert len(res.site_indices) == 2
     assert res.cost == exact_min_cost_cover(inst.n, sites).cost
 
@@ -236,7 +236,7 @@ def test_solve_cell_two_targets_without_joint_coverer():
 def test_solve_cell_counters_within_envelope():
     inst = _dense_instance(3)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, sites)
+    res = solve_cell(strips, *site_columns(sites))
     assert res.counters.subsets_enumerated > 0
     assert res.counters.subsets_enumerated <= footprint_state_bound(strips)
 
@@ -247,12 +247,12 @@ def test_state_budget_is_a_threshold_per_cell(monkeypatch):
     # local-cover entries of every strip, not only the stored footprints.
     inst = _dense_instance(3)
     _, strips, sites = _single_cell(inst, 2)
-    full = solve_cell(strips, sites)
+    full = solve_cell(strips, *site_columns(sites))
 
     def fits(budget):
         monkeypatch.setattr(strip_dp, "STATE_BUDGET", budget)
         try:
-            return solve_cell(strips, sites) == full
+            return solve_cell(strips, *site_columns(sites)) == full
         except StateBudgetError as e:
             assert f"more than {budget} DP states" in str(e)
             return False
@@ -319,7 +319,7 @@ def test_solver_matches_literal_recurrence():
         inst = _dense_instance(seed, max_n=5, extent=3.5)
         _, strips, sites = _single_cell(inst, 2)
         ref = _reference_cell_opt(strips, sites)
-        got = solve_cell(strips, sites).cost
+        got = solve_cell(strips, *site_columns(sites)).cost
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-12), seed
 
 
@@ -329,13 +329,13 @@ def test_solve_cell_reproduces_forced_ring_optimum():
     from sinkcover.grid import Grid
     from sinkcover.instances_io import gen_counterexample
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
-    sites = prune_dominated(generate_candidate_sites(inst))
+    sites = list(prune_dominated(generate_candidate_sites(inst)))
     x0 = min(t.x for t in inst.targets) - 1e-6
     y0 = min(t.y for t in inst.targets) - 1e-6
     (cell,) = bin_points(Grid(Point(x0, y0), 4, inst.r), inst.targets, 0)
     assert cell.index == (0, 0)
     strips = strips_of_cell(cell, coverers_by_target(sites))
     opt = exact_min_cost_cover(inst.n, sites).cost
-    res = solve_cell(strips, sites)
+    res = solve_cell(strips, *site_columns(sites))
     assert len(res.site_indices) == 3
     assert res.cost == pytest.approx(opt, rel=1e-9)
