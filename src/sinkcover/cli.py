@@ -21,8 +21,8 @@ from .instances_io import (InstanceFormatError, counterexample_metadata,
                            write_report, write_solution)
 from .oracle import (check_grid_audit, exact_min_cost_cover, greedy_cover,
                      grid_refine_audit)
-from .ptas import (Placement, PtasConfig, Solution, shift_average_audit, solve,
-                   verify_solution)
+from .ptas import (PtasConfig, Solution, placements_of, shift_average_audit,
+                   solve, verify_solution)
 from .sites import generate_candidate_sites, prune_dominated
 from .strip_dp import StateBudgetError
 from .svg_render import render_svg
@@ -131,27 +131,28 @@ def _cmd_solve(args) -> int:
 
 def _exact_optimum(inst):
     """The pruned candidate sites, as the table the solver reads and as the
-    list of `CandidateSite`s the oracles read, the exact optimum over them
-    and its solve time in ms.  The optimum is None, after
+    `(weights, covers)` columns the oracles read, the exact optimum over
+    them and its solve time in ms.  An instance with no target is refused
+    with ValueError before any output.  The optimum is None, after
     ``error[infeasible]``, when some target has no coverer."""
+    if inst.n == 0:
+        raise ValueError("nothing to cover")
     table = prune_dominated(generate_candidate_sites(inst))
-    sites = list(table)
+    columns = table.columns()
     t0 = time.perf_counter()
-    res = exact_min_cost_cover(inst.n, sites)
+    res = exact_min_cost_cover(inst.n, *columns)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if not res.feasible:
         _fail("infeasible", f"target {res.infeasible_target} cannot be covered")
-    return table, sites, res if res.feasible else None, elapsed_ms
+    return table, columns, res if res.feasible else None, elapsed_ms
 
 
 def _cmd_exact(args) -> int:
     inst = read_instance(args.infile)
-    _, sites, res, _ = _exact_optimum(inst)
+    table, _, res, _ = _exact_optimum(inst)
     if res is None:
         return 2
-    placements = tuple(
-        Placement(sites[i].position, sites[i].origin_station, sites[i].weight)
-        for i in sorted(res.site_indices))
+    placements = placements_of(table, res.site_indices)
     write_solution(args.out, Solution(
         total_cost=res.cost, shift_round=None, per_round_costs=(),
         placements=placements,
@@ -172,10 +173,10 @@ def _cmd_compare(args) -> int:
         return 1
     # Every m is checked before the exact oracle runs.
     configs = [PtasConfig(m=m) for m in ms]
-    table, sites, exact, exact_ms = _exact_optimum(inst)
+    table, columns, exact, exact_ms = _exact_optimum(inst)
     if exact is None:
         return 2
-    greedy = greedy_cover(inst.n, sites)
+    greedy = greedy_cover(inst.n, *columns)
 
     name = os.path.basename(args.infile)   # reports name no directory
     records = [{"instance": name, "algorithm": "exact",
@@ -213,10 +214,10 @@ def _cmd_audit(args) -> int:
     step = args.step if args.step is not None else inst.r / 200.0
     config = PtasConfig(m=args.m)   # checked before the exact oracle runs,
     check_grid_audit(inst, step)    # as are --step and the instance
-    table, sites, exact, _ = _exact_optimum(inst)
+    table, columns, exact, _ = _exact_optimum(inst)
     if exact is None:
         return 2
-    grid = grid_refine_audit(inst, sites, step)
+    grid = grid_refine_audit(inst, *columns, step)
     ok_grid = grid.undominated == 0
     print(f"refine: step {step:.9f} sets {grid.distinct_cover_sets} "
           f"undominated {grid.undominated} worst excess {grid.worst_excess:.3g} "

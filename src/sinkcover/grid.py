@@ -165,10 +165,9 @@ def strips_of_cell(cell: Cell, coverers: dict[int, list[int]]) -> list[Strip]:
     """The cell's non-empty strips, each with its site pool.
 
     `coverers` maps a target index to the ascending indices of the sites
-    covering it (the solver reads it off the site table's columns, and
-    `sites.coverers_by_target` builds it from a list of sites); one index
-    serves every cell of every round.  A strip's pool holds the ascending
-    indices of all sites covering at least one of its targets.
+    covering it, as `sites.coverers` gives it; one index serves every cell
+    of every round.  A strip's pool holds the ascending indices of all
+    sites covering at least one of its targets.
     """
     return [Strip(j, ts, sorted({s for t in ts for s in coverers.get(t, ())}))
             for j, ts in cell.strips]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import COVER_TOL
-from .sites import CandidateSite, Instance, coverers_by_target
+from .sites import Instance, coverers
 
 INF = float("inf")
 
@@ -33,15 +33,8 @@ class OracleResult:
     infeasible_target: int | None = None
 
 
-def _target_masks(target_count: int, sites: list[CandidateSite]) -> list[int]:
-    masks = []
-    for s in sites:
-        m = 0
-        for t in s.covered:
-            if t < target_count:
-                m |= 1 << t
-        masks.append(m)
-    return masks
+def _target_masks(covers: list[list[int]]) -> list[int]:
+    return [sum(1 << t for t in cov) for cov in covers]
 
 
 def _search(uncov: int, chosen: tuple[int, ...], cost: float, tables: tuple,
@@ -50,7 +43,7 @@ def _search(uncov: int, chosen: tuple[int, ...], cost: float, tables: tuple,
     sites `chosen` at weight `cost`.  `tables` and `best` (the incumbent
     cost and sites, and the node count) are passed in, not closed over, so
     the recursion builds no reference cycle."""
-    coverers, masks, sites, cheapest = tables
+    coverers, masks, weights, cheapest = tables
     best[2] += 1
     if uncov == 0:
         if cost < best[0] or (cost == best[0] and chosen < best[1]):
@@ -66,12 +59,15 @@ def _search(uncov: int, chosen: tuple[int, ...], cost: float, tables: tuple,
         return
     t = (uncov & -uncov).bit_length() - 1
     for si in coverers[t]:
-        _search(uncov & ~masks[si], chosen + (si,), cost + sites[si].weight,
+        _search(uncov & ~masks[si], chosen + (si,), cost + weights[si],
                 tables, best)
 
 
-def exact_min_cost_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
-    """Exact minimum total weight covering all targets, by branch and bound.
+def exact_min_cost_cover(target_count: int, weights: list[float],
+                         covers: list[list[int]]) -> OracleResult:
+    """Exact minimum total weight covering targets 0..target_count-1, by
+    branch and bound, where site g weighs `weights[g]` and covers the
+    targets `covers[g]`, all below target_count.
 
     Branches on the lowest-index uncovered target over the sites covering
     it, cheapest first.  Nodes are pruned against the incumbent using an
@@ -82,39 +78,41 @@ def exact_min_cost_cover(target_count: int, sites: list[CandidateSite]) -> Oracl
     """
     if target_count == 0:
         return OracleResult(0.0, frozenset(), 0, True)
-    masks = _target_masks(target_count, sites)
+    masks = _target_masks(covers)
     full = (1 << target_count) - 1
 
-    by_target = coverers_by_target(sites)
-    coverers = [sorted(by_target.get(t, ()), key=lambda si: (sites[si].weight, si))
-                for t in range(target_count)]
-    for t, cs in enumerate(coverers):
+    by_target = coverers(covers)
+    ordered = [sorted(by_target.get(t, ()), key=lambda si: (weights[si], si))
+               for t in range(target_count)]
+    for t, cs in enumerate(ordered):
         if not cs:
             return OracleResult(INF, frozenset(), 0, False,
                                 feasible=False, infeasible_target=t)
-    cheapest = [sites[cs[0]].weight for cs in coverers]
+    cheapest = [weights[cs[0]] for cs in ordered]
 
     best = [INF, (), 0]
-    _search(full, (), 0.0, (coverers, masks, sites, cheapest), best)
+    _search(full, (), 0.0, (ordered, masks, weights, cheapest), best)
     best_cost, best_set, nodes = best
     if math.isinf(best_cost):
         return OracleResult(INF, frozenset(), nodes, False, feasible=False)
     return OracleResult(best_cost, frozenset(best_set), nodes, True)
 
 
-def greedy_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
+def greedy_cover(target_count: int, weights: list[float],
+                 covers: list[list[int]]) -> OracleResult:
     """Baseline: repeatedly pick the site with the best weight-per-new-target
-    ratio, lowest index on ties.  Never better than the exact oracle; useful
-    as a quick sanity bar.
+    ratio, lowest index on ties, over sites given as `exact_min_cost_cover`
+    takes them.  Never better than the exact oracle; useful as a quick
+    sanity bar.
 
     A site's ratio only rises as targets get covered, so a heap keyed on
     (ratio, site index) may hold stale keys: a popped site whose count of
     new targets is unchanged has the least current key, and is picked;
     any other is pushed back with its current key.
     """
-    masks = _target_masks(target_count, sites)
+    masks = _target_masks(covers)
     uncov = (1 << target_count) - 1
-    heap = [(sites[si].weight / new, si, new)
+    heap = [(weights[si] / new, si, new)
             for si, m in enumerate(masks) if (new := m.bit_count())]
     heapq.heapify(heap)
     chosen: list[int] = []
@@ -125,13 +123,13 @@ def greedy_cover(target_count: int, sites: list[CandidateSite]) -> OracleResult:
             chosen.append(si)
             uncov &= ~masks[si]
         elif now:
-            heapq.heappush(heap, (sites[si].weight / now, si, now))
+            heapq.heappush(heap, (weights[si] / now, si, now))
     steps = len(chosen)
     if uncov:
         t = (uncov & -uncov).bit_length() - 1
         return OracleResult(INF, frozenset(chosen), steps, False,
                             feasible=False, infeasible_target=t)
-    cost = sum((sites[si].weight for si in sorted(chosen)), 0.0)
+    cost = sum((weights[si] for si in sorted(chosen)), 0.0)
     return OracleResult(cost, frozenset(chosen), steps, False)
 
 
@@ -146,9 +144,10 @@ class GridRefineReport:
     worst_excess: float        # max over sets of (least superset weight - w)
 
 
-def grid_refine_audit(instance: Instance, sites: list[CandidateSite],
-                      step: float) -> GridRefineReport:
-    """Check the candidate sites against a grid of placements, set by set.
+def grid_refine_audit(instance: Instance, weights: list[float],
+                      covers: list[list[int]], step: float) -> GridRefineReport:
+    """Check the candidate sites against a grid of placements, set by set:
+    site g weighs `weights[g]` and covers the targets `covers[g]`.
 
     The grid has pitch `step` over the targets' bounding box grown by r.
     For every set S that some grid point covers exactly, with w the least
@@ -156,7 +155,7 @@ def grid_refine_audit(instance: Instance, sites: list[CandidateSite],
     at most w.  Sound candidate classes ensure it: the points covering S
     are an intersection of disks, whose point nearest a station is the
     station, a projection onto one circle, or a vertex of two circles.  So
-    no cover by grid points beats the optimum over `sites`, and no exact
+    no cover by grid points beats the optimum over the sites, and no exact
     solve is needed.  Every superset of S holds S's lowest target, so only
     that target's coverers are tried.
 
@@ -168,12 +167,12 @@ def grid_refine_audit(instance: Instance, sites: list[CandidateSite],
     that `check_grid_audit` refuses raises ValueError.
     """
     sets, least, points = _grid_sets(instance, step)
-    masks = _target_masks(instance.n, sites)
-    coverers = coverers_by_target(sites)
+    masks = _target_masks(covers)
+    by_target = coverers(covers)
     undominated, worst = 0, -INF
     for s, w in zip(sets.tolist(), least.tolist()):
         low = (s & -s).bit_length() - 1
-        excess = min((sites[j].weight - w for j in coverers.get(low, ())
+        excess = min((weights[j] - w for j in by_target.get(low, ())
                       if masks[j] & s == s), default=INF)
         undominated += excess > instance.r * COVER_TOL + 4.0 * math.ulp(w)
         worst = max(worst, excess)

@@ -27,8 +27,8 @@ import numpy as np
 from .geometry import COVER_TOL, Point, near_pairs, within
 from .grid import (Cell, anchored_keys, bounding_box, cells_for_shift,
                    round_keys, strips_of_cell)
-from .sites import (CandidateSite, CandidateTable, Instance,
-                    generate_candidate_sites, prune_dominated)
+from .sites import (CandidateTable, Instance, coverers, generate_candidate_sites,
+                    prune_dominated)
 from .strip_dp import StateBudgetError, solve_cell
 
 # Most shift rounds a solve may run, from --m or from m = ceil(4 / epsilon):
@@ -95,17 +95,12 @@ def _round_cost(site_ids, weight: list[float]) -> float:
     return sum(map(weight.__getitem__, sorted(site_ids)))
 
 
-def _columns(sites: CandidateTable
-             ) -> tuple[list[float], list[list[int]], dict[int, list[int]]]:
-    """Each site's weight and ascending covered targets, read off the
-    table's columns, and each covered target's ascending coverers."""
-    flat, ends = (a.tolist() for a in sites.entries())
-    covers = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    coverers: dict[int, list[int]] = {}
-    for j, cov in enumerate(covers):
-        for t in cov:
-            coverers.setdefault(t, []).append(j)
-    return sites.weight.tolist(), covers, coverers
+def placements_of(table: CandidateTable, rows) -> tuple[Placement, ...]:
+    """The `Placement`s of the table's given rows, in ascending row order."""
+    picked = np.array(sorted(rows), dtype=np.intp)
+    return tuple(Placement(Point(x, y), o, w) for x, y, o, w in
+                 zip(table.x[picked].tolist(), table.y[picked].tolist(),
+                     table.origin[picked].tolist(), table.weight[picked].tolist()))
 
 
 def _components(target_count: int, covers: list[list[int]]
@@ -147,16 +142,15 @@ def _layout(cell: Cell) -> tuple[tuple[int, ...], ...]:
 
 
 def solve(instance: Instance, config: PtasConfig,
-          sites: CandidateTable | list[CandidateSite] | None = None) -> Solution:
+          sites: CandidateTable | None = None) -> Solution:
     """Solve each small component once in a cell of its own, the rest in
     every shift round, then give each component its cheapest round.
 
     `sites` may be supplied to reuse candidates: the table
-    `prune_dominated` returns, or a list of its sites or of the rows of
-    `generate_candidate_sites`; by default candidates are generated and
-    dominated ones pruned.  The solve reads the table's columns: site
-    weights and covered targets, each target's coverers and the components
-    come from them, and only the chosen rows become `Placement`s.
+    `prune_dominated` or `generate_candidate_sites` returns; by default
+    candidates are generated and dominated ones pruned.  The solve reads
+    the table's `columns`: each target's coverers and the components come
+    from them, and only the chosen rows become `Placement`s.
 
     No site covers targets of two components, so a cover splits by
     component.  A component whose bounding box is under one cell side on
@@ -188,20 +182,19 @@ def solve(instance: Instance, config: PtasConfig,
         raise ValueError("nothing to cover")
     if sites is None:
         sites = prune_dominated(generate_candidate_sites(instance))
-    elif not isinstance(sites, CandidateTable):
-        sites = CandidateTable.from_sites(sites)
     m = config.rounds
     grid = bounding_box(instance, m)
-    weight, covers, coverers = _columns(sites)
+    weight, covers = sites.columns()
+    by_target = coverers(covers)
     members, target_comp = _components(instance.n, covers)
     xs = np.array([t.x for t in instance.targets])
     ys = np.array([t.y for t in instance.targets])
     fits, strip = anchored_keys(grid, xs, ys, np.array(target_comp), len(members))
 
     def cheapest(t: int) -> int:
-        if not coverers.get(t):
+        if not by_target.get(t):
             raise ValueError(f"no candidate site covers target {t}")
-        return min(coverers[t], key=weight.__getitem__)
+        return min(by_target[t], key=weight.__getitem__)
 
     optimum: dict[int, frozenset[int]] = {}   # anchored component -> its sites
     rows = []
@@ -214,7 +207,7 @@ def solve(instance: Instance, config: PtasConfig,
     over: dict[tuple, StateBudgetError] = {}   # layouts past the budget
     for cell in cells_for_shift(rows):
         try:
-            res = solve_cell(strips_of_cell(cell, coverers), weight, covers)
+            res = solve_cell(strips_of_cell(cell, by_target), weight, covers)
         except StateBudgetError as e:
             over[_layout(cell)] = e
             continue
@@ -246,7 +239,7 @@ def solve(instance: Instance, config: PtasConfig,
             try:
                 if over and _layout(cell) in over:
                     raise over[_layout(cell)]
-                res = solve_cell(strips_of_cell(cell, coverers), weight, covers)
+                res = solve_cell(strips_of_cell(cell, by_target), weight, covers)
             except StateBudgetError as e:
                 raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
             chosen.update(res.site_indices)
@@ -271,14 +264,9 @@ def solve(instance: Instance, config: PtasConfig,
     if not total < per_round[best_f]:
         total, chosen_sites = per_round[best_f], rounds[best_f]
 
-    picked = sorted(chosen_sites)
-    chosen_rows = np.array(picked, dtype=np.intp)
-    placements = tuple(
-        Placement(Point(x, y), o, weight[i]) for i, x, y, o in
-        zip(picked, sites.x[chosen_rows].tolist(), sites.y[chosen_rows].tolist(),
-            sites.origin[chosen_rows].tolist()))
     return Solution(total_cost=total, shift_round=best_f,
-                    per_round_costs=per_round, placements=placements,
+                    per_round_costs=per_round,
+                    placements=placements_of(sites, chosen_sites),
                     config={"epsilon": config.epsilon, "m": m,
                             "counters": {"subsets_enumerated": subsets,
                                          "components": len(members),

@@ -51,21 +51,6 @@ class Instance:
                    r=float(r))
 
 
-@dataclass(frozen=True)
-class CandidateSite:
-    """A discrete sensor placement.
-
-    `covered` is the set of target indices within the sensing radius,
-    `weight` the distance from the nearest station and `origin_station`
-    the index of a station attaining it (lowest index on ties).
-    """
-
-    position: Point
-    covered: frozenset[int]
-    weight: float
-    origin_station: int
-
-
 def site_weight(position: Point, stations) -> tuple[float, int]:
     """Minimum distance from `position` to any station, with the station index.
 
@@ -87,9 +72,8 @@ class CandidateTable:
     """Candidate sites as numpy columns, row i being site i.
 
     Row i covers the targets `members[lo[i]:hi[i]]`, in ascending order.
-    Sites stay columns from generation through pruning and the solve;
-    `table[i]` builds row i's `CandidateSite`, and `list(table)` all of
-    them, for callers that need objects.
+    Sites stay columns from generation through pruning and the solve; the
+    solver and the oracles read them as the lists `columns` gives.
     """
 
     x: np.ndarray
@@ -103,45 +87,20 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.weight)
 
-    def __getitem__(self, i: int) -> CandidateSite:
-        covered = frozenset(self.members[self.lo[i]:self.hi[i]].tolist())
-        return CandidateSite(Point(self.x[i].item(), self.y[i].item()), covered,
-                             self.weight[i].item(), self.origin[i].item())
-
-    def __iter__(self):
-        """The rows' `CandidateSite`s, in order, read off whole columns."""
-        flat, ends = (a.tolist() for a in self.entries())
-        for x, y, w, o, a, b in zip(self.x.tolist(), self.y.tolist(),
-                                    self.weight.tolist(), self.origin.tolist(),
-                                    [0] + ends[:-1], ends):
-            yield CandidateSite(Point(x, y), frozenset(flat[a:b]), w, o)
-
     def rows(self, rows: np.ndarray) -> "CandidateTable":
         """The table of the given rows, in that order, sharing `members`."""
         return CandidateTable(self.x[rows], self.y[rows], self.weight[rows],
                               self.origin[rows], self.lo[rows], self.hi[rows],
                               self.members)
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's covered targets, row after row, and the end of each
-        row's run in them."""
+    def columns(self) -> tuple[list[float], list[list[int]]]:
+        """The sites as two lists, `(weights, covers)`: site g weighs
+        `weights[g]` and covers the ascending targets `covers[g]`."""
         size = self.hi - self.lo
-        ends = size.cumsum()
-        first = (self.lo - ends + size).repeat(size)
-        return self.members[first + np.arange(len(first))], ends
-
-    @classmethod
-    def from_sites(cls, sites: list[CandidateSite]) -> "CandidateTable":
-        """The table whose rows are `sites`, in order."""
-        covered = [sorted(s.covered) for s in sites]
-        size = np.array([len(c) for c in covered], dtype=np.intp)
-        hi = size.cumsum()
-        return cls(np.array([s.position.x for s in sites], dtype=float),
-                   np.array([s.position.y for s in sites], dtype=float),
-                   np.array([s.weight for s in sites], dtype=float),
-                   np.array([s.origin_station for s in sites], dtype=np.intp),
-                   hi - size, hi,
-                   np.array([t for c in covered for t in c], dtype=np.intp))
+        flat = self.members[_ranges(self.lo, size)].tolist()
+        ends = size.cumsum().tolist()
+        return (self.weight.tolist(),
+                [flat[a:b] for a, b in zip([0] + ends[:-1], ends)])
 
 
 def generate_candidate_sites(instance: Instance) -> CandidateTable:
@@ -292,12 +251,13 @@ def _run_heads(a: np.ndarray) -> np.ndarray:
     return heads
 
 
-def coverers_by_target(sites: list[CandidateSite]) -> dict[int, list[int]]:
-    """Target index -> ascending indices of the sites covering it."""
+def coverers(covers: list[list[int]]) -> dict[int, list[int]]:
+    """Target index -> ascending indices of the sites covering it, for site
+    g covering the targets `covers[g]`."""
     out: dict[int, list[int]] = {}
-    for j, s in enumerate(sites):
-        for t in s.covered:
-            out.setdefault(t, []).append(j)
+    for g, cov in enumerate(covers):
+        for t in cov:
+            out.setdefault(t, []).append(g)
     return out
 
 
@@ -315,9 +275,9 @@ def prune_dominated(table: CandidateTable) -> CandidateTable:
     strict superset of the empty one.
 
     Returns the kept rows as a `CandidateTable`, in row order, sharing
-    `members`: row i of it is the i-th kept site.  No `CandidateSite` is
-    built.  Rows are grouped by covered set in `_group_rows`, and one join
-    over each set's lowest target finds the strict supersets (`_dominated`).
+    `members`: row i of it is the i-th kept site.  Rows are grouped by
+    covered set in `_group_rows`, and one join over each set's lowest
+    target finds the strict supersets (`_dominated`).
     """
     rows, heads = _group_rows(table)
     # The least site of each set: its lightest, unless several tie.

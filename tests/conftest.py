@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import settings
 
 from sinkcover.grid import bounding_box, cells_for_shift, round_keys, strips_of_cell
-from sinkcover.sites import Instance, coverers_by_target
+from sinkcover.sites import Instance, coverers
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -16,12 +16,6 @@ def bin_points(grid, points, f, among=None):
     xs = np.array([points[i].x for i in among], dtype=float)
     ys = np.array([points[i].y for i in among], dtype=float)
     return cells_for_shift(zip(among, *round_keys(grid, xs, ys, f)))
-
-
-def site_columns(sites):
-    """The site weights and covered targets `solve_cell` reads, from a
-    list of sites."""
-    return [s.weight for s in sites], [s.covered for s in sites]
 
 
 def footprint_state_bound(strips):
@@ -51,12 +45,12 @@ def solve_state_bound(instance, solution, sites):
 
     m = len(solution.per_round_costs)
     grid = bounding_box(instance, m)
-    coverers = coverers_by_target(sites)
+    by_target = coverers([s.covered for s in sites])
     total = 0
     for group, cell in anchored_cells(instance, m, sites):
         cells = [cell] if cell is not None else [
             c for f in range(m) for c in bin_points(grid, instance.targets, f, sorted(group))]
-        total += sum(footprint_state_bound(strips_of_cell(c, coverers)) for c in cells)
+        total += sum(footprint_state_bound(strips_of_cell(c, by_target)) for c in cells)
     return total
 
 

@@ -25,9 +25,11 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
+from site_records import CandidateSite, site_columns
+
 from sinkcover.geometry import COVER_TOL, Point
 from sinkcover.oracle import INF, OracleResult, exact_min_cost_cover
-from sinkcover.sites import CandidateSite, site_weight
+from sinkcover.sites import site_weight
 
 
 def full_grid_sites(instance, step):
@@ -83,7 +85,7 @@ class GlobalGridReport:
 
 def full_grid_global_audit(instance, discrete_opt, step):
     grid_sites, _ = full_grid_sites(instance, step)
-    res = exact_min_cost_cover(instance.n, grid_sites)
+    res = exact_min_cost_cover(instance.n, *site_columns(grid_sites))
     return GlobalGridReport(discrete_opt=discrete_opt, grid_opt=res.cost,
                             gap=res.cost - discrete_opt,
                             grid_solution_size=len(res.site_indices))

@@ -12,10 +12,11 @@ per-component choice must cost what the cheapest round of each component
 here sums to.
 """
 
-from conftest import bin_points, site_columns
+from conftest import bin_points
+from site_records import site_columns
 
 from sinkcover.grid import Cell, bounding_box, strips_of_cell
-from sinkcover.sites import coverers_by_target
+from sinkcover.sites import coverers
 from sinkcover.strip_dp import StateBudgetError, solve_cell
 
 
@@ -71,14 +72,14 @@ def every_cell_costs(instance, m, sites):
     ties.  A component whose anchored cell is over the state budget is
     left to the rounds."""
     grid = bounding_box(instance, m)
-    coverers = coverers_by_target(sites)
     columns = site_columns(sites)
+    by_target = coverers(columns[1])
     fixed = set()
     groups = []
     for group, cell in anchored_cells(instance, m, sites):
         try:
             if cell is not None:
-                fixed.update(solve_cell(strips_of_cell(cell, coverers), *columns).site_indices)
+                fixed.update(solve_cell(strips_of_cell(cell, by_target), *columns).site_indices)
                 continue
         except StateBudgetError:
             pass
@@ -89,7 +90,7 @@ def every_cell_costs(instance, m, sites):
     for f in range(m):
         own = [[] for _ in groups]
         for cell in bin_points(grid, instance.targets, f):
-            for i in solve_cell(strips_of_cell(cell, coverers), *columns).site_indices:
+            for i in solve_cell(strips_of_cell(cell, by_target), *columns).site_indices:
                 c = group_of.get(min(sites[i].covered))
                 if c is not None:
                     own[c].append(i)

@@ -16,9 +16,10 @@ import itertools
 import numpy as np
 from reference_geometry import (circle_circle_intersections, covered_targets,
                                 nearest_point_on_circle)
+from site_records import CandidateSite
 
 from sinkcover.geometry import COVER_TOL, Point, hypot, near_pairs
-from sinkcover.sites import (CandidateSite, CandidateTable, _circle_pair_points,
+from sinkcover.sites import (CandidateTable, _circle_pair_points,
                              _nearest_circle_points, _run_heads, site_weight)
 
 

@@ -11,16 +11,17 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import bin_points, site_columns, solve_state_bound
+from conftest import bin_points, solve_state_bound
 from reference_geometry import coverage_angle_halfwidth, s_prime_location
 from reference_oracle import full_grid_global_audit
+from site_records import site_records
 
 from sinkcover.geometry import Point, dist
 from sinkcover.grid import bounding_box, strips_of_cell
 from sinkcover.instances_io import gen_counterexample, gen_uniform
 from sinkcover.oracle import exact_min_cost_cover, grid_refine_audit
 from sinkcover.ptas import PtasConfig, shift_average_audit, solve, verify_solution
-from sinkcover.sites import coverers_by_target, generate_candidate_sites, prune_dominated
+from sinkcover.sites import coverers, generate_candidate_sites, prune_dominated
 from sinkcover.strip_dp import solve_cell
 
 REL = 1e-9
@@ -52,11 +53,11 @@ def guarantee_runs():
         n = seed % 10 + 1
         k = 1 + seed % 2
         inst = gen_uniform(n, k, 1.0, 10.0, seed)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        opt = exact_min_cost_cover(inst.n, sites).cost
+        table = prune_dominated(generate_candidate_sites(inst))
+        opt = exact_min_cost_cover(inst.n, *table.columns()).cost
         per_m = {}
         for m in (2, 4, 8):
-            per_m[m] = solve(inst, PtasConfig(m=m), sites=sites)
+            per_m[m] = solve(inst, PtasConfig(m=m), sites=table)
         runs.append((seed, inst, opt, per_m))
     elapsed = time.perf_counter() - start
     print(f"  200 instances x m in {{2,4,8}} solved+oracled in {elapsed:.1f}s")
@@ -87,14 +88,14 @@ def test_criterion_2_dp_exactness():
         n = rng.randint(1, 10)
         k = rng.randint(1, 2)
         inst = gen_uniform(n, k, 1.0, 3.8, 20_000 + seed)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
+        columns = prune_dominated(generate_candidate_sites(inst)).columns()
         g = bounding_box(inst, m)
         cells = bin_points(g, inst.targets, 0)
         assert len(cells) == 1, f"seed {seed}: instance spans {len(cells)} cells"
         cell = cells[0]
-        strips = strips_of_cell(cell, coverers_by_target(sites))
-        res = solve_cell(strips, *site_columns(sites))
-        opt = exact_min_cost_cover(inst.n, sites).cost
+        strips = strips_of_cell(cell, coverers(columns[1]))
+        res = solve_cell(strips, *columns)
+        opt = exact_min_cost_cover(inst.n, *columns).cost
         if not math.isclose(res.cost, opt, rel_tol=REL, abs_tol=1e-12):
             mismatches.append((seed, res.cost, opt))
     assert not mismatches, mismatches[:5]
@@ -105,14 +106,14 @@ def test_criterion_3_counterexample():
     alpha, beta, r = 1.0, 0.01, 1.0
     for k in range(2, 7):
         inst = gen_counterexample(k, alpha, beta, r)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        res = exact_min_cost_cover(inst.n, sites)
+        table = prune_dominated(generate_candidate_sites(inst))
+        res = exact_min_cost_cover(inst.n, *table.columns())
         assert res.proven_optimal
         assert len(res.site_indices) == k, f"k={k}: used {len(res.site_indices)}"
         assert math.isclose(res.cost, k * beta, rel_tol=REL, abs_tol=1e-12)
         # Every cover by fewer than k sites costs more.
         for size in range(1, k):
-            for combo in combinations(sites, size):
+            for combo in combinations(site_records(table), size):
                 if len(frozenset().union(*(s.covered for s in combo))) == inst.n:
                     cost = sum(s.weight for s in combo)
                     assert cost > res.cost + 1e-9, f"k={k}: {size} sites cost {cost}"
@@ -159,9 +160,9 @@ def test_criterion_5_discretization_audit():
         n = seed % 5 + 1
         k = 1 + seed % 2
         inst = gen_uniform(n, k, r, 5.0, 500 + seed)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        opt = exact_min_cost_cover(inst.n, sites).cost
-        dom = grid_refine_audit(inst, sites, r / 200)
+        columns = prune_dominated(generate_candidate_sites(inst)).columns()
+        opt = exact_min_cost_cover(inst.n, *columns).cost
+        dom = grid_refine_audit(inst, *columns, r / 200)
         if dom.undominated:
             failures.append((seed, "undominated grid sets", dom.worst_excess))
         rep = full_grid_global_audit(inst, opt, r / 200)
@@ -213,9 +214,10 @@ def test_criterion_8_counter_envelope():
         n = 4 + seed % 7
         k = 1 + seed % 2
         inst = gen_uniform(n, k, 1.0, 8.0, 900 + seed)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
+        table = prune_dominated(generate_candidate_sites(inst))
+        sites = site_records(table)
         for m in (2, 4):
-            sol = solve(inst, PtasConfig(m=m), sites=sites)
+            sol = solve(inst, PtasConfig(m=m), sites=table)
             states = sol.config["counters"]["subsets_enumerated"]
             bound = solve_state_bound(inst, sol, sites)
             assert states <= bound, (seed, m, states, bound)

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -250,6 +251,51 @@ def test_solution_file_bytes_are_pinned(tmp_path, kw, solve_sha, exact_sha):
     assert hashlib.sha256(exact.read_bytes()).hexdigest() == exact_sha
 
 
+@pytest.mark.parametrize("kw, sha", [
+    pytest.param(dict(n=6, k=2, extent=5.0, seed=1),
+                 "e82ae00a7b9b81481e1d788eb9ef76da7777de611515bda625b85766766e7d71",
+                 id="n6-seed1"),
+    pytest.param(dict(n=12, k=2, extent=6.0, seed=3),    # audit-12's shape
+                 "3161259d6da865aaa39483fa5f93a1bc3695f69b9b5449ff088ab3d37a927a3e",
+                 id="n12-seed3"),
+])
+def test_audit_report_bytes_are_pinned(tmp_path, kw, sha):
+    # Any change to what `audit --m 4` writes at the default pitch, from the
+    # exact optimum to the grid sweep's counts, changes these digests.
+    path = _gen(tmp_path, **kw)
+    report = tmp_path / "audit.json"
+    assert run(["audit", "--in", str(path), "--m", "4", "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("verb", ["exact", "compare", "audit"])
+def test_instance_with_no_target_is_refused_before_any_output(tmp_path, capsys, verb):
+    # `compare` used to print its header, exact and greedy rows before
+    # failing, and `exact` wrote a solution with no sensor.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"r": 1.0, "stations": [[0.0, 0.0]], "targets": []}))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run([verb, "--in", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[input]: nothing to cover\n"
+    assert not out.exists()
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's library example runs as written, so it cannot drift from
+    # the library's signatures: the exact optimum is no dearer than the
+    # solver's or the greedy answer, and the audit finds no undominated set.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    capsys.readouterr()
+    exec(compile(block, "README.md", "exec"), {})
+    solved, exact, greedy, undominated = capsys.readouterr().out.splitlines()
+    assert float(exact) <= float(solved.split()[0]) and float(exact) <= float(greedy)
+    assert undominated == "0"
+
+
 @pytest.mark.parametrize("m, cost, sha", [
     (1, "1079.351655773",
      "01e63b32bbff2c1f46a5e19a427a58d822db4b18f7c2cb90cbb080e2e2ced0df"),
@@ -396,32 +442,51 @@ def _benchmark_tracing():
     return module
 
 
-def test_benchmark_tracer_counts_a_sparse_solve(tmp_path):
-    # The benchmark's tracer wraps the round stage's names from outside
-    # src/ and reads counts off what they return: cells, pools and DP
-    # calls are seen, the DP's states add up to the solution's echo, no
-    # call is counted as an escalation, and undo restores every name.
+def _traced_run(argv):
+    """The benchmark tracer's counts over one `run(argv)`, which must exit
+    0, after checking that the tracer wrapped the round stage's DP and
+    that undo restored every name of the modules it wraps."""
     from sinkcover import oracle, ptas
     tracing = _benchmark_tracing()
-    path = _gen(tmp_path, n=60, k=4, extent=20.0, seed=7)
-    out = tmp_path / "sol.json"
     modules = (cli, oracle, ptas)
     before = [dict(vars(mod)) for mod in modules]
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
         assert ptas.solve_cell is not before[2]["solve_cell"]
-        assert run(["solve", "--in", str(path), "--m", "4", "--out", str(out)]) == 0
+        assert run(argv) == 0
     finally:
         undo()
-    counts = tracer.counts
+    for mod, saved in zip(modules, before):
+        assert all(vars(mod)[k] is v for k, v in saved.items()), mod.__name__
+    return tracer.counts
+
+
+def test_benchmark_tracer_counts_a_sparse_solve(tmp_path):
+    # The benchmark's tracer wraps the round stage's names from outside
+    # src/ and reads counts off what they return: cells, pools and DP
+    # calls are seen, the DP's states add up to the solution's echo, no
+    # call is counted as an escalation, and undo restores every name.
+    path = _gen(tmp_path, n=60, k=4, extent=20.0, seed=7)
+    out = tmp_path / "sol.json"
+    counts = _traced_run(["solve", "--in", str(path), "--m", "4", "--out", str(out)])
     for name in ("grid.cells", "grid.pool_sum", "strip_dp.calls", "strip_dp.subsets"):
         assert counts[name] > 0, name
     assert counts["strip_dp.subsets"] == \
         read_solution(out).config["counters"]["subsets_enumerated"]
     assert counts["strip_dp.escalations"] == 0
-    for mod, saved in zip(modules, before):
-        assert all(vars(mod)[k] is v for k, v in saved.items()), mod.__name__
+
+
+def test_benchmark_tracer_counts_an_audit(tmp_path):
+    # An audit op, traced the same way: the tracer reads the branch and
+    # bound's nodes and the grid sweep's points off the oracles' results,
+    # and the points are the report's.
+    path = _gen(tmp_path, n=12, k=2, extent=6.0, seed=3)
+    report = tmp_path / "audit.json"
+    counts = _traced_run(["audit", "--in", str(path), "--m", "4", "--out", str(report)])
+    refine = {r["algorithm"]: r for r in json.loads(report.read_text())}["refine-audit"]
+    assert counts["oracle.exact.nodes"] > 0
+    assert counts["oracle.grid_audit.points"] == refine["counters"]["grid_points"]
 
 
 def test_audit_refuses_more_targets_than_mask_bits(tmp_path, capsys):

@@ -11,7 +11,12 @@ from reference_grid import reference_cells
 from sinkcover.geometry import COVER_TOL, Point
 from sinkcover.grid import (Cell, Grid, anchored_keys, bounding_box, cell_keys,
                            cells_for_shift, strips_of_cell)
-from sinkcover.sites import Instance, coverers_by_target, generate_candidate_sites
+from sinkcover.sites import Instance, coverers, generate_candidate_sites
+
+
+def _coverers(inst):
+    """Each target's coverers among the instance's unpruned candidate sites."""
+    return coverers(generate_candidate_sites(inst).columns()[1])
 
 
 def _uniform_instance(seed, n=8, k=2, extent=10.0, r=1.0):
@@ -111,7 +116,7 @@ def test_shift_boundary_positions_cycle():
 
 def test_strip_count_and_width():
     inst = _uniform_instance(2, n=30)
-    coverers = coverers_by_target(generate_candidate_sites(inst))
+    coverers = _coverers(inst)
     width = 2.0 * inst.r
     for m in (2, 3):
         g = bounding_box(inst, m)
@@ -160,7 +165,7 @@ def test_cell_keys_name_the_cell_each_point_is_binned_into():
 def test_strips_partition_cell_targets():
     for seed in range(8):
         inst = _uniform_instance(seed, n=10)
-        coverers = coverers_by_target(generate_candidate_sites(inst))
+        coverers = _coverers(inst)
         g = bounding_box(inst, 3)
         for f in range(3):
             for cell in bin_points(g, inst.targets, f):
@@ -179,12 +184,12 @@ def test_site_spanning_two_strips_in_both_pools():
     # The second and third targets straddle the strip boundary at
     # min_x + 2r; their shared coverers must appear in both pools.
     inst = Instance.from_coords([(0.0, 0.0), (1.9, 0.0), (2.1, 0.0)], [(0, 0)], 1.0)
-    sites = generate_candidate_sites(inst)
+    covers = generate_candidate_sites(inst).columns()[1]
     g = bounding_box(inst, 2)
     (cell,) = bin_points(g, inst.targets, 0)
-    s1, s2 = strips_of_cell(cell, coverers_by_target(sites))
+    s1, s2 = strips_of_cell(cell, coverers(covers))
     assert 1 in s1.target_indices and 2 in s2.target_indices
-    both = [i for i, s in enumerate(sites) if s.covered >= {1, 2}]
+    both = [i for i, cov in enumerate(covers) if {1, 2} <= set(cov)]
     assert both
     for i in both:
         assert i in s1.site_pool and i in s2.site_pool
@@ -193,7 +198,7 @@ def test_site_spanning_two_strips_in_both_pools():
 def test_no_pool_shared_across_nonadjacent_strips():
     for seed in range(6):
         inst = _uniform_instance(seed, n=10, extent=6.0)
-        coverers = coverers_by_target(generate_candidate_sites(inst))
+        coverers = _coverers(inst)
         g = bounding_box(inst, 4)
         for cell in bin_points(g, inst.targets, 0):
             strips = strips_of_cell(cell, coverers)
@@ -225,7 +230,7 @@ def test_no_site_in_the_pools_of_strips_two_apart(offset):
             rng.uniform(1e-12, 1e-9), rng.random() < 0.5), m))
     for inst, m in cases:
         inst = _translated(inst, offset)
-        coverers = coverers_by_target(generate_candidate_sites(inst))
+        coverers = _coverers(inst)
         g = bounding_box(inst, m)
         for f in range(m):
             for cell in bin_points(g, inst.targets, f):

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_oracle import full_grid_global_audit, full_grid_sites
+from site_records import pruned_sites, site_columns
 
 from sinkcover import oracle
 from sinkcover.oracle import exact_min_cost_cover, grid_refine_audit
@@ -30,8 +31,8 @@ def _reference_rows(inst, step):
 def _assert_matches_reference(inst, step):
     rows, points = _sweep_rows(inst, step)
     assert (rows, points) == _reference_rows(inst, step)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    rep = grid_refine_audit(inst, sites, step)
+    columns = prune_dominated(generate_candidate_sites(inst)).columns()
+    rep = grid_refine_audit(inst, *columns, step)
     assert (rep.grid_candidate_points, rep.distinct_cover_sets) == (points, len(rows))
     assert rep.undominated == 0, rep
 
@@ -106,11 +107,10 @@ def test_passing_dominance_audit_implies_the_global_check(case, seed):
     # Candidates dropped at random make some draws fail the dominance
     # audit; every draw that passes it must pass the global check too.
     inst, step = case
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
     rng = random.Random(seed)
-    sites = [s for s in sites if rng.random() >= 0.1]
-    if grid_refine_audit(inst, sites, step).undominated == 0:
-        opt = exact_min_cost_cover(inst.n, sites).cost
+    columns = site_columns([s for s in pruned_sites(inst) if rng.random() >= 0.1])
+    if grid_refine_audit(inst, *columns, step).undominated == 0:
+        opt = exact_min_cost_cover(inst.n, *columns).cost
         assert full_grid_global_audit(inst, opt, step).ok_lower
 
 
@@ -122,11 +122,10 @@ def test_dominance_flags_more_dropped_candidates_than_the_global_check():
         rng = random.Random(f"drop-10/{i}")
         pts = [(rng.uniform(0, 4.0), rng.uniform(0, 4.0)) for _ in range(10)]
         inst = Instance.from_coords(pts[:8], pts[8:], 1.0)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        sites = [s for s in sites if rng.random() >= 0.1]
-        if grid_refine_audit(inst, sites, 1.0 / 50).undominated:
+        columns = site_columns([s for s in pruned_sites(inst) if rng.random() >= 0.1])
+        if grid_refine_audit(inst, *columns, 1.0 / 50).undominated:
             by_dominance.add(i)
-        opt = exact_min_cost_cover(inst.n, sites).cost
+        opt = exact_min_cost_cover(inst.n, *columns).cost
         if not full_grid_global_audit(inst, opt, 1.0 / 50).ok_lower:
             by_global.add(i)
     assert by_global < by_dominance, (sorted(by_global), sorted(by_dominance))

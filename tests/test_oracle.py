@@ -9,13 +9,9 @@ from sinkcover.geometry import Point
 from sinkcover.instances_io import gen_counterexample, gen_uniform
 from census import strip_sensor_census
 from reference_oracle import full_grid_global_audit, greedy_cover_rescan
+from site_records import CandidateSite, pruned_sites, site_columns
 from sinkcover.oracle import exact_min_cost_cover, greedy_cover, grid_refine_audit
-from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
-                             prune_dominated)
-
-
-def _site(cov, w):
-    return CandidateSite(Point(float(w), 0.0), frozenset(cov), float(w), 0)
+from sinkcover.sites import Instance
 
 
 def _sites(spec):
@@ -36,13 +32,13 @@ def _exhaustive(target_count, sites):
 
 
 def test_exact_single_site():
-    res = exact_min_cost_cover(1, _sites([({0}, 4.0)]))
+    res = exact_min_cost_cover(1, [4.0], [[0]])
     assert res.cost == 4.0 and res.proven_optimal
 
 
 def test_exact_prefers_shared_site():
     sites = _sites([({0}, 1.0), ({1}, 1.0), ({0, 1}, 1.5)])
-    res = exact_min_cost_cover(2, sites)
+    res = exact_min_cost_cover(2, *site_columns(sites))
     assert res.cost == pytest.approx(1.5)
     assert res.site_indices == {2}
     assert _exhaustive(2, sites) == pytest.approx(1.5)
@@ -52,27 +48,27 @@ def test_exact_tie_goes_to_least_site_tuple():
     # Both covers cost 2.0: {1, 2} is found first, then (0,) wins the tie
     # as the lesser tuple of site indices.
     sites = _sites([({0, 1}, 2.0), ({0}, 1.0), ({1}, 1.0)])
-    res = exact_min_cost_cover(2, sites)
+    res = exact_min_cost_cover(2, *site_columns(sites))
     assert res.cost == 2.0 and res.site_indices == {0}
     assert res.nodes_explored == 5
 
 
 def test_exact_counterexample_family():
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    res = exact_min_cost_cover(inst.n, sites)
+    sites = pruned_sites(inst)
+    res = exact_min_cost_cover(inst.n, *site_columns(sites))
     assert res.cost == pytest.approx(0.03, rel=1e-9)
     assert len(res.site_indices) == 3
 
 
 def test_exact_infeasible_names_target():
-    res = exact_min_cost_cover(2, _sites([({0}, 1.0)]))
+    res = exact_min_cost_cover(2, [1.0], [[0]])
     assert not res.feasible
     assert res.infeasible_target == 1
 
 
 def test_exact_empty_universe():
-    res = exact_min_cost_cover(0, [])
+    res = exact_min_cost_cover(0, [], [])
     assert res.cost == 0.0 and res.feasible
 
 
@@ -88,32 +84,32 @@ def test_exact_matches_exhaustive_randomized():
         for i in range(t):
             spec.append(({i}, rng.uniform(0, 5)))
         sites = _sites(spec)
-        res = exact_min_cost_cover(t, sites)
+        res = exact_min_cost_cover(t, *site_columns(sites))
         assert res.cost == pytest.approx(_exhaustive(t, sites), rel=1e-12)
 
 
 def test_exact_cost_stable_under_shuffle():
     rng = random.Random(23)
     inst = gen_uniform(8, 2, 1.0, 8.0, 5)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    base = exact_min_cost_cover(inst.n, sites)
+    sites = pruned_sites(inst)
+    base = exact_min_cost_cover(inst.n, *site_columns(sites))
     for _ in range(5):
         perm = list(range(len(sites)))
         rng.shuffle(perm)
         shuffled = [sites[i] for i in perm]
-        res = exact_min_cost_cover(inst.n, shuffled)
+        res = exact_min_cost_cover(inst.n, *site_columns(shuffled))
         assert res.cost == pytest.approx(base.cost, rel=1e-12, abs=1e-12)
 
 
 def test_greedy_single_site_covers_all():
     sites = _sites([({0, 1}, 2.0)])
-    res = greedy_cover(2, sites)
+    res = greedy_cover(2, *site_columns(sites))
     assert res.site_indices == {0} and not res.proven_optimal
 
 
 def test_greedy_picks_cheap_singletons():
     sites = _sites([({0}, 1.0), ({1}, 1.0), ({0, 1}, 2.5)])
-    res = greedy_cover(2, sites)
+    res = greedy_cover(2, *site_columns(sites))
     assert res.cost == pytest.approx(2.0)
     assert res.site_indices == {0, 1}
 
@@ -128,19 +124,20 @@ def test_greedy_picks_match_the_rescan():
                      rng.choice([0, 1, 2, 3, 6]))
                     for _ in range(rng.randint(1, 3 * n))]
             sites = _sites(spec)
-            assert greedy_cover(n, sites) == greedy_cover_rescan(n, sites)
+            assert greedy_cover(n, *site_columns(sites)) == greedy_cover_rescan(n, sites)
     for seed in range(6):
         inst = gen_uniform(40 + 20 * seed, 3, 1.0, 12.0, seed + 900)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        assert greedy_cover(inst.n, sites) == greedy_cover_rescan(inst.n, sites)
+        sites = pruned_sites(inst)
+        assert greedy_cover(inst.n, *site_columns(sites)) == \
+            greedy_cover_rescan(inst.n, sites)
 
 
 def test_greedy_never_beats_exact():
     for seed in range(15):
         inst = gen_uniform(seed % 8 + 1, 1 + seed % 2, 1.0, 8.0, seed)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        g = greedy_cover(inst.n, sites)
-        e = exact_min_cost_cover(inst.n, sites)
+        sites = pruned_sites(inst)
+        g = greedy_cover(inst.n, *site_columns(sites))
+        e = exact_min_cost_cover(inst.n, *site_columns(sites))
         assert g.cost >= e.cost - 1e-12
 
 
@@ -148,12 +145,12 @@ def test_grid_refine_single_target_converges():
     # One target, one station outside the detection circle: both optima
     # approach station distance minus r as the pitch shrinks.
     inst = Instance.from_coords([(0, 0)], [(4, 0)], 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    opt = exact_min_cost_cover(inst.n, sites).cost
+    sites = pruned_sites(inst)
+    opt = exact_min_cost_cover(inst.n, *site_columns(sites)).cost
     assert opt == pytest.approx(3.0, rel=1e-12)
     gaps = []
     for step in (0.2, 0.1, 0.05):
-        assert grid_refine_audit(inst, sites, step).undominated == 0
+        assert grid_refine_audit(inst, *site_columns(sites), step).undominated == 0
         rep = full_grid_global_audit(inst, opt, step)
         assert rep.ok_lower
         gaps.append(rep.gap)
@@ -165,9 +162,9 @@ def test_grid_refine_single_target_converges():
 def test_grid_refine_randomized_bounds():
     for seed in range(6):
         inst = gen_uniform(seed % 4 + 1, 1 + seed % 2, 1.0, 5.0, seed)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        opt = exact_min_cost_cover(inst.n, sites).cost
-        assert grid_refine_audit(inst, sites, 1.0 / 100).undominated == 0
+        sites = pruned_sites(inst)
+        opt = exact_min_cost_cover(inst.n, *site_columns(sites)).cost
+        assert grid_refine_audit(inst, *site_columns(sites), 1.0 / 100).undominated == 0
         rep = full_grid_global_audit(inst, opt, 1.0 / 100)
         assert rep.ok_lower
         assert rep.discrete_opt <= rep.grid_opt + 0.04 * max(rep.grid_solution_size, 1)
@@ -177,7 +174,7 @@ def test_grid_refine_randomized_bounds():
 def test_grid_refine_rejects_bad_step(step):
     inst = Instance.from_coords([(0, 0)], [(4, 0)], 1.0)
     with pytest.raises(ValueError, match="step must be positive and finite"):
-        grid_refine_audit(inst, list(prune_dominated(generate_candidate_sites(inst))), step)
+        grid_refine_audit(inst, *site_columns(pruned_sites(inst)), step)
 
 
 def test_exact_and_grid_audit_leave_no_cyclic_garbage():
@@ -187,16 +184,16 @@ def test_exact_and_grid_audit_leave_no_cyclic_garbage():
     rng = random.Random("audit-12/1751/0")
     pts = [(rng.uniform(0, 6.0), rng.uniform(0, 6.0)) for _ in range(14)]
     inst = Instance.from_coords(pts[:12], pts[12:], 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
+    columns = site_columns(pruned_sites(inst))
     # Warm up first-call caches.
-    exact_min_cost_cover(inst.n, sites)
-    grid_refine_audit(inst, sites, 0.005)
+    exact_min_cost_cover(inst.n, *columns)
+    grid_refine_audit(inst, *columns, 0.005)
     gc.collect()
     gc.disable()
     try:
-        res = exact_min_cost_cover(inst.n, sites)
+        res = exact_min_cost_cover(inst.n, *columns)
         assert gc.collect() == 0
-        rep = grid_refine_audit(inst, sites, 0.005)
+        rep = grid_refine_audit(inst, *columns, 0.005)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -213,8 +210,8 @@ def test_census_single_sensor():
 
 def test_census_counterexample_cluster():
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    res = exact_min_cost_cover(inst.n, sites)
+    sites = pruned_sites(inst)
+    res = exact_min_cost_cover(inst.n, *site_columns(sites))
     pos = [sites[i].position for i in sorted(res.site_indices)]
     rep = strip_sensor_census(inst, pos, 4)
     assert 1 <= rep.max_per_strip <= 3
@@ -274,8 +271,8 @@ def test_census_clustered_stations():
     inst = Instance.from_coords(
         [(0, 0), (0.1, 2.2)],
         [(0.0, 1.0), (0.05, 1.1)], 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    res = exact_min_cost_cover(inst.n, sites)
+    sites = pruned_sites(inst)
+    res = exact_min_cost_cover(inst.n, *site_columns(sites))
     pos = [sites[i].position for i in sorted(res.site_indices)]
     rep = strip_sensor_census(inst, pos, 2)
     assert rep.max_per_strip >= 1

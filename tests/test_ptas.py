@@ -9,17 +9,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from reference_oracle import milp_min_cost_cover
 from reference_ptas import anchored_cells, components, every_cell_costs
+from site_records import CandidateSite, site_columns, site_records, site_table
 
 from sinkcover.geometry import COVER_TOL
 from sinkcover.grid import bounding_box
 from sinkcover.instances_io import gen_uniform, write_solution
 from sinkcover.oracle import exact_min_cost_cover
 from sinkcover import ptas, strip_dp
-from sinkcover import sites as sites_module
 from sinkcover.ptas import (MAX_ROUNDS, PtasConfig, shift_average_audit, solve,
                             verify_solution)
-from sinkcover.sites import (CandidateSite, Instance, generate_candidate_sites,
-                             prune_dominated)
+from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
 from sinkcover.strip_dp import StateBudgetError
 
 
@@ -81,9 +80,9 @@ def test_solve_requires_targets():
 
 
 def _sandwich(inst, m):
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    opt = exact_min_cost_cover(inst.n, sites).cost
-    sol = solve(inst, PtasConfig(m=m), sites=sites)
+    table = prune_dominated(generate_candidate_sites(inst))
+    opt = exact_min_cost_cover(inst.n, *table.columns()).cost
+    sol = solve(inst, PtasConfig(m=m), sites=table)
     return opt, sol
 
 
@@ -126,7 +125,7 @@ def test_costs_equal_every_cell_reference(n, k, extent, m):
         raw = generate_candidate_sites(inst)
         for table in (prune_dominated(raw), raw):
             sol = solve(inst, PtasConfig(m=m), sites=table)
-            rounds, per_component = every_cell_costs(inst, m, list(table))
+            rounds, per_component = every_cell_costs(inst, m, site_records(table))
             assert sol.per_round_costs == rounds
             assert sol.total_cost == min(per_component, min(rounds))
 
@@ -135,9 +134,9 @@ def test_costs_equal_every_cell_reference(n, k, extent, m):
        st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4, 6]))
 def test_solve_lies_between_the_optimum_and_its_cheapest_round(n, k, extent, seed, m):
     inst = gen_uniform(n, k, 1.0, extent, seed)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    opt = exact_min_cost_cover(inst.n, sites).cost
-    sol = solve(inst, PtasConfig(m=m), sites=sites)
+    table = prune_dominated(generate_candidate_sites(inst))
+    opt = exact_min_cost_cover(inst.n, *table.columns()).cost
+    sol = solve(inst, PtasConfig(m=m), sites=table)
     assert verify_solution(inst, sol.placements)
     assert sol.total_cost == sum(p.weight for p in sol.placements)
     assert opt * (1 - 1e-9) - 1e-12 <= sol.total_cost <= min(sol.per_round_costs)
@@ -218,14 +217,15 @@ def test_anchored_component_costs_its_exact_optimum(n, k, extent, seed, m):
     # bound over its own sites proves optimal, both summed in ascending
     # site order.
     inst = gen_uniform(n, k, 1.0, extent, seed)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    sol = solve(inst, PtasConfig(m=m), sites=sites)
+    table = prune_dominated(generate_candidate_sites(inst))
+    sites = site_records(table)
+    sol = solve(inst, PtasConfig(m=m), sites=table)
     layout = anchored_cells(inst, m, sites)
     assert sol.config["counters"]["anchored"] == sum(c is not None for _, c in layout)
     for group, cell in layout:
         if cell is not None:
             own = _own(sites, group)
-            exact = exact_min_cost_cover(len(group), own)
+            exact = exact_min_cost_cover(len(group), *site_columns(own))
             assert _paid(sol, sites, group) == \
                 sum(own[i].weight for i in sorted(exact.site_indices))
 
@@ -238,8 +238,9 @@ def test_anchored_components_cost_the_milp_optimum():
     checked = 0
     for seed in range(20):
         inst = gen_uniform(400, 10, 1.0, 63.25, seed + 1)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        sol = solve(inst, PtasConfig(m=4), sites=sites)
+        table = prune_dominated(generate_candidate_sites(inst))
+        sites = site_records(table)
+        sol = solve(inst, PtasConfig(m=4), sites=table)
         ref = milp_min_cost_cover(inst.n, sites)
         assert ref.proven_optimal
         picked = sorted(ref.site_indices)
@@ -256,12 +257,13 @@ def test_component_inside_one_cell_is_solved_to_its_optimum():
     for seed in range(8):
         m = 2 + seed % 3
         inst = gen_uniform(40, 3, 1.0, 18.0, seed + 500)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        sol = solve(inst, PtasConfig(m=m), sites=sites)
+        table = prune_dominated(generate_candidate_sites(inst))
+        sites = site_records(table)
+        sol = solve(inst, PtasConfig(m=m), sites=table)
         for group in components(inst.n, sites):
             if all(len(_cells_of(inst, group, m, f)) > 1 for f in range(m)):
                 continue
-            opt = exact_min_cost_cover(len(group), _own(sites, group)).cost
+            opt = exact_min_cost_cover(len(group), *site_columns(_own(sites, group))).cost
             assert _paid(sol, sites, group) == pytest.approx(opt, rel=1e-9, abs=1e-12)
             checked += 1
     assert checked > 50
@@ -282,8 +284,9 @@ def test_config_counts_components_and_spanning_pairs():
                                                     (60, 20.0, 3), (30, 12.0, 1)])]
     counted = []
     for inst, m in drawn + [(inst, 2) for inst in _chains_one_cell_wide()]:
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        counters = solve(inst, PtasConfig(m=m), sites=sites).config["counters"]
+        table = prune_dominated(generate_candidate_sites(inst))
+        sites = site_records(table)
+        counters = solve(inst, PtasConfig(m=m), sites=table).config["counters"]
         layout = anchored_cells(inst, m, sites)
         assert counters["components"] == len(layout)
         assert counters["anchored"] == sum(cell is not None for _, cell in layout)
@@ -321,7 +324,8 @@ def test_lone_targets_of_a_spanning_component_skip_the_dp(monkeypatch):
     # component of its own.
     inst = Instance.from_coords([(0.5, 0.0), (2.4, 0.0), (4.3, 0.0), (-5.3, -5.3)],
                                 [(3.0, 0.0)], 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
+    table = prune_dominated(generate_candidate_sites(inst))
+    sites = site_records(table)
     assert [len(g) for g in components(inst.n, sites)] == [3, 1]
     assert _cells_of(inst, {0, 1, 2}, 1, 0) == {(3, 3), (4, 3), (5, 3)}
     calls = []
@@ -331,7 +335,7 @@ def test_lone_targets_of_a_spanning_component_skip_the_dp(monkeypatch):
         return strip_dp.solve_cell(strips, *columns)
 
     monkeypatch.setattr(ptas, "solve_cell", counting)
-    sol = solve(inst, PtasConfig(m=1), sites=sites)
+    sol = solve(inst, PtasConfig(m=1), sites=table)
     assert calls == []
     assert sol.per_round_costs == every_cell_costs(inst, 1, sites)[0]
     assert verify_solution(inst, sol.placements)
@@ -399,13 +403,15 @@ def test_verify_solution_matches_all_pairs_check(case):
 @pytest.mark.parametrize("n, k, extent, m", [(400, 10, 63.25, 4), (14, 2, 8.0, 4),
                                              (60, 2, 8.0, 2), (120, 4, 30.0, 1)])
 def test_solve_on_columns_matches_solve_on_site_objects(tmp_path, n, k, extent, m):
-    # The table `prune_dominated` returns and the list of its sites give the
-    # same solution, field for field and byte for byte.
+    # The table `prune_dominated` returns and the table rebuilt from its
+    # sites as records give the same solution, field for field and byte for
+    # byte.
     for seed in range(2):
         inst = gen_uniform(n, k, 1.0, extent, seed + 80)
         config = PtasConfig(m=m)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        on_columns, on_objects = solve(inst, config), solve(inst, config, sites=sites)
+        sites = site_records(prune_dominated(generate_candidate_sites(inst)))
+        on_columns = solve(inst, config)
+        on_objects = solve(inst, config, sites=site_table(sites))
         assert on_columns == on_objects
         write_solution(tmp_path / "columns.json", on_columns)
         write_solution(tmp_path / "objects.json", on_objects)
@@ -413,20 +419,21 @@ def test_solve_on_columns_matches_solve_on_site_objects(tmp_path, n, k, extent, 
                 == (tmp_path / "objects.json").read_bytes())
 
 
-def test_solve_builds_no_candidate_site(monkeypatch):
+def test_solve_builds_a_placement_for_each_chosen_site_only(monkeypatch):
+    # Sites stay columns through the solve: the only object built per site
+    # is a chosen row's Placement.
     built = []
 
-    class Counted(CandidateSite):
+    class Counted(ptas.Placement):
         def __init__(self, *args):
             built.append(self)
             super().__init__(*args)
 
-    monkeypatch.setattr(sites_module, "CandidateSite", Counted)
-    monkeypatch.setattr(ptas, "CandidateSite", Counted)
+    monkeypatch.setattr(ptas, "Placement", Counted)
     for n, k, extent in ((400, 10, 63.25), (30, 2, 8.0)):
+        built.clear()
         sol = solve(gen_uniform(n, k, 1.0, extent, 5), PtasConfig(m=4))
-        assert sol.placements
-    assert built == []
+        assert sol.placements and built == list(sol.placements)
 
 
 def test_solution_deterministic_serialization(tmp_path):
@@ -439,9 +446,9 @@ def test_solution_deterministic_serialization(tmp_path):
 
 def test_two_targets_without_joint_coverer_solve_to_optimum():
     inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5.0, 5.0)], 0.5)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    opt = exact_min_cost_cover(inst.n, sites).cost
-    sol = solve(inst, PtasConfig(m=2), sites=sites)
+    table = prune_dominated(generate_candidate_sites(inst))
+    opt = exact_min_cost_cover(inst.n, *table.columns()).cost
+    sol = solve(inst, PtasConfig(m=2), sites=table)
     assert sol.total_cost == pytest.approx(opt, rel=1e-9)
 
 
@@ -450,9 +457,9 @@ def test_boundary_site_deduplicated_across_cells():
     # for some round; the union must instantiate it once.
     inst = Instance.from_coords([(0.0, 0.0), (1.0, 0.0), (7.9, 0.0), (8.1, 0.0)],
                                 [(8.0, 3.0)], 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    opt = exact_min_cost_cover(inst.n, sites).cost
-    sol = solve(inst, PtasConfig(m=2), sites=sites)
+    table = prune_dominated(generate_candidate_sites(inst))
+    opt = exact_min_cost_cover(inst.n, *table.columns()).cost
+    sol = solve(inst, PtasConfig(m=2), sites=table)
     positions = [(p.position.x, p.position.y) for p in sol.placements]
     assert len(positions) == len(set(positions))
     assert sol.total_cost <= (1 + 4 / 2) * opt * (1 + 1e-9)
@@ -467,10 +474,10 @@ def test_shift_average_audit_all_equal():
 def test_shift_average_audit_randomized():
     for seed in range(10):
         inst = gen_uniform(seed % 10 + 1, 1 + seed % 2, 1.0, 10.0, seed + 100)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        opt = exact_min_cost_cover(inst.n, sites).cost
+        table = prune_dominated(generate_candidate_sites(inst))
+        opt = exact_min_cost_cover(inst.n, *table.columns()).cost
         for m in (2, 4):
-            sol = solve(inst, PtasConfig(m=m), sites=sites)
+            sol = solve(inst, PtasConfig(m=m), sites=table)
             rep = shift_average_audit(sol.per_round_costs, opt)
             assert rep.ok, f"seed={seed} m={m}: {rep}"
 
@@ -482,10 +489,10 @@ def test_shift_average_margin_trend():
     margins = {m: [] for m in (2, 4, 8)}
     for seed in range(8):
         inst = gen_uniform(seed % 6 + 3, 1, 1.0, 10.0, seed + 40)
-        sites = list(prune_dominated(generate_candidate_sites(inst)))
-        opt = exact_min_cost_cover(inst.n, sites).cost
+        table = prune_dominated(generate_candidate_sites(inst))
+        opt = exact_min_cost_cover(inst.n, *table.columns()).cost
         for m in margins:
-            sol = solve(inst, PtasConfig(m=m), sites=sites)
+            sol = solve(inst, PtasConfig(m=m), sites=table)
             rep = shift_average_audit(sol.per_round_costs, opt)
             margins[m].append(rep.margin)
     mean = {m: sum(v) / len(v) for m, v in margins.items()}
@@ -495,8 +502,9 @@ def test_shift_average_margin_trend():
 
 def test_counters_exposed():
     inst = gen_uniform(6, 1, 1.0, 8.0, 9)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    sol = solve(inst, PtasConfig(m=2), sites=sites)
+    table = prune_dominated(generate_candidate_sites(inst))
+    sites = site_records(table)
+    sol = solve(inst, PtasConfig(m=2), sites=table)
     states = sol.config["counters"]["subsets_enumerated"]
     assert 0 < states <= solve_state_bound(inst, sol, sites)
 
@@ -546,13 +554,14 @@ def test_over_budget_anchored_cell_falls_back_to_the_rounds(monkeypatch):
     # cell is one strip of four targets and needs more than 4 states; the
     # round splits it into two cells of two targets, each within 4.
     inst = _four_across_a_line()
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
+    table = prune_dominated(generate_candidate_sites(inst))
+    sites = site_records(table)
     assert [len(g) for g in components(inst.n, sites)] == [1, 4]
-    anchored = solve(inst, PtasConfig(m=1), sites=sites)
+    anchored = solve(inst, PtasConfig(m=1), sites=table)
     assert anchored.config["counters"]["anchored"] == 2
-    assert anchored.total_cost == exact_min_cost_cover(inst.n, sites).cost
+    assert anchored.total_cost == exact_min_cost_cover(inst.n, *table.columns()).cost
     monkeypatch.setattr(strip_dp, "STATE_BUDGET", 4)
-    sol = solve(inst, PtasConfig(m=1), sites=sites)
+    sol = solve(inst, PtasConfig(m=1), sites=table)
     assert sol.config["counters"]["anchored"] == 1
     assert sol.config["counters"]["spanning"] == 1
     rounds, per_component = every_cell_costs(inst, 1, sites)
@@ -564,4 +573,4 @@ def test_over_budget_anchored_cell_falls_back_to_the_rounds(monkeypatch):
     monkeypatch.setattr(strip_dp, "STATE_BUDGET", 3)
     with pytest.raises(StateBudgetError,
                        match=r"^shift 0, cell \(2, 1\): the cell needs more than 3 DP states"):
-        solve(inst, PtasConfig(m=1), sites=sites)
+        solve(inst, PtasConfig(m=1), sites=table)

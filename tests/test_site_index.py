@@ -12,13 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_sites import (all_pairs_candidate_sites, all_pairs_prune,
                              math_hypot_candidate_table)
+from site_records import CandidateSite, site_records, site_table
 
 from sinkcover import sites as sites_module
 from sinkcover.geometry import COVER_TOL, Point, near_pairs
 from sinkcover.instances_io import gen_uniform
 from sinkcover.ptas import verify_solution
-from sinkcover.sites import (CandidateSite, CandidateTable, Instance,
-                             generate_candidate_sites, prune_dominated)
+from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
 
 LAYOUTS = ("uniform", "one_box", "clustered", "collinear", "coincident", "two_r")
 
@@ -80,15 +80,19 @@ def instances(draw):
                                 [(x + offset, y + offset) for x, y in stations], r)
 
 
-def _same(got, want):
+def _same(table, want):
+    """Assert that the table's sites are the list `want`, and return them
+    as records."""
     # repr tells 0.0 from -0.0, which == does not; the repr of a covered
     # set depends on the order its targets were added, so only positions
     # and weights are compared by repr.  Comparing site by site reports the
     # first difference; a diff of two whole-list reprs takes pytest minutes.
+    got = site_records(table)
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert ((g, repr(g.position), repr(g.weight))
                 == (w, repr(w.position), repr(w.weight))), f"site {i}"
+    return got
 
 
 @given(instances())
@@ -101,9 +105,9 @@ def test_generate_matches_all_pairs(inst):
 @given(instances(), st.randoms(use_true_random=False))
 def test_prune_matches_all_pairs(inst, rnd):
     sites = all_pairs_candidate_sites(inst)
-    _same(prune_dominated(CandidateTable.from_sites(sites)), all_pairs_prune(sites))
+    _same(prune_dominated(site_table(sites)), all_pairs_prune(sites))
     rnd.shuffle(sites)
-    _same(prune_dominated(CandidateTable.from_sites(sites)), all_pairs_prune(sites))
+    _same(prune_dominated(site_table(sites)), all_pairs_prune(sites))
 
 
 @st.composite
@@ -135,7 +139,7 @@ def site_lists(draw):
 
 @given(site_lists())
 def test_prune_matches_all_pairs_on_hand_made_sites(sites):
-    _same(prune_dominated(CandidateTable.from_sites(sites)), all_pairs_prune(sites))
+    _same(prune_dominated(site_table(sites)), all_pairs_prune(sites))
 
 
 @given(site_lists())
@@ -144,7 +148,7 @@ def test_prune_matches_all_pairs_when_every_row_hashes_alike(sites):
     # by covered set, member for member.
     with mock.patch.object(sites_module, "_row_hashes",
                            lambda table: np.zeros(len(table), dtype=np.uint64)):
-        _same(prune_dominated(CandidateTable.from_sites(sites)), all_pairs_prune(sites))
+        _same(prune_dominated(site_table(sites)), all_pairs_prune(sites))
 
 
 def test_prune_matches_all_pairs_on_a_draw_when_every_row_hashes_alike():
@@ -160,7 +164,7 @@ def _site(cov, w, pos):
 
 
 def _prune(sites):
-    return list(prune_dominated(CandidateTable.from_sites(sites)))
+    return site_records(prune_dominated(site_table(sites)))
 
 
 def test_prune_empty_coverage():
@@ -217,15 +221,15 @@ def test_generate_signed_zeros_follow_pair_order():
     _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
     # Stations are seen before targets: the station's 0.0 wins the merge.
     inst = Instance.from_coords([(-0.0, 0.0)], [(0.0, 0.0)], 1.0)
-    assert repr(generate_candidate_sites(inst)[0].position) == "Point(x=0.0, y=0.0)"
+    assert repr(site_records(generate_candidate_sites(inst))[0].position) == \
+        "Point(x=0.0, y=0.0)"
     _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
 
 
 def test_generate_station_at_subnormal_distance():
     # r / 2.2e-311 overflows, so the projection scales the unit vector.
     inst = Instance.from_coords([(0.0, 0.0)], [(0.0, 2.225073858507e-311)], 1.0)
-    sites = generate_candidate_sites(inst)
-    _same(sites, all_pairs_candidate_sites(inst))
+    sites = _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
     assert Point(0.0, 1.0) in {s.position for s in sites}
 
 
@@ -237,8 +241,7 @@ def test_distances_come_from_math_hypot():
     d = math.hypot(dx, dy)
     assert np.hypot(dx, dy) > d == r * (1.0 + COVER_TOL)
     inst = Instance.from_coords([(0.0, 0.0), (dx, dy)], [(0.0, 0.0)], r)
-    sites = generate_candidate_sites(inst)
-    _same(sites, all_pairs_candidate_sites(inst))
+    sites = _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
     on_target = next(s for s in sites if s.position == Point(dx, dy))
     assert on_target.covered == {0, 1} and on_target.weight == d
 
@@ -255,8 +258,7 @@ def test_nearest_station_settled_by_math_hypot(dx, dy):
     far = max(d, float(np.hypot(dx, dy)))
     assert np.hypot(dx, dy) != d and math.hypot(far, 0.0) == far
     inst = Instance.from_coords([(0.0, 0.0)], [(-far, 0.0), (-dx, -dy)], 1.0)
-    sites = generate_candidate_sites(inst)
-    _same(sites, all_pairs_candidate_sites(inst))
+    sites = _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
     on_target = next(s for s in sites if s.position == Point(0.0, 0.0))
     assert on_target.origin_station == (1 if d < far else 0) and on_target.weight == d
 
@@ -279,8 +281,7 @@ def test_nearest_station_tie_between_mirrored_stations():
     # squared distances from it are equal and the lower index must win.
     inst = Instance.from_coords([(0.375, 0.625)],
                                 [(9.0, 9.0), (0.625, 0.125), (0.125, 1.125)], 1.0)
-    sites = generate_candidate_sites(inst)
-    _same(sites, all_pairs_candidate_sites(inst))
+    sites = _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
     on_target = next(s for s in sites if s.position == Point(0.375, 0.625))
     assert on_target.origin_station == 1
 
@@ -303,8 +304,7 @@ def test_nearest_station_with_overflowing_squares(near):
     # one, when present, is the only finite square.
     stations = [(-1e154, 0.0), (0.0, -1e154)] + ([(1.2e154, 1.1e154)] if near else [])
     inst = Instance.from_coords([(1e154, 1e154), (1.1e154, 1e154)], stations, 1e153)
-    sites = generate_candidate_sites(inst)
-    _same(sites, all_pairs_candidate_sites(inst))
+    sites = _same(generate_candidate_sites(inst), all_pairs_candidate_sites(inst))
     assert {s.origin_station for s in sites} == ({2} if near else {0, 1})
 
 

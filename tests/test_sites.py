@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 from reference_geometry import covered_targets
+from site_records import CandidateSite, pruned_sites, site_records, site_table
 
-from sinkcover import sites as sites_module
 from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.sites import (CandidateSite, CandidateTable, Instance, _circle_pair_points,
+from sinkcover.sites import (CandidateTable, Instance, _circle_pair_points,
                              generate_candidate_sites, prune_dominated, site_weight)
 
 
@@ -43,7 +43,7 @@ def test_instance_requires_positive_radius():
 
 def test_generate_best_site_is_circle_projection():
     inst = Instance.from_coords([(0, 0)], [(5, 0)], 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
+    sites = pruned_sites(inst)
     assert len(sites) == 1
     best = sites[0]
     assert best.position == Point(1.0, 0.0)
@@ -62,7 +62,7 @@ def test_tangent_circle_pair_gives_its_signed_midpoint():
 
 def test_generate_station_inside_detection_circle():
     inst = Instance.from_coords([(0, 0)], [(0.5, 0)], 1.0)
-    sites = generate_candidate_sites(inst)
+    sites = site_records(generate_candidate_sites(inst))
     station_site = [s for s in sites if s.position == Point(0.5, 0.0)]
     assert len(station_site) == 1
     assert station_site[0].covered == {0}
@@ -95,7 +95,7 @@ def test_generate_recompute_invariant():
     inst = Instance.from_coords(
         [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(8)],
         [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(2)], 1.0)
-    for s in generate_candidate_sites(inst):
+    for s in site_records(generate_candidate_sites(inst)):
         assert s.covered == covered_targets(s.position, inst.targets, inst.r)
         w, i = site_weight(s.position, inst.stations)
         assert s.weight == w and s.origin_station == i
@@ -103,9 +103,9 @@ def test_generate_recompute_invariant():
 
 def test_generate_sorted_deterministic():
     inst = Instance.from_coords([(0, 0), (1.5, 0.2)], [(3, 3)], 1.0)
-    a = generate_candidate_sites(inst)
-    b = generate_candidate_sites(inst)
-    assert list(a) == list(b)
+    a = site_records(generate_candidate_sites(inst))
+    b = site_records(generate_candidate_sites(inst))
+    assert a == b
     keys = [(s.weight, s.position.x, s.position.y) for s in a]
     assert keys == sorted(keys)
 
@@ -115,7 +115,7 @@ def _site(cov, w, pos=(0.0, 0.0)):
 
 
 def _prune(sites):
-    return list(prune_dominated(CandidateTable.from_sites(sites)))
+    return site_records(prune_dominated(site_table(sites)))
 
 
 def test_prune_strict_domination():
@@ -137,15 +137,9 @@ def test_prune_tie_keeps_smaller_position():
     assert _prune([b, a]) == [a]
 
 
-def test_prune_builds_only_kept_sites(monkeypatch):
-    built = []
-
-    class Counted(CandidateSite):
-        def __init__(self, *args):
-            built.append(self)
-            super().__init__(*args)
-
-    monkeypatch.setattr(sites_module, "CandidateSite", Counted)
+def test_prune_returns_the_kept_rows_of_its_table():
+    # Pruning selects rows: the kept table shares the raw table's members,
+    # and its rows are raw rows, in row order.
     rng = random.Random(3)
     inst = Instance.from_coords(
         [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(40)],
@@ -154,10 +148,9 @@ def test_prune_builds_only_kept_sites(monkeypatch):
     kept = prune_dominated(table)
     assert 0 < len(kept) < len(table)
     assert isinstance(kept, CandidateTable) and kept.members is table.members
-    assert built == []
-    sites = list(kept)
-    assert len(built) == len(kept) == len(sites)
-    assert sites == [kept[i] for i in range(len(kept))]
+    raw = site_records(table)
+    rows = [raw.index(s) for s in site_records(kept)]
+    assert rows == sorted(rows)
 
 
 def test_prune_keeps_cover_for_every_target():
@@ -166,7 +159,7 @@ def test_prune_keeps_cover_for_every_target():
         inst = Instance.from_coords(
             [(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(6)],
             [(rng.uniform(0, 5), rng.uniform(0, 5))], 1.0)
-        pruned = list(prune_dominated(generate_candidate_sites(inst)))
+        pruned = pruned_sites(inst)
         covered = set()
         for s in pruned:
             covered |= s.covered
@@ -182,7 +175,6 @@ def test_prune_preserves_exact_optimum():
             [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(n)],
             [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(k)], 1.0)
         sites = generate_candidate_sites(inst)
-        pruned = list(prune_dominated(sites))
-        full = exact_min_cost_cover(inst.n, list(sites))
-        slim = exact_min_cost_cover(inst.n, pruned)
+        full = exact_min_cost_cover(inst.n, *sites.columns())
+        slim = exact_min_cost_cover(inst.n, *prune_dominated(sites).columns())
         assert slim.cost == pytest.approx(full.cost, rel=1e-12, abs=1e-12)

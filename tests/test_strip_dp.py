@@ -5,30 +5,30 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import bin_points, footprint_state_bound, site_columns
+from conftest import bin_points, footprint_state_bound
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_strip_dp import compatible, enumerate_strip_subsets, irredundant_footprints
+from site_records import CandidateSite, pruned_sites, site_columns
 
 from sinkcover import strip_dp
 from sinkcover.geometry import Point
 from sinkcover.grid import Cell, bounding_box, cells_for_shift, strips_of_cell
 from sinkcover.instances_io import gen_uniform
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.sites import (CandidateSite, Instance, coverers_by_target,
-                             generate_candidate_sites, prune_dominated)
+from sinkcover.sites import Instance, coverers
 from sinkcover.strip_dp import CellSolution, StateBudgetError, solve_cell
 
 INF = float("inf")
 
 
 def _single_cell(inst, m):
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
+    sites = pruned_sites(inst)
     g = bounding_box(inst, m)
     cells = bin_points(g, inst.targets, 0)
     assert len(cells) == 1
     cell = cells[0]
-    return cell, strips_of_cell(cell, coverers_by_target(sites)), sites
+    return cell, strips_of_cell(cell, coverers(site_columns(sites)[1])), sites
 
 
 def _dense_instance(seed, max_n=10, extent=3.8, k_choices=(1, 2)):
@@ -127,8 +127,8 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     # keys.
     inst = gen_uniform(30, 2, 1.0, 8.0, 2)
     m = 4
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
-    coverers = coverers_by_target(sites)
+    columns = site_columns(pruned_sites(inst))
+    by_target = coverers(columns[1])
     table = strip_dp._footprints
     keys = []
 
@@ -141,9 +141,9 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     g = bounding_box(inst, m)
     for f in range(m):
         for cell in bin_points(g, inst.targets, f):
-            strips = strips_of_cell(cell, coverers)
+            strips = strips_of_cell(cell, by_target)
             keys.clear()
-            res = solve_cell(strips, *site_columns(sites))
+            res = solve_cell(strips, *columns)
             assert res.counters.subsets_enumerated <= sum(keys), (f, cell.index)
 
 
@@ -162,7 +162,7 @@ def test_solve_cell_two_disjoint_targets():
     res = solve_cell(strips, *site_columns(sites))
     assert isinstance(res, CellSolution)
     assert res.cost == pytest.approx(1.0, rel=1e-12)
-    oracle = exact_min_cost_cover(inst.n, sites)
+    oracle = exact_min_cost_cover(inst.n, *site_columns(sites))
     assert res.cost == pytest.approx(oracle.cost, rel=1e-12)
 
 
@@ -170,7 +170,8 @@ def test_solve_cell_empty_cell():
     inst = Instance.from_coords([(1, 1)], [(0, 0)], 1.0)
     cell, _, sites = _single_cell(inst, 2)
     empty = Cell(index=(9, 9), strips=[])
-    res = solve_cell(strips_of_cell(empty, coverers_by_target(sites)), *site_columns(sites))
+    res = solve_cell(strips_of_cell(empty, coverers(site_columns(sites)[1])),
+                     *site_columns(sites))
     assert isinstance(res, CellSolution)
     assert res.cost == 0.0 and res.site_indices == []
 
@@ -205,7 +206,7 @@ def test_solve_cell_matches_oracle_randomized():
         _, strips, sites = _single_cell(inst, 2)
         res = solve_cell(strips, *site_columns(sites))
         assert isinstance(res, CellSolution)
-        oracle = exact_min_cost_cover(inst.n, sites)
+        oracle = exact_min_cost_cover(inst.n, *site_columns(sites))
         assert res.cost == pytest.approx(oracle.cost, rel=1e-9, abs=1e-12)
 
 
@@ -230,7 +231,7 @@ def test_solve_cell_two_targets_without_joint_coverer():
     _, strips, sites = _single_cell(inst, 2)
     res = solve_cell(strips, *site_columns(sites))
     assert len(res.site_indices) == 2
-    assert res.cost == exact_min_cost_cover(inst.n, sites).cost
+    assert res.cost == exact_min_cost_cover(inst.n, *site_columns(sites)).cost
 
 
 def test_solve_cell_counters_within_envelope():
@@ -329,13 +330,13 @@ def test_solve_cell_reproduces_forced_ring_optimum():
     from sinkcover.grid import Grid
     from sinkcover.instances_io import gen_counterexample
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
-    sites = list(prune_dominated(generate_candidate_sites(inst)))
+    columns = site_columns(pruned_sites(inst))
     x0 = min(t.x for t in inst.targets) - 1e-6
     y0 = min(t.y for t in inst.targets) - 1e-6
     (cell,) = bin_points(Grid(Point(x0, y0), 4, inst.r), inst.targets, 0)
     assert cell.index == (0, 0)
-    strips = strips_of_cell(cell, coverers_by_target(sites))
-    opt = exact_min_cost_cover(inst.n, sites).cost
-    res = solve_cell(strips, *site_columns(sites))
+    strips = strips_of_cell(cell, coverers(columns[1]))
+    opt = exact_min_cost_cover(inst.n, *columns).cost
+    res = solve_cell(strips, *columns)
     assert len(res.site_indices) == 3
     assert res.cost == pytest.approx(opt, rel=1e-9)
