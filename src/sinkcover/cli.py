@@ -218,6 +218,9 @@ def _cmd_audit(args) -> int:
     if exact is None:
         return 2
     grid = grid_refine_audit(inst, *columns, step)
+    if grid.missed:
+        raise ValueError(f"no point of the grid of pitch {step} covers "
+                         f"{grid.missed} of the {inst.n} targets")
     ok_grid = grid.undominated == 0
     print(f"refine: step {step:.9f} sets {grid.distinct_cover_sets} "
           f"undominated {grid.undominated} worst excess {grid.worst_excess:.3g} "

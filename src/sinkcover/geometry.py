@@ -14,6 +14,9 @@ import numpy as np
 # placements that sit exactly on a detection circle.
 COVER_TOL = 1e-9
 
+# Offsets that `hypot` converts to Python floats at a time.
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True, order=True)
 class Point:
@@ -33,8 +36,13 @@ def dist(p: Point, q: Point) -> float:
 def hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Elementwise `math.hypot`.  Numpy screens, and `math.hypot` settles
     every comparison in the band and every output weight: `np.hypot` can
-    differ from it in the last bit."""
-    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+    differ from it in the last bit.  The offsets go to Python floats a
+    chunk at a time, so no list as long as the input is built."""
+    out = np.empty(len(dx))
+    for i in range(0, len(dx), _CHUNK):
+        part = slice(i, i + _CHUNK)
+        out[part] = np.fromiter(map(math.hypot, dx[part].tolist(), dy[part].tolist()), float)
+    return out
 
 
 def within(dx: np.ndarray, dy: np.ndarray, reach: float) -> np.ndarray:
@@ -65,28 +73,42 @@ def near_pairs(qx, qy, px, py, radius: float) -> tuple[np.ndarray, np.ndarray]:
     and the term in the largest point coordinate absorbs that of the bucket
     quotients.
 
-    A bucket is keyed by the complex number bx + 1j * by of its integer
-    coordinates, which numpy sorts and searches lexicographically: with the
-    queries sorted by key, those in buckets bx, by - 1 .. by + 1 are one
-    run, found by two binary searches, so each point needs three runs.
+    That term, 2**-30 of the largest coordinate, also bounds every bucket
+    coordinate bx, by by 2**30 + 2 in absolute value, so the int64
+    bx * 2**32 + by keys each bucket exactly and sorts as (bx, by).  It
+    widens the buckets appreciably only where the largest coordinate
+    exceeds about 1e9 radius (there it matches the radius), where the
+    float spacing already dwarfs `COVER_TOL` * radius.  With the queries
+    sorted by key, those in buckets bx, by - 1 .. by + 1 are one run,
+    found by two binary searches, so each point needs three runs.
     Memory stays proportional to the pairs found.
     """
     scale = float(np.maximum.reduce(np.abs(np.concatenate((px, py))), initial=0.0))
-    side = radius * (1.0 + 1e-6) + 1e-12 * scale
+    side = radius * (1.0 + 1e-6) + 2.0**-30 * scale
     # A query more than a bucket beyond every point has no neighbour.
     # Clamped to there, it may gain candidates, which the exact test
-    # rejects, and its bucket quotient stays finite when `side` is tiny.
+    # rejects, and its bucket quotient stays within the bound.
     lim = scale + side
     qx, qy = np.minimum(np.maximum(qx, -lim), lim), np.minimum(np.maximum(qy, -lim), lim)
-    key = np.floor(qx / side) + np.floor(qy / side) * 1j
+    key = _bucket_keys(qx, qy, side)
     order = key.argsort()
     key = key[order]
     # Each point's bucket rows bx - 1 .. bx + 1.
-    rows = np.floor(px / side) + np.floor(py / side) * 1j + np.arange(-1.0, 2.0)[:, None]
-    start = key.searchsorted(rows - 1j).T.ravel()
-    count = key.searchsorted(rows + 1j, "right").T.ravel() - start
+    rows = _bucket_keys(px, py, side) + _ROWS
+    start = key.searchsorted(rows - 1).T.ravel()
+    count = key.searchsorted(rows + 1, "right").T.ravel() - start
     point = np.arange(len(start)).repeat(count) // 3
     run = (start - count.cumsum() + count).repeat(count)
     pairs = order[run + np.arange(len(run))] * len(px) + point
     pairs.sort()
     return pairs // len(px), pairs % len(px)
+
+
+# The key offsets of the bucket rows bx - 1, bx and bx + 1.
+_ROWS = np.array([[-1 << 32], [0], [1 << 32]])
+
+
+def _bucket_keys(x, y, side: float) -> np.ndarray:
+    """The int64 key bx * 2**32 + by of each point's bucket."""
+    return ((np.floor(x / side).astype(np.int64) << 32)
+            + np.floor(y / side).astype(np.int64))

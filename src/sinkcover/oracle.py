@@ -135,13 +135,15 @@ def greedy_cover(target_count: int, weights: list[float],
 
 @dataclass(frozen=True)
 class GridRefineReport:
-    """The discretization audit's outcome; it passes when `undominated` is 0."""
+    """The discretization audit's outcome; it passes when `undominated` is 0,
+    and it speaks for every target only when `missed` is 0."""
 
     step: float
     grid_candidate_points: int
     distinct_cover_sets: int
     undominated: int           # sets no candidate covers at no more weight
     worst_excess: float        # max over sets of (least superset weight - w)
+    missed: int                # targets no grid point covers
 
 
 def grid_refine_audit(instance: Instance, weights: list[float],
@@ -164,7 +166,9 @@ def grid_refine_audit(instance: Instance, weights: list[float],
     on radius-r circles, so a grid point just past a circle can lie up to
     r * COVER_TOL nearer a station than the projection on it; and site
     weights come from `math.hypot`, grid weights from `np.hypot`.  Input
-    that `check_grid_audit` refuses raises ValueError.
+    that `check_grid_audit` refuses raises ValueError.  The report counts
+    the targets no grid point covers: the audit says nothing about the sets
+    holding them.
     """
     sets, least, points = _grid_sets(instance, step)
     masks = _target_masks(covers)
@@ -176,17 +180,20 @@ def grid_refine_audit(instance: Instance, weights: list[float],
                       if masks[j] & s == s), default=INF)
         undominated += excess > instance.r * COVER_TOL + 4.0 * math.ulp(w)
         worst = max(worst, excess)
+    reached = int(np.bitwise_or.reduce(sets, initial=0)).bit_count()
     return GridRefineReport(step=step, grid_candidate_points=points,
                             distinct_cover_sets=len(sets),
-                            undominated=undominated, worst_excess=worst)
+                            undominated=undominated, worst_excess=worst,
+                            missed=instance.n - reached)
 
 
 def check_grid_audit(instance: Instance, step: float) -> tuple[float, float, float, float]:
     """The box x0, x1, y0, y1 the refinement audit sweeps at pitch `step`,
     after refusing with ValueError what it cannot take: no target, more than
     63 (covered sets are packed into int64 bit masks), a step that is not
-    positive and finite, or a grid of more than `_MAX_GRID_POINTS` points.
-    Nothing grid-sized is built."""
+    positive and finite, or a grid of no point (the box collapses in
+    floats) or of more than `_MAX_GRID_POINTS` points.  Nothing grid-sized
+    is built."""
     if instance.n == 0:
         raise ValueError("nothing to cover")
     if instance.n > 63:
@@ -202,6 +209,9 @@ def check_grid_audit(instance: Instance, step: float) -> tuple[float, float, flo
     # np.arange's own lengths.
     size = (np.ceil((x1 + step / 2 - x0) / step)
             * np.ceil((y1 + step / 2 - y0) / step))
+    if not size > 0:   # an empty axis, perhaps times an infinite one
+        raise ValueError(f"grid of pitch {step} has no point: the targets' "
+                         f"box is below the float spacing of its corners")
     if size > _MAX_GRID_POINTS:
         raise ValueError(f"grid of pitch {step} has {size:.3g} points, more "
                          f"than the {_MAX_GRID_POINTS:.3g} the audit sweeps")

@@ -148,11 +148,21 @@ def _positions(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
     if not finite.all():
         bad = finite.argmin()
         raise ValueError(f"non-finite point ({x[bad].item()}, {y[bad].item()})")
-    # -0.0 == 0.0, so signed zeros share a key, and the stable sort of
-    # np.unique gives each key's first index.
-    first = np.unique(x + 1j * y, return_index=True)[1]
+    # Each group of equal positions keeps its least index, the first seen.
+    order, heads = _group(_position_hashes(x, y),
+                          lambda a, b: (x[a] == x[b]) & (y[a] == y[b]))
+    first = np.minimum.reduceat(order, heads.nonzero()[0])
     first.sort()
     return x[first], y[first]
+
+
+def _position_hashes(x, y) -> np.ndarray:
+    """A uint64 per position that equal positions share: the bits of x,
+    folded so that its high bits reach the low ones and multiplied, plus
+    the bits of y, with 0.0 added first so that -0.0 hashes as 0.0."""
+    h = (x + 0.0).view(np.uint64)
+    return ((h ^ (h >> np.uint64(32))) * np.uint64(0x9E3779B97F4A7C15)
+            + (y + 0.0).view(np.uint64))
 
 
 def _circle_pair_points(tx, ty, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -201,22 +211,25 @@ def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[np.ndarray, np.ndarray]
     The station is the least squared distance dx*dx + dy*dy, weighed by
     math.hypot over the same dx and dy.  A squared distance is within about
     2 ulps of the true one, and math.hypot within about 1 ulp of its root.
-    So when every other station's square exceeds the least by more than a
-    relative 8e-12, its true distance exceeds the chosen one's by a relative
-    4e-12 less a few ulps, and so does its math.hypot: the choice is
-    site_weight's, with no tie.  An absolute 1e-300 covers squares that
-    underflow, whose error is a subnormal ulp, and squares that overflow are
-    inf, which ties with inf.  A position with another station in that
-    band is settled by `site_weight`.
+    So when the second least square (inf with one station) exceeds the
+    least by more than a relative 8e-12, every other station's true
+    distance exceeds the chosen one's by a relative 4e-12 less a few ulps,
+    and so does its math.hypot: the choice is site_weight's, with no tie.
+    An absolute 1e-300 covers squares that underflow, whose error is a
+    subnormal ulp, and squares that overflow are inf, which ties with inf.
+    A position whose second least square is in that band is settled by
+    `site_weight`.  One pass over the stations keeps the least and second
+    least squares, so memory grows with the positions alone.
     """
-    # One row per station, so the reductions run along long rows; the
-    # squares of sx - qx are those of qx - sx.
-    dx, dy = sx[:, None] - qx, sy[:, None] - qy
+    least, second = np.full(len(qx), np.inf), np.full(len(qx), np.inf)
+    origin = np.zeros(len(qx), dtype=np.intp)
     with np.errstate(over="ignore"):
-        d2 = dx * dx + dy * dy
-        band = np.minimum.reduce(d2) * (1.0 + 8e-12) + 1e-300
-    origin = d2.argmin(axis=0)
-    tied = (np.add.reduce(d2 <= band) > 1).nonzero()[0].tolist()
+        for s in range(len(sx)):
+            d2 = (qx - sx[s]) ** 2 + (qy - sy[s]) ** 2
+            np.minimum(second, np.maximum(least, d2), out=second)
+            origin[d2 < least] = s
+            np.minimum(least, d2, out=least)
+        tied = (second <= least * (1.0 + 8e-12) + 1e-300).nonzero()[0].tolist()
     weight = hypot(qx - sx[origin], qy - sy[origin])
     for i in tied:
         weight[i], origin[i] = site_weight(Point(float(qx[i]), float(qy[i])), stations)
@@ -318,32 +331,43 @@ def _row_hashes(table: CandidateTable) -> np.ndarray:
 
 
 def _group_rows(table: CandidateTable) -> tuple[np.ndarray, np.ndarray]:
-    """Every row, grouped by covered set: the rows, each group contiguous,
-    and a mask of each group's first.
-
-    Rows are sorted by `_row_hashes`, and each row is checked member for
-    member against the first row of its hash run.  The rows that differ
-    from it, which only a hash collision leaves, are grouped again by the
-    same steps; each pass settles at least every run's first row.
-    """
-    key = _row_hashes(table)
+    """Every row, grouped by covered set (`_group` over `_row_hashes`):
+    the rows, each group contiguous, and a mask of each group's first."""
     lo, size, members = table.lo, table.hi - table.lo, table.members
+
+    def same(rows, lead):   # member for member
+        n = size[rows]
+        ok = n == size[lead]
+        n[~ok] = 0
+        at = _ranges(lo[rows], n)
+        differ = members[at] != members[at + (lo[lead] - lo[rows]).repeat(n)]
+        ok[np.arange(len(n)).repeat(n)[differ]] = False
+        return ok
+
+    return _group(_row_hashes(table), same)
+
+
+def _group(key: np.ndarray, same) -> tuple[np.ndarray, np.ndarray]:
+    """Every index, grouped by equality: the indices, each group contiguous,
+    and a mask of each group's first.  Equal elements share a `key`, and
+    `same(a, b)` tells elementwise whether elements a and b are equal.
+
+    Indices are sorted by key, and each is checked against the first index
+    of its key run.  The ones that differ from it, which only a collision
+    of keys leaves, are grouped again by the same steps; each pass settles
+    at least every run's first index.
+    """
     done, leads = [], []
     order = key.argsort()
     while True:
         heads = _run_heads(key[order])
         lead = order[heads][heads.cumsum() - 1]
-        n = size[order]
-        same = n == size[lead]
-        n[~same] = 0
-        at = _ranges(lo[order], n)
-        differ = members[at] != members[at + (lo[lead] - lo[order]).repeat(n)]
-        same[np.arange(len(n)).repeat(n)[differ]] = False
-        if same.all() and not done:   # no collision
+        match = same(order, lead)
+        if match.all() and not done:   # no collision
             return order, heads
-        done.append(order[same])
-        leads.append(lead[same])
-        order = order[~same]
+        done.append(order[match])
+        leads.append(lead[match])
+        order = order[~match]
         if not len(order):
             return np.concatenate(done), _run_heads(np.concatenate(leads))
         order = order[key[order].argsort()]

@@ -513,6 +513,31 @@ def test_audit_refuses_a_grid_too_fine_to_sweep(tmp_path, capsys):
     assert err.startswith("error[input]: grid of pitch 1e-05 has 4e+10 points")
 
 
+FAR_AUDITS = {
+    "rows collapse": {"r": 1.0, "targets": [[1e15, 1e15], [1e15 + 1.5, 1e15]],
+                      "stations": [[1e15, 1e15 + 3]]},
+    "box collapses": {"r": 1.0, "targets": [[1e300, 1e300]],
+                      "stations": [[-1e300, -1e300]]},
+}
+
+
+@pytest.mark.parametrize("case", ["pitch past the box", *FAR_AUDITS])
+def test_audit_refuses_a_grid_that_misses_a_target(tmp_path, capsys, case):
+    # Each used to pass on no covered set (worst excess -inf, which is not
+    # JSON) or die in the sweep with an IndexError.
+    if case in FAR_AUDITS:
+        path, step = tmp_path / "far.json", []
+        path.write_text(json.dumps(FAR_AUDITS[case]))
+    else:
+        path, step = _gen(tmp_path, n=6, k=2, r=1.0, extent=5.0, seed=1), ["--step", "50"]
+    capsys.readouterr()
+    out = tmp_path / "audit.json"
+    assert run(["audit", "--in", str(path), "--m", "4", "--out", str(out), *step]) == 1
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error[input]: ")
+    assert "Traceback" not in got.err and not out.exists()
+
+
 @pytest.mark.parametrize("step", ["nan", "inf", "-inf"])
 def test_audit_non_finite_step_is_an_input_error(tmp_path, capsys, step):
     path = _gen(tmp_path, n=4, k=1, extent=5.0, seed=6)

@@ -48,9 +48,10 @@ def test_dist_triangle_inequality(ax, ay, bx, by, cx, cy):
 
 @st.composite
 def point_sets(draw):
-    """Queries and points a few radii around an offset."""
-    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 2.5]))
-    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    """Queries and points a few radii around an offset, out to where the
+    float spacing of the coordinates exceeds the radius."""
+    radius = draw(st.sampled_from([1e-6, 1e-3, 0.5, 1.0, 2.0, 2.5]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e9, -1e9, 1e15, -1e15]))
     coord = st.floats(-4.0 * radius, 4.0 * radius).map(lambda v: v + offset)
     xy = st.tuples(coord, coord)
     queries = draw(st.lists(xy, max_size=20))
@@ -64,6 +65,10 @@ def point_sets(draw):
 
 @given(point_sets())
 @example(([(0.0, 0.0)], [(-1.0, 0.0), (0.0, 0.0)], 1.0))
+# Near the top of the float range with a tiny radius, where far queries are
+# clamped to just beyond the points and the bucket quotients are largest.
+@example(([(1e300, 1e300), (-1e300, 1e300), (1.7e308, -1.7e308), (0.0, 0.0)],
+          [(1e300, 1e300), (1e300, -1e300), (-1e300, -1e300), (1e300, 1e300)], 1e-300))
 def test_near_pairs_finds_every_pair_within_radius(case):
     queries, points, radius = case
     q = np.array(queries, dtype=float).reshape(-1, 2)

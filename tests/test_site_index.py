@@ -1,8 +1,11 @@
 """The bucket-grid front end against the all-pairs reference in
 `reference_sites.py`: same site lists and same pruned lists, order included."""
 
+import contextlib
+import dataclasses
 import math
 import random
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -18,7 +21,8 @@ from sinkcover import sites as sites_module
 from sinkcover.geometry import COVER_TOL, Point, near_pairs
 from sinkcover.instances_io import gen_uniform
 from sinkcover.ptas import verify_solution
-from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
+from sinkcover.sites import (CandidateTable, Instance, generate_candidate_sites,
+                             prune_dominated)
 
 LAYOUTS = ("uniform", "one_box", "clustered", "collinear", "coincident", "two_r")
 
@@ -157,6 +161,52 @@ def test_prune_matches_all_pairs_on_a_draw_when_every_row_hashes_alike():
     with mock.patch.object(sites_module, "_row_hashes",
                            lambda table: np.zeros(len(table), dtype=np.uint64)):
         _same(prune_dominated(generate_candidate_sites(inst)), want)
+
+
+def _one_position_hash():
+    return mock.patch.object(sites_module, "_position_hashes",
+                             lambda x, y: np.zeros(len(x), dtype=np.uint64))
+
+
+@given(instances())
+def test_generate_is_unchanged_when_every_position_hashes_alike(inst):
+    # Every position on one hash value: the merge must still group the
+    # positions coordinate for coordinate.
+    want = generate_candidate_sites(inst)
+    with _one_position_hash():
+        table = generate_candidate_sites(inst)
+    for field in dataclasses.fields(CandidateTable):
+        a, b = getattr(table, field.name), getattr(want, field.name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field.name
+
+
+@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("station, target", [((0.0, -0.0), (-0.0, 0.0)),
+                                             ((-0.0, 0.0), (0.0, -0.0))])
+def test_position_merge_keeps_the_first_of_equal_positions(station, target, collide):
+    # The station is seen before the target on it, so the merged position
+    # keeps the station's signed zeros, with or without a hash collision.
+    inst = Instance.from_coords([target], [station], 1.0)
+    with _one_position_hash() if collide else contextlib.nullcontext():
+        table = generate_candidate_sites(inst)
+    at = ((table.x == 0.0) & (table.y == 0.0)).nonzero()[0]
+    assert len(at) == 1
+    assert np.signbit([table.x[at[0]], table.y[at[0]]]).tolist() == \
+        np.signbit(station).tolist()
+
+
+def test_generation_memory_is_bounded_by_its_table():
+    # Generation works in memory proportional to the positions: no stations
+    # x positions matrix and no full-length list of Python floats.
+    inst = gen_uniform(20000, 10, 1.0, 447.2, 3)
+    tracemalloc.start()
+    try:
+        table = generate_candidate_sites(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
+    assert peak <= 4 * size, (peak, size)
 
 
 def _site(cov, w, pos):
