@@ -149,6 +149,7 @@ def _positions(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.ndarray]:
         bad = finite.argmin()
         raise ValueError(f"non-finite point ({x[bad].item()}, {y[bad].item()})")
     # Each group of equal positions keeps its least index, the first seen.
+    # An exact np.lexsort((y, x)) took three times as long as the hash.
     order, heads = _group(_position_hashes(x, y),
                           lambda a, b: (x[a] == x[b]) & (y[a] == y[b]))
     first = np.minimum.reduceat(order, heads.nonzero()[0])
