@@ -23,21 +23,24 @@ point's cell and its strip in that cell; `cell_keys` is its cell half.
 `anchored_keys` lays each group of points (the solver's components) out
 in a cell of its own, strips starting at the group's least x, and tells
 which groups are narrower than a cell side on both axes.  `cells_for_shift`
-bins keyed targets into cells, each listing only its non-empty strips
-with their numbers, and `strips_of_cell` gives those strips their site
-pools.  `render` draws the rounds' lines.
+bins targets keyed either way into cells in a few numpy sorts and numbers
+each cell for the strip DP: its targets bit by bit, strip by strip, and
+its sites (`CellSites`) in ascending row order, with each site's cover
+and each strip's pool as masks of those bits.  `strips_of_cell` lists a
+cell's non-empty strips with their numbers.  `svg_render.render_svg`
+draws the rounds' lines.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import COVER_TOL, Point
-from .sites import Instance
+from .sites import Instance, run_heads
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,34 @@ class Grid:
                      self.origin.y + f * self.strip)
 
 
-class Cell(NamedTuple):
-    index: tuple[int, int]
-    # (strip number from 0, ascending point indices) of each non-empty
-    # strip, in strip order
-    strips: list[tuple[int, list[int]]]
+class CellSites(NamedTuple):
+    """A cell's sites, numbered in ascending row order: site i is table row
+    `rows[i]`, weighs `weight[i]` and covers the cell's targets whose bits
+    `cover[i]` sets, the cell's targets being numbered strip by strip."""
+
+    rows: list[int]
+    weight: list[float]
+    cover: list[int]
 
 
 class Strip(NamedTuple):
     number: int                     # the strip's place in its cell, from 0
-    target_indices: Sequence[int]
-    site_pool: Sequence[int]        # ascending sites covering a strip target
+    target_indices: Sequence[int]   # ascending
+    pool_mask: int                  # the cell sites covering a strip target, as bits
+    sites: CellSites                # the cell's
+
+    @property
+    def site_pool(self) -> list[int]:
+        """The rows of the pool's sites, ascending."""
+        return [r for i, r in enumerate(self.sites.rows) if self.pool_mask >> i & 1]
+
+
+class Cell(NamedTuple):
+    index: tuple[int, int]
+    sites: CellSites
+    # (strip number from 0, ascending targets, pool mask) of each non-empty
+    # strip, in strip order
+    strips: list[tuple[int, list[int], int]]
 
 
 def bounding_box(instance: Instance, m: int) -> Grid:
@@ -115,7 +135,7 @@ def cell_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray,
 
 
 def round_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, f: int
-               ) -> tuple[list[float], list[float], list[int]]:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Round f's keys of each point (xs[i], ys[i]): its cell index, as
     `cell_keys` gives it, and its strip in that cell, floor((x - lo) / unit)
     for the cell's left edge lo, clamped to the cell's m strips.  The cell
@@ -124,11 +144,11 @@ def round_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, f: int
     ix, iy = cell_keys(grid, xs, ys, f)
     lo = grid.corner(f).x + ix * grid.cell_side
     strip = np.minimum(np.maximum((xs - lo) // grid.strip, 0), grid.m - 1).astype(np.intp)
-    return ix.tolist(), iy.tolist(), strip.tolist()
+    return ix, iy, strip
 
 
 def anchored_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, group: np.ndarray,
-                  groups: int) -> tuple[list[bool], list[int]]:
+                  groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Each group of points laid out in a cell of its own, whose strips
     start at the group's least x, x0: for each group, whether its bounding
     box is under one cell side on both axes, and for each point (xs[i],
@@ -144,30 +164,97 @@ def anchored_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, group: np.ndarray,
     fits = (hi_x - lo_x < grid.cell_side) & (hi_y - lo_y < grid.cell_side)
     # x - x0 >= 0 exactly, as x0 is the least x of the group.
     strip = np.minimum((xs - lo_x[group]) // grid.strip, grid.m - 1).astype(np.intp)
-    return fits.tolist(), strip.tolist()
+    return fits, strip
 
 
-def cells_for_shift(keyed: Iterable[tuple[int, float, float, int]]) -> list[Cell]:
-    """Bin keyed targets, (target, cell x, cell y, strip) rows as
-    `round_keys` keys them, into cells, in index order.  A cell lists its
-    non-empty strips in strip order, each with its targets ascending.
-    Rows keyed (target, group, 0, strip) from `anchored_keys` bin into one
-    cell per group."""
-    bins: dict[tuple[float, float], dict[int, list[int]]] = {}
-    for t, kx, ky, j in keyed:
-        bins.setdefault((kx, ky), {}).setdefault(j, []).append(t)
-    return [Cell((int(kx), int(ky)),
-                 [(j, sorted(ts)) for j, ts in sorted(bins[kx, ky].items())])
-            for kx, ky in sorted(bins)]
+def cells_for_shift(kx: np.ndarray, ky: np.ndarray, strip: np.ndarray,
+                    target: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
+                    weight: np.ndarray, target_count: int) -> list[Cell]:
+    """Bin keyed targets into cells, numbered for the strip DP.
 
+    Target `target[i]` lies in the cell keyed (kx[i], ky[i]), in its strip
+    `strip[i]`: round f's keys from `round_keys`, or a group's from
+    `anchored_keys` keyed (group, 0).  `pairs` are the (target, row) cover
+    pairs of the sites as `CandidateTable.pairs` gives them, `weight` each
+    row's weight, and every target is below `target_count`.  Cells come in
+    key order, each with its non-empty strips in strip order and their
+    targets ascending, so the cell's targets are numbered strip by strip.
+    A strip's pool holds every row covering one of its targets; a cell's
+    sites are the rows of its pools, numbered ascending, each with its
+    weight and the cell targets it covers.
 
-def strips_of_cell(cell: Cell, coverers: dict[int, list[int]]) -> list[Strip]:
-    """The cell's non-empty strips, each with its site pool.
-
-    `coverers` maps a target index to the ascending indices of the sites
-    covering it, as `sites.coverers` gives it; one index serves every cell
-    of every round.  A strip's pool holds the ascending indices of all
-    sites covering at least one of its targets.
+    One sort of the targets by (cell, strip, target) gives the cells and
+    strips; one sort of the (target, coverer) pairs by (cell, row) gives
+    the cell sites, and or-ing bits over those pairs the cover and pool
+    masks.
     """
-    return [Strip(j, ts, sorted({s for t in ts for s in coverers.get(t, ())}))
-            for j, ts in cell.strips]
+    if not len(target):
+        return []
+    order = np.lexsort((target, strip, ky, kx))
+    kx, ky, strip, target = kx[order], ky[order], strip[order], target[order]
+    cell_head = run_heads(kx, ky)
+    strip_head = cell_head | run_heads(strip)
+    first = cell_head.nonzero()[0]
+    strip_first = strip_head.nonzero()[0]
+    cell_of = cell_head.cumsum() - 1
+    strip_of = strip_head.cumsum() - 1
+    bit = np.arange(len(target)) - first[cell_of]   # each target's bit in its cell
+
+    # The cover pairs of the binned targets, each by its target's place.
+    covered, row = pairs
+    at = np.full(target_count, -1)
+    at[target] = np.arange(len(target))
+    pair = at[covered]
+    keep = pair >= 0
+    pair = pair[keep]
+    key = cell_of[pair] * len(weight) + row[keep]
+    by_site = key.argsort()
+    pair, key = pair[by_site], key[by_site]
+    site_head = run_heads(key)
+    site = site_head.cumsum() - 1
+    pair_cell = cell_of[pair]
+    site_cell = pair_cell[site_head]
+    site_row = key[site_head] - site_cell * len(weight)
+    site_at = np.searchsorted(site_cell, np.arange(len(first) + 1))
+    cover = _masks(site, bit[pair], len(site_cell), len(target))
+    pool_mask = _masks(strip_of[pair], site - site_at[pair_cell], len(strip_first),
+                       len(site_cell))
+
+    target_at = strip_first.tolist() + [len(target)]
+    target = target.tolist()
+    strips = list(zip(strip[strip_first].tolist(),
+                      [target[a:b] for a, b in zip(target_at, target_at[1:])], pool_mask))
+    site_rows, site_weight = site_row.tolist(), weight[site_row].tolist()
+    site_at = site_at.tolist()
+    strip_at = strip_of[first].tolist() + [len(strip_first)]
+    return [Cell((int(x), int(y)), CellSites(site_rows[a:b], site_weight[a:b], cover[a:b]),
+                 strips[s:e])
+            for x, y, a, b, s, e in zip(kx[first].tolist(), ky[first].tolist(),
+                                        site_at, site_at[1:], strip_at, strip_at[1:])]
+
+
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _masks(group: np.ndarray, bit: np.ndarray, groups: int, bound: int) -> list[int]:
+    """Each of the `groups` groups' mask, the or of 1 << bit over its
+    entries (group[i], bit[i]), as a Python int of any width; every bit is
+    below `bound`."""
+    bits = bound if bound <= 64 else int(bit.max(initial=0)) + 1
+    if bits <= 64:
+        out = np.zeros(groups, dtype=np.uint64)
+        np.bitwise_or.at(out, group, _BITS[bit])
+        return out.tolist()
+    # 64-bit words or-ed in numpy, each group's read as one little-endian int.
+    words = (bits + 63) >> 6
+    out = np.zeros((groups, words), dtype="<u8")
+    np.bitwise_or.at(out, (group, bit >> 6), _BITS[bit & 63])
+    data = out.tobytes()
+    step = 8 * words
+    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+
+
+def strips_of_cell(cell: Cell) -> list[Strip]:
+    """The cell's non-empty strips, in strip order, each with its targets,
+    its pool and the cell's sites."""
+    return [Strip(j, ts, pool, cell.sites) for j, ts, pool in cell.strips]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import COVER_TOL
-from .sites import Instance, coverers
+from .sites import Instance, check_cost_range, coverers
 
 INF = float("inf")
 
@@ -72,7 +72,9 @@ def exact_min_cost_cover(target_count: int, weights: list[float],
     Branches on the lowest-index uncovered target over the sites covering
     it, cheapest first.  Nodes are pruned against the incumbent using an
     admissible lower bound: the largest, over uncovered targets, of the
-    cheapest weight of any site covering that target.
+    cheapest weight of any site covering that target.  Weights whose sums
+    may pass the float range are refused with ValueError
+    (`sites.check_cost_range`).
 
     Intended for small instances; the search is exponential in general.
     """
@@ -89,6 +91,7 @@ def exact_min_cost_cover(target_count: int, weights: list[float],
             return OracleResult(INF, frozenset(), 0, False,
                                 feasible=False, infeasible_target=t)
     cheapest = [weights[cs[0]] for cs in ordered]
+    check_cost_range(target_count, max(cheapest))
 
     best = [INF, (), 0]
     _search(full, (), 0.0, (ordered, masks, weights, cheapest), best)

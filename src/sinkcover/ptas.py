@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import COVER_TOL, Point, near_pairs, within
-from .grid import (Cell, anchored_keys, bounding_box, cells_for_shift,
-                   round_keys, strips_of_cell)
-from .sites import (CandidateTable, Instance, coverers, generate_candidate_sites,
-                    prune_dominated)
+from .grid import (Strip, anchored_keys, bounding_box, cells_for_shift, round_keys,
+                   strips_of_cell)
+from .sites import (CandidateTable, Instance, check_cost_range, generate_candidate_sites,
+                    prune_dominated, run_heads)
 from .strip_dp import StateBudgetError, solve_cell
 
 # Most shift rounds a solve may run, from --m or from m = ceil(4 / epsilon):
@@ -103,11 +103,12 @@ def placements_of(table: CandidateTable, rows) -> tuple[Placement, ...]:
                      table.origin[picked].tolist(), table.weight[picked].tolist()))
 
 
-def _components(target_count: int, covers: list[list[int]]
-                ) -> tuple[list[list[int]], list[int]]:
-    """Join two targets when one site covers both (`covers[s]` holds site
-    s's targets).  Returns the components' targets, ascending, numbered in
-    order of their lowest target, and each target's component."""
+def _components(target_count: int, covered: list[int], ends: list[int]
+                ) -> tuple[np.ndarray, int]:
+    """Join two targets when one site covers both, by union-find over each
+    site's targets, site s covering `covered[ends[s - 1]:ends[s]]`.
+    Returns each target's component, components numbered in order of their
+    lowest target, and their count."""
     parent = list(range(target_count))
 
     def find(t: int) -> int:
@@ -116,29 +117,24 @@ def _components(target_count: int, covers: list[list[int]]
             t = parent[t]
         return t
 
-    for cov in covers:
-        if len(cov) > 1:
-            root = find(cov[0])
-            for t in cov[1:]:
+    a = 0
+    for b in ends:
+        if b - a > 1:
+            root = find(covered[a])
+            for t in covered[a + 1:b]:
                 other = find(t)
                 if other != root:
                     parent[other] = root
+        a = b
     label: dict[int, int] = {}
-    members: list[list[int]] = []
-    of_target = []
-    for t in range(target_count):
-        c = label.setdefault(find(t), len(members))
-        if c == len(members):
-            members.append([])
-        members[c].append(t)
-        of_target.append(c)
-    return members, of_target
+    comp = [label.setdefault(find(t), len(label)) for t in range(target_count)]
+    return np.array(comp, dtype=np.intp), len(label)
 
 
-def _layout(cell: Cell) -> tuple[tuple[int, ...], ...]:
+def _layout(strips: list[Strip]) -> tuple[tuple[int, ...], ...]:
     """A cell's targets, strip by strip: all the strip DP reads of a cell
     besides the sites, so two cells with one layout fare alike."""
-    return tuple(map(tuple, (ts for _, ts in cell.strips)))
+    return tuple(tuple(st.target_indices) for st in strips)
 
 
 def solve(instance: Instance, config: PtasConfig,
@@ -149,8 +145,9 @@ def solve(instance: Instance, config: PtasConfig,
     `sites` may be supplied to reuse candidates: the table
     `prune_dominated` or `generate_candidate_sites` returns; by default
     candidates are generated and dominated ones pruned.  The solve reads
-    the table's `columns`: each target's coverers and the components come
-    from them, and only the chosen rows become `Placement`s.
+    the table's columns once, as arrays: its (target, row) cover pairs
+    (`pairs`) give each target's cheapest coverer and component and feed
+    the cells, and only the chosen rows become `Placement`s.
 
     No site covers targets of two components, so a cover splits by
     component.  A component whose bounding box is under one cell side on
@@ -158,7 +155,7 @@ def solve(instance: Instance, config: PtasConfig,
     least target x (`anchored_keys`), where every coverer of its targets
     lies in the strip pools, so one strip DP run gives its optimum, which
     it costs in every round.  A one-target component takes its cheapest
-    coverer, lowest index on ties, with no DP run.  A component whose cell
+    coverer, lowest row on ties, with no DP run.  A component whose cell
     needs more than the DP's state budget joins the components too wide
     for a cell, which span cells in every round; a round cell holding the
     same targets strip by strip fails alike, with no second DP run.
@@ -169,14 +166,16 @@ def solve(instance: Instance, config: PtasConfig,
     coverers covers it alone.  The DP would pick the same site, unless its
     float sums round two coverer weights to one total; the pick here is
     then the lighter one.  The strip DP runs over the cells of the other
-    targets.  Round f's cost is that of its cells' covers plus the anchored
-    optima.  The schedule takes each component's sites from its cheapest
-    round, lowest on ties, when that costs strictly less than the cheapest
-    round; else the cheapest round's sites, which is `shift_round`.  Rounds
-    are solved one after another in this process.  The config echo counts
-    the components, the anchored ones, the (component, round) pairs the
-    rounds solve in more than one cell, and the footprint states stored by
-    the DP runs made.
+    targets.  Anchored cells, keyed by component, and round cells, keyed
+    by cell index, are binned and numbered alike (`cells_for_shift`).
+    Round f's cost is that of its cells' covers plus the anchored optima.
+    The schedule takes each component's sites from its cheapest round,
+    lowest on ties, when that costs strictly less than the cheapest round;
+    else the cheapest round's sites, which is `shift_round`.  Rounds are
+    solved one after another in this process.  The config echo counts the
+    components, the anchored ones, the (component, round) pairs the rounds
+    solve in more than one cell, and the footprint states stored by the DP
+    runs made.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
@@ -184,73 +183,77 @@ def solve(instance: Instance, config: PtasConfig,
         sites = prune_dominated(generate_candidate_sites(instance))
     m = config.rounds
     grid = bounding_box(instance, m)
-    weight, covers = sites.columns()
-    by_target = coverers(covers)
-    members, target_comp = _components(instance.n, covers)
+    pairs = sites.pairs()
+    covered, row = pairs
+    # Each target's cheapest coverer, the lowest row on ties: the least
+    # place in the rows' stable order by weight.
+    by_weight = sites.weight.argsort(kind="stable")
+    place = np.empty(len(sites), dtype=np.intp)
+    place[by_weight] = np.arange(len(sites))
+    least = np.full(instance.n, len(sites))
+    np.minimum.at(least, covered, place[row])
+    if least.max() == len(sites):
+        raise ValueError(f"no candidate site covers target {least.argmax()}")
+    cheapest = by_weight[least]
+    check_cost_range(instance.n, float(sites.weight[cheapest].max()))
+    comp, comps = _components(instance.n, covered.tolist(),
+                              (sites.hi - sites.lo).cumsum().tolist())
     xs = np.array([t.x for t in instance.targets])
     ys = np.array([t.y for t in instance.targets])
-    fits, strip = anchored_keys(grid, xs, ys, np.array(target_comp), len(members))
-
-    def cheapest(t: int) -> int:
-        if not by_target.get(t):
-            raise ValueError(f"no candidate site covers target {t}")
-        return min(by_target[t], key=weight.__getitem__)
-
-    optimum: dict[int, frozenset[int]] = {}   # anchored component -> its sites
-    rows = []
-    for c, ts in enumerate(members):
-        if fits[c] and len(ts) == 1:
-            optimum[c] = frozenset((cheapest(ts[0]),))
-        elif fits[c]:
-            rows += [(t, c, 0.0, strip[t]) for t in ts]
+    fits, strip = anchored_keys(grid, xs, ys, comp, comps)
+    lone = np.bincount(comp, minlength=comps) == 1
+    solved = fits & lone            # the anchored components
+    anchored = set(cheapest[solved[comp]].tolist())
     subsets = 0
     over: dict[tuple, StateBudgetError] = {}   # layouts past the budget
-    for cell in cells_for_shift(rows):
+    boxed = (fits & ~lone)[comp].nonzero()[0]     # the targets of anchored cells
+    for c in cells_for_shift(comp[boxed], np.zeros(len(boxed)), strip[boxed], boxed,
+                             pairs, sites.weight, instance.n):
+        strips = strips_of_cell(c)
         try:
-            res = solve_cell(strips_of_cell(cell, by_target), weight, covers)
+            res = solve_cell(strips)
         except StateBudgetError as e:
-            over[_layout(cell)] = e
+            over[_layout(strips)] = e
             continue
-        optimum[cell.index[0]] = frozenset(res.site_indices)
+        solved[c.index[0]] = True
+        anchored.update(res.site_indices)
         subsets += res.counters.subsets_enumerated
 
-    anchored = frozenset().union(*optimum.values())
-    among = [t for c, ts in enumerate(members) if c not in optimum for t in ts]
+    weight = sites.weight.tolist()
+    among = (~solved[comp]).nonzero()[0]
+    among_comp = comp[among]
     best: dict[int, tuple[float, frozenset[int]]] = {}   # its cheapest round
     rounds = [anchored] * m     # each round's sites
     spanning = 0
     # With no component left, every round is the anchored optima; keying
     # empty rounds made a dense-14 solve about 1.5 times as long.
-    for f in range(m if among else 0):
+    for f in range(m if len(among) else 0):
         ix, iy, strip_f = round_keys(grid, xs[among], ys[among], f)
-        groups: dict[tuple[int, float, float], list] = {}
-        for row in zip(among, ix, iy, strip_f):
-            groups.setdefault((target_comp[row[0]], row[1], row[2]), []).append(row)
+        order = np.lexsort((iy, ix, among_comp))
+        group = run_heads(among_comp[order], ix[order], iy[order]).nonzero()[0]
+        spanning += int((np.bincount(among_comp[order[group]]) > 1).sum())
         # Running the DP on lone targets too made sparse-400 solve time 23%
         # longer.
-        chosen = set()
-        rest = []
-        for group in groups.values():
-            if len(group) > 1:
-                rest += group
-            else:
-                chosen.add(cheapest(group[0][0]))
-        for cell in cells_for_shift(rest):
+        alone = np.zeros(len(among), dtype=bool)
+        alone[order[group[np.diff(group, append=len(among)) == 1]]] = True
+        chosen = set(cheapest[among[alone]].tolist())
+        rest = ~alone
+        for c in cells_for_shift(ix[rest], iy[rest], strip_f[rest], among[rest],
+                                 pairs, sites.weight, instance.n):
+            strips = strips_of_cell(c)
             try:
-                if over and _layout(cell) in over:
-                    raise over[_layout(cell)]
-                res = solve_cell(strips_of_cell(cell, by_target), weight, covers)
+                if over and _layout(strips) in over:
+                    raise over[_layout(strips)]
+                res = solve_cell(strips)
             except StateBudgetError as e:
-                raise StateBudgetError(f"shift {f}, cell {cell.index}: {e}") from None
+                raise StateBudgetError(f"shift {f}, cell {c.index}: {e}") from None
             chosen.update(res.site_indices)
             subsets += res.counters.subsets_enumerated
-        cells: dict[int, int] = {}   # component -> its cells this round
-        for c, _, _ in groups:
-            cells[c] = cells.get(c, 0) + 1
-        spanning += sum(n > 1 for n in cells.values())
-        parts: dict[int, set[int]] = {c: set() for c in cells}
-        for s in chosen:
-            parts[target_comp[covers[s][0]]].add(s)
+        # Each site's component is its first target's.
+        ids = list(chosen)
+        parts: dict[int, list[int]] = {}
+        for s, c in zip(ids, comp[sites.members[sites.lo[ids]]].tolist()):
+            parts.setdefault(c, []).append(s)
         for c, ids in parts.items():
             cost = _round_cost(ids, weight)
             if c not in best or cost < best[c][0]:
@@ -269,8 +272,8 @@ def solve(instance: Instance, config: PtasConfig,
                     placements=placements_of(sites, chosen_sites),
                     config={"epsilon": config.epsilon, "m": m,
                             "counters": {"subsets_enumerated": subsets,
-                                         "components": len(members),
-                                         "anchored": len(optimum),
+                                         "components": comps,
+                                         "anchored": int(solved.sum()),
                                          "spanning": spanning}})
 
 

@@ -15,6 +15,7 @@ continuous placement is always dominated by one of them:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,8 @@ class CandidateTable:
 
     Row i covers the targets `members[lo[i]:hi[i]]`, in ascending order.
     Sites stay columns from generation through pruning and the solve; the
-    solver and the oracles read them as the lists `columns` gives.
+    oracles read them as the lists `columns` gives, the solver as the
+    arrays `pairs` gives.
     """
 
     x: np.ndarray
@@ -101,6 +103,12 @@ class CandidateTable:
         ends = size.cumsum().tolist()
         return (self.weight.tolist(),
                 [flat[a:b] for a, b in zip([0] + ends[:-1], ends)])
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (target, row) pair of a row and a target it covers, as two
+        arrays, row by row and each row's targets ascending."""
+        size = self.hi - self.lo
+        return self.members[_ranges(self.lo, size)], np.arange(len(size)).repeat(size)
 
 
 def generate_candidate_sites(instance: Instance) -> CandidateTable:
@@ -130,7 +138,7 @@ def generate_candidate_sites(instance: Instance) -> CandidateTable:
     # Positions are distinct, so only rows of equal weight need (x, y); a
     # lexsort of every row cost 0.55 ms more per sparse-400 op.
     order = weight.argsort(kind="stable")
-    heads = _run_heads(weight[order])
+    heads = run_heads(weight[order])
     tied = ~(heads & np.append(heads[1:], True))
     rows = order[tied]
     order[tied] = rows[np.lexsort((qy[rows], qx[rows], weight[rows]))]
@@ -200,7 +208,7 @@ def _coverage(qx, qy, tx, ty, reach: float):
     q, c = near_pairs(qx, qy, tx, ty, reach)
     inside = within(qx[q] - tx[c], qy[q] - ty[c], reach)
     q, c = q[inside], c[inside]
-    lo = _run_heads(q).nonzero()[0]
+    lo = run_heads(q).nonzero()[0]
     hi = np.append(lo[1:], len(c))
     return c, lo, hi, qx[q[lo]], qy[q[lo]]
 
@@ -243,26 +251,48 @@ def _nearest_circle_points(tx, ty, sx, sy, r: float) -> tuple[np.ndarray, np.nda
     and station s, c + ((s - c) / dist(c, s)) * r when r / dist(c, s)
     overflows (a subnormal distance), and (c.x + r, c.y) when s is on c."""
     cx, cy = tx[:, None], ty[:, None]
-    dx, dy = sx - cx, sy - cy
-    d = hypot(dx.ravel(), dy.ravel()).reshape(dx.shape)   # hypot(-a, -b) == hypot(a, b)
-    on_centre = d == 0.0
-    d = np.where(on_centre, 1.0, d)
+    # Far-out coordinates overflow to inf and nan, which `_positions` rejects.
     with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = sx - cx, sy - cy
+        d = hypot(dx.ravel(), dy.ravel()).reshape(dx.shape)   # hypot(-a, -b) == hypot(a, b)
+        on_centre = d == 0.0
+        d = np.where(on_centre, 1.0, d)
         t = r / d
         finite = np.isfinite(t)
         ox = np.where(finite, dx * t, (dx / d) * r)
         oy = np.where(finite, dy * t, (dy / d) * r)
-    px = np.where(on_centre, cx + r, cx + ox).ravel()
-    py = np.where(on_centre, cy, cy + oy).ravel()
+        px = np.where(on_centre, cx + r, cx + ox).ravel()
+        py = np.where(on_centre, cy, cy + oy).ravel()
     return px, py
 
 
-def _run_heads(a: np.ndarray) -> np.ndarray:
-    """Mask of the elements of `a` that differ from their predecessor."""
-    heads = np.empty(len(a), dtype=bool)
+def run_heads(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the positions where some key of equal-length `keys` differs
+    from its predecessor; the first position is a head."""
+    heads = np.empty(len(keys[0]), dtype=bool)
     heads[:1] = True
-    heads[1:] = a[1:] != a[:-1]
+    heads[1:] = keys[0][1:] != keys[0][:-1]
+    for a in keys[1:]:
+        heads[1:] |= a[1:] != a[:-1]
     return heads
+
+
+def check_cost_range(n: int, w: float) -> None:
+    """Refuse weights whose sums may pass the float range: w is the largest,
+    over n targets, of a target's cheapest coverer weight.  Each target at
+    its cheapest coverer covers the n targets for at most n * w, so no
+    optimum the strip DP or the exact oracle finds, and no round made of
+    cell optima, costs more; a greedy pick weighs at most w per target it
+    newly covers.  The branch and bound tries its cheapest branches first,
+    so it finds a cover of at most n * w before it prunes by cost plus a
+    bound of at most w.  A partial sum that overflows can only be pruned
+    or lose to such a cover.  So when (n + 1) * w is within half the
+    largest float, with room for rounding, every cost reported is
+    finite."""
+    if not (n + 1) * w <= sys.float_info.max / 2:
+        raise ValueError(
+            f"costs may pass the float range: a target's cheapest coverer weighs {w!r}, "
+            f"and {n + 1} times that passes half the largest float")
 
 
 def coverers(covers: list[list[int]]) -> dict[int, list[int]]:
@@ -304,7 +334,7 @@ def prune_dominated(table: CandidateTable) -> CandidateTable:
         tied = least.nonzero()[0]
         r = rows[tied]
         tied = tied[np.lexsort((r, table.y[r], table.x[r], group[tied]))]
-        least[tied] = _run_heads(group[tied])
+        least[tied] = run_heads(group[tied])
     least = rows[least]
     dominated = _dominated(table.lo[least], table.hi[least], table.weight[least],
                            table.members)
@@ -361,7 +391,7 @@ def _group(key: np.ndarray, same) -> tuple[np.ndarray, np.ndarray]:
     done, leads = [], []
     order = key.argsort()
     while True:
-        heads = _run_heads(key[order])
+        heads = run_heads(key[order])
         lead = order[heads][heads.cumsum() - 1]
         match = same(order, lead)
         if match.all() and not done:   # no collision
@@ -370,7 +400,7 @@ def _group(key: np.ndarray, same) -> tuple[np.ndarray, np.ndarray]:
         leads.append(lead[match])
         order = order[~match]
         if not len(order):
-            return np.concatenate(done), _run_heads(np.concatenate(leads))
+            return np.concatenate(done), run_heads(np.concatenate(leads))
         order = order[key[order].argsort()]
 
 

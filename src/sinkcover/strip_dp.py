@@ -32,8 +32,9 @@ is freed by reference count as soon as the strip ends.
 A strip without targets has an empty pool and one state, the empty
 footprint, so the sweep is handed only the cell's non-empty strips
 (`grid.strips_of_cell`); two of them that are not neighbours in the cell
-share no site.  A cell's targets are numbered straight off its strips,
-strip by strip.
+share no site.  The cell comes numbered (`grid.cells_for_shift`): its
+targets are bits strip by strip, its sites bits in ascending row order,
+and each site's cover and each strip's pool are masks of those bits.
 
 A cell may store at most STATE_BUDGET states, footprints plus local-cover
 memo entries, summed over its strips.  The count is checked as entries are
@@ -144,51 +145,33 @@ def _local_cover(resid: int, picks: dict[int, list[tuple[int, float, int]]],
     return found
 
 
-def solve_cell(strips: list[Strip], weights: list[float],
-               covers: list[list[int]]) -> CellSolution:
+def solve_cell(strips: list[Strip]) -> CellSolution:
     """Minimum-cost cover of all targets in one cell.
 
     `strips` are the cell's non-empty strips (`grid.strips_of_cell`), in
-    strip order; site g weighs `weights[g]` and covers the targets
-    `covers[g]`, and only the sites in the pools are read.  Returns the
-    exact optimum over those sites; raises StateBudgetError when the cell
-    needs more than STATE_BUDGET states.  The literal all-subsets
-    recurrence gives the same costs (see the reference implementation in
-    the test suite).
+    strip order, each holding the cell's sites as `grid.cells_for_shift`
+    numbers them; only the sites in the pools are read.  Returns the exact
+    optimum over those sites, as ascending table rows; raises
+    StateBudgetError when the cell needs more than STATE_BUDGET states.
+    The literal all-subsets recurrence gives the same costs (see the
+    reference implementation in the test suite).
     """
     counters = DpCounters()
     if not strips:
         return CellSolution([], 0.0, counters)
 
-    # Local ids: targets and sites are renumbered inside the cell so subsets
-    # and covered-sets become machine ints.  Targets are numbered strip by
-    # strip, each strip's in the ascending order `grid.cells_for_shift`
-    # lists them in, sites in ascending index order.  Across strips the
-    # order of target bits changes nothing; within a strip it picks the
-    # target the local cover search branches on, and follows the indices.
-    tbit = {t: 1 << k for k, t in
-            enumerate([t for st in strips for t in st.target_indices])}
+    # Target bits run strip by strip; across strips their order changes
+    # nothing, and within a strip it picks the target the local cover
+    # search branches on.
     strip_tmask = []
     hi = 1
     for st in strips:
         lo, hi = hi, hi << len(st.target_indices)
         strip_tmask.append(hi - lo)
     strip_tmask.append(0)
-    gids = sorted({g for st in strips for g in st.site_pool})
-    sbit = {g: 1 << i for i, g in enumerate(gids)}
-    pool_mask = []
-    for st in strips:
-        pm = 0
-        for g in st.site_pool:
-            pm |= sbit[g]
-        pool_mask.append(pm)
-    weight = [weights[g] for g in gids]
-    cover = []
-    for g in gids:
-        msk = 0
-        for t in covers[g]:
-            msk |= tbit.get(t, 0)
-        cover.append(msk)
+    pool_mask = [st.pool_mask for st in strips]
+    sites = strips[0].sites
+    weight, cover = sites.weight, sites.cover
     shared = [pool_mask[j] & pool_mask[j + 1]
               for j in range(len(strips) - 1)] + [0]
 
@@ -258,5 +241,5 @@ def solve_cell(strips: list[Strip], weights: list[float],
         chosen |= f | lmask
         f = f_prev
 
-    return CellSolution([gids[b] for b in _bit_indices(chosen)],
+    return CellSolution([sites.rows[b] for b in _bit_indices(chosen)],
                         best_cost, counters)

@@ -1,21 +1,42 @@
 import numpy as np
 from hypothesis import settings
+from site_records import site_table
 
 from sinkcover.grid import bounding_box, cells_for_shift, round_keys, strips_of_cell
-from sinkcover.sites import Instance, coverers
+from sinkcover.sites import Instance
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
 
 
-def bin_points(grid, points, f, among=None):
+def bin_points(grid, points, f, among=None, sites=None):
     """Round f's cells of a point list, as the solver bins its targets:
     `round_keys` keys the points, by default all, and `cells_for_shift`
-    bins them; a cell names each point by its index in `points`."""
-    among = range(len(points)) if among is None else among
+    bins them; a cell names each point by its index in `points`.  Its
+    sites are the rows of the `CandidateTable` `sites` that cover its
+    points, by default none."""
+    among = np.arange(len(points)) if among is None else np.array(among, dtype=np.intp)
     xs = np.array([points[i].x for i in among], dtype=float)
     ys = np.array([points[i].y for i in among], dtype=float)
-    return cells_for_shift(zip(among, *round_keys(grid, xs, ys, f)))
+    return bin_keyed(*round_keys(grid, xs, ys, f), among, sites)
+
+
+def bin_keyed(kx, ky, strip, target, sites=None):
+    """`cells_for_shift` over keyed targets given as sequences, numbered
+    over the `CandidateTable` `sites`, by default none."""
+    table = site_table([]) if sites is None else sites
+    target = np.array(target, dtype=np.intp)
+    covered = table.pairs()
+    count = int(max(target.max(initial=-1), covered[0].max(initial=-1))) + 1
+    return cells_for_shift(np.array(kx, dtype=float), np.array(ky, dtype=float),
+                           np.array(strip, dtype=np.intp), target, covered, table.weight,
+                           count)
+
+
+def layout(cell):
+    """A cell's non-empty strips, in strip order, as (strip number,
+    ascending targets) pairs."""
+    return [(s.number, list(s.target_indices)) for s in strips_of_cell(cell)]
 
 
 def footprint_state_bound(strips):
@@ -41,16 +62,16 @@ def solve_state_bound(instance, solution, sites):
     `sites` hands the strip DP: the anchored cell of each component that
     has one, and each cell of each shift round holding targets of one of
     the other components."""
+    from reference_grid import numbered_strips
     from reference_ptas import anchored_cells
 
     m = len(solution.per_round_costs)
     grid = bounding_box(instance, m)
-    by_target = coverers([s.covered for s in sites])
     total = 0
     for group, cell in anchored_cells(instance, m, sites):
         cells = [cell] if cell is not None else [
-            c for f in range(m) for c in bin_points(grid, instance.targets, f, sorted(group))]
-        total += sum(footprint_state_bound(strips_of_cell(c, by_target)) for c in cells)
+            layout(c) for f in range(m) for c in bin_points(grid, instance.targets, f, sorted(group))]
+        total += sum(footprint_state_bound(numbered_strips(c, sites)) for c in cells)
     return total
 
 

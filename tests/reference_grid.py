@@ -6,9 +6,13 @@ lands in cell floor((p - corner) / side) on both axes, and in strip
 floor((x - lo) / unit) of it, clamped to the cell's m strips.  It lists
 every strip of a cell, empty or not, so a test can compare cells, strip
 numbers and members with `grid.round_keys` plus `grid.cells_for_shift`.
+`numbered_strips` numbers a cell's targets and sites for the strip DP one
+at a time, as `grid.cells_for_shift` numbers them in arrays.
 """
 
 import math
+
+from sinkcover.grid import CellSites, Strip
 
 
 def reference_cells(grid, points, f, among=None):
@@ -30,3 +34,24 @@ def reference_cells(grid, points, f, among=None):
         x0 = off.x + ix * side
         strips[min(max(int((p.x - x0) // width), 0), m - 1)].append(i)
     return [(key, tuple(map(tuple, bins[key]))) for key in sorted(bins)]
+
+
+def numbered_strips(layout, sites):
+    """The strips `solve_cell` takes for a cell whose non-empty strips are
+    `layout`, (strip number, ascending targets) pairs in strip order, over
+    the candidate sites `sites`, numbered one target and one site at a
+    time from a plain per-target coverers dict: the cell's targets strip
+    by strip, and the sites covering any of them in ascending index
+    order."""
+    by_target = {}
+    for g, s in enumerate(sites):
+        for t in s.covered:
+            by_target.setdefault(t, []).append(g)
+    bit = {t: k for k, t in enumerate(t for _, ts in layout for t in ts)}
+    pools = [sorted({g for t in ts for g in by_target.get(t, ())}) for _, ts in layout]
+    rows = sorted({g for pool in pools for g in pool})
+    number = {g: i for i, g in enumerate(rows)}
+    cell = CellSites(rows, [sites[g].weight for g in rows],
+                     [sum(1 << bit[t] for t in sites[g].covered if t in bit) for g in rows])
+    return [Strip(j, list(ts), sum(1 << number[g] for g in pool), cell)
+            for (j, ts), pool in zip(layout, pools)]

@@ -12,11 +12,10 @@ per-component choice must cost what the cheapest round of each component
 here sums to.
 """
 
-from conftest import bin_points
-from site_records import site_columns
+from conftest import bin_points, layout
+from reference_grid import numbered_strips
 
-from sinkcover.grid import Cell, bounding_box, strips_of_cell
-from sinkcover.sites import coverers
+from sinkcover.grid import bounding_box
 from sinkcover.strip_dp import StateBudgetError, solve_cell
 
 
@@ -46,7 +45,8 @@ def anchored_cells(instance, m, sites):
     """(component, its anchored cell or None) for each component: the cell
     lists the component's targets by strip floor((x - x0) / unit) from its
     least target x, x0, clamped to m strips, when the component's bounding
-    box is under one cell side on both axes."""
+    box is under one cell side on both axes, as (strip number, ascending
+    targets) pairs of its non-empty strips."""
     grid = bounding_box(instance, m)
     out = []
     for group in components(instance.n, sites):
@@ -60,7 +60,7 @@ def anchored_cells(instance, m, sites):
             for t in sorted(group):
                 j = min(max(int((pts[t].x - x0) // grid.strip), 0), m - 1)
                 strips.setdefault(j, []).append(t)
-            cell = Cell((0, 0), sorted(strips.items()))
+            cell = sorted(strips.items())
         out.append((group, cell))
     return out
 
@@ -72,14 +72,12 @@ def every_cell_costs(instance, m, sites):
     ties.  A component whose anchored cell is over the state budget is
     left to the rounds."""
     grid = bounding_box(instance, m)
-    columns = site_columns(sites)
-    by_target = coverers(columns[1])
     fixed = set()
     groups = []
     for group, cell in anchored_cells(instance, m, sites):
         try:
             if cell is not None:
-                fixed.update(solve_cell(strips_of_cell(cell, by_target), *columns).site_indices)
+                fixed.update(solve_cell(numbered_strips(cell, sites)).site_indices)
                 continue
         except StateBudgetError:
             pass
@@ -90,7 +88,7 @@ def every_cell_costs(instance, m, sites):
     for f in range(m):
         own = [[] for _ in groups]
         for cell in bin_points(grid, instance.targets, f):
-            for i in solve_cell(strips_of_cell(cell, by_target), *columns).site_indices:
+            for i in solve_cell(numbered_strips(layout(cell), sites)).site_indices:
                 c = group_of.get(min(sites[i].covered))
                 if c is not None:
                     own[c].append(i)

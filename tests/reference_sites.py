@@ -20,7 +20,7 @@ from site_records import CandidateSite
 
 from sinkcover.geometry import COVER_TOL, Point, hypot, near_pairs
 from sinkcover.sites import (CandidateTable, _circle_pair_points,
-                             _nearest_circle_points, _run_heads, site_weight)
+                             _nearest_circle_points, run_heads, site_weight)
 
 
 def math_hypot_candidate_table(instance):
@@ -58,7 +58,7 @@ def _coverage(qx, qy, tx, ty, reach):
     q, c = near_pairs(qx, qy, tx, ty, reach)
     inside = hypot(qx[q] - tx[c], qy[q] - ty[c]) <= reach
     q, c = q[inside], c[inside]
-    lo = _run_heads(q).nonzero()[0]
+    lo = run_heads(q).nonzero()[0]
     hi = np.append(lo[1:], len(c))
     return c, lo, hi, qx[q[lo]], qy[q[lo]]
 

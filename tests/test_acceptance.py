@@ -21,7 +21,7 @@ from sinkcover.grid import bounding_box, strips_of_cell
 from sinkcover.instances_io import gen_counterexample, gen_uniform
 from sinkcover.oracle import exact_min_cost_cover, grid_refine_audit
 from sinkcover.ptas import PtasConfig, shift_average_audit, solve, verify_solution
-from sinkcover.sites import coverers, generate_candidate_sites, prune_dominated
+from sinkcover.sites import generate_candidate_sites, prune_dominated
 from sinkcover.strip_dp import solve_cell
 
 REL = 1e-9
@@ -88,14 +88,12 @@ def test_criterion_2_dp_exactness():
         n = rng.randint(1, 10)
         k = rng.randint(1, 2)
         inst = gen_uniform(n, k, 1.0, 3.8, 20_000 + seed)
-        columns = prune_dominated(generate_candidate_sites(inst)).columns()
+        table = prune_dominated(generate_candidate_sites(inst))
         g = bounding_box(inst, m)
-        cells = bin_points(g, inst.targets, 0)
+        cells = bin_points(g, inst.targets, 0, sites=table)
         assert len(cells) == 1, f"seed {seed}: instance spans {len(cells)} cells"
-        cell = cells[0]
-        strips = strips_of_cell(cell, coverers(columns[1]))
-        res = solve_cell(strips, *columns)
-        opt = exact_min_cost_cover(inst.n, *columns).cost
+        res = solve_cell(strips_of_cell(cells[0]))
+        opt = exact_min_cost_cover(inst.n, *table.columns()).cost
         if not math.isclose(res.cost, opt, rel_tol=REL, abs_tol=1e-12):
             mismatches.append((seed, res.cost, opt))
     assert not mismatches, mismatches[:5]

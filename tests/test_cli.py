@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from conftest import bin_points
+from conftest import bin_points, layout
 
 from sinkcover import cli
 from sinkcover.cli import run
@@ -135,6 +135,37 @@ def test_extreme_coordinates_fail_with_one_line_on_stderr(tmp_path):
                           env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error[input]: non-finite point (inf, 0.5)\n"
+
+
+def test_far_station_fails_with_one_line_on_stderr(tmp_path):
+    # The station's offsets from the targets overflow to inf too: the solve
+    # is refused with nothing else on stderr.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"r": 1.0, "stations": [[-1e308, 0.0]],
+                                "targets": [[1e308, 0.0], [1e308, 0.5]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sinkcover.cli", "solve", "--in", str(path),
+                           "--m", "2", "--out", str(tmp_path / "sol.json")],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error[input]: non-finite point (inf, 0.25)\n"
+
+
+@pytest.mark.parametrize("argv", [["solve", "--m", "4"], ["exact"], ["compare", "--m", "2,4"],
+                                  ["audit", "--m", "4", "--step", "1e305"]],
+                         ids=["solve", "exact", "compare", "audit"])
+def test_costs_past_the_float_range_are_refused_before_any_output(tmp_path, capsys, argv):
+    # Ten targets in a 1e308 box: each site weighs up to about 1.4e308, so
+    # a cover's cost overflows.  `solve` used to write "Infinity" costs,
+    # and `exact` to find no cover at all.
+    path = _gen(tmp_path, n=10, k=2, extent=1e308, seed=1)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run([argv[0], "--in", str(path), *argv[1:], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[input]: costs may pass the float range: ")
+    assert not out.exists()
 
 
 def test_solve_verify_cap_is_a_usage_error(tmp_path, capsys):
@@ -616,7 +647,7 @@ def test_render_cell_lines_are_every_mth_strip_line(tmp_path, m, seed):
     assert f > 0    # the drawn tiling is shifted off round 0's
     xs = [x for x, _ in vertical]
     for c in bin_points(bounding_box(inst, m), inst.targets, f):
-        for j, members in c.strips:
+        for j, members in layout(c):
             for t in members:
                 left = bisect.bisect_right(xs, float(circles[t].get("cx"))) - 1
                 assert (left - cell[0]) % m == j

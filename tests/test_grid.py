@@ -3,20 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from conftest import bin_points, straddle_instance
+from conftest import bin_keyed, bin_points, layout, straddle_instance
 from hypothesis import example, given
 from hypothesis import strategies as st
 from reference_grid import reference_cells
 
 from sinkcover.geometry import COVER_TOL, Point
-from sinkcover.grid import (Cell, Grid, anchored_keys, bounding_box, cell_keys,
-                           cells_for_shift, strips_of_cell)
+from sinkcover.grid import Grid, anchored_keys, bounding_box, cell_keys, strips_of_cell
 from sinkcover.sites import Instance, coverers, generate_candidate_sites
-
-
-def _coverers(inst):
-    """Each target's coverers among the instance's unpruned candidate sites."""
-    return coverers(generate_candidate_sites(inst).columns()[1])
 
 
 def _uniform_instance(seed, n=8, k=2, extent=10.0, r=1.0):
@@ -73,7 +67,7 @@ def test_shift_moves_boundaries_by_f_units():
         assert g.corner(f) == Point(off_x, off_y)
         for c in bin_points(g, inst.targets, f):
             lo_x, lo_y = off_x + c.index[0] * side, off_y + c.index[1] * side
-            for i in (i for _, strip in c.strips for i in strip):
+            for i in (i for _, strip in layout(c) for i in strip):
                 t = inst.targets[i]
                 assert lo_x <= t.x < lo_x + side and lo_y <= t.y < lo_y + side
 
@@ -86,7 +80,7 @@ def test_cells_partition_targets_every_round():
             for f in range(m):
                 cells = bin_points(g, inst.targets, f)
                 assert len({c.index for c in cells}) == len(cells)
-                seen = [i for c in cells for _, strip in c.strips for i in strip]
+                seen = [i for c in cells for _, strip in layout(c) for i in strip]
                 assert sorted(seen) == list(range(inst.n))
 
 
@@ -116,20 +110,19 @@ def test_shift_boundary_positions_cycle():
 
 def test_strip_count_and_width():
     inst = _uniform_instance(2, n=30)
-    coverers = _coverers(inst)
+    sites = generate_candidate_sites(inst)
     width = 2.0 * inst.r
     for m in (2, 3):
         g = bounding_box(inst, m)
         for f in range(m):
-            for cell in bin_points(g, inst.targets, f):
+            for cell in bin_points(g, inst.targets, f, sites=sites):
                 # A cell lists its non-empty strips, numbered within its m.
-                numbers = [j for j, _ in cell.strips]
+                numbers = [j for j, _ in layout(cell)]
                 assert numbers == sorted(set(numbers)) and set(numbers) <= set(range(m))
-                assert all(strip for _, strip in cell.strips)
-                assert len(strips_of_cell(cell, coverers)) == len(cell.strips)
+                assert all(strip for _, strip in layout(cell))
                 x0 = g.corner(f).x + cell.index[0] * g.cell_side
                 # Strip j is the half-open slice [x0 + j*2r, x0 + (j+1)*2r).
-                for j, strip in cell.strips:
+                for j, strip in layout(cell):
                     for i in strip:
                         assert x0 + j * width <= inst.targets[i].x < x0 + (j + 1) * width
 
@@ -148,35 +141,36 @@ def test_cell_keys_name_the_cell_each_point_is_binned_into():
             for f in range(m):
                 ix, iy = cell_keys(g, xs, ys, f)
                 binned = {i: cell.index for cell in bin_points(g, pts, f)
-                          for _, strip in cell.strips for i in strip}
+                          for _, strip in layout(cell) for i in strip}
                 assert binned == {i: (ix[i], iy[i]) for i in range(len(pts))}
                 # Binning a subset keeps each point's cell, strip and index.
                 expected = []
                 for cell in bin_points(g, pts, f):
                     strips = [(j, [i for i in st if i % 3 == 0])
-                              for j, st in cell.strips]
+                              for j, st in layout(cell)]
                     strips = [(j, st) for j, st in strips if st]
                     if strips:
-                        expected.append(Cell(cell.index, strips))
+                        expected.append((cell.index, strips))
                 among = list(range(0, len(pts), 3))
-                assert bin_points(g, pts, f, among) == expected
+                assert [(c.index, layout(c)) for c in bin_points(g, pts, f, among)] == expected
 
 
 def test_strips_partition_cell_targets():
     for seed in range(8):
         inst = _uniform_instance(seed, n=10)
-        coverers = _coverers(inst)
+        sites = generate_candidate_sites(inst)
+        by_target = coverers(sites.columns()[1])
         g = bounding_box(inst, 3)
         for f in range(3):
-            for cell in bin_points(g, inst.targets, f):
-                strips = strips_of_cell(cell, coverers)
+            for cell in bin_points(g, inst.targets, f, sites=sites):
+                strips = strips_of_cell(cell)
                 # The strips keep the cell's targets as binned and attach
                 # each strip the coverers of its targets.
-                assert [(s.number, s.target_indices) for s in strips] == list(cell.strips)
+                assert [(s.number, s.target_indices) for s in strips] == layout(cell)
                 got = [t for s in strips for t in s.target_indices]
                 assert got and len(got) == len(set(got))
                 for s in strips:
-                    pool = {i for t in s.target_indices for i in coverers[t]}
+                    pool = {i for t in s.target_indices for i in by_target[t]}
                     assert list(s.site_pool) == sorted(pool)
 
 
@@ -184,10 +178,11 @@ def test_site_spanning_two_strips_in_both_pools():
     # The second and third targets straddle the strip boundary at
     # min_x + 2r; their shared coverers must appear in both pools.
     inst = Instance.from_coords([(0.0, 0.0), (1.9, 0.0), (2.1, 0.0)], [(0, 0)], 1.0)
-    covers = generate_candidate_sites(inst).columns()[1]
+    sites = generate_candidate_sites(inst)
+    covers = sites.columns()[1]
     g = bounding_box(inst, 2)
-    (cell,) = bin_points(g, inst.targets, 0)
-    s1, s2 = strips_of_cell(cell, coverers(covers))
+    (cell,) = bin_points(g, inst.targets, 0, sites=sites)
+    s1, s2 = strips_of_cell(cell)
     assert 1 in s1.target_indices and 2 in s2.target_indices
     both = [i for i, cov in enumerate(covers) if {1, 2} <= set(cov)]
     assert both
@@ -198,10 +193,10 @@ def test_site_spanning_two_strips_in_both_pools():
 def test_no_pool_shared_across_nonadjacent_strips():
     for seed in range(6):
         inst = _uniform_instance(seed, n=10, extent=6.0)
-        coverers = _coverers(inst)
+        sites = generate_candidate_sites(inst)
         g = bounding_box(inst, 4)
-        for cell in bin_points(g, inst.targets, 0):
-            strips = strips_of_cell(cell, coverers)
+        for cell in bin_points(g, inst.targets, 0, sites=sites):
+            strips = strips_of_cell(cell)
             for a in strips:
                 for b in strips:
                     if b.number >= a.number + 2:
@@ -230,12 +225,11 @@ def test_no_site_in_the_pools_of_strips_two_apart(offset):
             rng.uniform(1e-12, 1e-9), rng.random() < 0.5), m))
     for inst, m in cases:
         inst = _translated(inst, offset)
-        coverers = _coverers(inst)
+        sites = generate_candidate_sites(inst)
         g = bounding_box(inst, m)
         for f in range(m):
-            for cell in bin_points(g, inst.targets, f):
-                pools = {s.number: set(s.site_pool)
-                         for s in strips_of_cell(cell, coverers)}
+            for cell in bin_points(g, inst.targets, f, sites=sites):
+                pools = {s.number: set(s.site_pool) for s in strips_of_cell(cell)}
                 for i in pools:
                     for j in pools:
                         if j >= i + 2:
@@ -302,7 +296,7 @@ def test_round_keys_bin_as_the_per_point_loop(case):
     # far from the origin and for cell keys past 2^63.
     g, pts, f, among = case
     cells = bin_points(g, pts, f, among)
-    assert [(c.index, c.strips) for c in cells] == \
+    assert [(c.index, layout(c)) for c in cells] == \
         _reference_view(reference_cells(g, pts, f, among))
     assert all(type(v) is int for c in cells for v in c.index)
 
@@ -316,15 +310,15 @@ def test_cell_keys_past_two_to_the_63_stay_exact(m):
     for f in range(m):
         cells = bin_points(g, pts, f)
         assert max(c.index[0] for c in cells) > 2 ** 63
-        assert [(c.index, c.strips) for c in cells] == \
+        assert [(c.index, layout(c)) for c in cells] == \
             _reference_view(reference_cells(g, pts, f))
 
 
 def test_cells_for_shift_lists_members_ascending_whatever_the_row_order():
-    rows = [(7, 1.0, 0.0, 2), (3, 1.0, 0.0, 2), (5, 0.0, 0.0, 0), (1, 1.0, 0.0, 0)]
-    assert cells_for_shift(rows) == [Cell((0, 0), [(0, [5])]),
-                                     Cell((1, 0), [(0, [1]), (2, [3, 7])])]
-    assert cells_for_shift([]) == []
+    cells = bin_keyed([1.0, 1.0, 0.0, 1.0], [0.0] * 4, [2, 2, 0, 0], [7, 3, 5, 1])
+    assert [(c.index, layout(c)) for c in cells] == [((0, 0), [(0, [5])]),
+                                                     ((1, 0), [(0, [1]), (2, [3, 7])])]
+    assert bin_keyed([], [], [], []) == []
 
 
 def _ulps_of(v):
@@ -374,5 +368,5 @@ def test_anchored_keys_match_the_per_point_loop(case):
         assert fits[c] == (max(p.x for p in members) - x0 < g.cell_side
                            and max(p.y for p in members) - y0 < g.cell_side)
         least[c] = x0
-    assert strips == [min(max(int((p.x - least[c]) // g.strip), 0), g.m - 1)
+    assert strips.tolist() == [min(max(int((p.x - least[c]) // g.strip), 0), g.m - 1)
                       for p, c in zip(pts, group)]

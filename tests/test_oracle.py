@@ -241,7 +241,7 @@ def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
     # The census bins sensors with the solver's tiling: the strips that
     # cells_for_shift gives a sensor list are the census's strips, and each
     # sensor's strip is floor((x - corner.x) / 2r) counted within its cell.
-    from conftest import bin_points
+    from conftest import bin_points, layout
 
     from sinkcover.grid import bounding_box
     from sinkcover.ptas import PtasConfig, solve
@@ -254,7 +254,7 @@ def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
         g = bounding_box(inst, m)
         binned = {(*cell.index, j + 1): len(members)
                   for cell in bin_points(g, pos, f)
-                  for j, members in cell.strips}
+                  for j, members in layout(cell)}
         corner, side = g.corner(f), g.cell_side
         expected: dict = {}
         for p in pos:

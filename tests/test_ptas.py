@@ -1,12 +1,15 @@
 import gc
 import json
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import solve_state_bound, straddle_instance
-from hypothesis import assume, given
+from conftest import bin_points, layout, solve_state_bound, straddle_instance
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from reference_grid import numbered_strips
 from reference_oracle import milp_min_cost_cover
 from reference_ptas import anchored_cells, components, every_cell_costs
 from site_records import CandidateSite, site_columns, site_records, site_table
@@ -574,3 +577,115 @@ def test_over_budget_anchored_cell_falls_back_to_the_rounds(monkeypatch):
     with pytest.raises(StateBudgetError,
                        match=r"^shift 0, cell \(2, 1\): the cell needs more than 3 DP states"):
         solve(inst, PtasConfig(m=1), sites=table)
+
+
+def _reference_calls(inst, m, sites):
+    """The cells the solver hands the strip DP, in order, laid out and
+    numbered by the references: each anchored cell of a component of more
+    than one target, by component, then round by round the cells of the
+    other components' targets (`bin_points`), each target alone in its
+    (component, cell) group left out, each cell as `numbered_strips` gives
+    it from a plain per-target coverers dict."""
+    grid = bounding_box(inst, m)
+    layout_of = anchored_cells(inst, m, sites)
+    cells = [cell for group, cell in layout_of if cell is not None and len(group) > 1]
+    comp_of = {t: c for c, (group, cell) in enumerate(layout_of) if cell is None for t in group}
+    among = sorted(comp_of)
+    for f in range(m if among else 0):
+        binned = [(c.index, t) for c in bin_points(grid, inst.targets, f, among)
+                  for _, ts in layout(c) for t in ts]
+        size = Counter((comp_of[t], index) for index, t in binned)
+        rest = sorted(t for index, t in binned if size[comp_of[t], index] > 1)
+        cells += [layout(c) for c in bin_points(grid, inst.targets, f, rest)]
+    return [numbered_strips(cell, sites) for cell in cells]
+
+
+def _line(count, gap, order=None):
+    """`count` targets on a line `gap` apart, target i at place order[i]
+    (by default i), and a station below the line's middle."""
+    order = range(count) if order is None else order
+    return Instance.from_coords([(gap * p, 0.0) for p in order],
+                                [(gap * count / 2, -3.0)], 1.0)
+
+
+@st.composite
+def keyed_draws(draw):
+    """Sparse, dense and clustered draws, lone targets among them, and
+    chains that span cells at m = 2."""
+    kind = draw(st.sampled_from(["sparse", "dense", "clustered", "chain"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(1, 4))
+    if kind == "sparse":
+        n = draw(st.integers(1, 60))
+        return gen_uniform(n, 3, 1.0, math.sqrt(n / 0.1), seed), m
+    if kind == "dense":
+        return gen_uniform(draw(st.integers(1, 14)), 2, 1.0, 8.0, seed), m
+    if kind == "chain":
+        return _line(draw(st.integers(2, 9)), draw(st.sampled_from([0.7, 1.5, 1.9]))), 2
+    rng = random.Random(seed)
+    centres = [(rng.uniform(0, 30), rng.uniform(0, 30)) for _ in range(draw(st.integers(1, 4)))]
+    targets = [(cx + rng.gauss(0, 0.8), cy + rng.gauss(0, 0.8))
+               for cx, cy in centres for _ in range(draw(st.integers(1, 6)))]
+    return Instance.from_coords(targets, [(15.0, 15.0), (0.0, 30.0)], 1.0), m
+
+
+@given(keyed_draws())
+@example((_line(70, 0.2), 8))     # one anchored cell of 70 targets
+@example((_line(100, 0.2), 8))    # round cells of up to 80 targets
+def test_solve_hands_the_strip_dp_the_reference_cells(draw):
+    # Cells, their strips, targets, pools and numbering come out of one
+    # numpy binning; the references lay them out one target at a time.
+    inst, m = draw
+    table = prune_dominated(generate_candidate_sites(inst))
+    sites = site_records(table)
+    calls = []
+
+    def recording(strips):
+        calls.append(strips)
+        return strip_dp.solve_cell(strips)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ptas, "solve_cell", recording)
+        solve(inst, PtasConfig(m=m), sites=table)
+    expected = _reference_calls(inst, m, sites)
+    assert calls == expected
+    assert [[s.site_pool for s in strips] for strips in calls] == \
+        [[s.site_pool for s in strips] for strips in expected]
+
+
+def _components_of(target_count, table):
+    """`ptas._components` over the table's sites."""
+    return ptas._components(target_count, table.pairs()[0].tolist(),
+                            (table.hi - table.lo).cumsum().tolist())
+
+
+def _bit_reversed(count):
+    """0..count-1 ordered by their bits read backwards."""
+    width = max(count - 1, 1).bit_length()
+    return sorted(range(count), key=lambda i: int(f"{i:0{width}b}"[::-1], 2))
+
+
+@pytest.mark.parametrize("order", [None, list(range(39, -1, -1)), _bit_reversed(40),
+                                   [p for i in range(20) for p in (i, 39 - i)]],
+                         ids=["ascending", "descending", "bit-reversed", "zigzag"])
+def test_components_match_the_reference_on_numbered_chains(order):
+    # A chain of 40 targets, each sharing a site with the next, numbered
+    # so that the lowest target sits at an end, in the middle or anywhere:
+    # one component, numbered 0.
+    inst = _line(40, 1.5, order)
+    table = prune_dominated(generate_candidate_sites(inst))
+    comp, count = _components_of(inst.n, table)
+    assert (count, comp.tolist()) == (1, [0] * 40)
+    assert components(inst.n, site_records(table)) == [set(range(40))]
+
+
+@given(keyed_draws())
+def test_components_match_the_reference(draw):
+    # Each target's component, numbered in order of its lowest target.
+    inst, _ = draw
+    table = prune_dominated(generate_candidate_sites(inst))
+    comp, count = _components_of(inst.n, table)
+    groups = components(inst.n, site_records(table))
+    assert count == len(groups)
+    assert comp.tolist() == [next(c for c, g in enumerate(groups) if t in g)
+                             for t in range(inst.n)]

@@ -5,30 +5,30 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import bin_points, footprint_state_bound
+from conftest import bin_keyed, bin_points, footprint_state_bound, layout
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_strip_dp import compatible, enumerate_strip_subsets, irredundant_footprints
-from site_records import CandidateSite, pruned_sites, site_columns
+from site_records import CandidateSite, site_columns, site_records, site_table
 
 from sinkcover import strip_dp
 from sinkcover.geometry import Point
-from sinkcover.grid import Cell, bounding_box, cells_for_shift, strips_of_cell
+from sinkcover.grid import CellSites, Strip, bounding_box, strips_of_cell
 from sinkcover.instances_io import gen_uniform
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.sites import Instance, coverers
+from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
 from sinkcover.strip_dp import CellSolution, StateBudgetError, solve_cell
 
 INF = float("inf")
 
 
 def _single_cell(inst, m):
-    sites = pruned_sites(inst)
+    table = prune_dominated(generate_candidate_sites(inst))
     g = bounding_box(inst, m)
-    cells = bin_points(g, inst.targets, 0)
+    cells = bin_points(g, inst.targets, 0, sites=table)
     assert len(cells) == 1
     cell = cells[0]
-    return cell, strips_of_cell(cell, coverers(site_columns(sites)[1])), sites
+    return cell, strips_of_cell(cell), site_records(table)
 
 
 def _dense_instance(seed, max_n=10, extent=3.8, k_choices=(1, 2)):
@@ -127,8 +127,7 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     # keys.
     inst = gen_uniform(30, 2, 1.0, 8.0, 2)
     m = 4
-    columns = site_columns(pruned_sites(inst))
-    by_target = coverers(columns[1])
+    sites = prune_dominated(generate_candidate_sites(inst))
     table = strip_dp._footprints
     keys = []
 
@@ -140,10 +139,9 @@ def test_footprint_states_within_reference_keys(monkeypatch):
     monkeypatch.setattr(strip_dp, "_footprints", counting)
     g = bounding_box(inst, m)
     for f in range(m):
-        for cell in bin_points(g, inst.targets, f):
-            strips = strips_of_cell(cell, by_target)
+        for cell in bin_points(g, inst.targets, f, sites=sites):
             keys.clear()
-            res = solve_cell(strips, *columns)
+            res = solve_cell(strips_of_cell(cell))
             assert res.counters.subsets_enumerated <= sum(keys), (f, cell.index)
 
 
@@ -151,7 +149,7 @@ def test_solve_cell_zero_cost_station():
     inst = Instance.from_coords([(0, 0), (0.4, 0)], [(0.2, 0)], 1.0)
     for m in (1, 2, 3):
         _, strips, sites = _single_cell(inst, m)
-        res = solve_cell(strips, *site_columns(sites))
+        res = solve_cell(strips)
         assert isinstance(res, CellSolution)
         assert res.cost == 0.0
 
@@ -159,7 +157,7 @@ def test_solve_cell_zero_cost_station():
 def test_solve_cell_two_disjoint_targets():
     inst = Instance.from_coords([(0, 0), (3, 0)], [(1.5, 0)], 1.0)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, *site_columns(sites))
+    res = solve_cell(strips)
     assert isinstance(res, CellSolution)
     assert res.cost == pytest.approx(1.0, rel=1e-12)
     oracle = exact_min_cost_cover(inst.n, *site_columns(sites))
@@ -167,11 +165,7 @@ def test_solve_cell_two_disjoint_targets():
 
 
 def test_solve_cell_empty_cell():
-    inst = Instance.from_coords([(1, 1)], [(0, 0)], 1.0)
-    cell, _, sites = _single_cell(inst, 2)
-    empty = Cell(index=(9, 9), strips=[])
-    res = solve_cell(strips_of_cell(empty, coverers(site_columns(sites)[1])),
-                     *site_columns(sites))
+    res = solve_cell([])
     assert isinstance(res, CellSolution)
     assert res.cost == 0.0 and res.site_indices == []
 
@@ -179,10 +173,9 @@ def test_solve_cell_empty_cell():
 def test_solve_cell_uncoverable_target_is_an_error():
     # Candidate sites always cover every target; a hand-built strip whose
     # target has no site is refused rather than solved wrongly.
-    from sinkcover.grid import Strip
-    strips = [Strip(number=0, target_indices=(0,), site_pool=())]
+    strips = [Strip(number=0, target_indices=(0,), pool_mask=0, sites=CellSites([], [], []))]
     with pytest.raises(ValueError, match="no candidate site covers a target of strip 1"):
-        solve_cell(strips, [], [])
+        solve_cell(strips)
 
 
 def test_targetless_strips_store_no_states():
@@ -190,21 +183,21 @@ def test_targetless_strips_store_no_states():
     # footprint; the sweep is not handed it, so only the strip with the
     # target stores a state, and a missing coverer is named by its strip
     # number.  Target 0 is keyed into strip 1, then strip 2, of a cell.
-    sites = _sites_from_spec([({0}, 2.0), ({0}, 1.0)])
-    (cell,) = cells_for_shift([(0, 0.0, 0.0, 1)])
-    res = solve_cell(strips_of_cell(cell, {0: [0, 1]}), *site_columns(sites))
+    table = site_table(_sites_from_spec([({0}, 2.0), ({0}, 1.0)]))
+    (cell,) = bin_keyed([0], [0], [1], [0], table)
+    res = solve_cell(strips_of_cell(cell))
     assert res.site_indices == [1] and res.cost == 1.0
     assert res.counters.subsets_enumerated == 1
-    (cell,) = cells_for_shift([(0, 0.0, 0.0, 2)])
+    (cell,) = bin_keyed([0], [0], [2], [0])
     with pytest.raises(ValueError, match="covers a target of strip 3$"):
-        solve_cell(strips_of_cell(cell, {}), *site_columns(sites))
+        solve_cell(strips_of_cell(cell))
 
 
 def test_solve_cell_matches_oracle_randomized():
     for seed in range(40):
         inst = _dense_instance(seed)
         _, strips, sites = _single_cell(inst, 2)
-        res = solve_cell(strips, *site_columns(sites))
+        res = solve_cell(strips)
         assert isinstance(res, CellSolution)
         oracle = exact_min_cost_cover(inst.n, *site_columns(sites))
         assert res.cost == pytest.approx(oracle.cost, rel=1e-9, abs=1e-12)
@@ -214,14 +207,14 @@ def test_solve_cell_cost_matches_reconstruction():
     for seed in range(20):
         inst = _dense_instance(seed)
         cell, strips, sites = _single_cell(inst, 2)
-        res = solve_cell(strips, *site_columns(sites))
+        res = solve_cell(strips)
         assert isinstance(res, CellSolution)
         total = sum(sites[i].weight for i in sorted(res.site_indices))
         assert total == pytest.approx(res.cost, rel=1e-9, abs=1e-12)
         covered = set()
         for i in res.site_indices:
             covered |= sites[i].covered
-        assert {t for _, strip in cell.strips for t in strip} <= covered
+        assert {t for _, strip in layout(cell) for t in strip} <= covered
 
 
 def test_solve_cell_two_targets_without_joint_coverer():
@@ -229,7 +222,7 @@ def test_solve_cell_two_targets_without_joint_coverer():
     # no joint coverer: each needs a sensor of its own.
     inst = Instance.from_coords([(0.2, 0.1), (0.3, 1.8)], [(5, 5)], 0.5)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, *site_columns(sites))
+    res = solve_cell(strips)
     assert len(res.site_indices) == 2
     assert res.cost == exact_min_cost_cover(inst.n, *site_columns(sites)).cost
 
@@ -237,7 +230,7 @@ def test_solve_cell_two_targets_without_joint_coverer():
 def test_solve_cell_counters_within_envelope():
     inst = _dense_instance(3)
     _, strips, sites = _single_cell(inst, 2)
-    res = solve_cell(strips, *site_columns(sites))
+    res = solve_cell(strips)
     assert res.counters.subsets_enumerated > 0
     assert res.counters.subsets_enumerated <= footprint_state_bound(strips)
 
@@ -248,12 +241,12 @@ def test_state_budget_is_a_threshold_per_cell(monkeypatch):
     # local-cover entries of every strip, not only the stored footprints.
     inst = _dense_instance(3)
     _, strips, sites = _single_cell(inst, 2)
-    full = solve_cell(strips, *site_columns(sites))
+    full = solve_cell(strips)
 
     def fits(budget):
         monkeypatch.setattr(strip_dp, "STATE_BUDGET", budget)
         try:
-            return solve_cell(strips, *site_columns(sites)) == full
+            return solve_cell(strips) == full
         except StateBudgetError as e:
             assert f"more than {budget} DP states" in str(e)
             return False
@@ -320,7 +313,7 @@ def test_solver_matches_literal_recurrence():
         inst = _dense_instance(seed, max_n=5, extent=3.5)
         _, strips, sites = _single_cell(inst, 2)
         ref = _reference_cell_opt(strips, sites)
-        got = solve_cell(strips, *site_columns(sites)).cost
+        got = solve_cell(strips).cost
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-12), seed
 
 
@@ -330,13 +323,12 @@ def test_solve_cell_reproduces_forced_ring_optimum():
     from sinkcover.grid import Grid
     from sinkcover.instances_io import gen_counterexample
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
-    columns = site_columns(pruned_sites(inst))
+    table = prune_dominated(generate_candidate_sites(inst))
     x0 = min(t.x for t in inst.targets) - 1e-6
     y0 = min(t.y for t in inst.targets) - 1e-6
-    (cell,) = bin_points(Grid(Point(x0, y0), 4, inst.r), inst.targets, 0)
+    (cell,) = bin_points(Grid(Point(x0, y0), 4, inst.r), inst.targets, 0, sites=table)
     assert cell.index == (0, 0)
-    strips = strips_of_cell(cell, coverers(columns[1]))
-    opt = exact_min_cost_cover(inst.n, *columns).cost
-    res = solve_cell(strips, *columns)
+    opt = exact_min_cost_cover(inst.n, *table.columns()).cost
+    res = solve_cell(strips_of_cell(cell))
     assert len(res.site_indices) == 3
     assert res.cost == pytest.approx(opt, rel=1e-9)
