@@ -26,14 +26,13 @@ which groups are narrower than a cell side on both axes.  `cells_for_shift`
 bins targets keyed either way into cells in a few numpy sorts and numbers
 each cell for the strip DP: its targets bit by bit, strip by strip, and
 its sites (`CellSites`) in ascending row order, with each site's cover
-and each strip's pool as masks of those bits.  `strips_of_cell` lists a
-cell's non-empty strips with their numbers.  `svg_render.render_svg`
-draws the rounds' lines.
+and each strip's pool as masks of those bits.  A cell holds only its
+non-empty strips, each with its number, and `strips_of_cell` hands them
+to the strip DP.  `svg_render.render_svg` draws the rounds' lines.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,7 +82,7 @@ class CellSites(NamedTuple):
 
 class Strip(NamedTuple):
     number: int                     # the strip's place in its cell, from 0
-    target_indices: Sequence[int]   # ascending
+    target_indices: list[int]       # ascending
     pool_mask: int                  # the cell sites covering a strip target, as bits
     sites: CellSites                # the cell's
 
@@ -95,10 +94,7 @@ class Strip(NamedTuple):
 
 class Cell(NamedTuple):
     index: tuple[int, int]
-    sites: CellSites
-    # (strip number from 0, ascending targets, pool mask) of each non-empty
-    # strip, in strip order
-    strips: list[tuple[int, list[int], int]]
+    strips: list[Strip]             # the non-empty ones, in strip order
 
 
 def bounding_box(instance: Instance, m: int) -> Grid:
@@ -175,18 +171,19 @@ def cells_for_shift(kx: np.ndarray, ky: np.ndarray, strip: np.ndarray,
     Target `target[i]` lies in the cell keyed (kx[i], ky[i]), in its strip
     `strip[i]`: round f's keys from `round_keys`, or a group's from
     `anchored_keys` keyed (group, 0).  `pairs` are the (target, row) cover
-    pairs of the sites as `CandidateTable.pairs` gives them, `weight` each
-    row's weight, and every target is below `target_count`.  Cells come in
-    key order, each with its non-empty strips in strip order and their
-    targets ascending, so the cell's targets are numbered strip by strip.
-    A strip's pool holds every row covering one of its targets; a cell's
-    sites are the rows of its pools, numbered ascending, each with its
-    weight and the cell targets it covers.
+    pairs of the sites, row by row as `CandidateTable.pairs` gives them,
+    `weight` each row's weight, and every target is below `target_count`.
+    Cells come in key order, each with its non-empty strips in strip order
+    and their targets ascending, so the cell's targets are numbered strip
+    by strip.  A strip's pool holds every row covering one of its targets;
+    a cell's sites are the rows of its pools, numbered ascending, each with
+    its weight and the cell targets it covers.
 
     One sort of the targets by (cell, strip, target) gives the cells and
-    strips; one sort of the (target, coverer) pairs by (cell, row) gives
-    the cell sites, and or-ing bits over those pairs the cover and pool
-    masks.
+    strips.  The cover pairs come row by row, so one stable sort of the
+    binned targets' pairs by cell puts them in (cell, row) order, each cell
+    site's pairs in one run.  One pass over those pairs ors each site's
+    cover and each strip's pool into Python ints, of any width.
     """
     if not len(target):
         return []
@@ -194,67 +191,48 @@ def cells_for_shift(kx: np.ndarray, ky: np.ndarray, strip: np.ndarray,
     kx, ky, strip, target = kx[order], ky[order], strip[order], target[order]
     cell_head = run_heads(kx, ky)
     strip_head = cell_head | run_heads(strip)
-    first = cell_head.nonzero()[0]
-    strip_first = strip_head.nonzero()[0]
+    first, strip_first = cell_head.nonzero()[0], strip_head.nonzero()[0]
     cell_of = cell_head.cumsum() - 1
-    strip_of = strip_head.cumsum() - 1
     bit = np.arange(len(target)) - first[cell_of]   # each target's bit in its cell
 
     # The cover pairs of the binned targets, each by its target's place.
     covered, row = pairs
     at = np.full(target_count, -1)
     at[target] = np.arange(len(target))
-    pair = at[covered]
-    keep = pair >= 0
-    pair = pair[keep]
-    key = cell_of[pair] * len(weight) + row[keep]
-    by_site = key.argsort()
-    pair, key = pair[by_site], key[by_site]
-    site_head = run_heads(key)
+    place = at[covered]
+    keep = place >= 0
+    place, row = place[keep], row[keep]
+    by_site = cell_of[place].argsort(kind="stable")
+    place, row = place[by_site], row[by_site]
+    pair_cell = cell_of[place]
+    site_head = run_heads(pair_cell, row)
     site = site_head.cumsum() - 1
-    pair_cell = cell_of[pair]
-    site_cell = pair_cell[site_head]
-    site_row = key[site_head] - site_cell * len(weight)
-    site_at = np.searchsorted(site_cell, np.arange(len(first) + 1))
-    cover = _masks(site, bit[pair], len(site_cell), len(target))
-    pool_mask = _masks(strip_of[pair], site - site_at[pair_cell], len(strip_first),
-                       len(site_cell))
-
-    target_at = strip_first.tolist() + [len(target)]
+    site_first = site_head.nonzero()[0]
+    site_at = np.searchsorted(pair_cell[site_first], np.arange(len(first) + 1))
+    # Or-ing per pair in Python, not in 64-bit numpy words, saves about
+    # 10 us per dense-14 op and costs about 15 ms per n = 100000 solve.
+    cover = [0] * len(site_first)
+    pools = [0] * len(strip_first)
+    for s, b, j, i in zip(site.tolist(), bit[place].tolist(),
+                          (strip_head.cumsum() - 1)[place].tolist(),
+                          (site - site_at[pair_cell]).tolist()):
+        cover[s] |= 1 << b
+        pools[j] |= 1 << i
+    site_row = row[site_first]
+    rows, weights, site_at = site_row.tolist(), weight[site_row].tolist(), site_at.tolist()
+    cell_sites = [CellSites(rows[a:b], weights[a:b], cover[a:b])
+                  for a, b in zip(site_at, site_at[1:])]
     target = target.tolist()
-    strips = list(zip(strip[strip_first].tolist(),
-                      [target[a:b] for a, b in zip(target_at, target_at[1:])], pool_mask))
-    site_rows, site_weight = site_row.tolist(), weight[site_row].tolist()
-    site_at = site_at.tolist()
-    strip_at = strip_of[first].tolist() + [len(strip_first)]
-    return [Cell((int(x), int(y)), CellSites(site_rows[a:b], site_weight[a:b], cover[a:b]),
-                 strips[s:e])
-            for x, y, a, b, s, e in zip(kx[first].tolist(), ky[first].tolist(),
-                                        site_at, site_at[1:], strip_at, strip_at[1:])]
-
-
-_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-
-
-def _masks(group: np.ndarray, bit: np.ndarray, groups: int, bound: int) -> list[int]:
-    """Each of the `groups` groups' mask, the or of 1 << bit over its
-    entries (group[i], bit[i]), as a Python int of any width; every bit is
-    below `bound`."""
-    bits = bound if bound <= 64 else int(bit.max(initial=0)) + 1
-    if bits <= 64:
-        out = np.zeros(groups, dtype=np.uint64)
-        np.bitwise_or.at(out, group, _BITS[bit])
-        return out.tolist()
-    # 64-bit words or-ed in numpy, each group's read as one little-endian int.
-    words = (bits + 63) >> 6
-    out = np.zeros((groups, words), dtype="<u8")
-    np.bitwise_or.at(out, (group, bit >> 6), _BITS[bit & 63])
-    data = out.tobytes()
-    step = 8 * words
-    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+    bounds = strip_first.tolist() + [len(target)]
+    strips = [Strip(j, target[a:b], pool, cell_sites[c]) for j, a, b, pool, c in
+              zip(strip[strip_first].tolist(), bounds, bounds[1:], pools,
+                  cell_of[strip_first].tolist())]
+    strip_at = cell_head[strip_first].nonzero()[0].tolist() + [len(strip_first)]
+    return [Cell((int(x), int(y)), strips[a:b])
+            for x, y, a, b in zip(kx[first].tolist(), ky[first].tolist(), strip_at, strip_at[1:])]
 
 
 def strips_of_cell(cell: Cell) -> list[Strip]:
     """The cell's non-empty strips, in strip order, each with its targets,
     its pool and the cell's sites."""
-    return [Strip(j, ts, pool, cell.sites) for j, ts, pool in cell.strips]
+    return cell.strips

@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from conftest import bin_points, layout
+from conftest import bin_points
 
 from sinkcover.geometry import Point
 from sinkcover.grid import bounding_box
@@ -35,8 +35,8 @@ def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point
     g = bounding_box(instance, m)
     strip_counts: dict[tuple[int, int, int], int] = {}
     for cell in bin_points(g, positions, shift):
-        for j, members in layout(cell):
-            strip_counts[(*cell.index, j + 1)] = len(members)
+        for s in cell.strips:
+            strip_counts[(*cell.index, s.number + 1)] = len(s.target_indices)
 
     sq = math.sqrt(0.5) * g.r
     square_counts: dict[tuple[int, int], int] = {}

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import settings
 from site_records import site_table
 
-from sinkcover.grid import bounding_box, cells_for_shift, round_keys, strips_of_cell
+from sinkcover.grid import bounding_box, cells_for_shift, round_keys
 from sinkcover.sites import Instance
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
@@ -35,8 +35,8 @@ def bin_keyed(kx, ky, strip, target, sites=None):
 
 def layout(cell):
     """A cell's non-empty strips, in strip order, as (strip number,
-    ascending targets) pairs."""
-    return [(s.number, list(s.target_indices)) for s in strips_of_cell(cell)]
+    ascending targets) pairs: the form of the reference layouts."""
+    return [(s.number, s.target_indices) for s in cell.strips]
 
 
 def footprint_state_bound(strips):

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from conftest import bin_points, layout
+from conftest import bin_points
 
 from sinkcover import cli
 from sinkcover.cli import run
@@ -647,10 +647,10 @@ def test_render_cell_lines_are_every_mth_strip_line(tmp_path, m, seed):
     assert f > 0    # the drawn tiling is shifted off round 0's
     xs = [x for x, _ in vertical]
     for c in bin_points(bounding_box(inst, m), inst.targets, f):
-        for j, members in layout(c):
-            for t in members:
+        for s in c.strips:
+            for t in s.target_indices:
                 left = bisect.bisect_right(xs, float(circles[t].get("cx"))) - 1
-                assert (left - cell[0]) % m == j
+                assert (left - cell[0]) % m == s.number
 
 
 def test_render_without_solution(tmp_path):

@@ -67,7 +67,7 @@ def test_shift_moves_boundaries_by_f_units():
         assert g.corner(f) == Point(off_x, off_y)
         for c in bin_points(g, inst.targets, f):
             lo_x, lo_y = off_x + c.index[0] * side, off_y + c.index[1] * side
-            for i in (i for _, strip in layout(c) for i in strip):
+            for i in (i for s in c.strips for i in s.target_indices):
                 t = inst.targets[i]
                 assert lo_x <= t.x < lo_x + side and lo_y <= t.y < lo_y + side
 
@@ -80,7 +80,7 @@ def test_cells_partition_targets_every_round():
             for f in range(m):
                 cells = bin_points(g, inst.targets, f)
                 assert len({c.index for c in cells}) == len(cells)
-                seen = [i for c in cells for _, strip in layout(c) for i in strip]
+                seen = [i for c in cells for s in c.strips for i in s.target_indices]
                 assert sorted(seen) == list(range(inst.n))
 
 
@@ -117,13 +117,15 @@ def test_strip_count_and_width():
         for f in range(m):
             for cell in bin_points(g, inst.targets, f, sites=sites):
                 # A cell lists its non-empty strips, numbered within its m.
-                numbers = [j for j, _ in layout(cell)]
+                numbers = [s.number for s in cell.strips]
                 assert numbers == sorted(set(numbers)) and set(numbers) <= set(range(m))
-                assert all(strip for _, strip in layout(cell))
+                assert all(s.target_indices for s in cell.strips)
+                assert len(strips_of_cell(cell)) == len(cell.strips)
                 x0 = g.corner(f).x + cell.index[0] * g.cell_side
                 # Strip j is the half-open slice [x0 + j*2r, x0 + (j+1)*2r).
-                for j, strip in layout(cell):
-                    for i in strip:
+                for s in cell.strips:
+                    j = s.number
+                    for i in s.target_indices:
                         assert x0 + j * width <= inst.targets[i].x < x0 + (j + 1) * width
 
 
@@ -141,13 +143,13 @@ def test_cell_keys_name_the_cell_each_point_is_binned_into():
             for f in range(m):
                 ix, iy = cell_keys(g, xs, ys, f)
                 binned = {i: cell.index for cell in bin_points(g, pts, f)
-                          for _, strip in layout(cell) for i in strip}
+                          for s in cell.strips for i in s.target_indices}
                 assert binned == {i: (ix[i], iy[i]) for i in range(len(pts))}
                 # Binning a subset keeps each point's cell, strip and index.
                 expected = []
                 for cell in bin_points(g, pts, f):
-                    strips = [(j, [i for i in st if i % 3 == 0])
-                              for j, st in layout(cell)]
+                    strips = [(s.number, [i for i in s.target_indices if i % 3 == 0])
+                              for s in cell.strips]
                     strips = [(j, st) for j, st in strips if st]
                     if strips:
                         expected.append((cell.index, strips))
@@ -162,11 +164,13 @@ def test_strips_partition_cell_targets():
         by_target = coverers(sites.columns()[1])
         g = bounding_box(inst, 3)
         for f in range(3):
-            for cell in bin_points(g, inst.targets, f, sites=sites):
+            cells = bin_points(g, inst.targets, f, sites=sites)
+            # The strips hold the cell's targets as the per-point loop bins
+            # them, and each strip the coverers of its targets.
+            assert [(c.index, [(s.number, s.target_indices) for s in strips_of_cell(c)])
+                    for c in cells] == _reference_view(reference_cells(g, inst.targets, f))
+            for cell in cells:
                 strips = strips_of_cell(cell)
-                # The strips keep the cell's targets as binned and attach
-                # each strip the coverers of its targets.
-                assert [(s.number, s.target_indices) for s in strips] == layout(cell)
                 got = [t for s in strips for t in s.target_indices]
                 assert got and len(got) == len(set(got))
                 for s in strips:

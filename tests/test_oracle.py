@@ -241,7 +241,7 @@ def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
     # The census bins sensors with the solver's tiling: the strips that
     # cells_for_shift gives a sensor list are the census's strips, and each
     # sensor's strip is floor((x - corner.x) / 2r) counted within its cell.
-    from conftest import bin_points, layout
+    from conftest import bin_points
 
     from sinkcover.grid import bounding_box
     from sinkcover.ptas import PtasConfig, solve
@@ -252,9 +252,8 @@ def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
         f = sol.shift_round
         pos = [p.position for p in sol.placements]
         g = bounding_box(inst, m)
-        binned = {(*cell.index, j + 1): len(members)
-                  for cell in bin_points(g, pos, f)
-                  for j, members in layout(cell)}
+        binned = {(*cell.index, s.number + 1): len(s.target_indices)
+                  for cell in bin_points(g, pos, f) for s in cell.strips}
         corner, side = g.corner(f), g.cell_side
         expected: dict = {}
         for p in pos:

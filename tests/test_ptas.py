@@ -593,7 +593,7 @@ def _reference_calls(inst, m, sites):
     among = sorted(comp_of)
     for f in range(m if among else 0):
         binned = [(c.index, t) for c in bin_points(grid, inst.targets, f, among)
-                  for _, ts in layout(c) for t in ts]
+                  for s in c.strips for t in s.target_indices]
         size = Counter((comp_of[t], index) for index, t in binned)
         rest = sorted(t for index, t in binned if size[comp_of[t], index] > 1)
         cells += [layout(c) for c in bin_points(grid, inst.targets, f, rest)]

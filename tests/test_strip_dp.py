@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import bin_keyed, bin_points, footprint_state_bound, layout
+from conftest import bin_keyed, bin_points, footprint_state_bound
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_strip_dp import compatible, enumerate_strip_subsets, irredundant_footprints
@@ -214,7 +214,7 @@ def test_solve_cell_cost_matches_reconstruction():
         covered = set()
         for i in res.site_indices:
             covered |= sites[i].covered
-        assert {t for _, strip in layout(cell) for t in strip} <= covered
+        assert {t for s in cell.strips for t in s.target_indices} <= covered
 
 
 def test_solve_cell_two_targets_without_joint_coverer():
