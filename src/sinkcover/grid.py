@@ -4,31 +4,34 @@ The tiling unit `Grid.strip` is 2r(1 + 2*COVER_TOL), strictly wider than
 the 2r(1 + COVER_TOL) span of any target set one site covers.  Cells of m
 units a side are solved independently, each split into m vertical strips
 one unit wide, so a site serves targets of at most two adjacent strips.
-Shift round f translates the tiling by f units on both axes.
+Shift round f translates the tiling by f units on both axes.  An anchored
+cell holds one group of targets (below), in as many strips as its width w
+takes.
 
 The margin holds in floats.  A cell's targets are all measured from one
 float x0, and each offset `p.x - x0`, a correctly rounded difference below
-the cell side, errs by at most half an ulp of the side (about 1e-12 r at
-m = 1024).  Two targets one site covers differ by at most
-2r(1 + COVER_TOL)(1 + 2**-51) at any magnitude, as the site-to-target
-differences of the coverage test are correctly rounded too.  The margin,
-2r*COVER_TOL = 2e-9 r, dwarfs both errors.  An anchored cell (below)
-measures its targets from x0 = their least x, and takes them only when
-the rounded offset of the largest x is below the side; rounding is
-monotone, so every offset is, and the same bound holds.
+the cell's width, errs by at most half an ulp of that width: about 1e-12 r
+for a round cell at m = 1024, and below 2**-53 w for an anchored one.  Two
+targets one site covers differ by at most 2r(1 + COVER_TOL)(1 + 2**-51) at
+any magnitude, as the site-to-target differences of the coverage test are
+correctly rounded too.  The margin, 2r*COVER_TOL = 2e-9 r, dwarfs both
+errors while the two offsets' errors sum below it, that is for widths up
+to about 10**7 r; a wider group could see one site's targets on three
+strips.  An anchored cell measures its targets from x0 = their least x,
+so every offset is at least 0.
 
 This module is the only code that knows where cells and strips lie.
 `round_keys` keys a point array for round f in one vectorised pass: each
 point's cell and its strip in that cell; `cell_keys` is its cell half.
 `anchored_keys` lays each group of points (the solver's components) out
-in a cell of its own, strips starting at the group's least x, and tells
-which groups are narrower than a cell side on both axes.  `cells_for_shift`
-bins targets keyed either way into cells in a few numpy sorts and numbers
-each cell for the strip DP: its targets bit by bit, strip by strip, and
-its sites (`CellSites`) in ascending row order, with each site's cover
-and each strip's pool as masks of those bits.  A cell holds only its
-non-empty strips, each with its number, and `strips_of_cell` hands them
-to the strip DP.  `svg_render.render_svg` draws the rounds' lines.
+in a cell of its own, strips starting at the group's least x, however
+wide the group.  `cells_for_shift` bins targets keyed either way into
+cells in a few numpy sorts and numbers each cell for the strip DP: its
+targets bit by bit, strip by strip, and its sites (`CellSites`) in
+ascending row order, with each site's cover and each strip's pool as
+masks of those bits.  A cell holds only its non-empty strips, each with
+its number, and `strips_of_cell` hands them to the strip DP.
+`svg_render.render_svg` draws the rounds' lines.
 """
 
 from __future__ import annotations
@@ -143,24 +146,16 @@ def round_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, f: int
     return ix, iy, strip
 
 
-def anchored_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray, group: np.ndarray,
-                  groups: int) -> tuple[np.ndarray, np.ndarray]:
+def anchored_keys(grid: Grid, xs: np.ndarray, group: np.ndarray,
+                  groups: int) -> np.ndarray:
     """Each group of points laid out in a cell of its own, whose strips
-    start at the group's least x, x0: for each group, whether its bounding
-    box is under one cell side on both axes, and for each point (xs[i],
-    ys[i]) of group `group[i]`, its strip floor((x - x0) / unit), clamped
-    to the cell's m strips as `round_keys` clamps.  The strips of a group
-    that does not fit mean nothing."""
-    lo_x, lo_y = np.full((2, groups), np.inf)
-    hi_x, hi_y = np.full((2, groups), -np.inf)
-    np.minimum.at(lo_x, group, xs)
-    np.minimum.at(lo_y, group, ys)
-    np.maximum.at(hi_x, group, xs)
-    np.maximum.at(hi_y, group, ys)
-    fits = (hi_x - lo_x < grid.cell_side) & (hi_y - lo_y < grid.cell_side)
+    start at the group's least x, x0: the strip floor((x - x0) / unit) of
+    each point xs[i] of group `group[i]`, as many strips as the group's
+    width takes."""
+    lo = np.full(groups, np.inf)
+    np.minimum.at(lo, group, xs)
     # x - x0 >= 0 exactly, as x0 is the least x of the group.
-    strip = np.minimum((xs - lo_x[group]) // grid.strip, grid.m - 1).astype(np.intp)
-    return fits, strip
+    return ((xs - lo[group]) // grid.strip).astype(np.intp)
 
 
 def cells_for_shift(kx: np.ndarray, ky: np.ndarray, strip: np.ndarray,

@@ -18,8 +18,9 @@ from .sites import Instance, check_cost_range, coverers
 
 INF = float("inf")
 
-# Grid points the refinement audit sweeps at most; a finer grid is refused
-# before any grid-sized array exists.
+# Grid points the refinement audit sweeps at most, which caps its (target,
+# line) pairs; a finer grid, or one of more than 10**7 points on an axis, is
+# refused before any grid-sized array exists.
 _MAX_GRID_POINTS = 1_000_000_000
 
 
@@ -195,8 +196,8 @@ def check_grid_audit(instance: Instance, step: float) -> tuple[float, float, flo
     after refusing with ValueError what it cannot take: no target, more than
     63 (covered sets are packed into int64 bit masks), a step that is not
     positive and finite, or a grid of no point (the box collapses in
-    floats) or of more than `_MAX_GRID_POINTS` points.  Nothing grid-sized
-    is built."""
+    floats), of more than `_MAX_GRID_POINTS` points or of more than 10**7
+    points on one axis.  Nothing grid-sized is built."""
     if instance.n == 0:
         raise ValueError("nothing to cover")
     if instance.n > 63:
@@ -210,14 +211,19 @@ def check_grid_audit(instance: Instance, step: float) -> tuple[float, float, flo
     y0 = min(t.y for t in instance.targets) - r
     y1 = max(t.y for t in instance.targets) + r
     # np.arange's own lengths.
-    size = (np.ceil((x1 + step / 2 - x0) / step)
-            * np.ceil((y1 + step / 2 - y0) / step))
+    nx = np.ceil((x1 + step / 2 - x0) / step)
+    ny = np.ceil((y1 + step / 2 - y0) / step)
+    size = nx * ny
     if not size > 0:   # an empty axis, perhaps times an infinite one
         raise ValueError(f"grid of pitch {step} has no point: the targets' "
                          f"box is below the float spacing of its corners")
     if size > _MAX_GRID_POINTS:
         raise ValueError(f"grid of pitch {step} has {size:.3g} points, more "
                          f"than the {_MAX_GRID_POINTS:.3g} the audit sweeps")
+    # Each axis is one float64 array: 80 MB at this bound.
+    if max(nx, ny) > 10**7:
+        raise ValueError(f"grid of pitch {step} has {max(nx, ny):.3g} points on "
+                         f"one axis, more than the 1e+07 the audit sweeps")
     return x0, x1, y0, y1
 
 

@@ -1,6 +1,7 @@
-"""Shifted-grid approximation: solve each small component of the targets
-exactly in a cell of its own, the others in every shift round cell by
-cell, then give each component its cheapest round.
+"""Shifted-grid approximation: solve each component of the targets
+exactly in a cell of its own, and only those past the strip DP's state
+budget in every shift round cell by cell, then give each component its
+cheapest round.
 
 With m shift rounds the cheapest round costs at most (1 + 4/m) times the
 optimum over the candidate-site universe: averaging over rounds, each
@@ -10,11 +11,11 @@ form components, and a round's cost is the sum of its costs on them, so
 taking each component's cheapest round costs no more (Hochbaum and Maass,
 J. ACM 32, 1985):
 Σ_C min_f cost_f(C) <= min_f Σ_C cost_f(C) <= (1 + 4/m) OPT.
-A component narrower than a cell side on both axes fits one cell laid out
-from its own corner, where the strip DP gives its optimum, no more than
-any round's cost on it; so counting it at its optimum in every round keeps
-the bound and the shifting only pays for the components that some cell
-boundary must cut.
+A component laid out from its own least x in strips one unit wide, as
+many as its width takes, has every coverer of its targets in the strip
+pools, so the strip DP gives its optimum, no more than any round's cost
+on it; counting it at its optimum in every round keeps the bound, and the
+shifting only pays for the components the DP cannot hold in one cell.
 """
 
 from __future__ import annotations
@@ -139,8 +140,9 @@ def _layout(strips: list[Strip]) -> tuple[tuple[int, ...], ...]:
 
 def solve(instance: Instance, config: PtasConfig,
           sites: CandidateTable | None = None) -> Solution:
-    """Solve each small component once in a cell of its own, the rest in
-    every shift round, then give each component its cheapest round.
+    """Solve each component once in a cell of its own, those past the
+    state budget in every shift round, then give each component its
+    cheapest round.
 
     `sites` may be supplied to reuse candidates: the table
     `prune_dominated` or `generate_candidate_sites` returns; by default
@@ -150,32 +152,26 @@ def solve(instance: Instance, config: PtasConfig,
     the cells, and only the chosen rows become `Placement`s.
 
     No site covers targets of two components, so a cover splits by
-    component.  A component whose bounding box is under one cell side on
-    both axes is anchored: laid out in a cell whose strips start at its
-    least target x (`anchored_keys`), where every coverer of its targets
-    lies in the strip pools, so one strip DP run gives its optimum, which
-    it costs in every round.  A one-target component takes its cheapest
-    coverer, lowest row on ties, with no DP run.  A component whose cell
-    needs more than the DP's state budget joins the components too wide
-    for a cell, which span cells in every round; a round cell holding the
-    same targets strip by strip fails alike, with no second DP run.
+    component.  Each component is anchored: laid out in a cell whose
+    strips start at its least target x (`anchored_keys`), as many as its
+    width takes, where every coverer of its targets lies in the strip
+    pools, so one strip DP run gives its optimum, which it costs in every
+    round.  A one-target component takes its cheapest coverer, lowest row
+    on ties, with no DP run.  A component whose cell needs more than the
+    DP's state budget is left to the rounds; a round cell holding the same
+    targets strip by strip fails alike, with no second DP run.
 
-    Round f keys the targets of those components once (`round_keys`) and
-    groups them by (component, cell).  A target alone in its group takes
-    its cheapest coverer the same way: inside the cell each of its
-    coverers covers it alone.  The DP would pick the same site, unless its
-    float sums round two coverer weights to one total; the pick here is
-    then the lighter one.  The strip DP runs over the cells of the other
-    targets.  Anchored cells, keyed by component, and round cells, keyed
-    by cell index, are binned and numbered alike (`cells_for_shift`).
-    Round f's cost is that of its cells' covers plus the anchored optima.
-    The schedule takes each component's sites from its cheapest round,
-    lowest on ties, when that costs strictly less than the cheapest round;
-    else the cheapest round's sites, which is `shift_round`.  Rounds are
-    solved one after another in this process.  The config echo counts the
-    components, the anchored ones, the (component, round) pairs the rounds
-    solve in more than one cell, and the footprint states stored by the DP
-    runs made.
+    Round f keys the targets of those components once (`round_keys`), and
+    the strip DP runs over the cells that hold them.  Anchored cells,
+    keyed by component, and round cells, keyed by cell index, are binned
+    and numbered alike (`cells_for_shift`).  Round f's cost is that of its
+    cells' covers plus the anchored optima.  The schedule takes each
+    component's sites from its cheapest round, lowest on ties, when that
+    costs strictly less than the cheapest round; else the cheapest round's
+    sites, which is `shift_round`.  Rounds are solved one after another in
+    this process.  The config echo counts the components, the anchored
+    ones, the (component, round) pairs the rounds solve in more than one
+    cell, and the footprint states stored by the DP runs made.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
@@ -200,13 +196,12 @@ def solve(instance: Instance, config: PtasConfig,
                               (sites.hi - sites.lo).cumsum().tolist())
     xs = np.array([t.x for t in instance.targets])
     ys = np.array([t.y for t in instance.targets])
-    fits, strip = anchored_keys(grid, xs, ys, comp, comps)
-    lone = np.bincount(comp, minlength=comps) == 1
-    solved = fits & lone            # the anchored components
+    strip = anchored_keys(grid, xs, comp, comps)
+    solved = np.bincount(comp, minlength=comps) == 1    # the anchored components
     anchored = set(cheapest[solved[comp]].tolist())
     subsets = 0
     over: dict[tuple, StateBudgetError] = {}   # layouts past the budget
-    boxed = (fits & ~lone)[comp].nonzero()[0]     # the targets of anchored cells
+    boxed = (~solved[comp]).nonzero()[0]        # the targets of anchored cells
     for c in cells_for_shift(comp[boxed], np.zeros(len(boxed)), strip[boxed], boxed,
                              pairs, sites.weight, instance.n):
         strips = strips_of_cell(c)
@@ -225,24 +220,18 @@ def solve(instance: Instance, config: PtasConfig,
     best: dict[int, tuple[float, frozenset[int]]] = {}   # its cheapest round
     rounds = [anchored] * m     # each round's sites
     spanning = 0
-    # With no component left, every round is the anchored optima; keying
-    # empty rounds made a dense-14 solve about 1.5 times as long.
-    for f in range(m if len(among) else 0):
+    # With no anchored cell past the budget, every round is the anchored
+    # optima; keying empty rounds made a dense-14 solve 1.5 times as long.
+    for f in range(m if over else 0):
         ix, iy, strip_f = round_keys(grid, xs[among], ys[among], f)
         order = np.lexsort((iy, ix, among_comp))
         group = run_heads(among_comp[order], ix[order], iy[order]).nonzero()[0]
         spanning += int((np.bincount(among_comp[order[group]]) > 1).sum())
-        # Running the DP on lone targets too made sparse-400 solve time 23%
-        # longer.
-        alone = np.zeros(len(among), dtype=bool)
-        alone[order[group[np.diff(group, append=len(among)) == 1]]] = True
-        chosen = set(cheapest[among[alone]].tolist())
-        rest = ~alone
-        for c in cells_for_shift(ix[rest], iy[rest], strip_f[rest], among[rest],
-                                 pairs, sites.weight, instance.n):
+        chosen = set()
+        for c in cells_for_shift(ix, iy, strip_f, among, pairs, sites.weight, instance.n):
             strips = strips_of_cell(c)
             try:
-                if over and _layout(strips) in over:
+                if _layout(strips) in over:
                     raise over[_layout(strips)]
                 res = solve_cell(strips)
             except StateBudgetError as e:

@@ -1,6 +1,6 @@
 """Optimal per-cell coverage via dynamic programming over vertical strips.
 
-A cell splits into m strips one tiling unit wide (`grid.Grid.strip`),
+A cell splits into strips one tiling unit wide (`grid.Grid.strip`),
 wider than any target set one site covers, so the pools of non-adjacent
 strips are disjoint.  Write T_i for strip i's targets, S_i for the sites in
 the pools of both strip i and strip i+1, and L_i for strip i's local sites

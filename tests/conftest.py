@@ -59,17 +59,17 @@ def footprint_state_bound(strips):
 
 def solve_state_bound(instance, solution, sites):
     """`footprint_state_bound` summed over the cells a solve that used
-    `sites` hands the strip DP: the anchored cell of each component that
-    has one, and each cell of each shift round holding targets of one of
-    the other components."""
+    `sites` hands the strip DP and that it solves: the anchored cell of
+    each component, or, when that cell is over the state budget, each
+    cell of each shift round holding targets of the component."""
     from reference_grid import numbered_strips
-    from reference_ptas import anchored_cells
+    from reference_ptas import anchored_cells, over_budget
 
     m = len(solution.per_round_costs)
     grid = bounding_box(instance, m)
     total = 0
     for group, cell in anchored_cells(instance, m, sites):
-        cells = [cell] if cell is not None else [
+        cells = [cell] if not over_budget(cell, sites) else [
             layout(c) for f in range(m) for c in bin_points(grid, instance.targets, f, sorted(group))]
         total += sum(footprint_state_bound(numbered_strips(c, sites)) for c in cells)
     return total

@@ -1,15 +1,14 @@
 """The solver's layout rebuilt one target at a time, and every cell of
 every shift round solved by the strip DP.
 
-`anchored_cells` lays out each component whose bounding box is under one
-cell side on both axes in a cell of its own, strips measured from its
-least target x with `//` on Python floats.  `every_cell_costs` solves each
-such cell, and every cell of every round over all targets, then splits
-the round covers by component: the solver runs the rounds only over the
-components left over, and takes lone targets' cheapest coverers without a
-DP run.  `solve` must report its round costs bit for bit, and its
-per-component choice must cost what the cheapest round of each component
-here sums to.
+`anchored_cells` lays out each component in a cell of its own, strips
+measured from its least target x with `//` on Python floats, as many as
+its width takes.  `every_cell_costs` solves each such cell, and every
+cell of every round over all targets, then splits the round covers by
+component: the solver runs the rounds only over the components whose
+anchored cell is over the state budget.  `solve` must report its round
+costs bit for bit, and its per-component choice must cost what the
+cheapest round of each component here sums to.
 """
 
 from conftest import bin_points, layout
@@ -42,27 +41,29 @@ def components(target_count, sites):
 
 
 def anchored_cells(instance, m, sites):
-    """(component, its anchored cell or None) for each component: the cell
-    lists the component's targets by strip floor((x - x0) / unit) from its
-    least target x, x0, clamped to m strips, when the component's bounding
-    box is under one cell side on both axes, as (strip number, ascending
-    targets) pairs of its non-empty strips."""
-    grid = bounding_box(instance, m)
+    """(component, its anchored cell) for each component: the cell lists
+    the component's targets by strip floor((x - x0) / unit) from its
+    least target x, x0, as (strip number, ascending targets) pairs of its
+    non-empty strips."""
+    unit = bounding_box(instance, m).strip
     out = []
     for group in components(instance.n, sites):
-        pts = {t: instance.targets[t] for t in group}
-        x0 = min(p.x for p in pts.values())
-        y0 = min(p.y for p in pts.values())
-        cell = None
-        if (max(p.x for p in pts.values()) - x0 < grid.cell_side
-                and max(p.y for p in pts.values()) - y0 < grid.cell_side):
-            strips = {}
-            for t in sorted(group):
-                j = min(max(int((pts[t].x - x0) // grid.strip), 0), m - 1)
-                strips.setdefault(j, []).append(t)
-            cell = sorted(strips.items())
-        out.append((group, cell))
+        x0 = min(instance.targets[t].x for t in group)
+        strips = {}
+        for t in sorted(group):
+            strips.setdefault(int((instance.targets[t].x - x0) // unit), []).append(t)
+        out.append((group, sorted(strips.items())))
     return out
+
+
+def over_budget(cell, sites):
+    """Whether the strip DP needs more than its state budget for `cell`,
+    an anchored cell as `anchored_cells` lays it out."""
+    try:
+        solve_cell(numbered_strips(cell, sites))
+    except StateBudgetError:
+        return True
+    return False
 
 
 def every_cell_costs(instance, m, sites):
@@ -75,13 +76,10 @@ def every_cell_costs(instance, m, sites):
     fixed = set()
     groups = []
     for group, cell in anchored_cells(instance, m, sites):
-        try:
-            if cell is not None:
-                fixed.update(solve_cell(numbered_strips(cell, sites)).site_indices)
-                continue
-        except StateBudgetError:
-            pass
-        groups.append(group)
+        if over_budget(cell, sites):
+            groups.append(group)
+        else:
+            fixed.update(solve_cell(numbered_strips(cell, sites)).site_indices)
     group_of = {t: c for c, group in enumerate(groups) for t in group}
     best = [None] * len(groups)
     costs = []

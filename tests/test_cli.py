@@ -12,10 +12,11 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import bin_points
 
-from sinkcover import cli
+from sinkcover import cli, strip_dp
 from sinkcover.cli import run
 from sinkcover.grid import bounding_box
 from sinkcover.instances_io import read_instance, read_solution
@@ -71,18 +72,20 @@ def test_solve_epsilon_records_m(tmp_path):
     assert len(sol.per_round_costs) == 4
 
 
-def test_solve_line_names_the_cheapest_whole_round(tmp_path, capsys):
-    # At m=2 eleven components are too wide for a cell, and the schedule
-    # takes each one's cheapest round, so here it costs less than the
-    # cheapest whole round; the line gives both.
-    path = _gen(tmp_path, n=400, k=10, extent=63.25, seed=5)
+def test_solve_line_names_the_cheapest_whole_round(tmp_path, capsys, monkeypatch):
+    # At 30 states the anchored cells of three components are over the
+    # state budget, and the schedule takes each one's cheapest of the m=2
+    # rounds, so here it costs less than the cheapest whole round; the
+    # line gives both.
+    path = _gen(tmp_path, n=400, k=10, extent=63.25, seed=4)
     out = tmp_path / "sol.json"
     capsys.readouterr()
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", 30)
     assert run(["solve", "--in", str(path), "--m", "2", "--out", str(out)]) == 0
     sol = read_solution(out)
     f = sol.shift_round
     counters = sol.config["counters"]
-    assert counters["components"] - counters["anchored"] == 11
+    assert counters["components"] - counters["anchored"] == 3
     assert sol.total_cost < sol.per_round_costs[f] == min(sol.per_round_costs)
     assert capsys.readouterr().out == (
         f"cost {sol.total_cost:.9f}; cheapest round {f} of 2 costs "
@@ -328,18 +331,21 @@ def test_readme_library_example_runs(capsys):
 
 
 @pytest.mark.parametrize("m, cost, sha", [
-    (1, "1079.351655773",
-     "01e63b32bbff2c1f46a5e19a427a58d822db4b18f7c2cb90cbb080e2e2ced0df"),
-    (2, "877.163218382",
-     "7e87fbccac302950297454d26f94657cbab75521c02a7d740eeb6ffce01b3c97"),
+    (1, "1016.794111838",
+     "37912dcac37731a1d72f9f0448bcb3946e368c1d163f94ac5525932d36a5ca3a"),
+    (2, "862.695079079",
+     "a35947231a8421218b13c8405d9cf891c06086457e153636ebf5b4f31338d433"),
 ], ids=["m1", "m2"])
-def test_one_strip_and_two_strip_cells_write_pinned_bytes(tmp_path, capsys, m, cost, sha):
-    # At m=1 every cell, anchored or in a round, is a single strip; at m=2
-    # cells hold one or two non-empty strips.  Both solves leave chains too
-    # wide for a cell to the rounds, and must write these bytes.
+def test_one_strip_and_two_strip_cells_write_pinned_bytes(tmp_path, capsys, monkeypatch,
+                                                         m, cost, sha):
+    # At m=1 every round cell is a single strip; at m=2 round cells hold
+    # one or two non-empty strips.  At 100 states the anchored cells of
+    # three chains are over the state budget, so both solves leave them to
+    # the rounds, and must write these bytes.
     path = _gen(tmp_path, n=300, k=6, extent=30.0, seed=7)
     sol = tmp_path / "sol.json"
     capsys.readouterr()
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", 100)
     assert run(["solve", "--in", str(path), "--m", str(m), "--out", str(sol)]) == 0
     assert capsys.readouterr().out.startswith(f"cost {cost};")
     assert hashlib.sha256(sol.read_bytes()).hexdigest() == sha
@@ -544,6 +550,18 @@ def test_audit_refuses_a_grid_too_fine_to_sweep(tmp_path, capsys):
     assert err.startswith("error[input]: grid of pitch 1e-05 has 4e+10 points")
 
 
+def test_audit_refuses_an_axis_too_long_before_building_it(tmp_path, capsys, monkeypatch):
+    # Two targets 3e8 apart at pitch r make a grid of 9e8 points, under
+    # the 1e9 bound, but its x axis alone would take 2.4 GB.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"r": 1.0, "stations": [[0.0, 2.0]],
+                                "targets": [[0.0, 0.0], [3e8, 0.0]]}))
+    monkeypatch.setattr(np, "arange", _must_not_run)
+    assert run(["audit", "--in", str(path), "--step", "1", "--m", "2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error[input]: grid of pitch 1.0 has 3e+08 points on one axis")
+
+
 FAR_AUDITS = {
     "rows collapse": {"r": 1.0, "targets": [[1e15, 1e15], [1e15 + 1.5, 1e15]],
                       "stations": [[1e15, 1e15 + 3]]},
@@ -617,15 +635,16 @@ def test_render_structure(tmp_path):
 
 
 @pytest.mark.parametrize("m, seed", [(2, 9), (3, 6)])
-def test_render_cell_lines_are_every_mth_strip_line(tmp_path, m, seed):
+def test_render_cell_lines_are_every_mth_strip_line(tmp_path, monkeypatch, m, seed):
     # Vertical grid lines are the strip lines of the winning round, 2r apart;
     # every m-th one is a cell line, so cell lines lie cell_side * scale
     # apart.  The detection circles have radius r * scale, and each target's
-    # circle lies in the strip the solver bins the target into.  The draw
-    # leaves components too wide for a cell to the rounds, so the rounds'
-    # costs differ and the cheapest is not round 0.
+    # circle lies in the strip the solver bins the target into.  At these
+    # state budgets the draw leaves a component to the rounds, so the
+    # rounds' costs differ and the cheapest is not round 0.
     path = _gen(tmp_path, n=24, extent=10.0, seed=seed)
     sol, svg = tmp_path / "sol.json", tmp_path / "out.svg"
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", {2: 30, 3: 100}[m])
     assert run(["solve", "--in", str(path), "--m", str(m), "--out", str(sol)]) == 0
     assert run(["render", "--in", str(path), "--solution", str(sol),
                 "--svg", str(svg)]) == 0

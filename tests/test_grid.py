@@ -331,46 +331,32 @@ def _ulps_of(v):
 
 @st.composite
 def anchored_cases(draw):
-    """A tiling and groups of points far from the origin or not, each with
-    points on its own strip lines x0 + j units from its first point x0, or
-    one ulp to either side, and up to one cell side above it."""
+    """A tiling and groups of x coordinates far from the origin or not,
+    each with points on its own strip lines x0 + j units from its first
+    point x0, up to three cell sides past it, or one ulp to either side."""
     m = draw(st.sampled_from([1, 2, 3, 4, 8]))
     g = Grid(Point(0.0, 0.0), m, draw(st.sampled_from([1.0, 0.37, 1e-12])))
     offset = draw(st.sampled_from([0.0, 1e6, 1e9]))
-    pts, group = [], []
+    xs, group = [], []
     for c in range(draw(st.integers(1, 4))):
-        corner = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0)
-        x0, y0 = offset + draw(corner), offset + draw(corner)
-        pts.append(Point(x0, y0))
+        x0 = offset + draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0))
+        xs.append(x0)
         group.append(c)
         for _ in range(draw(st.integers(0, 5))):
-            x = x0 + draw(st.sampled_from([g.cell_side]) | st.integers(0, m).map(
-                lambda j: j * g.strip))
-            y = y0 + draw(st.sampled_from([0.0, 0.5, 1.0])) * g.cell_side
-            pts.append(Point(draw(_ulps_of(x)), draw(_ulps_of(y))))
+            xs.append(draw(_ulps_of(x0 + draw(st.integers(0, 3 * m)) * g.strip)))
             group.append(c)
-    return g, pts, group
+    return g, xs, group
 
 
 _M2 = Grid(Point(0.0, 0.0), 2, 1.0)
 
 
 @given(anchored_cases())
-@example((_M2, [Point(0.0, 0.0), Point(_M2.cell_side, 0.0), Point(0.0, 5.0),
-                Point(math.nextafter(_M2.cell_side, 0.0), 5.0)], [0, 0, 1, 1]))
+@example((_M2, [0.0, _M2.cell_side, 0.0, math.nextafter(_M2.cell_side, 0.0)], [0, 0, 1, 1]))
 def test_anchored_keys_match_the_per_point_loop(case):
-    # A group fits when its largest x and y lie less than a cell side past
-    # its least ones, and each point's strip counts whole units from the
-    # group's least x, clamped to the cell's m strips.
-    g, pts, group = case
-    xs, ys = np.array([p.x for p in pts]), np.array([p.y for p in pts])
-    fits, strips = anchored_keys(g, xs, ys, np.array(group), max(group) + 1)
-    least = {}
-    for c in set(group):
-        members = [p for p, k in zip(pts, group) if k == c]
-        x0, y0 = min(p.x for p in members), min(p.y for p in members)
-        assert fits[c] == (max(p.x for p in members) - x0 < g.cell_side
-                           and max(p.y for p in members) - y0 < g.cell_side)
-        least[c] = x0
-    assert strips.tolist() == [min(max(int((p.x - least[c]) // g.strip), 0), g.m - 1)
-                      for p, c in zip(pts, group)]
+    # Each point's strip counts whole units from its group's least x, as
+    # many strips as the group's width takes, past a cell side too.
+    g, xs, group = case
+    strips = anchored_keys(g, np.array(xs), np.array(group), max(group) + 1)
+    least = {c: min(x for x, k in zip(xs, group) if k == c) for c in set(group)}
+    assert strips.tolist() == [int((x - least[c]) // g.strip) for x, c in zip(xs, group)]

@@ -2,7 +2,6 @@ import gc
 import json
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from reference_grid import numbered_strips
 from reference_oracle import milp_min_cost_cover
-from reference_ptas import anchored_cells, components, every_cell_costs
+from reference_ptas import anchored_cells, components, every_cell_costs, over_budget
 from site_records import CandidateSite, site_columns, site_records, site_table
 
 from sinkcover.geometry import COVER_TOL
@@ -109,20 +108,19 @@ def test_solution_invariants():
 
 
 @pytest.mark.parametrize("n, k, extent, m", [
-    (400, 10, 63.25, 4),    # sparse: hundreds of components, a few too wide
-    (14, 2, 8.0, 4),        # dense: a few components, every one anchored
-    (60, 3, 20.0, 2),       # one or two components too wide for a cell
+    (400, 10, 63.25, 4),    # sparse: hundreds of components
+    (14, 2, 8.0, 4),        # dense: a few components
+    (60, 3, 20.0, 2),       # one or two components wider than a cell
     (60, 3, 20.0, 3),
     (120, 4, 30.0, 8),
-    (60, 3, 20.0, 1),       # four to eight too wide
-    (400, 10, 63.25, 2),    # seven to nine too wide
+    (60, 3, 20.0, 1),       # four to eight wider than a cell
+    (400, 10, 63.25, 2),    # seven to nine wider than a cell
 ])
 def test_costs_equal_every_cell_reference(n, k, extent, m):
     # Anchored components solved once, and skipped one-target DP runs,
-    # leave each round's cost bit for bit what laying out every anchored
-    # component by itself and solving every cell of every round gives,
-    # over pruned sites and over the raw rows, where a lone target has many
-    # coverers; the schedule costs each component's cheapest round of that.
+    # leave each round's cost bit for bit what laying out every component
+    # by itself gives, over pruned sites and over the raw rows, where a
+    # lone target has many coverers; the schedule costs that too.
     for seed in range(3):
         inst = gen_uniform(n, k, 1.0, extent, seed + 60)
         raw = generate_candidate_sites(inst)
@@ -145,6 +143,9 @@ def test_solve_lies_between_the_optimum_and_its_cheapest_round(n, k, extent, see
     assert opt * (1 - 1e-9) - 1e-12 <= sol.total_cost <= min(sol.per_round_costs)
     assert min(sol.per_round_costs) <= (1 + 4 / m) * opt * (1 + 1e-9) + 1e-12
     assert sol.per_round_costs[sol.shift_round] == min(sol.per_round_costs)
+    counters = sol.config["counters"]
+    if counters["anchored"] == counters["components"]:
+        assert sol.total_cost == pytest.approx(opt, rel=1e-9, abs=0)
 
 
 @given(st.sampled_from([2, 3, 4, 8]), st.integers(1, 12),
@@ -224,13 +225,12 @@ def test_anchored_component_costs_its_exact_optimum(n, k, extent, seed, m):
     sites = site_records(table)
     sol = solve(inst, PtasConfig(m=m), sites=table)
     layout = anchored_cells(inst, m, sites)
-    assert sol.config["counters"]["anchored"] == sum(c is not None for _, c in layout)
-    for group, cell in layout:
-        if cell is not None:
-            own = _own(sites, group)
-            exact = exact_min_cost_cover(len(group), *site_columns(own))
-            assert _paid(sol, sites, group) == \
-                sum(own[i].weight for i in sorted(exact.site_indices))
+    assert sol.config["counters"]["anchored"] == len(layout)
+    for group, _ in layout:
+        own = _own(sites, group)
+        exact = exact_min_cost_cover(len(group), *site_columns(own))
+        assert _paid(sol, sites, group) == \
+            sum(own[i].weight for i in sorted(exact.site_indices))
 
 
 def test_anchored_components_cost_the_milp_optimum():
@@ -247,12 +247,25 @@ def test_anchored_components_cost_the_milp_optimum():
         ref = milp_min_cost_cover(inst.n, sites)
         assert ref.proven_optimal
         picked = sorted(ref.site_indices)
-        for group, cell in anchored_cells(inst, 4, sites):
-            if cell is not None:
-                part = sum(sites[i].weight for i in picked if sites[i].covered & group)
-                assert _paid(sol, sites, group) == pytest.approx(part, rel=1e-9, abs=0)
-                checked += 1
+        for group, _ in anchored_cells(inst, 4, sites):
+            part = sum(sites[i].weight for i in picked if sites[i].covered & group)
+            assert _paid(sol, sites, group) == pytest.approx(part, rel=1e-9, abs=0)
+            checked += 1
     assert checked > 3000
+    # The sparse ladder, 0.1 targets per r², and the dense n=60 row: every
+    # component is anchored, components wider than a cell among them, so
+    # whole solves cost the optimum at any m.
+    ladder = [gen_uniform(n, 10, 1.0, math.sqrt(n / 0.1), seed)
+              for n, seed in [(1000, 3), (1000, 5), (2000, 7), (5000, 3)]]
+    for inst in ladder + [gen_uniform(60, 2, 1.0, 8.0, 2)]:
+        table = prune_dominated(generate_candidate_sites(inst))
+        opt = milp_min_cost_cover(inst.n, site_records(table))
+        assert opt.proven_optimal
+        for m in (1, 2, 4):
+            sol = solve(inst, PtasConfig(m=m), sites=table)
+            assert sol.config["counters"]["anchored"] == sol.config["counters"]["components"]
+            assert sol.total_cost == pytest.approx(opt.cost, rel=1e-9, abs=0)
+    assert opt.cost == pytest.approx(32.60821970623742, rel=1e-9)
 
 
 def test_component_inside_one_cell_is_solved_to_its_optimum():
@@ -272,35 +285,28 @@ def test_component_inside_one_cell_is_solved_to_its_optimum():
     assert checked > 50
 
 
-def _chains_one_cell_wide():
-    """At m=2, a chain of targets from x = 0 to x = one cell side, then to
-    one ulp below it: consecutive targets share a site, the ends do not."""
-    side = bounding_box(Instance.from_coords([(0.0, 0.0)], [(0.0, 0.0)], 1.0), 2).cell_side
-    return [Instance.from_coords([(0.0, 1.0), (1.4, 1.0), (2.8, 1.0), (end, 1.0)],
-                                 [(0.0, 0.0)], 1.0)
-            for end in (side, math.nextafter(side, -math.inf))]
-
-
-def test_config_counts_components_and_spanning_pairs():
+def test_config_counts_components_and_spanning_pairs(monkeypatch):
+    # Within the state budget every component is anchored and no round
+    # runs.  At 20 states an anchored cell of each of the last two draws is
+    # over it, and `spanning` counts the rounds whose cells cut it.
     drawn = [(gen_uniform(n, 3, 1.0, extent, seed + 700), m)
              for seed, (n, extent, m) in enumerate([(400, 63.25, 4), (14, 8.0, 4),
                                                     (60, 20.0, 3), (30, 12.0, 1)])]
     counted = []
-    for inst, m in drawn + [(inst, 2) for inst in _chains_one_cell_wide()]:
-        table = prune_dominated(generate_candidate_sites(inst))
-        sites = site_records(table)
-        counters = solve(inst, PtasConfig(m=m), sites=table).config["counters"]
-        layout = anchored_cells(inst, m, sites)
-        assert counters["components"] == len(layout)
-        assert counters["anchored"] == sum(cell is not None for _, cell in layout)
-        assert counters["spanning"] == sum(len(_cells_of(inst, g, m, f)) > 1
-                                           for g, cell in layout if cell is None
-                                           for f in range(m))
-        counted.append((counters["anchored"], counters["spanning"]))
-    assert counted[3][1] > 0    # the last draw leaves components to the rounds
-    # A chain exactly one cell side wide spans a cell line in both rounds;
-    # one ulp narrower, it is anchored.
-    assert counted[-2:] == [(0, 2), (1, 0)]
+    for budget, cases in [(strip_dp.STATE_BUDGET, drawn), (20, drawn[2:])]:
+        monkeypatch.setattr(strip_dp, "STATE_BUDGET", budget)
+        for inst, m in cases:
+            table = prune_dominated(generate_candidate_sites(inst))
+            sites = site_records(table)
+            counters = solve(inst, PtasConfig(m=m), sites=table).config["counters"]
+            layout = anchored_cells(inst, m, sites)
+            left = [g for g, cell in layout if over_budget(cell, sites)]
+            assert counters["components"] == len(layout)
+            assert counters["anchored"] == len(layout) - len(left)
+            assert counters["spanning"] == sum(len(_cells_of(inst, g, m, f)) > 1
+                                               for g in left for f in range(m))
+            counted.append((len(left), counters["spanning"]))
+    assert counted == [(0, 0)] * 4 + [(1, 3), (1, 1)]
 
 
 @pytest.mark.parametrize("args", [(400, 10, 1.0, 63.25, 5), (60, 2, 1.0, 8.0, 2)],
@@ -317,31 +323,6 @@ def test_solve_leaves_no_cyclic_garbage(args):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_lone_targets_of_a_spanning_component_skip_the_dp(monkeypatch):
-    # Targets 0, 1 and 2 form a chain 3.8 wide, too wide for a cell at
-    # m=1, so the round solves it.  Cell boundaries at x = 0.7 and 2.7 (the
-    # far target 3 anchors the grid) leave each alone in its cell, and each
-    # takes its cheapest coverer without a DP run; so does target 3, a
-    # component of its own.
-    inst = Instance.from_coords([(0.5, 0.0), (2.4, 0.0), (4.3, 0.0), (-5.3, -5.3)],
-                                [(3.0, 0.0)], 1.0)
-    table = prune_dominated(generate_candidate_sites(inst))
-    sites = site_records(table)
-    assert [len(g) for g in components(inst.n, sites)] == [3, 1]
-    assert _cells_of(inst, {0, 1, 2}, 1, 0) == {(3, 3), (4, 3), (5, 3)}
-    calls = []
-
-    def counting(strips, *columns):
-        calls.append(strips)
-        return strip_dp.solve_cell(strips, *columns)
-
-    monkeypatch.setattr(ptas, "solve_cell", counting)
-    sol = solve(inst, PtasConfig(m=1), sites=table)
-    assert calls == []
-    assert sol.per_round_costs == every_cell_costs(inst, 1, sites)[0]
-    assert verify_solution(inst, sol.placements)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -542,21 +523,22 @@ def test_solve_over_budget_raises_typed_error(monkeypatch):
     assert len(calls) == 1
 
 
-def _four_across_a_line():
-    """At m=1, four targets 0.7 wide, two on either side of a cell line of
-    round 0, and the target (0, 0), which anchors the grid."""
+def _four_by_a_line(start=-0.35):
+    """At m=1, four targets 0.7 wide from `start` past a cell line of round
+    0, by default two on either side of it, and the target (0, 0), which
+    anchors the grid."""
     grid = bounding_box(Instance.from_coords([(0.0, 0.0)], [(0.0, 0.0)], 1.0), 1)
-    line = grid.corner(0).x + 3 * grid.cell_side
+    x = grid.corner(0).x + 3 * grid.cell_side + start
     return Instance.from_coords(
-        [(0.0, 0.0), (line - 0.35, 0.2), (line - 0.15, 0.7), (line + 0.15, 0.1),
-         (line + 0.35, 0.6)], [(3.0, -2.0)], 1.0)
+        [(0.0, 0.0), (x, 0.2), (x + 0.2, 0.7), (x + 0.5, 0.1), (x + 0.7, 0.6)],
+        [(3.0, -2.0)], 1.0)
 
 
 def test_over_budget_anchored_cell_falls_back_to_the_rounds(monkeypatch):
-    # Targets 1-4 form one component narrower than a cell.  Its anchored
-    # cell is one strip of four targets and needs more than 4 states; the
-    # round splits it into two cells of two targets, each within 4.
-    inst = _four_across_a_line()
+    # Targets 1-4 form one component.  Its anchored cell is one strip of
+    # four targets and needs more than 4 states; the round splits it into
+    # two cells of two targets, each within 4.
+    inst = _four_by_a_line()
     table = prune_dominated(generate_candidate_sites(inst))
     sites = site_records(table)
     assert [len(g) for g in components(inst.n, sites)] == [1, 4]
@@ -579,24 +561,53 @@ def test_over_budget_anchored_cell_falls_back_to_the_rounds(monkeypatch):
         solve(inst, PtasConfig(m=1), sites=table)
 
 
+def test_rounds_solve_only_the_components_past_the_budget(monkeypatch):
+    # At 30 states the anchored cells of 3 of the 518 components of the
+    # sparse m=2 row are over the budget, and the rounds cut each into
+    # cells within it.
+    inst = gen_uniform(1000, 10, 1.0, 100.0, 3)
+    table = prune_dominated(generate_candidate_sites(inst))
+    sites = site_records(table)
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", 30)
+    sol = solve(inst, PtasConfig(m=2), sites=table)
+    counters = sol.config["counters"]
+    assert (counters["components"], counters["anchored"], counters["spanning"]) == \
+        (518, 515, 6)
+    rounds, per_component = every_cell_costs(inst, 2, sites)
+    assert sol.per_round_costs == rounds and sol.total_cost == per_component
+    assert sol.total_cost < min(sol.per_round_costs)
+    assert verify_solution(inst, sol.placements)
+    # Four targets right of the line lie in one strip of round 0's cell,
+    # as in their anchored cell: that cell fails with the anchored one,
+    # with no second DP run.
+    inst = _four_by_a_line(0.15)
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", 4)
+    calls = []
+
+    def counting(strips):
+        calls.append(strips)
+        return strip_dp.solve_cell(strips)
+
+    monkeypatch.setattr(ptas, "solve_cell", counting)
+    with pytest.raises(StateBudgetError,
+                       match=r"^shift 0, cell \(3, 1\): the cell needs more than 4 DP states"):
+        solve(inst, PtasConfig(m=1))
+    assert len(calls) == 1
+
+
 def _reference_calls(inst, m, sites):
     """The cells the solver hands the strip DP, in order, laid out and
     numbered by the references: each anchored cell of a component of more
     than one target, by component, then round by round the cells of the
-    other components' targets (`bin_points`), each target alone in its
-    (component, cell) group left out, each cell as `numbered_strips` gives
-    it from a plain per-target coverers dict."""
+    components whose anchored cell is over the state budget
+    (`bin_points`), each cell as `numbered_strips` gives it from a plain
+    per-target coverers dict."""
     grid = bounding_box(inst, m)
-    layout_of = anchored_cells(inst, m, sites)
-    cells = [cell for group, cell in layout_of if cell is not None and len(group) > 1]
-    comp_of = {t: c for c, (group, cell) in enumerate(layout_of) if cell is None for t in group}
-    among = sorted(comp_of)
-    for f in range(m if among else 0):
-        binned = [(c.index, t) for c in bin_points(grid, inst.targets, f, among)
-                  for s in c.strips for t in s.target_indices]
-        size = Counter((comp_of[t], index) for index, t in binned)
-        rest = sorted(t for index, t in binned if size[comp_of[t], index] > 1)
-        cells += [layout(c) for c in bin_points(grid, inst.targets, f, rest)]
+    laid = [(group, cell) for group, cell in anchored_cells(inst, m, sites) if len(group) > 1]
+    cells = [cell for _, cell in laid]
+    left = sorted(t for group, cell in laid if over_budget(cell, sites) for t in group)
+    for f in range(m if left else 0):
+        cells += [layout(c) for c in bin_points(grid, inst.targets, f, left)]
     return [numbered_strips(cell, sites) for cell in cells]
 
 
@@ -631,7 +642,7 @@ def keyed_draws(draw):
 
 @given(keyed_draws())
 @example((_line(70, 0.2), 8))     # one anchored cell of 70 targets
-@example((_line(100, 0.2), 8))    # round cells of up to 80 targets
+@example((_line(100, 0.2), 8))    # one of 100, wider than a cell
 def test_solve_hands_the_strip_dp_the_reference_cells(draw):
     # Cells, their strips, targets, pools and numbering come out of one
     # numpy binning; the references lay them out one target at a time.
