@@ -1,7 +1,7 @@
 """Shifted-grid approximation: solve each component of the targets
-exactly in a cell of its own, and only those past the strip DP's state
-budget in every shift round cell by cell, then give each component its
-cheapest round.
+exactly in a cell of its own, and each one past the strip DP's state
+budget alone in every shift round, cell by cell, then give each
+component its cheapest round.
 
 With m shift rounds the cheapest round costs at most (1 + 4/m) times the
 optimum over the candidate-site universe: averaging over rounds, each
@@ -15,7 +15,8 @@ A component laid out from its own least x in strips one unit wide, as
 many as its width takes, has every coverer of its targets in the strip
 pools, so the strip DP gives its optimum, no more than any round's cost
 on it; counting it at its optimum in every round keeps the bound, and the
-shifting only pays for the components the DP cannot hold in one cell.
+shifting, as the bound holds per component, only pays for the components
+the DP cannot hold in one cell, each one shifted alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .geometry import COVER_TOL, Point, near_pairs, within
 from .grid import (Strip, anchored_keys, bounding_box, cells_for_shift, round_keys,
                    strips_of_cell)
 from .sites import (CandidateTable, Instance, check_cost_range, generate_candidate_sites,
-                    prune_dominated, run_heads)
+                    prune_dominated)
 from .strip_dp import StateBudgetError, solve_cell
 
 # Most shift rounds a solve may run, from --m or from m = ceil(4 / epsilon):
@@ -140,8 +141,8 @@ def _layout(strips: list[Strip]) -> tuple[tuple[int, ...], ...]:
 
 def solve(instance: Instance, config: PtasConfig,
           sites: CandidateTable | None = None) -> Solution:
-    """Solve each component once in a cell of its own, those past the
-    state budget in every shift round, then give each component its
+    """Solve each component once in a cell of its own, each one past the
+    state budget alone in every shift round, then give each component its
     cheapest round.
 
     `sites` may be supplied to reuse candidates: the table
@@ -161,17 +162,17 @@ def solve(instance: Instance, config: PtasConfig,
     DP's state budget is left to the rounds; a round cell holding the same
     targets strip by strip fails alike, with no second DP run.
 
-    Round f keys the targets of those components once (`round_keys`), and
-    the strip DP runs over the cells that hold them.  Anchored cells,
-    keyed by component, and round cells, keyed by cell index, are binned
-    and numbered alike (`cells_for_shift`).  Round f's cost is that of its
-    cells' covers plus the anchored optima.  The schedule takes each
-    component's sites from its cheapest round, lowest on ties, when that
-    costs strictly less than the cheapest round; else the cheapest round's
-    sites, which is `shift_round`.  Rounds are solved one after another in
-    this process.  The config echo counts the components, the anchored
-    ones, the (component, round) pairs the rounds solve in more than one
-    cell, and the footprint states stored by the DP runs made.
+    Each component left to the rounds is solved alone in each round f:
+    `round_keys` keys its targets, and the strip DP runs over the cells
+    holding them, binned and numbered as the anchored cells are
+    (`cells_for_shift`), keyed by cell index, not by component.  It keeps
+    its cheapest round's cover, lowest on ties.  Round f costs the
+    anchored optima plus those components' round-f covers.  The schedule
+    takes each one's cheapest round when that costs strictly less than
+    the cheapest round; else the cheapest round's sites, `shift_round`.
+    Rounds are solved one after another in this process.  The config echo
+    counts the components, the anchored ones, the (component, round)
+    pairs cut into more than one cell, and the DP runs' footprint states.
     """
     if instance.n == 0:
         raise ValueError("nothing to cover")
@@ -197,7 +198,8 @@ def solve(instance: Instance, config: PtasConfig,
     xs = np.array([t.x for t in instance.targets])
     ys = np.array([t.y for t in instance.targets])
     strip = anchored_keys(grid, xs, comp, comps)
-    solved = np.bincount(comp, minlength=comps) == 1    # the anchored components
+    size = np.bincount(comp, minlength=comps)
+    solved = size == 1      # the anchored components
     anchored = set(cheapest[solved[comp]].tolist())
     subsets = 0
     over: dict[tuple, StateBudgetError] = {}   # layouts past the budget
@@ -215,46 +217,41 @@ def solve(instance: Instance, config: PtasConfig,
         subsets += res.counters.subsets_enumerated
 
     weight = sites.weight.tolist()
-    among = (~solved[comp]).nonzero()[0]
-    among_comp = comp[among]
-    best: dict[int, tuple[float, frozenset[int]]] = {}   # its cheapest round
-    rounds = [anchored] * m     # each round's sites
+    chosen_sites = set(anchored)    # and each other component's cheapest round
+    rounds = [set() for _ in range(m)]  # each round's covers of the other components
     spanning = 0
-    # With no anchored cell past the budget, every round is the anchored
-    # optima; keying empty rounds made a dense-14 solve 1.5 times as long.
-    for f in range(m if over else 0):
-        ix, iy, strip_f = round_keys(grid, xs[among], ys[among], f)
-        order = np.lexsort((iy, ix, among_comp))
-        group = run_heads(among_comp[order], ix[order], iy[order]).nonzero()[0]
-        spanning += int((np.bincount(among_comp[order[group]]) > 1).sum())
-        chosen = set()
-        for c in cells_for_shift(ix, iy, strip_f, among, pairs, sites.weight, instance.n):
-            strips = strips_of_cell(c)
-            try:
-                if _layout(strips) in over:
-                    raise over[_layout(strips)]
-                res = solve_cell(strips)
-            except StateBudgetError as e:
-                raise StateBudgetError(f"shift {f}, cell {c.index}: {e}") from None
-            chosen.update(res.site_indices)
-            subsets += res.counters.subsets_enumerated
-        # Each site's component is its first target's.
-        ids = list(chosen)
-        parts: dict[int, list[int]] = {}
-        for s, c in zip(ids, comp[sites.members[sites.lo[ids]]].tolist()):
-            parts.setdefault(c, []).append(s)
-        for c, ids in parts.items():
-            cost = _round_cost(ids, weight)
-            if c not in best or cost < best[c][0]:
-                best[c] = (cost, frozenset(ids))
-        rounds[f] = anchored.union(chosen)
+    by_comp = comp.argsort(kind="stable")
+    ends = size.cumsum()
+    for k in (~solved).nonzero()[0].tolist():
+        among = by_comp[ends[k] - size[k]:ends[k]]
+        covers = []     # its cover in each round
+        for f in range(m):
+            ix, iy, strip_f = round_keys(grid, xs[among], ys[among], f)
+            cells = cells_for_shift(ix, iy, strip_f, among, pairs, sites.weight, instance.n)
+            spanning += len(cells) > 1
+            cover = set()
+            for c in cells:
+                strips = strips_of_cell(c)
+                try:
+                    if _layout(strips) in over:
+                        raise over[_layout(strips)]
+                    res = solve_cell(strips)
+                except StateBudgetError as e:
+                    raise StateBudgetError(f"shift {f}, cell {c.index}: {e}") from None
+                cover.update(res.site_indices)
+                subsets += res.counters.subsets_enumerated
+            rounds[f].update(cover)
+            covers.append(cover)
+        # Its cheapest round, the lowest on ties.
+        chosen_sites.update(min(covers, key=lambda ids: _round_cost(ids, weight)))
 
-    per_round = tuple(_round_cost(ids, weight) for ids in rounds)
-    best_f = min(range(m), key=per_round.__getitem__)
-    chosen_sites = anchored.union(*(ids for _, ids in best.values()))
     total = _round_cost(chosen_sites, weight)
+    # With every component anchored, every round is the anchored optima.
+    per_round = (tuple(_round_cost(anchored.union(ids), weight) for ids in rounds)
+                 if over else (total,) * m)
+    best_f = min(range(m), key=per_round.__getitem__)
     if not total < per_round[best_f]:
-        total, chosen_sites = per_round[best_f], rounds[best_f]
+        total, chosen_sites = per_round[best_f], anchored.union(rounds[best_f])
 
     return Solution(total_cost=total, shift_round=best_f,
                     per_round_costs=per_round,

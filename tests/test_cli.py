@@ -330,24 +330,26 @@ def test_readme_library_example_runs(capsys):
     assert undominated == "0"
 
 
-@pytest.mark.parametrize("m, cost, sha", [
+@pytest.mark.parametrize("m, cost, sha, subsets", [
     (1, "1016.794111838",
-     "37912dcac37731a1d72f9f0448bcb3946e368c1d163f94ac5525932d36a5ca3a"),
+     "37912dcac37731a1d72f9f0448bcb3946e368c1d163f94ac5525932d36a5ca3a", 163),
     (2, "862.695079079",
-     "a35947231a8421218b13c8405d9cf891c06086457e153636ebf5b4f31338d433"),
+     "41dc3bb3134d95ab0fd21b9c84e3b6c951b4b87385bc2e94adeb60285e78ad12", 488),
 ], ids=["m1", "m2"])
 def test_one_strip_and_two_strip_cells_write_pinned_bytes(tmp_path, capsys, monkeypatch,
-                                                         m, cost, sha):
+                                                         m, cost, sha, subsets):
     # At m=1 every round cell is a single strip; at m=2 round cells hold
     # one or two non-empty strips.  At 100 states the anchored cells of
     # three chains are over the state budget, so both solves leave them to
-    # the rounds, and must write these bytes.
+    # the rounds, each chain solved alone in every round, and must write
+    # these bytes, which hold the footprint states stored.
     path = _gen(tmp_path, n=300, k=6, extent=30.0, seed=7)
     sol = tmp_path / "sol.json"
     capsys.readouterr()
     monkeypatch.setattr(strip_dp, "STATE_BUDGET", 100)
     assert run(["solve", "--in", str(path), "--m", str(m), "--out", str(sol)]) == 0
     assert capsys.readouterr().out.startswith(f"cost {cost};")
+    assert json.loads(sol.read_bytes())["config"]["counters"]["subsets_enumerated"] == subsets
     assert hashlib.sha256(sol.read_bytes()).hexdigest() == sha
 
 

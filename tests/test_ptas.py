@@ -598,17 +598,40 @@ def test_rounds_solve_only_the_components_past_the_budget(monkeypatch):
 def _reference_calls(inst, m, sites):
     """The cells the solver hands the strip DP, in order, laid out and
     numbered by the references: each anchored cell of a component of more
-    than one target, by component, then round by round the cells of the
-    components whose anchored cell is over the state budget
-    (`bin_points`), each cell as `numbered_strips` gives it from a plain
-    per-target coverers dict."""
+    than one target, by component, then component by component, for each
+    one whose anchored cell is over the state budget, round by round the
+    cells holding its targets (`bin_points`), each cell as
+    `numbered_strips` gives it from a plain per-target coverers dict."""
     grid = bounding_box(inst, m)
     laid = [(group, cell) for group, cell in anchored_cells(inst, m, sites) if len(group) > 1]
     cells = [cell for _, cell in laid]
-    left = sorted(t for group, cell in laid if over_budget(cell, sites) for t in group)
-    for f in range(m if left else 0):
-        cells += [layout(c) for c in bin_points(grid, inst.targets, f, left)]
+    for group, cell in laid:
+        if over_budget(cell, sites):
+            cells += [layout(c) for f in range(m)
+                      for c in bin_points(grid, inst.targets, f, sorted(group))]
     return [numbered_strips(cell, sites) for cell in cells]
+
+
+def _check_calls(inst, m):
+    """Solve `inst` at m, requiring the strip DP to be handed
+    `_reference_calls`' cells, in order; the solution and the pruned sites
+    as records."""
+    table = prune_dominated(generate_candidate_sites(inst))
+    sites = site_records(table)
+    calls = []
+
+    def recording(strips):
+        calls.append(strips)
+        return strip_dp.solve_cell(strips)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ptas, "solve_cell", recording)
+        sol = solve(inst, PtasConfig(m=m), sites=table)
+    expected = _reference_calls(inst, m, sites)
+    assert calls == expected
+    assert [[s.site_pool for s in strips] for strips in calls] == \
+        [[s.site_pool for s in strips] for strips in expected]
+    return sol, sites
 
 
 def _line(count, gap, order=None):
@@ -646,22 +669,28 @@ def keyed_draws(draw):
 def test_solve_hands_the_strip_dp_the_reference_cells(draw):
     # Cells, their strips, targets, pools and numbering come out of one
     # numpy binning; the references lay them out one target at a time.
-    inst, m = draw
-    table = prune_dominated(generate_candidate_sites(inst))
-    sites = site_records(table)
-    calls = []
+    _check_calls(*draw)
 
-    def recording(strips):
-        calls.append(strips)
-        return strip_dp.solve_cell(strips)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ptas, "solve_cell", recording)
-        solve(inst, PtasConfig(m=m), sites=table)
-    expected = _reference_calls(inst, m, sites)
-    assert calls == expected
-    assert [[s.site_pool for s in strips] for strips in calls] == \
-        [[s.site_pool for s in strips] for strips in expected]
+@pytest.mark.parametrize("args, m, budget, cost", [
+    ((80, 4, 1.0, 14.0, 2), 4, 200, 82.87131215651702),
+    ((120, 4, 1.0, 18.0, 38), 2, 100, 295.85166113161),
+], ids=["n80-m4", "n120-m2"])
+def test_components_sharing_a_round_cell_are_solved_alone(monkeypatch, args, m, budget,
+                                                          cost):
+    # Two components over the budget in their anchored cells share a cell
+    # of round 0 that is over it as well.  Each is solved alone in every
+    # round, in the reference cells holding only its targets, where it
+    # fits, and the schedule keeps the shifting bound.
+    inst = gen_uniform(*args)
+    monkeypatch.setattr(strip_dp, "STATE_BUDGET", budget)
+    sol, sites = _check_calls(inst, m)
+    assert sol.config["counters"]["components"] - sol.config["counters"]["anchored"] == 2
+    opt = milp_min_cost_cover(inst.n, sites)
+    assert opt.proven_optimal
+    assert verify_solution(inst, sol.placements)
+    assert sol.total_cost == pytest.approx(cost, rel=1e-12)
+    assert opt.cost <= sol.total_cost <= (1 + 4 / m) * opt.cost
 
 
 def _components_of(target_count, table):
