@@ -12,7 +12,7 @@ desk-scale ground truth.
 
 from .sites import Instance
 from .oracle import exact_min_cost_cover, greedy_cover, grid_refine_audit
-from .ptas import Placement, PtasConfig, Solution, solve, verify_solution
+from .ptas import Placements, PtasConfig, Solution, solve, verify_solution
 from .strip_dp import StateBudgetError
 from .instances_io import (InstanceFormatError, gen_counterexample, gen_uniform,
                            read_instance, read_instance_file, read_solution,
@@ -21,7 +21,7 @@ from .instances_io import (InstanceFormatError, gen_counterexample, gen_uniform,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Instance", "InstanceFormatError", "Placement", "PtasConfig", "Solution",
+    "Instance", "InstanceFormatError", "Placements", "PtasConfig", "Solution",
     "StateBudgetError", "exact_min_cost_cover",
     "gen_counterexample", "gen_uniform", "greedy_cover", "grid_refine_audit",
     "read_instance", "read_instance_file", "read_solution",

@@ -115,9 +115,8 @@ def bounding_box(instance: Instance, m: int) -> Grid:
     # cell; without it, float rounding of (min - cell) can flip the target
     # across the corner it sits on.
     pad = 1e-9 * cell
-    return Grid(origin=Point(min(t.x for t in instance.targets) - cell - pad,
-                             min(t.y for t in instance.targets) - cell - pad),
-                m=m, r=instance.r)
+    x, y = instance.targets.min(axis=0).tolist()
+    return Grid(origin=Point(x - cell - pad, y - cell - pad), m=m, r=instance.r)
 
 
 def cell_keys(grid: Grid, xs: np.ndarray, ys: np.ndarray,

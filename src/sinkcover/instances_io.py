@@ -2,7 +2,10 @@
 
 All formats are JSON documents.  Floats are written with Python's shortest
 round-trip repr, so write-then-read reproduces every coordinate bit for bit
-and repeated runs produce byte-identical files.
+and repeated runs produce byte-identical files.  An instance is read into,
+and written from, its (n, 2) coordinate arrays, and a solution's
+placements from and into their `Placements` columns: no object is built
+per target or per sensor.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ import logging
 import math
 import random
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .geometry import Point
-from .ptas import MAX_ROUNDS, Placement, Solution
+import numpy as np
+
+from .ptas import MAX_ROUNDS, Placements, Solution
 from .sites import Instance
 
 log = logging.getLogger(__name__)
@@ -62,53 +67,72 @@ def _load_object(path: str) -> dict:
     return doc
 
 
-def _point_list(raw, name: str, path: str) -> tuple[Point, ...]:
+def _coords(raw, name: str, path: str) -> np.ndarray:
+    """A list field of [x, y] rows as an (n, 2) float64 array.  One scan
+    of the value types and one `np.array` take a well-formed field; else
+    the rows are walked to name the first bad one."""
     if not isinstance(raw, list):
         raise InstanceFormatError(f"{path}: field \"{name}\" must be a list")
-    pts = []
+    if not raw:
+        return np.empty((0, 2))
+    try:
+        # JSON true and false load as bool, which np.array would take.
+        if set(map(type, chain.from_iterable(raw))) <= {int, float}:
+            a = np.array(raw, dtype=float)
+            if a.shape == (len(raw), 2) and np.isfinite(a).all():
+                return a
+    except (TypeError, ValueError, OverflowError):
+        pass
     for i, row in enumerate(raw):
         if (not isinstance(row, list)) or len(row) != 2 \
                 or not all(_is_number(v) for v in row):
             raise InstanceFormatError(
                 f"{path}: field \"{name}\"[{i}] must be an [x, y] pair")
         try:
-            pts.append(Point(float(row[0]), float(row[1])))
-        except (ValueError, OverflowError) as e:
+            x, y = float(row[0]), float(row[1])
+        except OverflowError as e:
             raise InstanceFormatError(f"{path}: field \"{name}\"[{i}]: {e}") from e
-    return tuple(pts)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InstanceFormatError(
+                f"{path}: field \"{name}\"[{i}]: non-finite point ({x}, {y})")
+    raise AssertionError(f"{path}: field \"{name}\" passed the row check only")
 
 
 def read_instance_file(path) -> tuple[Instance, dict]:
     """Parse an instance file; returns the instance and its metadata block.
 
-    Exact duplicate targets are dropped (first occurrence wins) and flagged
-    in the returned metadata under "deduplicated_targets".
+    Exact duplicate targets are dropped (first occurrence wins, and 0.0
+    equals -0.0) and flagged in the returned metadata under
+    "deduplicated_targets".
     """
     path = str(path)
     doc = _load_object(path)
     r = _require(doc, "r", path)
     if not _is_finite(r) or r <= 0:
         raise InstanceFormatError(f"{path}: field \"r\" must be a positive number")
-    targets = _point_list(_require(doc, "targets", path), "targets", path)
-    stations = _point_list(_require(doc, "stations", path), "stations", path)
-    if not stations:
+    targets = _coords(_require(doc, "targets", path), "targets", path)
+    stations = _coords(_require(doc, "stations", path), "stations", path)
+    if not len(stations):
         raise InstanceFormatError(f"{path}: field \"stations\" must be non-empty")
     metadata = _object(doc.get("metadata"), "metadata", path)
 
-    seen: set[tuple[float, float]] = set()
-    unique = []
-    for t in targets:
-        key = (t.x, t.y)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(t)
-    dropped = len(targets) - len(unique)
-    if dropped:
+    # Equal targets are equal complex numbers x + iy (0.0 equals -0.0).  A
+    # set of them costs less at n=14 than a sort, and leaves 5 MB resident
+    # after reading 10^5 targets where one of (x, y) tuples left 15 MB.
+    xy = targets.view(complex).ravel()
+    if len(set(xy.tolist())) < len(xy):
+        # Sorted stably, each run of equal targets starts at its first
+        # occurrence.
+        order = xy.argsort(kind="stable")
+        repeat = xy[order[1:]] == xy[order[:-1]]
+        dropped = int(repeat.sum())
         log.warning("%s: dropped %d duplicate target(s)", path, dropped)
         metadata["deduplicated_targets"] = dropped
+        keep = np.ones(len(targets), dtype=bool)
+        keep[order[1:][repeat]] = False
+        targets = targets[keep]
 
-    return Instance(targets=tuple(unique), stations=stations, r=float(r)), metadata
+    return Instance(targets=targets, stations=stations, r=float(r)), metadata
 
 
 def read_instance(path) -> Instance:
@@ -118,8 +142,8 @@ def read_instance(path) -> Instance:
 def write_instance(path, instance: Instance, metadata: dict | None = None) -> None:
     """The bytes of json.dumps(doc, indent=2) plus a newline."""
     doc = {"r": instance.r,
-           "targets": [[t.x, t.y] for t in instance.targets],
-           "stations": [[p.x, p.y] for p in instance.stations],
+           "targets": instance.targets.tolist(),
+           "stations": instance.stations.tolist(),
            "metadata": metadata or {}}
     Path(path).write_text(_indented(doc) + "\n")
 
@@ -138,26 +162,35 @@ def _number(v) -> str:
     return json.dumps(v)
 
 
+def _tokens(values) -> list[str]:
+    """Each of a flat sequence of numbers as json.dumps writes it: one call
+    of json's C encoder, whose list `[a, b, ...]` is split at its commas."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
 def write_solution(path, solution: Solution) -> None:
     """The bytes of json.dumps(doc, indent=2) plus a newline.  The small
     head and `config` are laid out by `_indented`; placement rows are
-    formatted from a template, which saves 0.8 ms per sparse-400 op over
-    laying them out by `_indented` too."""
+    formatted from a template, the four columns' values written by one
+    `_tokens` call, which saves 0.8 ms per sparse-400 op over laying them
+    out by `_indented` too."""
     head = _indented({"total_cost": solution.total_cost,
                       "shift_round": solution.shift_round,
                       "per_round_costs": solution.per_round_costs})
-    rows = ",\n".join(
-        _PLACEMENT.format(_number(p.position.x), _number(p.position.y),
-                          _number(p.station), _number(p.weight))
-        for p in solution.placements)
-    placements = f'"placements": [\n{rows}\n  ]' if rows else '"placements": []'
+    p, n = solution.placements, len(solution.placements)
+    if n:
+        v = _tokens(p.x + p.y + p.station + p.weight)
+        rows = ",\n".join(map(_PLACEMENT.format, v[:n], v[n:2 * n], v[2 * n:3 * n], v[3 * n:]))
+        placements = f'"placements": [\n{rows}\n  ]'
+    else:
+        placements = '"placements": []'
     config = _indented({"config": solution.config})
     # Splice the head's members, the placements and config's member into
     # one object: drop the head's closing "\n}" and config's opening "{\n".
     Path(path).write_text(f"{head[:-2]},\n  {placements},\n{config[2:]}\n")
 
 
-def _placement(row, name: str, path: str) -> Placement:
+def _check_placement(row, name: str, path: str) -> None:
     if not (isinstance(row, dict) and _is_number(row.get("x"))
             and _is_number(row.get("y"))):
         raise InstanceFormatError(
@@ -170,7 +203,6 @@ def _placement(row, name: str, path: str) -> Placement:
         if not _is_finite(row.get(key)):
             raise InstanceFormatError(
                 f"{path}: {name}[\"{key}\"] must be a finite number")
-    return Placement(Point(float(row["x"]), float(row["y"])), station, row["weight"])
 
 
 def read_solution(path) -> Solution:
@@ -194,8 +226,13 @@ def read_solution(path) -> Solution:
         if not _is_finite(cost):
             raise InstanceFormatError(
                 f"{path}: field \"per_round_costs\"[{i}] must be a finite number")
-    placements = tuple(_placement(row, f"field \"placements\"[{i}]", path)
-                       for i, row in enumerate(doc["placements"]))
+    rows = doc["placements"]
+    for i, row in enumerate(rows):
+        _check_placement(row, f"field \"placements\"[{i}]", path)
+    placements = Placements(tuple(float(row["x"]) for row in rows),
+                            tuple(float(row["y"]) for row in rows),
+                            tuple(row["station"] for row in rows),
+                            tuple(row["weight"] for row in rows))
     config = _object(doc.get("config"), "config", path)
     m = config.get("m")
     if m is not None and (isinstance(m, bool) or not isinstance(m, int) or m < 1):
@@ -255,11 +292,10 @@ def gen_uniform(n: int, k: int, r: float, extent: float, seed: int) -> Instance:
     if extent <= 0:
         raise ValueError("extent must be positive")
     rng = random.Random(seed)
-    targets = tuple(Point(rng.uniform(0, extent), rng.uniform(0, extent))
-                    for _ in range(n))
-    stations = tuple(Point(rng.uniform(0, extent), rng.uniform(0, extent))
-                     for _ in range(k))
-    return Instance(targets=targets, stations=stations, r=float(r))
+    # Targets, then stations, each point x then y.
+    coords = np.array([rng.uniform(0, extent) for _ in range(2 * (n + k))])
+    return Instance(targets=coords[:2 * n].reshape(n, 2),
+                    stations=coords[2 * n:].reshape(k, 2), r=float(r))
 
 
 def gen_counterexample(k: int, alpha: float, beta: float, r: float) -> Instance:
@@ -284,9 +320,9 @@ def gen_counterexample(k: int, alpha: float, beta: float, r: float) -> Instance:
     for i in range(k):
         ang = 2.0 * math.pi * i / k
         c, s = math.cos(ang), math.sin(ang)
-        targets.append(Point(alpha * c, alpha * s))
-        stations.append(Point(rho * c, rho * s))
-    return Instance(targets=tuple(targets), stations=tuple(stations), r=float(r))
+        targets.append((alpha * c, alpha * s))
+        stations.append((rho * c, rho * s))
+    return Instance.from_coords(targets, stations, r)
 
 
 def counterexample_metadata(k: int, alpha: float, beta: float, r: float) -> dict:

@@ -206,10 +206,9 @@ def check_grid_audit(instance: Instance, step: float) -> tuple[float, float, flo
     if not (step > 0 and math.isfinite(step)):
         raise ValueError("step must be positive and finite")
     r = instance.r
-    x0 = min(t.x for t in instance.targets) - r
-    x1 = max(t.x for t in instance.targets) + r
-    y0 = min(t.y for t in instance.targets) - r
-    y1 = max(t.y for t in instance.targets) + r
+    # At most 63 targets: Python's min and max beat four numpy reductions.
+    xs, ys = instance.targets.T.tolist()
+    x0, x1, y0, y1 = min(xs) - r, max(xs) + r, min(ys) - r, max(ys) + r
     # np.arange's own lengths.
     nx = np.ceil((x1 + step / 2 - x0) / step)
     ny = np.ceil((y1 + step / 2 - y0) / step)
@@ -232,23 +231,22 @@ def _grid_sets(instance: Instance, step: float) -> tuple[np.ndarray, np.ndarray,
     ascending, the least weight of a grid point covering exactly that set,
     and the number of grid points that cover some target.
 
-    A grid point covers target t when `(x - t.x)**2 + (y - t.y)**2 <= rr`
-    in floats.  The sum is at least its x term, so t reaches one interval
-    of x lines, where `(x - t.x)**2 <= rr`; and on one of those lines t
-    covers one interval of rows (`_covered`).  Each interval's ends come
-    from `_first_true`, started at the closed-form root `t.y -+ sqrt(rr -
-    dx**2)` but settled by the float test itself, so the ends are exact
-    whatever the roots' rounding.  Each line is cut at the interval ends
-    into runs of one covered set.
+    A grid point covers the target t at (tx, ty) when `(x - tx)**2 +
+    (y - ty)**2 <= rr` in floats.  The sum is at least its x term, so t
+    reaches one interval of x lines, where `(x - tx)**2 <= rr`; and on one
+    of those lines t covers one interval of rows (`_covered`).  Each
+    interval's ends come from `_first_true`, started at the closed-form
+    root `ty -+ sqrt(rr - dx**2)` but settled by the float test itself, so
+    the ends are exact whatever the roots' rounding.  Each line is cut at
+    the interval ends into runs of one covered set.
 
-    The offsets `ys - p.y` to a station p are non-decreasing in the row
-    too, so in a run |dy| is least at the line's row of least |dy| clamped
-    into the run, and so is `np.hypot` (monotone where correctly rounded):
-    each station is weighed at one row per run.
+    The offsets `ys - py` to a station at (px, py) are non-decreasing in
+    the row too, so in a run |dy| is least at the line's row of least |dy|
+    clamped into the run, and so is `np.hypot` (monotone where correctly
+    rounded): each station is weighed at one row per run.
     """
     x0, x1, y0, y1 = check_grid_audit(instance, step)
-    txs = np.array([t.x for t in instance.targets])
-    tys = np.array([t.y for t in instance.targets])
+    txs, tys = instance.targets.T.copy()
     xs = np.arange(x0, x1 + step / 2, step)
     ys = np.arange(y0, y1 + step / 2, step)
     ny = len(ys)
@@ -256,7 +254,7 @@ def _grid_sets(instance: Instance, step: float) -> tuple[np.ndarray, np.ndarray,
     rr = reach * reach
 
     # One (target, line) pair for each line a target reaches, target by
-    # target.  With d2 = 0.0 the test is `(x - t.x)**2 <= rr` bit for bit.
+    # target.  With d2 = 0.0 the test is `(x - tx)**2 <= rr` bit for bit.
     left, right = _covered(xs, txs, np.searchsorted(xs, txs), 0.0, rr)
     counts = right - left
     tix = np.repeat(np.arange(instance.n), counts)
@@ -282,9 +280,9 @@ def _grid_sets(instance: Instance, step: float) -> tuple[np.ndarray, np.ndarray,
     line, first_row = np.divmod(heads, ny)
 
     w = np.full(len(heads), np.inf)
-    for p in instance.stations:
-        q = np.clip(np.argmin(np.abs(ys - p.y)), first_row, first_row + lens - 1)
-        np.minimum(w, np.hypot(xs[line] - p.x, ys[q] - p.y), out=w)
+    for px, py in instance.stations.tolist():
+        q = np.clip(np.argmin(np.abs(ys - py)), first_row, first_row + lens - 1)
+        np.minimum(w, np.hypot(xs[line] - px, ys[q] - py), out=w)
     # Each set's least weight; a minimum does not depend on the order.
     order = np.argsort(keys)
     keys = keys[order]

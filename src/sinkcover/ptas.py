@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COVER_TOL, Point, near_pairs, within
+from .geometry import COVER_TOL, near_pairs, within
 from .grid import (Strip, anchored_keys, bounding_box, cells_for_shift, round_keys,
                    strips_of_cell)
 from .sites import (CandidateTable, Instance, check_cost_range, generate_candidate_sites,
@@ -74,22 +74,31 @@ class PtasConfig:
 
 
 @dataclass(frozen=True)
-class Placement:
-    position: Point
-    station: int
-    weight: float
+class Placements:
+    """A schedule's sensors as four parallel columns: sensor i sits at
+    (x[i], y[i]), moved there from station `station[i]` over `weight[i]`.
+    The columns are tuples of Python scalars, each as a solution file
+    gives it, so a written file shows every value as json writes it."""
+
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    station: tuple[int, ...]
+    weight: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass(frozen=True)
 class Solution:
-    """A schedule, field for field as a solution file holds it.  `config`
-    echoes how it was found; an exact solve has no shift round and no
-    per-round costs."""
+    """A schedule, field for field as a solution file holds it, its
+    sensors as `Placements` columns.  `config` echoes how it was found; an
+    exact solve has no shift round and no per-round costs."""
 
     total_cost: float
     shift_round: int | None
     per_round_costs: tuple[float, ...]
-    placements: tuple[Placement, ...]
+    placements: Placements
     config: dict
 
 
@@ -97,12 +106,12 @@ def _round_cost(site_ids, weight: list[float]) -> float:
     return sum(map(weight.__getitem__, sorted(site_ids)))
 
 
-def placements_of(table: CandidateTable, rows) -> tuple[Placement, ...]:
-    """The `Placement`s of the table's given rows, in ascending row order."""
-    picked = np.array(sorted(rows), dtype=np.intp)
-    return tuple(Placement(Point(x, y), o, w) for x, y, o, w in
-                 zip(table.x[picked].tolist(), table.y[picked].tolist(),
-                     table.origin[picked].tolist(), table.weight[picked].tolist()))
+def placements_of(table: CandidateTable, rows) -> Placements:
+    """The table's given rows as `Placements`, in ascending row order."""
+    picked = np.fromiter(rows, dtype=np.intp, count=len(rows))
+    picked.sort()
+    return Placements(*(tuple(column[picked].tolist()) for column in
+                        (table.x, table.y, table.origin, table.weight)))
 
 
 def _components(target_count: int, covered: list[int], ends: list[int]
@@ -150,7 +159,7 @@ def solve(instance: Instance, config: PtasConfig,
     candidates are generated and dominated ones pruned.  The solve reads
     the table's columns once, as arrays: its (target, row) cover pairs
     (`pairs`) give each target's cheapest coverer and component and feed
-    the cells, and only the chosen rows become `Placement`s.
+    the cells, and the chosen rows are cut from it as `Placements`.
 
     No site covers targets of two components, so a cover splits by
     component.  Each component is anchored: laid out in a cell whose
@@ -195,8 +204,7 @@ def solve(instance: Instance, config: PtasConfig,
     check_cost_range(instance.n, float(sites.weight[cheapest].max()))
     comp, comps = _components(instance.n, covered.tolist(),
                               (sites.hi - sites.lo).cumsum().tolist())
-    xs = np.array([t.x for t in instance.targets])
-    ys = np.array([t.y for t in instance.targets])
+    xs, ys = instance.targets.T.copy()
     strip = anchored_keys(grid, xs, comp, comps)
     size = np.bincount(comp, minlength=comps)
     solved = size == 1      # the anchored components
@@ -268,16 +276,15 @@ def verify_solution(instance: Instance, placements) -> bool:
 
     Uses no candidate site: each target is tested against the placements
     `near_pairs` finds around it.  A missed neighbour could only reject a
-    feasible answer, never pass an infeasible one.  Accepts Placement
-    objects, Points, or (x, y) pairs.
+    feasible answer, never pass an infeasible one.  Takes `Placements`, or
+    the sensors' positions as a sequence of (x, y) pairs.
     """
     reach = instance.r * (1.0 + COVER_TOL)
-    pts = [p.position if isinstance(p, Placement) else
-           p if isinstance(p, Point) else Point(float(p[0]), float(p[1]))
-           for p in placements]
-    px, py = np.array([p.x for p in pts]), np.array([p.y for p in pts])
-    tx = np.array([t.x for t in instance.targets])
-    ty = np.array([t.y for t in instance.targets])
+    if isinstance(placements, Placements):
+        px, py = np.array(placements.x, dtype=float), np.array(placements.y, dtype=float)
+    else:
+        px, py = np.array(placements, dtype=float).reshape(-1, 2).T
+    tx, ty = instance.targets.T.copy()
     t, p = near_pairs(tx, ty, px, py, reach)
     inside = within(tx[t] - px[p], ty[t] - py[p], reach)
     return bool(np.bincount(t[inside], minlength=instance.n).all())

@@ -20,22 +20,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COVER_TOL, Point, dist, hypot, near_pairs, within
+from .geometry import COVER_TOL, Point, hypot, near_pairs, within
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """A coverage problem: point targets, stations and a sensing radius."""
+    """A coverage problem: point targets, stations and a sensing radius.
 
-    targets: tuple[Point, ...]
-    stations: tuple[Point, ...]
+    `targets` (n x 2) and `stations` (k x 2) are float64 arrays, row i
+    being point i's (x, y), which the instance marks read-only; every
+    coordinate is finite and there is at least one station.  Two instances
+    are equal when their radii and coordinates are (0.0 equals -0.0)."""
+
+    targets: np.ndarray
+    stations: np.ndarray
     r: float
 
     def __post_init__(self) -> None:
+        for name in ("targets", "stations"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                    and a.ndim == 2 and a.shape[1] == 2):
+                raise ValueError(f"{name} must be an (n, 2) float64 array")
+            if not np.isfinite(a).all():
+                x, y = a[np.isfinite(a).all(axis=1).argmin()].tolist()
+                raise ValueError(f"non-finite point ({x}, {y})")
+            a.setflags(write=False)
         if len(self.stations) < 1:
             raise ValueError("at least one station is required")
         if not (self.r > 0 and math.isfinite(self.r)):
             raise ValueError(f"sensing radius must be positive, got {self.r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.r == other.r and np.array_equal(self.targets, other.targets)
+                and np.array_equal(self.stations, other.stations))
+
+    __hash__ = None
 
     @property
     def n(self) -> int:
@@ -47,13 +69,19 @@ class Instance:
 
     @classmethod
     def from_coords(cls, targets, stations, r: float) -> "Instance":
-        return cls(targets=tuple(Point(float(x), float(y)) for x, y in targets),
-                   stations=tuple(Point(float(x), float(y)) for x, y in stations),
-                   r=float(r))
+        """The instance of the given (x, y) pairs, each coordinate taken
+        as `float` takes it."""
+        return cls(targets=_pairs(targets), stations=_pairs(stations), r=float(r))
+
+
+def _pairs(points) -> np.ndarray:
+    """(x, y) pairs as an (n, 2) float64 array."""
+    return np.array([(float(x), float(y)) for x, y in points], dtype=float).reshape(-1, 2)
 
 
 def site_weight(position: Point, stations) -> tuple[float, int]:
-    """Minimum distance from `position` to any station, with the station index.
+    """Minimum distance from `position` to any station, given as (x, y)
+    pairs, with the station index.
 
     Ties are broken toward the lowest station index.
     """
@@ -61,8 +89,8 @@ def site_weight(position: Point, stations) -> tuple[float, int]:
         raise ValueError("at least one station is required")
     best_w = math.inf
     best_i = -1
-    for i, p in enumerate(stations):
-        w = dist(position, p)
+    for i, (x, y) in enumerate(stations):
+        w = math.hypot(position.x - x, position.y - y)
         if w < best_w:
             best_w, best_i = w, i
     return best_w, best_i
@@ -126,15 +154,13 @@ def generate_candidate_sites(instance: Instance) -> CandidateTable:
     weight: `np.hypot` can differ from it in the last bit.
     """
     reach = instance.r * (1.0 + COVER_TOL)
-    tx = np.array([t.x for t in instance.targets])
-    ty = np.array([t.y for t in instance.targets])
-    sx = np.array([p.x for p in instance.stations])
-    sy = np.array([p.y for p in instance.stations])
+    tx, ty = instance.targets.T.copy()
+    sx, sy = instance.stations.T.copy()
     # Each stage returns only what the next needs, so the intermediates of
     # one are freed before the next allocates.
     qx, qy = _positions(tx, ty, sx, sy, instance.r)
     members, lo, hi, qx, qy = _coverage(qx, qy, tx, ty, reach)
-    weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations)
+    weight, origin = _nearest_stations(qx, qy, sx, sy)
     # Positions are distinct, so only rows of equal weight need (x, y); a
     # lexsort of every row cost 0.55 ms more per sparse-400 op.
     order = weight.argsort(kind="stable")
@@ -213,7 +239,7 @@ def _coverage(qx, qy, tx, ty, reach: float):
     return c, lo, hi, qx[q[lo]], qy[q[lo]]
 
 
-def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_stations(qx, qy, sx, sy) -> tuple[np.ndarray, np.ndarray]:
     """Each position's distance to its nearest station and that station's
     index, lowest on ties, as `site_weight` gives them.
 
@@ -240,6 +266,7 @@ def _nearest_stations(qx, qy, sx, sy, stations) -> tuple[np.ndarray, np.ndarray]
             np.minimum(least, d2, out=least)
         tied = (second <= least * (1.0 + 8e-12) + 1e-300).nonzero()[0].tolist()
     weight = hypot(qx - sx[origin], qy - sy[origin])
+    stations = list(zip(sx.tolist(), sy.tolist())) if tied else []
     for i in tied:
         weight[i], origin[i] = site_weight(Point(float(qx[i]), float(qy[i])), stations)
     return weight, origin

@@ -57,11 +57,12 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
     drawn; the number of rounds m is read from the solution's config echo.
     """
     r = instance.r
-    xs = [p.x for p in instance.targets] + [p.x for p in instance.stations]
-    ys = [p.y for p in instance.targets] + [p.y for p in instance.stations]
+    targets, stations = instance.targets.tolist(), instance.stations.tolist()
+    xs = [x for x, _ in targets + stations]
+    ys = [y for _, y in targets + stations]
     if solution is not None:
-        xs += [p.position.x for p in solution.placements]
-        ys += [p.position.y for p in solution.placements]
+        xs += solution.placements.x
+        ys += solution.placements.y
     x0, x1 = min(xs) - 1.5 * r, max(xs) + 1.5 * r
     y0, y1 = min(ys) - 1.5 * r, max(ys) + 1.5 * r
     scale = _SIZE / max(x1 - x0, y1 - y0)
@@ -93,17 +94,17 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
             svg.line(sx(x0), sy(y), sx(x1), sy(y), "#888888", 1.0)
             j += 1
 
-    for t in instance.targets:
-        svg.circle(sx(t.x), sy(t.y), r * scale, "#2266cc", "detection")
-        svg.square(sx(t.x), sy(t.y), 2.5, "#2266cc")
-    for p in instance.stations:
-        svg.square(sx(p.x), sy(p.y), 4.0, "#cc3333")
+    for x, y in targets:
+        svg.circle(sx(x), sy(y), r * scale, "#2266cc", "detection")
+        svg.square(sx(x), sy(y), 2.5, "#2266cc")
+    for x, y in stations:
+        svg.square(sx(x), sy(y), 4.0, "#cc3333")
     if solution is not None:
-        for p in solution.placements:
+        p = solution.placements
+        for x, y, station in zip(p.x, p.y, p.station):
             # A solution file may name a station its instance file lacks.
-            if p.station < instance.k:
-                origin = instance.stations[p.station]
-                svg.line(sx(origin.x), sy(origin.y), sx(p.position.x),
-                         sy(p.position.y), "#cc3333", 0.75, dash="4 3")
-            svg.cross(sx(p.position.x), sy(p.position.y), 4.0, "#118833")
+            if station < instance.k:
+                ox, oy = stations[station]
+                svg.line(sx(ox), sy(oy), sx(x), sy(y), "#cc3333", 0.75, dash="4 3")
+            svg.cross(sx(x), sy(y), 4.0, "#118833")
     return svg.finish()

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 from conftest import bin_points
 
-from sinkcover.geometry import Point
 from sinkcover.grid import bounding_box
 from sinkcover.sites import Instance
 
@@ -18,9 +17,10 @@ class CensusReport:
     square_counts: dict[tuple[int, int], int]
 
 
-def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point, ...],
-                        m: int, shift: int = 0) -> CensusReport:
-    """Count placed sensors per strip and per small square.
+def strip_sensor_census(instance: Instance, positions, m: int,
+                        shift: int = 0) -> CensusReport:
+    """Count placed sensors, at the (x, y) `positions`, per strip and per
+    small square.
 
     The sensors are binned as the solver bins its targets (`round_keys`,
     then `cells_for_shift`): the strips are the one-unit (`Grid.strip`) slices
@@ -40,9 +40,9 @@ def strip_sensor_census(instance: Instance, positions: list[Point] | tuple[Point
 
     sq = math.sqrt(0.5) * g.r
     square_counts: dict[tuple[int, int], int] = {}
-    for p in positions:
-        key = (math.floor((p.x - g.origin.x) / sq),
-               math.floor((p.y - g.origin.y) / sq))
+    for x, y in positions:
+        key = (math.floor((x - g.origin.x) / sq),
+               math.floor((y - g.origin.y) / sq))
         square_counts[key] = square_counts.get(key, 0) + 1
 
     return CensusReport(

@@ -10,14 +10,13 @@ settings.load_profile("ci")
 
 
 def bin_points(grid, points, f, among=None, sites=None):
-    """Round f's cells of a point list, as the solver bins its targets:
+    """Round f's cells of (x, y) points, as the solver bins its targets:
     `round_keys` keys the points, by default all, and `cells_for_shift`
     bins them; a cell names each point by its index in `points`.  Its
     sites are the rows of the `CandidateTable` `sites` that cover its
     points, by default none."""
     among = np.arange(len(points)) if among is None else np.array(among, dtype=np.intp)
-    xs = np.array([points[i].x for i in among], dtype=float)
-    ys = np.array([points[i].y for i in among], dtype=float)
+    xs, ys = np.array(points, dtype=float).reshape(-1, 2)[among].T
     return bin_keyed(*round_keys(grid, xs, ys, f), among, sites)
 
 

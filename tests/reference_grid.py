@@ -1,6 +1,6 @@
 """The per-point binning loop the solver's array keys replaced.
 
-`reference_cells` bins a point list one point at a time with
+`reference_cells` bins (x, y) points one at a time with
 `math.floor`, in Python floats, exactly as the solver once did: a point
 lands in cell floor((p - corner) / side) on both axes, and in strip
 floor((x - lo) / unit) of it, clamped to the cell's m strips.  It lists
@@ -25,14 +25,14 @@ def reference_cells(grid, points, f, among=None):
     off = grid.corner(f)
     bins = {}
     for i in range(len(points)) if among is None else among:
-        p = points[i]
-        ix = math.floor((p.x - off.x) / side)
-        iy = math.floor((p.y - off.y) / side)
+        x, y = points[i]
+        ix = math.floor((x - off.x) / side)
+        iy = math.floor((y - off.y) / side)
         strips = bins.get((ix, iy))
         if strips is None:
             strips = bins[(ix, iy)] = [[] for _ in range(m)]
         x0 = off.x + ix * side
-        strips[min(max(int((p.x - x0) // width), 0), m - 1)].append(i)
+        strips[min(max(int((x - x0) // width), 0), m - 1)].append(i)
     return [(key, tuple(map(tuple, bins[key]))) for key in sorted(bins)]
 
 

@@ -34,8 +34,7 @@ from sinkcover.sites import site_weight
 
 def full_grid_sites(instance, step):
     r = instance.r
-    txs = np.array([t.x for t in instance.targets])
-    tys = np.array([t.y for t in instance.targets])
+    txs, tys = instance.targets.T.copy()
     x0, x1 = txs.min() - r, txs.max() + r
     y0, y1 = tys.min() - r, tys.max() + r
     xs = np.arange(x0, x1 + step / 2, step)
@@ -46,15 +45,15 @@ def full_grid_sites(instance, step):
     gx = gx.ravel()
     gy = gy.ravel()
     masks = np.zeros(gx.shape, dtype=np.int64)
-    for i, t in enumerate(instance.targets):
-        d2 = (gx - t.x) ** 2 + (gy - t.y) ** 2
+    for i, (tx, ty) in enumerate(instance.targets.tolist()):
+        d2 = (gx - tx) ** 2 + (gy - ty) ** 2
         masks |= (d2 <= reach * reach).astype(np.int64) << i
     sel = masks > 0
     gx, gy, masks = gx[sel], gy[sel], masks[sel]
     total_pts = int(sel.sum())
     w = np.full(gx.shape, np.inf)
-    for p in instance.stations:
-        np.minimum(w, np.hypot(gx - p.x, gy - p.y), out=w)
+    for px, py in instance.stations.tolist():
+        np.minimum(w, np.hypot(gx - px, gy - py), out=w)
     order = np.lexsort((w, masks))
     masks_o = masks[order]
     first = np.ones(len(order), dtype=bool)
@@ -65,7 +64,7 @@ def full_grid_sites(instance, step):
         key = int(masks[gi])
         covered = frozenset(t for t in range(instance.n) if key >> t & 1)
         pos = Point(float(gx[gi]), float(gy[gi]))
-        _, origin = site_weight(pos, instance.stations)
+        _, origin = site_weight(pos, instance.stations.tolist())
         grid_sites.append(CandidateSite(pos, covered, float(w[gi]), origin))
     return grid_sites, total_pts
 

@@ -47,11 +47,12 @@ def anchored_cells(instance, m, sites):
     non-empty strips."""
     unit = bounding_box(instance, m).strip
     out = []
+    xs = instance.targets[:, 0].tolist()
     for group in components(instance.n, sites):
-        x0 = min(instance.targets[t].x for t in group)
+        x0 = min(xs[t] for t in group)
         strips = {}
         for t in sorted(group):
-            strips.setdefault(int((instance.targets[t].x - x0) // unit), []).append(t)
+            strips.setdefault(int((xs[t] - x0) // unit), []).append(t)
         out.append((group, sorted(strips.items())))
     return out
 

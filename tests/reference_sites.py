@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 from reference_geometry import (circle_circle_intersections, covered_targets,
                                 nearest_point_on_circle)
-from site_records import CandidateSite
+from site_records import CandidateSite, points
 
 from sinkcover.geometry import COVER_TOL, Point, hypot, near_pairs
 from sinkcover.sites import (CandidateTable, _circle_pair_points,
@@ -27,13 +27,11 @@ def math_hypot_candidate_table(instance):
     """The `CandidateTable` of `generate_candidate_sites`, every coverage
     test and nearest-station choice settled by `math.hypot`."""
     reach = instance.r * (1.0 + COVER_TOL)
-    tx = np.array([t.x for t in instance.targets])
-    ty = np.array([t.y for t in instance.targets])
-    sx = np.array([p.x for p in instance.stations])
-    sy = np.array([p.y for p in instance.stations])
+    tx, ty = instance.targets.T.copy()
+    sx, sy = instance.stations.T.copy()
     qx, qy = _positions(tx, ty, sx, sy, instance.r)
     members, lo, hi, qx, qy = _coverage(qx, qy, tx, ty, reach)
-    weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations)
+    weight, origin = _nearest_stations(qx, qy, sx, sy, instance.stations.tolist())
     order = np.lexsort((qy, qx, weight))
     return CandidateTable(qx[order], qy[order], weight[order], origin[order],
                           lo[order], hi[order], members)
@@ -79,13 +77,13 @@ def _nearest_stations(qx, qy, sx, sy, stations):
 
 def all_pairs_candidate_sites(instance):
     r = instance.r
-    targets = instance.targets
+    targets, stations = points(instance.targets), points(instance.stations)
     positions = {}
 
     def add(p):
         positions.setdefault((p.x, p.y), p)
 
-    for p in instance.stations:
+    for p in stations:
         add(p)
     for t in targets:
         add(t)
@@ -94,7 +92,7 @@ def all_pairs_candidate_sites(instance):
             for p in circle_circle_intersections(targets[i], targets[j], r):
                 add(p)
     for t in targets:
-        for p in instance.stations:
+        for p in stations:
             add(nearest_point_on_circle(t, r, p))
 
     sites = []
@@ -102,7 +100,7 @@ def all_pairs_candidate_sites(instance):
         covered = covered_targets(pos, targets, r)
         if not covered:
             continue
-        weight, origin = site_weight(pos, instance.stations)
+        weight, origin = site_weight(pos, instance.stations.tolist())
         sites.append(CandidateSite(pos, covered, weight, origin))
     sites.sort(key=lambda s: (s.weight, s.position.x, s.position.y))
     return sites

@@ -5,7 +5,8 @@ The library keeps sites as `CandidateTable` columns, and the solver and
 the oracles read them as `(weights, covers)` lists.  A `CandidateSite` here
 is one row of a table: `site_records` reads a table's rows, `site_table`
 builds a table from records, and `site_columns` gives records as the lists
-the oracles and `solve_cell` take.
+the oracles and `solve_cell` take.  `points` gives an instance's coordinate
+array as the `Point`s the per-point reference code reads.
 """
 
 from dataclasses import dataclass
@@ -55,6 +56,11 @@ def site_table(sites):
                           np.array([s.origin_station for s in sites], dtype=np.intp),
                           hi - size, hi,
                           np.array([t for c in covered for t in c], dtype=np.intp))
+
+
+def points(coords):
+    """The rows of an (n, 2) coordinate array as `Point`s."""
+    return [Point(x, y) for x, y in coords.tolist()]
 
 
 def site_columns(sites):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import bin_points
 
-from sinkcover import cli, strip_dp
+from sinkcover import cli, geometry, strip_dp
 from sinkcover.cli import run
 from sinkcover.grid import bounding_box
 from sinkcover.instances_io import read_instance, read_solution
@@ -100,6 +100,30 @@ def test_solve_output_passes_feasibility_recheck(tmp_path):
     inst = read_instance(path)
     sol = read_solution(out)
     assert verify_solution(inst, sol.placements)
+
+
+def test_solve_builds_no_point_per_target_or_sensor(tmp_path, monkeypatch):
+    # Instances and solutions stay columns from file to file: reading,
+    # the solve, the re-check and writing build no `Point` per target or
+    # per sensor.  Only grid corners and nearest-station band rows may
+    # build one, so the count does not grow from n = 400 to n = 4000
+    # (k = 10, 0.1 targets per r^2).
+    built = []
+    check = geometry.Point.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(geometry.Point, "__post_init__", counted)
+    counts = []
+    for n, extent in ((400, 63.25), (4000, 200.0)):
+        path = _gen(tmp_path, n=n, k=10, extent=extent, seed=5)
+        built.clear()
+        assert run(["solve", "--in", str(path), "--m", "4",
+                    "--out", str(tmp_path / "sol.json")]) == 0
+        counts.append(len(built))
+    assert counts[1] <= counts[0] <= 8, counts
 
 
 def test_solve_byte_identical_reruns(tmp_path):

@@ -68,8 +68,8 @@ def test_shift_moves_boundaries_by_f_units():
         for c in bin_points(g, inst.targets, f):
             lo_x, lo_y = off_x + c.index[0] * side, off_y + c.index[1] * side
             for i in (i for s in c.strips for i in s.target_indices):
-                t = inst.targets[i]
-                assert lo_x <= t.x < lo_x + side and lo_y <= t.y < lo_y + side
+                x, y = inst.targets[i].tolist()
+                assert lo_x <= x < lo_x + side and lo_y <= y < lo_y + side
 
 
 def test_cells_partition_targets_every_round():
@@ -126,7 +126,7 @@ def test_strip_count_and_width():
                 for s in cell.strips:
                     j = s.number
                     for i in s.target_indices:
-                        assert x0 + j * width <= inst.targets[i].x < x0 + (j + 1) * width
+                        assert x0 + j * width <= inst.targets[i, 0] < x0 + (j + 1) * width
 
 
 def test_cell_keys_name_the_cell_each_point_is_binned_into():
@@ -136,10 +136,10 @@ def test_cell_keys_name_the_cell_each_point_is_binned_into():
         inst = _uniform_instance(seed, n=40, extent=20.0)
         for m in (1, 2, 3):
             g = bounding_box(inst, m)
-            lines = [Point(g.corner(f).x + j * g.cell_side, g.corner(f).y + j * g.cell_side)
+            lines = [(g.corner(f).x + j * g.cell_side, g.corner(f).y + j * g.cell_side)
                      for f in range(m) for j in range(1, 4)]
-            pts = list(inst.targets) + lines
-            xs, ys = np.array([p.x for p in pts]), np.array([p.y for p in pts])
+            pts = inst.targets.tolist() + lines
+            xs, ys = np.array(pts).T
             for f in range(m):
                 ix, iy = cell_keys(g, xs, ys, f)
                 binned = {i: cell.index for cell in bin_points(g, pts, f)
@@ -208,9 +208,7 @@ def test_no_pool_shared_across_nonadjacent_strips():
 
 
 def _translated(inst, offset):
-    return Instance.from_coords([(t.x + offset, t.y + offset) for t in inst.targets],
-                                [(p.x + offset, p.y + offset) for p in inst.stations],
-                                inst.r)
+    return Instance(inst.targets + offset, inst.stations + offset, inst.r)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
@@ -274,9 +272,9 @@ def binning_cases(draw):
     offset = draw(st.sampled_from([0.0, 1e6, 1e9]))
     spread = draw(st.sampled_from([8.0, 1e3, 1e12]))
     coord = st.floats(0.0, spread, allow_nan=False, allow_infinity=False)
-    pts = [Point(offset + draw(coord), offset + draw(coord))
+    pts = [(offset + draw(coord), offset + draw(coord))
            for _ in range(draw(st.integers(1, 10)))]
-    g = bounding_box(Instance(tuple(pts), (Point(offset, offset),), r), m)
+    g = bounding_box(Instance.from_coords(pts, [(offset, offset)], r), m)
     f = draw(st.integers(0, m - 1))
     corner = g.corner(f)
     for _ in range(draw(st.integers(0, 8))):
@@ -287,7 +285,7 @@ def binning_cases(draw):
         nudge = draw(st.sampled_from([0, -1, 1]))
         if nudge:
             x = math.nextafter(x, nudge * math.inf)
-        pts.append(Point(x, y))
+        pts.append((x, y))
     among = draw(st.permutations(range(len(pts))))
     among = among[:draw(st.integers(1, len(among)))]
     return g, pts, f, among
@@ -309,8 +307,8 @@ def test_round_keys_bin_as_the_per_point_loop(case):
 def test_cell_keys_past_two_to_the_63_stay_exact(m):
     # With r = 1e-12 the cells of points 1e12 apart are numbered past 2^63:
     # keys must not pass through int64.
-    pts = [Point(0.0, 0.0), Point(1e12, 3.0), Point(1e12 + 2e-12 * m, 1e12)]
-    g = bounding_box(Instance(tuple(pts), (Point(0.0, 0.0),), 1e-12), m)
+    pts = [(0.0, 0.0), (1e12, 3.0), (1e12 + 2e-12 * m, 1e12)]
+    g = bounding_box(Instance.from_coords(pts, [(0.0, 0.0)], 1e-12), m)
     for f in range(m):
         cells = bin_points(g, pts, f)
         assert max(c.index[0] for c in cells) > 2 ** 63

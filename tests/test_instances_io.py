@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 import reference_instances_io
 from hypothesis import example, given
@@ -14,9 +15,8 @@ from sinkcover.instances_io import (InstanceFormatError, gen_counterexample,
                                     read_instance_file, read_solution,
                                     write_instance, write_report,
                                     write_solution)
-from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
-from sinkcover.ptas import Placement, Solution
+from sinkcover.ptas import Placements, Solution
 from sinkcover.sites import Instance, generate_candidate_sites, prune_dominated
 
 coords = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
@@ -34,19 +34,19 @@ def test_gen_uniform_deterministic():
 def test_gen_uniform_counts_and_range():
     inst = gen_uniform(10, 3, 1.0, 7.5, 0)
     assert inst.n == 10 and inst.k == 3
-    for p in inst.targets + inst.stations:
-        assert 0.0 <= p.x <= 7.5 and 0.0 <= p.y <= 7.5
+    for x, y in inst.targets.tolist() + inst.stations.tolist():
+        assert 0.0 <= x <= 7.5 and 0.0 <= y <= 7.5
 
 
 def test_gen_counterexample_geometry():
     k, alpha, beta, r = 6, 1.0, 0.01, 1.0
     inst = gen_counterexample(k, alpha, beta, r)
     assert inst.n == k and inst.k == k
-    for t, p in zip(inst.targets, inst.stations):
-        assert math.hypot(t.x, t.y) == pytest.approx(alpha, rel=1e-12)
-        assert math.hypot(p.x, p.y) == pytest.approx(r + alpha + beta, rel=1e-12)
+    for (tx, ty), (px, py) in zip(inst.targets.tolist(), inst.stations.tolist()):
+        assert math.hypot(tx, ty) == pytest.approx(alpha, rel=1e-12)
+        assert math.hypot(px, py) == pytest.approx(r + alpha + beta, rel=1e-12)
         # Station lies along the same ray as its target.
-        cross = t.x * p.y - t.y * p.x
+        cross = tx * py - ty * px
         assert cross == pytest.approx(0.0, abs=1e-12)
 
 
@@ -86,12 +86,12 @@ def test_instance_roundtrip_fuzzed(tmp_path_factory, targets, stations, r):
     back = read_instance(path)
     # Duplicates are dropped on load; compare against the deduplicated form.
     seen, unique = set(), []
-    for t in inst.targets:
-        if (t.x, t.y) not in seen:
-            seen.add((t.x, t.y))
+    for t in map(tuple, inst.targets.tolist()):
+        if t not in seen:
+            seen.add(t)
             unique.append(t)
-    assert back.targets == tuple(unique)
-    assert back.stations == inst.stations
+    assert list(map(tuple, back.targets.tolist())) == unique
+    assert np.array_equal(back.stations, inst.stations)
     assert back.r == inst.r
 
 
@@ -214,8 +214,7 @@ _scalar = st.one_of(st.none(), st.booleans(), st.integers(), _any_float,
 
 @given(_any_float, st.one_of(st.none(), st.integers(0, 2**40)),
        st.lists(_any_float, max_size=4),
-       st.lists(st.builds(Placement, st.builds(Point, _finite, _finite),
-                          st.integers(0, 2**70),
+       st.lists(st.tuples(_finite, _finite, st.integers(0, 2**70),
                           st.one_of(_any_float, st.integers(-2**70, 2**70))),
                 max_size=5),
        st.dictionaries(st.text(max_size=4), st.one_of(
@@ -223,12 +222,14 @@ _scalar = st.one_of(st.none(), st.booleans(), st.integers(), _any_float,
            max_size=4))
 @example(1.0, None, [], [], {})
 @example(-0.0, 3, [1e16, 2.5e-300], [
-    Placement(Point(-0.0, 1e-7), 0, 7),
-    Placement(Point(1.5e300, 5e-324), 2**70, float("inf")),
-    Placement(Point(0.0, 1.0), 1, float("nan"))], {"m": 4, "c": {"s": 12}})
+    (-0.0, 1e-7, 0, 7),
+    (1.5e300, 5e-324, 2**70, float("inf")),
+    (0.0, 1.0, 1, float("nan"))], {"m": 4, "c": {"s": 12}})
 def test_solution_writer_bytes_match_json_dumps(tmp_path_factory, total, shift,
                                                 rounds, placements, config):
-    sol = Solution(total, shift, tuple(rounds), tuple(placements), config)
+    columns = Placements(*map(tuple, zip(*placements))) if placements else \
+        Placements((), (), (), ())
+    sol = Solution(total, shift, tuple(rounds), columns, config)
     path = tmp_path_factory.mktemp("sol")
     write_solution(path / "new.json", sol)
     reference_instances_io.write_solution(path / "ref.json", sol)
@@ -365,3 +366,101 @@ def test_instance_writer_bytes_match_json_dumps(tmp_path, metadata):
     write_instance(tmp_path / "new.json", inst, metadata)
     reference_instances_io.write_instance(tmp_path / "ref.json", inst, metadata)
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+# JSON text for one coordinate: numbers the reader takes, and values it refuses.
+_taken = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.integers(2**1000, 2**1023 * 3 // 2).map(lambda v: str(-v)),
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "1E2",
+                     "1.7976931348623157e308", str(2**53 + 1), str(2**1024 - 2**970)]))
+_refused = st.sampled_from([
+    "true", "false", "null", '"1"', '"x"', "[1, 2]", "[]", "{}", "Infinity",
+    "-Infinity", "NaN", "1e400", "-1e400", str(2**1024), str(-10**400)])
+
+
+@st.composite
+def _instance_texts(draw):
+    """An instance file's text: rows drawn from a small pool, so duplicate
+    targets and signed zeros recur, now and then a refused value, a row of
+    1 or 3 values, a row that is not a list, or a field that is not one."""
+    bad = draw(st.booleans())
+    value = st.one_of(_taken, _refused) if bad else _taken
+    pair = st.tuples(value, value).map(lambda v: f"[{v[0]}, {v[1]}]")
+    row = st.one_of(pair, st.lists(value, min_size=1, max_size=3).map(
+        lambda vs: "[" + ", ".join(vs) + "]"), _refused) if bad else pair
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    field = st.lists(st.sampled_from(pool) | row, max_size=8).map(
+        lambda rows: "[" + ", ".join(rows) + "]")
+    targets, stations = draw(field), draw(field)
+    if bad and draw(st.booleans()):
+        not_list = st.sampled_from(["{}", "5", '"x"', "null", "true"])
+        if draw(st.booleans()):
+            targets = draw(not_list)
+        else:
+            stations = draw(not_list)
+    return f'{{"r": 1.5, "targets": {targets}, "stations": {stations}, "metadata": {{"a": 1}}}}'
+
+
+def _read_both(path):
+    """The library reader's and the reference reader's results, or their
+    refusal texts."""
+    out = []
+    for read in (read_instance_file, reference_instances_io.read_instance_file):
+        try:
+            out.append(read(path))
+        except InstanceFormatError as e:
+            out.append(str(e))
+    return out
+
+
+def _bits(points) -> bytes:
+    return np.array(points, dtype=float).reshape(-1, 2).tobytes()
+
+
+@given(_instance_texts())
+@example('{"r": 1, "targets": [[0, 0], [-0.0, 0.0], [1, 2], [1.0, 2], [0.0, -0.0]], '
+         '"stations": [[-0.0, 3]]}')
+@example('{"r": 1, "targets": [], "stations": [[1, 2]]}')
+@example('{"r": 1, "targets": [[9007199254740993, 0], [9007199254740992, 0]], '
+         '"stations": [[1, 2]]}')
+def test_reader_matches_the_row_by_row_reader(tmp_path_factory, text):
+    # Bit for bit, signed zeros included: the coordinates, the duplicates
+    # dropped and flagged, or the refusal's text.
+    path = tmp_path_factory.mktemp("read") / "inst.json"
+    path.write_text(text)
+    new, ref = _read_both(path)
+    if isinstance(ref, str):
+        assert new == ref
+        return
+    inst, meta = new
+    targets, stations, r, ref_meta = ref
+    assert _bits(inst.targets) == _bits(targets)
+    assert _bits(inst.stations) == _bits(stations)
+    assert inst.r == r and meta == ref_meta
+
+
+@pytest.mark.parametrize("row", [
+    "[0, true]", '[0, "1"]', "[null, 0]", "[0, [1]]", "[1]", "[1, 2, 3]", "5", "null",
+    f"[0, {10**400}]", "[1, Infinity]", "[NaN, 0]", "[0, 1e400]"])
+@pytest.mark.parametrize("field", ["targets", "stations"])
+def test_each_refusal_prints_the_row_by_row_readers_text(tmp_path, capsys, row, field):
+    # Each kind of bad row is refused with the reference reader's text:
+    # [1, Infinity] as 'field "targets"[1]: non-finite point (1.0, inf)'.
+    rows = {"targets": "[[0, 0], [2, 2]]", "stations": "[[0, 0], [2, 2]]"}
+    rows[field] = f"[[0, 0], {row}, [2, 2]]"
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"r": 1, "targets": {rows["targets"]}, "stations": {rows["stations"]}}}')
+    new, ref = _read_both(path)
+    assert isinstance(ref, str) and ref.startswith(f'{path}: field "{field}"[1]') and new == ref
+    assert run(["render", "--in", str(path), "--svg", str(tmp_path / "x.svg")]) == 1
+    assert capsys.readouterr().err == f"error[parse]: {ref}\n"
+
+
+@pytest.mark.parametrize("value", ["{}", "5", '"x"', "true"])
+def test_a_field_that_is_not_a_list_is_refused_as_before(tmp_path, value):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"r": 1, "targets": {value}, "stations": [[0, 0]]}}')
+    new, ref = _read_both(path)
+    assert new == ref == f'{path}: field "targets" must be a list'

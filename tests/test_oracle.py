@@ -203,7 +203,7 @@ def test_exact_and_grid_audit_leave_no_cyclic_garbage():
 
 def test_census_single_sensor():
     inst = Instance.from_coords([(0, 0)], [(3, 0)], 1.0)
-    rep = strip_sensor_census(inst, [Point(1.0, 0.0)], 2)
+    rep = strip_sensor_census(inst, [(1.0, 0.0)], 2)
     assert rep.max_per_strip == 1
     assert rep.max_per_square == 1
 
@@ -212,7 +212,7 @@ def test_census_counterexample_cluster():
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
     sites = pruned_sites(inst)
     res = exact_min_cost_cover(inst.n, *site_columns(sites))
-    pos = [sites[i].position for i in sorted(res.site_indices)]
+    pos = [(sites[i].position.x, sites[i].position.y) for i in sorted(res.site_indices)]
     rep = strip_sensor_census(inst, pos, 4)
     assert 1 <= rep.max_per_strip <= 3
     assert sum(rep.strip_counts.values()) == 3
@@ -229,7 +229,7 @@ def test_census_density_on_verified_solves():
         inst = gen_uniform(5 + 5 * seed, 2, 1.0, 8.0, seed + 300)
         sol = solve(inst, PtasConfig(m=4))
         assert verify_solution(inst, sol.placements)
-        pos = [p.position for p in sol.placements]
+        pos = list(zip(sol.placements.x, sol.placements.y))
         rep = strip_sensor_census(inst, pos, 4, shift=sol.shift_round)
         assert sum(rep.strip_counts.values()) == len(pos)
         worst = max(worst, rep.max_per_strip)
@@ -250,16 +250,16 @@ def test_census_reports_the_strips_cells_for_shift_bins_sensors_into():
         inst = gen_uniform(20, 2, 1.0, 8.0, seed + 310)
         sol = solve(inst, PtasConfig(m=m))
         f = sol.shift_round
-        pos = [p.position for p in sol.placements]
+        pos = list(zip(sol.placements.x, sol.placements.y))
         g = bounding_box(inst, m)
         binned = {(*cell.index, s.number + 1): len(s.target_indices)
                   for cell in bin_points(g, pos, f) for s in cell.strips}
         corner, side = g.corner(f), g.cell_side
         expected: dict = {}
-        for p in pos:
-            ix = math.floor((p.x - corner.x) / side)
-            key = (ix, math.floor((p.y - corner.y) / side),
-                   math.floor((p.x - corner.x) / (2.0 * g.r)) - ix * m + 1)
+        for x, y in pos:
+            ix = math.floor((x - corner.x) / side)
+            key = (ix, math.floor((y - corner.y) / side),
+                   math.floor((x - corner.x) / (2.0 * g.r)) - ix * m + 1)
             expected[key] = expected.get(key, 0) + 1
         assert binned == expected
         assert strip_sensor_census(inst, pos, m, shift=f).strip_counts == binned
@@ -272,7 +272,7 @@ def test_census_clustered_stations():
         [(0.0, 1.0), (0.05, 1.1)], 1.0)
     sites = pruned_sites(inst)
     res = exact_min_cost_cover(inst.n, *site_columns(sites))
-    pos = [sites[i].position for i in sorted(res.site_indices)]
+    pos = [(sites[i].position.x, sites[i].position.y) for i in sorted(res.site_indices)]
     rep = strip_sensor_census(inst, pos, 2)
     assert rep.max_per_strip >= 1
     assert sum(rep.strip_counts.values()) == len(pos)

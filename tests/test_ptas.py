@@ -103,7 +103,7 @@ def test_solution_invariants():
     assert len(sol.per_round_costs) == 4
     assert sol.total_cost <= min(sol.per_round_costs)
     assert sol.total_cost == pytest.approx(
-        sum(p.weight for p in sol.placements), rel=1e-12, abs=1e-12)
+        sum(sol.placements.weight), rel=1e-12, abs=1e-12)
     assert verify_solution(inst, sol.placements)
 
 
@@ -139,7 +139,7 @@ def test_solve_lies_between_the_optimum_and_its_cheapest_round(n, k, extent, see
     opt = exact_min_cost_cover(inst.n, *table.columns()).cost
     sol = solve(inst, PtasConfig(m=m), sites=table)
     assert verify_solution(inst, sol.placements)
-    assert sol.total_cost == sum(p.weight for p in sol.placements)
+    assert sol.total_cost == sum(sol.placements.weight)
     assert opt * (1 - 1e-9) - 1e-12 <= sol.total_cost <= min(sol.per_round_costs)
     assert min(sol.per_round_costs) <= (1 + 4 / m) * opt * (1 + 1e-9) + 1e-12
     assert sol.per_round_costs[sol.shift_round] == min(sol.per_round_costs)
@@ -156,7 +156,7 @@ def test_targets_straddling_strip_lines_solve_within_the_bound(
         m, j, delta, eps, two_r_lines, offset):
     # On 2r lines, B passes the next line, so the three targets one site
     # covers would span three strips of a tiling in units of exactly 2r.
-    b = straddle_instance(m, j, delta, eps, two_r_lines).targets[3].x
+    b = straddle_instance(m, j, delta, eps, two_r_lines).targets[3, 0]
     assume(not two_r_lines or b > 2.0 * (j + 1) - 2e-9 * m)
     inst = straddle_instance(m, j, delta, eps, two_r_lines, offset)
     opt, sol = _sandwich(inst, m)
@@ -194,8 +194,8 @@ def _cells_of(inst, group, m, f):
     """The cells of round f holding the targets in `group`."""
     grid = bounding_box(inst, m)
     corner, side = grid.corner(f), grid.cell_side
-    return {(math.floor((inst.targets[t].x - corner.x) / side),
-             math.floor((inst.targets[t].y - corner.y) / side)) for t in group}
+    return {(math.floor((inst.targets[t, 0] - corner.x) / side),
+             math.floor((inst.targets[t, 1] - corner.y) / side)) for t in group}
 
 
 def _own(sites, group):
@@ -210,8 +210,9 @@ def _own(sites, group):
 def _paid(sol, sites, group):
     """What the solution pays for the sites covering `group`, summed in
     ascending site order, as the solver sums a cover."""
-    at = {s.position: s for s in sites}
-    return sum(p.weight for p in sol.placements if at[p.position].covered & group)
+    at = {(s.position.x, s.position.y): s for s in sites}
+    p = sol.placements
+    return sum(w for x, y, w in zip(p.x, p.y, p.weight) if at[x, y].covered & group)
 
 
 @given(st.integers(1, 12), st.integers(1, 2), st.sampled_from([3.0, 6.0, 10.0, 16.0]),
@@ -379,8 +380,8 @@ def coverage_checks(draw):
 def test_verify_solution_matches_all_pairs_check(case):
     inst, placements = case
     reach = inst.r * (1.0 + COVER_TOL)
-    expected = all(any(math.hypot(t.x - x, t.y - y) <= reach for x, y in placements)
-                   for t in inst.targets)
+    expected = all(any(math.hypot(tx - x, ty - y) <= reach for x, y in placements)
+                   for tx, ty in inst.targets.tolist())
     assert verify_solution(inst, placements) == expected
 
 
@@ -403,21 +404,24 @@ def test_solve_on_columns_matches_solve_on_site_objects(tmp_path, n, k, extent, 
                 == (tmp_path / "objects.json").read_bytes())
 
 
-def test_solve_builds_a_placement_for_each_chosen_site_only(monkeypatch):
-    # Sites stay columns through the solve: the only object built per site
-    # is a chosen row's Placement.
-    built = []
-
-    class Counted(ptas.Placement):
-        def __init__(self, *args):
-            built.append(self)
-            super().__init__(*args)
-
-    monkeypatch.setattr(ptas, "Placement", Counted)
+def test_solve_builds_a_placement_for_each_chosen_site_only():
+    # Sites stay columns through the solve: the placements are the chosen
+    # rows' columns, cut from the table in ascending row order, one entry
+    # per sensor, each a Python scalar.
     for n, k, extent in ((400, 10, 63.25), (30, 2, 8.0)):
-        built.clear()
-        sol = solve(gen_uniform(n, k, 1.0, extent, 5), PtasConfig(m=4))
-        assert sol.placements and built == list(sol.placements)
+        inst = gen_uniform(n, k, 1.0, extent, 5)
+        table = prune_dominated(generate_candidate_sites(inst))
+        sol = solve(inst, PtasConfig(m=4), sites=table)
+        p = sol.placements
+        row_at = {xy: i for i, xy in enumerate(zip(table.x.tolist(), table.y.tolist()))}
+        rows = [row_at[xy] for xy in zip(p.x, p.y)]
+        assert len(p) == len(rows) > 0 and rows == sorted(set(rows))
+        assert p == ptas.placements_of(table, set(rows))
+        assert p.station == tuple(table.origin[rows].tolist())
+        assert p.weight == tuple(table.weight[rows].tolist())
+        assert sol.total_cost == sum(p.weight)
+        assert all(type(v) is float for v in p.x + p.y + p.weight)
+        assert all(type(v) is int for v in p.station)
 
 
 def test_solution_deterministic_serialization(tmp_path):
@@ -444,7 +448,7 @@ def test_boundary_site_deduplicated_across_cells():
     table = prune_dominated(generate_candidate_sites(inst))
     opt = exact_min_cost_cover(inst.n, *table.columns()).cost
     sol = solve(inst, PtasConfig(m=2), sites=table)
-    positions = [(p.position.x, p.position.y) for p in sol.placements]
+    positions = list(zip(sol.placements.x, sol.placements.y))
     assert len(positions) == len(set(positions))
     assert sol.total_cost <= (1 + 4 / 2) * opt * (1 + 1e-9)
 

@@ -362,6 +362,5 @@ def test_nearest_station_with_overflowing_squares(near):
 def test_generate_matches_all_pairs_far_from_the_origin(inst):
     # A shift by 1e9 rounds every coordinate to a coarser grid, so the
     # mirrored stations of `instances` become near ties.
-    shift = Instance.from_coords([(t.x + 1e9, t.y + 1e9) for t in inst.targets],
-                                 [(p.x + 1e9, p.y + 1e9) for p in inst.stations], inst.r)
+    shift = Instance(inst.targets + 1e9, inst.stations + 1e9, inst.r)
     _same(generate_candidate_sites(shift), all_pairs_candidate_sites(shift))

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 from reference_geometry import covered_targets
-from site_records import CandidateSite, pruned_sites, site_records, site_table
+from site_records import CandidateSite, points, pruned_sites, site_records, site_table
 
 from sinkcover.geometry import Point
 from sinkcover.oracle import exact_min_cost_cover
@@ -13,16 +13,16 @@ from sinkcover.sites import (CandidateTable, Instance, _circle_pair_points,
 
 
 def test_site_weight_minimum():
-    w, i = site_weight(Point(0, 0), [Point(3, 4), Point(1, 1)])
+    w, i = site_weight(Point(0, 0), [(3, 4), (1, 1)])
     assert w == pytest.approx(math.sqrt(2)) and i == 1
 
 
 def test_site_weight_zero_at_station():
-    assert site_weight(Point(2, 2), [Point(2, 2)]) == (0.0, 0)
+    assert site_weight(Point(2, 2), [(2, 2)]) == (0.0, 0)
 
 
 def test_site_weight_tie_lowest_index():
-    w, i = site_weight(Point(0, 0), [Point(1, 0), Point(-1, 0)])
+    w, i = site_weight(Point(0, 0), [(1, 0), (-1, 0)])
     assert w == 1.0 and i == 0
 
 
@@ -32,8 +32,50 @@ def test_site_weight_requires_stations():
 
 
 def test_instance_requires_station():
-    with pytest.raises(ValueError):
-        Instance(targets=(), stations=(), r=1.0)
+    with pytest.raises(ValueError, match="at least one station"):
+        Instance(targets=np.zeros((1, 2)), stations=np.empty((0, 2)), r=1.0)
+
+
+@pytest.mark.parametrize("targets", [
+    (), [[0.0, 0.0]], np.zeros(2), np.zeros((1, 3)), np.zeros((1, 2, 1)),
+    np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2), dtype=np.float32)])
+def test_instance_refuses_what_is_not_an_n_by_2_float64_array(targets):
+    with pytest.raises(ValueError, match=r"targets must be an \(n, 2\) float64 array"):
+        Instance(targets=targets, stations=np.zeros((1, 2)), r=1.0)
+    with pytest.raises(ValueError, match=r"stations must be an \(n, 2\) float64 array"):
+        Instance(targets=np.zeros((1, 2)), stations=targets, r=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_instance_refuses_non_finite_coordinates(bad):
+    points = np.array([[0.0, 1.0], [2.0, bad], [bad, 3.0]])
+    with pytest.raises(ValueError, match=rf"^non-finite point \(2.0, {bad}\)$"):
+        Instance(targets=points, stations=np.zeros((1, 2)), r=1.0)
+    with pytest.raises(ValueError, match=rf"^non-finite point \(2.0, {bad}\)$"):
+        Instance(targets=np.zeros((1, 2)), stations=points, r=1.0)
+    with pytest.raises(ValueError, match="non-finite point"):
+        Instance.from_coords([(0, 0), (bad, 0)], [(0, 0)], 1.0)
+
+
+def test_instance_marks_its_arrays_read_only():
+    targets, stations = np.array([[0.0, 1.0]]), np.array([[2.0, 3.0]])
+    inst = Instance(targets=targets, stations=stations, r=1.0)
+    for a in (inst.targets, inst.stations):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 5.0
+    assert inst.targets.tolist() == [[0.0, 1.0]] and inst.stations.tolist() == [[2.0, 3.0]]
+
+
+def test_instance_equality_compares_radius_and_coordinates():
+    inst = Instance.from_coords([(0.0, 1.0), (2, 3)], [(4, 5)], 1.0)
+    assert inst == Instance.from_coords([(-0.0, 1), (2.0, 3.0)], [(4.0, 5.0)], 1)
+    assert inst != Instance.from_coords([(0.0, 1.0), (2, 3)], [(4, 5)], 1.5)
+    assert inst != Instance.from_coords([(0.0, 1.0), (2, 3)], [(4, 6)], 1.0)
+    assert inst != Instance.from_coords([(0.0, 1.0)], [(4, 5)], 1.0)
+    assert inst != Instance.from_coords([(0.0, 1.0), (2, 3), (2, 3)], [(4, 5)], 1.0)
+    assert inst != [(0.0, 1.0), (2, 3)]
+    assert Instance.from_coords([], [(0, 0)], 1.0).targets.shape == (0, 2)
 
 
 def test_instance_requires_positive_radius():
@@ -96,8 +138,8 @@ def test_generate_recompute_invariant():
         [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(8)],
         [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(2)], 1.0)
     for s in site_records(generate_candidate_sites(inst)):
-        assert s.covered == covered_targets(s.position, inst.targets, inst.r)
-        w, i = site_weight(s.position, inst.stations)
+        assert s.covered == covered_targets(s.position, points(inst.targets), inst.r)
+        w, i = site_weight(s.position, inst.stations.tolist())
         assert s.weight == w and s.origin_station == i
 
 

@@ -324,8 +324,7 @@ def test_solve_cell_reproduces_forced_ring_optimum():
     from sinkcover.instances_io import gen_counterexample
     inst = gen_counterexample(3, 1.0, 0.01, 1.0)
     table = prune_dominated(generate_candidate_sites(inst))
-    x0 = min(t.x for t in inst.targets) - 1e-6
-    y0 = min(t.y for t in inst.targets) - 1e-6
+    x0, y0 = (min(axis) - 1e-6 for axis in zip(*inst.targets.tolist()))
     (cell,) = bin_points(Grid(Point(x0, y0), 4, inst.r), inst.targets, 0, sites=table)
     assert cell.index == (0, 0)
     opt = exact_min_cost_cover(inst.n, *table.columns()).cost
