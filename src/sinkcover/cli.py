@@ -1,10 +1,9 @@
 """Command-line surface: generate, solve, exact, compare, audit, render.
 
-Exit codes: 0 on success; 2 when an instance is infeasible
-(``error[infeasible]``), an audit check fails, or a cell needs more strip-DP
-states than the solver's budget (``error[budget]``); 1 on usage, parse or
-input errors.  Errors go to stderr prefixed with a machine-readable code
-like ``error[usage]``.
+Exit codes: 0 on success; 2 when an audit check fails or a cell needs more
+strip-DP states than the solver's budget (``error[budget]``); 1 on usage,
+parse or input errors.  Errors go to stderr prefixed with a machine-readable
+code like ``error[usage]``.
 """
 
 from __future__ import annotations
@@ -129,29 +128,20 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _exact_optimum(inst):
+def _pruned_sites(inst):
     """The pruned candidate sites, as the table the solver reads and as the
-    `(weights, covers)` columns the oracles read, the exact optimum over
-    them and its solve time in ms.  An instance with no target is refused
-    with ValueError before any output.  The optimum is None, after
-    ``error[infeasible]``, when some target has no coverer."""
+    `(weights, covers)` columns the oracles read.  An instance with no
+    target is refused with ValueError before any output."""
     if inst.n == 0:
         raise ValueError("nothing to cover")
     table = prune_dominated(generate_candidate_sites(inst))
-    columns = table.columns()
-    t0 = time.perf_counter()
-    res = exact_min_cost_cover(inst.n, *columns)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if not res.feasible:
-        _fail("infeasible", f"target {res.infeasible_target} cannot be covered")
-    return table, columns, res if res.feasible else None, elapsed_ms
+    return table, table.columns()
 
 
 def _cmd_exact(args) -> int:
     inst = read_instance(args.infile)
-    table, _, res, _ = _exact_optimum(inst)
-    if res is None:
-        return 2
+    table, columns = _pruned_sites(inst)
+    res = exact_min_cost_cover(inst.n, *columns)
     placements = placements_of(table, res.site_indices)
     write_solution(args.out, Solution(
         total_cost=res.cost, shift_round=None, per_round_costs=(),
@@ -173,9 +163,10 @@ def _cmd_compare(args) -> int:
         return 1
     # Every m is checked before the exact oracle runs.
     configs = [PtasConfig(m=m) for m in ms]
-    table, columns, exact, exact_ms = _exact_optimum(inst)
-    if exact is None:
-        return 2
+    table, columns = _pruned_sites(inst)
+    t0 = time.perf_counter()
+    exact = exact_min_cost_cover(inst.n, *columns)
+    exact_ms = (time.perf_counter() - t0) * 1000.0
     greedy = greedy_cover(inst.n, *columns)
 
     name = os.path.basename(args.infile)   # reports name no directory
@@ -212,15 +203,14 @@ def _cmd_compare(args) -> int:
 def _cmd_audit(args) -> int:
     inst = read_instance(args.infile)
     step = args.step if args.step is not None else inst.r / 200.0
-    config = PtasConfig(m=args.m)   # checked before the exact oracle runs,
+    config = PtasConfig(m=args.m)   # checked before the sites are generated,
     check_grid_audit(inst, step)    # as are --step and the instance
-    table, columns, exact, _ = _exact_optimum(inst)
-    if exact is None:
-        return 2
+    table, columns = _pruned_sites(inst)
     grid = grid_refine_audit(inst, *columns, step)
     if grid.missed:
         raise ValueError(f"no point of the grid of pitch {step} covers "
                          f"{grid.missed} of the {inst.n} targets")
+    exact = exact_min_cost_cover(inst.n, *columns)
     ok_grid = grid.undominated == 0
     print(f"refine: step {step:.9f} sets {grid.distinct_cover_sets} "
           f"undominated {grid.undominated} worst excess {grid.worst_excess:.3g} "

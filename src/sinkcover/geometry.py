@@ -28,11 +28,6 @@ class Point:
             raise ValueError(f"non-finite point ({self.x}, {self.y})")
 
 
-def dist(p: Point, q: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(p.x - q.x, p.y - q.y)
-
-
 def hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Elementwise `math.hypot`.  Numpy screens, and `math.hypot` settles
     every comparison in the band and every output weight: `np.hypot` can

@@ -29,9 +29,6 @@ class OracleResult:
     cost: float
     site_indices: frozenset[int]
     nodes_explored: int
-    proven_optimal: bool
-    feasible: bool = True
-    infeasible_target: int | None = None
 
 
 def _target_masks(covers: list[list[int]]) -> list[int]:
@@ -73,33 +70,34 @@ def exact_min_cost_cover(target_count: int, weights: list[float],
     Branches on the lowest-index uncovered target over the sites covering
     it, cheapest first.  Nodes are pruned against the incumbent using an
     admissible lower bound: the largest, over uncovered targets, of the
-    cheapest weight of any site covering that target.  Weights whose sums
-    may pass the float range are refused with ValueError
-    (`sites.check_cost_range`).
+    cheapest weight of any site covering that target.  A target that no
+    site covers, and weights whose sums may pass the float range
+    (`sites.check_cost_range`), are refused with ValueError.  Past those
+    checks the search ends at a cover: its first descent takes the lowest
+    uncovered target's cheapest coverer, at most w, the heaviest of the
+    targets' cheapest weights, until all n are covered, for at most n * w.
+    The range check keeps that finite, so nothing on the way is pruned
+    against the infinite incumbent.
 
     Intended for small instances; the search is exponential in general.
     """
     if target_count == 0:
-        return OracleResult(0.0, frozenset(), 0, True)
+        return OracleResult(0.0, frozenset(), 0)
     masks = _target_masks(covers)
     full = (1 << target_count) - 1
-
     by_target = coverers(covers)
     ordered = [sorted(by_target.get(t, ()), key=lambda si: (weights[si], si))
                for t in range(target_count)]
     for t, cs in enumerate(ordered):
         if not cs:
-            return OracleResult(INF, frozenset(), 0, False,
-                                feasible=False, infeasible_target=t)
+            raise ValueError(f"no candidate site covers target {t}")
     cheapest = [weights[cs[0]] for cs in ordered]
     check_cost_range(target_count, max(cheapest))
 
     best = [INF, (), 0]
     _search(full, (), 0.0, (ordered, masks, weights, cheapest), best)
     best_cost, best_set, nodes = best
-    if math.isinf(best_cost):
-        return OracleResult(INF, frozenset(), nodes, False, feasible=False)
-    return OracleResult(best_cost, frozenset(best_set), nodes, True)
+    return OracleResult(best_cost, frozenset(best_set), nodes)
 
 
 def greedy_cover(target_count: int, weights: list[float],
@@ -112,7 +110,10 @@ def greedy_cover(target_count: int, weights: list[float],
     A site's ratio only rises as targets get covered, so a heap keyed on
     (ratio, site index) may hold stale keys: a popped site whose count of
     new targets is unchanged has the least current key, and is picked;
-    any other is pushed back with its current key.
+    any other is pushed back with its current key.  Each pop picks a site,
+    lowers its count of new targets or drops it, so the loop ends; a site
+    covering a target left uncovered would still be on the heap, so such a
+    target has no coverer and is refused with ValueError.
     """
     masks = _target_masks(covers)
     uncov = (1 << target_count) - 1
@@ -128,13 +129,11 @@ def greedy_cover(target_count: int, weights: list[float],
             uncov &= ~masks[si]
         elif now:
             heapq.heappush(heap, (weights[si] / now, si, now))
-    steps = len(chosen)
     if uncov:
         t = (uncov & -uncov).bit_length() - 1
-        return OracleResult(INF, frozenset(chosen), steps, False,
-                            feasible=False, infeasible_target=t)
+        raise ValueError(f"no candidate site covers target {t}")
     cost = sum((weights[si] for si in sorted(chosen)), 0.0)
-    return OracleResult(cost, frozenset(chosen), steps, False)
+    return OracleResult(cost, frozenset(chosen), len(chosen))
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ class GridRefineReport:
     """The discretization audit's outcome; it passes when `undominated` is 0,
     and it speaks for every target only when `missed` is 0."""
 
-    step: float
     grid_candidate_points: int
     distinct_cover_sets: int
     undominated: int           # sets no candidate covers at no more weight
@@ -185,8 +183,7 @@ def grid_refine_audit(instance: Instance, weights: list[float],
         undominated += excess > instance.r * COVER_TOL + 4.0 * math.ulp(w)
         worst = max(worst, excess)
     reached = int(np.bitwise_or.reduce(sets, initial=0)).bit_count()
-    return GridRefineReport(step=step, grid_candidate_points=points,
-                            distinct_cover_sets=len(sets),
+    return GridRefineReport(grid_candidate_points=points, distinct_cover_sets=len(sets),
                             undominated=undominated, worst_excess=worst,
                             missed=instance.n - reached)
 

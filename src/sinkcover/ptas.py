@@ -295,33 +295,20 @@ class ShiftAuditReport:
     m: int
     average: float
     minimum: float
-    optimum: float
     bound: float            # (1 + 4/m) * optimum
-    average_within_bound: bool
-    minimum_below_average: bool
-    margin: float           # bound - average
-
-    @property
-    def ok(self) -> bool:
-        return self.average_within_bound and self.minimum_below_average
+    ok: bool                # average <= bound + 1e-9 * max(1, |bound|)
 
 
 def shift_average_audit(per_round_costs, opt: float) -> ShiftAuditReport:
-    """Check the averaging argument behind the shifting guarantee.
-
-    The mean round cost must stay below (1 + 4/m) times the optimum, and the
-    selected (minimum) round can only do better than the mean.
+    """Check the averaging argument behind the shifting guarantee: the mean
+    round cost must stay below (1 + 4/m) times the optimum.  The selected
+    (minimum) round can only do better than the mean.
     """
     costs = list(per_round_costs)
     if not costs:
         raise ValueError("no round costs")
     m = len(costs)
     avg = sum(costs) / m
-    mn = min(costs)
     bound = (1.0 + 4.0 / m) * opt
-    tol = 1e-9 * max(1.0, abs(bound))
-    return ShiftAuditReport(m=m, average=avg, minimum=mn, optimum=opt,
-                            bound=bound,
-                            average_within_bound=avg <= bound + tol,
-                            minimum_below_average=mn <= avg + tol,
-                            margin=bound - avg)
+    return ShiftAuditReport(m=m, average=avg, minimum=min(costs), bound=bound,
+                            ok=avg <= bound + 1e-9 * max(1.0, abs(bound)))

@@ -149,9 +149,9 @@ def generate_candidate_sites(instance: Instance) -> CandidateTable:
     ((target, station) order); the first one seen wins a merge, which
     decides between 0.0 and -0.0.  Circle pairs and coverage are found by
     `near_pairs` at radius 2r and r, so only targets that can intersect or
-    be covered are examined.  Numpy screens, and `math.hypot`, as in
-    `geometry.dist`, settles every comparison in the band and every output
-    weight: `np.hypot` can differ from it in the last bit.
+    be covered are examined.  Numpy screens, and `math.hypot` settles every
+    comparison in the band and every output weight: `np.hypot` can differ
+    from it in the last bit.
     """
     reach = instance.r * (1.0 + COVER_TOL)
     tx, ty = instance.targets.T.copy()

@@ -1,15 +1,20 @@
-"""Geometry helpers the library no longer calls: a near-station sensor
-configuration used by property checks, with its covered half-angle and the
-position reaching both of its residual pockets, and the scalar circle
-intersection, circle projection and coverage scan that the all-pairs
-reference front end is built from."""
+"""Geometry helpers the library no longer calls: the distance between two
+points, a near-station sensor configuration used by property checks, with
+its covered half-angle and the position reaching both of its residual
+pockets, and the scalar circle intersection, circle projection and
+coverage scan that the all-pairs reference front end is built from."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from sinkcover.geometry import COVER_TOL, Point, dist
+from sinkcover.geometry import COVER_TOL, Point
+
+
+def dist(p: Point, q: Point) -> float:
+    """Euclidean distance between two points."""
+    return math.hypot(p.x - q.x, p.y - q.y)
 
 
 @dataclass(frozen=True)

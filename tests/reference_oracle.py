@@ -83,8 +83,13 @@ class GlobalGridReport:
 
 
 def full_grid_global_audit(instance, discrete_opt, step):
+    """The grid's exact optimum against `discrete_opt`; a grid that misses
+    a target has no cover, and an infinite optimum."""
     grid_sites, _ = full_grid_sites(instance, step)
-    res = exact_min_cost_cover(instance.n, *site_columns(grid_sites))
+    try:
+        res = exact_min_cost_cover(instance.n, *site_columns(grid_sites))
+    except ValueError:      # no grid point covers some target
+        res = OracleResult(INF, frozenset(), 0)
     return GlobalGridReport(discrete_opt=discrete_opt, grid_opt=res.cost,
                             gap=res.cost - discrete_opt,
                             grid_solution_size=len(res.site_indices))
@@ -92,7 +97,7 @@ def full_grid_global_audit(instance, discrete_opt, step):
 
 def greedy_cover_rescan(target_count, sites):
     if target_count == 0:
-        return OracleResult(0.0, frozenset(), 0, False)
+        return OracleResult(0.0, frozenset(), 0)
     masks = []
     for s in sites:
         mask = 0
@@ -115,23 +120,23 @@ def greedy_cover_rescan(target_count, sites):
                 best_ratio, best_si = ratio, si
         if best_si < 0:
             t = (uncov & -uncov).bit_length() - 1
-            return OracleResult(INF, frozenset(chosen), steps, False,
-                                feasible=False, infeasible_target=t)
+            raise ValueError(f"no candidate site covers target {t}")
         chosen.append(best_si)
         uncov &= ~masks[best_si]
         steps += 1
     cost = sum(sites[si].weight for si in sorted(chosen))
-    return OracleResult(cost, frozenset(chosen), steps, False)
+    return OracleResult(cost, frozenset(chosen), steps)
 
 
 def milp_min_cost_cover(target_count, sites):
     """Minimum total weight covering targets 0..target_count-1 with `sites`,
     as a MILP: one binary per site, and one row per target of the sparse
     incidence matrix asking that a chosen site cover it, solved with no
-    relative gap.  Returns an OracleResult whose cost is recomputed over
-    the chosen sites in ascending index order."""
+    relative gap, which must prove an optimum.  Returns an OracleResult
+    whose cost is recomputed over the chosen sites in ascending index
+    order."""
     if target_count == 0:
-        return OracleResult(0.0, frozenset(), 0, True)
+        return OracleResult(0.0, frozenset(), 0)
     cols = [i for i, s in enumerate(sites) for t in s.covered if t < target_count]
     rows = [t for s in sites for t in s.covered if t < target_count]
     incidence = csr_array((np.ones(len(rows)), (rows, cols)),
@@ -140,8 +145,6 @@ def milp_min_cost_cover(target_count, sites):
                constraints=LinearConstraint(incidence, lb=1.0, ub=np.inf),
                integrality=np.ones(len(sites)), bounds=Bounds(0.0, 1.0),
                options={"mip_rel_gap": 0.0})
-    if res.x is None:
-        return OracleResult(INF, frozenset(), 0, False, feasible=False)
+    assert res.status == 0, res.message
     chosen = [i for i, v in enumerate(res.x) if v > 0.5]
-    return OracleResult(sum(sites[i].weight for i in chosen), frozenset(chosen),
-                        0, res.status == 0)
+    return OracleResult(sum(sites[i].weight for i in chosen), frozenset(chosen), 0)

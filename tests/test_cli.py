@@ -179,13 +179,20 @@ def test_far_station_fails_with_one_line_on_stderr(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["solve", "--m", "4"], ["exact"], ["compare", "--m", "2,4"],
-                                  ["audit", "--m", "4", "--step", "1e305"]],
+                                  ["audit", "--m", "4"]],
                          ids=["solve", "exact", "compare", "audit"])
 def test_costs_past_the_float_range_are_refused_before_any_output(tmp_path, capsys, argv):
     # Ten targets in a 1e308 box: each site weighs up to about 1.4e308, so
     # a cover's cost overflows.  `solve` used to write "Infinity" costs,
-    # and `exact` to find no cover at all.
-    path = _gen(tmp_path, n=10, k=2, extent=1e308, seed=1)
+    # and `exact` to find no cover at all.  No grid the audit sweeps covers
+    # such a box, and it refuses a grid that misses a target first, so its
+    # ten targets lie in a row 1.5 apart, both stations 1.6e308 away.
+    if argv[0] == "audit":
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"r": 1.0, "targets": [[1.5 * i, 0.0] for i in range(10)],
+                                    "stations": [[1.6e308, 0.0], [0.0, -1.6e308]]}))
+    else:
+        path = _gen(tmp_path, n=10, k=2, extent=1e308, seed=1)
     out = tmp_path / "out.json"
     capsys.readouterr()
     assert run([argv[0], "--in", str(path), *argv[1:], "--out", str(out)]) == 1
@@ -611,6 +618,20 @@ def test_audit_refuses_a_grid_that_misses_a_target(tmp_path, capsys, case):
     got = capsys.readouterr()
     assert got.out == "" and got.err.startswith("error[input]: ")
     assert "Traceback" not in got.err and not out.exists()
+
+
+def test_audit_refuses_a_grid_that_misses_a_target_before_the_exact_oracle(
+        tmp_path, capsys, monkeypatch):
+    # The CI instance at a pitch past its box: the grid's one point covers
+    # no target, and the branch and bound is never run.
+    path = _gen(tmp_path, n=6, k=2, r=1.0, extent=5.0, seed=1)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "exact_min_cost_cover", _must_not_run)
+    assert run(["audit", "--in", str(path), "--m", "4", "--step", "50"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == ("error[input]: no point of the grid of pitch 50.0 covers "
+                       "6 of the 6 targets\n")
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "-inf"])

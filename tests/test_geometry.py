@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from reference_geometry import (LevelProbe, circle_circle_intersections,
-                                coverage_angle_halfwidth, covered_targets,
+                                coverage_angle_halfwidth, covered_targets, dist,
                                 nearest_point_on_circle, s_prime_location)
 
-from sinkcover.geometry import Point, dist, near_pairs
+from sinkcover.geometry import Point, near_pairs
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)

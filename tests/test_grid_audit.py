@@ -125,7 +125,10 @@ def test_dominance_flags_more_dropped_candidates_than_the_global_check():
         columns = site_columns([s for s in pruned_sites(inst) if rng.random() >= 0.1])
         if grid_refine_audit(inst, *columns, 1.0 / 50).undominated:
             by_dominance.add(i)
-        opt = exact_min_cost_cover(inst.n, *columns).cost
+        try:
+            opt = exact_min_cost_cover(inst.n, *columns).cost
+        except ValueError:      # the drop left a target with no coverer
+            opt = math.inf
         if not full_grid_global_audit(inst, opt, 1.0 / 50).ok_lower:
             by_global.add(i)
     assert by_global < by_dominance, (sorted(by_global), sorted(by_dominance))

@@ -33,7 +33,7 @@ def _exhaustive(target_count, sites):
 
 def test_exact_single_site():
     res = exact_min_cost_cover(1, [4.0], [[0]])
-    assert res.cost == 4.0 and res.proven_optimal
+    assert res.cost == 4.0
 
 
 def test_exact_prefers_shared_site():
@@ -62,14 +62,13 @@ def test_exact_counterexample_family():
 
 
 def test_exact_infeasible_names_target():
-    res = exact_min_cost_cover(2, [1.0], [[0]])
-    assert not res.feasible
-    assert res.infeasible_target == 1
+    with pytest.raises(ValueError, match="target 1"):
+        exact_min_cost_cover(2, [1.0], [[0]])
 
 
 def test_exact_empty_universe():
     res = exact_min_cost_cover(0, [], [])
-    assert res.cost == 0.0 and res.feasible
+    assert res.cost == 0.0
 
 
 def test_exact_matches_exhaustive_randomized():
@@ -104,7 +103,12 @@ def test_exact_cost_stable_under_shuffle():
 def test_greedy_single_site_covers_all():
     sites = _sites([({0, 1}, 2.0)])
     res = greedy_cover(2, *site_columns(sites))
-    assert res.site_indices == {0} and not res.proven_optimal
+    assert res.site_indices == {0}
+
+
+def test_greedy_infeasible_names_target():
+    with pytest.raises(ValueError, match="target 1"):
+        greedy_cover(3, [1.0, 2.0], [[0], [2]])
 
 
 def test_greedy_picks_cheap_singletons():
@@ -114,9 +118,18 @@ def test_greedy_picks_cheap_singletons():
     assert res.site_indices == {0, 1}
 
 
+def _outcome(cover, *args):
+    """A cover's result, or the text of the ValueError it raises."""
+    try:
+        return cover(*args)
+    except ValueError as e:
+        return str(e)
+
+
 def test_greedy_picks_match_the_rescan():
     # The lazy heap picks what rescanning every site on each step picks,
     # lowest index on equal ratios; the integer weights make ties common.
+    # Both refuse a draw that leaves a target uncovered, naming the same one.
     rng = random.Random(71)
     for n in (1, 5, 12, 40):
         for _ in range(20):
@@ -124,7 +137,8 @@ def test_greedy_picks_match_the_rescan():
                      rng.choice([0, 1, 2, 3, 6]))
                     for _ in range(rng.randint(1, 3 * n))]
             sites = _sites(spec)
-            assert greedy_cover(n, *site_columns(sites)) == greedy_cover_rescan(n, sites)
+            assert (_outcome(greedy_cover, n, *site_columns(sites))
+                    == _outcome(greedy_cover_rescan, n, sites))
     for seed in range(6):
         inst = gen_uniform(40 + 20 * seed, 3, 1.0, 12.0, seed + 900)
         sites = pruned_sites(inst)
@@ -197,7 +211,7 @@ def test_exact_and_grid_audit_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert res.proven_optimal and res.nodes_explored == 158
+    assert res.nodes_explored == 158
     assert rep.undominated == 0
 
 

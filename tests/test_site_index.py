@@ -31,7 +31,7 @@ LAYOUTS = ("uniform", "one_box", "clustered", "collinear", "coincident", "two_r"
 def instances(draw):
     layout = draw(st.sampled_from(LAYOUTS))
     r = draw(st.sampled_from([1.0, 0.5, 2.5]))
-    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e15, -1e15]))
     n = draw(st.integers(1, 24))
 
     def coord(lo, hi):
@@ -103,7 +103,10 @@ def _same(table, want):
 def test_generate_matches_all_pairs(inst):
     table, want = generate_candidate_sites(inst), all_pairs_candidate_sites(inst)
     _same(table, want)
-    _same(prune_dominated(table), all_pairs_prune(want))
+    pruned = _same(prune_dominated(table), all_pairs_prune(want))
+    # Every target keeps a coverer: the site on it covers it, and a pruned
+    # site's targets are all covered by the site that dominates it.
+    assert frozenset().union(*(s.covered for s in pruned)) == frozenset(range(inst.n))
 
 
 @given(instances(), st.randoms(use_true_random=False))
